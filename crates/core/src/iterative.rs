@@ -21,7 +21,6 @@ use crate::worker::{plan_round, reducer_host, CollectorStats, PacedSenderNode, R
 use daiet_fabric::{Duration, Fabric, Frame, Node, PortId, Time};
 use daiet_wire::daiet::{Key, Pair};
 use daiet_wire::fnv::FnvHashMap;
-use daiet_wire::stack::Endpoints;
 
 /// A host that takes no part in the job: receives and drops. Occupies
 /// plan slots the placement leaves unused.
@@ -270,36 +269,27 @@ impl IterativeRunner {
             }
             let slot = self.spec.senders[i];
             let id = self.ids[slot];
-            // Preloaded frames come from the pool of the partition that
-            // owns this sender (pools are `Rc`-backed, partition-local).
-            let pool = self.sim.pool_for(id).clone();
-            let parts: Vec<(u16, Endpoints, &[Pair])> = sender_shards
-                .iter()
-                .enumerate()
-                .map(|(r, pairs)| {
-                    (
-                        self.deployment.tree_id(r),
-                        self.deployment.endpoints(slot, r),
-                        pairs.as_slice(),
-                    )
-                })
-                .collect();
+            let parts = sender_shards.iter().enumerate().map(|(r, pairs)| {
+                (
+                    self.deployment.tree_id(r),
+                    self.deployment.endpoints(slot, r),
+                    pairs.as_slice(),
+                )
+            });
             // The interleave offset rotates with the round so no tree is
             // permanently first in every sender's transmit order.
             let offset = i.wrapping_add(self.round as usize);
-            let (transmit, replay_parts) = plan_round(
+            let round = plan_round(
                 &self.spec.config,
-                &parts,
+                parts,
                 &mut self.next_seq[i],
                 offset,
                 self.spec.redundancy,
-                &pool,
             );
-            let node = self
-                .sim
+            self.sim
                 .node_mut::<PacedSenderNode>(id)
-                .expect("sender slots hold PacedSenderNodes");
-            node.enqueue_round(transmit, replay_parts);
+                .expect("sender slots hold PacedSenderNodes")
+                .enqueue_round(round);
             // Restart the pacing chain (it ran dry at the last barrier).
             let at = self.sim.now() + self.spec.pacing;
             self.sim.schedule_timer(at, id, 0);

@@ -31,8 +31,8 @@
 use crate::agg::AggFn;
 use crate::config::DaietConfig;
 use crate::controller::{AggregationMode, Controller, Deployment, JobPlacement};
-use crate::worker::{multi_tree_sender, reducer_host, ReducerHost};
-use daiet_fabric::{Duration, FaultShim, FramePool, Node, NodeSpec, Time};
+use crate::worker::{one_shot_sender, reducer_host, ReducerHost};
+use daiet_fabric::{Duration, FaultShim, Node, NodeSpec, Time};
 use daiet_netsim::topology::TopologyPlan;
 use daiet_wire::daiet::{Key, Pair};
 use std::any::Any;
@@ -172,19 +172,7 @@ impl LoopbackJob {
             .collect();
         NodeSpec {
             build: Box::new(move || {
-                // Frames are preloaded from a thread-local pool; the
-                // driver copies bytes at the socket edge, so the pool
-                // never crosses the thread.
-                let pool = FramePool::new();
-                Box::new(multi_tree_sender(
-                    &config,
-                    m,
-                    &parts,
-                    redundancy,
-                    pacing,
-                    &pool,
-                    "udp-mapper",
-                ))
+                Box::new(one_shot_sender(&config, m, parts, redundancy, pacing, "udp-mapper"))
             }),
             shim,
             done: None,

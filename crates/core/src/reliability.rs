@@ -23,8 +23,9 @@
 //!    query coordinator watching its last hop — tracks per-flow sequence
 //!    gaps, and after a configurable idle timeout sends a NACK frame
 //!    naming the missing [`NackRange`]s (plus a *tail* request covering a
-//!    possibly-lost END). Hosts replay from their full transmit schedule;
-//!    switches replay recently flushed aggregates from a bounded,
+//!    possibly-lost END). Hosts rebuild what is asked for from the
+//!    round's retained pairs (fixed-size, so by offset); switches replay
+//!    recently flushed aggregates from a bounded,
 //!    SRAM-accounted [`RetransmitRing`]. Replays are made idempotent by
 //!    the dedup windows, so recovery composes with (and subsumes)
 //!    redundancy: `k = 1` suffices on every segment.

@@ -703,9 +703,10 @@ impl JobScheduler {
 
     /// Opens a round for `job`: `shards[i][t]` is what the job's
     /// sender `i` owes its tree `t` this round (an empty shard still
-    /// ships its END — every rostered flow closes every round). Frames
-    /// are enqueued and pacing timers armed; the caller advances
-    /// simulated time ([`step`](Self::step)) and polls
+    /// ships its END — every rostered flow closes every round). The
+    /// shards are copied into each sender's round schedule (frames are
+    /// built from them tick by tick) and pacing timers armed; the caller
+    /// advances simulated time ([`step`](Self::step)) and polls
     /// [`round_done`](Self::round_done) — there is **no global
     /// barrier**, other jobs stream concurrently.
     pub fn begin_round(&mut self, job: JobId, shards: &[Vec<Vec<Pair>>]) -> Result<(), String> {
@@ -735,29 +736,22 @@ impl JobScheduler {
             }
             let slot = st.sender_slots[i];
             let id = self.ids[slot];
-            let pool = self.sim.pool_for(id).clone();
-            let parts: Vec<(u16, Endpoints, &[Pair])> = sender_shards
-                .iter()
-                .enumerate()
-                .map(|(t, pairs)| {
-                    let tree = &st.trees[t];
-                    (
-                        tree.tree_id,
-                        Endpoints::from_ids(slot as u32, tree.reducer as u32),
-                        pairs.as_slice(),
-                    )
-                })
-                .collect();
+            let parts = sender_shards.iter().enumerate().map(|(t, pairs)| {
+                let tree = &st.trees[t];
+                (
+                    tree.tree_id,
+                    Endpoints::from_ids(slot as u32, tree.reducer as u32),
+                    pairs.as_slice(),
+                )
+            });
             // Rotate the interleave offset with the round so no tree is
             // permanently first in this sender's transmit order.
             let offset = i.wrapping_add(st.round as usize);
-            let (transmit, replay_parts) =
-                plan_round(&config, &parts, &mut st.next_seq[i], offset, 1, &pool);
-            let node = self
-                .sim
+            let round = plan_round(&config, parts, &mut st.next_seq[i], offset, 1);
+            self.sim
                 .node_mut::<PacedSenderNode>(id)
-                .expect("sender pool slots hold PacedSenderNodes");
-            node.enqueue_round(transmit, replay_parts);
+                .expect("sender pool slots hold PacedSenderNodes")
+                .enqueue_round(round);
             let at = self.sim.now() + pacing;
             self.sim.schedule_timer(at, id, 0);
         }

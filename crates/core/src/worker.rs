@@ -9,15 +9,26 @@
 //! splits a pair. "Finally, the end of the transmission is marked by a
 //! special END packet." On the receive side, "the intermediate results
 //! must be sorted at the reducer rather than at the mapper".
+//!
+//! The sender takes §4 at its word: packet `i` of a partition is an
+//! offset computation ([`Packetizer`]'s one policy), so nothing is
+//! serialized ahead of time. [`plan_round`] returns a [`RoundSchedule`]
+//! that owns the round's pairs, and [`PacedSenderNode`] builds each frame
+//! from the fabric's pool at the tick it transmits it — frames exist
+//! only while in flight, the pool recycles from the first job on, and a
+//! NACKed `(tree, seq)` is rebuilt from the same pairs instead of being
+//! retained. [`Packetizer::frames_from_seq`] + [`interleave_round_robin`]
+//! remain as the eager reference the streamed order is tested against.
 
 use crate::agg::AggFn;
 use crate::config::DaietConfig;
-use crate::reliability::{seq_after, seq_at_or_after};
+use crate::reliability::seq_after;
 use daiet_dataplane::parser::{parse, ParsedPacket, ParserConfig};
 use daiet_fabric::{Duration, Fabric, Frame, FramePool, Node, PortId, Time};
 use daiet_wire::daiet::{self, Header, Key, NackRange, PacketFlags, PacketType, Pair, Repr};
 use daiet_wire::fnv::FnvHashMap;
 use daiet_wire::stack::{build_daiet_into, Endpoints};
+use std::collections::VecDeque;
 
 /// Parser settings for an end host NIC stack: checksums verified, but no
 /// parse-depth limit (hosts are CPUs, not line-rate parsers). Shared by
@@ -43,86 +54,169 @@ pub fn receive_daiet(frame: Frame) -> Option<(Header, daiet_wire::Ipv4Address, P
     Some((hdr, src, parsed))
 }
 
-/// Builds the standard multi-tree UDP sender: packetize each partition
-/// (`(tree, endpoints, pairs)`), interleave round-robin at a
-/// sender-specific offset, expand `k`-redundantly (`redundancy = 1` for
-/// none), and replay paced — the one construction behind every bulk
-/// sender (the MapReduce mappers, the querysim workers).
+/// Builds the standard multi-tree UDP sender from borrowed partitions
+/// (`(tree, endpoints, pairs)`): [`one_shot_sender`] over a copy of the
+/// pairs. Runners that own their pair vectors call [`one_shot_sender`]
+/// and copy nothing. `_pool` is unused: the node builds every frame from
+/// its own fabric's pool at the frame's transmit tick.
 pub fn multi_tree_sender(
     config: &DaietConfig,
     sender_index: usize,
     partitions: &[(u16, Endpoints, Vec<Pair>)],
     redundancy: u32,
     gap: Duration,
-    pool: &FramePool,
+    _pool: &FramePool,
+    label: &'static str,
+) -> PacedSenderNode {
+    let parts = partitions.iter().map(|(tree, ep, pairs)| (*tree, *ep, pairs.as_slice()));
+    one_shot_sender(config, sender_index, parts, redundancy, gap, label)
+}
+
+/// The one construction behind every bulk sender (the MapReduce mappers,
+/// the querysim workers, the loopback mappers): a [`PacedSenderNode`]
+/// streaming one round of `partitions` round-robin from a
+/// sender-specific offset, `k`-redundantly (`redundancy = 1` for none),
+/// replay-armed when `config.nack_recovery` is on.
+pub fn one_shot_sender<P: Into<Vec<Pair>>>(
+    config: &DaietConfig,
+    sender_index: usize,
+    partitions: impl IntoIterator<Item = (u16, Endpoints, P)>,
+    redundancy: u32,
+    gap: Duration,
     label: &'static str,
 ) -> PacedSenderNode {
     // A one-shot sender is a one-round iterative sender: every tree's
     // sequence space starts at 0 and there is no next round.
     let mut next_seq = FnvHashMap::default();
-    let (transmit, replay_parts) =
-        plan_round(config, partitions, &mut next_seq, sender_index, redundancy, pool);
-    let node = PacedSenderNode::new(transmit, gap, label);
+    let round = plan_round(config, partitions, &mut next_seq, sender_index, redundancy);
+    let mut node = PacedSenderNode::new(Vec::new(), gap, label);
     if config.nack_recovery {
-        let store: FnvHashMap<u16, Vec<Frame>> =
-            replay_parts.into_iter().map(|(tree, _base, frames)| (tree, frames)).collect();
-        node.with_replay(store)
-    } else {
-        node
+        node.arm_replay();
     }
+    node.enqueue_round(round);
+    node
 }
 
-/// Per-tree replay retention out of [`plan_round`]: one
-/// `(tree, base_seq, frames)` entry per part, in part order.
-pub type ReplayParts = Vec<(u16, u32, Vec<Frame>)>;
-
-/// Packetizes one round of multi-tree output into a transmit schedule —
-/// the one planning routine behind every bulk sender (the MapReduce
-/// mappers, the querysim workers, each [`IterativeRunner`] round).
+/// Plans one round of multi-tree output — the one planning routine
+/// behind every bulk sender (the MapReduce mappers, the querysim workers,
+/// each [`IterativeRunner`] and [`JobScheduler`](crate::tenant::JobScheduler)
+/// round).
 ///
-/// Per `(tree, endpoints, pairs)` part, the pairs are serialized
-/// continuing that tree's wrapping sequence space from `next_seq`
-/// (updated in place to the next free number); the per-tree queues are
-/// then interleaved round-robin starting at `offset % parts` (fairness:
-/// callers rotate the offset so no tree is permanently drained first)
-/// and expanded `redundancy`-fold (1 = none).
-///
-/// When `config.nack_recovery` is on, the per-tree schedules also come
-/// back as `(tree, base_seq, frames)` replay parts for
-/// [`PacedSenderNode::enqueue_round`] (or, via [`multi_tree_sender`],
-/// [`PacedSenderNode::with_replay`]). Replay frames share buffers with
-/// the transmit queue — retention costs refcounts, not copies.
-pub fn plan_round<P: AsRef<[Pair]>>(
+/// Each `(tree, endpoints, pairs)` part continues that tree's wrapping
+/// sequence space from `next_seq` (updated in place to the next free
+/// number). Nothing is serialized here: the returned [`RoundSchedule`]
+/// owns the parts (an owned `Vec<Pair>` moves in, a borrowed slice is
+/// copied) and builds frame after frame on demand, round-robin across the
+/// parts starting at `offset % parts` (fairness: callers rotate the
+/// offset so no tree is permanently drained first), each frame
+/// `redundancy` times (1 = none).
+pub fn plan_round<P: Into<Vec<Pair>>>(
     config: &DaietConfig,
-    parts: &[(u16, Endpoints, P)],
+    parts: impl IntoIterator<Item = (u16, Endpoints, P)>,
     next_seq: &mut FnvHashMap<u16, u32>,
     offset: usize,
     redundancy: u32,
-    pool: &FramePool,
-) -> (Vec<Frame>, ReplayParts) {
+) -> RoundSchedule {
     let packetizer = Packetizer::new(config);
-    let mut queues = Vec::with_capacity(parts.len());
-    let mut replay_parts = Vec::new();
-    for (tree, ep, pairs) in parts {
-        let base = next_seq.get(tree).copied().unwrap_or(0);
-        let (frames, next) = packetizer.frames_from_seq(
-            *tree,
-            pairs.as_ref(),
-            ep,
-            daiet_wire::udp::DAIET_PORT,
-            base,
-            pool,
-        );
-        next_seq.insert(*tree, next);
-        if config.nack_recovery {
-            replay_parts.push((*tree, base, frames.clone()));
-        }
-        queues.push(frames);
+    let parts: Vec<RoundPart> = parts
+        .into_iter()
+        .map(|(tree, endpoints, pairs)| {
+            let pairs: Vec<Pair> = pairs.into();
+            let base_seq = next_seq.get(&tree).copied().unwrap_or(0);
+            let packets = packetizer.packet_count(pairs.len());
+            let packetizer = packetizer.clone();
+            let part = RoundPart { packetizer, tree, endpoints, pairs, base_seq, packets, sent: 0 };
+            next_seq.insert(tree, part.end_seq());
+            part
+        })
+        .collect();
+    let redundancy = redundancy.max(1);
+    RoundSchedule {
+        turn: offset % parts.len().max(1),
+        remaining: parts.iter().map(|p| p.packets).sum::<usize>() * redundancy as usize,
+        parts,
+        redundancy,
+        copies: 0,
     }
-    let interleaved = interleave_round_robin(queues, offset);
-    let transmit =
-        crate::reliability::RedundantSender::new(redundancy.max(1)).schedule(&interleaved);
-    (transmit, replay_parts)
+}
+
+/// One tree's share of a round: the pairs a sender owes the tree, where
+/// their packets sit in the tree's sequence space, and how many of them
+/// have been transmitted.
+#[derive(Debug)]
+struct RoundPart {
+    packetizer: Packetizer,
+    tree: u16,
+    endpoints: Endpoints,
+    pairs: Vec<Pair>,
+    /// Sequence number of the part's first packet (wrapping space).
+    base_seq: u32,
+    /// Packets the pairs packetize into: the DATA packets plus the END.
+    packets: usize,
+    /// Packets transmitted so far (every redundant copy included).
+    sent: usize,
+}
+
+impl RoundPart {
+    /// One past the sequence number of this part's END.
+    fn end_seq(&self) -> u32 {
+        self.base_seq.wrapping_add(self.packets as u32)
+    }
+
+    /// Serializes packet `index` of this part into a buffer from `pool`;
+    /// `None` past the part's END.
+    fn frame_at(&self, index: usize, pool: &FramePool) -> Option<Frame> {
+        let (hdr, chunk) =
+            self.packetizer.packet_at(self.tree, &self.pairs, self.base_seq, index)?;
+        Some(build_frame(&self.endpoints, daiet_wire::udp::DAIET_PORT, &hdr, chunk, pool))
+    }
+}
+
+/// One round's transmit schedule, streamed: the round's parts plus a
+/// round-robin cursor. [`PacedSenderNode`] asks it for one frame per
+/// pacing tick, so a frame exists only from its tick until the last hop
+/// lets go of it; the pairs stay behind as the round's NACK-replay
+/// retention, from which any `(tree, seq)` is rebuilt by offset (§4's
+/// fixed-size pairs make frame `i` of a part `pairs[10i .. 10i + 10]`).
+///
+/// The frames, their order and their count are those of
+/// [`Packetizer::frames_from_seq`] per part, interleaved by
+/// [`interleave_round_robin`] and expanded by
+/// [`RedundantSender::schedule`](crate::reliability::RedundantSender::schedule)
+/// — the eager reference the tests compare against.
+#[derive(Debug)]
+pub struct RoundSchedule {
+    parts: Vec<RoundPart>,
+    /// The part whose turn it is (parts with nothing left are skipped).
+    turn: usize,
+    /// Frames not yet built, redundant copies included.
+    remaining: usize,
+    redundancy: u32,
+    /// Copies of the current packet already built (`< redundancy`).
+    copies: u32,
+}
+
+impl RoundSchedule {
+    /// Builds the next frame of the schedule into a buffer from `pool`;
+    /// `None` once the round is fully transmitted.
+    fn next_frame(&mut self, pool: &FramePool) -> Option<Frame> {
+        if self.remaining == 0 {
+            return None;
+        }
+        while self.parts[self.turn].sent == self.parts[self.turn].packets {
+            self.turn = (self.turn + 1) % self.parts.len();
+        }
+        let part = &mut self.parts[self.turn];
+        let frame = part.frame_at(part.sent, pool)?;
+        self.remaining -= 1;
+        self.copies += 1;
+        if self.copies == self.redundancy {
+            self.copies = 0;
+            part.sent += 1;
+            self.turn = (self.turn + 1) % self.parts.len();
+        }
+        Some(frame)
+    }
 }
 
 /// Builds the standard DAIET receive endpoint for reducer `r` of `dep`
@@ -168,13 +262,43 @@ impl Packetizer {
         self.packets_from_seq(tree_id, pairs, 0).0
     }
 
-    /// The packetization policy, in one place: calls `f` once per packet
-    /// with its preamble and entry slice (empty for the trailing END),
-    /// numbering sequence from `start_seq`; returns the next free
-    /// sequence number. Both the owned-[`Repr`] and the pooled-frame
-    /// paths drive this, so they cannot drift apart. Sequence numbers
-    /// live in a wrapping 32-bit space (long-lived iterative senders
-    /// cross `u32::MAX`; the dedup windows compare RFC 1982-style).
+    /// Packets `n_pairs` pairs packetize into: the DATA packets plus the
+    /// trailing END.
+    fn packet_count(&self, n_pairs: usize) -> usize {
+        n_pairs.div_ceil(self.pairs_per_packet) + 1
+    }
+
+    /// The packetization policy, in one place: preamble and entry slice
+    /// (empty for the trailing END) of packet `index` of a partition
+    /// numbered from `start_seq`; `None` past the END. Fixed-size pairs
+    /// make this an offset computation (§4), which is what lets a sender
+    /// build frame `index` at its transmit tick and rebuild it for a
+    /// NACK. Sequence numbers live in a wrapping 32-bit space (long-lived
+    /// iterative senders cross `u32::MAX`; the dedup windows compare
+    /// RFC 1982-style).
+    fn packet_at<'a>(
+        &self,
+        tree_id: u16,
+        pairs: &'a [Pair],
+        start_seq: u32,
+        index: usize,
+    ) -> Option<(Header, &'a [Pair])> {
+        let seq = start_seq.wrapping_add(index as u32);
+        let lo = index.checked_mul(self.pairs_per_packet)?;
+        if lo < pairs.len() {
+            let hi = pairs.len().min(lo + self.pairs_per_packet);
+            Some((Header::data(tree_id, PacketFlags::empty(), seq), &pairs[lo..hi]))
+        } else if index + 1 == self.packet_count(pairs.len()) {
+            Some((Header::end(tree_id, PacketFlags::empty(), seq), &[]))
+        } else {
+            None
+        }
+    }
+
+    /// Calls `f` once per packet of [`packet_at`](Self::packet_at), in
+    /// order; returns the next free sequence number. The owned-[`Repr`],
+    /// the eager pooled-frame and the streamed paths all go through
+    /// `packet_at`, so they cannot drift apart.
     fn each_packet(
         &self,
         tree_id: u16,
@@ -182,13 +306,12 @@ impl Packetizer {
         start_seq: u32,
         mut f: impl FnMut(&Header, &[Pair]),
     ) -> u32 {
-        let mut seq = start_seq;
-        for chunk in pairs.chunks(self.pairs_per_packet) {
-            f(&Header::data(tree_id, PacketFlags::empty(), seq), chunk);
-            seq = seq.wrapping_add(1);
+        let mut index = 0;
+        while let Some((hdr, chunk)) = self.packet_at(tree_id, pairs, start_seq, index) {
+            f(&hdr, chunk);
+            index += 1;
         }
-        f(&Header::end(tree_id, PacketFlags::empty(), seq), &[]);
-        seq.wrapping_add(1)
+        start_seq.wrapping_add(index as u32)
     }
 
     /// Like [`Packetizer::packets`] but numbering from `start_seq`,
@@ -245,12 +368,23 @@ impl Packetizer {
     ) -> (Vec<Frame>, u32) {
         let mut out = Vec::with_capacity(pairs.len().div_ceil(self.pairs_per_packet) + 1);
         let next = self.each_packet(tree_id, pairs, start_seq, |hdr, chunk| {
-            let mut buf = pool.buffer();
-            build_daiet_into(&mut buf, endpoints, src_port, hdr, chunk);
-            out.push(pool.frame(buf));
+            out.push(build_frame(endpoints, src_port, hdr, chunk, pool));
         });
         (out, next)
     }
+}
+
+/// Serializes one DAIET packet straight into a buffer from `pool`.
+fn build_frame(
+    endpoints: &Endpoints,
+    src_port: u16,
+    hdr: &Header,
+    chunk: &[Pair],
+    pool: &FramePool,
+) -> Frame {
+    let mut buf = pool.buffer();
+    build_daiet_into(&mut buf, endpoints, src_port, hdr, chunk);
+    pool.frame(buf)
 }
 
 /// Interleaves per-tree frame queues round-robin starting at queue
@@ -279,35 +413,30 @@ pub fn interleave_round_robin(mut queues: Vec<Vec<Frame>>, offset: usize) -> Vec
     out
 }
 
-/// One tree's NACK-replay retention on a host: frames indexed densely by
-/// sequence number starting at `base`. Rounds append at the tail
-/// ([`PacedSenderNode::enqueue_round`]) and round barriers retire from
-/// the head ([`PacedSenderNode::retire_round`]), so an iterative sender
-/// retains O(one round) of frames instead of its whole history.
-#[derive(Debug, Default)]
-struct ReplaySchedule {
-    /// Sequence number of `frames[0]` (wrapping space).
-    base: u32,
-    frames: std::collections::VecDeque<Frame>,
-}
-
-/// A host that replays a prebuilt frame schedule at a fixed pace: one
-/// frame per `gap` tick, starting at simulation start. The transmit half
-/// shared by every bulk UDP sender (the MapReduce mappers, the querysim
-/// workers) — build the schedule up front (packetize, interleave,
-/// optionally expand redundantly), then hand it here. Iterative senders
-/// instead start empty and feed one round at a time through
-/// [`enqueue_round`](Self::enqueue_round) (see
+/// A host that transmits at a fixed pace: one frame per `gap` tick,
+/// starting at simulation start. The transmit half shared by every bulk
+/// UDP sender (the MapReduce mappers, the querysim workers, the tenant
+/// and iterative senders). It holds no prebuilt schedule: each tick first
+/// drains the *ready queue* (frames handed to [`new`](Self::new), paced
+/// NACK replays) and otherwise asks the oldest unfinished
+/// [`RoundSchedule`] to build its next frame into a buffer from the
+/// fabric's pool. One-shot senders carry one round from construction
+/// ([`one_shot_sender`]); iterative senders start empty and are fed one
+/// round at a time through [`enqueue_round`](Self::enqueue_round) (see
 /// [`IterativeRunner`], which also restarts the pacing timer from
 /// outside, via the backend's own timer facility).
 pub struct PacedSenderNode {
-    frames: Vec<Frame>,
-    next: usize,
+    /// Built frames awaiting their tick, sent before anything streamed.
+    ready: VecDeque<Frame>,
+    /// Streamed rounds, oldest first. With replay armed a transmitted
+    /// round stays until [`retire_round`](Self::retire_round): its pairs
+    /// are the NACK-replay retention, dense per tree across rounds.
+    rounds: VecDeque<RoundSchedule>,
     gap: Duration,
     label: &'static str,
-    /// Per-tree replay retention (None when recovery is off — then
-    /// incoming frames are ignored, as before).
-    replay: Option<FnvHashMap<u16, ReplaySchedule>>,
+    /// Whether NACKs are answered (off — then incoming frames are
+    /// ignored — unless recovery is configured).
+    replay_armed: bool,
     /// Straggler throttle: the pacing gap is multiplied by this factor
     /// (1 = full speed). Scripted by chaos harnesses to model a slow
     /// worker without changing its transmit schedule.
@@ -320,9 +449,9 @@ pub struct PacedSenderNode {
     /// response to queue-buildup loss (ECN-marked TCP has its own, see
     /// `daiet-transport`). Off by default: the paper's sender is
     /// open-loop. The closed-loop sender also *paces* its replays (they
-    /// join the transmit queue at the backed-off gap) instead of
-    /// bursting them — a burst into the very queue that just overflowed
-    /// only compounds the loss.
+    /// join the ready queue at the backed-off gap) instead of bursting
+    /// them — a burst into the very queue that just overflowed only
+    /// compounds the loss.
     nack_backoff: bool,
     /// Whether a pacing timer is currently in flight, so a paced replay
     /// arriving after the queue ran dry can restart the chain exactly
@@ -338,15 +467,15 @@ pub struct PacedSenderNode {
 }
 
 impl PacedSenderNode {
-    /// A sender that transmits `frames` in order, one every `gap`;
-    /// `label` names the node in traces.
+    /// A sender whose ready queue holds `frames`, transmitted in order,
+    /// one every `gap`; `label` names the node in traces.
     pub fn new(frames: Vec<Frame>, gap: Duration, label: &'static str) -> PacedSenderNode {
         PacedSenderNode {
-            frames,
-            next: 0,
+            ready: frames.into(),
+            rounds: VecDeque::new(),
             gap,
             label,
-            replay: None,
+            replay_armed: false,
             slowdown: 1,
             backoff: 1,
             nack_backoff: false,
@@ -391,117 +520,129 @@ impl PacedSenderNode {
         self.backoff
     }
 
-    /// Arms NACK replay: `per_tree[tree][seq]` must be the frame the
-    /// sender transmitted (or will transmit) with that sequence number,
-    /// counting from 0.
-    pub fn with_replay(mut self, per_tree: FnvHashMap<u16, Vec<Frame>>) -> PacedSenderNode {
-        self.replay = Some(
-            per_tree
-                .into_iter()
-                .map(|(tree, frames)| (tree, ReplaySchedule { base: 0, frames: frames.into() }))
-                .collect(),
-        );
-        self
-    }
-
-    /// Arms NACK replay with empty retention — the iterative form, filled
-    /// round by round via [`enqueue_round`](Self::enqueue_round).
+    /// Arms NACK replay: from now on every enqueued round is retained
+    /// after transmission, until [`retire_round`](Self::retire_round).
     pub fn arm_replay(&mut self) {
-        self.replay.get_or_insert_with(FnvHashMap::default);
+        self.replay_armed = true;
     }
 
-    /// Appends one round's transmit schedule (already interleaved and, if
-    /// requested, redundancy-expanded) plus its per-tree replay retention:
-    /// each `(tree, base_seq, frames)` must continue the tree's dense
-    /// sequence numbering where the previous round left off.
-    pub fn enqueue_round(
-        &mut self,
-        transmit: Vec<Frame>,
-        replay_parts: Vec<(u16, u32, Vec<Frame>)>,
-    ) {
+    /// Appends one round to the transmit schedule. With replay armed the
+    /// round doubles as retention, so each of its parts must continue its
+    /// tree's dense sequence numbering where the previous round left off
+    /// (which [`plan_round`] over one `next_seq` map guarantees).
+    pub fn enqueue_round(&mut self, round: RoundSchedule) {
         // The caller restarts the pacing chain for this round (see
         // `IterativeRunner::run_round`); record that so paced replays
         // don't double-arm it.
         self.timer_armed = true;
-        self.frames.extend(transmit);
-        if let Some(store) = self.replay.as_mut() {
-            for (tree, base, frames) in replay_parts {
-                let sched = store.entry(tree).or_insert(ReplaySchedule {
-                    base,
-                    frames: std::collections::VecDeque::new(),
-                });
-                debug_assert_eq!(
-                    sched.base.wrapping_add(sched.frames.len() as u32),
-                    base,
-                    "replay retention must stay sequence-dense across rounds"
-                );
-                sched.frames.extend(frames);
+        if self.replay_armed {
+            for part in &round.parts {
+                if let Some(last) = retained(&self.rounds, part.tree).last() {
+                    debug_assert_eq!(
+                        last.end_seq(),
+                        part.base_seq,
+                        "replay retention must stay sequence-dense across rounds"
+                    );
+                }
             }
         }
+        self.rounds.push_back(round);
     }
 
-    /// Round-barrier cleanup: drops the already-transmitted prefix of the
-    /// pacing queue and retires replay retention serially before each
-    /// tree's `cutoff` sequence number. Called once the round is known
+    /// Round-barrier cleanup: drops every fully transmitted round — with
+    /// replay armed, part by part, each part once its sequence range ends
+    /// at or before its tree's `cutoff`. Called once the round is known
     /// complete end-to-end (every receiver satisfied), so nothing below
     /// the cutoff can ever be NACKed again — this is what keeps a
     /// hundreds-of-rounds run's memory bounded at O(one round).
     pub fn retire_round(&mut self, cutoffs: &[(u16, u32)]) {
-        self.frames.drain(..self.next);
-        self.next = 0;
         // The round completed: whatever congestion triggered the backoff
         // has drained with it.
         self.backoff = 1;
-        if let Some(store) = self.replay.as_mut() {
-            for &(tree, cutoff) in cutoffs {
-                if let Some(sched) = store.get_mut(&tree) {
-                    while !sched.frames.is_empty() && seq_after(cutoff, sched.base) {
-                        sched.frames.pop_front();
-                        sched.base = sched.base.wrapping_add(1);
-                        self.frames_retired += 1;
-                    }
-                }
+        for round in self.rounds.iter_mut().filter(|r| r.remaining == 0) {
+            if !self.replay_armed {
+                round.parts.clear();
+                continue;
             }
+            round.parts.retain(|part| {
+                let retire = cutoffs
+                    .iter()
+                    .any(|&(tree, cutoff)| tree == part.tree && !seq_after(part.end_seq(), cutoff));
+                if retire {
+                    self.frames_retired += part.packets as u64;
+                }
+                !retire
+            });
         }
+        self.rounds.retain(|r| !r.parts.is_empty());
     }
 
-    /// Epoch reset for a live re-plan: drops the transmit queue and every
-    /// tree's replay retention, so the next
+    /// Epoch reset for a live re-plan: drops the ready queue and every
+    /// round, transmitted or not, so the next
     /// [`enqueue_round`](Self::enqueue_round) starts a fresh sequence
     /// space at 0 (matching the freshly reinstalled switch trees and
     /// receiver rosters). Only sound at a round barrier, when nothing is
     /// in flight.
     pub fn reset_epoch(&mut self) {
-        self.frames.clear();
-        self.next = 0;
+        self.ready.clear();
+        self.rounds.clear();
         self.backoff = 1;
-        if let Some(store) = self.replay.as_mut() {
-            store.clear();
-        }
     }
 
-    /// Frames queued but not yet transmitted.
+    /// Frames not yet transmitted: the ready queue plus what the rounds
+    /// have yet to build.
     pub fn pending(&self) -> usize {
-        self.frames.len() - self.next
+        self.ready.len() + self.rounds.iter().map(|r| r.remaining).sum::<usize>()
     }
 
-    /// Frames currently held for NACK replay, across all trees.
+    /// Frames that can currently be rebuilt for a NACK, across all trees.
     pub fn replay_retained(&self) -> usize {
-        self.replay
-            .as_ref()
-            .map_or(0, |s| s.values().map(|sched| sched.frames.len()).sum())
+        if !self.replay_armed {
+            return 0;
+        }
+        self.rounds.iter().flat_map(|r| &r.parts).map(|p| p.packets).sum()
+    }
+}
+
+/// `tree`'s replay retention: its parts across `rounds`, oldest first —
+/// dense in sequence space, so the window is `[first.base_seq,
+/// first.base_seq + Σ packets)`.
+fn retained(rounds: &VecDeque<RoundSchedule>, tree: u16) -> impl Iterator<Item = &RoundPart> {
+    rounds.iter().flat_map(|r| &r.parts).filter(move |p| p.tree == tree)
+}
+
+/// Clips the request `[first, first + count)` (wrapping sequence space)
+/// to a retained window of `held` packets starting at `base`, pushing the
+/// at most two resulting `[lo, hi)` offset spans. Exactly
+/// `NackRange::contains` restricted to the window, at a cost independent
+/// of `count`.
+fn clip_to_window(base: u32, held: u32, first: u32, count: u32, spans: &mut Vec<(u32, u32)>) {
+    let lo = first.wrapping_sub(base);
+    let end = u64::from(lo) + u64::from(count);
+    if lo < held {
+        spans.push((lo, end.min(u64::from(held)) as u32));
+    }
+    // The request started before the window (or wrapped all the way
+    // round): whatever reaches past `base` covers the window's head.
+    if let Some(past_base) = end.checked_sub(1 << 32).filter(|&n| n > 0) {
+        spans.push((0, past_base.min(u64::from(held)) as u32));
     }
 }
 
 impl Node for PacedSenderNode {
     fn on_packet(&mut self, ctx: &mut dyn Fabric, _port: PortId, frame: Frame) {
         // Senders only ever act on NACKs, and only when replay is armed.
-        let Some(store) = self.replay.as_ref() else { return };
+        if !self.replay_armed {
+            return;
+        }
         let Some((hdr, _src, parsed)) = receive_daiet(frame) else { return };
         if hdr.packet_type != PacketType::Nack {
             return;
         }
-        let Some(schedule) = store.get(&hdr.tree_id) else { return };
+        let held: u32 = retained(&self.rounds, hdr.tree_id).map(|p| p.packets as u32).sum();
+        let Some(base) = retained(&self.rounds, hdr.tree_id).next().map(|p| p.base_seq) else {
+            return;
+        };
         self.nacks_received += 1;
         if self.nack_backoff {
             // A NACK means the path lost something — most often queue
@@ -510,54 +651,75 @@ impl Node for PacedSenderNode {
             // replay burst below lands on a draining queue.
             self.backoff = self.backoff.saturating_mul(2).min(64);
         }
-        let tail = hdr.flags.contains(PacketFlags::NACK_TAIL);
-        let ranges: Vec<NackRange> =
-            parsed.daiet_pairs().filter_map(|p| NackRange::from_pair(&p)).collect();
-        // Retention is dense: frame `i` carries seq `base + i`. Replay in
-        // original order; receiver dedup absorbs anything it already has.
-        // The open-loop sender bursts replays past the pacing gap
-        // (recovery is latency-critical and the burst is at most one
-        // retained round); the closed-loop sender queues them behind the
-        // backed-off gap instead — the loss it is repairing is usually
-        // its own queue overflow, and a burst would recreate it.
-        let mut queued = Vec::new();
-        for (i, f) in schedule.frames.iter().enumerate() {
-            let seq = schedule.base.wrapping_add(i as u32);
-            if ranges.iter().any(|r| r.contains(seq)) || (tail && seq_at_or_after(seq, hdr.seq))
-            {
+        // Intersect the request with the retained window *first*: what a
+        // NACK can cost is bounded by what is held, whatever it asks for.
+        // The tail ("everything at or after `hdr.seq`", RFC 1982-style) is
+        // the half-space range starting there.
+        let mut spans = Vec::new();
+        if hdr.flags.contains(PacketFlags::NACK_TAIL) {
+            clip_to_window(base, held, hdr.seq, 1 << 31, &mut spans);
+        }
+        for range in parsed.daiet_pairs().filter_map(|p| NackRange::from_pair(&p)) {
+            clip_to_window(base, held, range.first, range.count, &mut spans);
+        }
+        spans.sort_unstable();
+        // Rebuild each requested packet once, in sequence order; receiver
+        // dedup absorbs anything it already has. The open-loop sender
+        // bursts replays past the pacing gap (recovery is latency-critical
+        // and the burst is at most one retained round); the closed-loop
+        // sender queues them behind the backed-off gap instead — the loss
+        // it is repairing is usually its own queue overflow, and a burst
+        // would recreate it.
+        let mut parts = retained(&self.rounds, hdr.tree_id);
+        let mut part = parts.next();
+        let mut part_lo = 0u32;
+        let mut done = 0u32;
+        for (lo, hi) in spans {
+            for offset in lo.max(done)..hi {
+                while let Some(p) = part.filter(|p| offset - part_lo >= p.packets as u32) {
+                    part_lo += p.packets as u32;
+                    part = parts.next();
+                }
+                let Some(frame) =
+                    part.and_then(|p| p.frame_at((offset - part_lo) as usize, ctx.pool()))
+                else {
+                    break;
+                };
                 if self.nack_backoff {
-                    queued.push(f.clone());
+                    self.ready.push_back(frame);
                 } else {
-                    ctx.send(PortId(0), f.clone());
+                    ctx.send(PortId(0), frame);
                 }
                 self.frames_replayed += 1;
             }
+            done = done.max(hi);
         }
-        if !queued.is_empty() {
-            self.frames.extend(queued);
-            if !self.timer_armed {
-                self.timer_armed = true;
-                ctx.schedule(self.effective_gap(), 0);
-            }
+        if !self.ready.is_empty() && !self.timer_armed {
+            self.timer_armed = true;
+            ctx.schedule(self.effective_gap(), 0);
         }
     }
 
     fn on_start(&mut self, ctx: &mut dyn Fabric) {
-        // Iterative senders start with an empty queue; their harness arms
+        // Iterative senders start with nothing to send; their harness arms
         // the pacing timer itself when it enqueues the first round.
-        if !self.frames.is_empty() {
+        if self.pending() > 0 {
             self.timer_armed = true;
             ctx.schedule(self.effective_gap(), 0);
         }
     }
 
     fn on_timer(&mut self, ctx: &mut dyn Fabric, _token: u64) {
-        if self.next < self.frames.len() {
-            ctx.send(PortId(0), self.frames[self.next].clone());
-            self.next += 1;
-            ctx.schedule(self.effective_gap(), 0);
-        } else {
-            self.timer_armed = false;
+        let frame = self
+            .ready
+            .pop_front()
+            .or_else(|| self.rounds.iter_mut().find_map(|r| r.next_frame(ctx.pool())));
+        match frame {
+            Some(frame) => {
+                ctx.send(PortId(0), frame);
+                ctx.schedule(self.effective_gap(), 0);
+            }
+            None => self.timer_armed = false,
         }
     }
 
@@ -754,7 +916,7 @@ impl Collector {
     }
 }
 
-/// A minimal sending host: transmits one preloaded partition at start
+/// A minimal sending host: transmits one partition, packetized at start
 /// (used by examples and integration tests; the MapReduce crate has a
 /// richer worker).
 pub struct SenderHost {
@@ -950,6 +1112,8 @@ pub use crate::iterative::{IterRound, IterativeRunner, IterativeSpec};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reliability::{build_nack_frames, NackRequest, RedundantSender};
+    use proptest::prelude::*;
 
     fn key(s: &str) -> Key {
         Key::from_str_key(s).unwrap()
@@ -1092,6 +1256,254 @@ mod tests {
             sorted.sort_unstable();
             assert_eq!(sorted, (0..n as u8).collect::<Vec<u8>>(), "unfair window {w:?}");
         }
+    }
+
+    /// A fabric that records what a node does to it.
+    struct Recorder {
+        pool: FramePool,
+        sent: Vec<Frame>,
+        timers: usize,
+    }
+
+    impl Recorder {
+        fn new() -> Recorder {
+            Recorder { pool: FramePool::new(), sent: Vec::new(), timers: 0 }
+        }
+
+        /// Ticks `node` until its pacing chain stops re-arming; returns
+        /// what it transmitted.
+        fn drain(&mut self, node: &mut PacedSenderNode) -> Vec<Frame> {
+            loop {
+                let armed = self.timers;
+                node.on_timer(self, 0);
+                if self.timers == armed {
+                    return std::mem::take(&mut self.sent);
+                }
+            }
+        }
+
+        /// Delivers one NACK for `tree` to `node`; returns the burst it
+        /// answers with.
+        fn nack(
+            &mut self,
+            node: &mut PacedSenderNode,
+            tree: u16,
+            req: &NackRequest,
+        ) -> Vec<Frame> {
+            let mut nacks = Vec::new();
+            let ep = Endpoints::from_ids(9, 1);
+            build_nack_frames(&ep, tree, req, 10, &self.pool, |f| nacks.push(f));
+            for nack in nacks {
+                node.on_packet(self, PortId(0), nack);
+            }
+            std::mem::take(&mut self.sent)
+        }
+    }
+
+    impl Fabric for Recorder {
+        fn now(&self) -> Time {
+            Time::ZERO
+        }
+        fn send(&mut self, _port: PortId, frame: Frame) {
+            self.sent.push(frame);
+        }
+        fn schedule(&mut self, _delay: Duration, _token: u64) {
+            self.timers += 1;
+        }
+        fn pool(&self) -> &FramePool {
+            &self.pool
+        }
+        fn port_count(&self) -> usize {
+            1
+        }
+    }
+
+    type Parts = Vec<(u16, Endpoints, Vec<Pair>)>;
+    /// One tree's eagerly built frames: `(tree, base_seq, frames)`.
+    type TreeFrames = (u16, u32, Vec<Frame>);
+
+    /// The eager schedule the streamed one replaced, kept as the
+    /// reference: packetize every part up front, interleave, expand.
+    /// Returns the transmit order and each tree's frames by sequence.
+    fn eager_round(
+        config: &DaietConfig,
+        parts: &Parts,
+        next_seq: &mut FnvHashMap<u16, u32>,
+        offset: usize,
+        redundancy: u32,
+        pool: &FramePool,
+    ) -> (Vec<Frame>, Vec<TreeFrames>) {
+        let packetizer = Packetizer::new(config);
+        let mut per_tree = Vec::new();
+        for (tree, ep, pairs) in parts {
+            let base = next_seq.get(tree).copied().unwrap_or(0);
+            let (frames, next) =
+                packetizer.frames_from_seq(*tree, pairs, ep, daiet_wire::udp::DAIET_PORT, base, pool);
+            next_seq.insert(*tree, next);
+            per_tree.push((*tree, base, frames));
+        }
+        let queues = per_tree.iter().map(|(_, _, frames)| frames.clone()).collect();
+        let transmit = RedundantSender::new(redundancy)
+            .schedule(&interleave_round_robin(queues, offset));
+        (transmit, per_tree)
+    }
+
+    fn bytes(frames: &[Frame]) -> Vec<&[u8]> {
+        frames.iter().map(|f| &f[..]).collect()
+    }
+
+    fn arb_round() -> impl Strategy<Value = Vec<Vec<Pair>>> {
+        let pair = (any::<u64>(), any::<u32>()).prop_map(|(k, v)| {
+            let mut key = [0u8; daiet::KEY_LEN];
+            key[..8].copy_from_slice(&k.to_be_bytes());
+            Pair::new(Key(key), v)
+        });
+        prop::collection::vec(prop::collection::vec(pair, 0..=35), 4..=4)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The streamed schedule against the eager reference, over two
+        /// rounds on one sender: same bytes in the same order, every
+        /// retained `(tree, seq)` rebuilt byte-identically for a NACK, and
+        /// the second round continuing each tree's sequence space where
+        /// the first ended — across the `u32::MAX` wrap.
+        #[test]
+        fn streamed_schedule_equals_the_eager_reference(
+            shape in (0usize..=4, 1usize..=10, 1u32..=3),
+            first in arb_round(),
+            second in arb_round(),
+            below_wrap in prop::collection::vec(0u32..=40, 4..=4),
+            offset in any::<usize>(),
+        ) {
+            let (trees, pairs_per_packet, redundancy) = shape;
+            let config = DaietConfig { pairs_per_packet, nack_recovery: true, ..DaietConfig::default() };
+            let parts = |round: &Vec<Vec<Pair>>| -> Parts {
+                (0..trees)
+                    .map(|t| (t as u16 + 1, Endpoints::from_ids(1, 10 + t as u32), round[t].clone()))
+                    .collect()
+            };
+            let start: FnvHashMap<u16, u32> =
+                (0..trees).map(|t| (t as u16 + 1, u32::MAX - below_wrap[t])).collect();
+            let (mut eager_seq, mut streamed_seq) = (start.clone(), start);
+
+            let mut fabric = Recorder::new();
+            let mut node = PacedSenderNode::new(Vec::new(), Duration::from_micros(1), "streamed");
+            node.arm_replay();
+            let mut retained = Vec::new();
+            for (r, round) in [first, second].iter().enumerate() {
+                let offset = offset.wrapping_add(r);
+                let (transmit, per_tree) =
+                    eager_round(&config, &parts(round), &mut eager_seq, offset, redundancy, &fabric.pool);
+                node.enqueue_round(plan_round(&config, parts(round), &mut streamed_seq, offset, redundancy));
+                prop_assert_eq!(&streamed_seq, &eager_seq, "next free sequence numbers, round {}", r);
+                prop_assert_eq!(node.pending(), transmit.len());
+                let sent = fabric.drain(&mut node);
+                prop_assert_eq!(bytes(&sent), bytes(&transmit), "transmit order, round {}", r);
+                prop_assert_eq!(node.pending(), 0);
+                retained.extend(per_tree);
+            }
+
+            // Both rounds are still retained: every (tree, seq) either of
+            // them transmitted is rebuilt exactly, alone, on request.
+            let held: usize = retained.iter().map(|(_, _, frames)| frames.len()).sum();
+            prop_assert_eq!(node.replay_retained(), held);
+            for (tree, base, frames) in &retained {
+                for (i, frame) in frames.iter().enumerate() {
+                    let req = NackRequest {
+                        next_expected: 0,
+                        tail: false,
+                        ranges: vec![NackRange { first: base.wrapping_add(i as u32), count: 1 }],
+                    };
+                    let replayed = fabric.nack(&mut node, *tree, &req);
+                    prop_assert_eq!(bytes(&replayed), vec![&frame[..]], "tree {} offset {}", tree, i);
+                }
+            }
+
+            // The barrier retires both rounds, and NACKs find nothing.
+            let cutoffs: Vec<(u16, u32)> = streamed_seq.iter().map(|(&t, &s)| (t, s)).collect();
+            node.retire_round(&cutoffs);
+            prop_assert_eq!(node.replay_retained(), 0);
+            prop_assert_eq!(node.frames_retired as usize, held);
+        }
+    }
+
+    /// One sender holding one 6-packet part whose sequence window
+    /// straddles the wrap: `MAX-2, MAX-1, MAX, 0, 1, 2`.
+    fn straddling_sender(fabric: &mut Recorder) -> (PacedSenderNode, Vec<Frame>) {
+        let config = DaietConfig { nack_recovery: true, ..DaietConfig::default() };
+        let mut next_seq: FnvHashMap<u16, u32> = [(7u16, u32::MAX - 2)].into_iter().collect();
+        let part = (7u16, Endpoints::from_ids(1, 2), npairs(45));
+        let mut node = PacedSenderNode::new(Vec::new(), Duration::from_micros(1), "straddler");
+        node.arm_replay();
+        node.enqueue_round(plan_round(&config, [part], &mut next_seq, 0, 1));
+        assert_eq!(next_seq[&7], 3);
+        let sent = fabric.drain(&mut node);
+        assert_eq!(sent.len(), 6);
+        (node, sent)
+    }
+
+    /// A NACK costs what is retained, whatever it asks for: a range
+    /// covering (almost) the whole sequence space replays the five
+    /// retained packets it contains — in sequence order, each once — and
+    /// takes five buffers from the pool, not four billion.
+    #[test]
+    fn hostile_nack_range_is_clipped_to_the_retained_window() {
+        let mut fabric = Recorder::new();
+        let (mut node, sent) = straddling_sender(&mut fabric);
+        let handed_out = |pool: &FramePool| pool.stats().fresh + pool.stats().reused;
+        let before = handed_out(&fabric.pool);
+        let everything_but_max = NackRequest {
+            next_expected: 0,
+            tail: false,
+            // Also asks for 0..=2 a second and third time.
+            ranges: vec![
+                NackRange { first: 0, count: u32::MAX },
+                NackRange { first: 1, count: 2 },
+                NackRange { first: u32::MAX - 40, count: 42 },
+            ],
+        };
+        let replayed = fabric.nack(&mut node, 7, &everything_but_max);
+        // MAX-40 .. MAX+1 adds MAX itself, so all six come back, once.
+        assert_eq!(bytes(&replayed), bytes(&sent));
+        assert_eq!(node.frames_replayed, 6);
+        // One buffer for the NACK frame itself, six for the replays.
+        assert_eq!(handed_out(&fabric.pool) - before, 1 + 6);
+
+        let hostile_alone = NackRequest {
+            next_expected: 0,
+            tail: false,
+            ranges: vec![NackRange { first: 0, count: u32::MAX }],
+        };
+        let replayed = fabric.nack(&mut node, 7, &hostile_alone);
+        let all_but_max: Vec<&[u8]> =
+            sent.iter().enumerate().filter(|&(i, _)| i != 2).map(|(_, f)| &f[..]).collect();
+        assert_eq!(bytes(&replayed), all_but_max);
+    }
+
+    /// `NACK_TAIL` is RFC 1982 "at or after": from far behind the base it
+    /// replays the whole retained window (and nothing more), from inside
+    /// it the suffix, from beyond the end nothing.
+    #[test]
+    fn nack_tail_is_clipped_to_the_retained_window() {
+        let mut fabric = Recorder::new();
+        let (mut node, sent) = straddling_sender(&mut fabric);
+        let tail_from = |next_expected: u32| NackRequest {
+            next_expected,
+            tail: true,
+            ranges: Vec::new(),
+        };
+        let far_behind = fabric.nack(&mut node, 7, &tail_from(u32::MAX - 1_000_000));
+        assert_eq!(bytes(&far_behind), bytes(&sent));
+        let from_the_wrap = fabric.nack(&mut node, 7, &tail_from(0));
+        assert_eq!(bytes(&from_the_wrap), bytes(&sent[3..]));
+        let beyond = fabric.nack(&mut node, 7, &tail_from(3));
+        assert!(beyond.is_empty());
+        assert_eq!(node.frames_replayed, 6 + 3);
+        // A tree this sender holds nothing for is not its NACK to honor.
+        assert!(fabric.nack(&mut node, 8, &tail_from(0)).is_empty());
+        assert_eq!(node.nacks_received, 3);
     }
 
     #[test]

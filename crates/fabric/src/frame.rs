@@ -1,10 +1,8 @@
 //! Pooled, reference-counted frame buffers — the currency of the hot path.
 //!
-//! Every frame that crosses the simulator used to be a fresh heap
-//! allocation (and, with the `bytes` shim, a second allocation plus a full
-//! copy when the `Vec` was frozen into an `Arc<[u8]>`). At paper scale the
-//! fig3 shuffle moves hundreds of thousands of frames, so the allocator
-//! dominated the profile. [`FramePool`] breaks that cycle: a frame's
+//! Without a pool every frame that crosses the simulator is a fresh heap
+//! allocation. At paper scale the fig3 shuffle moves hundreds of
+//! thousands of frames, so the allocator dominated the profile. [`FramePool`] breaks that cycle: a frame's
 //! backing `Vec<u8>` is borrowed from a free list, wrapped in a
 //! reference-counted [`Frame`], and returned to the free list when the
 //! last reference drops.
@@ -15,7 +13,7 @@
 //!   [`FramePool::buffer`], writes the wire bytes, and seals it with
 //!   [`FramePool::frame`]. Only a cold pool touches the global allocator.
 //! * **Who holds:** a [`Frame`] is an immutable, cheaply clonable view
-//!   (one `Rc` bump per clone — sender retransmit queues, link
+//!   (one `Rc` bump per clone — switch retransmit rings, link
 //!   duplication and switch floods all share one buffer).
 //! * **Who recycles:** nobody, explicitly. When the last `Frame` clone
 //!   drops, the buffer slides back into the free list of the pool that

@@ -27,11 +27,10 @@ use daiet::worker::ReducerHost;
 use daiet::DaietConfig;
 use daiet_dataplane::Resources;
 use daiet_netsim::topology::{Role, TopologyPlan};
-use daiet_netsim::{
-    FramePool, LinkSpec, NodeId, PartitionMap, SimDuration, SimTime, Simulator,
-};
+use daiet_netsim::{FramePool, LinkSpec, NodeId, SimDuration, SimTime, Simulator};
 use daiet_transport::tcp::{BulkSenderNode, SinkReceiverNode, TcpConfig};
 use std::cell::RefCell;
+use daiet_wire::daiet::Key;
 use daiet_wire::fnv::FnvHashMap;
 
 /// The shuffle transport under test.
@@ -103,7 +102,10 @@ pub struct Runner {
     pub partitions: usize,
     /// Per-partition frame pools shared across this runner's runs (see
     /// `make_sim`). Pools are `Rc`-backed and partition-local, so one per
-    /// partition, grown on demand.
+    /// partition, grown on demand. Every node builds its frames from the
+    /// pool of the partition it runs on (`Fabric::pool`), mappers
+    /// included, at the tick a frame is sent — the runner itself never
+    /// takes a buffer.
     pools: RefCell<Vec<FramePool>>,
     /// Copies of each frame mappers transmit (1 = no redundancy; pair
     /// with `daiet_config.reliability` so duplicates are suppressed).
@@ -143,9 +145,9 @@ impl Runner {
         self
     }
 
-    fn make_sim(&self, plan: &TopologyPlan) -> (Simulator, PartitionMap) {
-        let pmap = plan.partition_map(self.partitions);
-        let mut sim = Simulator::with_partitions(self.seed, pmap.clone());
+    fn make_sim(&self, plan: &TopologyPlan) -> Simulator {
+        let mut sim =
+            Simulator::with_partitions(self.seed, plan.partition_map(self.partitions));
         if !self.pooling {
             for p in 0..sim.partition_count() {
                 sim.set_frame_pool_for(p, FramePool::disabled());
@@ -167,7 +169,20 @@ impl Runner {
                 sim.set_frame_pool_for(p, pools[p].clone());
             }
         }
-        (sim, pmap)
+        sim
+    }
+
+    /// Allocation and recycling counters of this runner's frame pools,
+    /// summed over partitions and over every run so far.
+    pub fn pool_stats(&self) -> daiet_netsim::PoolStats {
+        self.pools.borrow().iter().map(FramePool::stats).fold(
+            daiet_netsim::PoolStats::default(),
+            |sum, s| daiet_netsim::PoolStats {
+                fresh: sum.fresh + s.fresh,
+                reused: sum.reused + s.reused,
+                returned: sum.returned + s.returned,
+            },
+        )
     }
 
     /// The star topology of the paper's testbed for this corpus.
@@ -211,7 +226,7 @@ impl Runner {
             .deploy(plan, &placement, self.resources, AggregationMode::PassThrough)
             .expect("deployment fits");
 
-        let (mut sim, _pmap) = self.make_sim(plan);
+        let mut sim = self.make_sim(plan);
         let mut ids: Vec<NodeId> = Vec::with_capacity(plan.len());
         let tcp_cfg = TcpConfig::default();
 
@@ -303,32 +318,25 @@ impl Runner {
             .deploy(plan, &placement, self.resources, agg)
             .expect("deployment fits");
 
-        let (mut sim, pmap) = self.make_sim(plan);
+        let mut sim = self.make_sim(plan);
         let mut ids: Vec<NodeId> = Vec::with_capacity(plan.len());
         for slot in 0..plan.len() {
             let id = match plan.role(slot) {
                 Role::Host => {
                     if let Some(m) = placement.mappers.iter().position(|&s| s == slot) {
-                        let partitions: Vec<_> = (0..spec.n_reducers)
-                            .map(|r| {
-                                (
-                                    dep.tree_id(r),
-                                    dep.endpoints(slot, r),
-                                    serialize::to_pairs(&self.corpus.partitions[m][r]),
-                                )
-                            })
-                            .collect();
-                        // Preloaded frames must come from the pool of the
-                        // partition that will transmit them (pools are
-                        // strictly partition-local).
-                        let pool = sim.partition_pool(pmap.part_of(slot)).clone();
-                        sim.add_node(Box::new(daiet::worker::multi_tree_sender(
+                        let partitions = (0..spec.n_reducers).map(|r| {
+                            (
+                                dep.tree_id(r),
+                                dep.endpoints(slot, r),
+                                serialize::to_pairs(&self.corpus.partitions[m][r]),
+                            )
+                        });
+                        sim.add_node(Box::new(daiet::worker::one_shot_sender(
                             &self.daiet_config,
                             m,
-                            &partitions,
+                            partitions,
                             self.redundancy,
                             self.pacing,
-                            &pool,
                             "udp-mapper",
                         )))
                     } else {
@@ -364,13 +372,8 @@ impl Runner {
         for (r, &slot) in placement.reducers.iter().enumerate() {
             let node = sim.node_ref::<ReducerHost>(ids[slot]).expect("reducer node");
             let stats = node.collector.stats();
-            let mut got: Vec<(String, u32)> = node
-                .collector
-                .get_all()
-                .map(|(k, v)| (k.display_lossy(), v))
-                .collect();
-            got.sort();
-            let correct = node.collector.is_complete() && got == self.corpus.expected_reduction(r);
+            let correct = node.collector.is_complete()
+                && matches_reference(node.collector.get_all(), self.corpus.expected_reduction(r));
             let nic = sim.node_stats(ids[slot]);
             reducers.push(ReducerMetrics {
                 reducer: r,
@@ -395,6 +398,23 @@ impl Runner {
             .unwrap_or(finished_at);
         RunOutcome { mode, reducers, frames_dropped: total_drops(&sim), finished_at, data_done_at }
     }
+}
+
+/// Whether a reducer's collected pairs are exactly the reference
+/// reduction: as many, and pairwise equal once sorted by key. Zero-padded
+/// keys order like the words they hold, so the collected side sorts as
+/// 16-byte arrays and no `String` is built per key.
+fn matches_reference(
+    collected: impl Iterator<Item = (Key, u32)>,
+    expected: &[(String, u32)],
+) -> bool {
+    let mut got: Vec<(Key, u32)> = collected.collect();
+    got.sort_unstable();
+    got.len() == expected.len()
+        && got
+            .iter()
+            .zip(expected)
+            .all(|((key, value), (word, count))| key.trimmed() == word.as_bytes() && value == count)
 }
 
 fn total_drops(sim: &Simulator) -> u64 {
@@ -478,6 +498,37 @@ mod tests {
         let d_total: usize = daiet.reducers.iter().map(|r| r.records).sum();
         let u_total: usize = udp.reducers.iter().map(|r| r.records).sum();
         assert!(d_total < u_total, "no aggregation happened");
+    }
+
+    /// The reducer check is a full equality: any single difference from
+    /// the reference — a count, a word, a key missing, a key too many —
+    /// makes the reducer incorrect.
+    #[test]
+    fn reducer_check_rejects_every_single_difference() {
+        let corpus = Corpus::generate(&CorpusSpec::tiny(5));
+        let expected = corpus.expected_reduction(0);
+        assert!(expected.len() > 2);
+        let exact: Vec<(Key, u32)> = expected
+            .iter()
+            .rev() // arrival order is arbitrary
+            .map(|(word, count)| (Key::from_str_key(word).unwrap(), *count))
+            .collect();
+        assert!(matches_reference(exact.iter().copied(), expected));
+
+        let mut changed_count = exact.clone();
+        changed_count[1].1 += 1;
+        assert!(!matches_reference(changed_count.into_iter(), expected));
+
+        let mut changed_word = exact.clone();
+        changed_word[1].0 = Key::from_str_key("not-in-corpus").unwrap();
+        assert!(!matches_reference(changed_word.into_iter(), expected));
+
+        let missing_key = exact[1..].to_vec();
+        assert!(!matches_reference(missing_key.into_iter(), expected));
+
+        let mut extra_key = exact;
+        extra_key.push((Key::from_str_key("not-in-corpus").unwrap(), 1));
+        assert!(!matches_reference(extra_key.into_iter(), expected));
     }
 
     #[test]

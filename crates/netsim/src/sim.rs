@@ -538,26 +538,13 @@ impl Simulator {
         self.now
     }
 
-    /// The frame pool of partition 0. Single-partition callers (the
-    /// common case) use this to build pooled frames outside node
-    /// callbacks; partitioned harnesses must use
-    /// [`pool_for`](Self::pool_for) so preloaded frames live in the pool
-    /// of the partition that will transmit them.
+    /// The frame pool of partition 0, for single-partition callers that
+    /// build pooled frames outside node callbacks. Nodes build theirs
+    /// from [`Fabric::pool`](crate::Fabric::pool), which is always
+    /// the pool of the partition they run on (pooled buffers are
+    /// `Rc`-backed and strictly partition-local).
     pub fn pool(&self) -> &FramePool {
         &self.parts[0].pool
-    }
-
-    /// The frame pool of the partition owning `node` — frames preloaded
-    /// into a node from outside callbacks must come from here, because
-    /// pooled buffers are `Rc`-backed and strictly partition-local.
-    pub fn pool_for(&self, node: NodeId) -> &FramePool {
-        let owner = self.part_of.get(node.0).copied().unwrap_or(0);
-        &self.parts[owner as usize].pool
-    }
-
-    /// The frame pool of partition `part`.
-    pub fn partition_pool(&self, part: u32) -> &FramePool {
-        &self.parts[part as usize].pool
     }
 
     /// Replaces the frame pool — pass [`FramePool::disabled`] to force

@@ -378,9 +378,9 @@ impl QueryRunner {
         }
     }
 
-    fn make_sim(&self, plan: &TopologyPlan) -> (Simulator, daiet_netsim::PartitionMap) {
-        let pmap = plan.partition_map(self.partitions);
-        let mut sim = Simulator::with_partitions(self.seed, pmap.clone());
+    fn make_sim(&self, plan: &TopologyPlan) -> Simulator {
+        let mut sim =
+            Simulator::with_partitions(self.seed, plan.partition_map(self.partitions));
         // One pool per partition across this runner's runs: repeated runs
         // recycle the previous run's buffers instead of growing a cold
         // pool each time (see `daiet_mapreduce::Runner::make_sim`).
@@ -393,7 +393,7 @@ impl QueryRunner {
             sim.set_frame_pool_for(p, pools[p].clone());
         }
         drop(pools);
-        (sim, pmap)
+        sim
     }
 
     /// Runs the query under `mode`.
@@ -415,7 +415,7 @@ impl QueryRunner {
             .deploy(&plan, &placement, self.resources, AggregationMode::PassThrough)
             .expect("deployment fits");
 
-        let (mut sim, _pmap) = self.make_sim(&plan);
+        let mut sim = self.make_sim(&plan);
         let tcp_cfg = TcpConfig::default();
         let mut ids: Vec<NodeId> = Vec::with_capacity(plan.len());
         for slot in 0..plan.len() {
@@ -492,28 +492,23 @@ impl QueryRunner {
             .map(|l| dep.expected_ends(l, workers.len()))
             .collect();
 
-        let (mut sim, pmap) = self.make_sim(&plan);
+        let mut sim = self.make_sim(&plan);
         let mut ids: Vec<NodeId> = Vec::with_capacity(plan.len());
         for slot in 0..plan.len() {
             let id = match plan.role(slot) {
                 Role::Host if slot != coord => {
                     let w = workers.iter().position(|&s| s == slot).expect("worker slot");
                     let partials = self.plan.worker_partials(&self.table.shards[w]);
-                    let lanes: Vec<_> = partials
+                    let lanes = partials
                         .into_iter()
                         .enumerate()
-                        .map(|(l, pairs)| (dep.tree_id(l), dep.endpoints(slot, l), pairs))
-                        .collect();
-                    // Preloaded frames come from the pool of the partition
-                    // that will transmit them (pools are partition-local).
-                    let pool = sim.partition_pool(pmap.part_of(slot)).clone();
-                    sim.add_node(Box::new(daiet::worker::multi_tree_sender(
+                        .map(|(l, pairs)| (dep.tree_id(l), dep.endpoints(slot, l), pairs));
+                    sim.add_node(Box::new(daiet::worker::one_shot_sender(
                         &self.daiet_config,
                         w,
-                        &lanes,
+                        lanes,
                         self.redundancy,
                         self.pacing,
-                        &pool,
                         "query-worker",
                     )))
                 }

@@ -98,3 +98,34 @@ fn pooled_and_unpooled_fig3_runs_are_identical() {
         );
     }
 }
+
+/// Senders build each frame at its transmit tick, so a frame's buffer is
+/// out of the pool only while the frame is in flight. What a whole fig3
+/// shuffle allocates is therefore bounded by the largest in-flight
+/// population — a few frames per link while the mappers stream, and the
+/// switch's END-time flush burst (one frame per ten distinct keys) queued
+/// toward the reducers — not by the frames it sends; everything else it
+/// hands out is a recycled buffer, from the first job on.
+#[test]
+fn fresh_buffers_are_bounded_by_frames_in_flight_not_frames_sent() {
+    let distinct_words = 12 * 512;
+    let corpus = Corpus::generate(&CorpusSpec::paper_scaled(distinct_words, 7));
+    let sent = (corpus.total_records() / 10) as u64; // 10 pairs per DATA frame
+    assert!(sent > 6_000, "the corpus is too small to tell the two bounds apart");
+    for mode in [ShuffleMode::UdpNoAgg, ShuffleMode::DaietAgg] {
+        let mut runner = Runner::new(corpus.clone());
+        runner.partitions = 1; // one pool, so `fresh` is one number whatever DAIET_PARTITIONS says
+        assert!(runner.run(mode).all_correct());
+        let pool = runner.pool_stats();
+        let handed_out = pool.fresh + pool.reused;
+        assert!(handed_out >= sent, "{mode:?}: {handed_out} buffers for {sent} frames");
+        let flush_burst = (distinct_words / 10 + 12) as u64;
+        assert!(
+            pool.fresh <= flush_burst + 100,
+            "{mode:?}: {} fresh buffers for {sent} frames sent, flush burst {flush_burst}",
+            pool.fresh
+        );
+        let reuse = pool.reused as f64 / handed_out as f64;
+        assert!(reuse >= 0.9, "{mode:?}: reuse ratio {reuse:.3}");
+    }
+}

@@ -5,6 +5,7 @@
 
 use daiet_repro::daiet::worker::Packetizer;
 use daiet_repro::daiet::DaietConfig;
+use daiet_repro::wire::checksum::{crc32, crc32_update};
 use daiet_repro::wire::daiet::{Key, PacketType, Pair, Repr, ENTRY_LEN, HEADER_LEN};
 use daiet_repro::wire::stack::{build_daiet, build_udp, Endpoints, Parsed, Transport};
 use proptest::prelude::*;
@@ -90,6 +91,34 @@ proptest! {
         // preamble plus whole entries.
         for p in &packets {
             prop_assert_eq!(p.buffer_len(), HEADER_LEN + p.entries.len() * ENTRY_LEN);
+        }
+    }
+
+    /// The sliced CRC-32 against the bytewise definition (one register
+    /// step per byte, eight shift-and-xor steps per byte — no table): every
+    /// length 0–64 of random contents, fed to `crc32_update` in two pieces
+    /// at every split point, so the eight-byte body and the byte tail are
+    /// entered and left at every alignment.
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_definition(
+        data in prop::collection::vec(any::<u8>(), 64..=64),
+    ) {
+        let bytewise = |bytes: &[u8]| {
+            bytes.iter().fold(0xFFFF_FFFFu32, |reg, &byte| {
+                (0..8).fold(reg ^ u32::from(byte), |r, _| (r >> 1) ^ (0xEDB8_8320 & (r & 1).wrapping_neg()))
+            })
+        };
+        for len in 0..=data.len() {
+            let expect = bytewise(&data[..len]);
+            prop_assert_eq!(crc32(&data[..len]), expect ^ 0xFFFF_FFFF, "one-shot, length {}", len);
+            for split in 0..=len {
+                let head = crc32_update(0xFFFF_FFFF, &data[..split]);
+                prop_assert_eq!(
+                    crc32_update(head, &data[split..len]),
+                    expect,
+                    "length {} split at {}", len, split
+                );
+            }
         }
     }
 
