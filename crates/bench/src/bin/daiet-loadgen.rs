@@ -25,7 +25,7 @@ use std::time::Instant;
 use daiet::controller::{AggregationMode, Controller, JobPlacement};
 use daiet::loopback::{wall_clock_config, LoopbackJob, ReducerReport};
 use daiet::{AggFn, DaietConfig};
-use daiet_bench::{arg_u64, arg_usize};
+use daiet_bench::arg;
 use daiet_dataplane::Resources;
 use daiet_fabric::{run_cluster, Duration, FaultShim};
 use daiet_netsim::topology::TopologyPlan;
@@ -33,12 +33,12 @@ use daiet_netsim::LinkSpec;
 use daiet_wire::daiet::{Key, Pair};
 
 fn main() {
-    let flows = arg_usize("flows", 200);
-    let workers = arg_usize("workers", 4);
-    let reducers = arg_usize("reducers", 2);
-    let pairs_per_flow = arg_usize("pairs", 8);
-    let loss_pct = arg_u64("loss-pct", 0);
-    let seed = arg_u64("seed", 42);
+    let flows = arg::<usize>("flows", 200);
+    let workers = arg::<usize>("workers", 4);
+    let reducers = arg::<usize>("reducers", 2);
+    let pairs_per_flow = arg::<usize>("pairs", 8);
+    let loss_pct = arg::<u64>("loss-pct", 0);
+    let seed = arg::<u64>("seed", 42);
 
     let mut config = DaietConfig { register_cells: 4096, ..DaietConfig::default() };
     if loss_pct > 0 {

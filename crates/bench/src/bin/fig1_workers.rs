@@ -2,12 +2,12 @@
 //! of workers from two to five (without changing the mini-batch size), and
 //! observed that the overlap increases."
 
-use daiet_bench::{arg_u64, arg_usize, series_table};
+use daiet_bench::{arg, series_table};
 use daiet_mlsim::overlap::{mean_overlap, OverlapRun, Which};
 
 fn main() {
-    let steps = arg_usize("steps", 50);
-    let seed = arg_u64("seed", 7);
+    let steps = arg::<usize>("steps", 50);
+    let seed = arg::<u64>("seed", 7);
     for which in [Which::Sgd, Which::Adam] {
         let rows: Vec<(f64, f64)> = (2..=5)
             .map(|w| {

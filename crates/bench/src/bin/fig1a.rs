@@ -3,14 +3,14 @@
 //! Paper: softmax NN on MNIST, mini-batch 3, 5 workers + 1 PS; overlap
 //! oscillates in the ≈34–50 % band, average ≈42.5 %, flat over 200 steps.
 
-use daiet_bench::{arg_u64, arg_usize, series_table};
+use daiet_bench::{arg, series_table};
 use daiet_mlsim::overlap::{mean_overlap, OverlapRun};
 
 fn main() {
     let mut run = OverlapRun::fig1a();
-    run.steps = arg_usize("steps", 200);
-    run.workers = arg_usize("workers", 5);
-    run.seed = arg_u64("seed", 7);
+    run.steps = arg::<usize>("steps", 200);
+    run.workers = arg::<usize>("workers", 5);
+    run.seed = arg::<u64>("seed", 7);
     let points = run.run();
     let rows: Vec<(f64, f64)> = points
         .iter()

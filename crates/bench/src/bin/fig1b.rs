@@ -3,14 +3,14 @@
 //! Paper: softmax NN on MNIST, Adam with mini-batch 100, 5 workers + 1
 //! PS; overlap in the ≈62–72 % band, average ≈66.5 %.
 
-use daiet_bench::{arg_u64, arg_usize, series_table};
+use daiet_bench::{arg, series_table};
 use daiet_mlsim::overlap::{mean_overlap, OverlapRun};
 
 fn main() {
     let mut run = OverlapRun::fig1b();
-    run.steps = arg_usize("steps", 200);
-    run.workers = arg_usize("workers", 5);
-    run.seed = arg_u64("seed", 7);
+    run.steps = arg::<usize>("steps", 200);
+    run.workers = arg::<usize>("workers", 5);
+    run.seed = arg::<u64>("seed", 7);
     let points = run.run();
     let rows: Vec<(f64, f64)> = points
         .iter()

@@ -5,16 +5,16 @@
 //! near the top; SSSP rising as the frontier explodes; WCC starting high
 //! and decaying as it converges; overall range ≈0.48–0.93.
 
-use daiet_bench::{arg_u64, arg_usize, multi_series_table};
+use daiet_bench::{arg, multi_series_table};
 use daiet_graphsim::generate::{rmat, RmatSpec};
 use daiet_graphsim::{reduction_series, AlgoKind};
 
 fn main() {
     // scale 17 → 131 K vertices / 1.8 M edges by default; push toward 22
     // (4.2 M / 59 M, LiveJournal scale) with --scale=22.
-    let scale = arg_usize("scale", 17) as u32;
-    let iterations = arg_usize("iterations", 10);
-    let seed = arg_u64("seed", 11);
+    let scale = arg::<u32>("scale", 17);
+    let iterations = arg::<usize>("iterations", 10);
+    let seed = arg::<u64>("seed", 11);
 
     let graph = rmat(&RmatSpec::livejournal_like(scale, seed));
     eprintln!(

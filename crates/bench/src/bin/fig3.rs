@@ -12,14 +12,14 @@
 //! 2 K-cell registers) so the run completes in seconds; pass
 //! `--words-per-reducer=16384 --cells=16384` for paper scale.
 
-use daiet_bench::{arg_u64, arg_usize};
+use daiet_bench::arg;
 use daiet_mapreduce::runner::{Fig3Summary, Runner, ShuffleMode};
 use daiet_mapreduce::wordcount::{Corpus, CorpusSpec};
 
 fn main() {
-    let words_per_reducer = arg_usize("words-per-reducer", 2048);
-    let cells = arg_usize("cells", 2048);
-    let seed = arg_u64("seed", 42);
+    let words_per_reducer = arg::<usize>("words-per-reducer", 2048);
+    let cells = arg::<usize>("cells", 2048);
+    let seed = arg::<u64>("seed", 42);
 
     let spec = CorpusSpec {
         register_cells: cells,

@@ -6,13 +6,13 @@
 use daiet::agg::AggFn;
 use daiet::controller::{AggregationMode, Controller, JobPlacement};
 use daiet::DaietConfig;
-use daiet_bench::arg_usize;
+use daiet_bench::arg;
 use daiet_dataplane::Resources;
 use daiet_netsim::{topology::TopologyPlan, LinkSpec};
 
 fn main() {
-    let cells = arg_usize("cells", 16 * 1024);
-    let trees = arg_usize("trees", 12);
+    let cells = arg::<usize>("cells", 16 * 1024);
+    let trees = arg::<usize>("trees", 12);
 
     let config = DaietConfig { register_cells: cells, ..DaietConfig::default() };
     println!("# Switch SRAM budget (paper §5: \"around 10 MB\" for 16K pairs x 12 trees)");

@@ -59,18 +59,32 @@ pub fn multi_series_table(
     out
 }
 
-/// Parses a `--key=value` style argument from `std::env::args`.
-pub fn arg_usize(key: &str, default: usize) -> usize {
-    std::env::args()
-        .find_map(|a| a.strip_prefix(&format!("--{key}=")).and_then(|v| v.parse().ok()))
-        .unwrap_or(default)
+/// The value of the first `--key=value` argument in `args`: `Ok(None)`
+/// when no argument names `key`, `Err` with the offending argument when
+/// its value does not parse as a `T`.
+pub fn parse_arg<T: std::str::FromStr>(
+    args: impl IntoIterator<Item = String>,
+    key: &str,
+) -> Result<Option<T>, String> {
+    let prefix = format!("--{key}=");
+    match args.into_iter().find(|a| a.starts_with(&prefix)) {
+        Some(arg) => arg[prefix.len()..].parse().map(Some).map_err(|_| arg),
+        None => Ok(None),
+    }
 }
 
-/// Parses a `--key=value` u64 argument.
-pub fn arg_u64(key: &str, default: u64) -> u64 {
-    std::env::args()
-        .find_map(|a| a.strip_prefix(&format!("--{key}=")).and_then(|v| v.parse().ok()))
-        .unwrap_or(default)
+/// `--key=value` from the process arguments, `default` when absent. A
+/// value that is present but does not parse ends the process with status
+/// 2: a figure printed at the default scale under a mistyped one reads
+/// like a result.
+pub fn arg<T: std::str::FromStr>(key: &str, default: T) -> T {
+    match parse_arg(std::env::args(), key) {
+        Ok(value) => value.unwrap_or(default),
+        Err(bad) => {
+            eprintln!("cannot parse argument `{bad}`");
+            std::process::exit(2);
+        }
+    }
 }
 
 /// Robust statistics over per-seed **simulated** measurements — the
@@ -174,9 +188,31 @@ mod tests {
     }
 
     #[test]
+    fn parse_arg_distinguishes_absent_from_unparsable() {
+        let args = |list: &[&str]| list.iter().map(ToString::to_string).collect::<Vec<_>>();
+        let given = args(&["fig3", "--cells=4096", "--words-per-reducer=16k", "--seed=-1"]);
+        assert_eq!(parse_arg::<usize>(given.clone(), "cells"), Ok(Some(4096)));
+        assert_eq!(parse_arg::<usize>(given.clone(), "steps"), Ok(None));
+        // A prefix of another key is a different key.
+        assert_eq!(parse_arg::<usize>(given.clone(), "cell"), Ok(None));
+        assert_eq!(
+            parse_arg::<usize>(given.clone(), "words-per-reducer"),
+            Err("--words-per-reducer=16k".to_string())
+        );
+        assert_eq!(parse_arg::<u64>(given.clone(), "seed"), Err("--seed=-1".to_string()));
+        assert_eq!(parse_arg::<i64>(given, "seed"), Ok(Some(-1)));
+        assert_eq!(parse_arg::<u64>(args(&["--seed="]), "seed"), Err("--seed=".to_string()));
+        // The first occurrence decides, parsable or not.
+        assert_eq!(
+            parse_arg::<u64>(args(&["--seed=x", "--seed=3"]), "seed"),
+            Err("--seed=x".to_string())
+        );
+    }
+
+    #[test]
     fn arg_parsers_default() {
-        assert_eq!(arg_usize("definitely-not-passed", 7), 7);
-        assert_eq!(arg_u64("also-not-passed", 9), 9);
+        assert_eq!(arg("definitely-not-passed", 7usize), 7);
+        assert_eq!(arg("also-not-passed", 9u64), 9);
     }
 
     #[test]

@@ -273,7 +273,7 @@ impl IterativeRunner {
                 (
                     self.deployment.tree_id(r),
                     self.deployment.endpoints(slot, r),
-                    pairs.as_slice(),
+                    pairs.clone(), // the signature borrows: the one copy
                 )
             });
             // The interleave offset rotates with the round so no tree is

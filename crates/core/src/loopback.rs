@@ -36,6 +36,7 @@ use daiet_fabric::{Duration, FaultShim, Node, NodeSpec, Time};
 use daiet_netsim::topology::TopologyPlan;
 use daiet_wire::daiet::{Key, Pair};
 use std::any::Any;
+use std::sync::Arc;
 
 /// The wall-clock NACK timeout floor: 3 ms. Large against loopback RTTs
 /// (microseconds) and driver-thread scheduling jitter (up to a
@@ -151,11 +152,13 @@ impl LoopbackJob {
     /// The spec for mapper `m` (placement order) owing `shards[r]` to
     /// reducer `r`: a paced multi-tree sender, replay-armed when the
     /// config has NACK recovery. Open-ended — the run stops it once
-    /// every reducer is satisfied.
-    pub fn sender_spec(
+    /// every reducer is satisfied. A shard is an owned `Vec<Pair>` (moved
+    /// to the driver thread) or a shared `Arc<Vec<Pair>>` (the thread
+    /// reads the caller's buffer); neither is copied.
+    pub fn sender_spec<P: Into<Arc<Vec<Pair>>>>(
         &self,
         m: usize,
-        shards: Vec<Vec<Pair>>,
+        shards: Vec<P>,
         pacing: Duration,
         redundancy: u32,
         shim: FaultShim,
@@ -163,11 +166,11 @@ impl LoopbackJob {
         assert_eq!(shards.len(), self.placement.reducers.len(), "one shard per reducer");
         let slot = self.placement.mappers[m];
         let config = self.controller.config;
-        let parts: Vec<(u16, daiet_wire::stack::Endpoints, Vec<Pair>)> = shards
+        let parts: Vec<(u16, daiet_wire::stack::Endpoints, Arc<Vec<Pair>>)> = shards
             .into_iter()
             .enumerate()
             .map(|(r, pairs)| {
-                (self.deployment.tree_id(r), self.deployment.endpoints(slot, r), pairs)
+                (self.deployment.tree_id(r), self.deployment.endpoints(slot, r), pairs.into())
             })
             .collect();
         NodeSpec {
@@ -220,14 +223,14 @@ impl LoopbackJob {
     /// role's spec (mappers get `shards[m]`, all with transparent
     /// shims). Callers needing per-slot loss injection assemble the
     /// specs themselves from the per-role constructors.
-    pub fn specs(
+    pub fn specs<P: Into<Arc<Vec<Pair>>>>(
         &self,
-        shards: Vec<Vec<Vec<Pair>>>,
+        shards: Vec<Vec<P>>,
         pacing: Duration,
         redundancy: u32,
     ) -> Vec<NodeSpec> {
         assert_eq!(shards.len(), self.placement.mappers.len(), "one shard list per mapper");
-        let mut shards: Vec<Option<Vec<Vec<Pair>>>> = shards.into_iter().map(Some).collect();
+        let mut shards: Vec<Option<Vec<P>>> = shards.into_iter().map(Some).collect();
         (0..self.plan.len())
             .map(|slot| {
                 if let Some(m) = self.placement.mappers.iter().position(|&s| s == slot) {

@@ -741,7 +741,7 @@ impl JobScheduler {
                 (
                     tree.tree_id,
                     Endpoints::from_ids(slot as u32, tree.reducer as u32),
-                    pairs.as_slice(),
+                    pairs.clone(), // the signature borrows: the one copy
                 )
             });
             // Rotate the interleave offset with the round so no tree is

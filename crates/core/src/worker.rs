@@ -13,11 +13,13 @@
 //! The sender takes §4 at its word: packet `i` of a partition is an
 //! offset computation ([`Packetizer`]'s one policy), so nothing is
 //! serialized ahead of time. [`plan_round`] returns a [`RoundSchedule`]
-//! that owns the round's pairs, and [`PacedSenderNode`] builds each frame
-//! from the fabric's pool at the tick it transmits it — frames exist
-//! only while in flight, the pool recycles from the first job on, and a
-//! NACKed `(tree, seq)` is rebuilt from the same pairs instead of being
-//! retained. [`Packetizer::frames_from_seq`] + [`interleave_round_robin`]
+//! that holds a handle (`Arc<Vec<Pair>>`) to each part's pairs: the
+//! caller's own buffer when it shares one, never a copy of it.
+//! [`PacedSenderNode`] builds each frame from the fabric's pool at the
+//! tick it transmits it, so frames exist only while in flight, the pool
+//! recycles from the first job on, and a NACKed `(tree, seq)` is rebuilt
+//! from the same pairs instead of being retained — retention is the
+//! handle. [`Packetizer::frames_from_seq`] + [`interleave_round_robin`]
 //! remain as the eager reference the streamed order is tested against.
 
 use crate::agg::AggFn;
@@ -29,6 +31,7 @@ use daiet_wire::daiet::{self, Header, Key, NackRange, PacketFlags, PacketType, P
 use daiet_wire::fnv::FnvHashMap;
 use daiet_wire::stack::{build_daiet_into, Endpoints};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Parser settings for an end host NIC stack: checksums verified, but no
 /// parse-depth limit (hosts are CPUs, not line-rate parsers). Shared by
@@ -56,9 +59,10 @@ pub fn receive_daiet(frame: Frame) -> Option<(Header, daiet_wire::Ipv4Address, P
 
 /// Builds the standard multi-tree UDP sender from borrowed partitions
 /// (`(tree, endpoints, pairs)`): [`one_shot_sender`] over a copy of the
-/// pairs. Runners that own their pair vectors call [`one_shot_sender`]
-/// and copy nothing. `_pool` is unused: the node builds every frame from
-/// its own fabric's pool at the frame's transmit tick.
+/// pairs. Runners that own or share their pair buffers call
+/// [`one_shot_sender`] and copy nothing. `_pool` is unused: the node
+/// builds every frame from its own fabric's pool at the frame's transmit
+/// tick.
 pub fn multi_tree_sender(
     config: &DaietConfig,
     sender_index: usize,
@@ -68,7 +72,7 @@ pub fn multi_tree_sender(
     _pool: &FramePool,
     label: &'static str,
 ) -> PacedSenderNode {
-    let parts = partitions.iter().map(|(tree, ep, pairs)| (*tree, *ep, pairs.as_slice()));
+    let parts = partitions.iter().map(|(tree, ep, pairs)| (*tree, *ep, pairs.clone()));
     one_shot_sender(config, sender_index, parts, redundancy, gap, label)
 }
 
@@ -77,7 +81,7 @@ pub fn multi_tree_sender(
 /// streaming one round of `partitions` round-robin from a
 /// sender-specific offset, `k`-redundantly (`redundancy = 1` for none),
 /// replay-armed when `config.nack_recovery` is on.
-pub fn one_shot_sender<P: Into<Vec<Pair>>>(
+pub fn one_shot_sender<P: Into<Arc<Vec<Pair>>>>(
     config: &DaietConfig,
     sender_index: usize,
     partitions: impl IntoIterator<Item = (u16, Endpoints, P)>,
@@ -104,13 +108,15 @@ pub fn one_shot_sender<P: Into<Vec<Pair>>>(
 ///
 /// Each `(tree, endpoints, pairs)` part continues that tree's wrapping
 /// sequence space from `next_seq` (updated in place to the next free
-/// number). Nothing is serialized here: the returned [`RoundSchedule`]
-/// owns the parts (an owned `Vec<Pair>` moves in, a borrowed slice is
-/// copied) and builds frame after frame on demand, round-robin across the
-/// parts starting at `offset % parts` (fairness: callers rotate the
-/// offset so no tree is permanently drained first), each frame
-/// `redundancy` times (1 = none).
-pub fn plan_round<P: Into<Vec<Pair>>>(
+/// number). Nothing is serialized and no pair is copied here: the
+/// returned [`RoundSchedule`] holds each part's pairs through a shared
+/// handle (an owned `Vec<Pair>` moves into a fresh one, an
+/// `Arc<Vec<Pair>>` is the caller's buffer at the cost of a refcount; a
+/// caller that only borrows its pairs copies them itself) and builds frame
+/// after frame on demand, round-robin across the parts starting at
+/// `offset % parts` (fairness: callers rotate the offset so no tree is
+/// permanently drained first), each frame `redundancy` times (1 = none).
+pub fn plan_round<P: Into<Arc<Vec<Pair>>>>(
     config: &DaietConfig,
     parts: impl IntoIterator<Item = (u16, Endpoints, P)>,
     next_seq: &mut FnvHashMap<u16, u32>,
@@ -121,7 +127,7 @@ pub fn plan_round<P: Into<Vec<Pair>>>(
     let parts: Vec<RoundPart> = parts
         .into_iter()
         .map(|(tree, endpoints, pairs)| {
-            let pairs: Vec<Pair> = pairs.into();
+            let pairs: Arc<Vec<Pair>> = pairs.into();
             let base_seq = next_seq.get(&tree).copied().unwrap_or(0);
             let packets = packetizer.packet_count(pairs.len());
             let packetizer = packetizer.clone();
@@ -148,7 +154,10 @@ struct RoundPart {
     packetizer: Packetizer,
     tree: u16,
     endpoints: Endpoints,
-    pairs: Vec<Pair>,
+    /// Immutable, and possibly shared with the caller and with other
+    /// senders' parts; `Arc` because senders run on partition and driver
+    /// threads while the buffer's owner stays behind.
+    pairs: Arc<Vec<Pair>>,
     /// Sequence number of the part's first packet (wrapping space).
     base_seq: u32,
     /// Packets the pairs packetize into: the DATA packets plus the END.
@@ -175,9 +184,10 @@ impl RoundPart {
 /// One round's transmit schedule, streamed: the round's parts plus a
 /// round-robin cursor. [`PacedSenderNode`] asks it for one frame per
 /// pacing tick, so a frame exists only from its tick until the last hop
-/// lets go of it; the pairs stay behind as the round's NACK-replay
-/// retention, from which any `(tree, seq)` is rebuilt by offset (§4's
-/// fixed-size pairs make frame `i` of a part `pairs[10i .. 10i + 10]`).
+/// lets go of it; the handles to the pairs stay behind as the round's
+/// NACK-replay retention, from which any `(tree, seq)` is rebuilt by
+/// offset (§4's fixed-size pairs make frame `i` of a part
+/// `pairs[10i .. 10i + 10]`).
 ///
 /// The frames, their order and their count are those of
 /// [`Packetizer::frames_from_seq`] per part, interleaved by
@@ -429,8 +439,9 @@ pub struct PacedSenderNode {
     /// Built frames awaiting their tick, sent before anything streamed.
     ready: VecDeque<Frame>,
     /// Streamed rounds, oldest first. With replay armed a transmitted
-    /// round stays until [`retire_round`](Self::retire_round): its pairs
-    /// are the NACK-replay retention, dense per tree across rounds.
+    /// round stays until [`retire_round`](Self::retire_round): its handles
+    /// to the pairs are the NACK-replay retention, dense per tree across
+    /// rounds.
     rounds: VecDeque<RoundSchedule>,
     gap: Duration,
     label: &'static str,
@@ -1365,10 +1376,12 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// The streamed schedule against the eager reference, over two
-        /// rounds on one sender: same bytes in the same order, every
-        /// retained `(tree, seq)` rebuilt byte-identically for a NACK, and
-        /// the second round continuing each tree's sequence space where
-        /// the first ended — across the `u32::MAX` wrap.
+        /// rounds on two senders — one planned from owned vectors, one
+        /// from shared handles whose caller-side clone is gone before the
+        /// first tick: same bytes in the same order, every retained
+        /// `(tree, seq)` rebuilt byte-identically for a NACK, and the
+        /// second round continuing each tree's sequence space where the
+        /// first ended — across the `u32::MAX` wrap.
         #[test]
         fn streamed_schedule_equals_the_eager_reference(
             shape in (0usize..=4, 1usize..=10, 1u32..=3),
@@ -1386,47 +1399,89 @@ mod tests {
             };
             let start: FnvHashMap<u16, u32> =
                 (0..trees).map(|t| (t as u16 + 1, u32::MAX - below_wrap[t])).collect();
-            let (mut eager_seq, mut streamed_seq) = (start.clone(), start);
+            let mut eager_seq = start.clone();
 
             let mut fabric = Recorder::new();
-            let mut node = PacedSenderNode::new(Vec::new(), Duration::from_micros(1), "streamed");
-            node.arm_replay();
+            let mut senders: Vec<(&str, PacedSenderNode, FnvHashMap<u16, u32>)> = ["owned", "shared"]
+                .into_iter()
+                .map(|how| {
+                    let mut node = PacedSenderNode::new(Vec::new(), Duration::from_micros(1), "streamed");
+                    node.arm_replay();
+                    (how, node, start.clone())
+                })
+                .collect();
             let mut retained = Vec::new();
             for (r, round) in [first, second].iter().enumerate() {
                 let offset = offset.wrapping_add(r);
                 let (transmit, per_tree) =
                     eager_round(&config, &parts(round), &mut eager_seq, offset, redundancy, &fabric.pool);
-                node.enqueue_round(plan_round(&config, parts(round), &mut streamed_seq, offset, redundancy));
-                prop_assert_eq!(&streamed_seq, &eager_seq, "next free sequence numbers, round {}", r);
-                prop_assert_eq!(node.pending(), transmit.len());
-                let sent = fabric.drain(&mut node);
-                prop_assert_eq!(bytes(&sent), bytes(&transmit), "transmit order, round {}", r);
-                prop_assert_eq!(node.pending(), 0);
+                for (how, node, streamed_seq) in &mut senders {
+                    let schedule = if *how == "shared" {
+                        let buffers: Vec<_> = parts(round)
+                            .into_iter()
+                            .map(|(tree, ep, pairs)| (tree, ep, Arc::new(pairs)))
+                            .collect();
+                        let handles = buffers.iter().map(|(tree, ep, pairs)| (*tree, *ep, Arc::clone(pairs)));
+                        let schedule = plan_round(&config, handles, streamed_seq, offset, redundancy);
+                        // From here on the schedule's handles alone keep
+                        // the pairs alive.
+                        drop(buffers);
+                        schedule
+                    } else {
+                        plan_round(&config, parts(round), streamed_seq, offset, redundancy)
+                    };
+                    node.enqueue_round(schedule);
+                    prop_assert_eq!(&*streamed_seq, &eager_seq, "next free sequence numbers, {} round {}", how, r);
+                    prop_assert_eq!(node.pending(), transmit.len());
+                    let sent = fabric.drain(node);
+                    prop_assert_eq!(bytes(&sent), bytes(&transmit), "transmit order, {} round {}", how, r);
+                    prop_assert_eq!(node.pending(), 0);
+                }
                 retained.extend(per_tree);
             }
 
             // Both rounds are still retained: every (tree, seq) either of
             // them transmitted is rebuilt exactly, alone, on request.
             let held: usize = retained.iter().map(|(_, _, frames)| frames.len()).sum();
-            prop_assert_eq!(node.replay_retained(), held);
-            for (tree, base, frames) in &retained {
-                for (i, frame) in frames.iter().enumerate() {
-                    let req = NackRequest {
-                        next_expected: 0,
-                        tail: false,
-                        ranges: vec![NackRange { first: base.wrapping_add(i as u32), count: 1 }],
-                    };
-                    let replayed = fabric.nack(&mut node, *tree, &req);
-                    prop_assert_eq!(bytes(&replayed), vec![&frame[..]], "tree {} offset {}", tree, i);
+            let cutoffs: Vec<(u16, u32)> = eager_seq.iter().map(|(&t, &s)| (t, s)).collect();
+            for (how, node, _) in &mut senders {
+                prop_assert_eq!(node.replay_retained(), held);
+                for (tree, base, frames) in &retained {
+                    for (i, frame) in frames.iter().enumerate() {
+                        let req = NackRequest {
+                            next_expected: 0,
+                            tail: false,
+                            ranges: vec![NackRange { first: base.wrapping_add(i as u32), count: 1 }],
+                        };
+                        let replayed = fabric.nack(node, *tree, &req);
+                        prop_assert_eq!(bytes(&replayed), vec![&frame[..]], "{} tree {} offset {}", how, tree, i);
+                    }
                 }
-            }
 
-            // The barrier retires both rounds, and NACKs find nothing.
-            let cutoffs: Vec<(u16, u32)> = streamed_seq.iter().map(|(&t, &s)| (t, s)).collect();
-            node.retire_round(&cutoffs);
-            prop_assert_eq!(node.replay_retained(), 0);
-            prop_assert_eq!(node.frames_retired as usize, held);
+                // The barrier retires both rounds, and NACKs find nothing.
+                node.retire_round(&cutoffs);
+                prop_assert_eq!(node.replay_retained(), 0);
+                prop_assert_eq!(node.frames_retired as usize, held);
+            }
         }
+    }
+
+    /// Planning copies no pair: an owned vector's allocation moves into
+    /// the schedule, a shared handle's buffer is the schedule's buffer.
+    #[test]
+    fn plan_round_moves_owned_vectors_and_shares_handles() {
+        let config = DaietConfig::default();
+        let ep = Endpoints::from_ids(1, 2);
+        let mut next_seq = FnvHashMap::default();
+        let owned = npairs(25);
+        let owned_at = owned.as_ptr();
+        let by_move = plan_round(&config, [(1, ep, owned)], &mut next_seq, 0, 1);
+        assert_eq!(by_move.parts[0].pairs.as_ptr(), owned_at);
+        let shared = Arc::new(npairs(25));
+        let by_handle = plan_round(&config, [(2, ep, Arc::clone(&shared))], &mut next_seq, 0, 1);
+        assert!(Arc::ptr_eq(&by_handle.parts[0].pairs, &shared));
+        drop(by_handle);
+        assert_eq!(Arc::strong_count(&shared), 1);
     }
 
     /// One sender holding one 6-packet part whose sequence window

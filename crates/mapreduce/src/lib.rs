@@ -10,8 +10,8 @@
 //! * [`wordcount`] — the corpus generator (collision-free words, per-word
 //!   mapper multiplicity, word-length distribution — the knobs that set
 //!   the reduction ratios) and ground-truth computation;
-//! * [`serialize`] — record encodings: the baseline's variable-length
-//!   records vs DAIET's fixed 16 B + 4 B pairs (whose padding the paper
+//! * [`serialize`] — the baseline's variable-length record codec, over
+//!   the fixed 16 B + 4 B pairs the corpus holds (whose padding the paper
 //!   reports as measured overhead);
 //! * [`metrics`] — the reducer compute-time model (merge of pre-sorted
 //!   runs vs full sort of unordered aggregates — §4's trade-off) and

@@ -9,7 +9,6 @@
 //! **byte-identical** to the simulator's — `tests/fabric_properties.rs`
 //! asserts it.
 
-use crate::serialize;
 use crate::Runner;
 use daiet::controller::{AggregationMode, Controller};
 use daiet::loopback::{wall_clock_config, LoopbackJob, ReducerReport};
@@ -62,7 +61,6 @@ pub fn run_wordcount_loopback(
 ) -> LoopbackOutcome {
     let mut shim_for = shim_for;
     let placement = runner.placement(plan);
-    let spec = &runner.corpus.spec;
     let config = wall_clock_config(runner.daiet_config);
     let job = LoopbackJob::deploy(
         Controller::new(config, AggFn::Sum),
@@ -73,13 +71,9 @@ pub fn run_wordcount_loopback(
     )
     .expect("deployment fits");
 
-    let shards: Vec<Vec<Vec<daiet_wire::daiet::Pair>>> = (0..spec.n_mappers)
-        .map(|m| {
-            (0..spec.n_reducers)
-                .map(|r| serialize::to_pairs(&runner.corpus.partitions[m][r]))
-                .collect()
-        })
-        .collect();
+    // Cloning the table clones handles, not pairs: each driver thread
+    // reads the corpus's own buffers.
+    let shards = runner.corpus.partitions.clone();
     // Sim pacing is tuned for virtual time; at wall clock the driver
     // loop itself paces (one timer fire per iteration), so anything at
     // or above the timer-wheel granularity behaves the same. Clamp up
@@ -116,6 +110,7 @@ pub fn run_wordcount_loopback(
 mod tests {
     use super::*;
     use crate::wordcount::{Corpus, CorpusSpec};
+    use std::sync::Arc;
 
     /// A tiny corpus end-to-end over real sockets, in-network
     /// aggregation, no injected loss: every reducer must land exactly on
@@ -134,6 +129,10 @@ mod tests {
         assert!(!out.deadlined, "run hit the deadline");
         assert!(out.all_correct(&runner), "reducers diverged from ground truth");
         assert_eq!(out.shim_dropped, 0);
+        // The driver threads read the corpus's buffers and gave them back.
+        for pairs in runner.corpus.partitions.iter().flatten() {
+            assert_eq!(Arc::strong_count(pairs), 1);
+        }
     }
 
     /// Seeded loss on the switch's egress — the frames that carry the

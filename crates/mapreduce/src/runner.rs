@@ -30,6 +30,7 @@ use daiet_netsim::topology::{Role, TopologyPlan};
 use daiet_netsim::{FramePool, LinkSpec, NodeId, SimDuration, SimTime, Simulator};
 use daiet_transport::tcp::{BulkSenderNode, SinkReceiverNode, TcpConfig};
 use std::cell::RefCell;
+use std::sync::Arc;
 use daiet_wire::daiet::Key;
 use daiet_wire::fnv::FnvHashMap;
 
@@ -235,15 +236,16 @@ impl Runner {
                 Role::Host => {
                     if let Some(m) = placement.mappers.iter().position(|&s| s == slot) {
                         // Jobs: one stream per reducer, sorted records
-                        // (mappers sort in the baseline).
+                        // (mappers sort in the baseline; zero-padded keys
+                        // order like the words they hold).
                         let jobs: Vec<(u32, u16, Vec<u8>)> = (0..spec.n_reducers)
                             .map(|r| {
-                                let mut recs = self.corpus.partitions[m][r].clone();
-                                recs.sort_by(|a, b| a.word.cmp(&b.word));
+                                let mut pairs = self.corpus.partitions[m][r].to_vec();
+                                pairs.sort_unstable_by_key(|p| p.key);
                                 (
                                     placement.reducers[r] as u32,
                                     SHUFFLE_PORT,
-                                    serialize::encode_varlen(&recs),
+                                    serialize::encode_varlen(&pairs),
                                 )
                             })
                             .collect();
@@ -264,21 +266,22 @@ impl Runner {
         let mut reducers = Vec::with_capacity(spec.n_reducers);
         for (r, &slot) in placement.reducers.iter().enumerate() {
             let node = sim.node_ref::<SinkReceiverNode>(ids[slot]).expect("reducer node");
-            let mut merged: FnvHashMap<String, u32> = FnvHashMap::default();
+            let mut merged: FnvHashMap<Key, u32> = FnvHashMap::default();
             let mut records = 0usize;
             let mut app_bytes = 0u64;
             for stream in node.received.values() {
                 app_bytes += stream.len() as u64;
-                let recs = serialize::decode_varlen(stream).expect("TCP delivers byte-exact");
-                records += recs.len();
-                for rec in recs {
-                    *merged.entry(rec.word).or_insert(0) += rec.count;
+                let pairs = serialize::decode_varlen(stream).expect("TCP delivers byte-exact");
+                records += pairs.len();
+                for pair in pairs {
+                    *merged.entry(pair.key).or_insert(0) += pair.value;
                 }
             }
-            let mut got: Vec<(String, u32)> = merged.iter().map(|(w, &c)| (w.clone(), c)).collect();
-            got.sort();
-            let correct = got == self.corpus.expected_reduction(r)
-                && node.finished.len() == spec.n_mappers;
+            let correct = node.finished.len() == spec.n_mappers
+                && matches_reference(
+                    merged.iter().map(|(k, v)| (*k, *v)),
+                    self.corpus.expected_reduction(r),
+                );
             let nic = sim.node_stats(ids[slot]);
             reducers.push(ReducerMetrics {
                 reducer: r,
@@ -328,7 +331,7 @@ impl Runner {
                             (
                                 dep.tree_id(r),
                                 dep.endpoints(slot, r),
-                                serialize::to_pairs(&self.corpus.partitions[m][r]),
+                                Arc::clone(&self.corpus.partitions[m][r]),
                             )
                         });
                         sim.add_node(Box::new(daiet::worker::one_shot_sender(
@@ -400,10 +403,11 @@ impl Runner {
     }
 }
 
-/// Whether a reducer's collected pairs are exactly the reference
-/// reduction: as many, and pairwise equal once sorted by key. Zero-padded
-/// keys order like the words they hold, so the collected side sorts as
-/// 16-byte arrays and no `String` is built per key.
+/// Whether a reducer's merged pairs are exactly the reference reduction —
+/// the one check behind all three modes: as many, and pairwise equal once
+/// sorted by key. Zero-padded keys order like the words they hold, so the
+/// collected side sorts as 16-byte arrays and no `String` is built per
+/// key.
 fn matches_reference(
     collected: impl Iterator<Item = (Key, u32)>,
     expected: &[(String, u32)],
@@ -570,6 +574,29 @@ mod tests {
             assert!(out.all_correct(), "{mode:?} diverged under chaos at k=1");
         }
         assert!(any_drops, "faults never fired — the test proved nothing");
+    }
+
+    /// Map output is lent, not handed over: a run in any mode — chaos
+    /// recovery with its replay retention included — leaves every
+    /// partition with the corpus's own handle only, contents untouched.
+    #[test]
+    fn every_run_returns_its_map_output_handles() {
+        use ShuffleMode::{DaietAgg, TcpBaseline, UdpNoAgg};
+        let chaos = daiet_netsim::FaultProfile::chaos(0.08, 0.08, 0.08, 20_000);
+        for (runner, modes) in [
+            (tiny_runner(9), &[TcpBaseline, UdpNoAgg, DaietAgg][..]),
+            (tiny_runner(17).with_recovery(chaos), &[UdpNoAgg, DaietAgg][..]),
+        ] {
+            let before: Vec<Vec<daiet_wire::daiet::Pair>> =
+                runner.corpus.partitions.iter().flatten().map(|pairs| pairs.to_vec()).collect();
+            for &mode in modes {
+                assert!(runner.run(mode).all_correct(), "{mode:?} diverged");
+                for (pairs, before) in runner.corpus.partitions.iter().flatten().zip(&before) {
+                    assert_eq!(Arc::strong_count(pairs), 1, "{mode:?} kept a handle");
+                    assert_eq!(**pairs, *before, "{mode:?} changed the map output");
+                }
+            }
+        }
     }
 
     #[test]

@@ -59,24 +59,11 @@ impl TenantWorkload for WordCountTenant {
     }
 
     fn shards(&mut self, _round: u64) -> Vec<Vec<Vec<Pair>>> {
+        // The trait hands out owned vectors, so each buffer is copied.
         self.corpus
             .partitions
             .iter()
-            .map(|per_reducer| {
-                per_reducer
-                    .iter()
-                    .map(|records| {
-                        records
-                            .iter()
-                            .map(|rec| {
-                                let key = Key::from_str_key(&rec.word)
-                                    .expect("corpus words fit the key width");
-                                Pair::new(key, rec.count)
-                            })
-                            .collect()
-                    })
-                    .collect()
-            })
+            .map(|per_reducer| per_reducer.iter().map(|pairs| pairs.to_vec()).collect())
             .collect()
     }
 

@@ -23,13 +23,16 @@
 //! built: rejection-sampling words until, within each reducer's
 //! partition, every word maps to a distinct `CRC32 % register_cells`
 //! slot.
+//!
+//! The output is emitted directly as §4's fixed-size pairs — the padded
+//! key hashed for that check, plus the count — see [`Corpus`].
 
 use daiet_wire::checksum::crc32;
+use daiet_wire::daiet::{Key, Pair};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use daiet_wire::fnv::{FnvBuildHasher, FnvHashMap, FnvHashSet};
-
-use crate::serialize::Record;
+use std::sync::Arc;
 
 /// Corpus parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -95,16 +98,23 @@ pub fn partition(word: &str, n_reducers: usize) -> usize {
     (crc32(word.as_bytes()) as usize) % n_reducers
 }
 
-/// A generated corpus, already mapper-combined (one record per distinct
+/// A generated corpus, already mapper-combined (one pair per distinct
 /// word per mapper — the classic WordCount combiner output the shuffle
 /// actually moves).
+///
+/// The map output *is* §4's fixed-size file: each partition is an
+/// immutable buffer of [`Pair`]s written once here. The corpus owns the
+/// pairs; senders hold a handle to the same buffer and slice it by offset
+/// (`Arc`, because they run on the simulator's partition threads and the
+/// loopback backend's driver threads), so a job neither converts nor
+/// copies them, and cloning a corpus shares them.
 #[derive(Debug, Clone)]
 pub struct Corpus {
     /// The specification that produced this corpus.
     pub spec: CorpusSpec,
-    /// `partitions[mapper][reducer]` = that mapper's records bound for
-    /// that reducer.
-    pub partitions: Vec<Vec<Vec<Record>>>,
+    /// `partitions[mapper][reducer]` = that mapper's pairs bound for that
+    /// reducer: the word as a zero-padded key, and its partial count.
+    pub partitions: Vec<Vec<Arc<Vec<Pair>>>>,
     /// Ground truth: final count per word.
     pub truth: FnvHashMap<String, u32>,
     /// Per-reducer sorted ground truth, precomputed once (the correctness
@@ -122,7 +132,7 @@ impl Corpus {
         let mut rng = SmallRng::seed_from_u64(spec.seed);
 
         // 1. Dictionary: unique words, collision-free per reducer.
-        let mut words: Vec<String> = Vec::with_capacity(spec.distinct_words);
+        let mut words: Vec<(String, Key)> = Vec::with_capacity(spec.distinct_words);
         let mut seen: FnvHashSet<String> =
             FnvHashSet::with_capacity_and_hasher(spec.distinct_words, FnvBuildHasher::default());
         let mut used_cells: Vec<FnvHashSet<u32>> = vec![FnvHashSet::default(); spec.n_reducers];
@@ -136,21 +146,21 @@ impl Corpus {
             }
             let r = partition(&w, spec.n_reducers);
             // The switch hashes the padded 16-byte key.
-            let key = daiet_wire::daiet::Key::from_str_key(&w).expect("len <= 16");
+            let key = Key::from_str_key(&w).expect("len <= 16");
             let cell = crc32(&key.0) % spec.register_cells as u32;
             if !used_cells[r].insert(cell) {
                 continue; // would collide in-switch: reject, like the paper's dataset
             }
             seen.insert(w.clone());
-            words.push(w);
+            words.push((w, key));
         }
 
         // 2. Spread each word over a sampled set of mappers.
-        let mut partitions: Vec<Vec<Vec<Record>>> =
+        let mut partitions: Vec<Vec<Vec<Pair>>> =
             vec![vec![Vec::new(); spec.n_reducers]; spec.n_mappers];
         let mut truth: FnvHashMap<String, u32> =
             FnvHashMap::with_capacity_and_hasher(words.len(), FnvBuildHasher::default());
-        for w in &words {
+        for (w, key) in &words {
             let r = partition(w, spec.n_reducers);
             let mult = sample_multiplicity(&mut rng, spec);
             let holders = sample_mappers(&mut rng, spec.n_mappers, mult);
@@ -158,7 +168,7 @@ impl Corpus {
             for m in holders {
                 let count = rng.random_range(1..=9u32);
                 total += count;
-                partitions[m][r].push(Record { word: w.clone(), count });
+                partitions[m][r].push(Pair::new(*key, count));
             }
             truth.insert(w.clone(), total);
         }
@@ -171,6 +181,10 @@ impl Corpus {
             e.sort();
         }
 
+        let partitions = partitions
+            .into_iter()
+            .map(|per_reducer| per_reducer.into_iter().map(Arc::new).collect())
+            .collect();
         Corpus { spec: *spec, partitions, truth, expected }
     }
 
@@ -179,13 +193,13 @@ impl Corpus {
         self.partitions
             .iter()
             .flat_map(|per_reducer| per_reducer.iter())
-            .map(std::vec::Vec::len)
+            .map(|pairs| pairs.len())
             .sum()
     }
 
     /// Distinct words destined for reducer `r`.
     pub fn distinct_for_reducer(&self, r: usize) -> usize {
-        self.truth.keys().filter(|w| partition(w, self.spec.n_reducers) == r).count()
+        self.expected[r].len()
     }
 
     /// Mean mapper multiplicity actually realized.
@@ -222,27 +236,29 @@ fn sample_mappers(rng: &mut SmallRng, n: usize, k: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use daiet_wire::daiet::Key;
+
+    /// The word a pair's key holds (padding trimmed).
+    fn word(pair: &Pair) -> &str {
+        std::str::from_utf8(pair.key.trimmed()).expect("corpus words are ASCII")
+    }
 
     #[test]
     fn generation_is_deterministic() {
         let a = Corpus::generate(&CorpusSpec::tiny(5));
         let b = Corpus::generate(&CorpusSpec::tiny(5));
         assert_eq!(a.truth, b.truth);
+        assert_eq!(a.partitions, b.partitions);
         let c = Corpus::generate(&CorpusSpec::tiny(6));
         assert_ne!(a.truth, c.truth);
+        assert_ne!(a.partitions, c.partitions);
     }
 
     #[test]
     fn truth_matches_partitions() {
         let corpus = Corpus::generate(&CorpusSpec::tiny(1));
         let mut sums: FnvHashMap<String, u32> = FnvHashMap::default();
-        for mapper in &corpus.partitions {
-            for reducer_part in mapper {
-                for rec in reducer_part {
-                    *sums.entry(rec.word.clone()).or_insert(0) += rec.count;
-                }
-            }
+        for pair in corpus.partitions.iter().flatten().flat_map(|pairs| pairs.iter()) {
+            *sums.entry(word(pair).to_owned()).or_insert(0) += pair.value;
         }
         assert_eq!(sums, corpus.truth);
         assert_eq!(corpus.truth.len(), 60);
@@ -252,9 +268,9 @@ mod tests {
     fn words_go_to_their_partition() {
         let corpus = Corpus::generate(&CorpusSpec::tiny(2));
         for mapper in &corpus.partitions {
-            for (r, recs) in mapper.iter().enumerate() {
-                for rec in recs {
-                    assert_eq!(partition(&rec.word, corpus.spec.n_reducers), r);
+            for (r, pairs) in mapper.iter().enumerate() {
+                for pair in pairs.iter() {
+                    assert_eq!(partition(word(pair), corpus.spec.n_reducers), r);
                 }
             }
         }
@@ -300,5 +316,9 @@ mod tests {
         assert_eq!(total, corpus.truth.len());
         let red = corpus.expected_reduction(0);
         assert!(red.windows(2).all(|w| w[0].0 < w[1].0));
+        for r in 0..2 {
+            let rehashed = corpus.truth.keys().filter(|w| partition(w, 2) == r).count();
+            assert_eq!(corpus.distinct_for_reducer(r), rehashed);
+        }
     }
 }

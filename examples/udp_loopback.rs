@@ -25,11 +25,10 @@ use std::sync::Arc;
 use daiet_repro::daiet::agg::AggFn;
 use daiet_repro::daiet::controller::{AggregationMode, Controller, Deployment, JobPlacement};
 use daiet_repro::daiet::loopback::wall_clock_config;
-use daiet_repro::daiet::worker::{multi_tree_sender, reducer_host, ReducerHost};
+use daiet_repro::daiet::worker::{one_shot_sender, reducer_host, ReducerHost};
 use daiet_repro::daiet::DaietConfig;
 use daiet_repro::dataplane::Resources;
-use daiet_repro::fabric::{Duration, FaultShim, FramePool, NodeDriver};
-use daiet_repro::mapreduce::serialize::to_pairs;
+use daiet_repro::fabric::{Duration, FaultShim, NodeDriver};
 use daiet_repro::mapreduce::wordcount::{Corpus, CorpusSpec};
 use daiet_repro::netsim::topology::TopologyPlan;
 use daiet_repro::netsim::LinkSpec;
@@ -235,10 +234,8 @@ fn child(role: &str) {
 
     if let Some(w) = role.strip_prefix("worker:") {
         let w: usize = w.parse().expect("worker index");
-        let parts = vec![(dep.tree_id(0), dep.endpoints(w, 0), to_pairs(&corpus.partitions[w][0]))];
-        let pool = FramePool::new();
-        let node =
-            multi_tree_sender(&config, w, &parts, 1, Duration::from_micros(50), &pool, "proc-worker");
+        let parts = [(dep.tree_id(0), dep.endpoints(w, 0), Arc::clone(&corpus.partitions[w][0]))];
+        let node = one_shot_sender(&config, w, parts, 1, Duration::from_micros(50), "proc-worker");
         let mut driver = NodeDriver::from_socket(Box::new(node), socket).expect("driver");
         driver.set_peers(vec![addrs[SWITCH]]);
         let stop = Arc::new(AtomicBool::new(false));

@@ -6,6 +6,7 @@ use daiet_mapreduce::runner::{Runner, ShuffleMode};
 use daiet_mapreduce::wordcount::{Corpus, CorpusSpec};
 use daiet_netsim::{Frame, FramePool};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Interpreter for a random op sequence against one pool. Every live
 /// frame remembers the exact bytes it was built with; after each step,
@@ -96,6 +97,11 @@ fn pooled_and_unpooled_fig3_runs_are_identical() {
             format!("{:?}", b.reducers),
             "{mode:?} reducer metrics diverged"
         );
+    }
+    // The two runners hold clones of one corpus, which share one set of
+    // map-output buffers: two handles each, and no run left a third.
+    for pairs in pooled.corpus.partitions.iter().flatten() {
+        assert_eq!(Arc::strong_count(pairs), 2);
     }
 }
 
