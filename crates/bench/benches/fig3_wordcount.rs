@@ -24,17 +24,6 @@ fn bench_wordcount(c: &mut Criterion) {
     ] {
         group.bench_function(name, |b| b.iter(|| black_box(runner.run(mode))));
     }
-    // The partitioned engine on the same aggregation run: identical
-    // results (pinned by `tests/partition_properties.rs`), different
-    // execution strategy — this measures the synchronization overhead /
-    // speedup of sharding across 2 and 4 worker threads.
-    for parts in [2usize, 4] {
-        runner.partitions = parts;
-        group.bench_function(format!("daiet_agg_par{parts}"), |b| {
-            b.iter(|| black_box(runner.run(ShuffleMode::DaietAgg)));
-        });
-    }
-    runner.partitions = 1;
     group.finish();
 }
 

@@ -61,10 +61,6 @@ pub struct IterativeSpec {
     pub redundancy: u32,
     /// Simulation seed.
     pub seed: u64,
-    /// Execution partitions for the simulator (default: the
-    /// `DAIET_PARTITIONS` environment variable, else 1). Round results
-    /// must be bit-identical at any setting.
-    pub partitions: usize,
 }
 
 impl IterativeSpec {
@@ -87,7 +83,6 @@ impl IterativeSpec {
             pacing: Duration::from_micros(1),
             redundancy: 1,
             seed: 7,
-            partitions: daiet_netsim::env_partitions(),
         }
     }
 }
@@ -174,8 +169,7 @@ impl IterativeRunner {
             .deploy(&spec.plan, &placement, spec.resources, spec.mode)
             .map_err(|e| e.to_string())?;
 
-        let pmap = spec.plan.partition_map(spec.partitions);
-        let mut sim = daiet_netsim::Simulator::with_partitions(spec.seed, pmap);
+        let mut sim = daiet_netsim::Simulator::new(spec.seed);
         let mut ids = Vec::with_capacity(spec.plan.len());
         let expected_per_round: Vec<u32> = (0..spec.reducers.len())
             .map(|r| dep.expected_ends(r, spec.senders.len()))

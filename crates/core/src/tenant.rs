@@ -88,9 +88,9 @@ pub struct TenantSpec {
     pub pacing: Duration,
     /// Simulation seed.
     pub seed: u64,
-    /// Execution partitions (default: the `DAIET_PARTITIONS`
-    /// environment variable, else 1). Per-job results must be
-    /// bit-identical at any setting.
+    /// Inert: the partitioned execution engine is gone and nothing reads
+    /// this. It survives only because the tracked benchmark assigns it;
+    /// the next `benchmark` issue removes both (ROADMAP item 1).
     pub partitions: usize,
 }
 
@@ -112,7 +112,7 @@ impl TenantSpec {
             steer_capacity: 64,
             pacing: Duration::from_micros(1),
             seed: 7,
-            partitions: daiet_netsim::env_partitions(),
+            partitions: 1,
         }
     }
 }
@@ -255,8 +255,7 @@ impl JobScheduler {
             }
         }
 
-        let pmap = spec.plan.partition_map(spec.partitions);
-        let mut sim = Simulator::with_partitions(spec.seed, pmap);
+        let mut sim = Simulator::new(spec.seed);
         let mut ids = Vec::with_capacity(spec.plan.len());
         let mut engine_externs = BTreeMap::new();
         let mut flow_demand = BTreeMap::new();

@@ -155,8 +155,8 @@ struct RoundPart {
     tree: u16,
     endpoints: Endpoints,
     /// Immutable, and possibly shared with the caller and with other
-    /// senders' parts; `Arc` because senders run on partition and driver
-    /// threads while the buffer's owner stays behind.
+    /// senders' parts; `Arc` because the loopback backend runs senders
+    /// on driver threads while the buffer's owner stays behind.
     pairs: Arc<Vec<Pair>>,
     /// Sequence number of the part's first packet (wrapping space).
     base_seq: u32,

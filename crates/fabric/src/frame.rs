@@ -21,16 +21,12 @@
 //!   freed.
 //!
 //! Frames are single-threaded by design, which is what lets the pool use
-//! `Rc`/`RefCell` instead of atomics — and the partitioned engine keeps
-//! it that way: each partition owns its own `FramePool`, and a `Frame`
-//! (or its `Rc` count) **never crosses a thread**. A cross-partition
-//! delivery is serialized to plain bytes on the sender's side and
-//! re-pooled from the receiving partition's pool on ingest (see the
-//! simulator's `sim` module docs, "Partitioned execution"), so every pool
-//! stays strictly partition-local. The real-time UDP backend follows the
-//! same rule at the socket edge: a frame's bytes are copied onto the wire
-//! on send, and every received datagram is re-pooled from the receiving
-//! driver's own pool — a `Frame` never crosses a process or thread.
+//! `Rc`/`RefCell` instead of atomics: a `Frame` (or its `Rc` count)
+//! **never crosses a thread**. The simulator runs one event loop on one
+//! thread with one pool. The real-time UDP backend keeps the rule at the
+//! socket edge: a frame's bytes are copied onto the wire on send, and
+//! every received datagram is re-pooled from the receiving driver's own
+//! pool — a `Frame` never crosses a process or thread.
 //!
 //! ```
 //! use daiet_fabric::{Frame, FramePool};

@@ -23,8 +23,7 @@
 //!   edge, so recovery tests over real sockets reproduce bit-for-bit.
 //!
 //! The simulator depends on this crate (for the shared types), never the
-//! reverse: `daiet-fabric` knows nothing about events, links or
-//! partitions.
+//! reverse: `daiet-fabric` knows nothing about events or links.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

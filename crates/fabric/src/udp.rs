@@ -17,9 +17,8 @@
 //!
 //! Frames never cross the socket edge by reference: sending copies the
 //! frame's bytes into a datagram, receiving copies the datagram into a
-//! frame freshly leased from *this* driver's pool — exactly the ownership
-//! rule the partitioned simulator applies at partition boundaries, which
-//! is why `Rc`-backed frames stay sound with no atomics anywhere.
+//! frame freshly leased from *this* driver's pool, which is why
+//! `Rc`-backed frames stay sound with no atomics anywhere.
 
 use crate::clock::{Clock, WallClock};
 use crate::frame::{Frame, FramePool};

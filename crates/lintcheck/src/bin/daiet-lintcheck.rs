@@ -114,18 +114,6 @@ fn self_test() -> ExitCode {
             1,
         ),
         (
-            "part-unsafe-send",
-            "crates/netsim/src/seeded2.rs",
-            "struct X(*mut u8);\nunsafe impl Send for X {}\n",
-            2,
-        ),
-        (
-            "part-mailbox",
-            "crates/netsim/src/seeded3.rs",
-            "struct RemoteThing {\n    frame: Rc<Vec<u8>>,\n}\n",
-            2,
-        ),
-        (
             "panic-hotpath",
             "crates/dataplane/src/seeded.rs",
             "fn f(x: Option<u8>) -> u8 {\n    x.unwrap()\n}\n",

@@ -2,12 +2,11 @@
 //!
 //! Every hard bug this reproduction has hit was an invariant that only
 //! lived in reviewers' heads: the shared-`SmallRng` fault stream and the
-//! heap-insertion-order ties that broke partitioned determinism (PR 6),
-//! sequence-space wraparound compared without RFC 1982 rules (PR 3),
-//! `Rc`-backed frames that must never cross partition threads. The
-//! paper's argument rests on the switch aggregate being bit-exact with
-//! the host computation, and our proof strategy — bit-identical results
-//! at 1/2/4 partitions, under chaos, across backends — collapses
+//! heap-insertion-order ties that broke same-seed determinism (PR 6),
+//! sequence-space wraparound compared without RFC 1982 rules (PR 3).
+//! The paper's argument rests on the switch aggregate being bit-exact
+//! with the host computation, and our proof strategy — bit-identical
+//! results at the same seed, under chaos, across backends — collapses
 //! silently if one `HashMap` iteration or `Instant::now()` sneaks into a
 //! sim path. This crate machine-checks those rules.
 //!

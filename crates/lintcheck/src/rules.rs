@@ -28,7 +28,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "det-collections",
         summary: "no std::collections::HashMap/HashSet (RandomState iteration order) in sim-path code",
-        motivation: "PR 6: partitioned determinism proofs collapse if any sim-path iteration order \
+        motivation: "PR 6: the determinism proofs collapse if any sim-path iteration order \
                      varies run to run; SipHash's random seed makes HashMap order nondeterministic",
         suggestion: "use daiet_wire::fnv::{FnvHashMap, FnvHashSet} (fixed hasher) or BTreeMap/BTreeSet",
     },
@@ -36,14 +36,15 @@ pub const RULES: &[RuleInfo] = &[
         id: "det-clock",
         summary: "no Instant::now()/SystemTime::now() outside crates/fabric's WallClock",
         motivation: "PR 6/PR 8: sim time is integer nanoseconds from the event loop; one wall-clock \
-                     read in a sim path makes bit-identity across partition counts impossible",
+                     read in a sim path makes same-seed runs diverge",
         suggestion: "take time from the Fabric (ctx.now()) or a fabric::Clock implementation",
     },
     RuleInfo {
         id: "det-rng",
         summary: "no thread_rng/from_entropy/from_os_rng/rand::random (OS-seeded RNG) anywhere",
-        motivation: "PR 6: the shared-SmallRng fault stream broke partitioned determinism; every \
-                     RNG must be a per-stream SmallRng seeded via stream_seed from the run seed",
+        motivation: "PR 6: the shared-SmallRng fault stream let unrelated traffic shift every fault \
+                     draw; every RNG must be a per-stream SmallRng seeded via stream_seed from the \
+                     run seed",
         suggestion: "derive a seed with daiet_netsim's stream_seed (or plumb one in) and use \
                      SmallRng::seed_from_u64",
     },
@@ -67,28 +68,11 @@ pub const RULES: &[RuleInfo] = &[
                      the same change, with a commit message explaining the layering impact",
     },
     RuleInfo {
-        id: "part-unsafe-send",
-        summary: "no unsafe impl Send/Sync",
-        motivation: "PR 6: partition engine soundness rests on Rc-backed frames never crossing \
-                     threads; a hand-rolled Send/Sync impl is exactly how that guarantee dies",
-        suggestion: "restructure so the compiler derives thread safety, or justify the impl with \
-                     a lint:allow carrying the full safety argument",
-    },
-    RuleInfo {
-        id: "part-mailbox",
-        summary: "cross-partition mailbox types (Remote*/... Mailbox) carry plain bytes only — \
-                  no Rc, Frame, FramePool, or raw pointers",
-        motivation: "PR 6: only plain bytes cross partition threads; an Rc-counted frame in a \
-                     RemoteEvent is a data race on the refcount and a cross-thread pool corruption",
-        suggestion: "copy wire bytes out of the source partition's pool (Vec<u8>) and re-pool on \
-                     ingest, as RemoteEvent does",
-    },
-    RuleInfo {
         id: "panic-hotpath",
         summary: "no .unwrap()/.expect(\"...\") in dataplane hot-path files",
         motivation: "PR 4/PR 7: the switch dataplane must degrade deterministically (drop, count, \
-                     NACK) — a panic in per-packet code takes down a whole partition thread and \
-                     every tenant on it",
+                     NACK) — a panic in per-packet code takes down the simulation (or the node's \
+                     driver thread) and every tenant on it",
         suggestion: "return the error/Option to the caller, count-and-drop like the bounded \
                      parser, or justify the invariant with a lint:allow",
     },
@@ -156,8 +140,6 @@ pub fn check_file(path: &str, lexed: &Lexed) -> Vec<Finding> {
     det_clock(path, lexed, &mut out);
     det_rng(path, lexed, &mut out);
     layer_netsim(path, lexed, &mut out);
-    part_unsafe_send(path, lexed, &mut out);
-    part_mailbox(path, lexed, &mut out);
     panic_hotpath(path, lexed, &mut out);
     out
 }
@@ -319,105 +301,10 @@ fn layer_netsim(path: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
     }
 }
 
-fn part_unsafe_send(path: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
-    let toks = &lexed.tokens;
-    for i in 0..toks.len() {
-        if lexed.is_test(i) {
-            continue;
-        }
-        if !(toks[i].kind == TokKind::Ident && toks[i].text == "unsafe") {
-            continue;
-        }
-        if !matches!(toks.get(i + 1), Some(t) if t.kind == TokKind::Ident && t.text == "impl") {
-            continue;
-        }
-        // `unsafe impl [<generics>] Send/Sync for …` — scan up to the
-        // item body/terminator for the marker trait name.
-        for t in toks.iter().skip(i + 2).take(16) {
-            match t.kind {
-                TokKind::Punct('{') | TokKind::Punct(';') => break,
-                TokKind::Ident if t.text == "Send" || t.text == "Sync" => {
-                    out.push(Finding {
-                        file: path.to_string(),
-                        line: toks[i].line,
-                        rule: "part-unsafe-send",
-                        message: format!("unsafe impl {} — hand-rolled thread-safety claim", t.text),
-                    });
-                    break;
-                }
-                _ => {}
-            }
-        }
-    }
-}
-
-fn part_mailbox(path: &str, lexed: &Lexed, out: &mut Vec<Finding>) {
-    if !(in_crate_src(path, "netsim") || in_crate_src(path, "fabric")) {
-        return;
-    }
-    let toks = &lexed.tokens;
-    for i in 0..toks.len() {
-        if lexed.is_test(i) {
-            continue;
-        }
-        if !(toks[i].kind == TokKind::Ident
-            && (toks[i].text == "struct" || toks[i].text == "enum"))
-        {
-            continue;
-        }
-        let Some(name) = toks.get(i + 1).filter(|t| t.kind == TokKind::Ident) else { continue };
-        if !(name.text.starts_with("Remote") || name.text.contains("Mailbox")) {
-            continue;
-        }
-        // Check every token from the name to the end of the item
-        // definition (first `{…}`/`(…)` group or `;`).
-        let mut k = i + 2;
-        let mut depth = 0usize;
-        while k < toks.len() {
-            let t = &toks[k];
-            match t.kind {
-                TokKind::Punct('{') | TokKind::Punct('(') => depth += 1,
-                TokKind::Punct('}') | TokKind::Punct(')') => {
-                    depth = depth.saturating_sub(1);
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                TokKind::Punct(';') if depth == 0 => break,
-                TokKind::Punct('*')
-                    if matches!(toks.get(k + 1), Some(n) if n.kind == TokKind::Ident
-                        && (n.text == "mut" || n.text == "const")) =>
-                {
-                    out.push(Finding {
-                        file: path.to_string(),
-                        line: t.line,
-                        rule: "part-mailbox",
-                        message: format!("raw pointer inside cross-thread type {}", name.text),
-                    });
-                }
-                TokKind::Ident if matches!(t.text.as_str(), "Rc" | "Frame" | "FramePool") => {
-                    out.push(Finding {
-                        file: path.to_string(),
-                        line: t.line,
-                        rule: "part-mailbox",
-                        message: format!(
-                            "{} inside cross-thread type {} — only plain bytes may cross \
-                             partition threads",
-                            t.text, name.text
-                        ),
-                    });
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-    }
-}
-
-/// Per-packet files where a panic means a partition thread (and every
-/// tenant on it) dies: the whole switch dataplane crate, the wire
-/// parsers/builders it calls per packet, and the simulator's link-level
-/// frame machinery.
+/// Per-packet files where a panic means the simulation or the node's
+/// driver thread (and every tenant on it) dies: the whole switch
+/// dataplane crate, the wire parsers/builders it calls per packet, and
+/// the simulator's link-level frame machinery.
 fn is_hotpath_file(path: &str) -> bool {
     in_crate_src(path, "dataplane")
         || in_crate_src(path, "wire")

@@ -109,47 +109,6 @@ fn layer_netsim_fixture() {
 }
 
 #[test]
-fn part_unsafe_send_fixture() {
-    assert_one(
-        "crates/core/src/f.rs",
-        "struct P(*mut u8);\nunsafe impl Send for P {}\n",
-        "part-unsafe-send",
-        2,
-    );
-    assert_one(
-        "crates/fabric/src/f.rs",
-        "struct P(*mut u8);\nunsafe impl Sync for P {}\n",
-        "part-unsafe-send",
-        2,
-    );
-    // A derived/auto impl (no `unsafe`) never matches.
-    assert_clean("crates/core/src/f.rs", "struct P(u8);\nimpl P { fn f(&self) {} }\n");
-}
-
-#[test]
-fn part_mailbox_fixture() {
-    assert_one(
-        "crates/netsim/src/f.rs",
-        "pub struct RemoteEventBad {\n    pub frame: Frame,\n}\n",
-        "part-mailbox",
-        2,
-    );
-    assert_one(
-        "crates/fabric/src/f.rs",
-        "enum OutMailbox {\n    Deliver(Rc<Vec<u8>>),\n}\n",
-        "part-mailbox",
-        2,
-    );
-    // Plain bytes are exactly what mailboxes should carry.
-    assert_clean(
-        "crates/netsim/src/f.rs",
-        "pub struct RemoteEvent {\n    pub when: u64,\n    pub bytes: Vec<u8>,\n}\n",
-    );
-    // Outside netsim/fabric the naming convention carries no rule.
-    assert_clean("crates/mlsim/src/f.rs", "struct RemoteThing {\n    frame: Rc<Vec<u8>>,\n}\n");
-}
-
-#[test]
 fn panic_hotpath_fixture() {
     assert_one(
         "crates/dataplane/src/f.rs",

@@ -29,7 +29,6 @@ use daiet_dataplane::Resources;
 use daiet_netsim::topology::{Role, TopologyPlan};
 use daiet_netsim::{FramePool, LinkSpec, NodeId, SimDuration, SimTime, Simulator};
 use daiet_transport::tcp::{BulkSenderNode, SinkReceiverNode, TcpConfig};
-use std::cell::RefCell;
 use std::sync::Arc;
 use daiet_wire::daiet::Key;
 use daiet_wire::fnv::FnvHashMap;
@@ -96,18 +95,15 @@ pub struct Runner {
     /// (default). Disable to force plain allocation — results must be
     /// bit-identical either way, which `tests/` asserts.
     pub pooling: bool,
-    /// Execution partitions for the simulator (default: the
-    /// `DAIET_PARTITIONS` environment variable, else 1). Results must be
-    /// bit-identical at any setting — `tests/partition_properties`
-    /// asserts it.
+    /// Inert: the partitioned execution engine is gone and nothing reads
+    /// this. It survives only because the tracked benchmark assigns it;
+    /// the next `benchmark` issue removes both (ROADMAP item 1).
     pub partitions: usize,
-    /// Per-partition frame pools shared across this runner's runs (see
-    /// `make_sim`). Pools are `Rc`-backed and partition-local, so one per
-    /// partition, grown on demand. Every node builds its frames from the
-    /// pool of the partition it runs on (`Fabric::pool`), mappers
+    /// The frame pool shared across this runner's runs (see `make_sim`).
+    /// Every node builds its frames from it (`Fabric::pool`), mappers
     /// included, at the tick a frame is sent — the runner itself never
     /// takes a buffer.
-    pools: RefCell<Vec<FramePool>>,
+    pool: FramePool,
     /// Copies of each frame mappers transmit (1 = no redundancy; pair
     /// with `daiet_config.reliability` so duplicates are suppressed).
     pub redundancy: u32,
@@ -128,8 +124,8 @@ impl Runner {
             pacing: SimDuration::from_micros(2),
             seed: 42,
             pooling: true,
-            partitions: daiet_netsim::env_partitions(),
-            pools: RefCell::new(Vec::new()),
+            partitions: 1,
+            pool: FramePool::new(),
             redundancy: 1,
         }
     }
@@ -146,44 +142,22 @@ impl Runner {
         self
     }
 
-    fn make_sim(&self, plan: &TopologyPlan) -> Simulator {
-        let mut sim =
-            Simulator::with_partitions(self.seed, plan.partition_map(self.partitions));
-        if !self.pooling {
-            for p in 0..sim.partition_count() {
-                sim.set_frame_pool_for(p, FramePool::disabled());
-            }
-        } else {
-            // One pool per partition across this runner's runs: repeated
-            // runs (benches, multi-mode comparisons) recycle the previous
-            // run's buffers instead of growing a cold pool from scratch
-            // each time — which matters once retransmit rings hold frames
-            // long enough that a run's working set exceeds the in-flight
-            // population. Buffer reuse is semantics-neutral
-            // (`tests/pool_properties`); pools are partition-local
-            // because their buffers are `Rc`-backed.
-            let mut pools = self.pools.borrow_mut();
-            while pools.len() < sim.partition_count() {
-                pools.push(FramePool::new());
-            }
-            for p in 0..sim.partition_count() {
-                sim.set_frame_pool_for(p, pools[p].clone());
-            }
-        }
+    fn make_sim(&self) -> Simulator {
+        let mut sim = Simulator::new(self.seed);
+        // One pool across this runner's runs: repeated runs (benches,
+        // multi-mode comparisons) recycle the previous run's buffers
+        // instead of growing a cold pool from scratch each time — which
+        // matters once retransmit rings hold frames long enough that a
+        // run's working set exceeds the in-flight population. Buffer
+        // reuse is semantics-neutral (`tests/pool_properties`).
+        sim.set_frame_pool(if self.pooling { self.pool.clone() } else { FramePool::disabled() });
         sim
     }
 
-    /// Allocation and recycling counters of this runner's frame pools,
-    /// summed over partitions and over every run so far.
+    /// Allocation and recycling counters of this runner's frame pool,
+    /// over every run so far.
     pub fn pool_stats(&self) -> daiet_netsim::PoolStats {
-        self.pools.borrow().iter().map(FramePool::stats).fold(
-            daiet_netsim::PoolStats::default(),
-            |sum, s| daiet_netsim::PoolStats {
-                fresh: sum.fresh + s.fresh,
-                reused: sum.reused + s.reused,
-                returned: sum.returned + s.returned,
-            },
-        )
+        self.pool.stats()
     }
 
     /// The star topology of the paper's testbed for this corpus.
@@ -227,7 +201,7 @@ impl Runner {
             .deploy(plan, &placement, self.resources, AggregationMode::PassThrough)
             .expect("deployment fits");
 
-        let mut sim = self.make_sim(plan);
+        let mut sim = self.make_sim();
         let mut ids: Vec<NodeId> = Vec::with_capacity(plan.len());
         let tcp_cfg = TcpConfig::default();
 
@@ -321,7 +295,7 @@ impl Runner {
             .deploy(plan, &placement, self.resources, agg)
             .expect("deployment fits");
 
-        let mut sim = self.make_sim(plan);
+        let mut sim = self.make_sim();
         let mut ids: Vec<NodeId> = Vec::with_capacity(plan.len());
         for slot in 0..plan.len() {
             let id = match plan.role(slot) {

@@ -105,9 +105,9 @@ pub fn partition(word: &str, n_reducers: usize) -> usize {
 /// The map output *is* §4's fixed-size file: each partition is an
 /// immutable buffer of [`Pair`]s written once here. The corpus owns the
 /// pairs; senders hold a handle to the same buffer and slice it by offset
-/// (`Arc`, because they run on the simulator's partition threads and the
-/// loopback backend's driver threads), so a job neither converts nor
-/// copies them, and cloning a corpus shares them.
+/// (`Arc`, because the loopback backend runs them on driver threads), so
+/// a job neither converts nor copies them, and cloning a corpus shares
+/// them.
 #[derive(Debug, Clone)]
 pub struct Corpus {
     /// The specification that produced this corpus.

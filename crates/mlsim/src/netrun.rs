@@ -205,10 +205,6 @@ pub struct NetTrainSpec {
     pub dedup: bool,
     /// Copies of each frame (redundancy-only rigs set this > 1).
     pub redundancy: u32,
-    /// Execution partitions for the underlying simulator (default: the
-    /// `DAIET_PARTITIONS` environment variable, else 1). The digest trace
-    /// must be bit-identical at any setting.
-    pub partitions: usize,
 }
 
 impl Default for NetTrainSpec {
@@ -224,7 +220,6 @@ impl Default for NetTrainSpec {
             recovery: true,
             dedup: true,
             redundancy: 1,
-            partitions: daiet_netsim::env_partitions(),
         }
     }
 }
@@ -311,7 +306,6 @@ impl NetTrainSpec {
         spec.redundancy = self.redundancy;
         spec.seed = self.seed;
         spec.pacing = SimDuration::from_micros(1);
-        spec.partitions = self.partitions;
         let mut runner = IterativeRunner::build(spec)?;
 
         let mut digests = Vec::with_capacity(self.steps);

@@ -4,11 +4,10 @@
 //! # The ordering key
 //!
 //! Same-tick ordering used to lean on a *global* insertion sequence —
-//! whichever event happened to be pushed first fired first. That is
-//! well-defined only while a single event loop performs every push: the
-//! moment the simulator is partitioned across worker threads there is no
-//! global push order, and "insertion order" becomes a race. The key is
-//! therefore explicit and partition-independent:
+//! whichever event happened to be pushed first fired first. That makes
+//! every tie-break depend on the order unrelated callers happened to
+//! push in (`schedule_timer(a)` before `schedule_timer(b)` or after), so
+//! the key is explicit instead:
 //!
 //! 1. **time** — the firing instant;
 //! 2. **source node id** — the node whose callback scheduled the event
@@ -16,12 +15,9 @@
 //! 3. **per-source sequence** — a counter private to that source,
 //!    incremented on every event it schedules.
 //!
-//! Each node's callbacks execute in the same order under any
-//! partitioning (a partition executes the restriction of the key-sorted
-//! global order), so each node assigns the same sequence numbers to the
-//! same events — the key is reproducible no matter how the topology is
-//! sharded, which is what makes partitioned runs bit-identical to
-//! single-threaded ones (`tests/partition_properties.rs` pins this).
+//! Each node's callbacks execute in key order, so each node assigns the
+//! same sequence numbers to the same events on every run — the order is
+//! a function of what was scheduled, never of who pushed first.
 //!
 //! Causality makes the key safe to execute in sorted order: an event
 //! pushed from inside node `s`'s callback at time `t` carries source `s`
@@ -100,27 +96,6 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// A frame delivery crossing a partition boundary: only plain bytes cross
-/// threads (pooled `Rc` frames stay partition-local — see the `frame`
-/// module docs). Carries the full ordering key assigned by the sending
-/// partition so the receiving partition's heap merges it exactly where a
-/// single-threaded run would have placed it.
-#[derive(Debug)]
-pub(crate) struct RemoteEvent {
-    /// Arrival time at the receiving node.
-    pub time: SimTime,
-    /// The transmitting node (ordering-key source).
-    pub src: NodeId,
-    /// The sequence the source's partition allocated for this delivery.
-    pub seq: u64,
-    /// Receiving node.
-    pub node: NodeId,
-    /// Ingress port on the receiving node.
-    pub port: PortId,
-    /// The frame's wire bytes, copied out of the source partition's pool.
-    pub bytes: Vec<u8>,
-}
-
 /// A heap entry: ordering key plus the slab slot of its payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct HeapEntry {
@@ -179,33 +154,17 @@ impl EventQueue {
         }
     }
 
-    /// Allocates the next sequence number for `src` — the counter every
-    /// event scheduled by `src` consumes, whether it lands in this heap or
-    /// (as a [`RemoteEvent`]) in another partition's. Keeping remote
-    /// deliveries on the *same* counter is what makes the key identical to
-    /// the one a single-threaded run would have assigned.
-    pub(crate) fn alloc_seq(&mut self, src: NodeId) -> u64 {
-        if src.0 >= self.next_seq.len() {
-            self.next_seq.resize(src.0 + 1, 0);
-        }
-        let seq = self.next_seq[src.0];
-        self.next_seq[src.0] = seq + 1;
-        seq
-    }
-
     /// Schedules `kind` at absolute time `time`, sourced by `src` (the
     /// node whose callback is doing the scheduling). A `time` at or before
     /// the current instant fires at the current instant; its place among
     /// other events of that instant follows the `(source, seq)` key, not
     /// push order.
     pub fn push(&mut self, time: SimTime, src: NodeId, kind: EventKind) {
-        let seq = self.alloc_seq(src);
-        self.push_keyed(time, src, seq, kind);
-    }
-
-    /// Schedules `kind` under an externally allocated key — used when a
-    /// remote partition already assigned the `(src, seq)` pair.
-    pub(crate) fn push_keyed(&mut self, time: SimTime, src: NodeId, seq: u64, kind: EventKind) {
+        if src.0 >= self.next_seq.len() {
+            self.next_seq.resize(src.0 + 1, 0);
+        }
+        let seq = self.next_seq[src.0];
+        self.next_seq[src.0] = seq + 1;
         let time = time.max(self.now);
         let slot = self.store(kind);
         self.heap.push(HeapEntry { time, seq, src: src.0 as u32, slot });
@@ -298,16 +257,15 @@ mod tests {
         assert_eq!(order, vec![0, 1, 10, 11, 20, 21]);
     }
 
-    /// The partitioning regression: two queues receiving the same events
-    /// in *different push orders* (as different partition interleavings
-    /// would produce) pop identically — the key is the push-order-free
-    /// tie-break. Per-source relative order is preserved (a source's
-    /// events are pushed in its own callback order under any scheduling).
+    /// The tie-break regression: two queues receiving the same events
+    /// in *different push orders* pop identically — the key is the
+    /// push-order-free tie-break. Per-source relative order is preserved
+    /// (a source's events are pushed in its own callback order).
     #[test]
     fn insertion_order_does_not_change_pop_order() {
         // Per-source streams: src3 → [a, b]; src1 → [c, d]; src0 → [e, f];
         // src2 → [g]. Any interleaving that keeps each source's own order
-        // (as every partition scheduling does) must pop identically.
+        // must pop identically.
         let events: Vec<(usize, u64)> =
             vec![(3, 0), (1, 0), (1, 1), (0, 0), (2, 0), (3, 1), (0, 1)];
         let pop_all = |order: &[usize]| {
@@ -372,17 +330,6 @@ mod tests {
         assert_eq!(token_of(&q.pop_at(SimTime(10)).unwrap()), 0);
         assert!(q.pop_at(SimTime(10)).is_none());
         assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn keyed_pushes_merge_exactly_where_local_ones_would() {
-        let mut q = EventQueue::new();
-        q.push(SimTime(10), NodeId(1), timer(1, 10)); // local: (10, 1, 0)
-        q.push(SimTime(10), NodeId(3), timer(3, 30)); // local: (10, 3, 0)
-        // A remote partition assigned (10, 2, 0) to this delivery.
-        q.push_keyed(SimTime(10), NodeId(2), 0, timer(2, 20));
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|e| token_of(&e)).collect();
-        assert_eq!(order, vec![10, 20, 30]);
     }
 
     #[test]

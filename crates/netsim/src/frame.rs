@@ -1,7 +1,6 @@
 //! Pooled frames — re-exported from `daiet-fabric`, where they moved so
 //! the real-time UDP backend and the simulator share one buffer economy.
-//! See `daiet_fabric::frame` for the ownership model; the partitioned
-//! engine's rule (a `Frame` never crosses a thread: serialize to bytes,
-//! re-pool on ingest) is the same rule the socket edge applies.
+//! See `daiet_fabric::frame` for the ownership model (a `Frame` never
+//! crosses a thread; the socket edge serializes to bytes and re-pools).
 
 pub use daiet_fabric::frame::{Frame, FramePool, PoolStats};

@@ -6,14 +6,9 @@
 //! (loss, corruption, duplication). A binary-heap event queue with
 //! deterministic tie-breaking makes every run reproducible from a seed.
 //!
-//! Execution is single-threaded by default. For large topologies the
-//! simulator can be sharded by a [`PartitionMap`]: each partition owns its
-//! own event heap, frame pool and stats table on its own worker thread,
-//! synchronized with conservative-lookahead windows, and produces
-//! bit-identical results to the single-threaded run (see the [`sim`]
-//! module docs). Async runtimes are still avoided — the workload is
-//! CPU-bound simulation, so plain loops plus barrier-synchronized workers
-//! beat a task scheduler.
+//! Execution is single-threaded: one event loop on the calling thread
+//! (see the [`sim`] module docs). The workload is CPU-bound simulation, so
+//! a plain loop beats a task scheduler.
 //!
 //! Frames are pooled: the [`FramePool`] recycles every buffer that
 //! crosses the event loop, so the steady-state hot path performs no heap
@@ -56,10 +51,7 @@
 //! assert_eq!(sim.node_ref::<Counter>(counter).unwrap().0, 1);
 //! ```
 
-// `deny` rather than `forbid`: the partitioned engine needs exactly one
-// audited exception (handing each partition's `&mut` to its worker thread;
-// see `PartCell` in `sim.rs`), which carries its own `#[allow]`.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod event;
@@ -74,18 +66,7 @@ pub mod topology;
 pub use frame::{Frame, FramePool, PoolStats};
 pub use link::{FaultDecision, FaultProfile, LinkScript, LinkSpec};
 pub use node::{Context, Fabric, Node, NodeId, NodeScript, PortId};
-pub use sim::{PartitionMap, Simulator};
+pub use sim::Simulator;
 pub use stats::{LinkStats, NodeStats, StatsSnapshot};
 pub use time::{SimDuration, SimTime};
 pub use topology::{Role, TopologyPlan};
-
-/// The partition count requested via the `DAIET_PARTITIONS` environment
-/// variable (default 1). Workload runners read this so the ordinary test
-/// suite doubles as a partitioned-execution matrix in CI: the same tests
-/// must produce the same results at any setting.
-pub fn env_partitions() -> usize {
-    std::env::var("DAIET_PARTITIONS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .map_or(1, |n| n.max(1))
-}

@@ -11,15 +11,14 @@
 //! seeded from `(simulation seed, from-node, to-node, occurrence)` — never
 //! from a simulator-wide generator. A shared RNG makes every fault decision
 //! depend on the global interleaving of draws: adding one unrelated flow
-//! (or moving a flow to another partition) shifts which frames get dropped
-//! everywhere. Per-direction streams make each direction's fault sequence a
-//! pure function of the simulation seed and the direction's identity, so
-//! fault outcomes are invariant to unrelated event reordering, to the order
-//! links were registered, and to how the topology is partitioned across
-//! worker threads. (`occurrence` counts parallel links between the same
-//! endpoint pair, so even duplicated links get independent streams.)
+//! shifts which frames get dropped everywhere. Per-direction streams make
+//! each direction's fault sequence a pure function of the simulation seed
+//! and the direction's identity, so fault outcomes are invariant to
+//! unrelated event reordering and to the order links were registered.
+//! (`occurrence` counts parallel links between the same endpoint pair, so
+//! even duplicated links get independent streams.)
 
-use crate::event::{EventKind, EventQueue, RemoteEvent};
+use crate::event::{EventKind, EventQueue};
 use crate::frame::{Frame, FramePool};
 use crate::node::{NodeId, PortId};
 use crate::stats::StatsTable;
@@ -294,45 +293,12 @@ pub(crate) struct Link {
     scripts: [Option<LinkScript>; 2],
 }
 
-/// Everything `transmit` needs besides the link state itself: the event
-/// queue and stats of the executing partition, plus the partition routing
-/// table for deliveries that cross a partition boundary.
+/// Everything `transmit` needs besides the link state itself: the
+/// simulator's event queue, stats and frame pool.
 pub(crate) struct NetCtx<'a> {
     pub queue: &'a mut EventQueue,
     pub stats: &'a mut StatsTable,
     pub pool: &'a FramePool,
-    /// node id → owning partition. May be shorter than the node space in
-    /// single-partition contexts; missing entries read as `my_part`.
-    pub part_of: &'a [u32],
-    /// The partition executing this transmit.
-    pub my_part: u32,
-    /// Per-target-partition outboxes for deliveries that leave this
-    /// partition (drained into mailboxes at the next synchronization).
-    pub outboxes: &'a mut [Vec<RemoteEvent>],
-}
-
-impl NetCtx<'_> {
-    /// Schedules a frame delivery, routing by the receiver's partition: a
-    /// local receiver goes straight onto the heap; a remote one becomes a
-    /// byte-copied [`RemoteEvent`] carrying the same `(src, seq)` key the
-    /// local push would have consumed, so the receiving partition's heap
-    /// merges it exactly where a single-threaded run would have.
-    fn deliver(&mut self, time: SimTime, src: NodeId, node: NodeId, port: PortId, frame: Frame) {
-        let target = self.part_of.get(node.0).copied().unwrap_or(self.my_part);
-        if target == self.my_part {
-            self.queue.push(time, src, EventKind::Deliver { node, port, frame });
-        } else {
-            let seq = self.queue.alloc_seq(src);
-            self.outboxes[target as usize].push(RemoteEvent {
-                time,
-                src,
-                seq,
-                node,
-                port,
-                bytes: frame.to_vec(),
-            });
-        }
-    }
 }
 
 /// Maps `(node, port)` to its link and direction, and owns all links.
@@ -427,30 +393,6 @@ impl PortTable {
         self.links[idx].scripts[dir] = Some(script);
     }
 
-    /// The node that transmits on direction `dir` of link `idx`.
-    pub(crate) fn transmitter(&self, idx: usize, dir: usize) -> NodeId {
-        // dirs[d].to_node is the receiver of direction d; the transmitter
-        // is the other endpoint.
-        self.links[idx].dirs[1 - dir].to_node
-    }
-
-    /// The smallest propagation latency among links whose endpoints live
-    /// in different partitions — the conservative lookahead bound for
-    /// parallel execution. `None` when no link crosses a partition.
-    pub(crate) fn min_cross_latency(&self, part_of: &[u32]) -> Option<SimDuration> {
-        self.links
-            .iter()
-            .filter(|l| {
-                let a = l.dirs[1].to_node.0;
-                let b = l.dirs[0].to_node.0;
-                let pa = part_of.get(a).copied().unwrap_or(0);
-                let pb = part_of.get(b).copied().unwrap_or(0);
-                pa != pb
-            })
-            .map(|l| l.spec.latency)
-            .min()
-    }
-
     /// Ports attached to `node`.
     pub(crate) fn port_count(&self, node: NodeId) -> usize {
         self.endpoints.get(node.0).map_or(0, Vec::len)
@@ -533,8 +475,7 @@ impl PortTable {
         }
 
         // ECN admission check: like the drop-tail check above, a pure
-        // function of transmitter state, so marking is deterministic
-        // under any partitioning.
+        // function of transmitter state, so marking is deterministic.
         let do_mark = spec.ecn_threshold_bytes > 0
             && start > now
             && dir.queued_bytes + len > spec.ecn_threshold_bytes;
@@ -598,9 +539,17 @@ impl PortTable {
         }
         let dup_frame = do_duplicate.then(|| deliver_frame.clone());
         let (to_node, to_port) = (dir.to_node, dir.to_port);
-        net.deliver(arrival, node, to_node, to_port, deliver_frame);
+        net.queue.push(
+            arrival,
+            node,
+            EventKind::Deliver { node: to_node, port: to_port, frame: deliver_frame },
+        );
         if let Some(frame) = dup_frame {
-            net.deliver(arrival + SimDuration::from_nanos(1), node, to_node, to_port, frame);
+            net.queue.push(
+                arrival + SimDuration::from_nanos(1),
+                node,
+                EventKind::Deliver { node: to_node, port: to_port, frame },
+            );
         }
     }
 
@@ -615,13 +564,12 @@ impl PortTable {
 mod tests {
     use super::*;
 
-    /// Single-partition harness bundling the pieces `transmit` needs.
+    /// Harness bundling the pieces `transmit` needs.
     struct Fixture {
         ports: PortTable,
         queue: EventQueue,
         stats: StatsTable,
         pool: FramePool,
-        outboxes: Vec<Vec<RemoteEvent>>,
     }
 
     fn fixture() -> Fixture {
@@ -630,7 +578,6 @@ mod tests {
             queue: EventQueue::new(),
             stats: StatsTable::default(),
             pool: FramePool::new(),
-            outboxes: vec![Vec::new()],
         }
     }
 
@@ -640,9 +587,6 @@ mod tests {
                 queue: &mut self.queue,
                 stats: &mut self.stats,
                 pool: &self.pool,
-                part_of: &[],
-                my_part: 0,
-                outboxes: &mut self.outboxes,
             };
             self.ports.transmit(node, port, frame, now, &mut net);
         }
@@ -660,8 +604,6 @@ mod tests {
         assert_eq!(fx.ports.port_count(NodeId(0)), 2);
         assert_eq!(fx.ports.peer(NodeId(0), PortId(1)), Some((NodeId(2), PortId(0))));
         assert_eq!(fx.ports.link_count(), 2);
-        assert_eq!(fx.ports.transmitter(0, 0), NodeId(0));
-        assert_eq!(fx.ports.transmitter(0, 1), NodeId(1));
     }
 
     #[test]
@@ -871,36 +813,6 @@ mod tests {
         assert_eq!(fx.stats.link(0).dirs[0].reordered, 1);
     }
 
-    /// A delivery whose receiver lives in another partition leaves as
-    /// serialized bytes in that partition's outbox, consuming the same
-    /// per-source sequence a local push would have.
-    #[test]
-    fn cross_partition_delivery_lands_in_the_outbox() {
-        let mut fx = fixture();
-        fx.outboxes = vec![Vec::new(), Vec::new()];
-        fx.ports.connect(NodeId(0), NodeId(1), LinkSpec::fast());
-        let part_of = [0u32, 1u32];
-        let mut net = NetCtx {
-            queue: &mut fx.queue,
-            stats: &mut fx.stats,
-            pool: &fx.pool,
-            part_of: &part_of,
-            my_part: 0,
-            outboxes: &mut fx.outboxes,
-        };
-        fx.ports.transmit(NodeId(0), PortId(0), Frame::from_slice(b"beam"), SimTime::ZERO, &mut net);
-        assert!(fx.queue.is_empty(), "remote delivery must not enter the local heap");
-        assert_eq!(fx.outboxes[1].len(), 1);
-        let ev = &fx.outboxes[1][0];
-        assert_eq!(ev.node, NodeId(1));
-        assert_eq!(ev.src, NodeId(0));
-        assert_eq!(ev.bytes, b"beam");
-        // The sequence was allocated from node 0's counter: the next local
-        // push from node 0 continues after it.
-        assert_eq!(ev.seq, 0);
-        assert_eq!(fx.queue.alloc_seq(NodeId(0)), 1);
-    }
-
     #[test]
     fn scripted_decisions_apply_per_frame_then_fall_back() {
         let mut fx = fixture();
@@ -958,25 +870,6 @@ mod tests {
         // Marginal rates are roughly honored.
         let drops = a.decisions.iter().filter(|d| **d == FaultDecision::Drop).count();
         assert!((50..150).contains(&drops), "drops {drops} of 500 at p=0.2");
-    }
-
-    #[test]
-    fn min_cross_latency_sees_only_boundary_links() {
-        let mut fx = fixture();
-        fx.ports.connect(NodeId(0), NodeId(1), LinkSpec::fast()); // 1 µs
-        fx.ports.connect(NodeId(1), NodeId(2), LinkSpec::gigabit()); // 5 µs
-        // Everything in one partition: no cross links.
-        assert_eq!(fx.ports.min_cross_latency(&[0, 0, 0]), None);
-        // Split after node 1: only the 5 µs link crosses.
-        assert_eq!(
-            fx.ports.min_cross_latency(&[0, 0, 1]),
-            Some(SimDuration::from_micros(5))
-        );
-        // Split both: the 1 µs link wins.
-        assert_eq!(
-            fx.ports.min_cross_latency(&[0, 1, 1]),
-            Some(SimDuration::from_micros(1))
-        );
     }
 
     #[test]

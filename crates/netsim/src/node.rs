@@ -4,7 +4,7 @@
 //! [`Context`] — the simulator's [`Fabric`] implementation — and
 //! [`NodeScript`] live here.
 
-use crate::event::{EventKind, RemoteEvent};
+use crate::event::EventKind;
 use crate::frame::{Frame, FramePool};
 use crate::link::{NetCtx, PortTable};
 use crate::stats::StatsTable;
@@ -89,12 +89,6 @@ pub struct Context<'a> {
     pub(crate) stats: &'a mut StatsTable,
     pub(crate) rng: &'a mut SmallRng,
     pub(crate) pool: &'a FramePool,
-    /// node id → owning partition (empty in single-partition runs).
-    pub(crate) part_of: &'a [u32],
-    /// The partition executing this callback.
-    pub(crate) my_part: u32,
-    /// Per-target-partition outboxes for cross-partition deliveries.
-    pub(crate) outboxes: &'a mut Vec<Vec<RemoteEvent>>,
 }
 
 impl Context<'_> {
@@ -120,9 +114,6 @@ impl Context<'_> {
             queue: &mut *self.queue,
             stats: &mut *self.stats,
             pool: self.pool,
-            part_of: self.part_of,
-            my_part: self.my_part,
-            outboxes: &mut *self.outboxes,
         };
         self.ports.transmit(self.node, port, frame, self.now, &mut net);
     }
@@ -151,8 +142,7 @@ impl Context<'_> {
 
     /// This node's private deterministic random stream, derived from the
     /// simulation seed and the node id. Streams are per-node (never
-    /// shared) so one node's draws cannot shift another's — a requirement
-    /// for partitioned runs to match single-threaded ones bit-for-bit.
+    /// shared) so one node's draws cannot shift another's.
     ///
     /// Deliberately *not* part of [`Fabric`]: randomness is a simulation
     /// concern (fault scripts, synthetic workloads), not a protocol one,

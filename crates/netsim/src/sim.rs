@@ -1,38 +1,13 @@
-//! The simulator: owns nodes, links, event queues and the clock, and runs
-//! the event loop to completion — on one thread, or sharded across worker
-//! threads by a [`PartitionMap`].
+//! The simulator: owns nodes, links, the event queue and the clock, and
+//! runs the event loop to completion on the calling thread.
 //!
-//! # Partitioned execution
-//!
-//! [`Simulator::with_partitions`] splits the topology into partitions
-//! (typically one per switch/rack — see
-//! [`TopologyPlan::partition_map`](crate::TopologyPlan::partition_map)).
-//! Each partition owns its own event heap, [`FramePool`], stats table and
-//! node set, and runs on its own worker thread during `run_until`.
-//!
-//! Synchronization is conservative lookahead (classic
-//! Chandy–Misra–Bryant-style windows): let `L` be the minimum propagation
-//! latency over links that cross a partition boundary. A frame transmitted
-//! by partition `q` at time `t` cannot arrive in another partition before
-//! `t + L`, so every partition may safely execute all events strictly below
-//! `T_min + L`, where `T_min` is the minimum next-event time over **all**
-//! partitions — including its own. (The bound must be global: a
-//! partition's own transmissions can return to it through a relay
-//! partition, so "min over the *others*" is unsound — an idle-looking
-//! relay would let its neighbours run arbitrarily far ahead of frames
-//! still to be forwarded.) Workers run barrier-to-barrier: ingest
-//! cross-partition deliveries, publish their next event time, agree on the
-//! window, process it, deposit outgoing deliveries, repeat.
-//!
-//! Only plain bytes cross threads: pooled `Rc` frames stay strictly
-//! partition-local, and a cross-partition delivery is serialized into a
-//! `RemoteEvent` and re-pooled on the receiving side. Determinism across
-//! partition counts rests on the explicit `(time, source, per-source seq)`
-//! event key (see the `event` module) and on per-direction fault streams
-//! (see the `link` module): partitioned runs are bit-identical to
-//! single-threaded ones, which `tests/partition_properties.rs` pins.
+//! Runs are a pure function of the seed: events fire in the explicit
+//! `(time, source, per-source seq)` order (see the `event` module), fault
+//! decisions draw from per-direction streams (see the `link` module) and
+//! node randomness from per-node streams ([`Context::rng`]), so no draw
+//! or tie-break depends on what unrelated nodes happen to do.
 
-use crate::event::{Event, EventKind, EventQueue, RemoteEvent};
+use crate::event::{Event, EventKind, EventQueue};
 use crate::frame::{Frame, FramePool};
 use crate::link::{stream_seed, LinkSpec, PortTable};
 use crate::node::{Context, Node, NodeId, NodeScript, PortId};
@@ -41,372 +16,10 @@ use crate::time::SimTime;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::any::Any;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
 
 /// Stream tag for per-node `Context::rng` streams (see
 /// [`stream_seed`]).
 const STREAM_NODE_RNG: u64 = 2;
-
-/// Assigns every node to a partition. Build one by hand with
-/// [`PartitionMap::new`], or derive one from a topology with
-/// [`TopologyPlan::partition_map`](crate::TopologyPlan::partition_map).
-#[derive(Debug, Clone)]
-pub struct PartitionMap {
-    parts: u32,
-    assign: Vec<u32>,
-}
-
-impl PartitionMap {
-    /// Everything in one partition — the single-threaded simulator.
-    pub fn single() -> PartitionMap {
-        PartitionMap { parts: 1, assign: Vec::new() }
-    }
-
-    /// `assign[node] = partition`; nodes beyond the assignment default to
-    /// partition 0. Panics if an assignment references a partition ≥
-    /// `parts`.
-    pub fn new(parts: usize, assign: Vec<u32>) -> PartitionMap {
-        assert!(parts >= 1, "at least one partition required");
-        assert!(
-            assign.iter().all(|&p| (p as usize) < parts),
-            "assignment references a partition out of range"
-        );
-        PartitionMap { parts: parts as u32, assign }
-    }
-
-    /// Number of partitions.
-    pub fn parts(&self) -> usize {
-        self.parts as usize
-    }
-
-    /// The partition owning `node`.
-    pub fn part_of(&self, node: usize) -> u32 {
-        self.assign.get(node).copied().unwrap_or(0)
-    }
-}
-
-/// One shard of the simulation: the nodes it owns, their events, frames,
-/// counters and random streams. Everything `Rc`-backed stays inside.
-struct Partition {
-    /// Global-indexed; `Some` only for nodes this partition owns.
-    nodes: Vec<Option<Box<dyn Node>>>,
-    queue: EventQueue,
-    /// Full mirror of the wiring (identical indices/seeds in every
-    /// partition); only directions transmitted by owned nodes ever
-    /// advance their state.
-    ports: PortTable,
-    stats: StatsTable,
-    pool: FramePool,
-    /// Per-node deterministic streams (global-indexed; only owned nodes'
-    /// streams advance).
-    node_rngs: Vec<SmallRng>,
-    now: SimTime,
-    events_processed: u64,
-    /// Cross-partition deliveries staged per target partition, drained
-    /// into the shared mailboxes at each synchronization.
-    outboxes: Vec<Vec<RemoteEvent>>,
-    /// Scripted kill/revive schedules, global-indexed; set only in the
-    /// partition owning the node (the only place its events are handled).
-    node_scripts: Vec<Option<NodeScript>>,
-}
-
-impl Partition {
-    fn dispatch<F>(&mut self, me: u32, part_of: &[u32], node_id: NodeId, f: F)
-    where
-        F: FnOnce(&mut dyn Node, &mut Context<'_>),
-    {
-        // Temporarily take the node out of its slot so it can borrow both
-        // itself and the world.
-        let mut node = match self.nodes.get_mut(node_id.0).and_then(Option::take) {
-            Some(n) => n,
-            None => return, // node removed or not owned here: drop the event
-        };
-        {
-            let mut ctx = Context {
-                node: node_id,
-                now: self.now,
-                queue: &mut self.queue,
-                ports: &mut self.ports,
-                stats: &mut self.stats,
-                rng: &mut self.node_rngs[node_id.0],
-                pool: &self.pool,
-                part_of,
-                my_part: me,
-                outboxes: &mut self.outboxes,
-            };
-            f(node.as_mut(), &mut ctx);
-        }
-        self.nodes[node_id.0] = Some(node);
-    }
-
-    /// Fires `on_start` for every owned node, in node-id order.
-    fn start_nodes(&mut self, me: u32, part_of: &[u32]) {
-        for i in 0..self.nodes.len() {
-            self.dispatch(me, part_of, NodeId(i), |node, ctx| node.on_start(ctx));
-        }
-    }
-
-    /// True when `node` is scripted down at `t`. A pure function of
-    /// `(node, t)`, so the drop decision is identical under any
-    /// partitioning and any same-tick event ordering.
-    fn is_down(&self, node: NodeId, t: SimTime) -> bool {
-        self.node_scripts
-            .get(node.0)
-            .and_then(Option::as_ref)
-            .is_some_and(|s| s.is_down_at(t))
-    }
-
-    fn handle(&mut self, me: u32, part_of: &[u32], ev: Event) {
-        match ev.kind {
-            EventKind::Deliver { node, port, frame } => {
-                if self.is_down(node, ev.time) {
-                    // Dead NIC: the frame dies on arrival, uncounted as
-                    // received. (Timers die silently below; only frames
-                    // are worth a counter.)
-                    self.stats.node_dead_drop(node);
-                    return;
-                }
-                self.stats.node_received(node, frame.len());
-                self.dispatch(me, part_of, node, |n, ctx| n.on_packet(ctx, port, frame));
-            }
-            EventKind::Timer { node, token } => {
-                if self.is_down(node, ev.time) {
-                    return;
-                }
-                self.dispatch(me, part_of, node, |n, ctx| n.on_timer(ctx, token));
-            }
-            EventKind::TxDone { link, dir, bytes } => {
-                self.ports.tx_done(link, dir, bytes);
-            }
-            EventKind::NodeFail { node } => {
-                // No Context: a dead node cannot send or schedule.
-                if let Some(n) = self.nodes.get_mut(node.0).and_then(Option::as_mut) {
-                    n.on_fail();
-                }
-            }
-            EventKind::NodeRevive { node } => {
-                self.dispatch(me, part_of, node, |n, ctx| n.on_revive(ctx));
-            }
-        }
-    }
-
-    /// Processes every local event with `time < horizon` (exclusive).
-    /// Events sharing one instant are drained as a batch. The per-event
-    /// count check is a local backstop; the authoritative global
-    /// `max_events` check sums all partitions at each barrier.
-    fn process_window(&mut self, me: u32, part_of: &[u32], horizon: u64, max_events: u64) {
-        while let Some(t) = self.queue.peek_time() {
-            if t.0 >= horizon {
-                break;
-            }
-            debug_assert!(t >= self.now, "time went backwards");
-            self.now = t;
-            while let Some(ev) = self.queue.pop_at(t) {
-                self.events_processed += 1;
-                assert!(
-                    self.events_processed <= max_events,
-                    "simulation exceeded {max_events} events — runaway?"
-                );
-                self.handle(me, part_of, ev);
-            }
-        }
-    }
-
-    /// Merges deliveries from other partitions into the local heap,
-    /// re-homing the bytes in this partition's pool. The carried
-    /// `(src, seq)` keys place each event exactly where a single-threaded
-    /// run would have.
-    fn ingest(&mut self, remotes: Vec<RemoteEvent>) {
-        for r in remotes {
-            // The lookahead window guarantees arrival ≥ t_min + L > now;
-            // a violation means the synchronization protocol is broken,
-            // and clamping it forward would silently corrupt timing.
-            assert!(
-                r.time >= self.now,
-                "cross-partition frame arrived in the receiver's past \
-                 ({:?} < {:?}) — lookahead window too wide",
-                r.time,
-                self.now
-            );
-            let frame = self.pool.copy_from_slice(&r.bytes);
-            self.queue.push_keyed(
-                r.time,
-                r.src,
-                r.seq,
-                EventKind::Deliver { node: r.node, port: r.port, frame },
-            );
-        }
-    }
-}
-
-/// A reusable barrier that can be poisoned: a panicking worker marks it,
-/// and every current and future waiter returns `false` instead of
-/// blocking forever on a thread that will never arrive.
-struct PoisonBarrier {
-    n: usize,
-    state: Mutex<BarrierState>,
-    cv: Condvar,
-}
-
-struct BarrierState {
-    arrived: usize,
-    generation: u64,
-    poisoned: bool,
-}
-
-impl PoisonBarrier {
-    fn new(n: usize) -> PoisonBarrier {
-        PoisonBarrier {
-            n,
-            state: Mutex::new(BarrierState { arrived: 0, generation: 0, poisoned: false }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Blocks until all `n` workers arrive; returns `false` if the
-    /// barrier was poisoned instead.
-    fn wait(&self) -> bool {
-        let mut g = self.state.lock().unwrap();
-        if g.poisoned {
-            return false;
-        }
-        let gen = g.generation;
-        g.arrived += 1;
-        if g.arrived == self.n {
-            g.arrived = 0;
-            g.generation += 1;
-            self.cv.notify_all();
-            return true;
-        }
-        while g.generation == gen && !g.poisoned {
-            g = self.cv.wait(g).unwrap();
-        }
-        if g.generation == gen {
-            g.arrived -= 1; // poisoned before release: withdraw arrival
-            return false;
-        }
-        true
-    }
-
-    fn poison(&self) {
-        let mut g = self.state.lock().unwrap();
-        g.poisoned = true;
-        self.cv.notify_all();
-    }
-}
-
-/// Cross-thread synchronization state for one `run_until` call.
-struct SyncState {
-    barrier: PoisonBarrier,
-    /// Each partition's next pending event time (`u64::MAX` when idle),
-    /// republished at every barrier.
-    next_time: Vec<AtomicU64>,
-    /// Each partition's cumulative event count, for the global
-    /// `max_events` check.
-    processed: Vec<AtomicU64>,
-    /// Per-partition inbound mailboxes of cross-partition deliveries.
-    mailboxes: Vec<Mutex<Vec<RemoteEvent>>>,
-}
-
-impl SyncState {
-    fn new(k: usize) -> SyncState {
-        SyncState {
-            barrier: PoisonBarrier::new(k),
-            next_time: (0..k).map(|_| AtomicU64::new(0)).collect(),
-            processed: (0..k).map(|_| AtomicU64::new(0)).collect(),
-            mailboxes: (0..k).map(|_| Mutex::new(Vec::new())).collect(),
-        }
-    }
-}
-
-/// Moves one partition's `&mut` into its worker thread. Safety: each
-/// pointer is handed to exactly one thread, the partitions are distinct
-/// elements of one `Vec`, and the main thread does not touch them while
-/// the scope runs — so the `Rc`-backed internals never cross threads.
-struct PartCell(*mut Partition);
-#[allow(unsafe_code)]
-// lint:allow(part-unsafe-send): each PartCell pointer is moved into exactly
-// one scoped worker thread; partitions are distinct Vec elements and the
-// main thread is parked at the scope join while workers run.
-unsafe impl Send for PartCell {}
-
-fn flush_outboxes(part: &mut Partition, sync: &SyncState) {
-    for (q, out) in part.outboxes.iter_mut().enumerate() {
-        if !out.is_empty() {
-            sync.mailboxes[q].lock().unwrap().append(out);
-        }
-    }
-}
-
-/// The per-partition worker loop: barrier-synchronized conservative
-/// lookahead windows (module docs). Every worker computes the identical
-/// exit/window decision from the identical published snapshot, so exits
-/// are unanimous and no worker is left at a barrier.
-#[allow(clippy::too_many_arguments)]
-fn run_worker(
-    part: &mut Partition,
-    me: usize,
-    sync: &SyncState,
-    part_of: &[u32],
-    deadline: SimTime,
-    lookahead_ns: u64,
-    max_events: u64,
-    do_start: bool,
-) {
-    if do_start {
-        part.start_nodes(me as u32, part_of);
-        flush_outboxes(part, sync);
-    }
-    loop {
-        // Barrier A: all deposits from the previous window are in the
-        // mailboxes; ingest ours and publish our horizon inputs.
-        if !sync.barrier.wait() {
-            return;
-        }
-        let incoming = std::mem::take(&mut *sync.mailboxes[me].lock().unwrap());
-        part.ingest(incoming);
-        let next = part.queue.peek_time().map_or(u64::MAX, |t| t.0);
-        sync.next_time[me].store(next, Ordering::SeqCst);
-        sync.processed[me].store(part.events_processed, Ordering::SeqCst);
-
-        // Barrier B: all inputs published; everyone computes the same
-        // global decision.
-        if !sync.barrier.wait() {
-            return;
-        }
-        let k = sync.next_time.len();
-        let mut t_min = u64::MAX;
-        let mut total: u64 = 0;
-        for q in 0..k {
-            let t = sync.next_time[q].load(Ordering::SeqCst);
-            total = total.saturating_add(sync.processed[q].load(Ordering::SeqCst));
-            t_min = t_min.min(t);
-        }
-        // The runaway valve sums events across partitions at the barrier
-        // — a per-partition check would let k partitions run to k times
-        // the budget.
-        assert!(
-            total <= max_events,
-            "simulation exceeded {max_events} events across {k} partitions — runaway?"
-        );
-        if t_min == u64::MAX || t_min > deadline.0 {
-            return; // drained, or nothing left inside the deadline
-        }
-        // Conservative window: every frame generated anywhere from here on
-        // is generated at ≥ t_min and arrives at ≥ t_min + L (L = minimum
-        // cross-partition latency). The bound must use the *global* min —
-        // not the min over other partitions — because our own sends can
-        // come back to us through a relay partition (A→B→A takes 2L, but
-        // B's forward is generated at ≥ t_min + L and could target any
-        // partition, including one whose own queue looked idle).
-        let horizon = t_min
-            .saturating_add(lookahead_ns)
-            .min(deadline.0.saturating_add(1));
-        part.process_window(me as u32, part_of, horizon, max_events);
-        flush_outboxes(part, sync);
-    }
-}
 
 /// A discrete-event network simulator.
 ///
@@ -437,184 +50,111 @@ fn run_worker(
 /// assert_eq!(sim.node_ref::<Sink>(sink).unwrap().0, 2);
 /// assert_eq!(sim.node_stats(sink).frames_in, 2);
 /// ```
-///
-/// [`with_partitions`](Self::with_partitions) shards the same simulation
-/// across worker threads with bit-identical results (module docs).
 pub struct Simulator {
     seed: u64,
-    map: PartitionMap,
-    parts: Vec<Partition>,
-    /// node id → owning partition, for every node added so far.
-    part_of: Vec<u32>,
+    /// Indexed by node id; a slot is `None` only while its node is out
+    /// for dispatch.
+    nodes: Vec<Option<Box<dyn Node>>>,
+    queue: EventQueue,
+    ports: PortTable,
+    stats: StatsTable,
+    pool: FramePool,
+    /// Per-node deterministic streams, indexed by node id.
+    node_rngs: Vec<SmallRng>,
     now: SimTime,
+    events_processed: u64,
+    /// Scripted kill/revive schedules, indexed by node id.
+    node_scripts: Vec<Option<NodeScript>>,
     started: bool,
-    /// Safety valve against runaway simulations; `run` panics past this
-    /// (summed across partitions).
+    /// Safety valve against runaway simulations; `run` panics past this.
     pub max_events: u64,
 }
 
 impl Simulator {
-    /// Creates an empty single-threaded simulator; all randomness derives
-    /// from `seed`.
+    /// Creates an empty simulator; all randomness derives from `seed`.
     pub fn new(seed: u64) -> Simulator {
-        Simulator::with_partitions(seed, PartitionMap::single())
-    }
-
-    /// Creates an empty simulator sharded by `map`: each partition gets
-    /// its own event heap, frame pool, stats table and (during runs)
-    /// worker thread. Results are bit-identical to [`Simulator::new`] with
-    /// the same seed — partitioning is an execution strategy, not a model
-    /// change.
-    pub fn with_partitions(seed: u64, map: PartitionMap) -> Simulator {
-        let k = map.parts();
-        let parts = (0..k)
-            .map(|_| Partition {
-                nodes: Vec::new(),
-                queue: EventQueue::new(),
-                ports: PortTable::with_seed(seed),
-                stats: StatsTable::default(),
-                pool: FramePool::new(),
-                node_rngs: Vec::new(),
-                now: SimTime::ZERO,
-                events_processed: 0,
-                outboxes: (0..k).map(|_| Vec::new()).collect(),
-                node_scripts: Vec::new(),
-            })
-            .collect();
         Simulator {
             seed,
-            map,
-            parts,
-            part_of: Vec::new(),
+            nodes: Vec::new(),
+            queue: EventQueue::new(),
+            ports: PortTable::with_seed(seed),
+            stats: StatsTable::default(),
+            pool: FramePool::new(),
+            node_rngs: Vec::new(),
             now: SimTime::ZERO,
+            events_processed: 0,
+            node_scripts: Vec::new(),
             started: false,
             max_events: 2_000_000_000,
         }
     }
 
-    /// Number of partitions (1 for [`Simulator::new`]).
-    pub fn partition_count(&self) -> usize {
-        self.parts.len()
-    }
-
     /// Registers a node, returning its id. Ids are dense and start at 0.
     pub fn add_node(&mut self, node: Box<dyn Node>) -> NodeId {
-        let id = NodeId(self.part_of.len());
-        let owner = self.map.part_of(id.0);
+        let id = NodeId(self.nodes.len());
         let rng_seed = stream_seed(self.seed, [STREAM_NODE_RNG, id.0 as u64, 0, 0]);
-        for part in &mut self.parts {
-            part.nodes.push(None);
-            part.node_rngs.push(SmallRng::seed_from_u64(rng_seed));
-        }
-        self.parts[owner as usize].nodes[id.0] = Some(node);
-        self.part_of.push(owner);
+        self.nodes.push(Some(node));
+        self.node_rngs.push(SmallRng::seed_from_u64(rng_seed));
         id
     }
 
     /// Connects two nodes with a link, assigning the next free port on
-    /// each side; returns `(port on a, port on b)`. Every partition
-    /// mirrors the wiring (identical link indices and fault streams);
-    /// only the partition owning a direction's transmitter ever uses it.
+    /// each side; returns `(port on a, port on b)`.
     pub fn connect(&mut self, a: NodeId, b: NodeId, spec: LinkSpec) -> (PortId, PortId) {
-        assert!(a.0 < self.part_of.len() && b.0 < self.part_of.len(), "connect before add_node");
+        assert!(a.0 < self.nodes.len() && b.0 < self.nodes.len(), "connect before add_node");
         assert_ne!(a, b, "self-links are not supported");
-        let mut result = None;
-        for part in &mut self.parts {
-            let r = part.ports.connect(a, b, spec);
-            debug_assert!(result.is_none() || result == Some(r), "partition wiring diverged");
-            result = Some(r);
-        }
-        result.expect("at least one partition")
+        self.ports.connect(a, b, spec)
     }
 
     /// The peer `(node, port)` across the link attached at `(node, port)`.
     pub fn peer(&self, node: NodeId, port: PortId) -> Option<(NodeId, PortId)> {
-        self.parts[0].ports.peer(node, port)
+        self.ports.peer(node, port)
     }
 
-    /// Current simulated time (the furthest any partition has reached;
-    /// all partitions agree at run boundaries).
+    /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
     }
 
-    /// The frame pool of partition 0, for single-partition callers that
-    /// build pooled frames outside node callbacks. Nodes build theirs
-    /// from [`Fabric::pool`](crate::Fabric::pool), which is always
-    /// the pool of the partition they run on (pooled buffers are
-    /// `Rc`-backed and strictly partition-local).
+    /// The simulation's frame pool, for callers that build pooled frames
+    /// outside node callbacks. Nodes reach the same pool through
+    /// [`Fabric::pool`](crate::Fabric::pool).
     pub fn pool(&self) -> &FramePool {
-        &self.parts[0].pool
+        &self.pool
     }
 
     /// Replaces the frame pool — pass [`FramePool::disabled`] to force
     /// every frame onto the global allocator (used by the determinism
-    /// cross-check tests). Single-partition simulators only; partitioned
-    /// ones must use [`set_frame_pool_for`](Self::set_frame_pool_for) per
-    /// partition (one pool must never be shared across worker threads).
+    /// cross-check tests), or a clone of a longer-lived pool to keep its
+    /// buffers warm across simulations.
     pub fn set_frame_pool(&mut self, pool: FramePool) {
-        assert_eq!(self.parts.len(), 1, "use set_frame_pool_for on a partitioned simulator");
-        self.parts[0].pool = pool;
+        self.pool = pool;
     }
 
-    /// Replaces the frame pool of one partition.
-    pub fn set_frame_pool_for(&mut self, part: usize, pool: FramePool) {
-        self.parts[part].pool = pool;
-    }
-
-    /// Number of events processed so far, summed over partitions.
+    /// Number of events processed so far.
     pub fn events_processed(&self) -> u64 {
-        self.parts.iter().map(|p| p.events_processed).sum()
+        self.events_processed
     }
 
     /// Counters for `node`.
     pub fn node_stats(&self, node: NodeId) -> NodeStats {
-        let mut total = NodeStats::default();
-        for p in &self.parts {
-            let s = p.stats.node(node);
-            total.frames_in += s.frames_in;
-            total.bytes_in += s.bytes_in;
-            total.frames_out += s.frames_out;
-            total.bytes_out += s.bytes_out;
-            total.dead_drops += s.dead_drops;
-        }
-        total
+        self.stats.node(node)
     }
 
     /// Counters for link `idx` (links are numbered in connect order).
     pub fn link_stats(&self, idx: usize) -> LinkStats {
-        let mut total = LinkStats::default();
-        for p in &self.parts {
-            let s = p.stats.link(idx);
-            for d in 0..2 {
-                let a = &mut total.dirs[d];
-                let b = &s.dirs[d];
-                a.tx_frames += b.tx_frames;
-                a.tx_bytes += b.tx_bytes;
-                a.drops_overflow += b.drops_overflow;
-                a.drops_fault += b.drops_fault;
-                a.corrupted += b.corrupted;
-                a.duplicated += b.duplicated;
-                a.reordered += b.reordered;
-                a.ecn_marked += b.ecn_marked;
-            }
-        }
-        total
+        self.stats.link(idx)
     }
 
     /// Installs a deterministic per-frame fault script on one direction of
     /// link `idx` (`dir` 0 = the a→b direction of [`Simulator::connect`]).
     /// Each admitted frame consumes one decision; after the script runs
     /// out, the link reverts to its probabilistic
-    /// [`FaultProfile`](crate::FaultProfile). The script lands in the
-    /// partition owning the transmitting endpoint — the only place it can
-    /// be consumed.
+    /// [`FaultProfile`](crate::FaultProfile).
     pub fn script_link(&mut self, idx: usize, dir: usize, script: crate::LinkScript) {
         assert!(idx < self.link_count(), "script_link on unknown link {idx}");
         assert!(dir < 2, "link direction must be 0 or 1");
-        let tx = self.parts[0].ports.transmitter(idx, dir);
-        let owner = self.part_of[tx.0] as usize;
-        self.parts[owner].ports.set_script(idx, dir, script);
+        self.ports.set_script(idx, dir, script);
     }
 
     /// Installs a scripted kill/revive schedule on `node` — the
@@ -623,60 +163,46 @@ impl Simulator {
     /// torn down); while down, every frame and timer addressed to the node
     /// is discarded (counted in [`NodeStats::dead_drops`]); at each revive
     /// [`Node::on_revive`] runs and traffic flows again. The transition
-    /// events are keyed to the node's own source counter, so runs are
-    /// bit-identical under any partitioning. Replaces any prior script;
-    /// call before the first `run_until`.
+    /// events are keyed to the node's own source counter. Replaces any
+    /// prior script; call before the first `run_until`.
     pub fn script_node(&mut self, node: NodeId, script: NodeScript) {
-        assert!(node.0 < self.part_of.len(), "script_node before add_node");
-        let owner = self.part_of[node.0] as usize;
-        let part = &mut self.parts[owner];
+        assert!(node.0 < self.nodes.len(), "script_node before add_node");
         for (t, is_kill) in script.transitions() {
             let kind = if is_kill {
                 EventKind::NodeFail { node }
             } else {
                 EventKind::NodeRevive { node }
             };
-            part.queue.push(t, node, kind);
+            self.queue.push(t, node, kind);
         }
-        if part.node_scripts.len() <= node.0 {
-            part.node_scripts.resize_with(node.0 + 1, || None);
+        if self.node_scripts.len() <= node.0 {
+            self.node_scripts.resize_with(node.0 + 1, || None);
         }
-        part.node_scripts[node.0] = Some(script);
+        self.node_scripts[node.0] = Some(script);
     }
 
     /// Number of links created.
     pub fn link_count(&self) -> usize {
-        self.parts[0].ports.link_count()
+        self.ports.link_count()
     }
 
     /// Borrows a node downcast to its concrete type.
     pub fn node_ref<T: Any>(&self, id: NodeId) -> Option<&T> {
-        let owner = *self.part_of.get(id.0)? as usize;
-        let node = self.parts[owner].nodes.get(id.0)?.as_deref()?;
+        let node = self.nodes.get(id.0)?.as_deref()?;
         (node as &dyn Any).downcast_ref::<T>()
     }
 
     /// Mutably borrows a node downcast to its concrete type.
     pub fn node_mut<T: Any>(&mut self, id: NodeId) -> Option<&mut T> {
-        let owner = *self.part_of.get(id.0)? as usize;
-        let node = self.parts[owner].nodes.get_mut(id.0)?.as_deref_mut()?;
+        let node = self.nodes.get_mut(id.0)?.as_deref_mut()?;
         (node as &mut dyn Any).downcast_mut::<T>()
     }
 
     /// Injects a frame delivery from outside the topology (useful in unit
     /// tests that exercise a single node without links). The event is
-    /// attributed to the receiving node's own source counter, so the
-    /// resulting ordering key is the same under any partitioning.
+    /// attributed to the receiving node's own source counter.
     pub fn inject(&mut self, at: SimTime, node: NodeId, port: PortId, frame: Frame) {
-        let owner = self.part_of.get(node.0).copied().unwrap_or(0) as usize;
-        let frame = if self.parts.len() > 1 {
-            // Rc-backed frames are partition-local; re-home the bytes in
-            // the owning partition's pool.
-            self.parts[owner].pool.copy_from_slice(&frame)
-        } else {
-            frame
-        };
-        self.parts[owner].queue.push(at, node, EventKind::Deliver { node, port, frame });
+        self.queue.push(at, node, EventKind::Deliver { node, port, frame });
     }
 
     /// Arms a timer on `node` from outside the topology — the external
@@ -687,27 +213,14 @@ impl Simulator {
     /// `at` must not lie in the simulator's past.
     pub fn schedule_timer(&mut self, at: SimTime, node: NodeId, token: u64) {
         assert!(at >= self.now, "timer scheduled in the past");
-        let owner = self.part_of.get(node.0).copied().unwrap_or(0) as usize;
-        self.parts[owner].queue.push(at, node, EventKind::Timer { node, token });
+        self.queue.push(at, node, EventKind::Timer { node, token });
     }
 
-    /// A copy of every per-node and per-link counter at this instant,
-    /// merged across partitions (whose tables are disjoint — each counter
-    /// is only ever written by its owner, so the merge is an element-wise
-    /// sum and equals the single-threaded table exactly). Subtract two
-    /// with [`crate::stats::StatsSnapshot::delta`] to read one round's
-    /// traffic out of a long-running simulation; the snapshot remembers
-    /// its partition count and `delta` refuses to mix different ones.
+    /// A copy of every per-node and per-link counter at this instant.
+    /// Subtract two with [`crate::stats::StatsSnapshot::delta`] to read
+    /// one round's traffic out of a long-running simulation.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let mut snap = StatsSnapshot {
-            nodes: vec![NodeStats::default(); self.part_of.len()],
-            links: vec![LinkStats::default(); self.link_count()],
-            partitions: self.parts.len(),
-        };
-        for p in &self.parts {
-            p.stats.accumulate_into(&mut snap);
-        }
-        snap
+        self.stats.snapshot(self.nodes.len(), self.link_count())
     }
 
     /// Runs until the event queue drains; returns the final time.
@@ -715,97 +228,104 @@ impl Simulator {
         self.run_until(SimTime(u64::MAX))
     }
 
-    /// Runs until every queue drains or the next event lies beyond
-    /// `deadline`; returns the time reached.
+    /// Runs until the queue drains or the next event lies beyond
+    /// `deadline`; returns the time reached. Events sharing one instant
+    /// are drained as a batch.
     pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
-        if self.parts.len() == 1 {
-            self.run_until_single(deadline)
-        } else {
-            self.run_until_parallel(deadline)
-        }
-    }
-
-    /// The single-partition fast path: the classic in-thread event loop,
-    /// no barriers, no byte copies.
-    fn run_until_single(&mut self, deadline: SimTime) -> SimTime {
-        let part = &mut self.parts[0];
-        let part_of = self.part_of.as_slice();
         if !self.started {
             self.started = true;
-            part.start_nodes(0, part_of);
+            // `on_start` fires for every node, in node-id order.
+            for i in 0..self.nodes.len() {
+                self.dispatch(NodeId(i), |node, ctx| node.on_start(ctx));
+            }
         }
+        let horizon = deadline.0.saturating_add(1);
         let max_events = self.max_events;
-        part.process_window(0, part_of, deadline.0.saturating_add(1), max_events);
-        self.now = self.now.max(part.now);
+        while let Some(t) = self.queue.peek_time() {
+            if t.0 >= horizon {
+                break;
+            }
+            debug_assert!(t >= self.now, "time went backwards");
+            self.now = t;
+            while let Some(ev) = self.queue.pop_at(t) {
+                self.events_processed += 1;
+                assert!(
+                    self.events_processed <= max_events,
+                    "simulation exceeded {max_events} events — runaway?"
+                );
+                self.handle(ev);
+            }
+        }
         self.now
     }
 
-    /// The parallel path: one worker thread per partition, synchronized
-    /// with conservative-lookahead windows (module docs).
-    fn run_until_parallel(&mut self, deadline: SimTime) -> SimTime {
-        let lookahead_ns = match self.parts[0].ports.min_cross_latency(&self.part_of) {
-            Some(d) => {
-                assert!(
-                    d.as_nanos() > 0,
-                    "cross-partition links must have positive latency (zero lookahead cannot make progress)"
-                );
-                d.as_nanos()
-            }
-            // No link crosses a partition: every partition is independent
-            // and may run straight to the deadline.
-            None => u64::MAX,
+    fn dispatch<F>(&mut self, node_id: NodeId, f: F)
+    where
+        F: FnOnce(&mut dyn Node, &mut Context<'_>),
+    {
+        // Temporarily take the node out of its slot so it can borrow both
+        // itself and the world.
+        let mut node = match self.nodes.get_mut(node_id.0).and_then(Option::take) {
+            Some(n) => n,
+            None => return, // unknown node: drop the event
         };
-        let do_start = !self.started;
-        self.started = true;
-        let max_events = self.max_events;
-        let sync = SyncState::new(self.parts.len());
-        let part_of = self.part_of.as_slice();
-        let parts = &mut self.parts;
-        let panic_payload = std::thread::scope(|s| {
-            let handles: Vec<_> = parts
-                .iter_mut()
-                .enumerate()
-                .map(|(me, part)| {
-                    let cell = PartCell(part);
-                    let sync = &sync;
-                    s.spawn(move || {
-                        // Capture the whole `PartCell` (not just its field)
-                        // so the closure is `Send`.
-                        let cell = cell;
-                        #[allow(unsafe_code)]
-                        // Safety: see `PartCell` — exclusive handoff of one
-                        // partition to exactly one thread for the scope.
-                        let part = unsafe { &mut *cell.0 };
-                        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            run_worker(
-                                part, me, sync, part_of, deadline, lookahead_ns, max_events,
-                                do_start,
-                            );
-                        }));
-                        if let Err(payload) = result {
-                            // Unblock peers before propagating, or they
-                            // wait forever for our barrier arrival.
-                            sync.barrier.poison();
-                            std::panic::resume_unwind(payload);
-                        }
-                    })
-                })
-                .collect();
-            let mut first_panic = None;
-            for h in handles {
-                if let Err(payload) = h.join() {
-                    first_panic.get_or_insert(payload);
+        {
+            let mut ctx = Context {
+                node: node_id,
+                now: self.now,
+                queue: &mut self.queue,
+                ports: &mut self.ports,
+                stats: &mut self.stats,
+                rng: &mut self.node_rngs[node_id.0],
+                pool: &self.pool,
+            };
+            f(node.as_mut(), &mut ctx);
+        }
+        self.nodes[node_id.0] = Some(node);
+    }
+
+    /// True when `node` is scripted down at `t`. A pure function of
+    /// `(node, t)`, so the drop decision is identical under any same-tick
+    /// event ordering.
+    fn is_down(&self, node: NodeId, t: SimTime) -> bool {
+        self.node_scripts
+            .get(node.0)
+            .and_then(Option::as_ref)
+            .is_some_and(|s| s.is_down_at(t))
+    }
+
+    fn handle(&mut self, ev: Event) {
+        match ev.kind {
+            EventKind::Deliver { node, port, frame } => {
+                if self.is_down(node, ev.time) {
+                    // Dead NIC: the frame dies on arrival, uncounted as
+                    // received. (Timers die silently below; only frames
+                    // are worth a counter.)
+                    self.stats.node_dead_drop(node);
+                    return;
+                }
+                self.stats.node_received(node, frame.len());
+                self.dispatch(node, |n, ctx| n.on_packet(ctx, port, frame));
+            }
+            EventKind::Timer { node, token } => {
+                if self.is_down(node, ev.time) {
+                    return;
+                }
+                self.dispatch(node, |n, ctx| n.on_timer(ctx, token));
+            }
+            EventKind::TxDone { link, dir, bytes } => {
+                self.ports.tx_done(link, dir, bytes);
+            }
+            EventKind::NodeFail { node } => {
+                // No Context: a dead node cannot send or schedule.
+                if let Some(n) = self.nodes.get_mut(node.0).and_then(Option::as_mut) {
+                    n.on_fail();
                 }
             }
-            first_panic
-        });
-        if let Some(payload) = panic_payload {
-            // Re-raise with the original payload so `should_panic`
-            // expectations and error messages survive partitioning.
-            std::panic::resume_unwind(payload);
+            EventKind::NodeRevive { node } => {
+                self.dispatch(node, |n, ctx| n.on_revive(ctx));
+            }
         }
-        self.now = self.parts.iter().map(|p| p.now).max().unwrap_or(self.now).max(self.now);
-        self.now
     }
 }
 
@@ -978,13 +498,12 @@ mod tests {
         assert_eq!(forward, swapped, "delivery order depended on scheduling order");
     }
 
-    /// Two flows with lossy links, run single-threaded and split across
-    /// two partitions (both links crossing the boundary): arrivals,
+    /// Two flows with lossy links, run twice at one seed: arrivals,
     /// counters and event totals must be bit-identical.
     #[test]
-    fn partitioned_run_is_bit_identical_to_single() {
-        let run = |parts: usize, assign: Vec<u32>| {
-            let mut sim = Simulator::with_partitions(9, PartitionMap::new(parts, assign));
+    fn same_seed_run_is_bit_identical() {
+        let run = || {
+            let mut sim = Simulator::new(9);
             let lossy = LinkSpec::fast().with_faults(crate::FaultProfile::loss(0.2));
             let src0 = sim.add_node(Box::new(Blaster::new(30, 400)));
             let dst0 = sim.add_node(Box::new(Sink::default()));
@@ -1003,12 +522,9 @@ mod tests {
                 sim.now(),
             )
         };
-        let single = run(1, vec![0, 0, 0, 0]);
-        // Both links cross the boundary: src0→dst0 spans 0→1, src1→dst1
-        // spans 1→0.
-        let dual = run(2, vec![0, 1, 1, 0]);
-        assert!(!single.0.is_empty() && single.0.len() < 30, "loss should be partial");
-        assert_eq!(single, dual);
+        let first = run();
+        assert!(!first.0.is_empty() && first.0.len() < 30, "loss should be partial");
+        assert_eq!(first, run());
     }
 
     /// Counts arrivals and the fail/revive hook calls.
@@ -1033,11 +549,11 @@ mod tests {
 
     /// A scripted node death drops every frame addressed to the node
     /// during `[kill, revive)`, fires the fail/revive hooks exactly once
-    /// each, and produces bit-identical results under partitioning.
+    /// each, and replays bit-identically at the same seed.
     #[test]
     fn scripted_node_death_drops_frames_then_revives() {
-        let run = |parts: usize, assign: Vec<u32>| {
-            let mut sim = Simulator::with_partitions(11, PartitionMap::new(parts, assign));
+        let run = || {
+            let mut sim = Simulator::new(11);
             // Blaster sends at t = 1, 1001, 2001, … ns; each 100-byte
             // frame arrives 1080 ns after its send (80 ns serialization +
             // 1 µs propagation): arrivals at 1081 + k·1000.
@@ -1052,16 +568,14 @@ mod tests {
             let sink = sim.node_ref::<MortalSink>(dst).unwrap();
             (sink.arrivals.clone(), sink.failed, sink.revived, sim.node_stats(dst))
         };
-        let (arrivals, failed, revived, stats) = run(1, vec![0, 0]);
+        let (arrivals, failed, revived, stats) = run();
         // Arrivals at 3081, 4081, 5081 fall inside the down window.
         assert_eq!(arrivals.len(), 7);
         assert!(arrivals.iter().all(|t| t.0 < 3_000 || t.0 >= 6_000));
         assert_eq!((failed, revived), (1, 1));
         assert_eq!(stats.dead_drops, 3);
         assert_eq!(stats.frames_in, 7);
-        // Bit-identical when the link crosses a partition boundary.
-        let dual = run(2, vec![0, 1]);
-        assert_eq!(dual, (arrivals, failed, revived, stats));
+        assert_eq!(run(), (arrivals, failed, revived, stats));
     }
 
     /// Down intervals are half-open: an injected frame at exactly the
@@ -1102,25 +616,5 @@ mod tests {
         sim.run(); // would never drain without the kill
         // Fires at 10, 20, 30, 40, 50; the tick armed for 60 dies.
         assert_eq!(sim.node_ref::<Ticker>(t).unwrap().0, 5);
-    }
-
-    /// The runaway valve fires on the *global* event count: two
-    /// partitions may each stay under the budget while their sum exceeds
-    /// it.
-    #[test]
-    #[should_panic(expected = "events across 2 partitions")]
-    fn max_events_sums_across_partitions() {
-        let mut sim = Simulator::with_partitions(1, PartitionMap::new(2, vec![0, 0, 1, 1]));
-        let src0 = sim.add_node(Box::new(Blaster::new(60, 64)));
-        let dst0 = sim.add_node(Box::new(Sink::default()));
-        let src1 = sim.add_node(Box::new(Blaster::new(60, 64)));
-        let dst1 = sim.add_node(Box::new(Sink::default()));
-        sim.connect(src0, dst0, LinkSpec::fast());
-        sim.connect(src1, dst1, LinkSpec::fast());
-        // Each flow costs ~121 events — under the budget per partition,
-        // so only the summed check at the barrier can catch the total
-        // (~242) blowing through it.
-        sim.max_events = 150;
-        sim.run();
     }
 }

@@ -107,32 +107,18 @@ pub struct StatsSnapshot {
     pub nodes: Vec<NodeStats>,
     /// Per-link counters, indexed in connect order.
     pub links: Vec<LinkStats>,
-    /// Number of partitions whose tables were merged into this snapshot
-    /// (1 for a single-threaded simulator). Deltas across snapshots from
-    /// differently-partitioned runs are meaningless — each partition
-    /// contributes its own counter history — so [`delta`](Self::delta)
-    /// refuses to mix them.
-    pub partitions: usize,
 }
 
 impl StatsSnapshot {
     /// The counter growth between `earlier` and this snapshot,
     /// field-for-field. Panics if any counter shrank (snapshots from
-    /// different runs, or arguments swapped) — see [`NodeStats::delta`] —
-    /// or if the snapshots were merged from different partition counts.
+    /// different runs, or arguments swapped) — see [`NodeStats::delta`].
     /// `earlier` may be shorter (nodes/links added since): missing
     /// entries read as zero.
     pub fn delta(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        assert_eq!(
-            self.partitions, earlier.partitions,
-            "snapshot partition counts differ ({} vs {}): deltas across \
-             differently-partitioned runs are meaningless",
-            self.partitions, earlier.partitions
-        );
         let zero_n = NodeStats::default();
         let zero_l = LinkStats::default();
         StatsSnapshot {
-            partitions: self.partitions,
             nodes: self
                 .nodes
                 .iter()
@@ -273,46 +259,13 @@ impl StatsTable {
 
     /// Copies the current counters out, padded with zeros to `n_nodes` /
     /// `n_links` (the tables grow lazily, so an untouched tail may not
-    /// exist yet). The simulator facade merges partition tables with
-    /// [`StatsTable::accumulate_into`] instead; this stays as a direct
-    /// single-table snapshot for the unit tests below.
-    #[cfg(test)]
-    fn snapshot(&self, n_nodes: usize, n_links: usize) -> StatsSnapshot {
+    /// exist yet).
+    pub(crate) fn snapshot(&self, n_nodes: usize, n_links: usize) -> StatsSnapshot {
         let mut nodes = self.nodes.clone();
         nodes.resize(nodes.len().max(n_nodes), NodeStats::default());
         let mut links = self.links.clone();
         links.resize(links.len().max(n_links), LinkStats::default());
-        StatsSnapshot { nodes, links, partitions: 1 }
-    }
-
-    /// Adds this table's counters element-wise into `snap` (which must
-    /// already be sized). Partition tables are disjoint — each node and
-    /// link direction is only ever written by its owning partition — so
-    /// summing them reconstructs exactly the single table a
-    /// single-threaded run would have produced.
-    pub(crate) fn accumulate_into(&self, snap: &mut StatsSnapshot) {
-        for (i, n) in self.nodes.iter().enumerate() {
-            let s = &mut snap.nodes[i];
-            s.frames_in += n.frames_in;
-            s.bytes_in += n.bytes_in;
-            s.frames_out += n.frames_out;
-            s.bytes_out += n.bytes_out;
-            s.dead_drops += n.dead_drops;
-        }
-        for (i, l) in self.links.iter().enumerate() {
-            for d in 0..2 {
-                let a = &mut snap.links[i].dirs[d];
-                let b = &l.dirs[d];
-                a.tx_frames += b.tx_frames;
-                a.tx_bytes += b.tx_bytes;
-                a.drops_overflow += b.drops_overflow;
-                a.drops_fault += b.drops_fault;
-                a.corrupted += b.corrupted;
-                a.duplicated += b.duplicated;
-                a.reordered += b.reordered;
-                a.ecn_marked += b.ecn_marked;
-            }
-        }
+        StatsSnapshot { nodes, links }
     }
 }
 
@@ -389,17 +342,6 @@ mod tests {
         assert_eq!(d.links[0].dirs[0].tx_frames, 1);
         // Padding: requesting more slots than ever touched reads zeros.
         assert_eq!(after.nodes[0], NodeStats::default());
-    }
-
-    /// Snapshots merged from different partition counts come from
-    /// different runs by construction; subtracting them must fail loudly.
-    #[test]
-    #[should_panic(expected = "partition counts differ")]
-    fn mismatched_partition_snapshots_refuse_to_subtract() {
-        let t = StatsTable::default();
-        let single = t.snapshot(1, 0);
-        let merged = StatsSnapshot { partitions: 2, ..t.snapshot(1, 0) };
-        let _ = merged.delta(&single);
     }
 
     /// Counters are monotonic; a shrinking "delta" means mismatched

@@ -195,47 +195,6 @@ impl TopologyPlan {
         }
     }
 
-    /// Partitions the plan for sharded execution
-    /// ([`Simulator::with_partitions`]): switches are dealt round-robin
-    /// across partitions and every host follows the first switch it
-    /// attaches to, so a rack (hosts + their leaf/ToR switch) stays
-    /// together and only inter-switch links cross partition boundaries.
-    /// Plans with fewer switches than partitions fall back to round-robin
-    /// over hosts. `parts <= 1` yields [`crate::PartitionMap::single`].
-    pub fn partition_map(&self, parts: usize) -> crate::PartitionMap {
-        if parts <= 1 {
-            return crate::PartitionMap::single();
-        }
-        let switches = self.switches();
-        let mut assign = vec![0u32; self.len()];
-        if switches.len() >= parts {
-            for (i, &sw) in switches.iter().enumerate() {
-                assign[sw] = (i % parts) as u32;
-            }
-            for i in 0..self.len() {
-                if self.roles[i] == Role::Host {
-                    // Follow the first attached switch (port order), so a
-                    // host lands with its rack.
-                    let home = self.adj[i]
-                        .iter()
-                        .find(|a| self.roles[a.peer] == Role::Switch)
-                        .map(|a| assign[a.peer]);
-                    assign[i] = home.unwrap_or(0);
-                }
-            }
-        } else {
-            // Degenerate plans (e.g. a single star switch): spread hosts
-            // instead, accepting host–switch links on the boundary.
-            for (j, &h) in self.hosts().iter().enumerate() {
-                assign[h] = (j % parts) as u32;
-            }
-            for (i, &sw) in switches.iter().enumerate() {
-                assign[sw] = (i % parts) as u32;
-            }
-        }
-        crate::PartitionMap::new(parts, assign)
-    }
-
     // ---- Built-in cluster shapes -------------------------------------
 
     /// A star: `n_hosts` hosts all attached to one switch — the paper's
@@ -461,33 +420,6 @@ mod tests {
             assert!(hop.is_none(), "host {h} should be cut off");
         }
         assert!(next[8].is_some(), "other racks still reach the destination");
-    }
-
-    #[test]
-    fn partition_map_keeps_racks_together() {
-        // Leaf-spine with 3 leaves: at 3 partitions each leaf (and its
-        // hosts) gets its own partition; spines are dealt round-robin.
-        let plan = TopologyPlan::leaf_spine(2, 3, 2, spec());
-        let map = plan.partition_map(3);
-        assert_eq!(map.parts(), 3);
-        let leaves = plan.switches();
-        for (i, &leaf) in leaves.iter().take(3).enumerate() {
-            assert_eq!(map.part_of(leaf), (i % 3) as u32);
-            for adj in plan.neighbors(leaf) {
-                if plan.role(adj.peer) == Role::Host {
-                    assert_eq!(map.part_of(adj.peer), map.part_of(leaf), "host left its rack");
-                }
-            }
-        }
-        // Star (1 switch, 4 hosts) at 2 partitions: host round-robin
-        // fallback still covers both partitions.
-        let star = TopologyPlan::star(4, spec());
-        let map = star.partition_map(2);
-        let used: std::collections::HashSet<u32> =
-            (0..star.len()).map(|i| map.part_of(i)).collect();
-        assert_eq!(used.len(), 2);
-        // parts <= 1 collapses to the single-partition map.
-        assert_eq!(star.partition_map(1).parts(), 1);
     }
 
     #[test]

@@ -276,13 +276,8 @@ pub struct QueryRunner {
     pub pacing: SimDuration,
     /// Simulation seed.
     pub seed: u64,
-    /// Execution partitions for the simulator (default: the
-    /// `DAIET_PARTITIONS` environment variable, else 1). Results must be
-    /// bit-identical at any setting.
-    pub partitions: usize,
-    /// Per-partition frame pools shared across this runner's runs (see
-    /// `make_sim`), grown on demand.
-    pools: std::cell::RefCell<Vec<daiet_netsim::FramePool>>,
+    /// The frame pool shared across this runner's runs (see `make_sim`).
+    pool: daiet_netsim::FramePool,
 }
 
 impl QueryRunner {
@@ -317,8 +312,7 @@ impl QueryRunner {
             resources: Resources::tofino_like(),
             pacing: SimDuration::from_micros(2),
             seed: 42,
-            partitions: daiet_netsim::env_partitions(),
-            pools: std::cell::RefCell::new(Vec::new()),
+            pool: daiet_netsim::FramePool::new(),
         }
     }
 
@@ -378,21 +372,12 @@ impl QueryRunner {
         }
     }
 
-    fn make_sim(&self, plan: &TopologyPlan) -> Simulator {
-        let mut sim =
-            Simulator::with_partitions(self.seed, plan.partition_map(self.partitions));
-        // One pool per partition across this runner's runs: repeated runs
-        // recycle the previous run's buffers instead of growing a cold
-        // pool each time (see `daiet_mapreduce::Runner::make_sim`).
-        // Semantics-neutral; pools are `Rc`-backed and partition-local.
-        let mut pools = self.pools.borrow_mut();
-        while pools.len() < sim.partition_count() {
-            pools.push(daiet_netsim::FramePool::new());
-        }
-        for p in 0..sim.partition_count() {
-            sim.set_frame_pool_for(p, pools[p].clone());
-        }
-        drop(pools);
+    fn make_sim(&self) -> Simulator {
+        let mut sim = Simulator::new(self.seed);
+        // One pool across this runner's runs: repeated runs recycle the
+        // previous run's buffers instead of growing a cold pool each time
+        // (see `daiet_mapreduce::Runner::make_sim`). Semantics-neutral.
+        sim.set_frame_pool(self.pool.clone());
         sim
     }
 
@@ -415,7 +400,7 @@ impl QueryRunner {
             .deploy(&plan, &placement, self.resources, AggregationMode::PassThrough)
             .expect("deployment fits");
 
-        let mut sim = self.make_sim(&plan);
+        let mut sim = self.make_sim();
         let tcp_cfg = TcpConfig::default();
         let mut ids: Vec<NodeId> = Vec::with_capacity(plan.len());
         for slot in 0..plan.len() {
@@ -492,7 +477,7 @@ impl QueryRunner {
             .map(|l| dep.expected_ends(l, workers.len()))
             .collect();
 
-        let mut sim = self.make_sim(&plan);
+        let mut sim = self.make_sim();
         let mut ids: Vec<NodeId> = Vec::with_capacity(plan.len());
         for slot in 0..plan.len() {
             let id = match plan.role(slot) {

@@ -6,6 +6,7 @@
 use daiet_repro::mapreduce::runner::{Fig3Summary, Runner, ShuffleMode};
 use daiet_repro::mapreduce::wordcount::{Corpus, CorpusSpec};
 use daiet_repro::netsim::topology::TopologyPlan;
+use daiet_repro::netsim::FaultProfile;
 
 fn small_corpus(seed: u64) -> Corpus {
     Corpus::generate(&CorpusSpec {
@@ -111,4 +112,37 @@ fn deterministic_across_identical_runs() {
         assert_eq!(x.records, y.records);
     }
     assert_eq!(a.finished_at, b.finished_at);
+}
+
+/// Replay-a-chaos-seed pin: fig3 `DaietAgg` with drop, duplicate and
+/// reorder on every link and NACK recovery carrying the run. The same
+/// seed replays every fault draw, retransmission and timer identically;
+/// another seed draws different faults.
+#[test]
+fn chaos_run_replays_bit_identically_at_the_same_seed() {
+    let chaos = FaultProfile::chaos(0.06, 0.06, 0.06, 20_000);
+    let run = |seed: u64| {
+        let corpus = Corpus::generate(&CorpusSpec {
+            n_mappers: 6,
+            n_reducers: 3,
+            register_cells: 256,
+            ..CorpusSpec::paper_scaled(3 * 64, 7)
+        });
+        let mut runner = Runner::new(corpus).with_recovery(chaos);
+        runner.daiet_config.register_cells = 256;
+        runner.seed = seed;
+        runner.run(ShuffleMode::DaietAgg)
+    };
+    let first = run(42);
+    assert!(first.all_correct(), "recovery must carry the chaos run");
+    assert!(first.frames_dropped > 0, "chaos should actually bite");
+    let replay = run(42);
+    assert_eq!(first.finished_at, replay.finished_at);
+    assert_eq!(first.frames_dropped, replay.frames_dropped);
+    assert_eq!(format!("{:?}", first.reducers), format!("{:?}", replay.reducers));
+    let other = run(43);
+    assert!(
+        other.frames_dropped != first.frames_dropped || other.finished_at != first.finished_at,
+        "a different seed must draw different faults"
+    );
 }

@@ -76,11 +76,6 @@ fn seeded_violations_are_caught() {
         ("crates/mlsim/src/x.rs", "fn r() { let _ = rand::rng().thread_rng(); }\n", "det-rng"),
         ("crates/querysim/src/x.rs", "use daiet_netsim::Simulator;\n", "layer-netsim"),
         ("crates/core/src/x.rs", "use daiet_netsim::{NodeId, Simulator};\n", "layer-netsim"),
-        (
-            "crates/netsim/src/x.rs",
-            "struct X(*mut u8);\nunsafe impl Send for X {}\n",
-            "part-unsafe-send",
-        ),
         ("crates/dataplane/src/x.rs", "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n", "panic-hotpath"),
     ];
     for (path, src, rule) in cases {

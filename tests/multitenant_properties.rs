@@ -3,14 +3,12 @@
 //! The central claim of the multi-tenant control plane: the fabric is
 //! *perfectly* shared. An admitted job's results are a function of its
 //! own inputs only — never of who else is streaming, in which order jobs
-//! arrived, how the simulator is partitioned, or whether chaos is
-//! dropping frames underneath. Concretely:
+//! arrived, or whether chaos is dropping frames underneath. Concretely:
 //!
 //! 1. **Solo/mixed bit-identity** (property) — for an arbitrary mix of
 //!    WordCount, GROUP BY and iterative-SGD jobs, an arbitrary arrival
 //!    order and an arbitrary seed, every job's result digest in the mix
-//!    equals the digest of the same job run alone on an empty fabric, at
-//!    1, 2 and 4 execution partitions.
+//!    equals the digest of the same job run alone on an empty fabric.
 //! 2. **Chaos does not pierce isolation** — the same three-way mix under
 //!    k = 1 NACK recovery with lossy, duplicating, reordering links
 //!    still reproduces every clean solo digest bit-for-bit.
@@ -41,10 +39,6 @@ use daiet_repro::netsim::{FaultProfile, LinkSpec, TopologyPlan};
 use daiet_repro::querysim::GroupByTenant;
 use daiet_repro::wire::daiet::{Key, Pair};
 use proptest::prelude::*;
-
-/// The partition counts every mix is checked at (1 = the
-/// single-threaded reference).
-const PARTITION_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// The pinned-seed knob the CI matrix turns.
 fn tenant_seed() -> u64 {
@@ -79,14 +73,13 @@ fn make(kind: Kind, seed: u64) -> Box<dyn TenantWorkload> {
 
 /// A leaf-spine fabric big enough to hold all three tiny workloads
 /// concurrently (11 senders + 6 reducers at peak).
-fn fabric_sched(config: DaietConfig, link: LinkSpec, partitions: usize) -> JobScheduler {
+fn fabric_sched(config: DaietConfig, link: LinkSpec) -> JobScheduler {
     let plan = TopologyPlan::leaf_spine(5, 4, 2, link);
     let hosts = plan.hosts();
     let senders = hosts[..12].to_vec();
     let reducers = hosts[12..18].to_vec();
-    let mut spec = TenantSpec::new(config, plan, senders, reducers);
-    spec.partitions = partitions;
-    JobScheduler::build(spec).expect("tenant fabric must build")
+    JobScheduler::build(TenantSpec::new(config, plan, senders, reducers))
+        .expect("tenant fabric must build")
 }
 
 fn clean_link() -> LinkSpec {
@@ -104,9 +97,9 @@ fn recovery_config() -> DaietConfig {
     .with_rtx_sized_for_flush()
 }
 
-/// Solo baseline: `kind` alone on an empty single-partition fabric.
+/// Solo baseline: `kind` alone on an empty fabric.
 fn solo_digest(kind: Kind, seed: u64, config: &DaietConfig) -> u64 {
-    let mut sched = fabric_sched(*config, clean_link(), 1);
+    let mut sched = fabric_sched(*config, clean_link());
     let out = run_solo(&mut sched, make(kind, seed), &MixOptions::default())
         .expect("solo run must complete");
     out.digest
@@ -119,9 +112,8 @@ fn mix_digests(
     seed: u64,
     config: &DaietConfig,
     link: LinkSpec,
-    partitions: usize,
 ) -> Vec<u64> {
-    let mut sched = fabric_sched(*config, link, partitions);
+    let mut sched = fabric_sched(*config, link);
     let offsets = poisson_offsets(seed, Duration::from_micros(30), kinds.len());
     let arrivals: Vec<(Duration, Box<dyn TenantWorkload>)> = kinds
         .iter()
@@ -140,9 +132,8 @@ proptest! {
 
     /// Property 1: arbitrary (job mix, arrival order, seed) — every
     /// admitted job's result is bit-identical to the same job run solo
-    /// on an empty fabric, at 1, 2 and 4 partitions. The mix is a
-    /// multiset (the same workload type may arrive twice) and its vector
-    /// order is the arrival order.
+    /// on an empty fabric. The mix is a multiset (the same workload type
+    /// may arrive twice) and its vector order is the arrival order.
     #[test]
     fn mixed_jobs_are_bit_identical_to_solo_runs(
         mix in prop::collection::vec(prop::sample::select(&ALL_KINDS), 1..=3usize),
@@ -155,19 +146,14 @@ proptest! {
             .enumerate()
             .map(|(i, &k)| solo_digest(k, job_seed(seed, i), &config))
             .collect();
-        for parts in PARTITION_COUNTS {
-            let mixed = mix_digests(&mix, seed, &config, clean_link(), parts);
-            prop_assert_eq!(
-                &mixed, &solo,
-                "digest divergence at {} partitions for mix {:?}", parts, mix
-            );
-        }
+        let mixed = mix_digests(&mix, seed, &config, clean_link());
+        prop_assert_eq!(&mixed, &solo, "digest divergence for mix {:?}", mix);
     }
 }
 
 /// Property 2: the full three-way mix under k = 1 chaos (drops,
 /// duplicates, reordering on every link, NACK recovery armed) still
-/// reproduces the clean solo digests at every partition count.
+/// reproduces the clean solo digests.
 #[test]
 fn chaos_does_not_pierce_tenant_isolation() {
     let seed = tenant_seed();
@@ -178,10 +164,8 @@ fn chaos_does_not_pierce_tenant_isolation() {
         .enumerate()
         .map(|(i, &k)| solo_digest(k, job_seed(seed, i), &config))
         .collect();
-    for parts in PARTITION_COUNTS {
-        let mixed = mix_digests(&ALL_KINDS, seed, &config, chaos, parts);
-        assert_eq!(mixed, solo, "chaos digest divergence at {parts} partitions");
-    }
+    let mixed = mix_digests(&ALL_KINDS, seed, &config, chaos);
+    assert_eq!(mixed, solo, "chaos digest divergence");
 }
 
 /// A tiny-chip fabric where each tree's registers fill most of one SRAM

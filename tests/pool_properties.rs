@@ -119,8 +119,7 @@ fn fresh_buffers_are_bounded_by_frames_in_flight_not_frames_sent() {
     let sent = (corpus.total_records() / 10) as u64; // 10 pairs per DATA frame
     assert!(sent > 6_000, "the corpus is too small to tell the two bounds apart");
     for mode in [ShuffleMode::UdpNoAgg, ShuffleMode::DaietAgg] {
-        let mut runner = Runner::new(corpus.clone());
-        runner.partitions = 1; // one pool, so `fresh` is one number whatever DAIET_PARTITIONS says
+        let runner = Runner::new(corpus.clone());
         assert!(runner.run(mode).all_correct());
         let pool = runner.pool_stats();
         let handed_out = pool.fresh + pool.reused;

@@ -1,6 +1,5 @@
 //! Node-level chaos scenarios (ISSUE 7), each pinned by a failing-first
-//! regression and a bit-identical completion proof at 1, 2 and 4
-//! execution partitions:
+//! regression and a bit-identical completion proof:
 //!
 //! 1. **Switch failure with live tree re-route** — a spine dies mid-round
 //!    with aggregation traffic in flight. Without controller re-planning
@@ -31,10 +30,6 @@ use daiet_repro::netsim::topology::TopologyPlan;
 use daiet_repro::netsim::{LinkSpec, NodeScript, SimDuration};
 use daiet_repro::wire::daiet::{Key, Pair};
 use proptest::prelude::*;
-
-/// The partition counts every scenario is checked at (1 = the
-/// single-threaded reference).
-const PARTITION_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// The pinned-seed knob the CI matrix turns.
 fn chaos_seed() -> u64 {
@@ -90,10 +85,9 @@ const KEYS: usize = 25;
 /// leaf_spine(2,2,2): hosts 0-3 (0,1 under leaf 4; 2,3 under leaf 5),
 /// spines 6-7. Senders 0,1; reducer 3. The tree crosses exactly one
 /// spine — the one we kill.
-fn spine_runner(partitions: usize) -> IterativeRunner {
+fn spine_runner() -> IterativeRunner {
     let plan = TopologyPlan::leaf_spine(2, 2, 2, LinkSpec::fast());
     let mut spec = IterativeSpec::new(recovery_config(), plan, vec![0, 1], vec![3]);
-    spec.partitions = partitions;
     spec.seed = chaos_seed();
     IterativeRunner::build(spec).unwrap()
 }
@@ -112,39 +106,31 @@ fn tree_spine_from(runner: &IterativeRunner, first_spine: usize) -> usize {
 
 /// Failing-first: a spine death mid-round, with no re-plan, must wedge
 /// the round loudly (ENDs missing at quiescence) — never complete with
-/// partial sums — and identically so at every partition count.
+/// partial sums.
 #[test]
 fn switch_death_without_replan_wedges_the_round() {
-    let mut outcomes = Vec::new();
-    for &parts in &PARTITION_COUNTS {
-        let mut runner = spine_runner(parts);
-        let r0 = runner
-            .run_round(&[vec![shard(0, 0, KEYS)], vec![shard(1, 0, KEYS)]])
-            .expect("fault-free round 0");
-        assert_eq!(r0.per_reducer[0], expected(&[0, 1], 0, KEYS));
+    let mut runner = spine_runner();
+    let r0 = runner
+        .run_round(&[vec![shard(0, 0, KEYS)], vec![shard(1, 0, KEYS)]])
+        .expect("fault-free round 0");
+    assert_eq!(r0.per_reducer[0], expected(&[0, 1], 0, KEYS));
 
-        let spine = tree_spine(&runner);
-        let kill = runner.sim().now() + SimDuration::from_micros(2);
-        let spine_node = runner.node_id(spine);
-        runner.sim_mut().script_node(spine_node, NodeScript::kill_at(kill));
+    let spine = tree_spine(&runner);
+    let kill = runner.sim().now() + SimDuration::from_micros(2);
+    let spine_node = runner.node_id(spine);
+    runner.sim_mut().script_node(spine_node, NodeScript::kill_at(kill));
 
-        let err = runner
-            .run_round(&[vec![shard(0, 1, KEYS)], vec![shard(1, 1, KEYS)]])
-            .expect_err("a dead spine with no re-plan must wedge the round");
-        assert!(
-            err.contains("ENDs at quiescence"),
-            "the wedge must surface as missing ENDs, got: {err}"
-        );
-        // The corpse really ate frames (the failure is node-level, not
-        // link-level), and quiescence was reached (no hang).
-        let snap = runner.sim().snapshot();
-        assert!(snap.dead_drops() > 0, "no frame ever hit the dead switch");
-        outcomes.push((err, snap.dead_drops(), runner.sim().now()));
-    }
+    let err = runner
+        .run_round(&[vec![shard(0, 1, KEYS)], vec![shard(1, 1, KEYS)]])
+        .expect_err("a dead spine with no re-plan must wedge the round");
     assert!(
-        outcomes.windows(2).all(|w| w[0] == w[1]),
-        "the wedge must be bit-identical across partition counts: {outcomes:?}"
+        err.contains("ENDs at quiescence"),
+        "the wedge must surface as missing ENDs, got: {err}"
     );
+    // The corpse really ate frames (the failure is node-level, not
+    // link-level), and quiescence was reached (no hang).
+    let snap = runner.sim().snapshot();
+    assert!(snap.dead_drops() > 0, "no frame ever hit the dead switch");
 }
 
 /// The tentpole: spine dies mid-round → round wedges → controller
@@ -159,57 +145,49 @@ fn switch_death_with_live_replan_completes_bit_identically() {
     let reference: Vec<Vec<(Key, u32)>> =
         (0..ROUNDS).map(|r| expected(&[0, 1], r, KEYS)).collect();
 
-    let mut outcomes = Vec::new();
-    for &parts in &PARTITION_COUNTS {
-        let mut runner = spine_runner(parts);
-        let mut got: Vec<Vec<(Key, u32)>> = Vec::new();
-        let run = |runner: &mut IterativeRunner, r: u64| {
-            runner.run_round(&[vec![shard(0, r, KEYS)], vec![shard(1, r, KEYS)]])
-        };
+    let mut runner = spine_runner();
+    let mut got: Vec<Vec<(Key, u32)>> = Vec::new();
+    let run = |runner: &mut IterativeRunner, r: u64| {
+        runner.run_round(&[vec![shard(0, r, KEYS)], vec![shard(1, r, KEYS)]])
+    };
 
-        got.push(run(&mut runner, 0).expect("round 0").per_reducer.remove(0));
+    got.push(run(&mut runner, 0).expect("round 0").per_reducer.remove(0));
 
-        // Kill the tree's spine mid-round-1, reviving it much later.
-        let spine = tree_spine(&runner);
-        let kill = runner.sim().now() + SimDuration::from_micros(2);
-        let revive = kill + SimDuration::from_micros(500);
-        let spine_node = runner.node_id(spine);
-        runner.sim_mut().script_node(spine_node, NodeScript::down_between(kill, revive));
-        run(&mut runner, 1).expect_err("round 1 wedges against the corpse");
+    // Kill the tree's spine mid-round-1, reviving it much later.
+    let spine = tree_spine(&runner);
+    let kill = runner.sim().now() + SimDuration::from_micros(2);
+    let revive = kill + SimDuration::from_micros(500);
+    let spine_node = runner.node_id(spine);
+    runner.sim_mut().script_node(spine_node, NodeScript::down_between(kill, revive));
+    run(&mut runner, 1).expect_err("round 1 wedges against the corpse");
 
-        // Live re-plan around the dead spine; re-submit the SAME round.
-        runner.replan(&[spine]).expect("a second spine exists — re-route must succeed");
-        assert!(
-            !runner.deployment().trees[0].switches().any(|s| s == spine),
-            "the re-planned tree must avoid the corpse"
-        );
-        for r in [1, 2, 3] {
-            got.push(run(&mut runner, r).expect("re-routed round").per_reducer.remove(0));
-        }
-
-        // The spine is back up by now; fold it back in. Its power-cycled
-        // engine and stale tables are reconfigured from scratch.
-        assert!(runner.sim().now() > revive, "rounds 1-3 outlast the downtime");
-        runner.replan(&[]).expect("full-fabric re-plan");
-        assert_eq!(
-            tree_spine(&runner),
-            spine,
-            "deterministic paths put the revived spine back on the tree"
-        );
-        for r in [4, 5] {
-            got.push(run(&mut runner, r).expect("restored round").per_reducer.remove(0));
-        }
-
-        assert_eq!(got.len() as u64, ROUNDS);
-        for (r, (g, want)) in got.iter().zip(reference.iter()).enumerate() {
-            assert_eq!(g, want, "round {r} diverged from the fault-free reference");
-        }
-        outcomes.push((got, runner.sim().now()));
-    }
+    // Live re-plan around the dead spine; re-submit the SAME round.
+    runner.replan(&[spine]).expect("a second spine exists — re-route must succeed");
     assert!(
-        outcomes.windows(2).all(|w| w[0] == w[1]),
-        "chaos recovery must be bit-identical across partition counts"
+        !runner.deployment().trees[0].switches().any(|s| s == spine),
+        "the re-planned tree must avoid the corpse"
     );
+    for r in [1, 2, 3] {
+        got.push(run(&mut runner, r).expect("re-routed round").per_reducer.remove(0));
+    }
+
+    // The spine is back up by now; fold it back in. Its power-cycled
+    // engine and stale tables are reconfigured from scratch.
+    assert!(runner.sim().now() > revive, "rounds 1-3 outlast the downtime");
+    runner.replan(&[]).expect("full-fabric re-plan");
+    assert_eq!(
+        tree_spine(&runner),
+        spine,
+        "deterministic paths put the revived spine back on the tree"
+    );
+    for r in [4, 5] {
+        got.push(run(&mut runner, r).expect("restored round").per_reducer.remove(0));
+    }
+
+    assert_eq!(got.len() as u64, ROUNDS);
+    for (r, (g, want)) in got.iter().zip(reference.iter()).enumerate() {
+        assert_eq!(g, want, "round {r} diverged from the fault-free reference");
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -218,7 +196,7 @@ fn switch_death_with_live_replan_completes_bit_identically() {
 
 /// leaf_spine(3,2,1): hosts 0-5 (0,1,2 under leaf 6; 3,4,5 under leaf 7),
 /// spine 8. Senders 0,1,3; reducer 5.
-fn roster_runner(partitions: usize) -> IterativeRunner {
+fn roster_runner() -> IterativeRunner {
     let plan = TopologyPlan::leaf_spine(3, 2, 1, LinkSpec::fast());
     // 4-pair frames turn each 25-key shard into 7 DATA frames + END over
     // 8 us of pacing, so a kill 2 us into the round is genuinely
@@ -226,7 +204,6 @@ fn roster_runner(partitions: usize) -> IterativeRunner {
     // rtx ring must then cover a full 256-cell flush (65 frames).
     let config = DaietConfig { pairs_per_packet: 4, rtx_frames: 128, ..recovery_config() };
     let mut spec = IterativeSpec::new(config, plan, vec![0, 1, 3], vec![5]);
-    spec.partitions = partitions;
     spec.seed = chaos_seed();
     IterativeRunner::build(spec).unwrap()
 }
@@ -241,28 +218,23 @@ fn roster_shards(round: u64, active: &[bool]) -> Vec<Vec<Vec<Pair>>> {
 }
 
 /// A straggler is merely slow: throttling one sender 16× must change
-/// completion time and nothing else, at every partition count.
+/// completion time and nothing else.
 #[test]
 fn straggler_throttle_slows_the_round_but_never_changes_results() {
-    let mut outcomes = Vec::new();
-    for &parts in &PARTITION_COUNTS {
-        let mut fast = roster_runner(parts);
-        let mut slow = roster_runner(parts);
-        slow.set_sender_slowdown(0, 16);
-        for r in 0..3 {
-            let all = [true, true, true];
-            let a = fast.run_round(&roster_shards(r, &all)).expect("full-speed round");
-            let b = slow.run_round(&roster_shards(r, &all)).expect("straggling round");
-            assert_eq!(a.per_reducer, b.per_reducer, "round {r}: a straggler changed the math");
-            assert_eq!(a.per_reducer[0], expected(&[0, 1, 3], r, KEYS));
-        }
-        assert!(
-            slow.sim().now() > fast.sim().now(),
-            "a 16x straggler must dominate the round barrier"
-        );
-        outcomes.push((fast.sim().now(), slow.sim().now()));
+    let mut fast = roster_runner();
+    let mut slow = roster_runner();
+    slow.set_sender_slowdown(0, 16);
+    for r in 0..3 {
+        let all = [true, true, true];
+        let a = fast.run_round(&roster_shards(r, &all)).expect("full-speed round");
+        let b = slow.run_round(&roster_shards(r, &all)).expect("straggling round");
+        assert_eq!(a.per_reducer, b.per_reducer, "round {r}: a straggler changed the math");
+        assert_eq!(a.per_reducer[0], expected(&[0, 1, 3], r, KEYS));
     }
-    assert!(outcomes.windows(2).all(|w| w[0] == w[1]), "straggler timing must be partition-invariant");
+    assert!(
+        slow.sim().now() > fast.sim().now(),
+        "a 16x straggler must dominate the round barrier"
+    );
 }
 
 /// Failing-first: a *permanent* unannounced worker death mid-round
@@ -272,39 +244,32 @@ fn straggler_throttle_slows_the_round_but_never_changes_results() {
 /// the live roster and the job continues without the corpse.
 #[test]
 fn worker_death_without_roster_change_wedges_the_round() {
-    let mut outcomes = Vec::new();
-    for &parts in &PARTITION_COUNTS {
-        let mut runner = roster_runner(parts);
-        let all = [true, true, true];
-        let without_1 = [true, false, true];
-        runner.run_round(&roster_shards(0, &all)).expect("fault-free round 0");
+    let mut runner = roster_runner();
+    let all = [true, true, true];
+    let without_1 = [true, false, true];
+    runner.run_round(&roster_shards(0, &all)).expect("fault-free round 0");
 
-        // Kill sender 1's host (plan slot 1) mid-round, permanently.
-        let kill = runner.sim().now() + SimDuration::from_micros(2);
-        let host = runner.node_id(1);
-        runner.sim_mut().script_node(host, NodeScript::kill_at(kill));
-        let err = runner
-            .run_round(&roster_shards(1, &all))
-            .expect_err("a silently-dead worker must wedge the round");
-        assert!(err.contains("ENDs at quiescence"), "got: {err}");
+    // Kill sender 1's host (plan slot 1) mid-round, permanently.
+    let kill = runner.sim().now() + SimDuration::from_micros(2);
+    let host = runner.node_id(1);
+    runner.sim_mut().script_node(host, NodeScript::kill_at(kill));
+    let err = runner
+        .run_round(&roster_shards(1, &all))
+        .expect_err("a silently-dead worker must wedge the round");
+    assert!(err.contains("ENDs at quiescence"), "got: {err}");
 
-        // Announce the departure: round completion is redefined over the
-        // live roster and the same round is re-run without the corpse.
-        runner.set_sender_active(1, false);
-        runner.replan(&[]).expect("re-plan over the reduced roster");
-        let mut got = Vec::new();
-        for r in [1, 2] {
-            let out = runner
-                .run_round(&roster_shards(r, &without_1))
-                .expect("reduced-roster round")
-                .per_reducer
-                .remove(0);
-            assert_eq!(out, expected(&[0, 3], r, KEYS), "round {r} over the live roster");
-            got.push(out);
-        }
-        outcomes.push((err, got, runner.sim().now()));
+    // Announce the departure: round completion is redefined over the
+    // live roster and the same round is re-run without the corpse.
+    runner.set_sender_active(1, false);
+    runner.replan(&[]).expect("re-plan over the reduced roster");
+    for r in [1, 2] {
+        let out = runner
+            .run_round(&roster_shards(r, &without_1))
+            .expect("reduced-roster round")
+            .per_reducer
+            .remove(0);
+        assert_eq!(out, expected(&[0, 3], r, KEYS), "round {r} over the live roster");
     }
-    assert!(outcomes.windows(2).all(|w| w[0] == w[1]));
 }
 
 /// The counterpoint to the wedge: an outage *shorter than the NACK
@@ -314,38 +279,30 @@ fn worker_death_without_roster_change_wedges_the_round() {
 /// round completes late but exact.
 #[test]
 fn transient_worker_blip_is_absorbed_by_recovery() {
-    let mut outcomes = Vec::new();
-    for &parts in &PARTITION_COUNTS {
-        let mut runner = roster_runner(parts);
-        let all = [true, true, true];
-        runner.run_round(&roster_shards(0, &all)).expect("fault-free round 0");
-        let round0_done = runner.sim().now();
+    let mut runner = roster_runner();
+    let all = [true, true, true];
+    runner.run_round(&roster_shards(0, &all)).expect("fault-free round 0");
+    let round0_done = runner.sim().now();
 
-        let kill = runner.sim().now() + SimDuration::from_micros(2);
-        let revive = kill + SimDuration::from_micros(300);
-        let host = runner.node_id(1);
-        runner.sim_mut().script_node(host, NodeScript::down_between(kill, revive));
-        let out = runner
-            .run_round(&roster_shards(1, &all))
-            .expect("recovery must absorb a transient blip without a re-plan");
-        assert_eq!(out.per_reducer[0], expected(&[0, 1, 3], 1, KEYS), "late but exact");
-        assert!(
-            runner.sim().now() > revive,
-            "the round barrier must have waited out the outage"
-        );
-        assert!(out.net.dead_drops() > 0, "the outage never actually bit");
-        // No lingering damage: the next round is fault-free and exact.
-        let next = runner.run_round(&roster_shards(2, &all)).expect("round after the blip");
-        assert_eq!(next.per_reducer[0], expected(&[0, 1, 3], 2, KEYS));
-        assert!(
-            runner.sim().now() - round0_done < SimDuration::from_millis(50),
-            "absorbing a blip must not burn the whole NACK give-up horizon"
-        );
-        outcomes.push((out.per_reducer, next.per_reducer, runner.sim().now()));
-    }
+    let kill = runner.sim().now() + SimDuration::from_micros(2);
+    let revive = kill + SimDuration::from_micros(300);
+    let host = runner.node_id(1);
+    runner.sim_mut().script_node(host, NodeScript::down_between(kill, revive));
+    let out = runner
+        .run_round(&roster_shards(1, &all))
+        .expect("recovery must absorb a transient blip without a re-plan");
+    assert_eq!(out.per_reducer[0], expected(&[0, 1, 3], 1, KEYS), "late but exact");
     assert!(
-        outcomes.windows(2).all(|w| w[0] == w[1]),
-        "blip absorption must be bit-identical across partition counts"
+        runner.sim().now() > revive,
+        "the round barrier must have waited out the outage"
+    );
+    assert!(out.net.dead_drops() > 0, "the outage never actually bit");
+    // No lingering damage: the next round is fault-free and exact.
+    let next = runner.run_round(&roster_shards(2, &all)).expect("round after the blip");
+    assert_eq!(next.per_reducer[0], expected(&[0, 1, 3], 2, KEYS));
+    assert!(
+        runner.sim().now() - round0_done < SimDuration::from_millis(50),
+        "absorbing a blip must not burn the whole NACK give-up horizon"
     );
 }
 
@@ -354,49 +311,36 @@ fn transient_worker_blip_is_absorbed_by_recovery() {
 /// the live roster both ways and every pair lands exactly once.
 #[test]
 fn worker_leave_and_rejoin_with_replan_stays_exact() {
-    let mut outcomes = Vec::new();
-    for &parts in &PARTITION_COUNTS {
-        let mut runner = roster_runner(parts);
-        let all = [true, true, true];
-        let without_1 = [true, false, true];
-        let mut got = Vec::new();
+    let mut runner = roster_runner();
+    let all = [true, true, true];
+    let without_1 = [true, false, true];
 
-        got.push(
-            runner.run_round(&roster_shards(0, &all)).expect("round 0").per_reducer.remove(0),
-        );
-        assert_eq!(got[0], expected(&[0, 1, 3], 0, KEYS));
+    let out0 = runner.run_round(&roster_shards(0, &all)).expect("round 0").per_reducer.remove(0);
+    assert_eq!(out0, expected(&[0, 1, 3], 0, KEYS));
 
-        // Sender 1 leaves at the barrier; rounds 1-2 run over [0, 3].
-        runner.set_sender_active(1, false);
-        runner.replan(&[]).expect("re-plan over the reduced roster");
-        for r in [1, 2] {
-            let out = runner
-                .run_round(&roster_shards(r, &without_1))
-                .expect("reduced-roster round")
-                .per_reducer
-                .remove(0);
-            assert_eq!(out, expected(&[0, 3], r, KEYS), "round {r} over the live roster");
-            got.push(out);
-        }
-
-        // It rejoins at the next barrier; rounds 3-4 include it again.
-        runner.set_sender_active(1, true);
-        runner.replan(&[]).expect("re-plan over the restored roster");
-        for r in [3, 4] {
-            let out = runner
-                .run_round(&roster_shards(r, &all))
-                .expect("restored-roster round")
-                .per_reducer
-                .remove(0);
-            assert_eq!(out, expected(&[0, 1, 3], r, KEYS), "round {r} after rejoin");
-            got.push(out);
-        }
-        outcomes.push((got, runner.sim().now()));
+    // Sender 1 leaves at the barrier; rounds 1-2 run over [0, 3].
+    runner.set_sender_active(1, false);
+    runner.replan(&[]).expect("re-plan over the reduced roster");
+    for r in [1, 2] {
+        let out = runner
+            .run_round(&roster_shards(r, &without_1))
+            .expect("reduced-roster round")
+            .per_reducer
+            .remove(0);
+        assert_eq!(out, expected(&[0, 3], r, KEYS), "round {r} over the live roster");
     }
-    assert!(
-        outcomes.windows(2).all(|w| w[0] == w[1]),
-        "leave/rejoin must be bit-identical across partition counts"
-    );
+
+    // It rejoins at the next barrier; rounds 3-4 include it again.
+    runner.set_sender_active(1, true);
+    runner.replan(&[]).expect("re-plan over the restored roster");
+    for r in [3, 4] {
+        let out = runner
+            .run_round(&roster_shards(r, &all))
+            .expect("restored-roster round")
+            .per_reducer
+            .remove(0);
+        assert_eq!(out, expected(&[0, 1, 3], r, KEYS), "round {r} after rejoin");
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -406,7 +350,7 @@ fn worker_leave_and_rejoin_with_replan_stays_exact() {
 /// star(3): hosts 0,1 (senders), 2 (reducer), switch 3 — with tiny
 /// drop-tail queues, an ECN threshold below them, and pacing fast enough
 /// to overflow the reducer-ward egress queue.
-fn overload_runner(partitions: usize, backoff: bool) -> IterativeRunner {
+fn overload_runner(backoff: bool) -> IterativeRunner {
     // Gigabit links so serialization (~1 µs/frame) dwarfs the 100 ns
     // pacing gap: the sender's egress queue is the bottleneck, which is
     // the path a pacing response can actually relieve.
@@ -421,7 +365,6 @@ fn overload_runner(partitions: usize, backoff: bool) -> IterativeRunner {
     // retention must hold the whole round (301 frames) per sender.
     let config = DaietConfig { pairs_per_packet: 4, rtx_frames: 512, ..recovery_config() };
     let mut spec = IterativeSpec::new(config, plan, vec![0, 1], vec![2]);
-    spec.partitions = partitions;
     spec.seed = chaos_seed();
     spec.pacing = SimDuration::from_nanos(500);
     let mut runner = IterativeRunner::build(spec).unwrap();
@@ -439,29 +382,16 @@ const OVERLOAD_KEYS: usize = 1200;
 /// sender under overload.
 #[test]
 fn queue_buildup_overflows_marks_and_forces_recovery() {
-    let mut outcomes = Vec::new();
-    for &parts in &PARTITION_COUNTS {
-        let mut runner = overload_runner(parts, false);
-        let out = runner
-            .run_round(&[vec![shard(0, 0, OVERLOAD_KEYS)], vec![shard(1, 0, OVERLOAD_KEYS)]])
-            .expect("recovery must carry the overload");
-        assert_eq!(out.per_reducer[0], expected(&[0, 1], 0, OVERLOAD_KEYS));
-        assert!(out.net.overflow_drops() > 0, "the tiny queues never overflowed — overload proved nothing");
-        assert!(out.net.ecn_marks() > 0, "buildup must CE-mark before the drop-tail bites");
-        assert!(
-            runner.reducer(0).nacks_emitted() > 0 || runner.sender(0).nacks_received > 0,
-            "overflow loss must have been repaired through the NACK path"
-        );
-        outcomes.push((
-            out.per_reducer,
-            out.net.overflow_drops(),
-            out.net.ecn_marks(),
-            runner.sim().now(),
-        ));
-    }
+    let mut runner = overload_runner(false);
+    let out = runner
+        .run_round(&[vec![shard(0, 0, OVERLOAD_KEYS)], vec![shard(1, 0, OVERLOAD_KEYS)]])
+        .expect("recovery must carry the overload");
+    assert_eq!(out.per_reducer[0], expected(&[0, 1], 0, OVERLOAD_KEYS));
+    assert!(out.net.overflow_drops() > 0, "the tiny queues never overflowed — overload proved nothing");
+    assert!(out.net.ecn_marks() > 0, "buildup must CE-mark before the drop-tail bites");
     assert!(
-        outcomes.windows(2).all(|w| w[0] == w[1]),
-        "overload behavior must be bit-identical across partition counts"
+        runner.reducer(0).nacks_emitted() > 0 || runner.sender(0).nacks_received > 0,
+        "overflow loss must have been repaired through the NACK path"
     );
 }
 
@@ -469,24 +399,19 @@ fn queue_buildup_overflows_marks_and_forces_recovery() {
 /// round, same results, strictly fewer overflow drops.
 #[test]
 fn nack_backoff_sheds_overload_with_identical_results() {
-    let mut outcomes = Vec::new();
-    for &parts in &PARTITION_COUNTS {
-        let mut open_loop = overload_runner(parts, false);
-        let mut closed_loop = overload_runner(parts, true);
-        let shards =
-            [vec![shard(0, 0, OVERLOAD_KEYS)], vec![shard(1, 0, OVERLOAD_KEYS)]];
-        let a = open_loop.run_round(&shards).expect("open-loop round");
-        let b = closed_loop.run_round(&shards).expect("backed-off round");
-        assert_eq!(a.per_reducer, b.per_reducer, "backoff changed the math");
-        assert!(
-            b.net.overflow_drops() < a.net.overflow_drops(),
-            "backoff must shed load: {} drops open-loop vs {} with backoff",
-            a.net.overflow_drops(),
-            b.net.overflow_drops()
-        );
-        outcomes.push((a.net.overflow_drops(), b.net.overflow_drops()));
-    }
-    assert!(outcomes.windows(2).all(|w| w[0] == w[1]));
+    let mut open_loop = overload_runner(false);
+    let mut closed_loop = overload_runner(true);
+    let shards =
+        [vec![shard(0, 0, OVERLOAD_KEYS)], vec![shard(1, 0, OVERLOAD_KEYS)]];
+    let a = open_loop.run_round(&shards).expect("open-loop round");
+    let b = closed_loop.run_round(&shards).expect("backed-off round");
+    assert_eq!(a.per_reducer, b.per_reducer, "backoff changed the math");
+    assert!(
+        b.net.overflow_drops() < a.net.overflow_drops(),
+        "backoff must shed load: {} drops open-loop vs {} with backoff",
+        a.net.overflow_drops(),
+        b.net.overflow_drops()
+    );
 }
 
 // ---------------------------------------------------------------------
