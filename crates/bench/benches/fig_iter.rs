@@ -3,25 +3,18 @@
 //! chaos — on the paper's flagship iterative traffic (fig-1 workloads run
 //! packet-level, one DAIET round per step/superstep).
 //!
-//! Four configurations per workload:
+//! Three configurations per workload:
 //!
 //! * `prototype` — the paper-faithful path: no reliability state at all;
-//! * `redundancy_only` — the pre-ISSUE-5 reliability story for iterative
-//!   workloads: dedup windows armed, no NACK machinery (loss survival
-//!   would come from `k`-redundancy; loss-free at k = 1 it is the honest
-//!   same-frame-count baseline — there is no `redundancy_chaos` rig
-//!   because redundancy cannot *guarantee* bit-exactness, which is
-//!   exactly what the iterative barrier demands and recovery provides);
 //! * `recovery_off_path` — full round-scoped recovery (gap trackers,
 //!   retransmit rings with end-of-round retirement, host replay
 //!   retention, NACK timers) on clean links;
-//! * `recovery_chaos` — loss + duplication + reordering on every link at
-//!   k = 1, recovery carrying the run to bit-exactness.
+//! * `recovery_chaos` — loss + duplication + reordering on every link,
+//!   each frame sent once, recovery carrying the run to bit-exactness.
 //!
-//! The acceptance number — loss-free recovery overhead **< 5 %** vs
-//! `redundancy_only` — is printed directly as a **median over
-//! interleaved rounds** (A, B, A, B, …), so machine drift hits both
-//! configurations equally; `BENCH_JSON_DIR` records per-sample JSON
+//! The loss-free recovery overhead vs `prototype` is printed directly as
+//! a **median over interleaved rounds** (A, B, A, B, …), so machine
+//! drift hits both configurations equally; `BENCH_JSON_DIR` records per-sample JSON
 //! including `rounds_per_iter`/`per_round_samples` (one benchmark
 //! iteration runs a whole multi-round job).
 
@@ -43,18 +36,13 @@ fn chaos() -> FaultProfile {
 #[derive(Clone, Copy)]
 enum Rig {
     Prototype,
-    RedundancyOnly,
     Recovery { faulty: bool },
 }
 
 fn sgd_spec(rig: Rig) -> NetTrainSpec {
     let mut spec = NetTrainSpec { steps: SGD_STEPS, seed: 42, ..NetTrainSpec::default() };
     match rig {
-        Rig::Prototype => {
-            spec.recovery = false;
-            spec.dedup = false;
-        }
-        Rig::RedundancyOnly => spec.recovery = false,
+        Rig::Prototype => spec.recovery = false,
         Rig::Recovery { faulty } => {
             spec.recovery = true;
             if faulty {
@@ -68,11 +56,7 @@ fn sgd_spec(rig: Rig) -> NetTrainSpec {
 fn pagerank_spec(rig: Rig) -> PacketPregelSpec {
     let mut spec = PacketPregelSpec { seed: 42, ..PacketPregelSpec::default() };
     match rig {
-        Rig::Prototype => {
-            spec.recovery = false;
-            spec.dedup = false;
-        }
-        Rig::RedundancyOnly => spec.recovery = false,
+        Rig::Prototype => spec.recovery = false,
         Rig::Recovery { faulty } => {
             spec.recovery = true;
             if faulty {
@@ -86,7 +70,6 @@ fn pagerank_spec(rig: Rig) -> PacketPregelSpec {
 fn bench_iter(c: &mut Criterion) {
     let rigs = [
         ("prototype", Rig::Prototype),
-        ("redundancy_only", Rig::RedundancyOnly),
         ("recovery_off_path", Rig::Recovery { faulty: false }),
         ("recovery_chaos", Rig::Recovery { faulty: true }),
     ];
@@ -126,30 +109,30 @@ fn bench_iter(c: &mut Criterion) {
     );
 
     // The acceptance readout: loss-free overhead of round-scoped
-    // recovery vs the redundancy-only baseline, median over interleaved
-    // rounds (31, matching fig_reliability — at this margin the median
+    // recovery vs the prototype, median over interleaved rounds (31,
+    // matching fig_reliability — at this margin the median
     // needs the extra rounds to shrug off shared-runner noise).
     let rounds = 31;
     for workload in ["mlsim_sgd_10steps", "graph_pagerank_10iters"] {
         let medians = if workload == "mlsim_sgd_10steps" {
-            let r = sgd_spec(Rig::RedundancyOnly);
+            let p = sgd_spec(Rig::Prototype);
             let n = sgd_spec(Rig::Recovery { faulty: false });
             interleaved_medians(
                 &mut [
-                    &mut || drop(black_box(r.run_packet().unwrap())),
+                    &mut || drop(black_box(p.run_packet().unwrap())),
                     &mut || drop(black_box(n.run_packet().unwrap())),
                 ],
                 rounds,
             )
         } else {
-            let r = pagerank_spec(Rig::RedundancyOnly);
+            let p = pagerank_spec(Rig::Prototype);
             let n = pagerank_spec(Rig::Recovery { faulty: false });
             let (ga, gb) = (graph.clone(), graph.clone());
             interleaved_medians(
                 &mut [
                     &mut || {
                         drop(black_box(
-                            run_packet(&FixedPageRank::default(), &ga, PR_ITERS, &r).unwrap(),
+                            run_packet(&FixedPageRank::default(), &ga, PR_ITERS, &p).unwrap(),
                         ));
                     },
                     &mut || {
@@ -164,8 +147,8 @@ fn bench_iter(c: &mut Criterion) {
         let (base, rec) = (medians[0], medians[1]);
         println!(
             "fig_iter: {workload} loss-free recovery overhead (median of {rounds} \
-             interleaved rounds): {:+.2}% vs redundancy_only (target <5%) \
-             (redundancy_only {:.3} ms, recovery {:.3} ms)",
+             interleaved rounds): {:+.2}% vs prototype \
+             (prototype {:.3} ms, recovery {:.3} ms)",
             100.0 * (rec - base) / base,
             base * 1e3,
             rec * 1e3,

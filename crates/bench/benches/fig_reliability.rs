@@ -1,19 +1,17 @@
 //! Quantifies what the NACK-recovery machinery costs on the **loss-free**
-//! hot path (acceptance target: <5 % on `daiet_agg` over the reliability
-//! baseline it extends), and what recovery buys under injected chaos.
+//! hot path, and what recovery buys under injected chaos.
 //!
-//! Four configurations per workload (the fig3 WordCount shuffle and the
+//! Three configurations per workload (the fig3 WordCount shuffle and the
 //! fig_query GROUP BY), all on `daiet_agg`:
 //!
 //! * `prototype`    — the paper-faithful path: no reliability state at
 //!   all (PR 1/2's configuration);
-//! * `dedup_only`   — PR 3's extension: dedup windows armed, no NACKs;
-//! * `recovery_off_path` — this PR's full machinery (dedup + gap
-//!   trackers + retransmit rings + NACK timers) on clean links: every
-//!   frame is recorded and tracked but no NACK ever fires. The delta to
-//!   `dedup_only` is the retransmit ring's hot-path cost.
+//! * `recovery_off_path` — the full machinery (gap trackers + retransmit
+//!   rings + NACK timers) on clean links: every frame is recorded and
+//!   tracked but no NACK ever fires. The delta to `prototype` is what
+//!   the whole reliability story costs the hot path.
 //! * `recovery_chaos` — the machinery earning its keep: loss +
-//!   duplication + reordering on every link at k = 1.
+//!   duplication + reordering on every link, each frame sent once.
 //!
 //! After the timed entries, the bench prints the measured loss-free
 //! overheads directly (median over interleaved rounds, robust to noisy
@@ -36,7 +34,6 @@ fn chaos() -> FaultProfile {
 #[derive(Clone, Copy)]
 enum Rig {
     Prototype,
-    DedupOnly,
     Recovery { faulty: bool },
 }
 
@@ -47,7 +44,6 @@ fn fig3_runner(rig: Rig) -> Runner {
     runner.daiet_config.register_cells = 512;
     match rig {
         Rig::Prototype => {}
-        Rig::DedupOnly => runner.daiet_config.reliability = true,
         Rig::Recovery { faulty } => {
             let faults = if faulty { chaos() } else { FaultProfile::NONE };
             runner = runner.with_recovery(faults);
@@ -76,7 +72,6 @@ fn query_runner(rig: Rig) -> QueryRunner {
     let mut runner = QueryRunner::new(table, query);
     match rig {
         Rig::Prototype => {}
-        Rig::DedupOnly => runner.daiet_config.reliability = true,
         Rig::Recovery { faulty } => {
             let faults = if faulty { chaos() } else { FaultProfile::NONE };
             runner = runner.with_full_reliability(faults);
@@ -88,7 +83,6 @@ fn query_runner(rig: Rig) -> QueryRunner {
 fn bench_reliability(c: &mut Criterion) {
     let rigs = [
         ("prototype", Rig::Prototype),
-        ("dedup_only", Rig::DedupOnly),
         ("recovery_off_path", Rig::Recovery { faulty: false }),
         ("recovery_chaos", Rig::Recovery { faulty: true }),
     ];
@@ -109,45 +103,37 @@ fn bench_reliability(c: &mut Criterion) {
     }
     group.finish();
 
-    // Direct loss-free overhead readout. `vs dedup_only` is the <5 %
-    // acceptance number (the NACK/ring machinery this PR adds); `vs
-    // prototype` is the cost of the whole reliability story.
+    // Direct loss-free overhead readout: the cost of the whole
+    // reliability story over the paper-faithful prototype.
     let rounds = 31;
     for workload in ["fig3_daiet", "fig_query_daiet"] {
         let means = if workload == "fig3_daiet" {
             let p = fig3_runner(Rig::Prototype);
-            let d = fig3_runner(Rig::DedupOnly);
             let r = fig3_runner(Rig::Recovery { faulty: false });
             interleaved_medians(
                 &mut [
                     &mut || drop(black_box(p.run(ShuffleMode::DaietAgg))),
-                    &mut || drop(black_box(d.run(ShuffleMode::DaietAgg))),
                     &mut || drop(black_box(r.run(ShuffleMode::DaietAgg))),
                 ],
                 rounds,
             )
         } else {
             let p = query_runner(Rig::Prototype);
-            let d = query_runner(Rig::DedupOnly);
             let r = query_runner(Rig::Recovery { faulty: false });
             interleaved_medians(
                 &mut [
                     &mut || drop(black_box(p.run(QueryMode::DaietAgg))),
-                    &mut || drop(black_box(d.run(QueryMode::DaietAgg))),
                     &mut || drop(black_box(r.run(QueryMode::DaietAgg))),
                 ],
                 rounds,
             )
         };
-        let (proto, dedup, rec) = (means[0], means[1], means[2]);
+        let (proto, rec) = (means[0], means[1]);
         println!(
             "fig_reliability: {workload} loss-free overhead (median of {rounds} rounds): \
-             {:+.2}% vs dedup_only (target <5%), {:+.2}% vs prototype \
-             (prototype {:.3} ms, dedup_only {:.3} ms, recovery {:.3} ms)",
-            100.0 * (rec - dedup) / dedup,
+             {:+.2}% vs prototype (prototype {:.3} ms, recovery {:.3} ms)",
             100.0 * (rec - proto) / proto,
             proto * 1e3,
-            dedup * 1e3,
             rec * 1e3,
         );
     }

@@ -17,7 +17,7 @@
 //! ```
 //!
 //! `--loss-pct` injects seeded switch-egress loss and arms the
-//! reliability extension (dedup + NACK recovery) to survive it.
+//! reliability extension (NACK recovery) to survive it.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -42,7 +42,6 @@ fn main() {
 
     let mut config = DaietConfig { register_cells: 4096, ..DaietConfig::default() };
     if loss_pct > 0 {
-        config.reliability = true;
         config.nack_recovery = true;
         config = config.with_rtx_sized_for_flush();
     }

@@ -19,21 +19,18 @@ pub struct DaietConfig {
     /// of pairs that can fit in one packet", §4). `None` means "same as
     /// `pairs_per_packet`".
     pub spillover_pairs: Option<usize>,
-    /// Enable the reliability extension (sequence numbers + NACKs). The
-    /// paper's prototype runs without it ("we do not address the issue of
-    /// packet losses, which we leave as future work").
-    pub reliability: bool,
-    /// Maximum `(tree, sender)` flows each switch's duplicate-suppression
-    /// table may track when [`reliability`](Self::reliability) is on. The
-    /// table is switch SRAM like any register array: the controller
-    /// reserves its worst-case footprint ([`Self::sram_for_dedup`]) at
-    /// deployment, and packets from flows beyond the cap are refused
-    /// deterministically.
-    pub dedup_flows: usize,
-    /// Enable NACK-based recovery on top of
-    /// [`reliability`](Self::reliability) (which must also be on — dedup
-    /// is what makes replays idempotent): receivers track per-flow gaps
-    /// and NACK after [`nack_timeout_ns`](Self::nack_timeout_ns), hosts
+    /// Maximum `(tree, sender)` flows each switch's NACK gap tracker may
+    /// track when [`nack_recovery`](Self::nack_recovery) is on. The
+    /// tracker is switch SRAM like any register array: the controller
+    /// reserves its worst-case footprint
+    /// ([`Self::sram_for_nack_tracker`]) at deployment, and packets from
+    /// flows beyond the cap are refused deterministically.
+    pub nack_flows: usize,
+    /// Enable NACK-based loss recovery, the one loss mechanism. The
+    /// paper's prototype runs without it ("we do not address the issue
+    /// of packet losses, which we leave as future work"). Receivers
+    /// track per-flow gaps — the same bitmaps suppress duplicates — and
+    /// NACK after [`nack_timeout_ns`](Self::nack_timeout_ns); hosts
     /// replay from their schedules, switches from a bounded
     /// [`rtx_frames`](Self::rtx_frames)-deep retransmit ring. See
     /// `docs/RELIABILITY.md`.
@@ -57,10 +54,9 @@ impl Default for DaietConfig {
             pairs_per_packet: MAX_ENTRIES,
             register_cells: 16 * 1024,
             spillover_pairs: None,
-            reliability: false,
-            // 1024 flows × 132 B ≈ 132 KiB: room for dozens of trees ×
+            // 1024 flows × 148 B ≈ 148 KiB: room for dozens of trees ×
             // dozens of senders within a tenth of one Tofino stage.
-            dedup_flows: 1024,
+            nack_flows: 1024,
             nack_recovery: false,
             // Covers a full default flush: ⌈16384/10⌉ + 1 = 1640 frames.
             rtx_frames: 2048,
@@ -95,17 +91,6 @@ impl DaietConfig {
         keys + values + occupancy + index_stack + spill + counter
     }
 
-    /// SRAM bytes the switch duplicate-suppression table occupies at its
-    /// flow cap (0 when the reliability extension is off — the table is
-    /// not instantiated at all).
-    pub fn sram_for_dedup(&self) -> usize {
-        if self.reliability {
-            crate::reliability::DedupWindow::sram_capacity_for(self.dedup_flows)
-        } else {
-            0
-        }
-    }
-
     /// SRAM bytes one tree's retransmit ring occupies at its frame cap
     /// (0 when NACK recovery is off): each slot holds one maximal DAIET
     /// frame (Ethernet through entries) plus its sequence tag.
@@ -120,11 +105,11 @@ impl DaietConfig {
         }
     }
 
-    /// SRAM bytes the switch NACK gap-tracker occupies at the dedup flow
-    /// cap (the two tables track the same `(tree, sender)` flow set).
+    /// SRAM bytes the switch NACK gap-tracker occupies at its
+    /// [`nack_flows`](Self::nack_flows) cap (0 when NACK recovery is off).
     pub fn sram_for_nack_tracker(&self) -> usize {
         if self.nack_recovery {
-            crate::reliability::NackTracker::sram_capacity_for(self.dedup_flows)
+            crate::reliability::NackTracker::sram_capacity_for(self.nack_flows)
         } else {
             0
         }
@@ -191,13 +176,6 @@ impl DaietConfig {
                  switch parser is limited to {max_parse_bytes}; reduce pairs_per_packet"
             ));
         }
-        if self.nack_recovery && !self.reliability {
-            return Err(
-                "nack_recovery requires reliability: dedup windows are what \
-                 make NACK replays idempotent"
-                    .into(),
-            );
-        }
         if self.nack_recovery && self.nack_timeout_ns == 0 {
             return Err("nack_timeout_ns must be positive".into());
         }
@@ -208,10 +186,10 @@ impl DaietConfig {
             // after a single loss.
             return Err("nack_max must be positive".into());
         }
-        // Note: `reliability` with `dedup_flows == 0` is not rejected
-        // here — whether the dedup table is ever consulted depends on the
-        // deployment mode, so the controller's deploy-time flow-demand
-        // check (InNetwork only) owns that rejection.
+        // Note: `nack_recovery` with `nack_flows == 0` is not rejected
+        // here — whether the switch tracker is ever consulted depends on
+        // the deployment mode, so the controller's deploy-time
+        // flow-demand check (InNetwork only) owns that rejection.
         Ok(())
     }
 }
@@ -226,26 +204,15 @@ mod tests {
         assert_eq!(c.pairs_per_packet, 10);
         assert_eq!(c.register_cells, 16_384);
         assert_eq!(c.spillover_capacity(), 10);
-        assert!(!c.reliability);
-        assert_eq!(c.dedup_flows, 1024);
-        // Off by default → no SRAM charged for the dedup table.
-        assert_eq!(c.sram_for_dedup(), 0);
-    }
-
-    #[test]
-    fn dedup_sram_is_charged_only_with_reliability_on() {
-        let c = DaietConfig { reliability: true, ..Default::default() };
-        let per_flow = crate::reliability::FlowWindow::sram_bytes();
-        assert_eq!(c.sram_for_dedup(), 1024 * per_flow);
-        let small = DaietConfig { reliability: true, dedup_flows: 3, ..Default::default() };
-        assert_eq!(small.sram_for_dedup(), 3 * per_flow);
+        assert!(!c.nack_recovery);
+        assert_eq!(c.nack_flows, 1024);
+        // Off by default → no SRAM charged for the gap tracker.
+        assert_eq!(c.sram_for_nack_tracker(), 0);
     }
 
     #[test]
     fn nack_recovery_requires_reliability_and_timeout() {
-        let bare = DaietConfig { nack_recovery: true, ..Default::default() };
-        assert!(bare.validate(256).unwrap_err().contains("reliability"));
-        let ok = DaietConfig { nack_recovery: true, reliability: true, ..Default::default() };
+        let ok = DaietConfig { nack_recovery: true, ..Default::default() };
         ok.validate(256).unwrap();
         let zero = DaietConfig { nack_timeout_ns: 0, ..ok };
         assert!(zero.validate(256).unwrap_err().contains("timeout"));
@@ -257,10 +224,10 @@ mod tests {
 
     #[test]
     fn rtx_sram_and_demand_formulas() {
-        let off = DaietConfig { reliability: true, ..Default::default() };
+        let off = DaietConfig::default();
         assert_eq!(off.sram_for_rtx_per_tree(), 0);
         assert_eq!(off.sram_for_nack_tracker(), 0);
-        let on = DaietConfig { reliability: true, nack_recovery: true, ..Default::default() };
+        let on = DaietConfig { nack_recovery: true, ..Default::default() };
         // 16384 cells / 10 per packet → 1639 DATA + 1 END.
         assert_eq!(on.rtx_demand_per_tree(), 1640);
         assert!(on.rtx_frames >= on.rtx_demand_per_tree());
@@ -269,16 +236,16 @@ mod tests {
         assert_eq!(on.sram_for_rtx_per_tree(), on.rtx_frames * 256);
         assert_eq!(
             on.sram_for_nack_tracker(),
-            on.dedup_flows * crate::reliability::FlowRecv::sram_bytes()
+            on.nack_flows * crate::reliability::FlowRecv::sram_bytes()
         );
     }
 
     #[test]
-    fn zero_dedup_flows_passes_validation() {
+    fn zero_nack_flows_passes_validation() {
         // Mode-independent validation must not reject it: PassThrough
-        // never consults the table, and the controller's InNetwork
+        // never consults the tracker, and the controller's InNetwork
         // flow-demand check rejects it exactly when it would matter.
-        let c = DaietConfig { reliability: true, dedup_flows: 0, ..Default::default() };
+        let c = DaietConfig { nack_recovery: true, nack_flows: 0, ..Default::default() };
         c.validate(256).unwrap();
     }
 

@@ -325,50 +325,36 @@ impl Controller {
                     participating.push(tree.tree_id);
                 }
             }
-            // The reliability extension's duplicate-suppression table is
-            // switch state too. Where the switch actually aggregates
-            // (InNetwork and on ≥1 tree — PassThrough installs no
-            // steering rules and an off-path switch sees no tree
-            // traffic, so their tables are never consulted):
+            // NACK recovery's gap tracker is switch state too (the rings
+            // were reserved per tree above, beside each tree's
+            // registers). Where the switch actually aggregates (InNetwork
+            // and on ≥1 tree — PassThrough installs no steering rules and
+            // an off-path switch sees no tree traffic, so their trackers
+            // are never consulted):
             //
-            // * reserve the table's worst-case (flow-cap) SRAM exactly
-            //   like the register arrays, so an over-provisioned dedup
-            //   configuration fails at deployment, not silently at run
-            //   time;
             // * reject a flow cap below the switch's demand — at run
             //   time the excess senders' packets would be refused
             //   deterministically (consumed DATA/ENDs → trees that
-            //   never complete), and the demand is known exactly here.
+            //   never complete), and the demand is known exactly here;
+            // * reserve the tracker's worst-case (flow-cap) SRAM exactly
+            //   like the register arrays, so an over-provisioned
+            //   configuration fails at deployment, not silently at run
+            //   time.
             if mode == AggregationMode::InNetwork && flow_demand > 0 {
-                if self.config.reliability && flow_demand > self.config.dedup_flows as u64 {
+                if self.config.nack_recovery && flow_demand > self.config.nack_flows as u64 {
                     return Err(DeployError::Config(format!(
-                        "switch {sw_slot} needs {flow_demand} dedup flows (tree children) \
-                         but dedup_flows is {}; raise DaietConfig::dedup_flows",
-                        self.config.dedup_flows
+                        "switch {sw_slot} needs {flow_demand} NACK flows (tree children) \
+                         but nack_flows is {}; raise DaietConfig::nack_flows",
+                        self.config.nack_flows
                     )));
                 }
-                // With NACK recovery the gap tracker's bitmaps are the
-                // duplicate filter, so the standalone dedup window is
-                // neither instantiated nor reserved.
-                let dedup_sram = self.config.sram_for_dedup();
-                if dedup_sram > 0 && !self.config.nack_recovery {
+                let nack_sram = self.config.sram_for_nack_tracker();
+                if nack_sram > 0 {
                     switch.pipeline_mut().tracker_mut().allocate_first_fit(
-                        &format!("daiet.dedup@{sw_slot}"),
+                        &format!("daiet.nack@{sw_slot}"),
                         2,
-                        dedup_sram,
+                        nack_sram,
                     )?;
-                }
-                // The NACK gap tracker is switch SRAM too (the rings were
-                // reserved per tree above, beside each tree's registers).
-                if self.config.nack_recovery {
-                    let nack_sram = self.config.sram_for_nack_tracker();
-                    if nack_sram > 0 {
-                        switch.pipeline_mut().tracker_mut().allocate_first_fit(
-                            &format!("daiet.nack@{sw_slot}"),
-                            2,
-                            nack_sram,
-                        )?;
-                    }
                 }
             }
             let ext = switch.register_extern(Box::new(engine));
@@ -484,38 +470,24 @@ impl Controller {
             }
         }
         if mode == AggregationMode::InNetwork && flow_demand > 0 {
-            if self.config.reliability && flow_demand > self.config.dedup_flows as u64 {
+            if self.config.nack_recovery && flow_demand > self.config.nack_flows as u64 {
                 return Err(DeployError::Config(format!(
-                    "switch {sw_slot} needs {flow_demand} dedup flows after re-plan \
-                     but dedup_flows is {}",
-                    self.config.dedup_flows
+                    "switch {sw_slot} needs {flow_demand} NACK flows after re-plan \
+                     but nack_flows is {}",
+                    self.config.nack_flows
                 )));
             }
-            let dedup_sram = self.config.sram_for_dedup();
-            if dedup_sram > 0
-                && !self.config.nack_recovery
-                && !self.has_allocation(switch, &format!("daiet.dedup@{sw_slot}"))
-            {
+            let nack_sram = self.config.sram_for_nack_tracker();
+            if nack_sram > 0 && !self.has_allocation(switch, &format!("daiet.nack@{sw_slot}")) {
                 switch.pipeline_mut().tracker_mut().allocate_first_fit(
-                    &format!("daiet.dedup@{sw_slot}"),
+                    &format!("daiet.nack@{sw_slot}"),
                     2,
-                    dedup_sram,
+                    nack_sram,
                 )?;
-            }
-            if self.config.nack_recovery {
-                let nack_sram = self.config.sram_for_nack_tracker();
-                if nack_sram > 0 && !self.has_allocation(switch, &format!("daiet.nack@{sw_slot}"))
-                {
-                    switch.pipeline_mut().tracker_mut().allocate_first_fit(
-                        &format!("daiet.nack@{sw_slot}"),
-                        2,
-                        nack_sram,
-                    )?;
-                }
             }
         }
 
-        // Engine: tear down every tree (evicting its dedup/gap flows —
+        // Engine: tear down every tree (evicting its gap flows —
         // the new epoch's sequence spaces restart at 0) and reinstall the
         // ones crossing this switch in the new plan.
         {
@@ -595,7 +567,7 @@ impl Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::worker::{ReducerHost, SenderHost};
+    use crate::worker::{one_shot_sender, ReducerHost};
     use daiet_netsim::{LinkSpec, Simulator};
     use daiet_wire::daiet::{Key, Pair};
 
@@ -652,62 +624,16 @@ mod tests {
         assert!(used >= 2 * per_tree, "expected ≥ {} B for two trees, used {}", 2 * per_tree, used);
     }
 
-    #[test]
-    fn reliability_reserves_dedup_sram() {
-        let plan = TopologyPlan::star(4, LinkSpec::fast());
-        let config = DaietConfig { reliability: true, ..DaietConfig::default() };
-        let controller = Controller::new(config, AggFn::Sum);
-        let placement = JobPlacement { mappers: vec![0, 1, 2], reducers: vec![3] };
-        let (_dep, switches) = controller
-            .deploy(&plan, &placement, Resources::tofino_like(), AggregationMode::InNetwork)
-            .unwrap();
-        let sw = switches.get(&4).unwrap();
-        let dedup_alloc = sw
-            .pipeline()
-            .tracker()
-            .allocations()
-            .iter()
-            .find(|a| a.name.starts_with("daiet.dedup"))
-            .expect("dedup table must be SRAM-accounted");
-        assert_eq!(dedup_alloc.bytes, config.sram_for_dedup());
-        assert!(
-            sw.pipeline().tracker().total_used()
-                >= config.sram_per_tree() + config.sram_for_dedup()
-        );
-        // Without the extension, no dedup allocation exists.
-        let (_d, switches) = Controller::new(DaietConfig::default(), AggFn::Sum)
-            .deploy(&plan, &placement, Resources::tofino_like(), AggregationMode::InNetwork)
-            .unwrap();
-        assert!(switches[&4]
-            .pipeline()
-            .tracker()
-            .allocations()
-            .iter()
-            .all(|a| !a.name.starts_with("daiet.dedup")));
-        // PassThrough never steers packets into the table: nothing is
-        // charged (and an undersized cap must not fail such a baseline).
-        let tight = DaietConfig { reliability: true, dedup_flows: 1, ..DaietConfig::default() };
-        let (_d, switches) = Controller::new(tight, AggFn::Sum)
-            .deploy(&plan, &placement, Resources::tofino_like(), AggregationMode::PassThrough)
-            .unwrap();
-        assert!(switches[&4]
-            .pipeline()
-            .tracker()
-            .allocations()
-            .iter()
-            .all(|a| !a.name.starts_with("daiet.dedup")));
-    }
-
-    /// Regression: the dedup table used to be invisible to the SRAM
-    /// tracker — an over-provisioned flow cap was silently absorbed.
+    /// Regression: the per-flow switch table used to be invisible to the
+    /// SRAM tracker — an over-provisioned flow cap was silently absorbed.
     /// Exceeding the budget must now be a reported deployment failure.
     #[test]
     fn oversized_dedup_budget_is_reported_not_absorbed() {
         let plan = TopologyPlan::star(4, LinkSpec::fast());
         let config = DaietConfig {
-            reliability: true,
-            // ~132 B per flow × 10M flows ≈ 1.3 GB — vastly over any chip.
-            dedup_flows: 10_000_000,
+            nack_recovery: true,
+            // ~148 B per flow × 10M flows ≈ 1.5 GB — vastly over any chip.
+            nack_flows: 10_000_000,
             register_cells: 64,
             ..DaietConfig::default()
         };
@@ -722,7 +648,7 @@ mod tests {
         );
     }
 
-    /// An undersized dedup flow cap must fail at deployment — at run time
+    /// An undersized NACK flow cap must fail at deployment — at run time
     /// it would deterministically consume the excess flows' packets and
     /// stall their trees forever.
     #[test]
@@ -730,16 +656,16 @@ mod tests {
         let plan = TopologyPlan::star(4, LinkSpec::fast());
         let placement = JobPlacement { mappers: vec![0, 1, 2], reducers: vec![3] };
         // 3 mappers × 1 tree = 3 flows at the switch; cap of 2 is short.
-        let short = DaietConfig { reliability: true, dedup_flows: 2, ..DaietConfig::default() };
+        let short = DaietConfig { nack_recovery: true, nack_flows: 2, ..DaietConfig::default() };
         let err = Controller::new(short, AggFn::Sum)
             .deploy(&plan, &placement, Resources::tofino_like(), AggregationMode::InNetwork)
             .unwrap_err();
         assert!(
-            matches!(&err, DeployError::Config(msg) if msg.contains("dedup flows")),
+            matches!(&err, DeployError::Config(msg) if msg.contains("NACK flows")),
             "expected a flow-cap rejection, got {err}"
         );
         // An exact-fit cap deploys.
-        let exact = DaietConfig { reliability: true, dedup_flows: 3, ..DaietConfig::default() };
+        let exact = DaietConfig { nack_flows: 3, ..short };
         Controller::new(exact, AggFn::Sum)
             .deploy(&plan, &placement, Resources::tofino_like(), AggregationMode::InNetwork)
             .unwrap();
@@ -753,7 +679,6 @@ mod tests {
         let plan = TopologyPlan::star(4, LinkSpec::fast());
         let placement = JobPlacement { mappers: vec![0, 1, 2], reducers: vec![3] };
         let config = DaietConfig {
-            reliability: true,
             nack_recovery: true,
             register_cells: 256,
             rtx_frames: 64,
@@ -790,6 +715,20 @@ mod tests {
             .allocations()
             .iter()
             .all(|a| !a.name.starts_with("daiet.rtx") && !a.name.starts_with("daiet.nack")));
+
+        // PassThrough never steers packets into the tracker: an
+        // undersized cap must not fail such a baseline, and nothing is
+        // charged for it.
+        let tight = DaietConfig { nack_flows: 1, ..config };
+        let (_d, switches) = Controller::new(tight, AggFn::Sum)
+            .deploy(&plan, &placement, Resources::tofino_like(), AggregationMode::PassThrough)
+            .unwrap();
+        assert!(switches[&4]
+            .pipeline()
+            .tracker()
+            .allocations()
+            .iter()
+            .all(|a| !a.name.starts_with("daiet.nack")));
     }
 
     /// Deployments hand receivers their NACK roster: the tree children of
@@ -809,7 +748,6 @@ mod tests {
     fn deploy_installs_child_sources_on_engines() {
         let plan = TopologyPlan::leaf_spine(3, 2, 1, LinkSpec::fast());
         let config = DaietConfig {
-            reliability: true,
             nack_recovery: true,
             register_cells: 256,
             rtx_frames: 64,
@@ -884,14 +822,16 @@ mod tests {
         for slot in 0..plan.len() {
             use daiet_netsim::topology::Role;
             let id = match plan.role(slot) {
-                Role::Host if slot < 5 => sim.add_node(Box::new(SenderHost::new(
+                Role::Host if slot < 5 => sim.add_node(Box::new(one_shot_sender(
                     &config,
-                    dep.tree_id(0),
-                    vec![
-                        Pair::new(key("w"), 1),
-                        Pair::new(key(&format!("u{slot}")), 10),
-                    ],
-                    dep.endpoints(slot, 0),
+                    slot,
+                    [(
+                        dep.tree_id(0),
+                        dep.endpoints(slot, 0),
+                        vec![Pair::new(key("w"), 1), Pair::new(key(&format!("u{slot}")), 10)],
+                    )],
+                    daiet_fabric::Duration::from_micros(1),
+                    "sender",
                 ))),
                 Role::Host => sim.add_node(Box::new(ReducerHost::new(
                     AggFn::Sum,
@@ -929,11 +869,12 @@ mod tests {
         for slot in 0..plan.len() {
             use daiet_netsim::topology::Role;
             let id = match plan.role(slot) {
-                Role::Host if slot < 2 => sim.add_node(Box::new(SenderHost::new(
+                Role::Host if slot < 2 => sim.add_node(Box::new(one_shot_sender(
                     &config,
-                    dep.tree_id(0),
-                    vec![Pair::new(key("x"), 1)],
-                    dep.endpoints(slot, 0),
+                    slot,
+                    [(dep.tree_id(0), dep.endpoints(slot, 0), vec![Pair::new(key("x"), 1)])],
+                    daiet_fabric::Duration::from_micros(1),
+                    "sender",
                 ))),
                 Role::Host => sim.add_node(Box::new(ReducerHost::new(
                     AggFn::Sum,

@@ -2,7 +2,7 @@
 //!
 //! [`IterativeRunner`] is the harness behind the ML and graph workloads:
 //! it deploys a DAIET job once and then drives it round by round, with
-//! sequence spaces, dedup windows and switch register state carrying
+//! sequence spaces, gap trackers and switch register state carrying
 //! across rounds exactly as a long-running in-network deployment would.
 //! This module is deliberately the **simulator-facing** half of the
 //! worker layer: the protocol nodes it drives ([`PacedSenderNode`],
@@ -38,7 +38,7 @@ impl Node for IdleHost {
 /// one-shot workloads pass to their runners, minus anything per-round.
 #[derive(Debug, Clone)]
 pub struct IterativeSpec {
-    /// DAIET parameters (reliability/recovery switches included).
+    /// DAIET parameters (the NACK recovery switch included).
     pub config: DaietConfig,
     /// Aggregation function for every tree.
     pub agg: AggFn,
@@ -56,16 +56,13 @@ pub struct IterativeSpec {
     pub mode: crate::controller::AggregationMode,
     /// Gap between frames at each sender.
     pub pacing: Duration,
-    /// Copies of each frame senders transmit (1 = none; >1 requires
-    /// `config.reliability` so duplicates are suppressed).
-    pub redundancy: u32,
     /// Simulation seed.
     pub seed: u64,
 }
 
 impl IterativeSpec {
     /// Paper-shaped defaults over `plan`: in-network aggregation with
-    /// SUM, 1 µs pacing, no redundancy.
+    /// SUM, 1 µs pacing.
     pub fn new(
         config: DaietConfig,
         plan: daiet_netsim::topology::TopologyPlan,
@@ -81,7 +78,6 @@ impl IterativeSpec {
             resources: daiet_dataplane::Resources::tofino_like(),
             mode: crate::controller::AggregationMode::InNetwork,
             pacing: Duration::from_micros(1),
-            redundancy: 1,
             seed: 7,
         }
     }
@@ -102,8 +98,8 @@ pub struct IterRound {
 }
 
 /// Drives an iterative workload **round by round over one long-lived
-/// simulation**: the same switches, register arrays, dedup windows, gap
-/// trackers and sequence spaces serve every round, exactly as an
+/// simulation**: the same switches, register arrays, gap trackers and
+/// sequence spaces serve every round, exactly as an
 /// in-network deployment would run a training job or a Pregel
 /// computation. This is the packet-level counterpart of the analytic
 /// fig-1 models — and the first harness to drive the reliability layer's
@@ -112,10 +108,10 @@ pub struct IterRound {
 /// Per round ([`run_round`](Self::run_round)):
 ///
 /// 1. each sender's shards are packetized **continuing its per-tree
-///    sequence space** (dedup and gap tracking stay sound across rounds),
+///    sequence space** (gap tracking stays sound across rounds),
 ///    interleaved at an offset that *rotates* with the round (fairness:
-///    no tree is always drained first), optionally expanded
-///    `k`-redundantly, and appended to the sender's pacing queue;
+///    no tree is always drained first), and appended to the sender's
+///    pacing queue;
 /// 2. the simulation runs to quiescence — the **round barrier**. With
 ///    NACK recovery armed, quiescence implies every gap was either
 ///    recovered or given up on; the runner then *requires* every reducer
@@ -147,19 +143,12 @@ pub struct IterativeRunner {
 impl IterativeRunner {
     /// Deploys `spec` onto a fresh simulator: controller-built switches,
     /// one empty [`PacedSenderNode`] per sender (replay armed when
-    /// recovery is on), one [`ReducerHost`] per reducer (dedup/NACK per
-    /// the config).
+    /// recovery is on), one [`ReducerHost`] per reducer (NACK recovery
+    /// per the config).
     pub fn build(spec: IterativeSpec) -> Result<IterativeRunner, String> {
         use crate::controller::{Controller, JobPlacement};
         use daiet_netsim::topology::Role;
 
-        if spec.redundancy > 1 && !spec.config.reliability {
-            return Err(
-                "redundancy > 1 without reliability would double-count: duplicate ENDs \
-                 corrupt round accounting"
-                    .into(),
-            );
-        }
         let controller = Controller::new(spec.config, spec.agg);
         let placement = JobPlacement {
             mappers: spec.senders.clone(),
@@ -273,13 +262,7 @@ impl IterativeRunner {
             // The interleave offset rotates with the round so no tree is
             // permanently first in every sender's transmit order.
             let offset = i.wrapping_add(self.round as usize);
-            let round = plan_round(
-                &self.spec.config,
-                parts,
-                &mut self.next_seq[i],
-                offset,
-                self.spec.redundancy,
-            );
+            let round = plan_round(&self.spec.config, parts, &mut self.next_seq[i], offset);
             self.sim
                 .node_mut::<PacedSenderNode>(id)
                 .expect("sender slots hold PacedSenderNodes")
@@ -389,8 +372,7 @@ impl IterativeRunner {
     /// senders while routing around the `dead_switches` (plan slots),
     /// reconfigures every surviving switch in place (tables cleared and
     /// rebuilt, engine tree state reinstalled), and re-rosters every
-    /// reducer (END expectations and NACK/dedup guards over the new
-    /// children).
+    /// reducer (END expectations and NACK guards over the new children).
     ///
     /// The re-plan starts a fresh **epoch**: every per-tree sequence
     /// space — sender, switch egress, receiver tracker — restarts at 0,
@@ -542,7 +524,6 @@ mod tests {
         use daiet_netsim::topology::TopologyPlan;
         let config = DaietConfig {
             register_cells: 256,
-            reliability: true,
             nack_recovery: true,
             ..DaietConfig::default()
         }

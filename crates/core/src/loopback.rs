@@ -47,7 +47,7 @@ pub const WALL_NACK_TIMEOUT_NS: u64 = 3_000_000;
 
 /// Rescales a sim-scale configuration for the wall clock: the NACK
 /// timeout is raised to at least [`WALL_NACK_TIMEOUT_NS`]. Everything
-/// else (packetization, reliability switches, budgets) is
+/// else (packetization, the recovery switch, budgets) is
 /// backend-neutral and passes through unchanged.
 pub fn wall_clock_config(mut config: DaietConfig) -> DaietConfig {
     config.nack_timeout_ns = config.nack_timeout_ns.max(WALL_NACK_TIMEOUT_NS);
@@ -160,7 +160,6 @@ impl LoopbackJob {
         m: usize,
         shards: Vec<P>,
         pacing: Duration,
-        redundancy: u32,
         shim: FaultShim,
     ) -> NodeSpec {
         assert_eq!(shards.len(), self.placement.reducers.len(), "one shard per reducer");
@@ -175,7 +174,7 @@ impl LoopbackJob {
             .collect();
         NodeSpec {
             build: Box::new(move || {
-                Box::new(one_shot_sender(&config, m, parts, redundancy, pacing, "udp-mapper"))
+                Box::new(one_shot_sender(&config, m, parts, pacing, "udp-mapper"))
             }),
             shim,
             done: None,
@@ -222,12 +221,15 @@ impl LoopbackJob {
     /// The standard full-job spec list: every plan slot filled with its
     /// role's spec (mappers get `shards[m]`, all with transparent
     /// shims). Callers needing per-slot loss injection assemble the
-    /// specs themselves from the per-role constructors.
+    /// specs themselves from the per-role constructors. `_copies` is
+    /// inert (every frame is sent once); it stays only because the
+    /// tracked benchmark calls this signature, and the next `benchmark`
+    /// issue removes it.
     pub fn specs<P: Into<Arc<Vec<Pair>>>>(
         &self,
         shards: Vec<Vec<P>>,
         pacing: Duration,
-        redundancy: u32,
+        _copies: u32,
     ) -> Vec<NodeSpec> {
         assert_eq!(shards.len(), self.placement.mappers.len(), "one shard list per mapper");
         let mut shards: Vec<Option<Vec<P>>> = shards.into_iter().map(Some).collect();
@@ -238,7 +240,6 @@ impl LoopbackJob {
                         m,
                         shards[m].take().expect("each mapper slot is unique"),
                         pacing,
-                        redundancy,
                         FaultShim::none(),
                     )
                 } else if let Some(r) = self.placement.reducers.iter().position(|&s| s == slot)
@@ -297,7 +298,6 @@ mod tests {
     fn two_mapper_wordcount_over_loopback_sockets() {
         let config = wall_clock_config(DaietConfig {
             register_cells: 256,
-            reliability: true,
             nack_recovery: true,
             ..DaietConfig::default()
         })

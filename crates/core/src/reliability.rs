@@ -2,33 +2,24 @@
 //! an optional extension ("In the current prototype, we do not address the
 //! issue of packet losses, which we leave as future work", §4).
 //!
-//! Three composable mechanisms, all off by default to mirror the
-//! prototype (the full protocol is specified in `docs/RELIABILITY.md`):
+//! One mechanism, **NACK-based recovery**, off by default to mirror the
+//! prototype and switched on by `DaietConfig::nack_recovery` (the full
+//! protocol is specified in `docs/RELIABILITY.md`). Every receiver — a
+//! switch engine watching its tree children, a reducer or query
+//! coordinator watching its last hop — tracks per-flow sequence gaps
+//! ([`FlowRecv`], [`NackTracker`]), and after a configurable idle timeout
+//! sends a NACK frame naming the missing [`NackRange`]s (plus a *tail*
+//! request covering a possibly-lost END). Hosts rebuild what is asked for
+//! from the round's retained pairs (fixed-size, so by offset); switches
+//! replay recently flushed aggregates from a bounded, SRAM-accounted
+//! [`RetransmitRing`]. [`NackEndpoint`] and [`ReceiverGuard`] package the
+//! host side.
 //!
-//! 1. **Switch-side duplicate suppression** ([`DedupWindow`]): aggregation
-//!    is *not idempotent* — replaying a DATA packet double-counts its
-//!    pairs, and replaying an END corrupts the child counter. Every DAIET
-//!    packet already carries a per-sender sequence number, so a per
-//!    `(tree, sender)` sliding bitmap suppresses re-delivery. The window
-//!    is sized in SRAM like any other switch state.
-//! 2. **Sender-side redundancy** ([`RedundantSender`]): each frame is
-//!    transmitted `k` times; duplicate suppression keeps aggregation
-//!    exact, and data survives unless *all* `k` copies are lost
-//!    (residual loss `p^k`, see [`residual_loss`]). This trades bandwidth
-//!    for reliability without a reverse channel — an appropriate design
-//!    point for a switch that cannot buffer for retransmission.
-//! 3. **NACK-based recovery** (this module's [`FlowRecv`],
-//!    [`NackTracker`], [`RetransmitRing`] and [`NackEndpoint`]): every
-//!    receiver — a switch engine watching its tree children, a reducer or
-//!    query coordinator watching its last hop — tracks per-flow sequence
-//!    gaps, and after a configurable idle timeout sends a NACK frame
-//!    naming the missing [`NackRange`]s (plus a *tail* request covering a
-//!    possibly-lost END). Hosts rebuild what is asked for from the
-//!    round's retained pairs (fixed-size, so by offset); switches replay
-//!    recently flushed aggregates from a bounded,
-//!    SRAM-accounted [`RetransmitRing`]. Replays are made idempotent by
-//!    the dedup windows, so recovery composes with (and subsumes)
-//!    redundancy: `k = 1` suffices on every segment.
+//! Aggregation is *not idempotent* — replaying a DATA packet double-counts
+//! its pairs, and replaying an END corrupts the child counter — so the
+//! same reception bitmaps that find gaps also suppress every re-delivered
+//! sequence number: one flow lookup per packet is both the gap detector
+//! and the duplicate filter.
 
 use daiet_fabric::{Duration, Fabric, Frame, FramePool, PortId, Time};
 use daiet_wire::daiet::{Header, NackRange, PacketType};
@@ -145,162 +136,36 @@ impl FlowWindow {
             }
         }
     }
-
-    /// SRAM bytes one flow window occupies.
-    pub const fn sram_bytes() -> usize {
-        (WINDOW as usize) / 8 + 4
-    }
 }
 
-/// Duplicate suppression across all flows of one switch.
+/// An unbounded per-`(tree, sender)` duplicate filter built from
+/// [`FlowWindow`]s.
 ///
-/// On a switch the flow table is SRAM like any register array, so it is
-/// **bounded**: construct with [`DedupWindow::with_capacity`], have the
-/// controller reserve [`DedupWindow::sram_capacity_bytes`] through the
-/// dataplane's `SramTracker`, and packets from flows beyond the cap are
-/// deterministically refused (counted in
-/// [`flows_rejected`](Self::flows_rejected)) rather than silently tracked
-/// past the budget. Host-side use ([`DedupWindow::new`]) is unbounded —
-/// reducers run on CPUs with DRAM.
-#[derive(Debug)]
+/// It has no runtime caller: receivers suppress duplicates with the
+/// [`FlowRecv`] bitmaps NACK recovery already keeps. It stays only as the
+/// target of the benchmark's `core.dedup_ns_per_accept` probe.
+#[derive(Debug, Default)]
 pub struct DedupWindow {
     flows: FnvHashMap<(u16, Ipv4Address), FlowWindow>,
-    /// Maximum flows the table may track (`usize::MAX` when unbounded).
-    max_flows: usize,
     /// Packets suppressed as duplicates.
     pub duplicates: u64,
-    /// Packets refused because their flow would exceed the flow cap.
-    pub flows_rejected: u64,
-    /// Flow entries evicted by [`DedupWindow::clear_tree`] (tree
-    /// teardown/reinstallation).
-    pub flows_evicted: u64,
-}
-
-impl Default for DedupWindow {
-    fn default() -> Self {
-        DedupWindow {
-            flows: FnvHashMap::default(),
-            max_flows: usize::MAX,
-            duplicates: 0,
-            flows_rejected: 0,
-            flows_evicted: 0,
-        }
-    }
 }
 
 impl DedupWindow {
-    /// An empty, **unbounded** table (host-side use only).
+    /// An empty table.
     pub fn new() -> DedupWindow {
         DedupWindow::default()
     }
 
-    /// An empty table tracking at most `max_flows` `(tree, sender)` flows
-    /// — the switch-side form, whose worst-case SRAM footprint
-    /// ([`sram_capacity_bytes`](Self::sram_capacity_bytes)) is reserved
-    /// against the chip budget at deployment.
-    pub fn with_capacity(max_flows: usize) -> DedupWindow {
-        DedupWindow { max_flows, ..DedupWindow::default() }
-    }
-
-    /// The flow cap (`usize::MAX` when unbounded).
-    pub fn max_flows(&self) -> usize {
-        self.max_flows
-    }
-
-    /// Returns `true` when `(tree, sender, seq)` is fresh. A packet from a
-    /// new flow while the table is at capacity is refused (`false`) and
-    /// counted in [`flows_rejected`](Self::flows_rejected): suppressing it
-    /// is the only answer that keeps aggregation exact, because an
-    /// untracked flow could replay forever undetected.
+    /// Returns `true` when `(tree, sender, seq)` is fresh, counting
+    /// everything else in [`duplicates`](Self::duplicates).
     pub fn accept(&mut self, tree: u16, sender: Ipv4Address, seq: u32) -> bool {
-        use daiet_wire::fnv::Entry;
-        let len = self.flows.len();
-        let fresh = match self.flows.entry((tree, sender)) {
-            Entry::Occupied(mut e) => e.get_mut().accept(seq),
-            Entry::Vacant(e) => {
-                if len >= self.max_flows {
-                    self.flows_rejected += 1;
-                    return false;
-                }
-                e.insert(FlowWindow::default()).accept(seq)
-            }
-        };
+        let fresh = self.flows.entry((tree, sender)).or_default().accept(seq);
         if !fresh {
             self.duplicates += 1;
         }
         fresh
     }
-
-    /// Number of tracked flows.
-    pub fn flow_count(&self) -> usize {
-        self.flows.len()
-    }
-
-    /// SRAM bytes the table currently occupies.
-    pub fn sram_bytes(&self) -> usize {
-        self.flows.len() * FlowWindow::sram_bytes()
-    }
-
-    /// Worst-case SRAM bytes a table capped at `max_flows` occupies —
-    /// the **single definition** of the dedup footprint;
-    /// `DaietConfig::sram_for_dedup` (what the controller reserves
-    /// through the `SramTracker`) delegates here. Saturates for
-    /// unbounded tables (which must never be deployed to a switch).
-    pub fn sram_capacity_for(max_flows: usize) -> usize {
-        max_flows.saturating_mul(FlowWindow::sram_bytes())
-    }
-
-    /// [`Self::sram_capacity_for`] at this table's own flow cap.
-    pub fn sram_capacity_bytes(&self) -> usize {
-        Self::sram_capacity_for(self.max_flows)
-    }
-
-    /// Evicts every flow belonging to `tree` (tree teardown or
-    /// reinstallation), counting the evictions.
-    pub fn clear_tree(&mut self, tree: u16) {
-        let before = self.flows.len();
-        self.flows.retain(|(t, _), _| *t != tree);
-        self.flows_evicted += (before - self.flows.len()) as u64;
-    }
-
-    /// Drops all flow state (between jobs).
-    pub fn clear(&mut self) {
-        self.flows.clear();
-    }
-}
-
-/// Expands a frame sequence into `k`-redundant transmission order:
-/// `[a, b]` with `k = 2` becomes `[a, a, b, b]`. Duplicate suppression on
-/// the aggregation path keeps semantics exact.
-#[derive(Debug, Clone, Copy)]
-pub struct RedundantSender {
-    /// Copies of each frame to transmit (`k >= 1`).
-    pub k: u32,
-}
-
-impl RedundantSender {
-    /// A sender transmitting `k` copies of everything.
-    pub fn new(k: u32) -> RedundantSender {
-        assert!(k >= 1, "at least one copy must be sent");
-        RedundantSender { k }
-    }
-
-    /// The transmission schedule for `frames`.
-    pub fn schedule<T: Clone>(&self, frames: &[T]) -> Vec<T> {
-        let mut out = Vec::with_capacity(frames.len() * self.k as usize);
-        for f in frames {
-            for _ in 0..self.k {
-                out.push(f.clone());
-            }
-        }
-        out
-    }
-}
-
-/// Residual probability that a packet is lost entirely when each of `k`
-/// independent copies is dropped with probability `p`.
-pub fn residual_loss(p: f64, k: u32) -> f64 {
-    p.powi(k as i32)
 }
 
 /// Serializes the NACK frames for `req` — chunked per
@@ -379,8 +244,8 @@ impl NackRequest {
 /// Every DAIET stream starts at sequence 0 when its sender (worker or
 /// switch) is installed, so `contig` starts there; seqs forced more than a
 /// window behind the newest traffic are abandoned (counted in
-/// [`aged_out`](Self::aged_out)) rather than tracked unboundedly — the
-/// same SRAM discipline as the dedup window.
+/// [`aged_out`](Self::aged_out)) rather than tracked unboundedly — switch
+/// SRAM cannot grow.
 #[derive(Debug, Clone)]
 pub struct FlowRecv {
     /// Everything serially before this was received (or aged out).
@@ -439,8 +304,7 @@ impl FlowRecv {
 
     /// Records one received frame, returning `true` exactly once per
     /// fresh sequence number — the reception bitmap doubles as the
-    /// duplicate filter, so a receiver running NACK recovery needs no
-    /// separate [`DedupWindow`] (one flow lookup per packet, not two).
+    /// duplicate filter (one flow lookup per packet, not two).
     /// Fresh data resets the NACK budget, but refreshes the activity
     /// clock only while the flow is gapless — an open gap must be
     /// NACKed within ~one timeout even if later frames keep streaming
@@ -584,7 +448,7 @@ impl FlowRecv {
 /// ([`expect`](Self::expect)) so a flow whose every frame was lost is
 /// still known and NACKed from sequence 0 — gap detection alone can never
 /// see a sender it never heard. On switches the table is SRAM, reserved
-/// by the controller as `daiet.nack@<switch>` alongside the dedup window.
+/// by the controller as `daiet.nack@<switch>`.
 ///
 /// ```
 /// use daiet::reliability::NackTracker;
@@ -629,7 +493,7 @@ pub struct NackTracker {
     /// Flows that exhausted their NACK budget without completing.
     pub flows_given_up: u64,
     /// Frames suppressed as duplicates by the reception bitmaps (the
-    /// tracker doubles as the dedup filter when NACK recovery is on).
+    /// tracker doubles as the duplicate filter).
     pub duplicates: u64,
     /// Packets refused because their flow would exceed the flow cap.
     pub flows_rejected: u64,
@@ -662,8 +526,7 @@ impl NackTracker {
     /// An empty tracker tracking at most `max_flows` `(tree, sender)`
     /// flows — the switch-side form, whose worst-case SRAM footprint
     /// ([`sram_capacity_for`](Self::sram_capacity_for)) is reserved
-    /// against the chip budget at deployment; same capacity discipline
-    /// as [`DedupWindow::with_capacity`].
+    /// against the chip budget at deployment.
     pub fn with_capacity(max_flows: usize) -> NackTracker {
         NackTracker { max_flows, ..NackTracker::default() }
     }
@@ -688,9 +551,8 @@ impl NackTracker {
     /// sequence number (see [`FlowRecv::note`] — this is also the
     /// duplicate-suppression verdict). A packet from a new flow while the
     /// table is at capacity is refused (`false`) and counted in
-    /// [`flows_rejected`](Self::flows_rejected), exactly like
-    /// [`DedupWindow::accept`]: an untracked flow could replay forever
-    /// undetected, so suppression is the only exact answer.
+    /// [`flows_rejected`](Self::flows_rejected): an untracked flow could
+    /// replay forever undetected, so suppression is the only exact answer.
     pub fn note(&mut self, tree: u16, child: u32, seq: u32, is_end: bool, now: Time) -> bool {
         let len = self.flows.len();
         let flow = match self.flows.entry((tree, child)) {
@@ -754,8 +616,7 @@ impl NackTracker {
     /// Evicts every flow belonging to `tree` (tree teardown or
     /// reinstallation), counting the evictions. Without this, a
     /// replaced tree's dead senders would sit unsatisfied forever —
-    /// holding the flush gate closed and the flow cap consumed — exactly
-    /// the staleness [`DedupWindow::clear_tree`] guards against.
+    /// holding the flush gate closed and the flow cap consumed.
     pub fn clear_tree(&mut self, tree: u16) {
         let before = self.flows.len();
         let needy = &mut self.needy;
@@ -990,8 +851,8 @@ impl NackEndpoint {
 
     /// Records a received DATA/END preamble from `src`, returning `false`
     /// exactly when the frame is a known duplicate the caller must drop
-    /// (the tracker's reception bitmap is the dedup filter — replays stay
-    /// idempotent without a second per-packet flow lookup). Non-DATA/END
+    /// (the tracker's reception bitmap is the duplicate filter — replays
+    /// stay idempotent without a second per-packet flow lookup). Non-DATA/END
     /// types and sources outside the simulator's `10/8` id scheme are not
     /// tracked and read as fresh.
     pub fn note(&mut self, hdr: &Header, src: Ipv4Address, now: Time) -> bool {
@@ -1039,9 +900,8 @@ impl NackEndpoint {
 
 /// The receive-side reliability front door shared by every DAIET host
 /// receiver ([`ReducerHost`](crate::worker::ReducerHost), the querysim
-/// coordinator): an optional dedup window, an optional [`NackEndpoint`],
-/// and the lazily-armed-timer discipline, in one place so the workloads
-/// cannot drift.
+/// coordinator): an optional [`NackEndpoint`] and the lazily-armed-timer
+/// discipline, in one place so the workloads cannot drift.
 ///
 /// Usage from a [`daiet_netsim::Node`]: call [`admit`](Self::admit) on
 /// every received DAIET preamble and drop the frame when it returns
@@ -1049,7 +909,6 @@ impl NackEndpoint {
 /// `on_start`); delegate `on_timer` to [`on_timer`](Self::on_timer).
 #[derive(Debug, Default)]
 pub struct ReceiverGuard {
-    dedup: Option<DedupWindow>,
     nack: Option<NackEndpoint>,
     tick_armed: bool,
 }
@@ -1060,17 +919,11 @@ impl ReceiverGuard {
         ReceiverGuard::default()
     }
 
-    /// Enables duplicate suppression (host-side: unbounded — DRAM).
-    pub fn enable_dedup(&mut self) {
-        self.dedup = Some(DedupWindow::new());
-    }
-
     /// Arms NACK recovery for the host with simulator id `self_id`,
     /// watching one flow per `(tree, source)` in `sources` and NACKing
     /// delinquent ones per `config`'s timeout and budget. The tracker's
-    /// reception bitmaps double as the duplicate filter, so any separate
-    /// dedup window is dropped (replays stay idempotent with one flow
-    /// lookup per frame instead of two).
+    /// reception bitmaps double as the duplicate filter, so replays stay
+    /// idempotent.
     pub fn arm_nack_recovery(
         &mut self,
         self_id: u32,
@@ -1087,7 +940,6 @@ impl ReceiverGuard {
             ep.expect(tree, child);
         }
         self.nack = Some(ep);
-        self.dedup = None;
     }
 
     /// The admission gate: `true` when the frame is fresh and must be
@@ -1103,10 +955,6 @@ impl ReceiverGuard {
         if let Some(nack) = self.nack.as_mut() {
             if !nack.note(hdr, src, ctx.now()) {
                 self.arm(ctx);
-                return false;
-            }
-        } else if let Some(dedup) = self.dedup.as_mut() {
-            if !dedup.accept(hdr.tree_id, src, hdr.seq) {
                 return false;
             }
         }
@@ -1138,11 +986,10 @@ impl ReceiverGuard {
         self.arm(ctx);
     }
 
-    /// Frames suppressed as duplicates, whichever filter did it — the
-    /// dedup window or the gap tracker's bitmaps.
+    /// Frames the gap tracker's bitmaps suppressed as duplicates (0
+    /// without recovery).
     pub fn duplicates_suppressed(&self) -> u64 {
-        self.dedup.as_ref().map_or(0, |d| d.duplicates)
-            + self.nack.as_ref().map_or(0, |n| n.tracker().duplicates)
+        self.nack.as_ref().map_or(0, |n| n.tracker().duplicates)
     }
 
     /// NACK frames emitted (0 without recovery).
@@ -1274,69 +1121,6 @@ mod tests {
         assert!(d.accept(2, ip(1), 0)); // other tree: fresh
         assert!(!d.accept(1, ip(1), 0));
         assert_eq!(d.duplicates, 1);
-        assert_eq!(d.flow_count(), 3);
-        assert_eq!(d.sram_bytes(), 3 * FlowWindow::sram_bytes());
-        d.clear();
-        assert_eq!(d.flow_count(), 0);
-    }
-
-    #[test]
-    fn flow_cap_rejects_deterministically() {
-        let mut d = DedupWindow::with_capacity(2);
-        assert_eq!(d.max_flows(), 2);
-        assert!(d.accept(1, ip(1), 0));
-        assert!(d.accept(1, ip(2), 0));
-        // Third flow: at capacity → refused, counted, not tracked.
-        assert!(!d.accept(1, ip(3), 0));
-        assert!(!d.accept(2, ip(1), 0));
-        assert_eq!(d.flows_rejected, 2);
-        assert_eq!(d.flow_count(), 2);
-        // Rejections are not duplicates.
-        assert_eq!(d.duplicates, 0);
-        // Existing flows keep working at capacity.
-        assert!(d.accept(1, ip(1), 1));
-        assert!(!d.accept(1, ip(1), 1));
-        assert_eq!(d.duplicates, 1);
-        // The worst-case footprint is what the tracker must reserve.
-        assert_eq!(d.sram_capacity_bytes(), 2 * FlowWindow::sram_bytes());
-        assert!(d.sram_bytes() <= d.sram_capacity_bytes());
-    }
-
-    #[test]
-    fn clear_tree_evicts_and_frees_capacity() {
-        let mut d = DedupWindow::with_capacity(2);
-        assert!(d.accept(1, ip(1), 0));
-        assert!(d.accept(2, ip(1), 0));
-        d.clear_tree(1);
-        assert_eq!(d.flows_evicted, 1);
-        assert_eq!(d.flow_count(), 1);
-        // The freed slot is reusable.
-        assert!(d.accept(3, ip(1), 0));
-        // Eviction forgot tree 1's history: its seq 0 reads as fresh
-        // again — callers only evict on tree teardown, where that is safe.
-        d.clear_tree(3);
-        assert_eq!(d.flows_evicted, 2);
-    }
-
-    #[test]
-    fn redundant_schedule_interleaves_copies() {
-        let s = RedundantSender::new(3);
-        assert_eq!(s.schedule(&['a', 'b']), vec!['a', 'a', 'a', 'b', 'b', 'b']);
-        let s1 = RedundantSender::new(1);
-        assert_eq!(s1.schedule(&[1, 2, 3]), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn residual_loss_math() {
-        assert!((residual_loss(0.1, 3) - 0.001).abs() < 1e-12);
-        assert_eq!(residual_loss(0.0, 4), 0.0);
-        assert_eq!(residual_loss(1.0, 4), 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one copy")]
-    fn zero_copies_is_rejected() {
-        RedundantSender::new(0);
     }
 
     #[test]

@@ -164,8 +164,7 @@ pub struct EngineStats {
     /// (forwarded unaggregated).
     pub unknown_tree: u64,
     /// ENDs received after the counter already reached zero (protocol
-    /// violation by a child, or duplicated frame without the reliability
-    /// extension).
+    /// violation by a child, or duplicated frame without NACK recovery).
     pub spurious_ends: u64,
     /// Flushes held back by the reorder gate (all ENDs in, but a child
     /// flow still had outstanding DATA).
@@ -183,64 +182,36 @@ pub struct DaietEngine {
     config: DaietConfig,
     trees: FnvHashMap<u16, TreeState>,
     stats: EngineStats,
-    /// Duplicate suppression (reliability extension; `None` when the
-    /// prototype-faithful configuration is used).
-    dedup: Option<crate::reliability::DedupWindow>,
-    /// Per-child gap tracking for the NACK recovery extension (`None`
-    /// when [`DaietConfig::nack_recovery`] is off).
+    /// Per-child gap tracking for NACK recovery — its reception bitmaps
+    /// are also the duplicate filter (`None` when
+    /// [`DaietConfig::nack_recovery`] is off).
     nack: Option<NackTracker>,
 }
 
 impl DaietEngine {
     /// An engine with no trees configured.
     pub fn new(config: DaietConfig) -> DaietEngine {
-        // Switch-side dedup state is SRAM, so it is bounded by the
-        // configured flow cap; the controller reserves
-        // [`DaietConfig::sram_for_dedup`] alongside the register arrays.
-        // With NACK recovery on, the gap tracker's reception bitmaps ARE
-        // the duplicate filter (one flow lookup per packet, not two), so
-        // the separate dedup window is not instantiated.
-        let dedup = (config.reliability && !config.nack_recovery)
-            .then(|| crate::reliability::DedupWindow::with_capacity(config.dedup_flows));
-        // The gap tracker is switch SRAM too: bounded at the same flow
-        // cap its reservation (`DaietConfig::sram_for_nack_tracker`) is
-        // computed from, refusing packets from flows beyond it.
-        let nack = config.nack_recovery.then(|| NackTracker::with_capacity(config.dedup_flows));
-        DaietEngine {
-            trees: FnvHashMap::default(),
-            stats: EngineStats::default(),
-            config,
-            dedup,
-            nack,
-        }
+        // The gap tracker is switch SRAM: bounded at the flow cap its
+        // reservation (`DaietConfig::sram_for_nack_tracker`) is computed
+        // from, refusing packets from flows beyond it.
+        let nack = config.nack_recovery.then(|| NackTracker::with_capacity(config.nack_flows));
+        DaietEngine { trees: FnvHashMap::default(), stats: EngineStats::default(), config, nack }
     }
 
-    /// Packets suppressed as duplicates (0 without the extension),
-    /// whichever filter did the suppressing — the dedup window
-    /// (reliability without recovery) or the gap tracker's bitmaps (with
-    /// recovery).
+    /// Packets the gap tracker's bitmaps suppressed as duplicates (0
+    /// without NACK recovery).
     pub fn duplicates_suppressed(&self) -> u64 {
-        self.dedup.as_ref().map_or(0, |d| d.duplicates)
-            + self.nack.as_ref().map_or(0, |n| n.duplicates)
-    }
-
-    /// The duplicate-suppression table, when the reliability extension is
-    /// enabled (flow cap, rejection/eviction counters).
-    pub fn dedup_window(&self) -> Option<&crate::reliability::DedupWindow> {
-        self.dedup.as_ref()
+        self.nack.as_ref().map_or(0, |n| n.duplicates)
     }
 
     /// Installs (or replaces) a tree's state. SRAM for
     /// [`DaietConfig::sram_per_tree`] must have been reserved by the
     /// controller beforehand. Reinstallation evicts the tree's stale
-    /// dedup *and* gap-tracker flows so neither cap is consumed by dead
-    /// senders (and a replaced roster cannot hold the flush gate
-    /// closed). With NACK recovery on, the tree's children are seeded
-    /// into the gap tracker so even a fully-silenced child gets NACKed.
+    /// gap-tracker flows so the cap is not consumed by dead senders (and
+    /// a replaced roster cannot hold the flush gate closed). With NACK
+    /// recovery on, the tree's children are seeded into the gap tracker
+    /// so even a fully-silenced child gets NACKed.
     pub fn install_tree(&mut self, cfg: TreeStateConfig) {
-        if let Some(dedup) = self.dedup.as_mut() {
-            dedup.clear_tree(cfg.tree_id);
-        }
         if let Some(nack) = self.nack.as_mut() {
             // Reinstallation must forget the old roster: a replaced
             // child's unsatisfied flow would otherwise hold the flush
@@ -256,14 +227,11 @@ impl DaietEngine {
     }
 
     /// Uninstalls a tree: drops its registers, retransmit ring, and any
-    /// dedup/gap-tracker flows. Used when the controller re-plans a job
-    /// around a dead switch and this device is no longer on the tree's
-    /// path (stale state would otherwise consume SRAM and, with NACK
+    /// gap-tracker flows. Used when the controller re-plans a job around
+    /// a dead switch and this device is no longer on the tree's path
+    /// (stale state would otherwise consume SRAM and, with NACK
     /// recovery, chase children that no longer send this way).
     pub fn remove_tree(&mut self, tree_id: u16) {
-        if let Some(dedup) = self.dedup.as_mut() {
-            dedup.clear_tree(tree_id);
-        }
         if let Some(nack) = self.nack.as_mut() {
             nack.clear_tree(tree_id);
         }
@@ -477,7 +445,7 @@ impl DaietEngine {
 
         // Propagate the END and re-arm for the next round (iterative
         // workloads run one round per superstep/training step). Sequence
-        // numbers wrap — dedup windows compare RFC 1982-style.
+        // numbers wrap — gap trackers compare RFC 1982-style.
         let end = Header::end(tree.cfg.tree_id, PacketFlags::FROM_SWITCH, tree.next_seq);
         tree.next_seq = tree.next_seq.wrapping_add(1);
         let mut buf = pool.buffer();
@@ -618,16 +586,6 @@ impl SwitchExtern for DaietEngine {
             }
         }
 
-        // Reliability extension: aggregation is not idempotent, so
-        // re-delivered packets must be absorbed before they touch state.
-        if let (Some(dedup), Some(ip)) = (self.dedup.as_mut(), pkt.parsed.ip.as_ref()) {
-            if matches!(daiet.packet_type, PacketType::Data | PacketType::End)
-                && !dedup.accept(daiet.tree_id, ip.src_addr, daiet.seq)
-            {
-                return ExternOutput { emit: Vec::new(), consume: true, ops: 2 };
-            }
-        }
-
         let (emit, ops) = match daiet.packet_type {
             PacketType::Data => {
                 self.process_data(daiet.tree_id, pkt.parsed.daiet_pairs(), pool)
@@ -692,18 +650,14 @@ impl SwitchExtern for DaietEngine {
 
     fn on_node_fail(&mut self) {
         // Power cycle: every tree's registers, spillover, retransmit ring
-        // and the dedup/gap-tracker SRAM vanish. The engine comes back
-        // with *no* trees — frames for formerly-configured trees forward
+        // and the gap-tracker SRAM vanish. The engine comes back with
+        // *no* trees — frames for formerly-configured trees forward
         // unaggregated via L2 until the controller reinstalls or re-plans
         // (the silent-corruption vector the chaos tests pin). Host-side
         // diagnostic counters survive; they are not switch SRAM.
         self.trees.clear();
-        if self.dedup.is_some() {
-            self.dedup =
-                Some(crate::reliability::DedupWindow::with_capacity(self.config.dedup_flows));
-        }
         if self.nack.is_some() {
-            self.nack = Some(NackTracker::with_capacity(self.config.dedup_flows));
+            self.nack = Some(NackTracker::with_capacity(self.config.nack_flows));
         }
     }
 
@@ -758,13 +712,11 @@ mod tests {
             .collect()
     }
 
-    /// An engine with the full reliability + NACK-recovery extension and
-    /// one tree fed by `children` rostered child hosts (ids 1..=children,
-    /// each on its own port).
+    /// An engine with NACK recovery and one tree fed by `children`
+    /// rostered child hosts (ids 1..=children, each on its own port).
     fn recovering_engine(children: u32) -> DaietEngine {
         let mut e = DaietEngine::new(DaietConfig {
             register_cells: 4096,
-            reliability: true,
             nack_recovery: true,
             rtx_frames: 16,
             ..DaietConfig::default()

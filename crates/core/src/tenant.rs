@@ -18,7 +18,7 @@
 //!   mistaken for live traffic.
 //! * **All-or-nothing admission.** [`JobScheduler::admit`] mutates
 //!   switches through an undo log; the first refusal (SRAM exhausted,
-//!   steering table full, dedup flow cap short) rolls every prior
+//!   steering table full, NACK flow cap short) rolls every prior
 //!   mutation back in reverse order. [`SramTracker::free`] preserves
 //!   allocation order and per-stage accounting, so a rejected job leaves
 //!   the fabric **bit-identically** in its pre-admission state — future
@@ -214,7 +214,7 @@ pub struct JobScheduler {
     /// — a straggler frame carrying a dead job's tree id must not hit a
     /// live tree.
     recycled_tree_ids: BTreeSet<u16>,
-    /// Live dedup/gap flow demand per switch slot (sum of tree children
+    /// Live gap-tracker flow demand per switch slot (sum of tree children
     /// across every admitted job's trees at that switch).
     flow_demand: BTreeMap<usize, u64>,
     jobs: BTreeMap<u64, JobState>,
@@ -224,8 +224,8 @@ pub struct JobScheduler {
 impl JobScheduler {
     /// Brings up the shared fabric: validates the configuration,
     /// instantiates every switch (empty steering table, L2 routes to
-    /// all hosts, fabric-lifetime `daiet.nack@sw`/`daiet.dedup@sw`
-    /// reservations) and every pooled host, wires the plan, and runs
+    /// all hosts, fabric-lifetime `daiet.nack@sw` reservations) and every
+    /// pooled host, wires the plan, and runs
     /// `on_start`.
     pub fn build(spec: TenantSpec) -> Result<JobScheduler, DeployError> {
         spec.config
@@ -367,7 +367,7 @@ impl JobScheduler {
             }
         }
 
-        // Dedup/gap flow capacity precheck — before any switch is
+        // Gap-tracker flow capacity precheck — before any switch is
         // touched, so a refusal here needs no rollback at all.
         let mut added: BTreeMap<usize, u64> = BTreeMap::new();
         for tree in &trees {
@@ -375,16 +375,16 @@ impl JobScheduler {
                 *added.entry(sw).or_insert(0) += u64::from(children);
             }
         }
-        if self.spec.config.reliability {
+        if self.spec.config.nack_recovery {
             for (&sw, &add) in &added {
                 let live = self.flow_demand.get(&sw).copied().unwrap_or(0);
-                if live + add > self.spec.config.dedup_flows as u64 {
+                if live + add > self.spec.config.nack_flows as u64 {
                     self.release_tree_ids(&tree_ids);
                     return Err(DeployError::Config(format!(
-                        "switch {sw} would need {} dedup flows ({live} live + {add} new) \
-                         but dedup_flows is {}",
+                        "switch {sw} would need {} NACK flows ({live} live + {add} new) \
+                         but nack_flows is {}",
                         live + add,
-                        self.spec.config.dedup_flows
+                        self.spec.config.nack_flows
                     )));
                 }
             }
@@ -746,7 +746,7 @@ impl JobScheduler {
             // Rotate the interleave offset with the round so no tree is
             // permanently first in this sender's transmit order.
             let offset = i.wrapping_add(st.round as usize);
-            let round = plan_round(&config, parts, &mut st.next_seq[i], offset, 1);
+            let round = plan_round(&config, parts, &mut st.next_seq[i], offset);
             self.sim
                 .node_mut::<PacedSenderNode>(id)
                 .expect("sender pool slots hold PacedSenderNodes")
@@ -890,7 +890,7 @@ impl JobScheduler {
         (self.free_senders.len(), self.free_reducers.len())
     }
 
-    /// Live dedup/gap flow demand at switch `slot`.
+    /// Live gap-tracker flow demand at switch `slot`.
     pub fn flow_demand_at(&self, slot: usize) -> u64 {
         self.flow_demand.get(&slot).copied().unwrap_or(0)
     }
@@ -929,10 +929,9 @@ impl JobScheduler {
 
 /// Builds one tenant switch: empty steering table (stage 0, capacity
 /// [`TenantSpec::steer_capacity`]), L2 routes toward every host (stage
-/// 1), an empty [`DaietEngine`], and the fabric-lifetime reliability
-/// SRAM (`daiet.nack@sw` under NACK recovery, `daiet.dedup@sw` under
-/// plain reliability) reserved once at bring-up — tenant churn never
-/// reallocates shared state.
+/// 1), an empty [`DaietEngine`], and the fabric-lifetime gap-tracker
+/// SRAM (`daiet.nack@sw`, under NACK recovery) reserved once at
+/// bring-up — tenant churn never reallocates shared state.
 fn build_tenant_switch(
     spec: &TenantSpec,
     sw_slot: usize,
@@ -963,24 +962,13 @@ fn build_tenant_switch(
     debug_assert_eq!(l2_handle, L2_TABLE);
 
     let mut switch = Switch::new(format!("switch[{sw_slot}]"), pipeline);
-    if spec.config.nack_recovery {
-        let nack_sram = spec.config.sram_for_nack_tracker();
-        if nack_sram > 0 {
-            switch.pipeline_mut().tracker_mut().allocate_first_fit(
-                &format!("daiet.nack@{sw_slot}"),
-                2,
-                nack_sram,
-            )?;
-        }
-    } else if spec.config.reliability {
-        let dedup_sram = spec.config.sram_for_dedup();
-        if dedup_sram > 0 {
-            switch.pipeline_mut().tracker_mut().allocate_first_fit(
-                &format!("daiet.dedup@{sw_slot}"),
-                2,
-                dedup_sram,
-            )?;
-        }
+    let nack_sram = spec.config.sram_for_nack_tracker();
+    if nack_sram > 0 {
+        switch.pipeline_mut().tracker_mut().allocate_first_fit(
+            &format!("daiet.nack@{sw_slot}"),
+            2,
+            nack_sram,
+        )?;
     }
     let ext = switch.register_extern(Box::new(DaietEngine::new(spec.config)));
 

@@ -45,9 +45,9 @@ pub fn host_parser_config() -> ParserConfig {
 /// ([`ReducerHost`], the querysim coordinator): parse with host settings
 /// (checksum failures and non-DAIET noise dropped, as a NIC would) and
 /// extract the preamble plus the sender address. `None` means "ignore
-/// this frame"; otherwise the caller applies its own admission (dedup
-/// windows, tree demux — *in its own order*: a coordinator discards
-/// foreign tree ids before charging dedup state) and consumes the
+/// this frame"; otherwise the caller applies its own admission (NACK
+/// gap tracking, tree demux — *in its own order*: a coordinator discards
+/// foreign tree ids before charging gap-tracker state) and consumes the
 /// entries via
 /// [`ParsedPacket::daiet_pairs`](daiet_dataplane::parser::ParsedPacket::daiet_pairs).
 pub fn receive_daiet(frame: Frame) -> Option<(Header, daiet_wire::Ipv4Address, ParsedPacket)> {
@@ -60,39 +60,39 @@ pub fn receive_daiet(frame: Frame) -> Option<(Header, daiet_wire::Ipv4Address, P
 /// Builds the standard multi-tree UDP sender from borrowed partitions
 /// (`(tree, endpoints, pairs)`): [`one_shot_sender`] over a copy of the
 /// pairs. Runners that own or share their pair buffers call
-/// [`one_shot_sender`] and copy nothing. `_pool` is unused: the node
-/// builds every frame from its own fabric's pool at the frame's transmit
-/// tick.
+/// [`one_shot_sender`] and copy nothing. `_copies` and `_pool` are inert:
+/// every frame is sent once, built from the node's own fabric's pool at
+/// its transmit tick. Both stay only because the tracked benchmark calls
+/// this signature; the next `benchmark` issue removes them.
 pub fn multi_tree_sender(
     config: &DaietConfig,
     sender_index: usize,
     partitions: &[(u16, Endpoints, Vec<Pair>)],
-    redundancy: u32,
+    _copies: u32,
     gap: Duration,
     _pool: &FramePool,
     label: &'static str,
 ) -> PacedSenderNode {
     let parts = partitions.iter().map(|(tree, ep, pairs)| (*tree, *ep, pairs.clone()));
-    one_shot_sender(config, sender_index, parts, redundancy, gap, label)
+    one_shot_sender(config, sender_index, parts, gap, label)
 }
 
 /// The one construction behind every bulk sender (the MapReduce mappers,
 /// the querysim workers, the loopback mappers): a [`PacedSenderNode`]
 /// streaming one round of `partitions` round-robin from a
-/// sender-specific offset, `k`-redundantly (`redundancy = 1` for none),
-/// replay-armed when `config.nack_recovery` is on.
+/// sender-specific offset, replay-armed when `config.nack_recovery` is
+/// on.
 pub fn one_shot_sender<P: Into<Arc<Vec<Pair>>>>(
     config: &DaietConfig,
     sender_index: usize,
     partitions: impl IntoIterator<Item = (u16, Endpoints, P)>,
-    redundancy: u32,
     gap: Duration,
     label: &'static str,
 ) -> PacedSenderNode {
     // A one-shot sender is a one-round iterative sender: every tree's
     // sequence space starts at 0 and there is no next round.
     let mut next_seq = FnvHashMap::default();
-    let round = plan_round(config, partitions, &mut next_seq, sender_index, redundancy);
+    let round = plan_round(config, partitions, &mut next_seq, sender_index);
     let mut node = PacedSenderNode::new(Vec::new(), gap, label);
     if config.nack_recovery {
         node.arm_replay();
@@ -115,13 +115,12 @@ pub fn one_shot_sender<P: Into<Arc<Vec<Pair>>>>(
 /// caller that only borrows its pairs copies them itself) and builds frame
 /// after frame on demand, round-robin across the parts starting at
 /// `offset % parts` (fairness: callers rotate the offset so no tree is
-/// permanently drained first), each frame `redundancy` times (1 = none).
+/// permanently drained first).
 pub fn plan_round<P: Into<Arc<Vec<Pair>>>>(
     config: &DaietConfig,
     parts: impl IntoIterator<Item = (u16, Endpoints, P)>,
     next_seq: &mut FnvHashMap<u16, u32>,
     offset: usize,
-    redundancy: u32,
 ) -> RoundSchedule {
     let packetizer = Packetizer::new(config);
     let parts: Vec<RoundPart> = parts
@@ -136,13 +135,10 @@ pub fn plan_round<P: Into<Arc<Vec<Pair>>>>(
             part
         })
         .collect();
-    let redundancy = redundancy.max(1);
     RoundSchedule {
         turn: offset % parts.len().max(1),
-        remaining: parts.iter().map(|p| p.packets).sum::<usize>() * redundancy as usize,
+        remaining: parts.iter().map(|p| p.packets).sum(),
         parts,
-        redundancy,
-        copies: 0,
     }
 }
 
@@ -162,7 +158,7 @@ struct RoundPart {
     base_seq: u32,
     /// Packets the pairs packetize into: the DATA packets plus the END.
     packets: usize,
-    /// Packets transmitted so far (every redundant copy included).
+    /// Packets transmitted so far.
     sent: usize,
 }
 
@@ -191,19 +187,15 @@ impl RoundPart {
 ///
 /// The frames, their order and their count are those of
 /// [`Packetizer::frames_from_seq`] per part, interleaved by
-/// [`interleave_round_robin`] and expanded by
-/// [`RedundantSender::schedule`](crate::reliability::RedundantSender::schedule)
-/// — the eager reference the tests compare against.
+/// [`interleave_round_robin`] — the eager reference the tests compare
+/// against.
 #[derive(Debug)]
 pub struct RoundSchedule {
     parts: Vec<RoundPart>,
     /// The part whose turn it is (parts with nothing left are skipped).
     turn: usize,
-    /// Frames not yet built, redundant copies included.
+    /// Frames not yet built.
     remaining: usize,
-    redundancy: u32,
-    /// Copies of the current packet already built (`< redundancy`).
-    copies: u32,
 }
 
 impl RoundSchedule {
@@ -219,21 +211,18 @@ impl RoundSchedule {
         let part = &mut self.parts[self.turn];
         let frame = part.frame_at(part.sent, pool)?;
         self.remaining -= 1;
-        self.copies += 1;
-        if self.copies == self.redundancy {
-            self.copies = 0;
-            part.sent += 1;
-            self.turn = (self.turn + 1) % self.parts.len();
-        }
+        part.sent += 1;
+        self.turn = (self.turn + 1) % self.parts.len();
         Some(frame)
     }
 }
 
 /// Builds the standard DAIET receive endpoint for reducer `r` of `dep`
 /// at plan `slot`: a [`ReducerHost`] expecting the deployment's END
-/// count over `mappers`, with duplicate suppression and NACK recovery
-/// armed per `config` — the one construction behind every reducer (the
-/// MapReduce reducers, each [`IterativeRunner`] parameter server).
+/// count over `mappers`, with NACK recovery (and with it duplicate
+/// suppression) armed per `config` — the one construction behind every
+/// reducer (the MapReduce reducers, each [`IterativeRunner`] parameter
+/// server).
 pub fn reducer_host(
     config: &DaietConfig,
     agg: AggFn,
@@ -243,9 +232,6 @@ pub fn reducer_host(
     mappers: &[usize],
 ) -> ReducerHost {
     let mut reducer = ReducerHost::new(agg, dep.expected_ends(r, mappers.len()));
-    if config.reliability {
-        reducer = reducer.with_dedup();
-    }
     if config.nack_recovery {
         reducer = reducer.with_nack_recovery(slot as u32, config, dep.nack_sources(r, mappers));
     }
@@ -266,8 +252,7 @@ impl Packetizer {
 
     /// Serializes `pairs` into DATA packets of at most `pairs_per_packet`
     /// entries, terminated by an END packet. Sequence numbers count up
-    /// from 0 (used only by the reliability extension; harmless
-    /// otherwise).
+    /// from 0 (used only by NACK recovery; harmless otherwise).
     pub fn packets(&self, tree_id: u16, pairs: &[Pair]) -> Vec<Repr> {
         self.packets_from_seq(tree_id, pairs, 0).0
     }
@@ -284,7 +269,7 @@ impl Packetizer {
     /// make this an offset computation (§4), which is what lets a sender
     /// build frame `index` at its transmit tick and rebuild it for a
     /// NACK. Sequence numbers live in a wrapping 32-bit space (long-lived
-    /// iterative senders cross `u32::MAX`; the dedup windows compare
+    /// iterative senders cross `u32::MAX`; the gap trackers compare
     /// RFC 1982-style).
     fn packet_at<'a>(
         &self,
@@ -326,8 +311,8 @@ impl Packetizer {
 
     /// Like [`Packetizer::packets`] but numbering from `start_seq`,
     /// returning the next free sequence number. Iterative senders running
-    /// under the reliability extension must keep sequence numbers
-    /// monotonic across rounds so duplicate suppression stays sound.
+    /// under NACK recovery must keep sequence numbers monotonic across
+    /// rounds so duplicate suppression stays sound.
     pub fn packets_from_seq(
         &self,
         tree_id: u16,
@@ -347,26 +332,13 @@ impl Packetizer {
         (out, next)
     }
 
-    /// Like [`Packetizer::packets`] but fully framed for the wire, with
-    /// every frame serialized straight into a pooled buffer — the
-    /// zero-copy path senders use (no intermediate `Repr`s or entry
-    /// lists).
-    pub fn frames(
-        &self,
-        tree_id: u16,
-        pairs: &[Pair],
-        endpoints: &Endpoints,
-        src_port: u16,
-        pool: &FramePool,
-    ) -> Vec<Frame> {
-        self.frames_from_seq(tree_id, pairs, endpoints, src_port, 0, pool).0
-    }
-
-    /// Like [`Packetizer::frames`] but numbering from `start_seq`,
-    /// returning the next free sequence number — the iterative-sender
-    /// form: each round's frames continue the tree's wrapping sequence
-    /// space so receiver-side dedup and gap tracking stay sound across
-    /// rounds (a restart from 0 would read as a giant stale duplicate).
+    /// Like [`Packetizer::packets_from_seq`] but fully framed for the
+    /// wire, every frame serialized straight into a pooled buffer (no
+    /// intermediate `Repr`s or entry lists) — the eager form of what
+    /// [`PacedSenderNode`] streams. Each round's frames continue the
+    /// tree's wrapping sequence space so receiver-side gap tracking
+    /// stays sound across rounds (a restart from 0 would read as a giant
+    /// stale duplicate).
     pub fn frames_from_seq(
         &self,
         tree_id: u16,
@@ -675,7 +647,7 @@ impl Node for PacedSenderNode {
         }
         spans.sort_unstable();
         // Rebuild each requested packet once, in sequence order; receiver
-        // dedup absorbs anything it already has. The open-loop sender
+        // gap tracking absorbs anything it already has. The open-loop sender
         // bursts replays past the pacing gap (recovery is latency-critical
         // and the burst is at most one retained round); the closed-loop
         // sender queues them behind the backed-off gap instead — the loss
@@ -927,76 +899,14 @@ impl Collector {
     }
 }
 
-/// A minimal sending host: transmits one partition, packetized at start
-/// (used by examples and integration tests; the MapReduce crate has a
-/// richer worker).
-pub struct SenderHost {
-    tree_id: u16,
-    pairs: Vec<Pair>,
-    endpoints: Endpoints,
-    packetizer: Packetizer,
-    /// Pace between frames (keeps egress queues shallow in examples).
-    pub gap: Duration,
-    queue: Vec<Frame>,
-    next: usize,
-}
-
-impl SenderHost {
-    /// A host that will send `pairs` for `tree_id` to the reducer
-    /// addressed by `endpoints`.
-    pub fn new(
-        config: &DaietConfig,
-        tree_id: u16,
-        pairs: Vec<Pair>,
-        endpoints: Endpoints,
-    ) -> SenderHost {
-        SenderHost {
-            tree_id,
-            pairs,
-            endpoints,
-            packetizer: Packetizer::new(config),
-            gap: Duration::from_micros(1),
-            queue: Vec::new(),
-            next: 0,
-        }
-    }
-}
-
-impl Node for SenderHost {
-    fn on_packet(&mut self, _ctx: &mut dyn Fabric, _port: PortId, _frame: Frame) {}
-
-    fn on_start(&mut self, ctx: &mut dyn Fabric) {
-        self.queue = self.packetizer.frames(
-            self.tree_id,
-            &self.pairs,
-            &self.endpoints,
-            daiet_wire::udp::DAIET_PORT,
-            ctx.pool(),
-        );
-        ctx.schedule(self.gap, 0);
-    }
-
-    fn on_timer(&mut self, ctx: &mut dyn Fabric, _token: u64) {
-        if self.next < self.queue.len() {
-            ctx.send(PortId(0), self.queue[self.next].clone());
-            self.next += 1;
-            ctx.schedule(self.gap, 0);
-        }
-    }
-
-    fn name(&self) -> String {
-        format!("sender(tree {})", self.tree_id)
-    }
-}
-
 /// A minimal reducer host: collects DAIET packets until complete.
 pub struct ReducerHost {
     /// The collector; read it out after the run.
     pub collector: Collector,
     /// Completion time, once reached.
     pub completed_at: Option<Time>,
-    /// Receive-side reliability (dedup and/or NACK recovery — the
-    /// default guard is the paper-faithful fire-and-forget path).
+    /// Receive-side NACK recovery (the default guard is the
+    /// paper-faithful fire-and-forget path).
     guard: crate::reliability::ReceiverGuard,
 }
 
@@ -1010,20 +920,13 @@ impl ReducerHost {
         }
     }
 
-    /// Enables receive-side duplicate suppression (pairs with
-    /// [`crate::DaietConfig::reliability`] on the switches —
-    /// aggregation is not idempotent, so the *last* hop needs protection
-    /// too, not just the switches).
-    pub fn with_dedup(mut self) -> ReducerHost {
-        self.guard.enable_dedup();
-        self
-    }
-
     /// Arms NACK recovery: this reducer (simulator id `self_id`) watches
     /// one flow per `(tree, source)` in `sources` — the deployment's
     /// [`reducer_sources`](crate::controller::Deployment::reducer_sources)
     /// roster — and NACKs delinquent ones per `config`'s timeout/budget
-    /// (see [`ReceiverGuard`](crate::reliability::ReceiverGuard)).
+    /// (see [`ReceiverGuard`](crate::reliability::ReceiverGuard)). Its
+    /// bitmaps also suppress duplicates: aggregation is not idempotent,
+    /// so the *last* hop needs protection too, not just the switches.
     pub fn with_nack_recovery(
         mut self,
         self_id: u32,
@@ -1052,15 +955,11 @@ impl ReducerHost {
         self.completed_at = None;
         if config.nack_recovery {
             self.guard.arm_nack_recovery(self_id, config, sources);
-        } else if config.reliability {
-            // Fresh window: the new epoch's sequence spaces restart at 0,
-            // which the old windows would misread as stale duplicates.
-            self.guard.enable_dedup();
         }
     }
 
-    /// Frames suppressed as duplicates (by the dedup window or, under
-    /// NACK recovery, the gap tracker's bitmaps).
+    /// Frames the NACK gap tracker's bitmaps suppressed as duplicates (0
+    /// without recovery).
     pub fn duplicates_suppressed(&self) -> u64 {
         self.guard.duplicates_suppressed()
     }
@@ -1123,7 +1022,7 @@ pub use crate::iterative::{IterRound, IterativeRunner, IterativeSpec};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reliability::{build_nack_frames, NackRequest, RedundantSender};
+    use crate::reliability::{build_nack_frames, NackRequest};
     use proptest::prelude::*;
 
     fn key(s: &str) -> Key {
@@ -1149,8 +1048,8 @@ mod tests {
     }
 
     /// Regression: sequence numbering crossing `u32::MAX` must wrap, not
-    /// overflow-panic — the sender half of the RFC 1982 story the dedup
-    /// windows implement on the receive side.
+    /// overflow-panic — the sender half of the RFC 1982 story the gap
+    /// trackers implement on the receive side.
     #[test]
     fn sequence_numbering_wraps_past_u32_max() {
         let p = Packetizer::new(&DaietConfig::default());
@@ -1174,7 +1073,7 @@ mod tests {
         let p = Packetizer::new(&DaietConfig::default());
         let ep = Endpoints::from_ids(7, 8);
         let pool = FramePool::new();
-        let frames = p.frames(2, &npairs(12), &ep, 777, &pool);
+        let (frames, _) = p.frames_from_seq(2, &npairs(12), &ep, 777, 0, &pool);
         assert_eq!(frames.len(), 3);
         // Frames match the Repr-based packetization exactly.
         let reprs = p.packets(2, &npairs(12));
@@ -1334,14 +1233,13 @@ mod tests {
     type TreeFrames = (u16, u32, Vec<Frame>);
 
     /// The eager schedule the streamed one replaced, kept as the
-    /// reference: packetize every part up front, interleave, expand.
+    /// reference: packetize every part up front, then interleave.
     /// Returns the transmit order and each tree's frames by sequence.
     fn eager_round(
         config: &DaietConfig,
         parts: &Parts,
         next_seq: &mut FnvHashMap<u16, u32>,
         offset: usize,
-        redundancy: u32,
         pool: &FramePool,
     ) -> (Vec<Frame>, Vec<TreeFrames>) {
         let packetizer = Packetizer::new(config);
@@ -1354,9 +1252,7 @@ mod tests {
             per_tree.push((*tree, base, frames));
         }
         let queues = per_tree.iter().map(|(_, _, frames)| frames.clone()).collect();
-        let transmit = RedundantSender::new(redundancy)
-            .schedule(&interleave_round_robin(queues, offset));
-        (transmit, per_tree)
+        (interleave_round_robin(queues, offset), per_tree)
     }
 
     fn bytes(frames: &[Frame]) -> Vec<&[u8]> {
@@ -1384,13 +1280,13 @@ mod tests {
         /// first ended — across the `u32::MAX` wrap.
         #[test]
         fn streamed_schedule_equals_the_eager_reference(
-            shape in (0usize..=4, 1usize..=10, 1u32..=3),
+            shape in (0usize..=4, 1usize..=10),
             first in arb_round(),
             second in arb_round(),
             below_wrap in prop::collection::vec(0u32..=40, 4..=4),
             offset in any::<usize>(),
         ) {
-            let (trees, pairs_per_packet, redundancy) = shape;
+            let (trees, pairs_per_packet) = shape;
             let config = DaietConfig { pairs_per_packet, nack_recovery: true, ..DaietConfig::default() };
             let parts = |round: &Vec<Vec<Pair>>| -> Parts {
                 (0..trees)
@@ -1414,7 +1310,7 @@ mod tests {
             for (r, round) in [first, second].iter().enumerate() {
                 let offset = offset.wrapping_add(r);
                 let (transmit, per_tree) =
-                    eager_round(&config, &parts(round), &mut eager_seq, offset, redundancy, &fabric.pool);
+                    eager_round(&config, &parts(round), &mut eager_seq, offset, &fabric.pool);
                 for (how, node, streamed_seq) in &mut senders {
                     let schedule = if *how == "shared" {
                         let buffers: Vec<_> = parts(round)
@@ -1422,13 +1318,13 @@ mod tests {
                             .map(|(tree, ep, pairs)| (tree, ep, Arc::new(pairs)))
                             .collect();
                         let handles = buffers.iter().map(|(tree, ep, pairs)| (*tree, *ep, Arc::clone(pairs)));
-                        let schedule = plan_round(&config, handles, streamed_seq, offset, redundancy);
+                        let schedule = plan_round(&config, handles, streamed_seq, offset);
                         // From here on the schedule's handles alone keep
                         // the pairs alive.
                         drop(buffers);
                         schedule
                     } else {
-                        plan_round(&config, parts(round), streamed_seq, offset, redundancy)
+                        plan_round(&config, parts(round), streamed_seq, offset)
                     };
                     node.enqueue_round(schedule);
                     prop_assert_eq!(&*streamed_seq, &eager_seq, "next free sequence numbers, {} round {}", how, r);
@@ -1475,10 +1371,10 @@ mod tests {
         let mut next_seq = FnvHashMap::default();
         let owned = npairs(25);
         let owned_at = owned.as_ptr();
-        let by_move = plan_round(&config, [(1, ep, owned)], &mut next_seq, 0, 1);
+        let by_move = plan_round(&config, [(1, ep, owned)], &mut next_seq, 0);
         assert_eq!(by_move.parts[0].pairs.as_ptr(), owned_at);
         let shared = Arc::new(npairs(25));
-        let by_handle = plan_round(&config, [(2, ep, Arc::clone(&shared))], &mut next_seq, 0, 1);
+        let by_handle = plan_round(&config, [(2, ep, Arc::clone(&shared))], &mut next_seq, 0);
         assert!(Arc::ptr_eq(&by_handle.parts[0].pairs, &shared));
         drop(by_handle);
         assert_eq!(Arc::strong_count(&shared), 1);
@@ -1492,7 +1388,7 @@ mod tests {
         let part = (7u16, Endpoints::from_ids(1, 2), npairs(45));
         let mut node = PacedSenderNode::new(Vec::new(), Duration::from_micros(1), "straddler");
         node.arm_replay();
-        node.enqueue_round(plan_round(&config, [part], &mut next_seq, 0, 1));
+        node.enqueue_round(plan_round(&config, [part], &mut next_seq, 0));
         assert_eq!(next_seq[&7], 3);
         let sent = fabric.drain(&mut node);
         assert_eq!(sent.len(), 6);
@@ -1573,17 +1469,20 @@ mod tests {
         let mut sim = Simulator::new(11);
 
         // Two senders, one reducer, one switch doing the aggregation.
-        let s1 = sim.add_node(Box::new(SenderHost::new(
+        let gap = Duration::from_micros(1);
+        let s1 = sim.add_node(Box::new(one_shot_sender(
             &config,
-            1,
-            vec![Pair::new(key("dog"), 2), Pair::new(key("cat"), 1)],
-            Endpoints::from_ids(1, 3),
+            0,
+            [(1, Endpoints::from_ids(1, 3), vec![Pair::new(key("dog"), 2), Pair::new(key("cat"), 1)])],
+            gap,
+            "sender",
         )));
-        let s2 = sim.add_node(Box::new(SenderHost::new(
+        let s2 = sim.add_node(Box::new(one_shot_sender(
             &config,
             1,
-            vec![Pair::new(key("dog"), 5)],
-            Endpoints::from_ids(2, 3),
+            [(1, Endpoints::from_ids(2, 3), vec![Pair::new(key("dog"), 5)])],
+            gap,
+            "sender",
         )));
         let reducer = sim.add_node(Box::new(ReducerHost::new(AggFn::Sum, 1)));
 

@@ -114,14 +114,8 @@ pub struct PacketPregelSpec {
     pub agg: AggFn,
     /// Fault profile applied to **every** link.
     pub faults: FaultProfile,
-    /// Arm NACK recovery (k = 1).
+    /// Arm NACK recovery. Off is the paper-faithful prototype.
     pub recovery: bool,
-    /// Arm dedup windows even without recovery — the redundancy-only
-    /// reliability rig (recovery implies them regardless; fully off is
-    /// the paper-faithful prototype).
-    pub dedup: bool,
-    /// Copies of each frame (redundancy-only rigs set this > 1).
-    pub redundancy: u32,
     /// Simulation seed.
     pub seed: u64,
 }
@@ -133,8 +127,6 @@ impl Default for PacketPregelSpec {
             agg: AggFn::Sum,
             faults: FaultProfile::NONE,
             recovery: true,
-            dedup: true,
-            redundancy: 1,
             seed: 13,
         }
     }
@@ -202,7 +194,6 @@ pub fn run_packet<P: VertexProgram<Msg = u32>>(
     let plan = TopologyPlan::leaf_spine(hosts_per_leaf, leaves.max(2), 2, link);
     let config = DaietConfig {
         register_cells: 8192,
-        reliability: spec.dedup || spec.recovery || spec.redundancy > 1,
         nack_recovery: spec.recovery,
         ..DaietConfig::default()
     }
@@ -210,7 +201,6 @@ pub fn run_packet<P: VertexProgram<Msg = u32>>(
     let mut ispec =
         IterativeSpec::new(config, plan, (0..workers).collect(), vec![workers]);
     ispec.agg = spec.agg;
-    ispec.redundancy = spec.redundancy;
     ispec.seed = spec.seed;
     ispec.pacing = SimDuration::from_micros(1);
     let mut runner = IterativeRunner::build(ispec)?;

@@ -79,7 +79,7 @@ pub fn run_wordcount_loopback(
     // or above the timer-wheel granularity behaves the same. Clamp up
     // to 50 µs to keep kernel socket buffers comfortable.
     let pacing = daiet_fabric::Duration::from_nanos(runner.pacing.as_nanos().max(50_000));
-    let mut specs = job.specs(shards, pacing, runner.redundancy);
+    let mut specs = job.specs(shards, pacing, 1);
     for (slot, spec) in specs.iter_mut().enumerate() {
         spec.shim = shim_for(slot);
     }
@@ -143,7 +143,6 @@ mod tests {
     fn switch_egress_loss_is_nack_recovered_over_loopback() {
         let spec = CorpusSpec::tiny(5);
         let mut runner = Runner::new(Corpus::generate(&spec));
-        runner.daiet_config.reliability = true;
         runner.daiet_config.nack_recovery = true;
         runner.daiet_config = runner.daiet_config.with_rtx_sized_for_flush();
         let plan = runner.star_plan();

@@ -104,9 +104,6 @@ pub struct Runner {
     /// included, at the tick a frame is sent — the runner itself never
     /// takes a buffer.
     pool: FramePool,
-    /// Copies of each frame mappers transmit (1 = no redundancy; pair
-    /// with `daiet_config.reliability` so duplicates are suppressed).
-    pub redundancy: u32,
 }
 
 impl Runner {
@@ -126,16 +123,14 @@ impl Runner {
             pooling: true,
             partitions: 1,
             pool: FramePool::new(),
-            redundancy: 1,
         }
     }
 
-    /// Arms the full reliability story for the UDP modes: dedup windows
-    /// everywhere, NACK recovery on every segment (mapper→switch,
-    /// switch→switch, switch→reducer) and `faults` on **every** link —
-    /// redundancy stays at `k = 1`, recovery alone must carry the run.
+    /// Arms NACK recovery for the UDP modes on every segment
+    /// (mapper→switch, switch→switch, switch→reducer) and `faults` on
+    /// **every** link — each frame is sent once, so recovery alone must
+    /// carry the run.
     pub fn with_recovery(mut self, faults: daiet_netsim::FaultProfile) -> Runner {
-        self.daiet_config.reliability = true;
         self.daiet_config.nack_recovery = true;
         self.daiet_config = self.daiet_config.with_rtx_sized_for_flush();
         self.link = self.link.with_faults(faults);
@@ -312,7 +307,6 @@ impl Runner {
                             &self.daiet_config,
                             m,
                             partitions,
-                            self.redundancy,
                             self.pacing,
                             "udp-mapper",
                         )))
@@ -535,7 +529,7 @@ mod tests {
     }
 
     /// The PR-4 acceptance scenario: loss + duplication + reordering on
-    /// EVERY link, no redundancy (k = 1) — NACK recovery alone must make
+    /// EVERY link, each frame sent once (k = 1) — NACK recovery alone must make
     /// both UDP modes produce the exact ground-truth reduction.
     #[test]
     fn recovery_survives_chaos_on_every_link_at_k1() {

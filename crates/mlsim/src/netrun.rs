@@ -196,15 +196,8 @@ pub struct NetTrainSpec {
     pub seed: u64,
     /// Fault profile applied to **every** link.
     pub faults: FaultProfile,
-    /// Arm NACK recovery (k = 1). Off = the redundancy-only
-    /// configuration mlsim ran under before this harness existed.
+    /// Arm NACK recovery. Off is the paper-faithful prototype.
     pub recovery: bool,
-    /// Arm dedup windows even without recovery — the redundancy-only
-    /// reliability rig (recovery implies them regardless; fully off is
-    /// the paper-faithful prototype).
-    pub dedup: bool,
-    /// Copies of each frame (redundancy-only rigs set this > 1).
-    pub redundancy: u32,
 }
 
 impl Default for NetTrainSpec {
@@ -218,8 +211,6 @@ impl Default for NetTrainSpec {
             seed: 11,
             faults: FaultProfile::NONE,
             recovery: true,
-            dedup: true,
-            redundancy: 1,
         }
     }
 }
@@ -292,7 +283,6 @@ impl NetTrainSpec {
         let plan = TopologyPlan::leaf_spine(hosts_per_leaf, leaves.max(2), 2, link);
         let config = DaietConfig {
             register_cells: 8192,
-            reliability: self.dedup || self.recovery || self.redundancy > 1,
             nack_recovery: self.recovery,
             ..DaietConfig::default()
         }
@@ -303,7 +293,6 @@ impl NetTrainSpec {
             (0..self.workers).collect(),
             vec![self.workers],
         );
-        spec.redundancy = self.redundancy;
         spec.seed = self.seed;
         spec.pacing = SimDuration::from_micros(1);
         let mut runner = IterativeRunner::build(spec)?;

@@ -15,10 +15,11 @@
 //! must produce **bit-identical** [`QueryResult`]s (the integration and
 //! property tests enforce this against [`Query::reference`]).
 //!
-//! The optional reliability harness ([`QueryRunner::with_reliability`])
-//! pairs `k`-redundant senders with dedup windows at the switch and the
-//! coordinator; worker→switch links can then be given loss/duplication
-//! faults while the query still answers exactly.
+//! The optional reliability harness
+//! ([`QueryRunner::with_full_reliability`]) arms NACK recovery at the
+//! switch and the coordinator; every link can then be given loss,
+//! duplication and reordering faults while the query still answers
+//! exactly.
 
 // lint:allow-file(layer-netsim): GROUP BY executor harness — builds the
 // Simulator, places scan/reduce nodes, and compares backends. The DAIET
@@ -91,13 +92,13 @@ fn decode_partials(mut data: &[u8]) -> Option<Vec<(u8, u32, u32)>> {
 
 
 /// The coordinator for the UDP modes: one [`Collector`] per lane (frames
-/// are demultiplexed by tree id), optional receive-side duplicate
-/// suppression and NACK recovery, completion when every lane saw all its
-/// ENDs.
+/// are demultiplexed by tree id), optional receive-side NACK recovery
+/// (which also suppresses duplicates), completion when every lane saw
+/// all its ENDs.
 pub struct QueryCoordinatorNode {
     collectors: Vec<Collector>,
-    /// Receive-side reliability (dedup and/or NACK recovery) — the same
-    /// shared driver `ReducerHost` uses, so the workloads cannot drift.
+    /// Receive-side NACK recovery — the same shared driver `ReducerHost`
+    /// uses, so the workloads cannot drift.
     guard: daiet::reliability::ReceiverGuard,
     /// Simulated time all lanes completed, once reached.
     pub completed_at: Option<SimTime>,
@@ -106,20 +107,15 @@ pub struct QueryCoordinatorNode {
 impl QueryCoordinatorNode {
     /// A coordinator expecting `expected_ends[l]` END packets on lane `l`,
     /// merging lane `l` with `lane_aggs[l]`.
-    pub fn new(lane_aggs: &[AggFn], expected_ends: &[u32], dedup: bool) -> QueryCoordinatorNode {
+    pub fn new(lane_aggs: &[AggFn], expected_ends: &[u32]) -> QueryCoordinatorNode {
         assert_eq!(lane_aggs.len(), expected_ends.len());
-        let mut guard = daiet::reliability::ReceiverGuard::new();
-        if dedup {
-            // Host-side table: unbounded (DRAM), unlike the switch's.
-            guard.enable_dedup();
-        }
         QueryCoordinatorNode {
             collectors: lane_aggs
                 .iter()
                 .zip(expected_ends)
                 .map(|(&agg, &ends)| Collector::new(agg, ends))
                 .collect(),
-            guard,
+            guard: daiet::reliability::ReceiverGuard::new(),
             completed_at: None,
         }
     }
@@ -165,8 +161,8 @@ impl QueryCoordinatorNode {
         self.collectors.iter().map(|c| c.stats().pairs_received).sum()
     }
 
-    /// Frames suppressed as duplicates (0 without dedup), whichever
-    /// filter did it — the dedup window or the gap tracker's bitmaps.
+    /// Frames the gap tracker's bitmaps suppressed as duplicates (0
+    /// without recovery).
     pub fn duplicates_suppressed(&self) -> u64 {
         self.guard.duplicates_suppressed()
     }
@@ -191,7 +187,7 @@ impl Node for QueryCoordinatorNode {
         };
         let lane = hdr.tree_id as usize;
         if lane >= self.collectors.len() {
-            return; // foreign tree id — discarded before it can charge dedup state
+            return; // foreign tree id — discarded before it can charge tracker state
         }
         if !self.guard.admit(&hdr, src, ctx) {
             return;
@@ -236,7 +232,7 @@ pub struct QueryOutcome {
     pub records_received: u64,
     /// Frames dropped anywhere in the fabric (queue overflow + faults).
     pub frames_dropped: u64,
-    /// Duplicates suppressed by dedup windows (switch + coordinator).
+    /// Duplicates suppressed by NACK gap trackers (switch + coordinator).
     pub duplicates_suppressed: u64,
     /// Simulated instant the coordinator's result became complete (all
     /// streams finished / all lanes saw their ENDs); `None` when the run
@@ -244,7 +240,7 @@ pub struct QueryOutcome {
     pub completed_at: Option<SimTime>,
     /// Simulated instant the event queue drained — later than
     /// [`completed_at`](Self::completed_at) whenever post-completion
-    /// traffic (e.g. redundant copies) was still in flight.
+    /// traffic (e.g. duplicated frames) was still in flight.
     pub finished_at: SimTime,
 }
 
@@ -260,16 +256,13 @@ pub struct QueryRunner {
     pub daiet_config: DaietConfig,
     /// Link parameters for every edge.
     pub link: LinkSpec,
-    /// Extra faults applied to worker→switch links only (the segment the
-    /// redundancy harness protects; see the module docs).
+    /// Extra faults applied to worker→switch links only.
     pub worker_faults: Option<FaultProfile>,
     /// Extra faults applied to the switch→coordinator link — only
     /// survivable with NACK recovery
     /// ([`with_full_reliability`](Self::with_full_reliability)), since
     /// switch-originated flush frames are sent exactly once.
     pub coordinator_faults: Option<FaultProfile>,
-    /// Copies of each frame workers transmit (1 = no redundancy).
-    pub redundancy: u32,
     /// Switch chip profile.
     pub resources: Resources,
     /// Gap between UDP frames at each worker.
@@ -308,7 +301,6 @@ impl QueryRunner {
             link: LinkSpec::fast().with_queue_bytes(4 * 1024 * 1024),
             worker_faults: None,
             coordinator_faults: None,
-            redundancy: 1,
             resources: Resources::tofino_like(),
             pacing: SimDuration::from_micros(2),
             seed: 42,
@@ -316,22 +308,10 @@ impl QueryRunner {
         }
     }
 
-    /// Arms the reliability harness: `k`-redundant transmission, dedup
-    /// windows at switch and coordinator, and `faults` on the
-    /// worker→switch links.
-    pub fn with_reliability(mut self, k: u32, faults: FaultProfile) -> QueryRunner {
-        self.daiet_config.reliability = true;
-        self.redundancy = k;
-        self.worker_faults = Some(faults);
-        self
-    }
-
-    /// Arms the *full* reliability story: dedup + NACK recovery on every
-    /// segment, `faults` on **every** link (worker→switch and
-    /// switch→coordinator), redundancy left at `k = 1` — recovery alone
-    /// must carry the query to the exact answer.
+    /// Arms NACK recovery on every segment and `faults` on **every** link
+    /// (worker→switch and switch→coordinator). Each frame is sent once —
+    /// recovery alone must carry the query to the exact answer.
     pub fn with_full_reliability(mut self, faults: FaultProfile) -> QueryRunner {
-        self.daiet_config.reliability = true;
         self.daiet_config.nack_recovery = true;
         self.daiet_config = self.daiet_config.with_rtx_sized_for_flush();
         self.worker_faults = Some(faults);
@@ -340,9 +320,8 @@ impl QueryRunner {
     }
 
     /// The star topology: workers, the coordinator, one switch. Worker
-    /// links carry [`QueryRunner::worker_faults`]; the coordinator link is
-    /// clean (switch-originated flush frames are sent once, so loss there
-    /// needs a reverse channel — out of scope exactly as in the paper).
+    /// links carry [`QueryRunner::worker_faults`], the coordinator link
+    /// [`QueryRunner::coordinator_faults`].
     pub(crate) fn make_plan(&self) -> (TopologyPlan, Vec<usize>, usize) {
         let mut plan = TopologyPlan::new();
         let workers: Vec<usize> =
@@ -492,17 +471,12 @@ impl QueryRunner {
                         &self.daiet_config,
                         w,
                         lanes,
-                        self.redundancy,
                         self.pacing,
                         "query-worker",
                     )))
                 }
                 Role::Host => {
-                    let mut node = QueryCoordinatorNode::new(
-                        &lane_aggs,
-                        &expected_ends,
-                        self.daiet_config.reliability,
-                    );
+                    let mut node = QueryCoordinatorNode::new(&lane_aggs, &expected_ends);
                     if self.daiet_config.nack_recovery {
                         // One NACK roster across every lane: the
                         // coordinator is the reducer of all of them.
@@ -651,14 +625,12 @@ mod tests {
     }
 
     #[test]
-    fn duplication_faults_are_survived_with_reliability() {
+    fn duplication_faults_are_survived_with_recovery() {
         let table = Table::generate(&TableSpec::tiny(9));
         let query = full_query();
         let truth = query.reference(&table);
-        let runner = QueryRunner::new(table, query).with_reliability(
-            1,
-            FaultProfile { duplicate: 0.4, ..FaultProfile::NONE },
-        );
+        let runner = QueryRunner::new(table, query)
+            .with_full_reliability(FaultProfile { duplicate: 0.4, ..FaultProfile::NONE });
         for mode in [QueryMode::UdpNoAgg, QueryMode::DaietAgg] {
             let out = runner.run(mode);
             assert!(out.complete, "{mode:?} did not complete");
@@ -672,11 +644,10 @@ mod tests {
         let table = Table::generate(&TableSpec::tiny(13));
         let query = full_query();
         let truth = query.reference(&table);
-        let runner = QueryRunner::new(table, query)
-            .with_reliability(3, FaultProfile::loss(0.1));
+        let runner = QueryRunner::new(table, query).with_full_reliability(FaultProfile::loss(0.1));
         let out = runner.run(QueryMode::DaietAgg);
         assert!(out.frames_dropped > 0, "faults did not fire");
-        assert!(out.complete, "redundancy k=3 should survive 10% loss");
+        assert!(out.complete, "NACK recovery should survive 10% loss");
         assert_eq!(out.result, truth);
     }
 

@@ -23,8 +23,8 @@
 //!   [`AggFn`](daiet::agg::AggFn), plus the lane-recombination step
 //!   (`AVG = SUM/COUNT`);
 //! * [`exec`] — the simulator harness: worker combiners, the multi-lane
-//!   coordinator, and the three modes, with optional `k`-redundant
-//!   senders + dedup windows riding the reliability extension.
+//!   coordinator, and the three modes, with optional NACK recovery
+//!   riding the reliability extension.
 //!
 //! ```
 //! use daiet_querysim::prelude::*;

@@ -99,7 +99,7 @@ pub fn run_query_loopback(
             let shim = shim_for(slot);
             if let Some(w) = workers.iter().position(|&s| s == slot) {
                 let shards = runner.plan.worker_partials(&runner.table.shards[w]);
-                job.sender_spec(w, shards, pacing, runner.redundancy, shim)
+                job.sender_spec(w, shards, pacing, shim)
             } else if slot == coord {
                 coordinator_spec(&lane_aggs, &expected_ends, config, &sources, slot, shim)
             } else {
@@ -149,8 +149,7 @@ fn coordinator_spec(
     let sources = sources.to_vec();
     NodeSpec {
         build: Box::new(move || {
-            let mut node =
-                QueryCoordinatorNode::new(&lane_aggs, &expected_ends, config.reliability);
+            let mut node = QueryCoordinatorNode::new(&lane_aggs, &expected_ends);
             if config.nack_recovery {
                 node = node.with_nack_recovery(slot as u32, &config, sources);
             }
@@ -215,7 +214,6 @@ mod tests {
         let query = Query::new(vec![Aggregate::Sum(0), Aggregate::Min(1)]);
         let truth = query.reference(&table);
         let mut runner = QueryRunner::new(table, query);
-        runner.daiet_config.reliability = true;
         runner.daiet_config.nack_recovery = true;
         runner.daiet_config = runner.daiet_config.with_rtx_sized_for_flush();
         let switch_slot = runner.table.spec.n_workers + 1;

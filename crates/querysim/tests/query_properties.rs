@@ -1,9 +1,9 @@
 //! Property tests for the GROUP BY workload: for **arbitrary tables and
 //! query shapes**, the TCP baseline, the UDP no-aggregation mode and the
 //! DAIET in-network mode must produce results bit-identical to the
-//! in-memory reference executor — including when worker links lose and
-//! duplicate frames under the reliability harness (`RedundantSender`
-//! + `DedupWindow`).
+//! in-memory reference executor — including when links lose and
+//! duplicate frames under NACK recovery
+//! (`QueryRunner::with_full_reliability`).
 
 use daiet_netsim::FaultProfile;
 use daiet_querysim::prelude::*;
@@ -75,10 +75,11 @@ proptest! {
         }
     }
 
-    /// Same quantification under injected faults: worker links lose 5%
-    /// and duplicate 20% of frames, workers transmit 3-redundantly, and
-    /// dedup windows at the switch and coordinator absorb the replays.
-    /// Both DAIET modes must still answer bit-exactly.
+    /// Same quantification under injected faults: every link loses 5%
+    /// and duplicates 20% of frames, each frame is sent once, and NACK
+    /// recovery at the switch and coordinator repairs the losses while
+    /// its bitmaps absorb the duplicates. Both DAIET modes must still
+    /// answer bit-exactly.
     #[test]
     fn faulty_links_with_reliability_stay_bit_identical(
         dims in (2usize..5, 5usize..40, 1usize..25),
@@ -90,15 +91,13 @@ proptest! {
         let table = Table::generate(&spec);
         let query = query_from_shape(&shape, 3);
         let truth = query.reference(&table);
-        let runner = QueryRunner::new(table, query).with_reliability(
-            3,
-            FaultProfile { drop: 0.05, duplicate: 0.2, ..FaultProfile::NONE },
-        );
+        let runner = QueryRunner::new(table, query)
+            .with_full_reliability(FaultProfile { drop: 0.05, duplicate: 0.2, ..FaultProfile::NONE });
         for mode in [QueryMode::UdpNoAgg, QueryMode::DaietAgg] {
             let out = runner.run(mode);
             prop_assert!(
                 out.complete,
-                "{:?} did not complete (residual loss beat k=3 redundancy?)",
+                "{:?} did not complete (loss outran NACK recovery?)",
                 mode
             );
             prop_assert_eq!(&out.result, &truth, "{:?} diverged under faults", mode);

@@ -3,7 +3,7 @@
 //! `std`'s default `HashMap` hasher (SipHash-1-3) buys DoS resistance the
 //! simulator does not need — every key it hashes is generated by the
 //! simulation itself — at a real per-packet cost: flow-rule lookups, tree
-//! state, dedup windows and reducer collectors all sit on the packet hot
+//! state, gap trackers and reducer collectors all sit on the packet hot
 //! path. FNV-1a is a few shifts and multiplies per byte and measurably
 //! faster for the short keys (2–20 bytes) these tables use.
 //!

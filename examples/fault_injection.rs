@@ -1,7 +1,7 @@
 //! Fault injection: what happens to in-network aggregation on a lossy or
 //! duplicating fabric — and how the reliability extension (sequence
-//! numbers + switch-side dedup + sender redundancy) restores exactness
-//! under duplication and bounds the damage under loss.
+//! numbers + NACK recovery, whose reception bitmaps also drop
+//! duplicates) restores exactness under both.
 //!
 //! The paper's prototype explicitly leaves packet loss to future work;
 //! this example demonstrates both the failure mode and the extension.
@@ -10,11 +10,11 @@
 
 use daiet_repro::daiet::agg::AggFn;
 use daiet_repro::daiet::controller::{AggregationMode, Controller, JobPlacement};
-use daiet_repro::daiet::worker::{ReducerHost, SenderHost};
+use daiet_repro::daiet::worker::{one_shot_sender, reducer_host, ReducerHost};
 use daiet_repro::daiet::DaietConfig;
 use daiet_repro::dataplane::Resources;
 use daiet_repro::netsim::topology::{Role, TopologyPlan};
-use daiet_repro::netsim::{FaultProfile, LinkSpec, Simulator};
+use daiet_repro::netsim::{FaultProfile, LinkSpec, SimDuration, Simulator};
 use daiet_repro::wire::daiet::{Key, Pair};
 
 fn run(config: DaietConfig, faults: FaultProfile) -> (bool, Option<u32>) {
@@ -31,13 +31,21 @@ fn run(config: DaietConfig, faults: FaultProfile) -> (bool, Option<u32>) {
     let mut ids = Vec::new();
     for slot in 0..plan.len() {
         let id = match plan.role(slot) {
-            Role::Host if slot < 3 => sim.add_node(Box::new(SenderHost::new(
+            Role::Host if slot < 3 => sim.add_node(Box::new(one_shot_sender(
                 &config,
-                dep.tree_id(0),
-                vec![Pair::new(word, 10)],
-                dep.endpoints(slot, 0),
+                slot,
+                [(dep.tree_id(0), dep.endpoints(slot, 0), vec![Pair::new(word, 10)])],
+                SimDuration::from_micros(1),
+                "mapper",
             ))),
-            Role::Host => sim.add_node(Box::new(ReducerHost::new(AggFn::Sum, 1))),
+            Role::Host => sim.add_node(Box::new(reducer_host(
+                &config,
+                AggFn::Sum,
+                &dep,
+                0,
+                slot,
+                &placement.mappers,
+            ))),
             Role::Switch => sim.add_node(Box::new(switches.remove(&slot).unwrap())),
         };
         ids.push(id);
@@ -50,7 +58,7 @@ fn run(config: DaietConfig, faults: FaultProfile) -> (bool, Option<u32>) {
 
 fn main() {
     let base = DaietConfig::default();
-    let reliable = DaietConfig { reliability: true, ..base };
+    let reliable = DaietConfig { nack_recovery: true, ..base };
 
     println!("expected: total = 30 (3 mappers x 10)\n");
 
@@ -61,14 +69,11 @@ fn main() {
     println!("30% duplication,     prototype:  complete={done}, total={v:?}   <- DOUBLE COUNTED");
 
     let (done, v) = run(reliable, FaultProfile { duplicate: 0.3, ..FaultProfile::NONE });
-    println!("30% duplication,     + dedup:    complete={done}, total={v:?}   <- exact again");
+    println!("30% duplication,     + recovery: complete={done}, total={v:?}   <- exact again");
 
     let (done, v) = run(base, FaultProfile::loss(0.4));
     println!("40% loss,            prototype:  complete={done}, total={v:?}   <- data missing / stuck");
 
-    println!(
-        "\nresidual loss with k-redundant senders at p=0.4: k=2 -> {:.3}, k=4 -> {:.4}",
-        daiet_repro::daiet::reliability::residual_loss(0.4, 2),
-        daiet_repro::daiet::reliability::residual_loss(0.4, 4),
-    );
+    let (done, v) = run(reliable, FaultProfile::loss(0.4));
+    println!("40% loss,            + recovery: complete={done}, total={v:?}   <- exact again");
 }

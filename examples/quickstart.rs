@@ -8,11 +8,11 @@
 
 use daiet_repro::daiet::agg::AggFn;
 use daiet_repro::daiet::controller::{AggregationMode, Controller, JobPlacement};
-use daiet_repro::daiet::worker::{ReducerHost, SenderHost};
+use daiet_repro::daiet::worker::{one_shot_sender, ReducerHost};
 use daiet_repro::daiet::DaietConfig;
 use daiet_repro::dataplane::Resources;
 use daiet_repro::netsim::topology::{Role, TopologyPlan};
-use daiet_repro::netsim::{LinkSpec, Simulator};
+use daiet_repro::netsim::{LinkSpec, SimDuration, Simulator};
 use daiet_repro::wire::daiet::{Key, Pair};
 
 fn main() {
@@ -40,11 +40,12 @@ fn main() {
     let mut ids = Vec::new();
     for slot in 0..plan.len() {
         let id = match (plan.role(slot), partitions.get(slot)) {
-            (Role::Host, Some(part)) => sim.add_node(Box::new(SenderHost::new(
+            (Role::Host, Some(part)) => sim.add_node(Box::new(one_shot_sender(
                 &config,
-                dep.tree_id(0),
-                part.clone(),
-                dep.endpoints(slot, 0),
+                slot,
+                [(dep.tree_id(0), dep.endpoints(slot, 0), part.clone())],
+                SimDuration::from_micros(1),
+                "mapper",
             ))),
             (Role::Host, None) => sim.add_node(Box::new(ReducerHost::new(
                 AggFn::Sum,

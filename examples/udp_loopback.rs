@@ -54,7 +54,6 @@ fn job() -> (DaietConfig, TopologyPlan, JobPlacement, Corpus) {
     let config = wall_clock_config(
         DaietConfig {
             register_cells: 1024,
-            reliability: true,
             nack_recovery: true,
             ..DaietConfig::default()
         }
@@ -235,7 +234,7 @@ fn child(role: &str) {
     if let Some(w) = role.strip_prefix("worker:") {
         let w: usize = w.parse().expect("worker index");
         let parts = [(dep.tree_id(0), dep.endpoints(w, 0), Arc::clone(&corpus.partitions[w][0]))];
-        let node = one_shot_sender(&config, w, parts, 1, Duration::from_micros(50), "proc-worker");
+        let node = one_shot_sender(&config, w, parts, Duration::from_micros(50), "proc-worker");
         let mut driver = NodeDriver::from_socket(Box::new(node), socket).expect("driver");
         driver.set_peers(vec![addrs[SWITCH]]);
         let stop = Arc::new(AtomicBool::new(false));

@@ -7,11 +7,11 @@
 
 use daiet_repro::daiet::agg::AggFn;
 use daiet_repro::daiet::controller::{AggregationMode, Controller, JobPlacement};
-use daiet_repro::daiet::worker::{ReducerHost, SenderHost};
+use daiet_repro::daiet::worker::{one_shot_sender, ReducerHost};
 use daiet_repro::daiet::DaietConfig;
 use daiet_repro::dataplane::Resources;
 use daiet_repro::netsim::topology::{Role, TopologyPlan};
-use daiet_repro::netsim::{LinkSpec, Simulator};
+use daiet_repro::netsim::{LinkSpec, SimDuration, Simulator};
 use daiet_repro::wire::daiet::{Key, Pair};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -44,18 +44,17 @@ fn aggregate_via_network(
         .deploy(&plan, &placement, Resources::tofino_like(), AggregationMode::InNetwork)
         .expect("deployment fits");
 
+    let sender = |slot: usize, tree: u16, pairs: Vec<Pair>| {
+        let part = [(tree, dep.endpoints(slot, 0), pairs)];
+        Box::new(one_shot_sender(&config, slot, part, SimDuration::from_micros(1), "sender"))
+    };
     let mut sim = Simulator::new(7);
     let mut ids = Vec::new();
     for slot in 0..plan.len() {
         let id = match plan.role(slot) {
             Role::Host => {
                 if let Some(m) = mappers.iter().position(|&s| s == slot) {
-                    sim.add_node(Box::new(SenderHost::new(
-                        &config,
-                        dep.tree_id(0),
-                        partitions[m].clone(),
-                        dep.endpoints(slot, 0),
-                    )))
+                    sim.add_node(sender(slot, dep.tree_id(0), partitions[m].clone()))
                 } else if slot == reducer {
                     sim.add_node(Box::new(ReducerHost::new(
                         agg,
@@ -64,12 +63,9 @@ fn aggregate_via_network(
                 } else {
                     // Unused host slot: a quiet sender with no pairs that
                     // still exists so plan wiring lines up.
-                    sim.add_node(Box::new(SenderHost::new(
-                        &config,
-                        u16::MAX, // tree nobody routes; it sends only an END for an unknown tree
-                        Vec::new(),
-                        dep.endpoints(slot, 0),
-                    )))
+                    // (tree nobody routes; it sends only an END for an
+                    // unknown tree).
+                    sim.add_node(sender(slot, u16::MAX, Vec::new()))
                 }
             }
             Role::Switch => sim.add_node(Box::new(switches.remove(&slot).unwrap())),

@@ -106,7 +106,6 @@ fn dropped_flush_frame_is_nack_recovered_over_real_sockets() {
         return;
     }
     let mut runner = Runner::new(Corpus::generate(&CorpusSpec::tiny(23)));
-    runner.daiet_config.reliability = true;
     runner.daiet_config.nack_recovery = true;
     runner.daiet_config = runner.daiet_config.with_rtx_sized_for_flush();
     let plan = runner.star_plan();

@@ -1,15 +1,15 @@
 //! Failure injection across the stack: corruption is detected by
 //! checksums and dropped (never aggregated), duplication is suppressed by
-//! the reliability extension, TCP survives everything, and the
+//! NACK recovery's gap trackers, TCP survives everything, and the
 //! prototype's known loss limitation behaves exactly as documented.
 
 use daiet_repro::daiet::agg::AggFn;
 use daiet_repro::daiet::controller::{AggregationMode, Controller, JobPlacement};
-use daiet_repro::daiet::worker::{ReducerHost, SenderHost};
+use daiet_repro::daiet::worker::{one_shot_sender, reducer_host, ReducerHost};
 use daiet_repro::daiet::DaietConfig;
 use daiet_repro::dataplane::{Resources, Switch};
 use daiet_repro::netsim::topology::{Role, TopologyPlan};
-use daiet_repro::netsim::{FaultProfile, LinkSpec, Simulator};
+use daiet_repro::netsim::{FaultProfile, LinkSpec, SimDuration, Simulator};
 use daiet_repro::wire::daiet::{Key, Pair};
 
 struct Outcome {
@@ -33,17 +33,21 @@ fn run(config: DaietConfig, faults: FaultProfile, seed: u64) -> Outcome {
     let mut ids = Vec::new();
     for slot in 0..plan.len() {
         let id = match plan.role(slot) {
-            Role::Host if slot < 3 => sim.add_node(Box::new(SenderHost::new(
+            Role::Host if slot < 3 => sim.add_node(Box::new(one_shot_sender(
                 &config,
-                dep.tree_id(0),
-                vec![Pair::new(word, 5)],
-                dep.endpoints(slot, 0),
+                slot,
+                [(dep.tree_id(0), dep.endpoints(slot, 0), vec![Pair::new(word, 5)])],
+                SimDuration::from_micros(1),
+                "sender",
             ))),
-            Role::Host => {
-                let reducer = ReducerHost::new(AggFn::Sum, 1);
-                let reducer = if config.reliability { reducer.with_dedup() } else { reducer };
-                sim.add_node(Box::new(reducer))
-            }
+            Role::Host => sim.add_node(Box::new(reducer_host(
+                &config,
+                AggFn::Sum,
+                &dep,
+                0,
+                slot,
+                &placement.mappers,
+            ))),
             Role::Switch => sim.add_node(Box::new(switches.remove(&slot).unwrap())),
         };
         ids.push(id);
@@ -102,8 +106,8 @@ fn duplication_breaks_the_prototype_but_not_the_extension() {
     let total = proto.total.unwrap();
     assert!(total > 15, "expected over-counting, got {total}");
 
-    // Extension: dedup windows restore exactness.
-    let fixed = run(DaietConfig { reliability: true, ..DaietConfig::default() }, faults, 5);
+    // Extension: NACK recovery's reception bitmaps restore exactness.
+    let fixed = run(DaietConfig { nack_recovery: true, ..DaietConfig::default() }, faults, 5);
     assert!(fixed.complete);
     assert_eq!(fixed.total, Some(15));
     assert!(fixed.duplicates_suppressed > 0);

@@ -179,7 +179,6 @@ fn lost_round_flush_is_nacked_after_next_round_traffic_started() {
     const KEYS_PER_ROUND: usize = 30;
     let config = DaietConfig {
         register_cells: 256,
-        reliability: true,
         nack_recovery: true,
         rtx_frames: 64,
         nack_timeout_ns: 20_000,
@@ -292,7 +291,6 @@ fn long_iterative_run_stays_bounded_and_exact() {
     const ROUNDS: u32 = 600; // × 2 seqs/round ≫ WINDOW
     let config = DaietConfig {
         register_cells: 64,
-        reliability: true,
         nack_recovery: true,
         // Deliberately deeper than the receive WINDOW: eviction alone
         // would never clean this ring, so dead rounds survive in it

@@ -89,7 +89,6 @@ fn clean_link() -> LinkSpec {
 fn recovery_config() -> DaietConfig {
     DaietConfig {
         register_cells: 1024,
-        reliability: true,
         nack_recovery: true,
         nack_timeout_ns: 20_000,
         ..DaietConfig::default()

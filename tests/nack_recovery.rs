@@ -12,14 +12,14 @@
 
 use daiet_repro::daiet::agg::AggFn;
 use daiet_repro::daiet::controller::{AggregationMode, Controller, JobPlacement};
-use daiet_repro::daiet::worker::{ReducerHost, SenderHost};
+use daiet_repro::daiet::worker::{one_shot_sender, ReducerHost};
 use daiet_repro::daiet::{DaietConfig, DaietEngine};
 use daiet_repro::dataplane::{Resources, Switch};
 use daiet_repro::mapreduce::runner::{Runner, ShuffleMode};
 use daiet_repro::mapreduce::wordcount::{Corpus, CorpusSpec};
 use daiet_repro::netsim::topology::{Role, TopologyPlan};
 use daiet_repro::netsim::{
-    FaultDecision, FaultProfile, LinkScript, LinkSpec, Simulator,
+    FaultDecision, FaultProfile, LinkScript, LinkSpec, SimDuration, Simulator,
 };
 use daiet_repro::wire::daiet::{Key, Pair};
 
@@ -41,7 +41,6 @@ struct FlushLossOutcome {
 fn run_flush_loss(recover: bool) -> FlushLossOutcome {
     let config = DaietConfig {
         register_cells: 256,
-        reliability: true,
         nack_recovery: recover,
         rtx_frames: 64,
         ..DaietConfig::default()
@@ -69,15 +68,16 @@ fn run_flush_loss(recover: bool) -> FlushLossOutcome {
                         Pair::new(k, 1 + i as u32)
                     })
                     .collect();
-                sim.add_node(Box::new(SenderHost::new(
+                sim.add_node(Box::new(one_shot_sender(
                     &config,
-                    dep.tree_id(0),
-                    pairs,
-                    dep.endpoints(slot, 0),
+                    slot,
+                    [(dep.tree_id(0), dep.endpoints(slot, 0), pairs)],
+                    SimDuration::from_micros(1),
+                    "mapper",
                 )))
             }
             Role::Host => {
-                let mut reducer = ReducerHost::new(AggFn::Sum, 1).with_dedup();
+                let mut reducer = ReducerHost::new(AggFn::Sum, 1);
                 if recover {
                     let sources = dep
                         .reducer_sources(0, &placement.mappers)
@@ -162,7 +162,6 @@ fn mid_round_spillover_loss_is_recovered_while_stream_is_hot() {
     const KEYS_PER_MAPPER_SPILL: usize = 200;
     let config = DaietConfig {
         register_cells: 64, // 200-key mappers collide constantly → many spills
-        reliability: true,
         nack_recovery: true,
         rtx_frames: 32, // < the round's total emissions, ≥ the flush demand (8)
         // The ring retains ~32/3 ≈ 11 µs of emissions at this workload's
@@ -192,11 +191,12 @@ fn mid_round_spillover_loss_is_recovered_while_stream_is_hot() {
                         Pair::new(k, 1 + i as u32)
                     })
                     .collect();
-                sim.add_node(Box::new(SenderHost::new(
+                sim.add_node(Box::new(one_shot_sender(
                     &config,
-                    dep.tree_id(0),
-                    pairs,
-                    dep.endpoints(slot, 0),
+                    slot,
+                    [(dep.tree_id(0), dep.endpoints(slot, 0), pairs)],
+                    SimDuration::from_micros(1),
+                    "mapper",
                 )))
             }
             Role::Host => {

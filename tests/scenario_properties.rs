@@ -39,7 +39,6 @@ fn chaos_seed() -> u64 {
 fn recovery_config() -> DaietConfig {
     DaietConfig {
         register_cells: 256,
-        reliability: true,
         nack_recovery: true,
         rtx_frames: 64,
         nack_timeout_ns: 20_000,
