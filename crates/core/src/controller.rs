@@ -33,10 +33,11 @@ use daiet_netsim::topology::TopologyPlan;
 use daiet_wire::stack::Endpoints;
 use std::collections::BTreeMap;
 
-/// Pipeline handle of the steering table [`Controller::deploy`] installs
-/// on every switch: stage 0, first table added. Live re-planning
-/// ([`Controller::replan_switch`]) relies on this fixed position to find
-/// the table again inside a running simulation.
+/// Pipeline handle of the steering table [`Controller::deploy`] and the
+/// tenant scheduler install on every switch: stage 0, first table added.
+/// [`JobScheduler`](crate::tenant::JobScheduler) relies on this fixed
+/// position to add and remove one tree's rule inside a running
+/// simulation.
 pub const STEER_TABLE: (usize, usize) = (0, 0);
 
 /// Pipeline handle of the L2 forwarding table (stage 1, first table).
@@ -394,173 +395,6 @@ impl Controller {
         }
 
         Ok((Deployment { trees, mode, config: self.config, engine_externs }, switches))
-    }
-
-    /// Recomputes every aggregation tree over a (possibly reduced)
-    /// roster, routing around the `dead` switch slots — step one of live
-    /// re-planning after a node failure. A reducer cut off from a mapper
-    /// by the failures surfaces as [`TreeError::Unreachable`].
-    pub fn replan_trees(
-        &self,
-        plan: &TopologyPlan,
-        placement: &JobPlacement,
-        dead: &[usize],
-    ) -> Result<Vec<AggregationTree>, DeployError> {
-        let mut trees = Vec::with_capacity(placement.reducers.len());
-        for (i, &reducer) in placement.reducers.iter().enumerate() {
-            let tree = AggregationTree::build_avoiding(
-                plan,
-                i as u16,
-                reducer,
-                &placement.mappers,
-                dead,
-            )?;
-            debug_assert_eq!(tree.validate(), Ok(()));
-            trees.push(tree);
-        }
-        Ok(trees)
-    }
-
-    /// Reconfigures one **live** switch for a re-planned tree set — step
-    /// two of live re-planning, applied to each surviving switch inside a
-    /// running simulation (the harness reaches them through
-    /// `Simulator::node_mut`). The switch's steering and L2 tables are
-    /// rebuilt from scratch (routes avoid the `dead` slots) and its
-    /// engine's tree state is torn down and reinstalled, which restarts
-    /// every per-tree sequence space at 0 — the caller must restart the
-    /// host-side sequence spaces and receiver rosters to match (see
-    /// `IterativeRunner::replan`, which drives both halves).
-    ///
-    /// SRAM reservations from the original deployment are retained; a
-    /// tree newly crossing this switch reserves what it is missing.
-    #[allow(clippy::too_many_arguments)]
-    pub fn replan_switch(
-        &self,
-        plan: &TopologyPlan,
-        trees: &[AggregationTree],
-        dead: &[usize],
-        sw_slot: usize,
-        switch: &mut Switch,
-        ext: daiet_dataplane::ExternId,
-        mode: AggregationMode,
-    ) -> Result<(), DeployError> {
-        // SRAM first (separate borrow of the pipeline from the extern):
-        // reserve whatever the new tree set needs that deployment didn't.
-        let mut flow_demand: u64 = 0;
-        for tree in trees {
-            let Some(&children) = tree.switch_children.get(&sw_slot) else { continue };
-            flow_demand += u64::from(children);
-            let name = format!("daiet.tree[{}]@{}", tree.tree_id, sw_slot);
-            if !self.has_allocation(switch, &name) {
-                switch.pipeline_mut().tracker_mut().allocate_first_fit(
-                    &name,
-                    2,
-                    self.config.sram_per_tree(),
-                )?;
-            }
-            if mode == AggregationMode::InNetwork && self.config.nack_recovery {
-                let name = format!("daiet.rtx[{}]@{}", tree.tree_id, sw_slot);
-                if !self.has_allocation(switch, &name) {
-                    switch.pipeline_mut().tracker_mut().allocate_first_fit(
-                        &name,
-                        2,
-                        self.config.sram_for_rtx_per_tree(),
-                    )?;
-                }
-            }
-        }
-        if mode == AggregationMode::InNetwork && flow_demand > 0 {
-            if self.config.nack_recovery && flow_demand > self.config.nack_flows as u64 {
-                return Err(DeployError::Config(format!(
-                    "switch {sw_slot} needs {flow_demand} NACK flows after re-plan \
-                     but nack_flows is {}",
-                    self.config.nack_flows
-                )));
-            }
-            let nack_sram = self.config.sram_for_nack_tracker();
-            if nack_sram > 0 && !self.has_allocation(switch, &format!("daiet.nack@{sw_slot}")) {
-                switch.pipeline_mut().tracker_mut().allocate_first_fit(
-                    &format!("daiet.nack@{sw_slot}"),
-                    2,
-                    nack_sram,
-                )?;
-            }
-        }
-
-        // Engine: tear down every tree (evicting its gap flows —
-        // the new epoch's sequence spaces restart at 0) and reinstall the
-        // ones crossing this switch in the new plan.
-        {
-            let engine = switch.extern_mut::<DaietEngine>(ext).ok_or_else(|| {
-                DeployError::Config(format!("switch {sw_slot} has no DaietEngine at {ext:?}"))
-            })?;
-            for tree in trees {
-                engine.remove_tree(tree.tree_id);
-            }
-            for tree in trees {
-                let Some(&children) = tree.switch_children.get(&sw_slot) else { continue };
-                let upstream = tree
-                    .upstream(sw_slot)
-                    .expect("participating switch has a parent edge");
-                let children_sources: Vec<crate::switch_agg::ChildSource> = tree
-                    .children_of(sw_slot)
-                    .into_iter()
-                    .map(|(child, port)| crate::switch_agg::ChildSource {
-                        id: child as u32,
-                        port,
-                    })
-                    .collect();
-                debug_assert_eq!(children_sources.len() as u32, children);
-                engine.install_tree(TreeStateConfig {
-                    tree_id: tree.tree_id,
-                    out_port: upstream.port,
-                    endpoints: Endpoints::from_ids(sw_slot as u32, tree.reducer as u32),
-                    agg: self.agg_for(tree.tree_id as usize),
-                    children,
-                    children_sources,
-                });
-            }
-        }
-
-        // Steering rules: rebuilt from scratch (clear sidesteps the
-        // capacity check, which fires on upsert into a full table).
-        let steer = switch.pipeline_mut().table_mut(STEER_TABLE);
-        steer.clear();
-        if mode == AggregationMode::InNetwork {
-            for tree in trees {
-                if tree.switch_children.contains_key(&sw_slot) {
-                    steer
-                        .insert(TableEntry {
-                            matcher: MatchValue::Exact(tree.tree_id.to_be_bytes().to_vec()),
-                            action: ActionSpec::Invoke { ext, arg: u32::from(tree.tree_id) },
-                        })
-                        .map_err(|e| DeployError::Config(e.to_string()))?;
-                }
-            }
-        }
-
-        // L2: next hop toward every host, routed around the dead slots. A
-        // host unreachable from here keeps no rule (frames to it drop,
-        // which is what a partitioned fabric does).
-        let l2 = switch.pipeline_mut().table_mut(L2_TABLE);
-        l2.clear();
-        for &h in &plan.hosts() {
-            let next = plan.next_hops_toward_avoiding(h, dead);
-            if let Some(hop) = next[sw_slot] {
-                l2.insert(TableEntry {
-                    matcher: MatchValue::Exact(
-                        daiet_wire::EthernetAddress::from_id(h as u32).0.to_vec(),
-                    ),
-                    action: ActionSpec::Forward(hop.port),
-                })
-                .map_err(|e| DeployError::Config(e.to_string()))?;
-            }
-        }
-        Ok(())
-    }
-
-    fn has_allocation(&self, switch: &Switch, name: &str) -> bool {
-        switch.pipeline().tracker().allocations().iter().any(|a| a.name == name)
     }
 }
 

@@ -53,7 +53,6 @@
 pub mod agg;
 pub mod config;
 pub mod controller;
-pub mod iterative;
 pub mod loopback;
 pub mod reliability;
 pub mod switch_agg;
@@ -70,4 +69,4 @@ pub use tenant::{
     MixOptions, MixOutcome, TenantSpec, TenantWorkload,
 };
 pub use tree::AggregationTree;
-pub use worker::{Collector, IterRound, IterativeRunner, IterativeSpec, Packetizer};
+pub use worker::{Collector, Packetizer};

@@ -1,6 +1,6 @@
 //! Deploying a DAIET job onto the real-time UDP backend.
 //!
-//! The simulator runners ([`crate::iterative`], the workload crates)
+//! The simulator runners ([`crate::tenant`], the workload crates)
 //! build nodes and hand them to a `Simulator`; this module builds the
 //! **same nodes** — [`PacedSenderNode`](crate::worker::PacedSenderNode)
 //! mappers, userspace [`Switch`](daiet_dataplane::Switch)es,
@@ -31,7 +31,7 @@
 use crate::agg::AggFn;
 use crate::config::DaietConfig;
 use crate::controller::{AggregationMode, Controller, Deployment, JobPlacement};
-use crate::worker::{one_shot_sender, reducer_host, ReducerHost};
+use crate::worker::{one_shot_sender, reducer_host, IdleHost, ReducerHost};
 use daiet_fabric::{Duration, FaultShim, Node, NodeSpec, Time};
 use daiet_netsim::topology::TopologyPlan;
 use daiet_wire::daiet::{Key, Pair};
@@ -248,29 +248,10 @@ impl LoopbackJob {
                 } else if self.plan.switches().contains(&slot) {
                     self.switch_spec(slot, FaultShim::none())
                 } else {
-                    // An idle host: receives and drops (mirrors the
-                    // simulator runners' inert NIC).
-                    NodeSpec::plain(Box::new(|| Box::new(LoopbackIdleHost)))
+                    NodeSpec::plain(Box::new(|| Box::new(IdleHost)))
                 }
             })
             .collect()
-    }
-}
-
-/// A host slot the placement leaves unused: receives and drops.
-struct LoopbackIdleHost;
-
-impl Node for LoopbackIdleHost {
-    fn on_packet(
-        &mut self,
-        _ctx: &mut dyn daiet_fabric::Fabric,
-        _port: daiet_fabric::PortId,
-        _frame: daiet_fabric::Frame,
-    ) {
-    }
-
-    fn name(&self) -> String {
-        "idle-host".into()
     }
 }
 

@@ -227,10 +227,10 @@ impl DaietEngine {
     }
 
     /// Uninstalls a tree: drops its registers, retransmit ring, and any
-    /// gap-tracker flows. Used when the controller re-plans a job around
-    /// a dead switch and this device is no longer on the tree's path
-    /// (stale state would otherwise consume SRAM and, with NACK
-    /// recovery, chase children that no longer send this way).
+    /// gap-tracker flows. Used when a job departs, and when the
+    /// scheduler re-plans a job by removing its trees before installing
+    /// the re-routed ones (stale state would otherwise consume SRAM and,
+    /// with NACK recovery, chase children that no longer send this way).
     pub fn remove_tree(&mut self, tree_id: u16) {
         if let Some(nack) = self.nack.as_mut() {
             nack.clear_tree(tree_id);

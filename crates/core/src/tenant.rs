@@ -23,19 +23,23 @@
 //!   allocation order and per-stage accounting, so a rejected job leaves
 //!   the fabric **bit-identically** in its pre-admission state — future
 //!   first-fit placements are unchanged.
-//! * **Per-job teardown.** [`JobScheduler::depart`] removes exactly the
-//!   departing job's steering entries ([`Table::remove_exact`]), engine
-//!   trees ([`DaietEngine::remove_tree`]) and SRAM reservations
+//! * **Per-tree teardown, by name.** [`JobScheduler::depart`] removes
+//!   exactly the departing job's steering entries
+//!   ([`Table::remove_exact`]), engine trees
+//!   ([`DaietEngine::remove_tree`]) and SRAM reservations
 //!   (`daiet.tree[id]@sw` / `daiet.rtx[id]@sw`), and returns its host
 //!   slots to the pool — neighbor jobs' switch state and in-flight
-//!   recovery are untouched. The deliberately wrong
-//!   [`naive_depart`](JobScheduler::naive_depart) (wipe-and-rebuild
-//!   teardown) is kept as a regression foil.
+//!   recovery are untouched. [`JobScheduler::replan`] re-routes a live
+//!   job with the same removal followed by a fresh install, so no path
+//!   ever clears a shared steering table.
 //!
 //! On top of the scheduler, [`run_mix`] drives a deterministic tenant
 //! mix: Poisson arrivals ([`poisson_offsets`], seeded `stream_seed`
 //! style), per-job round loops, and per-job [`StatsSnapshot`] deltas for
-//! accounting ([`JobOutcome::usage`]).
+//! accounting ([`JobOutcome::usage`]). A single admitted job stepped
+//! with [`JobScheduler::run_round`] is the iterative harness: the ML and
+//! graph packet runs and the node-chaos scenarios are one-tenant
+//! fabrics.
 //!
 //! [`SramTracker::free`]: daiet_dataplane::resources::SramTracker::free
 //! [`Table::remove_exact`]: daiet_dataplane::table::Table::remove_exact
@@ -46,10 +50,9 @@
 use crate::agg::AggFn;
 use crate::config::DaietConfig;
 use crate::controller::{DeployError, L2_TABLE, STEER_TABLE};
-use crate::iterative::IdleHost;
 use crate::switch_agg::{ChildSource, DaietEngine, TreeStateConfig};
 use crate::tree::AggregationTree;
-use crate::worker::{plan_round, PacedSenderNode, ReducerHost};
+use crate::worker::{plan_round, IdleHost, PacedSenderNode, ReducerHost};
 use daiet_dataplane::pipeline::{ActionSpec, Pipeline};
 use daiet_dataplane::resources::Resources;
 use daiet_dataplane::table::{Field, KeySpec, MatchValue, Table, TableEntry, TableKind};
@@ -159,13 +162,16 @@ struct JobState {
     label: String,
     /// Leased sender plan slots (job-local sender index → plan slot).
     sender_slots: Vec<usize>,
+    /// Live roster: whether sender `i` takes part in rounds. All true
+    /// until a [`replan`](JobScheduler::replan) leaves some out.
+    active: Vec<bool>,
     /// Leased reducer plan slots (tree index → plan slot).
     reducer_slots: Vec<usize>,
+    /// Aggregation function per tree.
+    aggs: Vec<AggFn>,
     trees: Vec<AggregationTree>,
     /// Per sender, per tree id: next free sequence number.
     next_seq: Vec<FnvHashMap<u16, u32>>,
-    /// END frames each reducer must see per round.
-    expected_ends: Vec<u32>,
     round: u64,
     round_open: bool,
     admitted_at: Time,
@@ -214,9 +220,6 @@ pub struct JobScheduler {
     /// — a straggler frame carrying a dead job's tree id must not hit a
     /// live tree.
     recycled_tree_ids: BTreeSet<u16>,
-    /// Live gap-tracker flow demand per switch slot (sum of tree children
-    /// across every admitted job's trees at that switch).
-    flow_demand: BTreeMap<usize, u64>,
     jobs: BTreeMap<u64, JobState>,
     next_job: u64,
 }
@@ -258,8 +261,6 @@ impl JobScheduler {
         let mut sim = Simulator::new(spec.seed);
         let mut ids = Vec::with_capacity(spec.plan.len());
         let mut engine_externs = BTreeMap::new();
-        let mut flow_demand = BTreeMap::new();
-        let hosts = spec.plan.hosts();
         for slot in 0..spec.plan.len() {
             let id = match spec.plan.role(slot) {
                 Role::Host => {
@@ -279,8 +280,7 @@ impl JobScheduler {
                     }
                 }
                 Role::Switch => {
-                    let (switch, ext) = build_tenant_switch(&spec, slot, &hosts)?;
-                    flow_demand.insert(slot, 0u64);
+                    let (switch, ext) = build_tenant_switch(&spec, slot)?;
                     let id = sim.add_node(Box::new(switch));
                     engine_externs.insert(slot, ext);
                     id
@@ -309,7 +309,6 @@ impl JobScheduler {
             engine_externs,
             next_tree_id: 0,
             recycled_tree_ids: BTreeSet::new(),
-            flow_demand,
             jobs: BTreeMap::new(),
             next_job: 0,
         })
@@ -367,32 +366,11 @@ impl JobScheduler {
             }
         }
 
-        // Gap-tracker flow capacity precheck — before any switch is
-        // touched, so a refusal here needs no rollback at all.
-        let mut added: BTreeMap<usize, u64> = BTreeMap::new();
-        for tree in &trees {
-            for (&sw, &children) in &tree.switch_children {
-                *added.entry(sw).or_insert(0) += u64::from(children);
-            }
-        }
-        if self.spec.config.nack_recovery {
-            for (&sw, &add) in &added {
-                let live = self.flow_demand.get(&sw).copied().unwrap_or(0);
-                if live + add > self.spec.config.nack_flows as u64 {
-                    self.release_tree_ids(&tree_ids);
-                    return Err(DeployError::Config(format!(
-                        "switch {sw} would need {} NACK flows ({live} live + {add} new) \
-                         but nack_flows is {}",
-                        live + add,
-                        self.spec.config.nack_flows
-                    )));
-                }
-            }
-        }
-
-        // Install switch state through the undo log.
         let mut log = Vec::new();
-        if let Err(e) = self.install_job(&trees, &req.aggs, &mut log) {
+        if let Err(e) = self
+            .check_nack_flows(&trees, &[])
+            .and_then(|()| self.install_job(&trees, &req.aggs, &mut log))
+        {
             self.rollback(log);
             self.release_tree_ids(&tree_ids);
             return Err(e);
@@ -401,22 +379,69 @@ impl JobScheduler {
         // Committed: lease the slots and arm the hosts.
         self.free_senders.drain(..req.senders);
         self.free_reducers.drain(..req.aggs.len());
-        for (&sw, &add) in &added {
-            *self.flow_demand.entry(sw).or_insert(0) += add;
+        let st = JobState {
+            label: req.label,
+            active: vec![true; sender_slots.len()],
+            next_seq: vec![FnvHashMap::default(); sender_slots.len()],
+            sender_slots,
+            reducer_slots,
+            aggs: req.aggs,
+            trees,
+            round: 0,
+            round_open: false,
+            admitted_at: self.sim.now(),
+            snap_at_admit: self.sim.snapshot(),
+        };
+        self.arm_hosts(&st);
+        let jid = self.next_job;
+        self.next_job += 1;
+        self.jobs.insert(jid, st);
+        Ok(JobId(jid))
+    }
+
+    /// Gap-tracker flow capacity precheck for installing `new` in place
+    /// of `old` (the job's current trees; none on admission). It runs
+    /// before any switch is touched, so a refusal needs no rollback.
+    fn check_nack_flows(
+        &self,
+        new: &[AggregationTree],
+        old: &[AggregationTree],
+    ) -> Result<(), DeployError> {
+        if !self.spec.config.nack_recovery {
+            return Ok(());
         }
+        let cap = self.spec.config.nack_flows as u64;
+        let switches: BTreeSet<usize> = new.iter().flat_map(AggregationTree::switches).collect();
+        for sw in switches {
+            let live = self.flow_demand_at(sw) - flows_at(old, sw);
+            let add = flows_at(new, sw);
+            if live + add > cap {
+                return Err(DeployError::Config(format!(
+                    "switch {sw} would need {} NACK flows ({live} live + {add} new) \
+                     but nack_flows is {cap}",
+                    live + add
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Arms a job's hosts for a fresh epoch over its trees. Each reducer
+    /// drops whatever it holds (a straggler's deposit while pooled, a
+    /// wedged round's partial pairs), merges with its tree's function,
+    /// and expects its tree's children: END count and NACK roster, from
+    /// sequence 0. Every sender's sequence spaces and replay retention
+    /// restart at 0.
+    fn arm_hosts(&mut self, st: &JobState) {
         let config = self.spec.config;
-        for (t, tree) in trees.iter().enumerate() {
-            let slot = reducer_slots[t];
-            let id = self.ids[slot];
+        for (t, tree) in st.trees.iter().enumerate() {
+            let slot = st.reducer_slots[t];
             let reducer = self
                 .sim
-                .node_mut::<ReducerHost>(id)
+                .node_mut::<ReducerHost>(self.ids[slot])
                 .expect("reducer pool slots hold ReducerHosts");
-            // Drain anything a straggler frame deposited while pooled,
-            // then re-arm collection and the reliability guard for this
-            // job's tree from scratch.
             let _ = reducer.take_round();
-            reducer.collector.set_agg(req.aggs[t]);
+            reducer.collector.set_agg(st.aggs[t]);
             let sources: Vec<(u16, u32)> = tree
                 .children_of(tree.reducer)
                 .into_iter()
@@ -424,33 +449,12 @@ impl JobScheduler {
                 .collect();
             reducer.reroster(slot as u32, &config, sources, tree.reducer_children);
         }
-        for &slot in &sender_slots {
-            let id = self.ids[slot];
+        for &slot in &st.sender_slots {
             self.sim
-                .node_mut::<PacedSenderNode>(id)
+                .node_mut::<PacedSenderNode>(self.ids[slot])
                 .expect("sender pool slots hold PacedSenderNodes")
                 .reset_epoch();
         }
-
-        let expected_ends: Vec<u32> = trees.iter().map(|t| t.reducer_children).collect();
-        let jid = self.next_job;
-        self.next_job += 1;
-        self.jobs.insert(
-            jid,
-            JobState {
-                label: req.label,
-                next_seq: vec![FnvHashMap::default(); sender_slots.len()],
-                sender_slots,
-                reducer_slots,
-                trees,
-                expected_ends,
-                round: 0,
-                round_open: false,
-                admitted_at: self.sim.now(),
-                snap_at_admit: self.sim.snapshot(),
-            },
-        );
-        Ok(JobId(jid))
     }
 
     /// Installs `trees` on every crossed switch, recording each mutation
@@ -606,14 +610,30 @@ impl JobScheduler {
             .collect();
         let usage = self.sim.snapshot().delta(&st.snap_at_admit).nodes_total(&leased);
 
-        for tree in &st.trees {
+        self.remove_trees(&st.trees);
+        self.return_hosts(&st);
+        self.release_tree_ids(&st.trees.iter().map(|t| t.tree_id).collect::<Vec<_>>());
+        Ok(JobUsage {
+            rounds: st.round,
+            admitted_at: st.admitted_at,
+            departed_at: self.sim.now(),
+            usage,
+        })
+    }
+
+    /// Removes `trees` by name from every switch they cross: each tree's
+    /// steering rule ([`Table::remove_exact`] on its id), engine state
+    /// and `daiet.tree[..]`/`daiet.rtx[..]` reservations. Every other
+    /// tree on those switches keeps its state, so a neighbor mid-round
+    /// keeps aggregating.
+    fn remove_trees(&mut self, trees: &[AggregationTree]) {
+        for tree in trees {
             let tid = tree.tree_id;
-            for (&sw, &children) in &tree.switch_children {
+            for sw in tree.switches() {
                 let ext = self.engine_externs[&sw];
-                let id = self.ids[sw];
                 let switch = self
                     .sim
-                    .node_mut::<Switch>(id)
+                    .node_mut::<Switch>(self.ids[sw])
                     .expect("switch slots hold Switches");
                 switch
                     .pipeline_mut()
@@ -626,53 +646,8 @@ impl JobScheduler {
                 let tracker = switch.pipeline_mut().tracker_mut();
                 tracker.free(&format!("daiet.tree[{tid}]@{sw}"));
                 tracker.free(&format!("daiet.rtx[{tid}]@{sw}"));
-                if let Some(d) = self.flow_demand.get_mut(&sw) {
-                    *d -= u64::from(children);
-                }
             }
         }
-        self.return_hosts(&st);
-        self.release_tree_ids(&st.trees.iter().map(|t| t.tree_id).collect::<Vec<_>>());
-        Ok(JobUsage {
-            rounds: st.round,
-            admitted_at: st.admitted_at,
-            departed_at: self.sim.now(),
-            usage,
-        })
-    }
-
-    /// The **deliberately wrong** teardown this module's regression
-    /// tests pin against: instead of removing only the departing job's
-    /// steering rules, it clears the whole steering table of every
-    /// switch the job crossed (the wipe-and-rebuild idiom single-tenant
-    /// re-planning uses — [`Controller::replan_switch`] may clear tables
-    /// because it *re-installs* the survivors; a teardown that clears
-    /// without re-installing silently disconnects neighbor jobs'
-    /// traffic from their aggregation trees). Host/SRAM/engine
-    /// bookkeeping for the departing job itself matches
-    /// [`depart`](Self::depart).
-    ///
-    /// [`Controller::replan_switch`]: crate::controller::Controller::replan_switch
-    pub fn naive_depart(&mut self, job: JobId) -> Result<JobUsage, String> {
-        let crossed: Vec<usize> = {
-            let st = self
-                .jobs
-                .get(&job.0)
-                .ok_or_else(|| format!("{job} is not admitted"))?;
-            st.trees
-                .iter()
-                .flat_map(|t| t.switch_children.keys().copied())
-                .collect()
-        };
-        for sw in crossed {
-            let id = self.ids[sw];
-            let switch = self
-                .sim
-                .node_mut::<Switch>(id)
-                .expect("switch slots hold Switches");
-            switch.pipeline_mut().table_mut(STEER_TABLE).clear();
-        }
-        self.depart(job)
     }
 
     /// Returns a departed job's host slots to the pools, reset so the
@@ -708,6 +683,11 @@ impl JobScheduler {
     /// advances simulated time ([`step`](Self::step)) and polls
     /// [`round_done`](Self::round_done) — there is **no global
     /// barrier**, other jobs stream concurrently.
+    ///
+    /// A sender a [`replan`](Self::replan) left out of the roster owes
+    /// the round nothing: its shard list must be empty shards. Every
+    /// shard list is checked before the first sender is touched, so a
+    /// refused call leaves no round half-open.
     pub fn begin_round(&mut self, job: JobId, shards: &[Vec<Vec<Pair>>]) -> Result<(), String> {
         let config = self.spec.config;
         let pacing = self.spec.pacing;
@@ -732,6 +712,17 @@ impl JobScheduler {
                     sender_shards.len(),
                     st.trees.len()
                 ));
+            }
+            if !st.active[i] && sender_shards.iter().any(|pairs| !pairs.is_empty()) {
+                return Err(format!(
+                    "{job} round {}: sender {i} is inactive but was handed a non-empty shard",
+                    st.round
+                ));
+            }
+        }
+        for (i, sender_shards) in shards.iter().enumerate() {
+            if !st.active[i] {
+                continue;
             }
             let slot = st.sender_slots[i];
             let id = self.ids[slot];
@@ -778,7 +769,7 @@ impl JobScheduler {
                 .node_ref::<ReducerHost>(self.ids[slot])
                 .expect("reducer pool slots hold ReducerHosts");
             let ends = node.collector.ends_seen();
-            let expected = st.expected_ends[t];
+            let expected = st.trees[t].reducer_children;
             if ends > expected {
                 return Err(format!(
                     "{job} round {}: reducer {t} saw {ends}/{expected} ENDs — foreign \
@@ -807,7 +798,7 @@ impl JobScheduler {
         let round = st.round;
         let mut per_tree = Vec::with_capacity(st.reducer_slots.len());
         for (t, &slot) in st.reducer_slots.iter().enumerate() {
-            let expected = st.expected_ends[t];
+            let expected = st.trees[t].reducer_children;
             let node = self
                 .sim
                 .node_mut::<ReducerHost>(self.ids[slot])
@@ -839,6 +830,123 @@ impl JobScheduler {
         st.round += 1;
         st.round_open = false;
         Ok(per_tree)
+    }
+
+    /// Runs one round of `job` behind a barrier: [`begin_round`], the
+    /// simulation run to quiescence (every pacing and NACK timer disarms
+    /// itself once it has nothing left to do), then [`collect_round`].
+    /// An iterative job steps this way, one round per SGD step or Pregel
+    /// superstep. A round that cannot complete exactly returns
+    /// [`collect_round`]'s error and stays open until
+    /// [`replan`](Self::replan).
+    ///
+    /// [`begin_round`]: Self::begin_round
+    /// [`collect_round`]: Self::collect_round
+    #[allow(clippy::type_complexity)]
+    pub fn run_round(
+        &mut self,
+        job: JobId,
+        shards: &[Vec<Vec<Pair>>],
+    ) -> Result<Vec<Vec<(Key, u32)>>, String> {
+        self.begin_round(job, shards)?;
+        self.sim.run();
+        self.collect_round(job)
+    }
+
+    /// Re-plans `job` at a round barrier around failures and roster
+    /// changes (`live_senders`: job-local sender indices;
+    /// `dead_switches`: plan slots).
+    ///
+    /// 1. The trees are rebuilt under their own ids over the live
+    ///    senders, around the dead switches, and the NACK flow caps are
+    ///    checked — before any switch is touched.
+    /// 2. The old trees are removed by name from every switch they
+    ///    crossed, dead ones included, and the new ones installed;
+    ///    neighbor jobs keep their state. If the new trees do not fit,
+    ///    the old ones go back and the error is returned.
+    /// 3. Every live switch's L2 table (fabric state, not a tenant's) is
+    ///    re-routed around the dead switches.
+    /// 4. A fresh **epoch** starts: every per-tree sequence space
+    ///    restarts at 0 (sound because nothing of the job is in flight
+    ///    at a barrier), reducers drop a wedged round's partial pairs,
+    ///    and an open round is abandoned for the caller to re-submit.
+    ///
+    /// Senders outside `live_senders` are inactive until a later re-plan
+    /// lists them: [`begin_round`](Self::begin_round) skips them and
+    /// refuses them data.
+    pub fn replan(
+        &mut self,
+        job: JobId,
+        live_senders: &[usize],
+        dead_switches: &[usize],
+    ) -> Result<(), String> {
+        let plan = &self.spec.plan;
+        let st = self.jobs.get(&job.0).ok_or_else(|| format!("{job} is not admitted"))?;
+        if live_senders.is_empty() {
+            return Err(format!("{job}: a re-plan needs at least one live sender"));
+        }
+        if let Some(&i) = live_senders.iter().find(|&&i| i >= st.sender_slots.len()) {
+            return Err(format!("{job} has no sender {i}"));
+        }
+        if let Some(&slot) =
+            dead_switches.iter().find(|&&s| s >= plan.len() || plan.role(s) != Role::Switch)
+        {
+            return Err(format!("dead slot {slot} is not a switch of the plan"));
+        }
+        let live_slots: Vec<usize> = live_senders.iter().map(|&i| st.sender_slots[i]).collect();
+        let trees = st
+            .trees
+            .iter()
+            .map(|old| {
+                AggregationTree::build_avoiding(
+                    plan,
+                    old.tree_id,
+                    old.reducer,
+                    &live_slots,
+                    dead_switches,
+                )
+            })
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| format!("{job}: {e}"))?;
+        self.check_nack_flows(&trees, &st.trees).map_err(|e| format!("{job}: {e}"))?;
+
+        let mut st = self.jobs.remove(&job.0).expect("looked up above");
+        self.remove_trees(&st.trees);
+        let mut log = Vec::new();
+        if let Err(e) = self.install_job(&trees, &st.aggs, &mut log) {
+            self.rollback(log);
+            // The old trees fit a moment ago, where they were removed from.
+            let mut restore = Vec::new();
+            let restored = self.install_job(&st.trees, &st.aggs, &mut restore);
+            self.jobs.insert(job.0, st);
+            return Err(match restored {
+                Ok(()) => format!("{job}: re-plan refused, previous trees kept: {e}"),
+                Err(e2) => {
+                    self.rollback(restore);
+                    format!("{job}: re-plan refused ({e}) and the previous trees no longer fit ({e2})")
+                }
+            });
+        }
+        st.trees = trees;
+        st.active = (0..st.sender_slots.len()).map(|i| live_senders.contains(&i)).collect();
+        for next_seq in &mut st.next_seq {
+            next_seq.clear();
+        }
+        st.round_open = false;
+        self.arm_hosts(&st);
+        self.jobs.insert(job.0, st);
+
+        for sw in self.spec.plan.switches() {
+            if dead_switches.contains(&sw) {
+                continue;
+            }
+            let switch = self
+                .sim
+                .node_mut::<Switch>(self.ids[sw])
+                .expect("switch slots hold Switches");
+            fill_l2(&self.spec.plan, sw, dead_switches, switch).map_err(|e| e.to_string())?;
+        }
+        Ok(())
     }
 
     /// Advances simulated time by `dt`, processing whatever events fall
@@ -885,14 +993,20 @@ impl JobScheduler {
         self.jobs.get(&job.0).map(|st| st.round)
     }
 
+    /// `job`'s aggregation trees in tree order, while admitted.
+    pub fn job_trees(&self, job: JobId) -> Option<&[AggregationTree]> {
+        self.jobs.get(&job.0).map(|st| st.trees.as_slice())
+    }
+
     /// Unleased (sender, reducer) pool sizes.
     pub fn free_hosts(&self) -> (usize, usize) {
         (self.free_senders.len(), self.free_reducers.len())
     }
 
-    /// Live gap-tracker flow demand at switch `slot`.
+    /// Live gap-tracker flow demand at switch `slot`: the tree children
+    /// there, summed over every admitted job's trees.
     pub fn flow_demand_at(&self, slot: usize) -> u64 {
-        self.flow_demand.get(&slot).copied().unwrap_or(0)
+        self.jobs.values().map(|st| flows_at(&st.trees, slot)).sum()
     }
 
     /// The switch at plan `slot` (tables, SRAM tracker, engine — the
@@ -932,11 +1046,7 @@ impl JobScheduler {
 /// 1), an empty [`DaietEngine`], and the fabric-lifetime gap-tracker
 /// SRAM (`daiet.nack@sw`, under NACK recovery) reserved once at
 /// bring-up — tenant churn never reallocates shared state.
-fn build_tenant_switch(
-    spec: &TenantSpec,
-    sw_slot: usize,
-    hosts: &[usize],
-) -> Result<(Switch, ExternId), DeployError> {
+fn build_tenant_switch(spec: &TenantSpec, sw_slot: usize) -> Result<(Switch, ExternId), DeployError> {
     let mut pipeline = Pipeline::new(spec.resources);
     let steer_handle = pipeline.add_table(
         0,
@@ -955,7 +1065,7 @@ fn build_tenant_switch(
             format!("l2[{sw_slot}]"),
             TableKind::Exact,
             KeySpec(vec![Field::EthDst]),
-            hosts.len().max(1),
+            spec.plan.hosts().len().max(1),
             ActionSpec::Drop,
         ),
     )?;
@@ -971,23 +1081,37 @@ fn build_tenant_switch(
         )?;
     }
     let ext = switch.register_extern(Box::new(DaietEngine::new(spec.config)));
+    fill_l2(&spec.plan, sw_slot, &[], &mut switch)?;
+    Ok((switch, ext))
+}
 
-    for &h in hosts {
-        let next = spec.plan.next_hops_toward(h);
-        if let Some(hop) = next[sw_slot] {
-            switch
-                .pipeline_mut()
-                .table_mut(l2_handle)
-                .insert(TableEntry {
-                    matcher: MatchValue::Exact(
-                        daiet_wire::EthernetAddress::from_id(h as u32).0.to_vec(),
-                    ),
-                    action: ActionSpec::Forward(hop.port),
-                })
-                .map_err(|e| DeployError::Config(e.to_string()))?;
+/// Rewrites the L2 table of the switch at `sw_slot`: one rule per host,
+/// forwarding on the shortest path around the `dead` slots. A host
+/// unreachable from here gets no rule, so frames to it drop, which is
+/// what a partitioned fabric does.
+fn fill_l2(
+    plan: &TopologyPlan,
+    sw_slot: usize,
+    dead: &[usize],
+    switch: &mut Switch,
+) -> Result<(), DeployError> {
+    let l2 = switch.pipeline_mut().table_mut(L2_TABLE);
+    l2.clear();
+    for h in plan.hosts() {
+        if let Some(hop) = plan.next_hops_toward_avoiding(h, dead)[sw_slot] {
+            l2.insert(TableEntry {
+                matcher: MatchValue::Exact(daiet_wire::EthernetAddress::from_id(h as u32).0.to_vec()),
+                action: ActionSpec::Forward(hop.port),
+            })
+            .map_err(|e| DeployError::Config(e.to_string()))?;
         }
     }
-    Ok((switch, ext))
+    Ok(())
+}
+
+/// Gap-tracker flows `trees` need at switch `sw`: one per tree child.
+fn flows_at(trees: &[AggregationTree], sw: usize) -> u64 {
+    trees.iter().filter_map(|t| t.switch_children.get(&sw)).map(|&c| u64::from(c)).sum()
 }
 
 /// A tenant job the mix driver can run end to end: shape (senders,
@@ -1319,6 +1443,7 @@ pub const DIGEST_SEED: u64 = 0xCBF2_9CE4_8422_2325;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use daiet_dataplane::resources::SramTracker;
     use daiet_netsim::LinkSpec;
 
     fn key(s: &str) -> Key {
@@ -1380,6 +1505,127 @@ mod tests {
         assert_eq!(sched.job_count(), 0);
         assert_eq!(sched.free_hosts(), (4, 4));
         assert_eq!(sched.flow_demand_at(8), 0);
+    }
+
+    /// A refused `begin_round` leaves no round half-open: the second
+    /// sender's malformed shard list is caught before the first sender
+    /// enqueues anything. Otherwise the first sender would ship the
+    /// refused round's data too, and it would surface in a later round
+    /// (`w` = 4, not 3).
+    #[test]
+    fn refused_begin_round_leaves_no_half_open_round() {
+        let mut sched = star_sched(DaietConfig::default());
+        let a = sched
+            .admit(JobRequest { label: "a".into(), senders: 2, aggs: vec![AggFn::Sum] })
+            .unwrap();
+        let good = vec![vec![Pair::new(key("w"), 1)]];
+        let malformed = vec![vec![Pair::new(key("w"), 2)], Vec::new()];
+        let err = sched.begin_round(a, &[good.clone(), malformed]).unwrap_err();
+        assert!(err.contains("sender 1 has 2 shards for 1 trees"), "got: {err}");
+
+        let shards = [good, vec![vec![Pair::new(key("w"), 2)]]];
+        for round in 0..2 {
+            sched.begin_round(a, &shards).unwrap();
+            drive(&mut sched, &[a]);
+            assert_eq!(sched.collect_round(a), Ok(vec![vec![(key("w"), 3)]]), "round {round}");
+        }
+    }
+
+    /// Two senders × two trees × three rounds behind `run_round`'s
+    /// barrier: per-round results are exact and independent, sequence
+    /// spaces carry across rounds, and host memory stays bounded by
+    /// retirement.
+    #[test]
+    fn run_round_runs_rounds_on_one_simulation() {
+        let config =
+            DaietConfig { register_cells: 256, nack_recovery: true, ..DaietConfig::default() }
+                .with_rtx_sized_for_flush();
+        let plan = TopologyPlan::star(4, LinkSpec::fast());
+        let spec = TenantSpec::new(config, plan, vec![0, 1], vec![2, 3]);
+        let mut sched = JobScheduler::build(spec).unwrap();
+        let aggs = vec![AggFn::Sum, AggFn::Sum];
+        let job = sched.admit(JobRequest { label: "iter".into(), senders: 2, aggs }).unwrap();
+        let r0 = sched.node_id(2);
+        for round in 0..3u32 {
+            // Sender i ships ("w", round+1+i) to tree 0 and a round-unique
+            // key to tree 1.
+            let shards: Vec<Vec<Vec<Pair>>> = (0..2u32)
+                .map(|i| {
+                    let unique = Pair::new(key(&format!("r{round}")), 10 + i);
+                    vec![vec![Pair::new(key("w"), round + 1 + i)], vec![unique]]
+                })
+                .collect();
+            let frames_before = sched.sim().node_stats(r0).frames_in;
+            let out = sched.run_round(job, &shards).unwrap();
+            // Tree 0: the two senders' "w" values, switch-aggregated.
+            assert_eq!(out[0], vec![(key("w"), 2 * round + 3)]);
+            // Tree 1: only this round's key — earlier rounds were drained
+            // at their own barriers.
+            assert_eq!(out[1], vec![(key(&format!("r{round}")), 21)]);
+            // In-network: exactly one switch END per reducer per round,
+            // among a handful of frames.
+            let reducer = sched.sim().node_ref::<ReducerHost>(r0).unwrap();
+            assert_eq!(reducer.collector.stats().end_packets, u64::from(round) + 1);
+            let frames_in = sched.sim().node_stats(r0).frames_in - frames_before;
+            assert!((2..10).contains(&frames_in), "{frames_in} frames in one round");
+        }
+        assert_eq!(sched.job_rounds(job), Some(3));
+        // Retirement bounded the host-side state: pacing queues drained,
+        // replay retention empty (every round was fully acknowledged).
+        for slot in [0, 1] {
+            let sender = sched.sim().node_ref::<PacedSenderNode>(sched.node_id(slot)).unwrap();
+            assert_eq!((sender.pending(), sender.replay_retained()), (0, 0));
+        }
+        // Sequence spaces carried across rounds: round 2's frames were
+        // not treated as replays of round 0's.
+        let reducer = sched.sim().node_ref::<ReducerHost>(r0).unwrap();
+        assert_eq!(reducer.duplicates_suppressed(), 0);
+    }
+
+    /// A re-plan whose new trees do not fit the switches is refused and
+    /// puts the previous trees back: here the re-route's spine has no
+    /// SRAM left. Once it has room, the same re-plan goes through and
+    /// the job runs exactly on the new tree.
+    #[test]
+    fn replan_that_does_not_fit_keeps_the_previous_trees() {
+        // leaf_spine(2,2,2): hosts 0-3, leaves 4-5, spines 6-7.
+        let plan = TopologyPlan::leaf_spine(2, 2, 2, LinkSpec::fast());
+        let spec = TenantSpec::new(DaietConfig::default(), plan, vec![0, 1], vec![3]);
+        let mut sched = JobScheduler::build(spec).unwrap();
+        let job = sched
+            .admit(JobRequest { label: "a".into(), senders: 2, aggs: vec![AggFn::Sum] })
+            .unwrap();
+        let spine = |sched: &JobScheduler| -> usize {
+            sched.job_trees(job).unwrap()[0].switches().find(|&s| s >= 6).unwrap()
+        };
+        let old_spine = spine(&sched);
+        let new_spine = if old_spine == 6 { 7 } else { 6 };
+        fn tracker(sched: &mut JobScheduler, slot: usize) -> &mut SramTracker {
+            let id = sched.node_id(slot);
+            sched.sim_mut().node_mut::<Switch>(id).unwrap().pipeline_mut().tracker_mut()
+        }
+        // Take every free byte of the re-route's spine.
+        let t = tracker(&mut sched, new_spine);
+        for stage in 2..t.resources().stages {
+            let free = t.resources().sram_per_stage - t.used_in_stage(stage);
+            t.allocate("filler", stage, free).unwrap();
+        }
+
+        let allocs_before = sched.switch(4).pipeline().tracker().allocations().to_vec();
+        let err = sched.replan(job, &[0, 1], &[old_spine]).unwrap_err();
+        assert!(err.contains("previous trees kept"), "got: {err}");
+        assert_eq!(spine(&sched), old_spine);
+        assert_eq!(sched.engine(old_spine).tree_count(), 1);
+        assert_eq!(sched.engine(new_spine).tree_count(), 0);
+        assert_eq!(sched.switch(4).pipeline().tracker().allocations(), allocs_before.as_slice());
+
+        tracker(&mut sched, new_spine).free("filler");
+        sched.replan(job, &[0, 1], &[old_spine]).unwrap();
+        assert_eq!(spine(&sched), new_spine);
+        assert_eq!(sched.engine(old_spine).tree_count(), 0);
+        let shards: Vec<Vec<Vec<Pair>>> =
+            (0..2).map(|i| vec![vec![Pair::new(key("w"), 1 + i)]]).collect();
+        assert_eq!(sched.run_round(job, &shards).unwrap(), vec![vec![(key("w"), 3)]]);
     }
 
     /// A rejected admission (here: steering-table capacity, which fails

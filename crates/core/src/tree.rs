@@ -73,7 +73,7 @@ impl AggregationTree {
     }
 
     /// [`AggregationTree::build`], but routing around the `dead` nodes —
-    /// the controller's re-planning primitive after a switch failure. A
+    /// the scheduler's re-planning primitive after a switch failure. A
     /// mapper whose every path to the reducer crosses a dead node is
     /// [`TreeError::Unreachable`]; the caller decides whether that aborts
     /// the job or evicts the mapper from the roster.

@@ -103,8 +103,7 @@ pub fn one_shot_sender<P: Into<Arc<Vec<Pair>>>>(
 
 /// Plans one round of multi-tree output — the one planning routine
 /// behind every bulk sender (the MapReduce mappers, the querysim workers,
-/// each [`IterativeRunner`] and [`JobScheduler`](crate::tenant::JobScheduler)
-/// round).
+/// each [`JobScheduler`](crate::tenant::JobScheduler) round).
 ///
 /// Each `(tree, endpoints, pairs)` part continues that tree's wrapping
 /// sequence space from `next_seq` (updated in place to the next free
@@ -221,8 +220,8 @@ impl RoundSchedule {
 /// at plan `slot`: a [`ReducerHost`] expecting the deployment's END
 /// count over `mappers`, with NACK recovery (and with it duplicate
 /// suppression) armed per `config` — the one construction behind every
-/// reducer (the MapReduce reducers, each [`IterativeRunner`] parameter
-/// server).
+/// controller-deployed reducer (the MapReduce reducers, the loopback
+/// jobs).
 pub fn reducer_host(
     config: &DaietConfig,
     agg: AggFn,
@@ -405,8 +404,9 @@ pub fn interleave_round_robin(mut queues: Vec<Vec<Frame>>, offset: usize) -> Vec
 /// fabric's pool. One-shot senders carry one round from construction
 /// ([`one_shot_sender`]); iterative senders start empty and are fed one
 /// round at a time through [`enqueue_round`](Self::enqueue_round) (see
-/// [`IterativeRunner`], which also restarts the pacing timer from
-/// outside, via the backend's own timer facility).
+/// [`JobScheduler::begin_round`](crate::tenant::JobScheduler::begin_round),
+/// which also restarts the pacing timer from outside, via the backend's
+/// own timer facility).
 pub struct PacedSenderNode {
     /// Built frames awaiting their tick, sent before anything streamed.
     ready: VecDeque<Frame>,
@@ -515,7 +515,7 @@ impl PacedSenderNode {
     /// (which [`plan_round`] over one `next_seq` map guarantees).
     pub fn enqueue_round(&mut self, round: RoundSchedule) {
         // The caller restarts the pacing chain for this round (see
-        // `IterativeRunner::run_round`); record that so paced replays
+        // `JobScheduler::begin_round`); record that so paced replays
         // don't double-arm it.
         self.timer_armed = true;
         if self.replay_armed {
@@ -730,25 +730,6 @@ pub struct CollectorStats {
     pub app_bytes: u64,
 }
 
-impl CollectorStats {
-    /// Counter growth since `earlier` — the per-round read-out for
-    /// iterative runs, where the collector's counters are cumulative
-    /// across rounds. Panics if any counter shrank (mismatched
-    /// snapshots), the shared policy of
-    /// [`daiet_fabric::counter_delta`].
-    pub fn delta(&self, earlier: &CollectorStats) -> CollectorStats {
-        let sub = daiet_fabric::counter_delta;
-        CollectorStats {
-            data_packets: sub(self.data_packets, earlier.data_packets, "data_packets"),
-            end_packets: sub(self.end_packets, earlier.end_packets, "end_packets"),
-            spill_packets: sub(self.spill_packets, earlier.spill_packets, "spill_packets"),
-            pairs_received: sub(self.pairs_received, earlier.pairs_received, "pairs_received"),
-            pairs_merged: sub(self.pairs_merged, earlier.pairs_merged, "pairs_merged"),
-            app_bytes: sub(self.app_bytes, earlier.app_bytes, "app_bytes"),
-        }
-    }
-}
-
 /// Reducer-side collector: merges unordered aggregated pairs and reports
 /// completion once every expected END arrived.
 #[derive(Debug)]
@@ -879,8 +860,7 @@ impl Collector {
     /// Drains one completed round: returns the collected pairs **sorted
     /// by key** and re-arms the collector (pairs cleared, END count reset
     /// to zero) for the next round of an iterative flow. Counters in
-    /// [`stats`](Self::stats) keep accumulating — read per-round numbers
-    /// with [`CollectorStats::delta`].
+    /// [`stats`](Self::stats) keep accumulating across rounds.
     pub fn take_round(&mut self) -> Vec<(Key, u32)> {
         let mut v: Vec<(Key, u32)> = self.pairs.drain().collect();
         v.sort_unstable_by_key(|a| a.0);
@@ -1014,10 +994,18 @@ impl Node for ReducerHost {
     }
 }
 
-/// The iterative round-by-round machinery ([`IterativeRunner`] and
-/// friends) lives in [`crate::iterative`]; it is re-exported here so
-/// historical `daiet::worker::IterativeRunner` paths keep working.
-pub use crate::iterative::{IterRound, IterativeRunner, IterativeSpec};
+/// A host that takes no part in the job: receives and drops. Occupies
+/// plan slots the placement leaves unused (plans come in standard shapes,
+/// so a leaf may hold more hosts than a job uses).
+pub(crate) struct IdleHost;
+
+impl Node for IdleHost {
+    fn on_packet(&mut self, _ctx: &mut dyn Fabric, _port: PortId, _frame: Frame) {}
+
+    fn name(&self) -> String {
+        "idle-host".into()
+    }
+}
 
 #[cfg(test)]
 mod tests {

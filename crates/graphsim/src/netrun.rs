@@ -21,13 +21,14 @@
 //! switch). [`crate::algos::Wcc`]'s MIN combiner rides the same driver
 //! unchanged via [`AggFn::Min`].
 
-// lint:allow-file(layer-netsim): network-mode PageRank harness — drives the
-// IterativeRunner under the Simulator. The rank-update aggregation
+// lint:allow-file(layer-netsim): network-mode PageRank harness — drives a
+// one-job JobScheduler under the Simulator. The rank-update aggregation
 // protocol itself stays fabric-only.
 use crate::graph::Graph;
 use crate::pregel::{MessageCensus, VertexProgram};
 use daiet::agg::AggFn;
-use daiet::worker::{IterativeRunner, IterativeSpec};
+use daiet::tenant::{JobId, JobRequest, JobScheduler, TenantSpec};
+use daiet::worker::ReducerHost;
 use daiet::DaietConfig;
 use daiet_netsim::topology::TopologyPlan;
 use daiet_netsim::{FaultProfile, LinkSpec, SimDuration};
@@ -152,10 +153,11 @@ pub struct PacketPregelOutcome<S> {
 /// combined inbox back. Messages with equal destinations merge in the
 /// network (and any stragglers at the collector) under `spec.agg`.
 fn ship_round(
-    runner: &mut IterativeRunner,
+    sched: &mut JobScheduler,
+    job: JobId,
     shards: Vec<Vec<(u32, u32)>>,
     n: usize,
-) -> Result<(Vec<Option<u32>>, u64), String> {
+) -> Result<Vec<Option<u32>>, String> {
     let shard_pairs: Vec<Vec<Vec<Pair>>> = shards
         .into_iter()
         .map(|msgs| {
@@ -165,12 +167,12 @@ fn ship_round(
                 .collect()]
         })
         .collect();
-    let out = runner.run_round(&shard_pairs)?;
+    let per_tree = sched.run_round(job, &shard_pairs)?;
     let mut inbox: Vec<Option<u32>> = vec![None; n];
-    for (k, v) in &out.per_reducer[0] {
+    for (k, v) in &per_tree[0] {
         inbox[vertex_key_decode(k) as usize] = Some(*v);
     }
-    Ok((inbox, out.net.fault_drops()))
+    Ok(inbox)
 }
 
 /// Runs `program` for up to `max_supersteps` with every message exchange
@@ -198,17 +200,16 @@ pub fn run_packet<P: VertexProgram<Msg = u32>>(
         ..DaietConfig::default()
     }
     .with_rtx_sized_for_flush();
-    let mut ispec =
-        IterativeSpec::new(config, plan, (0..workers).collect(), vec![workers]);
-    ispec.agg = spec.agg;
-    ispec.seed = spec.seed;
-    ispec.pacing = SimDuration::from_micros(1);
-    let mut runner = IterativeRunner::build(ispec)?;
+    let mut tspec = TenantSpec::new(config, plan, (0..workers).collect(), vec![workers]);
+    tspec.seed = spec.seed;
+    tspec.pacing = SimDuration::from_micros(1);
+    let mut sched = JobScheduler::build(tspec).map_err(|e| e.to_string())?;
+    let request = JobRequest { label: "pregel".into(), senders: workers, aggs: vec![spec.agg] };
+    let job = sched.admit(request).map_err(|e| e.to_string())?;
 
     let mut states: Vec<P::State> =
         (0..n as u32).map(|v| program.init(v, graph)).collect();
     let mut census: Vec<MessageCensus> = Vec::new();
-    let mut fault_drops = 0u64;
 
     // Superstep 0: the initial broadcast, sharded by vertex owner.
     let mut shards: Vec<Vec<(u32, u32)>> = vec![Vec::new(); workers];
@@ -223,8 +224,7 @@ pub fn run_packet<P: VertexProgram<Msg = u32>>(
             shards[v as usize % workers].push((dst, msg));
         }
     }
-    let (mut inbox, drops) = ship_round(&mut runner, shards, n)?;
-    fault_drops += drops;
+    let mut inbox = ship_round(&mut sched, job, shards, n)?;
     c.distinct_destinations = inbox.iter().filter(|m| m.is_some()).count() as u64;
     census.push(c);
 
@@ -245,8 +245,7 @@ pub fn run_packet<P: VertexProgram<Msg = u32>>(
         if !any {
             break;
         }
-        let (next, drops) = ship_round(&mut runner, shards, n)?;
-        fault_drops += drops;
+        let next = ship_round(&mut sched, job, shards, n)?;
         c.distinct_destinations = next.iter().filter(|m| m.is_some()).count() as u64;
         census.push(c);
         inbox = next;
@@ -254,12 +253,16 @@ pub fn run_packet<P: VertexProgram<Msg = u32>>(
             break;
         }
     }
+    let inbox_node = sched.node_id(workers);
     Ok(PacketPregelOutcome {
         states,
         census,
-        rounds: runner.rounds_run(),
-        fault_drops,
-        nacks_emitted: runner.reducer(0).nacks_emitted(),
+        rounds: sched.job_rounds(job).unwrap_or(0),
+        fault_drops: sched.sim().snapshot().fault_drops(),
+        nacks_emitted: sched
+            .sim()
+            .node_ref::<ReducerHost>(inbox_node)
+            .map_or(0, ReducerHost::nacks_emitted),
     })
 }
 

@@ -4,8 +4,8 @@
 //! §3's loop ("the worker sends its parameter updates to the server which
 //! aggregates the local updates from each worker") is exactly the
 //! iterative traffic the paper argues for, so this module runs it as one
-//! DAIET round per SGD step over a long-lived leaf-spine
-//! [`Simulator`](daiet_netsim::Simulator): per step every worker
+//! DAIET round per SGD step of a single job admitted on a long-lived
+//! leaf-spine [`JobScheduler`]: per step every worker
 //! quantizes its sparse gradient to fixed point ([`quantize_grad`]),
 //! ships it as key/value pairs (key = weight coordinate, value =
 //! two's-complement lane), the switches SUM-aggregate in flight, and the
@@ -21,16 +21,17 @@
 //! which is precisely the property the acceptance test pins
 //! (`tests/iterative_recovery.rs`), loss-free and under chaos at k = 1.
 
-// lint:allow-file(layer-netsim): network-mode training harness — drives the
-// IterativeRunner under the Simulator with fault profiles. The gradient
-// aggregation protocol itself stays fabric-only.
+// lint:allow-file(layer-netsim): network-mode training harness — drives a
+// one-job JobScheduler under the Simulator with fault profiles. The
+// gradient aggregation protocol itself stays fabric-only.
 use crate::data::{DataSpec, Dataset, Sample, CLASSES, DIM};
 use crate::model::{Model, SparseGrad};
 use crate::optimizer::Optimizer;
 use crate::psworker::WorkerGrad;
 use daiet::agg::fixed;
-use daiet::worker::{IterativeRunner, IterativeSpec};
-use daiet::DaietConfig;
+use daiet::tenant::{JobRequest, JobScheduler, TenantSpec};
+use daiet::worker::ReducerHost;
+use daiet::{AggFn, DaietConfig};
 use daiet_netsim::topology::TopologyPlan;
 use daiet_netsim::{FaultProfile, LinkSpec, SimDuration};
 use daiet_wire::checksum::crc32;
@@ -287,21 +288,22 @@ impl NetTrainSpec {
             ..DaietConfig::default()
         }
         .with_rtx_sized_for_flush();
-        let mut spec = IterativeSpec::new(
-            config,
-            plan,
-            (0..self.workers).collect(),
-            vec![self.workers],
-        );
+        let mut spec =
+            TenantSpec::new(config, plan, (0..self.workers).collect(), vec![self.workers]);
         spec.seed = self.seed;
         spec.pacing = SimDuration::from_micros(1);
-        let mut runner = IterativeRunner::build(spec)?;
+        let mut sched = JobScheduler::build(spec).map_err(|e| e.to_string())?;
+        let request = JobRequest {
+            label: "sgd".into(),
+            senders: self.workers,
+            aggs: vec![AggFn::Sum],
+        };
+        let job = sched.admit(request).map_err(|e| e.to_string())?;
 
         let mut digests = Vec::with_capacity(self.steps);
         let mut server_frames_per_round = Vec::with_capacity(self.steps);
         let mut pairs_shipped = 0u64;
-        let mut fault_drops = 0u64;
-        let server_node = runner.node_id(self.workers);
+        let server = sched.node_id(self.workers);
         for _ in 0..self.steps {
             let updates = cluster.compute_updates(&data);
             let shards: Vec<Vec<Vec<Pair>>> = updates
@@ -312,21 +314,24 @@ impl NetTrainSpec {
                     vec![pairs]
                 })
                 .collect();
-            let out = runner.run_round(&shards)?;
-            fault_drops += out.net.fault_drops();
-            server_frames_per_round.push(out.net.nodes[server_node.0].frames_in);
-            let sums: LaneSums = out.per_reducer[0]
-                .iter()
-                .map(|(k, v)| (grad_key_decode(k), *v))
-                .collect();
+            let before = sched.sim().snapshot();
+            let per_tree = sched.run_round(job, &shards)?;
+            let net = sched.sim().snapshot().delta(&before);
+            server_frames_per_round.push(net.nodes[server.0].frames_in);
+            let sums: LaneSums =
+                per_tree[0].iter().map(|(k, v)| (grad_key_decode(k), *v)).collect();
             cluster.apply_sums(&sums);
             digests.push(model_digest(&cluster.server));
         }
+        let nacks_emitted = sched
+            .sim()
+            .node_ref::<ReducerHost>(server)
+            .map_or(0, ReducerHost::nacks_emitted);
         Ok(NetTrainOutcome {
             digests,
             accuracy: cluster.server.accuracy(&data.samples),
-            fault_drops,
-            nacks_emitted: runner.reducer(0).nacks_emitted(),
+            fault_drops: sched.sim().snapshot().fault_drops(),
+            nacks_emitted,
             server_frames_per_round,
             pairs_shipped,
         })

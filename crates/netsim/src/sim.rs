@@ -207,7 +207,7 @@ impl Simulator {
 
     /// Arms a timer on `node` from outside the topology — the external
     /// counterpart of [`Context::schedule`]. This is how a round-driven
-    /// harness (e.g. `daiet::worker::IterativeRunner`) restarts a node
+    /// harness (e.g. `daiet::tenant::JobScheduler`) restarts a node
     /// whose internal timer chain ran dry at a round barrier: mutate the
     /// node via [`node_mut`](Self::node_mut), then schedule a wake-up.
     /// `at` must not lie in the simulator's past.

@@ -46,13 +46,14 @@ fn scan_actually_covers_the_workspace() {
 /// Every allowlist entry in the repo suppresses a real finding (stale
 /// ones are findings themselves, so `workspace_is_lint_clean` covers
 /// that); this asserts the active exception list hasn't silently grown.
-/// Raising the bound is fine — in the same change that adds the marker
-/// and its written justification.
+/// The bound is the count in use: raise it only in the change that adds
+/// a marker and its written justification, and lower it in the change
+/// that deletes one.
 #[test]
 fn allowlist_stays_small() {
     let report = run_workspace(repo_root()).expect("scan repo");
     assert!(
-        report.allows_used.len() <= 20,
+        report.allows_used.len() <= 15,
         "allowlist grew to {} entries:\n{:#?}",
         report.allows_used.len(),
         report.allows_used

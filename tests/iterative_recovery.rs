@@ -8,9 +8,8 @@
 use daiet_repro::daiet::agg::AggFn;
 use daiet_repro::daiet::controller::{AggregationMode, Controller, JobPlacement};
 use daiet_repro::daiet::reliability::WINDOW;
-use daiet_repro::daiet::worker::{
-    IterativeRunner, IterativeSpec, PacedSenderNode, Packetizer, ReducerHost,
-};
+use daiet_repro::daiet::tenant::{JobRequest, JobScheduler, TenantSpec};
+use daiet_repro::daiet::worker::{PacedSenderNode, Packetizer, ReducerHost};
 use daiet_repro::daiet::{DaietConfig, DaietEngine};
 use daiet_repro::dataplane::{Resources, Switch};
 use daiet_repro::graphsim::generate::{rmat, RmatSpec};
@@ -299,28 +298,29 @@ fn long_iterative_run_stays_bounded_and_exact() {
         rtx_frames: 2048,
         ..DaietConfig::default()
     };
+    // star(2): sender 0, reducer 1, switch 2.
     let plan = TopologyPlan::star(2, LinkSpec::fast());
-    let spec = IterativeSpec::new(config, plan, vec![0], vec![1]);
-    let mut runner = IterativeRunner::build(spec).unwrap();
+    let mut sched = JobScheduler::build(TenantSpec::new(config, plan, vec![0], vec![1])).unwrap();
+    let job = sched
+        .admit(JobRequest { label: "long".into(), senders: 1, aggs: vec![AggFn::Sum] })
+        .unwrap();
     let k = Key::from_str_key("x").unwrap();
     for round in 0..ROUNDS {
-        let out = runner
-            .run_round(&[vec![vec![Pair::new(k, round + 1)]]])
+        let out = sched
+            .run_round(job, &[vec![vec![Pair::new(k, round + 1)]]])
             .expect("loss-free round");
-        assert_eq!(out.per_reducer[0], vec![(k, round + 1)], "round {round} drifted");
-        assert_eq!(runner.sender(0).pending(), 0);
-        assert_eq!(runner.sender(0).replay_retained(), 0, "retention leaked");
+        assert_eq!(out[0], vec![(k, round + 1)], "round {round} drifted");
+        let sender = sched.sim().node_ref::<PacedSenderNode>(sched.node_id(0)).unwrap();
+        assert_eq!(sender.pending(), 0);
+        assert_eq!(sender.replay_retained(), 0, "retention leaked");
     }
     // The switch ring was retired along the way, not grown forever.
-    let sw_slot = 2;
-    let sw = runner.sim().node_ref::<Switch>(runner.node_id(sw_slot)).unwrap();
-    let engine = sw
-        .extern_ref::<DaietEngine>(runner.deployment().engine_externs[&sw_slot])
-        .unwrap();
-    let (held, _, _, _, retired) = engine.rtx_stats(runner.deployment().tree_id(0)).unwrap();
+    let tree = sched.job_trees(job).unwrap()[0].tree_id;
+    let (held, _, _, _, retired) = sched.engine(2).rtx_stats(tree).unwrap();
     assert!(retired > 0, "dead rounds must have been retired from the ring");
     assert!(held <= WINDOW as usize, "ring pins {held} frames");
     // And nothing ever read as a duplicate: sequence spaces stayed sound
     // across 600 reopenings of the same flow.
-    assert_eq!(runner.reducer(0).duplicates_suppressed(), 0);
+    let reducer = sched.sim().node_ref::<ReducerHost>(sched.node_id(1)).unwrap();
+    assert_eq!(reducer.duplicates_suppressed(), 0);
 }

@@ -21,18 +21,26 @@
 //!    neighbor's in-flight round (END overshoot, detected loudly); the
 //!    real `depart` frees the job's `daiet.*@switch` reservations while
 //!    the neighbor's NACK recovery completes its round exactly.
+//! 5. **Re-planning under traffic** — `replan` swaps one job's trees by
+//!    name while a neighbor is mid-round under loss; the neighbor's
+//!    switch state is untouched and both jobs stay exact.
 //!
 //! The arrival seed comes from `TENANT_SEED` (default 11) so CI can pin
 //! a seed matrix without recompiling.
 
-use daiet_repro::daiet::controller::DeployError;
+use daiet_repro::daiet::controller::{DeployError, STEER_TABLE};
 use daiet_repro::daiet::tenant::{
-    poisson_offsets, run_mix, run_solo, JobRequest, JobScheduler, MixOptions, TenantSpec,
-    TenantWorkload,
+    poisson_offsets, run_mix, run_solo, JobId, JobRequest, JobScheduler, JobUsage, MixOptions,
+    TenantSpec, TenantWorkload,
 };
-use daiet_repro::daiet::{AggFn, DaietConfig};
-use daiet_repro::dataplane::Resources;
-use daiet_repro::fabric::Duration;
+use daiet_repro::daiet::{AggFn, AggregationTree, DaietConfig};
+use daiet_repro::dataplane::parser::{parse, ParserConfig};
+use daiet_repro::dataplane::pipeline::{ActionSpec, PacketCtx};
+use daiet_repro::dataplane::{Resources, Switch};
+use daiet_repro::fabric::{Duration, Frame, PortId};
+use daiet_repro::wire::daiet::{Header, PacketFlags};
+use daiet_repro::wire::stack::{build_daiet_into, Endpoints};
+use daiet_repro::wire::udp::DAIET_PORT;
 use daiet_repro::mapreduce::WordCountTenant;
 use daiet_repro::mlsim::SgdTenant;
 use daiet_repro::netsim::{FaultProfile, LinkSpec, TopologyPlan};
@@ -223,7 +231,7 @@ fn key(s: &str) -> Key {
 /// Sets up the teardown scenario: jobs A and B admitted on one lossy
 /// star switch with NACK recovery armed, B's round already launched
 /// with frames in flight. Returns the scheduler, A, B, and B's shards.
-type TeardownRig = (JobScheduler, daiet_repro::daiet::tenant::JobId, daiet_repro::daiet::tenant::JobId);
+type TeardownRig = (JobScheduler, JobId, JobId);
 
 fn teardown_rig() -> (TeardownRig, Vec<Vec<Vec<Pair>>>) {
     let plan = TopologyPlan::star(
@@ -245,7 +253,15 @@ fn teardown_rig() -> (TeardownRig, Vec<Vec<Vec<Pair>>>) {
     ((sched, a, b), b_shards)
 }
 
-fn drive(sched: &mut JobScheduler, job: daiet_repro::daiet::tenant::JobId) -> Result<bool, String> {
+/// B's exact round result in the teardown rig: 8 keys, each summed over
+/// both senders.
+fn b_result() -> Vec<Vec<(Key, u32)>> {
+    let mut v: Vec<(Key, u32)> = (0..8).map(|j| (key(&format!("k{j}")), 3)).collect();
+    v.sort();
+    vec![v]
+}
+
+fn drive(sched: &mut JobScheduler, job: JobId) -> Result<bool, String> {
     for _ in 0..20_000 {
         if sched.round_done(job)? {
             return Ok(true);
@@ -253,6 +269,26 @@ fn drive(sched: &mut JobScheduler, job: daiet_repro::daiet::tenant::JobId) -> Re
         sched.step(Duration::from_micros(25));
     }
     Ok(false)
+}
+
+/// The deliberately wrong teardown regression 4 pins against: clear the
+/// whole steering table of every switch `job` crossed (wipe-and-rebuild
+/// without the rebuild), then `depart`. Its own bookkeeping matches the
+/// real teardown; what it breaks is every neighbor steered through those
+/// tables.
+fn naive_depart(sched: &mut JobScheduler, job: JobId) -> Result<JobUsage, String> {
+    let crossed: Vec<usize> = sched
+        .job_trees(job)
+        .ok_or_else(|| format!("{job} is not admitted"))?
+        .iter()
+        .flat_map(AggregationTree::switches)
+        .collect();
+    for sw in crossed {
+        let id = sched.node_id(sw);
+        let switch = sched.sim_mut().node_mut::<Switch>(id).expect("switch slot");
+        switch.pipeline_mut().table_mut(STEER_TABLE).clear();
+    }
+    sched.depart(job)
 }
 
 /// Regression 4, pinned failing-first: the naive teardown (wipe the
@@ -264,7 +300,7 @@ fn drive(sched: &mut JobScheduler, job: daiet_repro::daiet::tenant::JobId) -> Re
 #[test]
 fn naive_teardown_breaks_the_neighbors_round() {
     let ((mut sched, a, b), _) = teardown_rig();
-    sched.naive_depart(a).expect("naive teardown of a closed job");
+    naive_depart(&mut sched, a).expect("naive teardown of a closed job");
     let failed = match drive(&mut sched, b) {
         Err(why) => {
             assert!(
@@ -312,16 +348,69 @@ fn proper_teardown_preserves_the_neighbors_recovery() {
         "shared reliability SRAM must survive teardown: {names:?}"
     );
 
-    // B's round completes exactly despite the loss it is recovering
-    // from: 8 keys, each summed over both senders.
+    // B's round completes exactly despite the loss it is recovering from.
     assert!(drive(&mut sched, b).expect("B's round must stay healthy"), "B wedged");
-    let got = sched.collect_round(b).expect("B collects exactly");
-    let want: Vec<(Key, u32)> = {
-        let mut v: Vec<(Key, u32)> = (0..8).map(|j| (key(&format!("k{j}")), 3)).collect();
-        v.sort();
-        v
-    };
-    assert_eq!(got, vec![want]);
+    assert_eq!(sched.collect_round(b).expect("B collects exactly"), b_result());
     sched.depart(b).expect("B departs cleanly");
     assert_eq!(sched.flow_demand_at(8), 0, "gap-tracker rosters drained");
+}
+
+/// The steering action the shared star switch (slot 8) applies to tree
+/// `tid`'s frames, read by looking up a DAIET END for that tree.
+fn steer_action(sched: &mut JobScheduler, tid: u16) -> ActionSpec {
+    let mut buf = Vec::new();
+    let hdr = Header::end(tid, PacketFlags::empty(), 0);
+    build_daiet_into(&mut buf, &Endpoints::from_ids(0, 4), DAIET_PORT, &hdr, &[]);
+    let parsed = parse(Frame::from_slice(&buf), &ParserConfig::default()).expect("valid frame");
+    let id = sched.node_id(8);
+    let switch = sched.sim_mut().node_mut::<Switch>(id).expect("switch slot");
+    switch.pipeline_mut().table_mut(STEER_TABLE).lookup(&PacketCtx::new(PortId(0), parsed))
+}
+
+/// Re-planning one tenant leaves its neighbor alone: A re-plans down to
+/// one live sender while B is mid-round under loss. B's steering rule,
+/// engine tree and `daiet.tree[..]`/`daiet.rtx[..]` reservations on the
+/// shared switch are unchanged, B's round completes exactly, and A's
+/// next round runs exactly over its one live sender (and refuses data
+/// for the one it dropped).
+#[test]
+fn replanning_one_tenant_leaves_the_neighbor_untouched() {
+    let ((mut sched, a, b), _) = teardown_rig();
+    for _ in 0..4 {
+        sched.step(Duration::from_micros(25));
+    }
+    let b_tid = sched.job_trees(b).unwrap()[0].tree_id;
+    let b_state = |sched: &mut JobScheduler| {
+        let e = sched.engine(8);
+        let tree = (e.rtx_stats(b_tid), e.remaining_children(b_tid), e.pairs_held(b_tid));
+        let tag = format!("[{b_tid}]@");
+        let allocs: Vec<_> = sched
+            .switch(8)
+            .pipeline()
+            .tracker()
+            .allocations()
+            .iter()
+            .filter(|alloc| alloc.name.contains(&tag))
+            .map(|alloc| (alloc.name.clone(), alloc.stage, alloc.bytes))
+            .collect();
+        (steer_action(sched, b_tid), tree, allocs)
+    };
+    let before = b_state(&mut sched);
+    assert!(matches!(before.0, ActionSpec::Invoke { .. }), "B is steered into the engine");
+    assert_eq!(before.2.len(), 2, "B holds its registers and its ring: {:?}", before.2);
+
+    sched.replan(a, &[0], &[]).expect("re-plan A over its first sender");
+    assert_eq!(b_state(&mut sched), before, "A's re-plan touched B's switch state");
+
+    assert!(drive(&mut sched, b).expect("B's round must stay healthy"), "B wedged");
+    assert_eq!(sched.collect_round(b).expect("B collects exactly"), b_result());
+
+    let dropped = vec![vec![Pair::new(key("x"), 1)]];
+    let err = sched
+        .begin_round(a, &[vec![vec![Pair::new(key("x"), 5)]], dropped])
+        .expect_err("a sender outside the roster owes nothing");
+    assert!(err.contains("inactive"), "got: {err}");
+    sched.begin_round(a, &[vec![vec![Pair::new(key("x"), 5)]], vec![Vec::new()]]).unwrap();
+    assert!(drive(&mut sched, a).expect("A's round must stay healthy"), "A wedged");
+    assert_eq!(sched.collect_round(a).unwrap(), vec![vec![(key("x"), 5)]]);
 }
