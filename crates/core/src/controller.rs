@@ -20,24 +20,31 @@
 //!
 //! and returns a [`Deployment`] describing what hosts must do (tree ids,
 //! destination addressing, expected END counts).
+//!
+//! This module is the only switch programmer. What one tree puts on one
+//! switch — its `daiet.tree[id]@sw` and `daiet.rtx[id]@sw` reservations,
+//! its engine state and its steering rule — is decided by `install_tree`
+//! and undone, by name, by `remove_tree`. [`Controller::build_switch`]
+//! (one slot of `deploy`, and what a loopback switch thread builds),
+//! [`JobScheduler`](crate::tenant::JobScheduler)'s admission, re-plan and
+//! departure all go through that pair.
 
 use crate::agg::AggFn;
 use crate::config::DaietConfig;
-use crate::switch_agg::{DaietEngine, TreeStateConfig};
+use crate::switch_agg::{ChildSource, DaietEngine, TreeStateConfig};
 use crate::tree::{AggregationTree, TreeError};
 use daiet_dataplane::pipeline::{ActionSpec, Pipeline};
 use daiet_dataplane::resources::{ResourceError, Resources};
 use daiet_dataplane::table::{Field, KeySpec, MatchValue, Table, TableEntry, TableKind};
-use daiet_dataplane::Switch;
+use daiet_dataplane::{ExternId, Switch};
 use daiet_netsim::topology::TopologyPlan;
 use daiet_wire::stack::Endpoints;
 use std::collections::BTreeMap;
 
-/// Pipeline handle of the steering table [`Controller::deploy`] and the
-/// tenant scheduler install on every switch: stage 0, first table added.
-/// [`JobScheduler`](crate::tenant::JobScheduler) relies on this fixed
-/// position to add and remove one tree's rule inside a running
-/// simulation.
+/// Pipeline handle of the steering table every controller-built switch
+/// carries: stage 0, first table added. Installing and removing one
+/// tree's rule inside a running simulation relies on this fixed
+/// position.
 pub const STEER_TABLE: (usize, usize) = (0, 0);
 
 /// Pipeline handle of the L2 forwarding table (stage 1, first table).
@@ -209,24 +216,9 @@ impl Controller {
         resources: Resources,
         mode: AggregationMode,
     ) -> Result<(Deployment, BTreeMap<usize, Switch>), DeployError> {
-        self.config
-            .validate(resources.max_parse_bytes)
-            .map_err(DeployError::Config)?;
+        validate(&self.config, &resources, mode)?;
         if placement.reducers.len() > u16::MAX as usize {
             return Err(DeployError::Config("too many reducers for a u16 tree id".into()));
-        }
-        // Retransmit rings must hold at least one full register flush —
-        // a smaller ring would evict frames the parent is entitled to
-        // NACK, silently un-recovering the data.
-        if mode == AggregationMode::InNetwork && self.config.nack_recovery {
-            let demand = self.config.rtx_demand_per_tree();
-            if self.config.rtx_frames < demand {
-                return Err(DeployError::Config(format!(
-                    "a full flush emits up to {demand} frames per tree but rtx_frames \
-                     is {}; raise DaietConfig::rtx_frames or shrink register_cells",
-                    self.config.rtx_frames
-                )));
-            }
         }
 
         // 1. Aggregation trees, one per reducer.
@@ -238,170 +230,249 @@ impl Controller {
         }
 
         // 2. Per-switch configuration.
-        let hosts = plan.hosts();
         let mut switches = BTreeMap::new();
         let mut engine_externs = BTreeMap::new();
-        for sw_slot in plan.switches() {
-            let mut pipeline = Pipeline::new(resources);
-
-            // Steering table in stage 0: one rule per tree this switch
-            // participates in (installed below once the extern id exists).
-            let steer_handle = pipeline.add_table(
-                0,
-                Table::new(
-                    format!("daiet_steer[{sw_slot}]"),
-                    TableKind::Exact,
-                    KeySpec(vec![Field::DaietTreeId]),
-                    trees.len().max(1),
-                    ActionSpec::NoOp,
-                ),
-            )?;
-            debug_assert_eq!(steer_handle, STEER_TABLE);
-
-            // L2 forwarding in stage 1: next hop toward every host.
-            let l2_handle = pipeline.add_table(
-                1,
-                Table::new(
-                    format!("l2[{sw_slot}]"),
-                    TableKind::Exact,
-                    KeySpec(vec![Field::EthDst]),
-                    hosts.len().max(1),
-                    ActionSpec::Drop,
-                ),
-            )?;
-            debug_assert_eq!(l2_handle, L2_TABLE);
-
-            let mut switch = Switch::new(format!("switch[{sw_slot}]"), pipeline);
-
-            // Aggregation state for every tree crossing this switch.
-            let mut engine = DaietEngine::new(self.config);
-            let mut participating = Vec::new();
-            // Dedup flow demand of this switch: every tree child (mapper
-            // or downstream switch) is one `(tree, sender)` flow.
-            let mut flow_demand: u64 = 0;
-            for tree in &trees {
-                if let Some(&children) = tree.switch_children.get(&sw_slot) {
-                    flow_demand += u64::from(children);
-                    let upstream = tree
-                        .upstream(sw_slot)
-                        .expect("participating switch has a parent edge");
-                    // Reserve the tree's SRAM (stages 2.. hold register
-                    // state; stage 0/1 hold the tables).
-                    switch
-                        .pipeline_mut()
-                        .tracker_mut()
-                        .allocate_first_fit(
-                            &format!("daiet.tree[{}]@{}", tree.tree_id, sw_slot),
-                            2,
-                            self.config.sram_per_tree(),
-                        )?;
-                    // Its retransmit ring (NACK recovery) rides beside
-                    // it, one per tree so first-fit can spread stages.
-                    if mode == AggregationMode::InNetwork && self.config.nack_recovery {
-                        switch.pipeline_mut().tracker_mut().allocate_first_fit(
-                            &format!("daiet.rtx[{}]@{}", tree.tree_id, sw_slot),
-                            2,
-                            self.config.sram_for_rtx_per_tree(),
-                        )?;
-                    }
-                    // The NACK roster: which senders feed this switch on
-                    // this tree, and through which ports.
-                    let children_sources: Vec<crate::switch_agg::ChildSource> = tree
-                        .children_of(sw_slot)
-                        .into_iter()
-                        .map(|(child, port)| crate::switch_agg::ChildSource {
-                            id: child as u32,
-                            port,
-                        })
-                        .collect();
-                    debug_assert_eq!(children_sources.len() as u32, children);
-                    engine.install_tree(TreeStateConfig {
-                        tree_id: tree.tree_id,
-                        out_port: upstream.port,
-                        endpoints: Endpoints::from_ids(sw_slot as u32, tree.reducer as u32),
-                        agg: self.agg_for(tree.tree_id as usize),
-                        children,
-                        children_sources,
-                    });
-                    participating.push(tree.tree_id);
-                }
-            }
-            // NACK recovery's gap tracker is switch state too (the rings
-            // were reserved per tree above, beside each tree's
-            // registers). Where the switch actually aggregates (InNetwork
-            // and on ≥1 tree — PassThrough installs no steering rules and
-            // an off-path switch sees no tree traffic, so their trackers
-            // are never consulted):
-            //
-            // * reject a flow cap below the switch's demand — at run
-            //   time the excess senders' packets would be refused
-            //   deterministically (consumed DATA/ENDs → trees that
-            //   never complete), and the demand is known exactly here;
-            // * reserve the tracker's worst-case (flow-cap) SRAM exactly
-            //   like the register arrays, so an over-provisioned
-            //   configuration fails at deployment, not silently at run
-            //   time.
-            if mode == AggregationMode::InNetwork && flow_demand > 0 {
-                if self.config.nack_recovery && flow_demand > self.config.nack_flows as u64 {
-                    return Err(DeployError::Config(format!(
-                        "switch {sw_slot} needs {flow_demand} NACK flows (tree children) \
-                         but nack_flows is {}; raise DaietConfig::nack_flows",
-                        self.config.nack_flows
-                    )));
-                }
-                let nack_sram = self.config.sram_for_nack_tracker();
-                if nack_sram > 0 {
-                    switch.pipeline_mut().tracker_mut().allocate_first_fit(
-                        &format!("daiet.nack@{sw_slot}"),
-                        2,
-                        nack_sram,
-                    )?;
-                }
-            }
-            let ext = switch.register_extern(Box::new(engine));
-            engine_externs.insert(sw_slot, ext);
-
-            if mode == AggregationMode::InNetwork {
-                for tree_id in participating {
-                    switch
-                        .pipeline_mut()
-                        .table_mut(steer_handle)
-                        .insert(TableEntry {
-                            matcher: MatchValue::Exact(tree_id.to_be_bytes().to_vec()),
-                            action: ActionSpec::Invoke { ext, arg: u32::from(tree_id) },
-                        })
-                        .map_err(|e| DeployError::Config(e.to_string()))?;
-                }
-            }
-
-            // L2 rules: port toward each host via deterministic BFS.
-            for &h in &hosts {
-                let next = plan.next_hops_toward(h);
-                if let Some(hop) = next[sw_slot] {
-                    switch
-                        .pipeline_mut()
-                        .table_mut(l2_handle)
-                        .insert(TableEntry {
-                            matcher: MatchValue::Exact(
-                                daiet_wire::EthernetAddress::from_id(h as u32).0.to_vec(),
-                            ),
-                            action: ActionSpec::Forward(hop.port),
-                        })
-                        .map_err(|e| DeployError::Config(e.to_string()))?;
-                }
-            }
-
-            switches.insert(sw_slot, switch);
+        for slot in plan.switches() {
+            let (switch, ext) = self.build_switch(plan, &trees, slot, resources, mode)?;
+            switches.insert(slot, switch);
+            engine_externs.insert(slot, ext);
         }
 
         Ok((Deployment { trees, mode, config: self.config, engine_externs }, switches))
     }
+
+    /// Builds the switch at plan `slot` for `trees` — one slot of
+    /// [`deploy`](Self::deploy), which a loopback switch thread runs on
+    /// its own: the steering and L2 tables, an engine, and every tree
+    /// crossing the slot installed in tree order. Returns the switch and
+    /// its engine's extern id.
+    pub fn build_switch(
+        &self,
+        plan: &TopologyPlan,
+        trees: &[AggregationTree],
+        slot: usize,
+        resources: Resources,
+        mode: AggregationMode,
+    ) -> Result<(Switch, ExternId), DeployError> {
+        let mut switch = new_switch(plan, slot, resources, trees.len())?;
+        let ext = switch.register_extern(Box::new(DaietEngine::new(self.config)));
+        for tree in trees.iter().filter(|t| t.switch_children.contains_key(&slot)) {
+            let agg = self.agg_for(tree.tree_id as usize);
+            install_tree(&mut switch, ext, slot, tree, agg, &self.config, mode)?;
+        }
+        // NACK recovery's gap tracker is switch state too (the rings were
+        // reserved per tree, beside each tree's registers). Where the
+        // switch actually aggregates (InNetwork and on ≥1 tree —
+        // PassThrough installs no steering rules and an off-path switch
+        // sees no tree traffic, so their trackers are never consulted):
+        //
+        // * reject a flow cap below the switch's demand — at run time the
+        //   excess senders' packets would be refused deterministically
+        //   (consumed DATA/ENDs → trees that never complete), and the
+        //   demand is known exactly here;
+        // * reserve the tracker's worst-case (flow-cap) SRAM exactly like
+        //   the register arrays, so an over-provisioned configuration
+        //   fails at deployment, not silently at run time.
+        let flow_demand = flows_at(trees, slot);
+        if mode == AggregationMode::InNetwork && flow_demand > 0 {
+            if self.config.nack_recovery && flow_demand > self.config.nack_flows as u64 {
+                return Err(DeployError::Config(format!(
+                    "switch {slot} needs {flow_demand} NACK flows (tree children) \
+                     but nack_flows is {}; raise DaietConfig::nack_flows",
+                    self.config.nack_flows
+                )));
+            }
+            reserve_nack_tracker(&mut switch, slot, &self.config)?;
+        }
+        Ok((switch, ext))
+    }
+}
+
+/// Checks `config` against the chip and the mode before any switch is
+/// built: packetization must fit the parser, and (in-network, with NACK
+/// recovery) a retransmit ring must hold one full register flush — a
+/// smaller ring would evict frames the parent is entitled to NACK,
+/// silently un-recovering the data.
+pub(crate) fn validate(
+    config: &DaietConfig,
+    resources: &Resources,
+    mode: AggregationMode,
+) -> Result<(), DeployError> {
+    config.validate(resources.max_parse_bytes).map_err(DeployError::Config)?;
+    if mode == AggregationMode::InNetwork && config.nack_recovery {
+        let demand = config.rtx_demand_per_tree();
+        if config.rtx_frames < demand {
+            return Err(DeployError::Config(format!(
+                "a full flush emits up to {demand} frames per tree but rtx_frames \
+                 is {}; raise DaietConfig::rtx_frames or shrink register_cells",
+                config.rtx_frames
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// A switch for plan `slot` with no tree on it: a steering table
+/// (stage 0, room for `steer_capacity` trees) and an L2 table (stage 1)
+/// routing toward every host. The caller registers its engine.
+pub(crate) fn new_switch(
+    plan: &TopologyPlan,
+    slot: usize,
+    resources: Resources,
+    steer_capacity: usize,
+) -> Result<Switch, DeployError> {
+    let mut pipeline = Pipeline::new(resources);
+    let steer = pipeline.add_table(
+        0,
+        Table::new(
+            format!("daiet_steer[{slot}]"),
+            TableKind::Exact,
+            KeySpec(vec![Field::DaietTreeId]),
+            steer_capacity.max(1),
+            ActionSpec::NoOp,
+        ),
+    )?;
+    debug_assert_eq!(steer, STEER_TABLE);
+    let l2 = pipeline.add_table(
+        1,
+        Table::new(
+            format!("l2[{slot}]"),
+            TableKind::Exact,
+            KeySpec(vec![Field::EthDst]),
+            plan.hosts().len().max(1),
+            ActionSpec::Drop,
+        ),
+    )?;
+    debug_assert_eq!(l2, L2_TABLE);
+    let mut switch = Switch::new(format!("switch[{slot}]"), pipeline);
+    fill_l2(plan, slot, &[], &mut switch)?;
+    Ok(switch)
+}
+
+/// Rewrites the L2 table of the switch at `slot`: one rule per host,
+/// forwarding on the shortest path around the `dead` slots. A host
+/// unreachable from here gets no rule, so frames to it drop, which is
+/// what a partitioned fabric does.
+pub(crate) fn fill_l2(
+    plan: &TopologyPlan,
+    slot: usize,
+    dead: &[usize],
+    switch: &mut Switch,
+) -> Result<(), DeployError> {
+    let l2 = switch.pipeline_mut().table_mut(L2_TABLE);
+    l2.clear();
+    for h in plan.hosts() {
+        if let Some(hop) = plan.next_hops_toward_avoiding(h, dead)[slot] {
+            l2.insert(TableEntry {
+                matcher: MatchValue::Exact(daiet_wire::EthernetAddress::from_id(h as u32).0.to_vec()),
+                action: ActionSpec::Forward(hop.port),
+            })
+            .map_err(|e| DeployError::Config(e.to_string()))?;
+        }
+    }
+    Ok(())
+}
+
+/// Reserves the gap tracker's worst-case SRAM (`daiet.nack@sw`) on the
+/// switch at `slot`; nothing without NACK recovery.
+pub(crate) fn reserve_nack_tracker(
+    switch: &mut Switch,
+    slot: usize,
+    config: &DaietConfig,
+) -> Result<(), DeployError> {
+    let bytes = config.sram_for_nack_tracker();
+    if bytes > 0 {
+        let name = format!("daiet.nack@{slot}");
+        switch.pipeline_mut().tracker_mut().allocate_first_fit(&name, 2, bytes)?;
+    }
+    Ok(())
+}
+
+/// Installs `tree` on the switch at `slot`, a switch it crosses, whose
+/// engine is extern `ext`: reserves the tree's registers
+/// (`daiet.tree[id]@sw`, stages 2.. — stages 0/1 hold the tables) and,
+/// in-network with NACK recovery, its retransmit ring (`daiet.rtx[id]@sw`,
+/// its own reservation so first-fit can spread stages); installs the
+/// engine state with its NACK roster (which children feed this switch on
+/// this tree, through which ports); and, in-network, steers the tree's
+/// frames into the engine. On `Err`, [`remove_tree`] undoes whatever part
+/// was done.
+pub(crate) fn install_tree(
+    switch: &mut Switch,
+    ext: ExternId,
+    slot: usize,
+    tree: &AggregationTree,
+    agg: AggFn,
+    config: &DaietConfig,
+    mode: AggregationMode,
+) -> Result<(), DeployError> {
+    let tid = tree.tree_id;
+    let tracker = switch.pipeline_mut().tracker_mut();
+    tracker.allocate_first_fit(&format!("daiet.tree[{tid}]@{slot}"), 2, config.sram_per_tree())?;
+    if mode == AggregationMode::InNetwork && config.nack_recovery {
+        tracker.allocate_first_fit(
+            &format!("daiet.rtx[{tid}]@{slot}"),
+            2,
+            config.sram_for_rtx_per_tree(),
+        )?;
+    }
+    let children = tree.switch_children[&slot];
+    let children_sources: Vec<ChildSource> = tree
+        .children_of(slot)
+        .into_iter()
+        .map(|(child, port)| ChildSource { id: child as u32, port })
+        .collect();
+    debug_assert_eq!(children_sources.len() as u32, children);
+    let upstream = tree.upstream(slot).expect("participating switch has a parent edge");
+    let engine = switch.extern_mut::<DaietEngine>(ext).expect("switches carry a DaietEngine");
+    engine.install_tree(TreeStateConfig {
+        tree_id: tid,
+        out_port: upstream.port,
+        endpoints: Endpoints::from_ids(slot as u32, tree.reducer as u32),
+        agg,
+        children,
+        children_sources,
+    });
+    if mode == AggregationMode::InNetwork {
+        switch
+            .pipeline_mut()
+            .table_mut(STEER_TABLE)
+            .insert(TableEntry {
+                matcher: MatchValue::Exact(tid.to_be_bytes().to_vec()),
+                action: ActionSpec::Invoke { ext, arg: u32::from(tid) },
+            })
+            .map_err(|e| DeployError::Config(e.to_string()))?;
+    }
+    Ok(())
+}
+
+/// The inverse of [`install_tree`], by name: removes tree `tree_id`'s
+/// steering rule, engine state and `daiet.tree[..]`/`daiet.rtx[..]`
+/// reservations from the switch at `slot`. Each removal is a no-op for
+/// what is absent, so this also undoes a partial install; every other
+/// tree on the switch keeps its state.
+pub(crate) fn remove_tree(switch: &mut Switch, ext: ExternId, slot: usize, tree_id: u16) {
+    switch.pipeline_mut().table_mut(STEER_TABLE).remove_exact(&tree_id.to_be_bytes());
+    switch
+        .extern_mut::<DaietEngine>(ext)
+        .expect("switches carry a DaietEngine")
+        .remove_tree(tree_id);
+    let tracker = switch.pipeline_mut().tracker_mut();
+    tracker.free(&format!("daiet.tree[{tree_id}]@{slot}"));
+    tracker.free(&format!("daiet.rtx[{tree_id}]@{slot}"));
+}
+
+/// Gap-tracker flows `trees` need at switch `slot`: one per tree child
+/// (mapper or downstream switch).
+pub(crate) fn flows_at(trees: &[AggregationTree], slot: usize) -> u64 {
+    trees.iter().filter_map(|t| t.switch_children.get(&slot)).map(|&c| u64::from(c)).sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::worker::{one_shot_sender, ReducerHost};
+    use crate::loopback::LoopbackJob;
+    use crate::worker::ReducerHost;
     use daiet_netsim::{LinkSpec, Simulator};
     use daiet_wire::daiet::{Key, Pair};
 
@@ -636,6 +707,28 @@ mod tests {
         assert!(matches!(err, DeployError::Config(_) | DeployError::Resources(_)));
     }
 
+    /// Runs a one-tree job on the simulator from its node list:
+    /// `shards[m]` is mapper `m`'s pairs. Returns the simulator and the
+    /// node ids by plan slot.
+    fn run_job(
+        plan: TopologyPlan,
+        placement: JobPlacement,
+        mode: AggregationMode,
+        shards: Vec<Vec<Pair>>,
+        seed: u64,
+    ) -> (Simulator, Vec<daiet_netsim::NodeId>) {
+        let controller = Controller::new(DaietConfig::default(), AggFn::Sum);
+        let job = LoopbackJob::deploy(controller, plan, placement, Resources::tofino_like(), mode)
+            .unwrap();
+        let shards = shards.into_iter().map(|pairs| vec![pairs]).collect();
+        let mut sim = Simulator::new(seed);
+        let specs = job.specs(shards, daiet_fabric::Duration::from_micros(1), 1);
+        let ids: Vec<_> = specs.into_iter().map(|s| sim.add_node((s.build)())).collect();
+        job.plan().wire(&mut sim, &ids);
+        sim.run();
+        (sim, ids)
+    }
+
     /// The Figure-2 scenario end to end: mappers on two leaves, the
     /// aggregation happening hierarchically (leaf → spine → leaf), and
     /// the reducer receiving exactly one aggregated stream.
@@ -643,42 +736,12 @@ mod tests {
     fn multi_switch_hierarchical_aggregation() {
         let plan = TopologyPlan::leaf_spine(3, 2, 1, LinkSpec::fast());
         // Hosts 0-2 on leaf 6, hosts 3-5 on leaf 7, spine 8.
-        let controller = Controller::new(DaietConfig::default(), AggFn::Sum);
         let placement = JobPlacement { mappers: vec![0, 1, 2, 3, 4], reducers: vec![5] };
-        let (dep, mut switches) = controller
-            .deploy(&plan, &placement, Resources::tofino_like(), AggregationMode::InNetwork)
-            .unwrap();
-
-        let mut sim = Simulator::new(5);
-        let mut ids = Vec::new();
-        let config = DaietConfig::default();
         // Every mapper contributes ("w", 1) plus a unique word.
-        for slot in 0..plan.len() {
-            use daiet_netsim::topology::Role;
-            let id = match plan.role(slot) {
-                Role::Host if slot < 5 => sim.add_node(Box::new(one_shot_sender(
-                    &config,
-                    slot,
-                    [(
-                        dep.tree_id(0),
-                        dep.endpoints(slot, 0),
-                        vec![Pair::new(key("w"), 1), Pair::new(key(&format!("u{slot}")), 10)],
-                    )],
-                    daiet_fabric::Duration::from_micros(1),
-                    "sender",
-                ))),
-                Role::Host => sim.add_node(Box::new(ReducerHost::new(
-                    AggFn::Sum,
-                    dep.expected_ends(0, 5),
-                ))),
-                Role::Switch => sim.add_node(Box::new(
-                    switches.remove(&slot).expect("controller built this switch"),
-                )),
-            };
-            ids.push(id);
-        }
-        plan.wire(&mut sim, &ids);
-        sim.run();
+        let shards = (0..5)
+            .map(|slot| vec![Pair::new(key("w"), 1), Pair::new(key(&format!("u{slot}")), 10)])
+            .collect();
+        let (sim, ids) = run_job(plan, placement, AggregationMode::InNetwork, shards, 5);
 
         let r = sim.node_ref::<ReducerHost>(ids[5]).unwrap();
         assert!(r.collector.is_complete(), "reducer saw {} ENDs", r.collector.ends_seen());
@@ -695,33 +758,10 @@ mod tests {
 
     #[test]
     fn passthrough_delivers_unaggregated() {
-        let (plan, dep, mut switches) =
-            deploy_star(3, vec![0, 1], vec![2], AggregationMode::PassThrough);
-        let config = DaietConfig::default();
-        let mut sim = Simulator::new(9);
-        let mut ids = Vec::new();
-        for slot in 0..plan.len() {
-            use daiet_netsim::topology::Role;
-            let id = match plan.role(slot) {
-                Role::Host if slot < 2 => sim.add_node(Box::new(one_shot_sender(
-                    &config,
-                    slot,
-                    [(dep.tree_id(0), dep.endpoints(slot, 0), vec![Pair::new(key("x"), 1)])],
-                    daiet_fabric::Duration::from_micros(1),
-                    "sender",
-                ))),
-                Role::Host => sim.add_node(Box::new(ReducerHost::new(
-                    AggFn::Sum,
-                    dep.expected_ends(0, 2),
-                ))),
-                Role::Switch => {
-                    sim.add_node(Box::new(switches.remove(&slot).unwrap()))
-                }
-            };
-            ids.push(id);
-        }
-        plan.wire(&mut sim, &ids);
-        sim.run();
+        let plan = TopologyPlan::star(3, LinkSpec::fast());
+        let placement = JobPlacement { mappers: vec![0, 1], reducers: vec![2] };
+        let shards = vec![vec![Pair::new(key("x"), 1)]; 2];
+        let (sim, ids) = run_job(plan, placement, AggregationMode::PassThrough, shards, 9);
 
         let r = sim.node_ref::<ReducerHost>(ids[2]).unwrap();
         assert!(r.collector.is_complete());

@@ -1,39 +1,43 @@
-//! Deploying a DAIET job onto the real-time UDP backend.
+//! One one-shot DAIET job, as a list of nodes either backend can run.
 //!
-//! The simulator runners ([`crate::tenant`], the workload crates)
-//! build nodes and hand them to a `Simulator`; this module builds the
-//! **same nodes** — [`PacedSenderNode`](crate::worker::PacedSenderNode)
-//! mappers, userspace [`Switch`](daiet_dataplane::Switch)es,
-//! [`ReducerHost`] reducers — and hands them to
-//! [`daiet_fabric::run_cluster`], which drives each one from a
-//! nonblocking UDP socket loop on its own thread. The kernel genuinely
-//! routes every datagram over `127.0.0.1`, timers run on the wall clock,
-//! and loss is injected at the socket edge ([`FaultShim`]), so NACK
-//! recovery is exercised over a real lossy transport.
+//! [`LoopbackJob::specs`] is the one place that decides which node runs
+//! in each plan slot of a one-shot job:
+//! [`PacedSenderNode`](crate::worker::PacedSenderNode) mappers,
+//! userspace [`Switch`](daiet_dataplane::Switch)es, [`ReducerHost`]
+//! reducers, idle spare hosts. Both backends consume that list
+//! unchanged. The simulator runners (the workload crates' `Runner`s)
+//! build every spec in slot order and hand the nodes to a `Simulator`;
+//! the real-time backend hands the specs to [`daiet_fabric::run_cluster`],
+//! which drives each node from a nonblocking UDP socket loop on its own
+//! thread. There the kernel genuinely routes every datagram over
+//! `127.0.0.1`, timers run on the wall clock, and loss is injected at the
+//! socket edge ([`FaultShim`]), so NACK recovery is exercised over a real
+//! lossy transport.
 //!
 //! Two constraints shape the API:
 //!
 //! * **Nodes are not `Send`** (frames are `Rc`-backed), so a spec
-//!   carries `Send` *ingredients* (configs, plans, pair data) and each
-//!   driver thread builds its own node. Switch threads re-run
-//!   [`Controller::deploy`] locally — deployment is a pure function of
-//!   the job, so every thread derives the identical plan.
+//!   carries `Send` *ingredients* (configs, trees, pair data) and each
+//!   driver thread builds its own node. A switch thread builds only its
+//!   own slot, with [`Controller::build_switch`] over the deployment's
+//!   trees — exactly the switch [`Controller::deploy`] builds there.
 //! * **Port numbering must match the controller's tables.** The plan
 //!   assigns ports in link-insertion order and `run_cluster` does the
 //!   same, so handing it `plan.links()` verbatim reproduces the exact
 //!   port map the controller programmed into every switch.
 //!
-//! Timeouts are the one knob that changes meaning across backends: a
-//! 50 µs NACK timeout is generous in simulated time but shorter than a
-//! scheduler quantum on a real host. [`wall_clock_config`] rescales it
-//! (see `docs/RELIABILITY.md`).
+//! Timing is what changes meaning across backends: a 50 µs NACK timeout
+//! is generous in simulated time but shorter than a scheduler quantum on
+//! a real host, and a 2 µs frame gap is below the timer wheel's grain.
+//! [`wall_clock_config`] and [`wall_clock_pacing`] rescale them (see
+//! `docs/RELIABILITY.md`).
 
 use crate::agg::AggFn;
 use crate::config::DaietConfig;
 use crate::controller::{AggregationMode, Controller, Deployment, JobPlacement};
 use crate::worker::{one_shot_sender, reducer_host, IdleHost, ReducerHost};
 use daiet_fabric::{Duration, FaultShim, Node, NodeSpec, Time};
-use daiet_netsim::topology::TopologyPlan;
+use daiet_netsim::topology::{Role, TopologyPlan};
 use daiet_wire::daiet::{Key, Pair};
 use std::any::Any;
 use std::sync::Arc;
@@ -52,6 +56,15 @@ pub const WALL_NACK_TIMEOUT_NS: u64 = 3_000_000;
 pub fn wall_clock_config(mut config: DaietConfig) -> DaietConfig {
     config.nack_timeout_ns = config.nack_timeout_ns.max(WALL_NACK_TIMEOUT_NS);
     config
+}
+
+/// Rescales a sim-scale frame gap for the wall clock: at least 50 µs.
+/// Sim pacing is tuned for virtual time; on real sockets the driver loop
+/// itself paces (one timer fire per iteration), so any gap at or above
+/// the timer wheel's granularity behaves the same, and the floor keeps
+/// kernel socket buffers comfortable.
+pub fn wall_clock_pacing(pacing: Duration) -> Duration {
+    Duration::from_nanos(pacing.as_nanos().max(50_000))
 }
 
 /// What a finished loopback reducer reports back (the `Send` distillate
@@ -73,10 +86,10 @@ pub struct ReducerReport {
     pub completed_at: Option<Time>,
 }
 
-/// One DAIET job bound to the UDP loopback backend: the controller's
-/// deployment plus everything a driver thread needs to rebuild its slot
-///'s node. Construct with [`LoopbackJob::deploy`], then ask it for one
-/// [`NodeSpec`] per plan slot and hand them to
+/// One one-shot DAIET job: the controller's deployment plus everything a
+/// slot needs to build its node. Construct with [`LoopbackJob::deploy`],
+/// then ask it for one [`NodeSpec`] per plan slot ([`specs`](Self::specs))
+/// and either build them into a simulator in slot order or hand them to
 /// [`daiet_fabric::run_cluster`] with [`LoopbackJob::links`].
 pub struct LoopbackJob {
     controller: Controller,
@@ -88,8 +101,8 @@ pub struct LoopbackJob {
 }
 
 impl LoopbackJob {
-    /// Validates and deploys the job (on the calling thread — switch
-    /// threads will re-derive the identical deployment locally).
+    /// Validates and deploys the job (on the calling thread — each switch
+    /// spec builds its own slot again from the deployment's trees).
     pub fn deploy(
         controller: Controller,
         plan: TopologyPlan,
@@ -125,28 +138,21 @@ impl LoopbackJob {
         self.plan.links().iter().map(|&(a, b, _)| (a, b)).collect()
     }
 
-    /// The spec for switch `slot`: the driver thread re-runs the
-    /// controller deployment and keeps its own slot's [`Switch`]
+    /// The spec for switch `slot`: the node's thread builds that one
+    /// slot with [`Controller::build_switch`] over the deployment's trees
     /// (switches hold `Rc`-backed state and cannot cross threads).
-    ///
-    /// [`Switch`]: daiet_dataplane::Switch
     pub fn switch_spec(&self, slot: usize, shim: FaultShim) -> NodeSpec {
         let controller = self.controller.clone();
         let plan = self.plan.clone();
-        let placement = self.placement.clone();
-        let resources = self.resources;
-        let mode = self.mode;
-        NodeSpec {
-            build: Box::new(move || {
-                let (_dep, mut switches) = controller
-                    .deploy(&plan, &placement, resources, mode)
-                    .expect("deployment validated by LoopbackJob::deploy");
-                Box::new(switches.remove(&slot).expect("slot holds a switch"))
-            }),
-            shim,
-            done: None,
-            finish: Box::new(|_| Box::new(())),
-        }
+        let trees = self.deployment.trees.clone();
+        let (resources, mode) = (self.resources, self.mode);
+        let build = Box::new(move || {
+            let (switch, _) = controller
+                .build_switch(&plan, &trees, slot, resources, mode)
+                .expect("deployment validated by LoopbackJob::deploy");
+            Box::new(switch) as Box<dyn Node>
+        });
+        NodeSpec { shim, ..NodeSpec::plain(build) }
     }
 
     /// The spec for mapper `m` (placement order) owing `shards[r]` to
@@ -172,14 +178,10 @@ impl LoopbackJob {
                 (self.deployment.tree_id(r), self.deployment.endpoints(slot, r), pairs.into())
             })
             .collect();
-        NodeSpec {
-            build: Box::new(move || {
-                Box::new(one_shot_sender(&config, m, parts, pacing, "udp-mapper"))
-            }),
-            shim,
-            done: None,
-            finish: Box::new(|_| Box::new(())),
-        }
+        let build = Box::new(move || {
+            Box::new(one_shot_sender(&config, m, parts, pacing, "udp-mapper")) as Box<dyn Node>
+        });
+        NodeSpec { shim, ..NodeSpec::plain(build) }
     }
 
     /// The spec for reducer `r` (placement order): the standard
@@ -218,13 +220,13 @@ impl LoopbackJob {
         }
     }
 
-    /// The standard full-job spec list: every plan slot filled with its
-    /// role's spec (mappers get `shards[m]`, all with transparent
-    /// shims). Callers needing per-slot loss injection assemble the
-    /// specs themselves from the per-role constructors. `_copies` is
-    /// inert (every frame is sent once); it stays only because the
-    /// tracked benchmark calls this signature, and the next `benchmark`
-    /// issue removes it.
+    /// The job's node list, one spec per plan slot in slot order: mappers
+    /// get `shards[m]`, reducers and switches their role's spec, and a
+    /// host the placement leaves out idles. Every shim is transparent;
+    /// set a slot's `shim` for socket-edge loss. The simulator builds the
+    /// same list. `_copies` is inert (every frame is sent once); it stays
+    /// only because the tracked benchmark calls this signature, and the
+    /// next `benchmark` issue removes it.
     pub fn specs<P: Into<Arc<Vec<Pair>>>>(
         &self,
         shards: Vec<Vec<P>>,
@@ -245,7 +247,7 @@ impl LoopbackJob {
                 } else if let Some(r) = self.placement.reducers.iter().position(|&s| s == slot)
                 {
                     self.reducer_spec(r, FaultShim::none())
-                } else if self.plan.switches().contains(&slot) {
+                } else if self.plan.role(slot) == Role::Switch {
                     self.switch_spec(slot, FaultShim::none())
                 } else {
                     NodeSpec::plain(Box::new(|| Box::new(IdleHost)))
@@ -268,6 +270,9 @@ mod tests {
         // An already-generous timeout is left alone.
         let big = DaietConfig { nack_timeout_ns: 10_000_000, ..DaietConfig::default() };
         assert_eq!(wall_clock_config(big).nack_timeout_ns, 10_000_000);
+        // Pacing floors at 50 µs and leaves a slower gap alone.
+        assert_eq!(wall_clock_pacing(Duration::from_micros(2)), Duration::from_micros(50));
+        assert_eq!(wall_clock_pacing(Duration::from_millis(1)), Duration::from_millis(1));
     }
 
     /// The smallest end-to-end loopback job: two mappers, one reducer,

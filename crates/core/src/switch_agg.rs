@@ -256,6 +256,12 @@ impl DaietEngine {
         self.trees.len()
     }
 
+    /// A tree's NACK roster as installed (test inspection).
+    #[cfg(test)]
+    pub(crate) fn child_roster(&self, tree_id: u16) -> Option<&[ChildSource]> {
+        self.trees.get(&tree_id).map(|t| t.cfg.children_sources.as_slice())
+    }
+
     /// Engine counters.
     pub fn stats(&self) -> EngineStats {
         self.stats

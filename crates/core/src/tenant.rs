@@ -16,22 +16,28 @@
 //!   tenants. Departed ids are quarantined (recycled only if the u16
 //!   space is exhausted) so a straggler frame from a dead job cannot be
 //!   mistaken for live traffic.
-//! * **All-or-nothing admission.** [`JobScheduler::admit`] mutates
-//!   switches through an undo log; the first refusal (SRAM exhausted,
-//!   steering table full, NACK flow cap short) rolls every prior
-//!   mutation back in reverse order. [`SramTracker::free`] preserves
-//!   allocation order and per-stage accounting, so a rejected job leaves
-//!   the fabric **bit-identically** in its pre-admission state — future
-//!   first-fit placements are unchanged.
+//! * **One switch programmer.** Switches are built, and trees installed
+//!   on them and removed from them, only by the controller's routines —
+//!   the same ones [`Controller::deploy`](crate::controller::Controller::deploy)
+//!   runs — so an admitted tree programs a switch exactly as a deployed
+//!   one does.
+//! * **All-or-nothing admission.** [`JobScheduler::admit`] installs the
+//!   job's trees switch by switch; on the first refusal (SRAM exhausted,
+//!   steering table full) it removes every one of the job's trees by
+//!   name from every switch they cross. Removal is a no-op for what was
+//!   never installed, and [`SramTracker::free`] preserves allocation
+//!   order and per-stage accounting, so a rejected job leaves the fabric
+//!   **bit-identically** in its pre-admission state — future first-fit
+//!   placements are unchanged.
 //! * **Per-tree teardown, by name.** [`JobScheduler::depart`] removes
 //!   exactly the departing job's steering entries
 //!   ([`Table::remove_exact`]), engine trees
-//!   ([`DaietEngine::remove_tree`]) and SRAM reservations
-//!   (`daiet.tree[id]@sw` / `daiet.rtx[id]@sw`), and returns its host
-//!   slots to the pool — neighbor jobs' switch state and in-flight
-//!   recovery are untouched. [`JobScheduler::replan`] re-routes a live
-//!   job with the same removal followed by a fresh install, so no path
-//!   ever clears a shared steering table.
+//!   ([`DaietEngine::remove_tree`]) and SRAM reservations, and returns
+//!   its host slots to the pool — neighbor jobs' switch state and
+//!   in-flight recovery are untouched. [`JobScheduler::replan`] re-routes
+//!   a live job with the same removal followed by a fresh install, so no
+//!   path ever clears a shared steering table. Admission, re-plan and
+//!   departure share that one teardown.
 //!
 //! On top of the scheduler, [`run_mix`] drives a deterministic tenant
 //! mix: Poisson arrivals ([`poisson_offsets`], seeded `stream_seed`
@@ -49,13 +55,14 @@
 // protocol — the per-job dataplane code it launches stays fabric-only.
 use crate::agg::AggFn;
 use crate::config::DaietConfig;
-use crate::controller::{DeployError, L2_TABLE, STEER_TABLE};
-use crate::switch_agg::{ChildSource, DaietEngine, TreeStateConfig};
+use crate::controller::{
+    fill_l2, flows_at, install_tree, new_switch, remove_tree, reserve_nack_tracker, validate,
+    AggregationMode, DeployError,
+};
+use crate::switch_agg::DaietEngine;
 use crate::tree::AggregationTree;
 use crate::worker::{plan_round, IdleHost, PacedSenderNode, ReducerHost};
-use daiet_dataplane::pipeline::{ActionSpec, Pipeline};
 use daiet_dataplane::resources::Resources;
-use daiet_dataplane::table::{Field, KeySpec, MatchValue, Table, TableEntry, TableKind};
 use daiet_dataplane::{ExternId, Switch};
 use daiet_fabric::{Duration, Time};
 use daiet_netsim::topology::{Role, TopologyPlan};
@@ -178,17 +185,6 @@ struct JobState {
     snap_at_admit: StatsSnapshot,
 }
 
-/// One undo-log entry of an in-flight admission; replayed in reverse on
-/// the first failure so a rejected job leaves zero partial switch state.
-enum Undo {
-    /// An SRAM reservation on switch `slot` under `name`.
-    Sram { slot: usize, name: String },
-    /// A tree installed on switch `slot`'s engine.
-    Engine { slot: usize, tree_id: u16 },
-    /// A steering rule for `tree_id` on switch `slot`.
-    Steer { slot: usize, tree_id: u16 },
-}
-
 /// The multi-tenant control plane: one long-lived simulated fabric,
 /// jobs admitted and evicted online against the switches' SRAM budgets.
 ///
@@ -231,19 +227,7 @@ impl JobScheduler {
     /// pooled host, wires the plan, and runs
     /// `on_start`.
     pub fn build(spec: TenantSpec) -> Result<JobScheduler, DeployError> {
-        spec.config
-            .validate(spec.resources.max_parse_bytes)
-            .map_err(DeployError::Config)?;
-        if spec.config.nack_recovery {
-            let demand = spec.config.rtx_demand_per_tree();
-            if spec.config.rtx_frames < demand {
-                return Err(DeployError::Config(format!(
-                    "a full flush emits up to {demand} frames per tree but rtx_frames \
-                     is {}; raise DaietConfig::rtx_frames or shrink register_cells",
-                    spec.config.rtx_frames
-                )));
-            }
-        }
+        validate(&spec.config, &spec.resources, AggregationMode::InNetwork)?;
         let mut seen = BTreeSet::new();
         for &slot in spec.sender_slots.iter().chain(&spec.reducer_slots) {
             if slot >= spec.plan.len() || spec.plan.role(slot) != Role::Host {
@@ -280,10 +264,14 @@ impl JobScheduler {
                     }
                 }
                 Role::Switch => {
-                    let (switch, ext) = build_tenant_switch(&spec, slot)?;
-                    let id = sim.add_node(Box::new(switch));
+                    // Trees come and go; the gap tracker's SRAM is
+                    // reserved once, for the fabric's lifetime.
+                    let mut switch =
+                        new_switch(&spec.plan, slot, spec.resources, spec.steer_capacity)?;
+                    reserve_nack_tracker(&mut switch, slot, &spec.config)?;
+                    let ext = switch.register_extern(Box::new(DaietEngine::new(spec.config)));
                     engine_externs.insert(slot, ext);
-                    id
+                    sim.add_node(Box::new(switch))
                 }
             };
             ids.push(id);
@@ -318,9 +306,10 @@ impl JobScheduler {
     /// fabric-unique tree ids, builds one aggregation tree per
     /// requested aggregation function, and installs SRAM reservations,
     /// engine tree state and steering rules on every crossed switch —
-    /// or, on the first refusal, rolls back every mutation already made
-    /// and returns the error with the fabric bit-identical to its
-    /// pre-admission state. Neighbor jobs are never paused.
+    /// or, on the first refusal, removes the job's trees by name from
+    /// every switch they cross and returns the error with the fabric
+    /// bit-identical to its pre-admission state. Neighbor jobs are never
+    /// paused.
     pub fn admit(&mut self, req: JobRequest) -> Result<JobId, DeployError> {
         if req.senders == 0 || req.aggs.is_empty() {
             return Err(DeployError::Config(
@@ -366,12 +355,10 @@ impl JobScheduler {
             }
         }
 
-        let mut log = Vec::new();
-        if let Err(e) = self
-            .check_nack_flows(&trees, &[])
-            .and_then(|()| self.install_job(&trees, &req.aggs, &mut log))
+        if let Err(e) =
+            self.check_nack_flows(&trees, &[]).and_then(|()| self.install_job(&trees, &req.aggs))
         {
-            self.rollback(log);
+            self.remove_trees(&trees);
             self.release_tree_ids(&tree_ids);
             return Err(e);
         }
@@ -457,113 +444,30 @@ impl JobScheduler {
         }
     }
 
-    /// Installs `trees` on every crossed switch, recording each mutation
-    /// in `log`. On `Err` the caller replays the log in reverse.
+    /// Installs `trees` (aggregating with `aggs`) on every switch they
+    /// cross. On `Err` some are installed and some not; the caller
+    /// removes `trees` by name ([`remove_trees`](Self::remove_trees)).
     fn install_job(
         &mut self,
         trees: &[AggregationTree],
         aggs: &[AggFn],
-        log: &mut Vec<Undo>,
     ) -> Result<(), DeployError> {
         let config = self.spec.config;
-        for (t, tree) in trees.iter().enumerate() {
-            let tid = tree.tree_id;
-            for (&sw, &children) in &tree.switch_children {
-                let ext = self.engine_externs[&sw];
-                let id = self.ids[sw];
-                let upstream = tree.upstream(sw).expect("participating switch has a parent");
-                let children_sources: Vec<ChildSource> = tree
-                    .children_of(sw)
-                    .into_iter()
-                    .map(|(child, port)| ChildSource { id: child as u32, port })
-                    .collect();
-                debug_assert_eq!(children_sources.len() as u32, children);
-                let switch = self
-                    .sim
-                    .node_mut::<Switch>(id)
-                    .expect("switch slots hold Switches");
-
-                let name = format!("daiet.tree[{tid}]@{sw}");
-                switch
-                    .pipeline_mut()
-                    .tracker_mut()
-                    .allocate_first_fit(&name, 2, config.sram_per_tree())?;
-                log.push(Undo::Sram { slot: sw, name });
-                if config.nack_recovery {
-                    let name = format!("daiet.rtx[{tid}]@{sw}");
-                    switch.pipeline_mut().tracker_mut().allocate_first_fit(
-                        &name,
-                        2,
-                        config.sram_for_rtx_per_tree(),
-                    )?;
-                    log.push(Undo::Sram { slot: sw, name });
-                }
-
-                let engine = switch
-                    .extern_mut::<DaietEngine>(ext)
-                    .expect("tenant switches carry a DaietEngine");
-                engine.install_tree(TreeStateConfig {
-                    tree_id: tid,
-                    out_port: upstream.port,
-                    endpoints: Endpoints::from_ids(sw as u32, tree.reducer as u32),
-                    agg: aggs[t],
-                    children,
-                    children_sources,
-                });
-                log.push(Undo::Engine { slot: sw, tree_id: tid });
-
-                switch
-                    .pipeline_mut()
-                    .table_mut(STEER_TABLE)
-                    .insert(TableEntry {
-                        matcher: MatchValue::Exact(tid.to_be_bytes().to_vec()),
-                        action: ActionSpec::Invoke { ext, arg: u32::from(tid) },
-                    })
-                    .map_err(|e| DeployError::Config(e.to_string()))?;
-                log.push(Undo::Steer { slot: sw, tree_id: tid });
+        for (tree, &agg) in trees.iter().zip(aggs) {
+            for sw in tree.switches() {
+                let (switch, ext) = self.switch_mut(sw);
+                install_tree(switch, ext, sw, tree, agg, &config, AggregationMode::InNetwork)?;
             }
         }
         Ok(())
     }
 
-    /// Replays an admission undo log in reverse, restoring every touched
-    /// switch to its pre-admission state.
-    fn rollback(&mut self, log: Vec<Undo>) {
-        for entry in log.into_iter().rev() {
-            match entry {
-                Undo::Steer { slot, tree_id } => {
-                    let id = self.ids[slot];
-                    let switch = self
-                        .sim
-                        .node_mut::<Switch>(id)
-                        .expect("switch slots hold Switches");
-                    switch
-                        .pipeline_mut()
-                        .table_mut(STEER_TABLE)
-                        .remove_exact(&tree_id.to_be_bytes());
-                }
-                Undo::Engine { slot, tree_id } => {
-                    let ext = self.engine_externs[&slot];
-                    let id = self.ids[slot];
-                    let switch = self
-                        .sim
-                        .node_mut::<Switch>(id)
-                        .expect("switch slots hold Switches");
-                    switch
-                        .extern_mut::<DaietEngine>(ext)
-                        .expect("tenant switches carry a DaietEngine")
-                        .remove_tree(tree_id);
-                }
-                Undo::Sram { slot, name } => {
-                    let id = self.ids[slot];
-                    let switch = self
-                        .sim
-                        .node_mut::<Switch>(id)
-                        .expect("switch slots hold Switches");
-                    switch.pipeline_mut().tracker_mut().free(&name);
-                }
-            }
-        }
+    /// The switch at plan `slot` and its engine's extern id.
+    fn switch_mut(&mut self, slot: usize) -> (&mut Switch, ExternId) {
+        let ext = self.engine_externs[&slot];
+        let switch =
+            self.sim.node_mut::<Switch>(self.ids[slot]).expect("switch slots hold Switches");
+        (switch, ext)
     }
 
     fn alloc_tree_id(&mut self) -> Option<u16> {
@@ -623,29 +527,15 @@ impl JobScheduler {
 
     /// Removes `trees` by name from every switch they cross: each tree's
     /// steering rule ([`Table::remove_exact`] on its id), engine state
-    /// and `daiet.tree[..]`/`daiet.rtx[..]` reservations. Every other
-    /// tree on those switches keeps its state, so a neighbor mid-round
-    /// keeps aggregating.
+    /// and SRAM reservations. Every other tree on those switches keeps
+    /// its state, so a neighbor mid-round keeps aggregating. Tree ids are
+    /// fabric-unique, and removing what was never installed is a no-op,
+    /// so this is also how a refused install is undone.
     fn remove_trees(&mut self, trees: &[AggregationTree]) {
         for tree in trees {
-            let tid = tree.tree_id;
             for sw in tree.switches() {
-                let ext = self.engine_externs[&sw];
-                let switch = self
-                    .sim
-                    .node_mut::<Switch>(self.ids[sw])
-                    .expect("switch slots hold Switches");
-                switch
-                    .pipeline_mut()
-                    .table_mut(STEER_TABLE)
-                    .remove_exact(&tid.to_be_bytes());
-                switch
-                    .extern_mut::<DaietEngine>(ext)
-                    .expect("tenant switches carry a DaietEngine")
-                    .remove_tree(tid);
-                let tracker = switch.pipeline_mut().tracker_mut();
-                tracker.free(&format!("daiet.tree[{tid}]@{sw}"));
-                tracker.free(&format!("daiet.rtx[{tid}]@{sw}"));
+                let (switch, ext) = self.switch_mut(sw);
+                remove_tree(switch, ext, sw, tree.tree_id);
             }
         }
     }
@@ -912,19 +802,19 @@ impl JobScheduler {
 
         let mut st = self.jobs.remove(&job.0).expect("looked up above");
         self.remove_trees(&st.trees);
-        let mut log = Vec::new();
-        if let Err(e) = self.install_job(&trees, &st.aggs, &mut log) {
-            self.rollback(log);
+        if let Err(e) = self.install_job(&trees, &st.aggs) {
+            self.remove_trees(&trees);
             // The old trees fit a moment ago, where they were removed from.
-            let mut restore = Vec::new();
-            let restored = self.install_job(&st.trees, &st.aggs, &mut restore);
+            let restored = self.install_job(&st.trees, &st.aggs);
+            if restored.is_err() {
+                self.remove_trees(&st.trees);
+            }
             self.jobs.insert(job.0, st);
             return Err(match restored {
                 Ok(()) => format!("{job}: re-plan refused, previous trees kept: {e}"),
-                Err(e2) => {
-                    self.rollback(restore);
-                    format!("{job}: re-plan refused ({e}) and the previous trees no longer fit ({e2})")
-                }
+                Err(e2) => format!(
+                    "{job}: re-plan refused ({e}) and the previous trees no longer fit ({e2})"
+                ),
             });
         }
         st.trees = trees;
@@ -1039,79 +929,6 @@ impl JobScheduler {
     pub fn sim_mut(&mut self) -> &mut Simulator {
         &mut self.sim
     }
-}
-
-/// Builds one tenant switch: empty steering table (stage 0, capacity
-/// [`TenantSpec::steer_capacity`]), L2 routes toward every host (stage
-/// 1), an empty [`DaietEngine`], and the fabric-lifetime gap-tracker
-/// SRAM (`daiet.nack@sw`, under NACK recovery) reserved once at
-/// bring-up — tenant churn never reallocates shared state.
-fn build_tenant_switch(spec: &TenantSpec, sw_slot: usize) -> Result<(Switch, ExternId), DeployError> {
-    let mut pipeline = Pipeline::new(spec.resources);
-    let steer_handle = pipeline.add_table(
-        0,
-        Table::new(
-            format!("daiet_steer[{sw_slot}]"),
-            TableKind::Exact,
-            KeySpec(vec![Field::DaietTreeId]),
-            spec.steer_capacity.max(1),
-            ActionSpec::NoOp,
-        ),
-    )?;
-    debug_assert_eq!(steer_handle, STEER_TABLE);
-    let l2_handle = pipeline.add_table(
-        1,
-        Table::new(
-            format!("l2[{sw_slot}]"),
-            TableKind::Exact,
-            KeySpec(vec![Field::EthDst]),
-            spec.plan.hosts().len().max(1),
-            ActionSpec::Drop,
-        ),
-    )?;
-    debug_assert_eq!(l2_handle, L2_TABLE);
-
-    let mut switch = Switch::new(format!("switch[{sw_slot}]"), pipeline);
-    let nack_sram = spec.config.sram_for_nack_tracker();
-    if nack_sram > 0 {
-        switch.pipeline_mut().tracker_mut().allocate_first_fit(
-            &format!("daiet.nack@{sw_slot}"),
-            2,
-            nack_sram,
-        )?;
-    }
-    let ext = switch.register_extern(Box::new(DaietEngine::new(spec.config)));
-    fill_l2(&spec.plan, sw_slot, &[], &mut switch)?;
-    Ok((switch, ext))
-}
-
-/// Rewrites the L2 table of the switch at `sw_slot`: one rule per host,
-/// forwarding on the shortest path around the `dead` slots. A host
-/// unreachable from here gets no rule, so frames to it drop, which is
-/// what a partitioned fabric does.
-fn fill_l2(
-    plan: &TopologyPlan,
-    sw_slot: usize,
-    dead: &[usize],
-    switch: &mut Switch,
-) -> Result<(), DeployError> {
-    let l2 = switch.pipeline_mut().table_mut(L2_TABLE);
-    l2.clear();
-    for h in plan.hosts() {
-        if let Some(hop) = plan.next_hops_toward_avoiding(h, dead)[sw_slot] {
-            l2.insert(TableEntry {
-                matcher: MatchValue::Exact(daiet_wire::EthernetAddress::from_id(h as u32).0.to_vec()),
-                action: ActionSpec::Forward(hop.port),
-            })
-            .map_err(|e| DeployError::Config(e.to_string()))?;
-        }
-    }
-    Ok(())
-}
-
-/// Gap-tracker flows `trees` need at switch `sw`: one per tree child.
-fn flows_at(trees: &[AggregationTree], sw: usize) -> u64 {
-    trees.iter().filter_map(|t| t.switch_children.get(&sw)).map(|&c| u64::from(c)).sum()
 }
 
 /// A tenant job the mix driver can run end to end: shape (senders,
@@ -1443,6 +1260,8 @@ pub const DIGEST_SEED: u64 = 0xCBF2_9CE4_8422_2325;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::switch_agg::ChildSource;
+    use daiet_dataplane::pipeline::ActionSpec;
     use daiet_dataplane::resources::SramTracker;
     use daiet_netsim::LinkSpec;
 
@@ -1626,6 +1445,81 @@ mod tests {
         let shards: Vec<Vec<Vec<Pair>>> =
             (0..2).map(|i| vec![vec![Pair::new(key("w"), 1 + i)]]).collect();
         assert_eq!(sched.run_round(job, &shards).unwrap(), vec![vec![(key("w"), 3)]]);
+    }
+
+    /// What a switch holds for tree `tid`: the steering table's length
+    /// and its action for the tree, the engine's tree count and the
+    /// tree's NACK roster, and its `daiet.tree[..]`/`daiet.rtx[..]`
+    /// reservations as (name, bytes).
+    #[allow(clippy::type_complexity)]
+    fn programmed(
+        switch: &mut Switch,
+        ext: ExternId,
+        tid: u16,
+    ) -> (usize, ActionSpec, usize, Vec<ChildSource>, BTreeSet<(String, usize)>) {
+        use daiet_dataplane::parser::{parse, ParserConfig};
+        use daiet_dataplane::pipeline::PacketCtx;
+        use daiet_wire::daiet::{Header, PacketFlags};
+        let mut buf = Vec::new();
+        let end = Header::end(tid, PacketFlags::empty(), 0);
+        daiet_wire::stack::build_daiet_into(
+            &mut buf,
+            &Endpoints::from_ids(0, 3),
+            daiet_wire::udp::DAIET_PORT,
+            &end,
+            &[],
+        );
+        let frame = daiet_fabric::Frame::from_slice(&buf);
+        let parsed = parse(frame, &ParserConfig::default()).unwrap();
+        let steer = switch.pipeline_mut().table_mut(crate::controller::STEER_TABLE);
+        let action = steer.lookup(&PacketCtx::new(daiet_fabric::PortId(0), parsed));
+        let steer_len = steer.len();
+        let engine = switch.extern_ref::<DaietEngine>(ext).unwrap();
+        let roster = engine.child_roster(tid).unwrap().to_vec();
+        let trees = engine.tree_count();
+        let allocs = switch
+            .pipeline()
+            .tracker()
+            .allocations()
+            .iter()
+            .filter(|a| a.name.starts_with("daiet.tree[") || a.name.starts_with("daiet.rtx["))
+            .map(|a| (a.name.clone(), a.bytes))
+            .collect();
+        (steer_len, action, trees, roster, allocs)
+    }
+
+    /// Deploying a job and admitting it program every switch its tree
+    /// crosses identically: steering rule, engine tree and NACK roster,
+    /// per-tree SRAM reservations.
+    #[test]
+    fn deploy_and_admit_program_the_same_switch() {
+        use crate::controller::{AggregationMode, Controller, JobPlacement};
+        // leaf_spine(2,2,2): hosts 0-3, leaves 4-5, spines 6-7.
+        let plan = TopologyPlan::leaf_spine(2, 2, 2, LinkSpec::fast());
+        let config = DaietConfig { nack_recovery: true, ..DaietConfig::default() };
+        let placement = JobPlacement { mappers: vec![0, 1, 2], reducers: vec![3] };
+        let (dep, mut deployed) = Controller::new(config, AggFn::Sum)
+            .deploy(&plan, &placement, Resources::tofino_like(), AggregationMode::InNetwork)
+            .unwrap();
+        let spec = TenantSpec::new(config, plan, vec![0, 1, 2], vec![3]);
+        let mut sched = JobScheduler::build(spec).unwrap();
+        let job = sched
+            .admit(JobRequest { label: "a".into(), senders: 3, aggs: vec![AggFn::Sum] })
+            .unwrap();
+        let tree = &dep.trees[0];
+        let admitted = &sched.job_trees(job).unwrap()[0];
+        assert_eq!((admitted.tree_id, &admitted.switch_children), (0, &tree.switch_children));
+
+        let crossed: Vec<usize> = tree.switches().collect();
+        assert_eq!(crossed.len(), 3, "two leaves and a spine");
+        for sw in crossed {
+            let ext = dep.engine_externs[&sw];
+            let by_deploy = programmed(deployed.get_mut(&sw).unwrap(), ext, 0);
+            assert!(matches!(by_deploy.1, ActionSpec::Invoke { arg: 0, .. }), "switch {sw}");
+            assert_eq!(by_deploy.4.len(), 2, "registers and ring on switch {sw}");
+            let (switch, ext) = sched.switch_mut(sw);
+            assert_eq!(programmed(switch, ext, 0), by_deploy, "switch {sw}");
+        }
     }
 
     /// A rejected admission (here: steering-table capacity, which fails

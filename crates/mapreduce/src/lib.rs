@@ -17,12 +17,12 @@
 //!   runs vs full sort of unordered aggregates — §4's trade-off) and
 //!   box-plot statistics;
 //! * [`runner`] — drives a complete job over the simulator in each of the
-//!   three shuffle modes and collects per-reducer measurements.
+//!   three shuffle modes and collects per-reducer measurements, or runs a
+//!   UDP mode's same node list over loopback sockets.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod loopback;
 pub mod metrics;
 pub mod runner;
 pub mod serialize;

@@ -14,6 +14,10 @@
 //! behind one bmv2 switch). The runner is topology-generic — pass any
 //! [`TopologyPlan`] — so multi-switch trees are exercised in the
 //! integration tests.
+//!
+//! The two UDP modes run the one-shot job's node list,
+//! [`LoopbackJob::specs`]; [`Runner::run_sockets`] runs the same list
+//! over loopback UDP sockets instead of the simulator.
 
 // lint:allow-file(layer-netsim): end-to-end WordCount runner — constructs the
 // Simulator and TCP-baseline nodes directly. It is the experiment harness;
@@ -23,13 +27,14 @@ use crate::serialize;
 use crate::wordcount::Corpus;
 use daiet::agg::AggFn;
 use daiet::controller::{AggregationMode, Controller, JobPlacement};
+use daiet::loopback::{wall_clock_config, wall_clock_pacing, LoopbackJob, ReducerReport};
 use daiet::worker::ReducerHost;
 use daiet::DaietConfig;
 use daiet_dataplane::Resources;
+use daiet_fabric::{DriverStats, ExitReason, FaultShim};
 use daiet_netsim::topology::{Role, TopologyPlan};
 use daiet_netsim::{FramePool, LinkSpec, NodeId, SimDuration, SimTime, Simulator};
 use daiet_transport::tcp::{BulkSenderNode, SinkReceiverNode, TcpConfig};
-use std::sync::Arc;
 use daiet_wire::daiet::Key;
 use daiet_wire::fnv::FnvHashMap;
 
@@ -161,8 +166,9 @@ impl Runner {
         TopologyPlan::star(spec.n_mappers + spec.n_reducers, self.link)
     }
 
-    /// Mapper plan slots (hosts `0..n_mappers` in the star plan).
-    pub(crate) fn placement(&self, plan: &TopologyPlan) -> JobPlacement {
+    /// The job's placement on `plan`: mappers on its first hosts, the
+    /// reducers on the next ones; any host after them idles.
+    fn placement(&self, plan: &TopologyPlan) -> JobPlacement {
         let hosts = plan.hosts();
         let spec = &self.corpus.spec;
         assert!(hosts.len() >= spec.n_mappers + spec.n_reducers, "plan too small");
@@ -273,65 +279,32 @@ impl Runner {
             })
             .max()
             .unwrap_or(finished_at);
+        let net = sim.snapshot();
         RunOutcome {
             mode: ShuffleMode::TcpBaseline,
             reducers,
-            frames_dropped: total_drops(&sim),
+            frames_dropped: net.fault_drops() + net.overflow_drops(),
             finished_at,
             data_done_at,
         }
     }
 
+    /// The one-shot job of a UDP mode on `plan`, deployed under `config`.
+    fn job(&self, plan: &TopologyPlan, config: DaietConfig, mode: AggregationMode) -> LoopbackJob {
+        let controller = Controller::new(config, AggFn::Sum);
+        LoopbackJob::deploy(controller, plan.clone(), self.placement(plan), self.resources, mode)
+            .expect("deployment fits")
+    }
+
     fn run_udp(&self, plan: &TopologyPlan, agg: AggregationMode) -> RunOutcome {
-        let placement = self.placement(plan);
         let spec = &self.corpus.spec;
-        let controller = Controller::new(self.daiet_config, AggFn::Sum);
-        let (dep, mut switches) = controller
-            .deploy(plan, &placement, self.resources, agg)
-            .expect("deployment fits");
+        let job = self.job(plan, self.daiet_config, agg);
+        let placement = job.placement();
 
         let mut sim = self.make_sim();
-        let mut ids: Vec<NodeId> = Vec::with_capacity(plan.len());
-        for slot in 0..plan.len() {
-            let id = match plan.role(slot) {
-                Role::Host => {
-                    if let Some(m) = placement.mappers.iter().position(|&s| s == slot) {
-                        let partitions = (0..spec.n_reducers).map(|r| {
-                            (
-                                dep.tree_id(r),
-                                dep.endpoints(slot, r),
-                                Arc::clone(&self.corpus.partitions[m][r]),
-                            )
-                        });
-                        sim.add_node(Box::new(daiet::worker::one_shot_sender(
-                            &self.daiet_config,
-                            m,
-                            partitions,
-                            self.pacing,
-                            "udp-mapper",
-                        )))
-                    } else {
-                        let r = placement
-                            .reducers
-                            .iter()
-                            .position(|&s| s == slot)
-                            .expect("host is mapper or reducer");
-                        sim.add_node(Box::new(daiet::worker::reducer_host(
-                            &self.daiet_config,
-                            AggFn::Sum,
-                            &dep,
-                            r,
-                            slot,
-                            &placement.mappers,
-                        )))
-                    }
-                }
-                Role::Switch => sim.add_node(Box::new(
-                    switches.remove(&slot).expect("controller built every switch"),
-                )),
-            };
-            ids.push(id);
-        }
+        // Cloning the table clones handles, not pairs.
+        let specs = job.specs(self.corpus.partitions.clone(), self.pacing, 1);
+        let ids: Vec<NodeId> = specs.into_iter().map(|s| sim.add_node((s.build)())).collect();
         plan.wire(&mut sim, &ids);
         let finished_at = sim.run_until(SimTime(SimDuration::from_secs(120).as_nanos()));
 
@@ -367,7 +340,81 @@ impl Runner {
             })
             .max()
             .unwrap_or(finished_at);
-        RunOutcome { mode, reducers, frames_dropped: total_drops(&sim), finished_at, data_done_at }
+        let net = sim.snapshot();
+        let frames_dropped = net.fault_drops() + net.overflow_drops();
+        RunOutcome { mode, reducers, frames_dropped, finished_at, data_done_at }
+    }
+
+    /// Runs a UDP mode of the shuffle over loopback UDP sockets instead
+    /// of the simulator: the same node list as [`run_on`](Self::run_on),
+    /// each node on its own [`daiet_fabric::NodeDriver`] thread,
+    /// exchanging genuine datagrams over `127.0.0.1`. `shim_for(slot)`
+    /// supplies each slot's egress fault injection ([`FaultShim::none`]
+    /// for a clean run); `deadline` bounds the wall-clock run time. The
+    /// configuration and pacing are rescaled with [`wall_clock_config`]
+    /// and [`wall_clock_pacing`] — the run is in real time, so sim-scale
+    /// NACK timeouts would fire spuriously.
+    ///
+    /// This is the backend-equivalence anchor: a loss-free run (or a
+    /// lossy one with NACK recovery armed) must land on the same bytes as
+    /// the simulator, which `tests/fabric_properties.rs` asserts.
+    pub fn run_sockets(
+        &self,
+        plan: &TopologyPlan,
+        mode: AggregationMode,
+        mut shim_for: impl FnMut(usize) -> FaultShim,
+        deadline: std::time::Duration,
+    ) -> LoopbackOutcome {
+        let job = self.job(plan, wall_clock_config(self.daiet_config), mode);
+        // Each driver thread reads the corpus's own buffers.
+        let mut specs =
+            job.specs(self.corpus.partitions.clone(), wall_clock_pacing(self.pacing), 1);
+        for (slot, spec) in specs.iter_mut().enumerate() {
+            spec.shim = shim_for(slot);
+        }
+        let out = daiet_fabric::run_cluster(specs, &job.links(), deadline);
+
+        let deadlined = out.iter().any(|o| o.exit == ExitReason::Deadline);
+        let shim_dropped = out.iter().map(|o| o.stats.shim_dropped).sum();
+        let driver_stats: Vec<DriverStats> = out.iter().map(|o| o.stats).collect();
+        let mut results: Vec<Option<ReducerReport>> = out
+            .into_iter()
+            .map(|o| o.result.downcast::<ReducerReport>().ok().map(|b| *b))
+            .collect();
+        let reducers = job
+            .placement()
+            .reducers
+            .iter()
+            .map(|&slot| results[slot].take().expect("reducer slots produce reports"))
+            .collect();
+        LoopbackOutcome { reducers, shim_dropped, driver_stats, deadlined }
+    }
+}
+
+/// One [`Runner::run_sockets`] run's results.
+#[derive(Debug)]
+pub struct LoopbackOutcome {
+    /// Per-reducer reports, indexed by reducer; each holds its sorted
+    /// `(key, count)` output.
+    pub reducers: Vec<ReducerReport>,
+    /// Frames dropped by fault shims across all slots.
+    pub shim_dropped: u64,
+    /// Per-slot driver socket counters.
+    pub driver_stats: Vec<DriverStats>,
+    /// Whether any driver hit the wall-clock deadline (a wedged run).
+    pub deadlined: bool,
+}
+
+impl LoopbackOutcome {
+    /// True when every reducer completed, gapless, with exactly the
+    /// ground-truth output — the check the simulator's
+    /// [`ReducerMetrics::correct`] makes.
+    pub fn all_correct(&self, runner: &Runner) -> bool {
+        self.reducers.iter().enumerate().all(|(r, rep)| {
+            rep.complete
+                && rep.recovery_satisfied
+                && matches_reference(rep.pairs.iter().copied(), runner.corpus.expected_reduction(r))
+        })
     }
 }
 
@@ -387,16 +434,6 @@ fn matches_reference(
             .iter()
             .zip(expected)
             .all(|((key, value), (word, count))| key.trimmed() == word.as_bytes() && value == count)
-}
-
-fn total_drops(sim: &Simulator) -> u64 {
-    (0..sim.link_count())
-        .map(|l| {
-            let s = sim.link_stats(l);
-            s.dirs[0].drops_overflow + s.dirs[0].drops_fault + s.dirs[1].drops_overflow
-                + s.dirs[1].drops_fault
-        })
-        .sum()
 }
 
 /// The four Figure-3 panels, as percentage reductions per reducer.
@@ -448,6 +485,7 @@ impl Fig3Summary {
 mod tests {
     use super::*;
     use crate::wordcount::CorpusSpec;
+    use std::sync::Arc;
 
     fn tiny_runner(seed: u64) -> Runner {
         let corpus = Corpus::generate(&CorpusSpec::tiny(seed));
@@ -577,5 +615,73 @@ mod tests {
         let out = runner.run_on(&plan, ShuffleMode::DaietAgg);
         assert!(out.all_correct());
         assert_eq!(out.frames_dropped, 0);
+    }
+
+    /// A plan with a host the placement leaves out: 3 mappers and 2
+    /// reducers on 6 hosts. The spare host idles in every mode.
+    #[test]
+    fn a_spare_host_idles_in_every_mode() {
+        let spec = CorpusSpec { n_mappers: 3, n_reducers: 2, ..CorpusSpec::tiny(4) };
+        let runner = Runner::new(Corpus::generate(&spec));
+        let plan = TopologyPlan::leaf_spine(3, 2, 2, runner.link);
+        assert_eq!(plan.hosts().len(), 6);
+        for mode in [ShuffleMode::TcpBaseline, ShuffleMode::UdpNoAgg, ShuffleMode::DaietAgg] {
+            assert!(runner.run_on(&plan, mode).all_correct(), "{mode:?} diverged");
+        }
+    }
+
+    /// A tiny corpus end-to-end over real sockets, in-network
+    /// aggregation, no injected loss: every reducer must land exactly on
+    /// the ground truth.
+    #[test]
+    fn tiny_wordcount_completes_over_loopback() {
+        let runner = tiny_runner(3);
+        let plan = runner.star_plan();
+        let out = runner.run_sockets(
+            &plan,
+            AggregationMode::InNetwork,
+            |_| FaultShim::none(),
+            std::time::Duration::from_secs(60),
+        );
+        assert!(!out.deadlined, "run hit the deadline");
+        assert!(out.all_correct(&runner), "reducers diverged from ground truth");
+        assert_eq!(out.shim_dropped, 0);
+        // The driver threads read the corpus's buffers and gave them back.
+        for pairs in runner.corpus.partitions.iter().flatten() {
+            assert_eq!(Arc::strong_count(pairs), 1);
+        }
+    }
+
+    /// Seeded loss on the switch's egress — the frames that carry the
+    /// aggregated results — with NACK recovery armed: the run must still
+    /// land exactly, and must actually have dropped and recovered
+    /// something.
+    #[test]
+    fn switch_egress_loss_is_nack_recovered_over_loopback() {
+        let mut runner = tiny_runner(5);
+        runner.daiet_config.nack_recovery = true;
+        runner.daiet_config = runner.daiet_config.with_rtx_sized_for_flush();
+        let plan = runner.star_plan();
+        let switch_slot = plan.switches()[0];
+        let out = runner.run_sockets(
+            &plan,
+            AggregationMode::InNetwork,
+            |slot| {
+                if slot == switch_slot {
+                    // Scripted drop of egress frame 0 guarantees at least
+                    // one loss even when the seeded 10% stream spares the
+                    // handful of frames a tiny corpus produces.
+                    FaultShim::seeded(77, 0.10, 0.0).with_scripted_drops([0])
+                } else {
+                    FaultShim::none()
+                }
+            },
+            std::time::Duration::from_secs(60),
+        );
+        assert!(!out.deadlined, "recovery never converged");
+        assert!(out.all_correct(&runner), "loss leaked into the result");
+        assert!(out.shim_dropped > 0, "shim injected no loss — test is vacuous");
+        let nacks: u64 = out.reducers.iter().map(|r| r.nacks_emitted).sum();
+        assert!(nacks > 0, "loss was repaired without NACKs?");
     }
 }

@@ -15,6 +15,11 @@
 //! must produce **bit-identical** [`QueryResult`]s (the integration and
 //! property tests enforce this against [`Query::reference`]).
 //!
+//! The two UDP modes run the one-shot job's node list —
+//! [`LoopbackJob::specs`] for the workers and the switch, plus the
+//! multi-lane coordinator's spec — and [`QueryRunner::run_sockets`] runs
+//! the same list over loopback UDP sockets instead of the simulator.
+//!
 //! The optional reliability harness
 //! ([`QueryRunner::with_full_reliability`]) arms NACK recovery at the
 //! switch and the coordinator; every link can then be given loss,
@@ -29,15 +34,18 @@ use crate::query::{Query, QueryResult};
 use crate::table::{group_of_key, Table};
 use daiet::agg::AggFn;
 use daiet::controller::{AggregationMode, Controller, JobPlacement};
+use daiet::loopback::{wall_clock_config, wall_clock_pacing, LoopbackJob};
 use daiet::worker::{receive_daiet, Collector};
 use daiet::DaietConfig;
 use daiet_dataplane::Resources;
+use daiet_fabric::{DriverStats, ExitReason, FaultShim, NodeSpec};
 use daiet_netsim::topology::{Role, TopologyPlan};
 use daiet_netsim::{
     Fabric, FaultProfile, Frame, LinkSpec, Node, NodeId, NodeStats, PortId,
     SimDuration, SimTime, Simulator,
 };
 use daiet_transport::tcp::{BulkSenderNode, SinkReceiverNode, TcpConfig};
+use std::any::Any;
 use std::collections::BTreeMap;
 
 /// The execution strategy under test.
@@ -322,7 +330,7 @@ impl QueryRunner {
     /// The star topology: workers, the coordinator, one switch. Worker
     /// links carry [`QueryRunner::worker_faults`], the coordinator link
     /// [`QueryRunner::coordinator_faults`].
-    pub(crate) fn make_plan(&self) -> (TopologyPlan, Vec<usize>, usize) {
+    fn make_plan(&self) -> (TopologyPlan, Vec<usize>, usize) {
         let mut plan = TopologyPlan::new();
         let workers: Vec<usize> =
             (0..self.table.spec.n_workers).map(|_| plan.add_host()).collect();
@@ -343,7 +351,7 @@ impl QueryRunner {
         (plan, workers, coord)
     }
 
-    pub(crate) fn placement(&self, workers: &[usize], coord: usize) -> JobPlacement {
+    fn placement(&self, workers: &[usize], coord: usize) -> JobPlacement {
         JobPlacement {
             mappers: workers.to_vec(),
             // One tree per lane, all rooted at the coordinator.
@@ -428,6 +436,7 @@ impl QueryRunner {
             }
         }
         let complete = all_decoded && node.finished.len() == workers.len();
+        let net = sim.snapshot();
         QueryOutcome {
             mode: QueryMode::TcpBaseline,
             result: self.plan.assemble(&per_lane),
@@ -435,76 +444,47 @@ impl QueryRunner {
             coord_app_bytes: app_bytes,
             coord_nic: sim.node_stats(ids[coord]),
             records_received: records,
-            frames_dropped: total_drops(&sim),
+            frames_dropped: net.fault_drops() + net.overflow_drops(),
             duplicates_suppressed: 0,
             completed_at: if complete { node.last_fin_at } else { None },
             finished_at,
         }
     }
 
-    fn run_udp(&self, agg_mode: AggregationMode) -> QueryOutcome {
+    /// A UDP mode's one-shot job, deployed under `config`, and its node
+    /// list — the one both backends run: [`LoopbackJob::specs`] over the
+    /// workers' per-lane partials, with the coordinator's spec at its
+    /// slot. Returns the job, the list and the coordinator's slot.
+    fn job(
+        &self,
+        config: DaietConfig,
+        agg_mode: AggregationMode,
+        pacing: SimDuration,
+    ) -> (LoopbackJob, Vec<NodeSpec>, usize) {
         let (plan, workers, coord) = self.make_plan();
         let placement = self.placement(&workers, coord);
-        let controller =
-            Controller::with_per_tree_agg(self.daiet_config, AggFn::Sum, self.plan.lane_aggs());
-        let (dep, mut switches) = controller
-            .deploy(&plan, &placement, self.resources, agg_mode)
+        let controller = Controller::with_per_tree_agg(config, AggFn::Sum, self.plan.lane_aggs());
+        let job = LoopbackJob::deploy(controller, plan, placement, self.resources, agg_mode)
             .expect("deployment fits");
+        let partials = self.table.shards.iter().map(|shard| self.plan.worker_partials(shard));
+        let mut specs = job.specs(partials.collect(), pacing, 1);
+        specs[coord] = coordinator_spec(&job, self.plan.lane_aggs(), coord);
+        (job, specs, coord)
+    }
 
-        let lane_aggs = self.plan.lane_aggs();
-        let expected_ends: Vec<u32> = (0..self.plan.lane_count())
-            .map(|l| dep.expected_ends(l, workers.len()))
-            .collect();
-
+    fn run_udp(&self, agg_mode: AggregationMode) -> QueryOutcome {
+        let (job, specs, coord) = self.job(self.daiet_config, agg_mode, self.pacing);
         let mut sim = self.make_sim();
-        let mut ids: Vec<NodeId> = Vec::with_capacity(plan.len());
-        for slot in 0..plan.len() {
-            let id = match plan.role(slot) {
-                Role::Host if slot != coord => {
-                    let w = workers.iter().position(|&s| s == slot).expect("worker slot");
-                    let partials = self.plan.worker_partials(&self.table.shards[w]);
-                    let lanes = partials
-                        .into_iter()
-                        .enumerate()
-                        .map(|(l, pairs)| (dep.tree_id(l), dep.endpoints(slot, l), pairs));
-                    sim.add_node(Box::new(daiet::worker::one_shot_sender(
-                        &self.daiet_config,
-                        w,
-                        lanes,
-                        self.pacing,
-                        "query-worker",
-                    )))
-                }
-                Role::Host => {
-                    let mut node = QueryCoordinatorNode::new(&lane_aggs, &expected_ends);
-                    if self.daiet_config.nack_recovery {
-                        // One NACK roster across every lane: the
-                        // coordinator is the reducer of all of them.
-                        let sources: Vec<(u16, u32)> = (0..self.plan.lane_count())
-                            .flat_map(|l| dep.nack_sources(l, &workers))
-                            .collect();
-                        node = node.with_nack_recovery(
-                            slot as u32,
-                            &self.daiet_config,
-                            sources,
-                        );
-                    }
-                    sim.add_node(Box::new(node))
-                }
-                Role::Switch => sim.add_node(Box::new(
-                    switches.remove(&slot).expect("controller built every switch"),
-                )),
-            };
-            ids.push(id);
-        }
-        plan.wire(&mut sim, &ids);
+        let ids: Vec<NodeId> = specs.into_iter().map(|s| sim.add_node((s.build)())).collect();
+        job.plan().wire(&mut sim, &ids);
         let finished_at = sim.run_until(SimTime(SimDuration::from_secs(120).as_nanos()));
 
         let mode = match agg_mode {
             AggregationMode::InNetwork => QueryMode::DaietAgg,
             AggregationMode::PassThrough => QueryMode::UdpNoAgg,
         };
-        let switch_dups: u64 = dep
+        let switch_dups: u64 = job
+            .deployment()
             .engine_externs
             .iter()
             .map(|(&slot, &ext)| {
@@ -519,6 +499,7 @@ impl QueryRunner {
         let node = sim
             .node_ref::<QueryCoordinatorNode>(ids[coord])
             .expect("coordinator node");
+        let net = sim.snapshot();
         QueryOutcome {
             mode,
             result: self.plan.assemble(&node.lane_maps()),
@@ -526,22 +507,144 @@ impl QueryRunner {
             coord_app_bytes: node.app_bytes(),
             coord_nic: sim.node_stats(ids[coord]),
             records_received: node.pairs_received(),
-            frames_dropped: total_drops(&sim),
+            frames_dropped: net.fault_drops() + net.overflow_drops(),
             duplicates_suppressed: switch_dups + node.duplicates_suppressed(),
             completed_at: node.completed_at,
             finished_at,
         }
     }
+
+    /// Runs the query over loopback UDP sockets instead of the
+    /// simulator: the same node list as [`run`](Self::run) in a UDP mode
+    /// (`agg_mode` picks DAIET vs pass-through), each node on its own
+    /// [`daiet_fabric::NodeDriver`] thread exchanging genuine datagrams
+    /// over `127.0.0.1`. `shim_for(slot)` supplies each slot's egress
+    /// fault injection; `deadline` bounds wall-clock run time. The
+    /// configuration and pacing are rescaled with [`wall_clock_config`]
+    /// and [`wall_clock_pacing`].
+    ///
+    /// The backend-equivalence claim — the assembled [`QueryResult`] is
+    /// **bit-identical** to both the simulator's and the in-memory
+    /// reference executor's — is asserted in `tests/fabric_properties.rs`.
+    pub fn run_sockets(
+        &self,
+        agg_mode: AggregationMode,
+        mut shim_for: impl FnMut(usize) -> FaultShim,
+        deadline: std::time::Duration,
+    ) -> QueryLoopbackOutcome {
+        let config = wall_clock_config(self.daiet_config);
+        let (job, mut specs, coord) = self.job(config, agg_mode, wall_clock_pacing(self.pacing));
+        for (slot, spec) in specs.iter_mut().enumerate() {
+            spec.shim = shim_for(slot);
+        }
+        let out = daiet_fabric::run_cluster(specs, &job.links(), deadline);
+
+        let deadlined = out.iter().any(|o| o.exit == ExitReason::Deadline);
+        let shim_dropped = out.iter().map(|o| o.stats.shim_dropped).sum();
+        let driver_stats: Vec<DriverStats> = out.iter().map(|o| o.stats).collect();
+        let report = out
+            .into_iter()
+            .nth(coord)
+            .expect("coordinator slot exists")
+            .result
+            .downcast::<CoordReport>()
+            .expect("coordinator produces a report");
+        QueryLoopbackOutcome {
+            result: self.plan.assemble(&report.lane_maps),
+            lane_maps: report.lane_maps,
+            complete: report.complete,
+            recovery_satisfied: report.recovery_satisfied,
+            nacks_emitted: report.nacks_emitted,
+            duplicates_suppressed: report.duplicates_suppressed,
+            records_received: report.records_received,
+            shim_dropped,
+            driver_stats,
+            deadlined,
+        }
+    }
 }
 
-fn total_drops(sim: &Simulator) -> u64 {
-    (0..sim.link_count())
-        .map(|l| {
-            let s = sim.link_stats(l);
-            s.dirs[0].drops_overflow + s.dirs[0].drops_fault + s.dirs[1].drops_overflow
-                + s.dirs[1].drops_fault
-        })
-        .sum()
+/// One [`QueryRunner::run_sockets`] execution's results.
+#[derive(Debug)]
+pub struct QueryLoopbackOutcome {
+    /// The assembled GROUP BY result (compare to
+    /// [`Query::reference`] and to the simulator's
+    /// [`QueryOutcome::result`]).
+    pub result: QueryResult,
+    /// Per-lane merged group maps, pre-assembly.
+    pub lane_maps: Vec<BTreeMap<u32, u32>>,
+    /// Whether every lane saw all its ENDs.
+    pub complete: bool,
+    /// Whether NACK recovery (if armed) finished with no gaps owing.
+    pub recovery_satisfied: bool,
+    /// NACK frames the coordinator emitted.
+    pub nacks_emitted: u64,
+    /// Frames the coordinator suppressed as duplicates.
+    pub duplicates_suppressed: u64,
+    /// Partial-aggregate pairs delivered to the coordinator (pre-merge).
+    pub records_received: u64,
+    /// Frames dropped by fault shims across all slots.
+    pub shim_dropped: u64,
+    /// Per-slot driver socket counters.
+    pub driver_stats: Vec<DriverStats>,
+    /// Whether any driver hit the wall-clock deadline (a wedged run).
+    pub deadlined: bool,
+}
+
+/// The coordinator's `Send` distillate, carried across the driver-thread
+/// boundary by the spec's finish hook.
+struct CoordReport {
+    lane_maps: Vec<BTreeMap<u32, u32>>,
+    complete: bool,
+    recovery_satisfied: bool,
+    nacks_emitted: u64,
+    duplicates_suppressed: u64,
+    records_received: u64,
+}
+
+/// The coordinator's [`NodeSpec`] for `job` at plan slot `coord`: a
+/// [`QueryCoordinatorNode`] with one collector per lane (merging with
+/// `lane_aggs`), NACK-armed under recovery, done once complete **and**
+/// gapless, finishing into a [`CoordReport`].
+fn coordinator_spec(job: &LoopbackJob, lane_aggs: Vec<AggFn>, coord: usize) -> NodeSpec {
+    let dep = job.deployment();
+    let config = dep.config;
+    let workers = &job.placement().mappers;
+    let expected_ends: Vec<u32> =
+        (0..lane_aggs.len()).map(|l| dep.expected_ends(l, workers.len())).collect();
+    // One NACK roster across every lane: the coordinator is the reducer
+    // of all of them.
+    let sources: Vec<(u16, u32)> =
+        (0..lane_aggs.len()).flat_map(|l| dep.nack_sources(l, workers)).collect();
+    NodeSpec {
+        build: Box::new(move || {
+            let mut node = QueryCoordinatorNode::new(&lane_aggs, &expected_ends);
+            if config.nack_recovery {
+                node = node.with_nack_recovery(coord as u32, &config, sources);
+            }
+            Box::new(node)
+        }),
+        shim: FaultShim::none(),
+        done: Some(Box::new(|n: &dyn Node| {
+            let coord = (n as &dyn Any)
+                .downcast_ref::<QueryCoordinatorNode>()
+                .expect("coordinator slot holds a QueryCoordinatorNode");
+            coord.is_complete() && coord.recovery_satisfied()
+        })),
+        finish: Box::new(|n| {
+            let coord = (n as Box<dyn Any>)
+                .downcast::<QueryCoordinatorNode>()
+                .expect("coordinator slot holds a QueryCoordinatorNode");
+            Box::new(CoordReport {
+                lane_maps: coord.lane_maps(),
+                complete: coord.is_complete(),
+                recovery_satisfied: coord.recovery_satisfied(),
+                nacks_emitted: coord.nacks_emitted(),
+                duplicates_suppressed: coord.duplicates_suppressed(),
+                records_received: coord.pairs_received(),
+            })
+        }),
+    }
 }
 
 #[cfg(test)]
@@ -706,6 +809,56 @@ mod tests {
         });
         let query = Query::new((0..300).map(Aggregate::Sum).collect());
         let _ = QueryRunner::new(table, query);
+    }
+
+    /// A multi-aggregate GROUP BY over real sockets, in-network
+    /// aggregation, no injected loss: bit-identical to the in-memory
+    /// reference executor.
+    #[test]
+    fn group_by_over_loopback_matches_reference() {
+        let table = Table::generate(&TableSpec::tiny(11));
+        let query = Query::new(vec![Aggregate::Count, Aggregate::Sum(0), Aggregate::Avg(1)]);
+        let truth = query.reference(&table);
+        let runner = QueryRunner::new(table, query);
+        let out = runner.run_sockets(
+            AggregationMode::InNetwork,
+            |_| FaultShim::none(),
+            std::time::Duration::from_secs(60),
+        );
+        assert!(!out.deadlined, "run hit the deadline");
+        assert!(out.complete && out.recovery_satisfied);
+        assert_eq!(out.result, truth, "loopback diverged from the reference");
+        assert_eq!(out.shim_dropped, 0);
+    }
+
+    /// Switch-egress loss with full reliability armed: the flush frames
+    /// carrying the in-network partials get dropped and must come back
+    /// via NACK recovery — and the answer still lands exactly.
+    #[test]
+    fn lossy_group_by_recovers_over_loopback() {
+        let table = Table::generate(&TableSpec::tiny(13));
+        let query = Query::new(vec![Aggregate::Sum(0), Aggregate::Min(1)]);
+        let truth = query.reference(&table);
+        let mut runner = QueryRunner::new(table, query);
+        runner.daiet_config.nack_recovery = true;
+        runner.daiet_config = runner.daiet_config.with_rtx_sized_for_flush();
+        let switch_slot = runner.table.spec.n_workers + 1;
+        let out = runner.run_sockets(
+            AggregationMode::InNetwork,
+            |slot| {
+                if slot == switch_slot {
+                    FaultShim::seeded(3, 0.10, 0.0).with_scripted_drops([0])
+                } else {
+                    FaultShim::none()
+                }
+            },
+            std::time::Duration::from_secs(60),
+        );
+        assert!(!out.deadlined, "recovery never converged");
+        assert!(out.complete && out.recovery_satisfied);
+        assert_eq!(out.result, truth, "loss leaked into the result");
+        assert!(out.shim_dropped > 0, "shim injected no loss — test is vacuous");
+        assert!(out.nacks_emitted > 0, "loss was repaired without NACKs?");
     }
 
     #[test]

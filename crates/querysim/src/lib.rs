@@ -24,7 +24,8 @@
 //!   (`AVG = SUM/COUNT`);
 //! * [`exec`] — the simulator harness: worker combiners, the multi-lane
 //!   coordinator, and the three modes, with optional NACK recovery
-//!   riding the reliability extension.
+//!   riding the reliability extension; the UDP modes' node list also
+//!   runs over loopback sockets.
 //!
 //! ```
 //! use daiet_querysim::prelude::*;
@@ -42,7 +43,6 @@
 #![warn(missing_docs)]
 
 pub mod exec;
-pub mod loopback;
 pub mod plan;
 pub mod query;
 pub mod table;

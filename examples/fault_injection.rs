@@ -10,47 +10,34 @@
 
 use daiet_repro::daiet::agg::AggFn;
 use daiet_repro::daiet::controller::{AggregationMode, Controller, JobPlacement};
-use daiet_repro::daiet::worker::{one_shot_sender, reducer_host, ReducerHost};
+use daiet_repro::daiet::loopback::LoopbackJob;
+use daiet_repro::daiet::worker::ReducerHost;
 use daiet_repro::daiet::DaietConfig;
 use daiet_repro::dataplane::Resources;
-use daiet_repro::netsim::topology::{Role, TopologyPlan};
-use daiet_repro::netsim::{FaultProfile, LinkSpec, SimDuration, Simulator};
+use daiet_repro::netsim::topology::TopologyPlan;
+use daiet_repro::netsim::{FaultProfile, LinkSpec, NodeId, SimDuration, Simulator};
 use daiet_repro::wire::daiet::{Key, Pair};
 
 fn run(config: DaietConfig, faults: FaultProfile) -> (bool, Option<u32>) {
     let link = LinkSpec::fast().with_faults(faults);
     let plan = TopologyPlan::star(4, link);
     let placement = JobPlacement { mappers: vec![0, 1, 2], reducers: vec![3] };
-    let controller = Controller::new(config, AggFn::Sum);
-    let (dep, mut switches) = controller
-        .deploy(&plan, &placement, Resources::tofino_like(), AggregationMode::InNetwork)
-        .unwrap();
+    let job = LoopbackJob::deploy(
+        Controller::new(config, AggFn::Sum),
+        plan,
+        placement,
+        Resources::tofino_like(),
+        AggregationMode::InNetwork,
+    )
+    .unwrap();
 
+    // Each of the three mappers sends ("total", 10) to the one tree.
     let word = Key::from_str_key("total").unwrap();
+    let shards = vec![vec![vec![Pair::new(word, 10)]]; 3];
     let mut sim = Simulator::new(99);
-    let mut ids = Vec::new();
-    for slot in 0..plan.len() {
-        let id = match plan.role(slot) {
-            Role::Host if slot < 3 => sim.add_node(Box::new(one_shot_sender(
-                &config,
-                slot,
-                [(dep.tree_id(0), dep.endpoints(slot, 0), vec![Pair::new(word, 10)])],
-                SimDuration::from_micros(1),
-                "mapper",
-            ))),
-            Role::Host => sim.add_node(Box::new(reducer_host(
-                &config,
-                AggFn::Sum,
-                &dep,
-                0,
-                slot,
-                &placement.mappers,
-            ))),
-            Role::Switch => sim.add_node(Box::new(switches.remove(&slot).unwrap())),
-        };
-        ids.push(id);
-    }
-    plan.wire(&mut sim, &ids);
+    let specs = job.specs(shards, SimDuration::from_micros(1), 1);
+    let ids: Vec<NodeId> = specs.into_iter().map(|s| sim.add_node((s.build)())).collect();
+    job.plan().wire(&mut sim, &ids);
     sim.run();
     let r = sim.node_ref::<ReducerHost>(ids[3]).unwrap();
     (r.collector.is_complete(), r.collector.get(&word))

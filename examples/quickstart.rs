@@ -8,11 +8,12 @@
 
 use daiet_repro::daiet::agg::AggFn;
 use daiet_repro::daiet::controller::{AggregationMode, Controller, JobPlacement};
-use daiet_repro::daiet::worker::{one_shot_sender, ReducerHost};
+use daiet_repro::daiet::loopback::LoopbackJob;
+use daiet_repro::daiet::worker::ReducerHost;
 use daiet_repro::daiet::DaietConfig;
 use daiet_repro::dataplane::Resources;
-use daiet_repro::netsim::topology::{Role, TopologyPlan};
-use daiet_repro::netsim::{LinkSpec, SimDuration, Simulator};
+use daiet_repro::netsim::topology::TopologyPlan;
+use daiet_repro::netsim::{LinkSpec, NodeId, SimDuration, Simulator};
 use daiet_repro::wire::daiet::{Key, Pair};
 
 fn main() {
@@ -20,42 +21,34 @@ fn main() {
     let plan = TopologyPlan::star(4, LinkSpec::fast());
     let placement = JobPlacement { mappers: vec![0, 1, 2], reducers: vec![3] };
 
-    // 2. The controller computes the aggregation tree and builds the
+    // 2. The controller computes the aggregation tree and programs the
     //    switch (flow rules + Algorithm-1 register state).
-    let config = DaietConfig::default();
-    let controller = Controller::new(config, AggFn::Sum);
-    let (dep, mut switches) = controller
-        .deploy(&plan, &placement, Resources::tofino_like(), AggregationMode::InNetwork)
-        .expect("deployment fits the chip");
+    let controller = Controller::new(DaietConfig::default(), AggFn::Sum);
+    let job = LoopbackJob::deploy(
+        controller,
+        plan,
+        placement,
+        Resources::tofino_like(),
+        AggregationMode::InNetwork,
+    )
+    .expect("deployment fits the chip");
 
-    // 3. Hosts: each mapper contributes partial counts for shared words.
+    // 3. Hosts: each mapper contributes partial counts for shared words
+    //    (one shard per mapper, for the job's one tree).
     let word = |s: &str| Key::from_str_key(s).unwrap();
-    let partitions = [
-        vec![Pair::new(word("cat"), 3), Pair::new(word("dog"), 1)],
-        vec![Pair::new(word("cat"), 2), Pair::new(word("fish"), 7)],
-        vec![Pair::new(word("dog"), 4), Pair::new(word("cat"), 1)],
+    let partitions = vec![
+        vec![vec![Pair::new(word("cat"), 3), Pair::new(word("dog"), 1)]],
+        vec![vec![Pair::new(word("cat"), 2), Pair::new(word("fish"), 7)]],
+        vec![vec![Pair::new(word("dog"), 4), Pair::new(word("cat"), 1)]],
     ];
 
+    // The job's node list — mappers, reducer, switch, in plan-slot
+    // order — runs as is on the simulator (or, via `run_cluster`, over
+    // real UDP sockets).
     let mut sim = Simulator::new(1);
-    let mut ids = Vec::new();
-    for slot in 0..plan.len() {
-        let id = match (plan.role(slot), partitions.get(slot)) {
-            (Role::Host, Some(part)) => sim.add_node(Box::new(one_shot_sender(
-                &config,
-                slot,
-                [(dep.tree_id(0), dep.endpoints(slot, 0), part.clone())],
-                SimDuration::from_micros(1),
-                "mapper",
-            ))),
-            (Role::Host, None) => sim.add_node(Box::new(ReducerHost::new(
-                AggFn::Sum,
-                dep.expected_ends(0, 3),
-            ))),
-            (Role::Switch, _) => sim.add_node(Box::new(switches.remove(&slot).unwrap())),
-        };
-        ids.push(id);
-    }
-    plan.wire(&mut sim, &ids);
+    let specs = job.specs(partitions, SimDuration::from_micros(1), 1);
+    let ids: Vec<NodeId> = specs.into_iter().map(|s| sim.add_node((s.build)())).collect();
+    job.plan().wire(&mut sim, &ids);
 
     // 4. Run and read the aggregated result off the reducer.
     sim.run();

@@ -15,7 +15,6 @@
 //!
 //! [`NodeDriver`]: daiet_repro::fabric::NodeDriver
 
-use std::any::Any;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, UdpSocket};
 use std::process::{Command, Stdio};
@@ -23,12 +22,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use daiet_repro::daiet::agg::AggFn;
-use daiet_repro::daiet::controller::{AggregationMode, Controller, Deployment, JobPlacement};
-use daiet_repro::daiet::loopback::wall_clock_config;
-use daiet_repro::daiet::worker::{one_shot_sender, reducer_host, ReducerHost};
+use daiet_repro::daiet::controller::{AggregationMode, Controller, JobPlacement};
+use daiet_repro::daiet::loopback::{wall_clock_config, LoopbackJob, ReducerReport};
 use daiet_repro::daiet::DaietConfig;
 use daiet_repro::dataplane::Resources;
-use daiet_repro::fabric::{Duration, FaultShim, NodeDriver};
+use daiet_repro::fabric::{Duration, FaultShim, NodeDriver, NodeSpec};
 use daiet_repro::mapreduce::wordcount::{Corpus, CorpusSpec};
 use daiet_repro::netsim::topology::TopologyPlan;
 use daiet_repro::netsim::LinkSpec;
@@ -50,7 +48,7 @@ const DEADLINE: std::time::Duration = std::time::Duration::from_secs(60);
 /// The shared job description. Every process derives it independently
 /// from the same constants — deployment is a pure function, so all six
 /// arrive at the identical trees, flow tables and sequence spaces.
-fn job() -> (DaietConfig, TopologyPlan, JobPlacement, Corpus) {
+fn job() -> (LoopbackJob, Corpus) {
     let config = wall_clock_config(
         DaietConfig {
             register_cells: 1024,
@@ -73,17 +71,15 @@ fn job() -> (DaietConfig, TopologyPlan, JobPlacement, Corpus) {
         register_cells: config.register_cells,
         seed: SEED,
     });
-    (config, plan, placement, corpus)
-}
-
-fn deploy(
-    config: &DaietConfig,
-    plan: &TopologyPlan,
-    placement: &JobPlacement,
-) -> (Deployment, std::collections::BTreeMap<usize, daiet_repro::dataplane::Switch>) {
-    Controller::new(*config, AggFn::Sum)
-        .deploy(plan, placement, Resources::tofino_like(), AggregationMode::InNetwork)
-        .expect("deployment fits the chip")
+    let job = LoopbackJob::deploy(
+        Controller::new(config, AggFn::Sum),
+        plan,
+        placement,
+        Resources::tofino_like(),
+        AggregationMode::InNetwork,
+    )
+    .expect("deployment fits the chip");
+    (job, corpus)
 }
 
 fn main() {
@@ -98,7 +94,7 @@ fn main() {
 
 fn parent() {
     let exe = std::env::current_exe().expect("own path");
-    let (_config, _plan, _placement, corpus) = job();
+    let (_job, corpus) = job();
     let expected = corpus.expected_reduction(0);
 
     let mut roles: Vec<String> = (0..WORKERS).map(|w| format!("worker:{w}")).collect();
@@ -228,49 +224,47 @@ fn stop_on_stdin_eof(stop: Arc<AtomicBool>) {
 
 fn child(role: &str) {
     let (socket, addrs) = handshake();
-    let (config, plan, placement, corpus) = job();
-    let (dep, mut switches) = deploy(&config, &plan, &placement);
+    let (job, corpus) = job();
 
     if let Some(w) = role.strip_prefix("worker:") {
         let w: usize = w.parse().expect("worker index");
-        let parts = [(dep.tree_id(0), dep.endpoints(w, 0), Arc::clone(&corpus.partitions[w][0]))];
-        let node = one_shot_sender(&config, w, parts, Duration::from_micros(50), "proc-worker");
-        let mut driver = NodeDriver::from_socket(Box::new(node), socket).expect("driver");
+        let shards = vec![Arc::clone(&corpus.partitions[w][0])];
+        let spec = job.sender_spec(w, shards, Duration::from_micros(50), FaultShim::none());
+        let mut driver = NodeDriver::from_socket((spec.build)(), socket).expect("driver");
         driver.set_peers(vec![addrs[SWITCH]]);
         let stop = Arc::new(AtomicBool::new(false));
         driver.set_stop_flag(stop.clone());
         stop_on_stdin_eof(stop);
         driver.run(DEADLINE, |_| false);
     } else if role == "switch" {
-        let sw = switches.remove(&SWITCH).expect("controller built the switch");
-        let mut driver = NodeDriver::from_socket(Box::new(sw), socket).expect("driver");
+        let egress_loss = FaultShim::seeded(SEED, LOSS, 0.0).with_scripted_drops([0]);
+        let NodeSpec { build, shim, .. } = job.switch_spec(SWITCH, egress_loss);
+        let mut driver = NodeDriver::from_socket(build(), socket).expect("driver");
         // Switch port p faces host p: star links are inserted host-order.
         driver.set_peers(addrs[..SWITCH].to_vec());
-        driver.set_fault_shim(FaultShim::seeded(SEED, LOSS, 0.0).with_scripted_drops([0]));
+        driver.set_fault_shim(shim);
         let stop = Arc::new(AtomicBool::new(false));
         driver.set_stop_flag(stop.clone());
         stop_on_stdin_eof(stop);
         driver.run(DEADLINE, |_| false);
         println!("SHIM dropped={}", driver.stats().shim_dropped);
     } else if role == "coord" {
-        let node = reducer_host(&config, AggFn::Sum, &dep, 0, COORD, &placement.mappers);
-        let mut driver = NodeDriver::from_socket(Box::new(node), socket).expect("driver");
+        let NodeSpec { build, done, finish, .. } = job.reducer_spec(0, FaultShim::none());
+        let mut driver = NodeDriver::from_socket(build(), socket).expect("driver");
         driver.set_peers(vec![addrs[SWITCH]]);
-        driver.run(DEADLINE, |n| {
-            let host = (n as &dyn Any).downcast_ref::<ReducerHost>().expect("reducer");
-            host.collector.is_complete() && host.recovery_satisfied()
-        });
-        let host = (driver.into_node() as Box<dyn Any>)
-            .downcast::<ReducerHost>()
-            .expect("reducer");
+        let mut done = done.expect("a reducer ends the run");
+        driver.run(DEADLINE, |n| done(n));
+        let report = finish(driver.into_node())
+            .downcast::<ReducerReport>()
+            .expect("a reducer reports");
         println!(
             "STATS complete={} recovered={} nacks={} dups={}",
-            host.collector.is_complete(),
-            host.recovery_satisfied(),
-            host.nacks_emitted(),
-            host.duplicates_suppressed()
+            report.complete,
+            report.recovery_satisfied,
+            report.nacks_emitted,
+            report.duplicates_suppressed
         );
-        for (key, count) in host.collector.into_sorted() {
+        for (key, count) in report.pairs {
             println!("PAIR {} {count}", key.display_lossy());
         }
         println!("DONE");

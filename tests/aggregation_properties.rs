@@ -7,11 +7,12 @@
 
 use daiet_repro::daiet::agg::AggFn;
 use daiet_repro::daiet::controller::{AggregationMode, Controller, JobPlacement};
-use daiet_repro::daiet::worker::{one_shot_sender, ReducerHost};
+use daiet_repro::daiet::loopback::LoopbackJob;
+use daiet_repro::daiet::worker::ReducerHost;
 use daiet_repro::daiet::DaietConfig;
 use daiet_repro::dataplane::Resources;
-use daiet_repro::netsim::topology::{Role, TopologyPlan};
-use daiet_repro::netsim::{LinkSpec, SimDuration, Simulator};
+use daiet_repro::netsim::topology::TopologyPlan;
+use daiet_repro::netsim::{LinkSpec, NodeId, SimDuration, Simulator};
 use daiet_repro::wire::daiet::{Key, Pair};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -32,47 +33,29 @@ fn aggregate_via_network(
         let per_leaf = n_mappers.div_ceil(2) + 1;
         let plan = TopologyPlan::leaf_spine(per_leaf, 2, 2, LinkSpec::fast());
         let hosts = plan.hosts();
-        (plan.clone(), hosts[..n_mappers].to_vec(), hosts[n_mappers])
+        (plan, hosts[..n_mappers].to_vec(), hosts[n_mappers])
     } else {
         let plan = TopologyPlan::star(n_mappers + 1, LinkSpec::fast());
-        ((plan.clone()), (0..n_mappers).collect::<Vec<_>>(), n_mappers)
+        (plan, (0..n_mappers).collect::<Vec<_>>(), n_mappers)
     };
 
-    let placement = JobPlacement { mappers: mappers.clone(), reducers: vec![reducer] };
+    let placement = JobPlacement { mappers, reducers: vec![reducer] };
     let controller = Controller::new(config, agg);
-    let (dep, mut switches) = controller
-        .deploy(&plan, &placement, Resources::tofino_like(), AggregationMode::InNetwork)
-        .expect("deployment fits");
+    let job = LoopbackJob::deploy(
+        controller,
+        plan,
+        placement,
+        Resources::tofino_like(),
+        AggregationMode::InNetwork,
+    )
+    .expect("deployment fits");
 
-    let sender = |slot: usize, tree: u16, pairs: Vec<Pair>| {
-        let part = [(tree, dep.endpoints(slot, 0), pairs)];
-        Box::new(one_shot_sender(&config, slot, part, SimDuration::from_micros(1), "sender"))
-    };
+    // The job's node list; hosts beyond the placement idle.
+    let shards = partitions.iter().map(|pairs| vec![pairs.clone()]).collect();
     let mut sim = Simulator::new(7);
-    let mut ids = Vec::new();
-    for slot in 0..plan.len() {
-        let id = match plan.role(slot) {
-            Role::Host => {
-                if let Some(m) = mappers.iter().position(|&s| s == slot) {
-                    sim.add_node(sender(slot, dep.tree_id(0), partitions[m].clone()))
-                } else if slot == reducer {
-                    sim.add_node(Box::new(ReducerHost::new(
-                        agg,
-                        dep.expected_ends(0, n_mappers),
-                    )))
-                } else {
-                    // Unused host slot: a quiet sender with no pairs that
-                    // still exists so plan wiring lines up.
-                    // (tree nobody routes; it sends only an END for an
-                    // unknown tree).
-                    sim.add_node(sender(slot, u16::MAX, Vec::new()))
-                }
-            }
-            Role::Switch => sim.add_node(Box::new(switches.remove(&slot).unwrap())),
-        };
-        ids.push(id);
-    }
-    plan.wire(&mut sim, &ids);
+    let specs = job.specs::<Vec<Pair>>(shards, SimDuration::from_micros(1), 1);
+    let ids: Vec<NodeId> = specs.into_iter().map(|s| sim.add_node((s.build)())).collect();
+    job.plan().wire(&mut sim, &ids);
     sim.run();
     let r = sim.node_ref::<ReducerHost>(ids[reducer]).unwrap();
     assert!(r.collector.is_complete(), "reducer starved of ENDs");

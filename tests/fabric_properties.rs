@@ -7,9 +7,7 @@
 
 use daiet_repro::daiet::controller::AggregationMode;
 use daiet_repro::fabric::FaultShim;
-use daiet_repro::mapreduce::loopback::run_wordcount_loopback;
 use daiet_repro::mapreduce::{Corpus, CorpusSpec, Runner, ShuffleMode};
-use daiet_repro::querysim::loopback::run_query_loopback;
 use daiet_repro::querysim::{Aggregate, Query, QueryMode, QueryRunner, Table, TableSpec};
 
 const DEADLINE: std::time::Duration = std::time::Duration::from_secs(120);
@@ -25,10 +23,11 @@ fn loopback_enabled(test: &str) -> bool {
     }
 }
 
-/// The Figure-3 WordCount shuffle, simulator vs loopback UDP. Both
-/// backends' reducer outputs are compared against the same ground-truth
-/// byte sequence (`Corpus::expected_reduction`), so equality on both
-/// sides is byte-identity between the backends.
+/// The Figure-3 WordCount shuffle, simulator vs loopback UDP, running
+/// the same node list. Both backends' reducer outputs are checked by the
+/// same exact comparison against the same ground truth
+/// (`Corpus::expected_reduction`), so passing on both sides is
+/// byte-identity between the backends.
 #[test]
 fn fig3_wordcount_is_byte_identical_across_backends() {
     if !loopback_enabled("fig3_wordcount_is_byte_identical_across_backends") {
@@ -39,26 +38,19 @@ fn fig3_wordcount_is_byte_identical_across_backends() {
 
     let sim = runner.run_on(&plan, ShuffleMode::DaietAgg);
     assert_eq!(sim.frames_dropped, 0, "sim reference run must be loss-free");
-    assert!(
-        sim.reducers.iter().all(|r| r.correct),
-        "simulator diverged from ground truth"
-    );
+    assert!(sim.all_correct(), "simulator diverged from ground truth");
 
-    let udp = run_wordcount_loopback(
-        &runner,
+    let udp = runner.run_sockets(
         &plan,
         AggregationMode::InNetwork,
         |_| FaultShim::none(),
         DEADLINE,
     );
     assert!(!udp.deadlined, "loopback run hit the deadline");
-    for (r, words) in udp.words.iter().enumerate() {
-        assert_eq!(
-            words.as_slice(),
-            runner.corpus.expected_reduction(r),
-            "reducer {r}: loopback diverged from the bytes the simulator matched"
-        );
-    }
+    assert!(
+        udp.all_correct(&runner),
+        "loopback diverged from the bytes the simulator matched"
+    );
 }
 
 /// A multi-aggregate GROUP BY, simulator vs loopback UDP: the assembled
@@ -84,12 +76,7 @@ fn group_by_is_byte_identical_across_backends() {
     assert!(sim.complete && sim.frames_dropped == 0);
     assert_eq!(sim.result, truth, "simulator diverged from the reference");
 
-    let udp = run_query_loopback(
-        &runner,
-        AggregationMode::InNetwork,
-        |_| FaultShim::none(),
-        DEADLINE,
-    );
+    let udp = runner.run_sockets(AggregationMode::InNetwork, |_| FaultShim::none(), DEADLINE);
     assert!(!udp.deadlined && udp.complete);
     assert_eq!(udp.result, sim.result, "backends disagree byte-for-byte");
     assert_eq!(udp.result, truth);
@@ -111,8 +98,7 @@ fn dropped_flush_frame_is_nack_recovered_over_real_sockets() {
     let plan = runner.star_plan();
     let switch_slot = plan.switches()[0];
 
-    let udp = run_wordcount_loopback(
-        &runner,
+    let udp = runner.run_sockets(
         &plan,
         AggregationMode::InNetwork,
         |slot| {

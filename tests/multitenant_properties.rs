@@ -15,7 +15,9 @@
 //! 3. **Admission exhaustion** (regression) — filling switch SRAM to the
 //!    budget deterministically rejects the next job with
 //!    `DeployError::Resources`, leaves zero partial switch state, and a
-//!    departure later makes the same request admissible.
+//!    departure later makes the same request admissible. Across switches
+//!    too: a refusal after some switches already hold the job's tree
+//!    rolls every one of them back.
 //! 4. **Teardown under traffic** (regression, pinned failing-first) — a
 //!    naive teardown that wipes shared steering state disconnects a
 //!    neighbor's in-flight round (END overshoot, detected loudly); the
@@ -36,6 +38,7 @@ use daiet_repro::daiet::tenant::{
 use daiet_repro::daiet::{AggFn, AggregationTree, DaietConfig};
 use daiet_repro::dataplane::parser::{parse, ParserConfig};
 use daiet_repro::dataplane::pipeline::{ActionSpec, PacketCtx};
+use daiet_repro::dataplane::resources::Allocation;
 use daiet_repro::dataplane::{Resources, Switch};
 use daiet_repro::fabric::{Duration, Frame, PortId};
 use daiet_repro::wire::daiet::{Header, PacketFlags};
@@ -222,6 +225,60 @@ fn sram_exhaustion_rejects_cleanly_and_recovers_on_departure() {
     // request is now admissible.
     sched.depart(a).expect("departing a closed job");
     sched.admit(one_tree_job("c")).expect("freed SRAM re-admits the same job");
+}
+
+/// What a rolled-back admission must leave unchanged on the switch at
+/// `slot`: its allocation list, steering-table length and engine tree
+/// count.
+fn switch_state(sched: &mut JobScheduler, slot: usize) -> (Vec<Allocation>, usize, usize) {
+    let trees = sched.engine(slot).tree_count();
+    let id = sched.node_id(slot);
+    let switch = sched.sim_mut().node_mut::<Switch>(id).expect("switch slot");
+    let steer = switch.pipeline_mut().table_mut(STEER_TABLE).len();
+    (switch.pipeline().tracker().allocations().to_vec(), steer, trees)
+}
+
+/// Regression 3, across switches: an admission refused after it has
+/// already installed on some switches rolls every switch back. The tree
+/// crosses leaf 4, leaf 5 and a spine, installed in that order; with
+/// both spines' SRAM taken, the refusal comes at the spine, after both
+/// leaves hold the tree.
+#[test]
+fn cross_switch_admission_rolls_back_every_switch() {
+    // leaf_spine(2,2,2): hosts 0-3, leaves 4-5, spines 6-7.
+    let plan = TopologyPlan::leaf_spine(2, 2, 2, LinkSpec::fast());
+    let tree = AggregationTree::build(&plan, 0, 3, &[0, 1]).expect("tree");
+    let crossed: Vec<usize> = tree.switches().collect();
+    assert_eq!(crossed[..2], [4, 5], "both leaves are installed first");
+    assert!(crossed.len() == 3 && crossed[2] >= 6, "then a spine: {crossed:?}");
+
+    let spec = TenantSpec::new(DaietConfig::default(), plan, vec![0, 1], vec![3]);
+    let mut sched = JobScheduler::build(spec).expect("leaf-spine fabric must build");
+    for spine in [6, 7] {
+        let id = sched.node_id(spine);
+        let switch = sched.sim_mut().node_mut::<Switch>(id).expect("switch slot");
+        let t = switch.pipeline_mut().tracker_mut();
+        for stage in 2..t.resources().stages {
+            let free = t.resources().sram_per_stage - t.used_in_stage(stage);
+            t.allocate("filler", stage, free).expect("fill the stage");
+        }
+    }
+    let before: Vec<_> = (4..8).map(|sw| switch_state(&mut sched, sw)).collect();
+    let free_before = sched.free_hosts();
+
+    let req = JobRequest { label: "a".into(), senders: 2, aggs: vec![AggFn::Sum] };
+    let err = sched.admit(req.clone()).expect_err("no spine has room");
+    assert!(matches!(err, DeployError::Resources(_)), "expected a resource rejection, got: {err}");
+    let after: Vec<_> = (4..8).map(|sw| switch_state(&mut sched, sw)).collect();
+    assert_eq!(after, before, "a switch kept part of the refused job");
+    assert_eq!(sched.free_hosts(), free_before);
+
+    for spine in [6, 7] {
+        let id = sched.node_id(spine);
+        let switch = sched.sim_mut().node_mut::<Switch>(id).expect("switch slot");
+        switch.pipeline_mut().tracker_mut().free("filler");
+    }
+    sched.admit(req).expect("with the spines freed, the same request is admitted");
 }
 
 fn key(s: &str) -> Key {

@@ -11,20 +11,46 @@
 //! retransmit ring.
 
 use daiet_repro::daiet::agg::AggFn;
-use daiet_repro::daiet::controller::{AggregationMode, Controller, JobPlacement};
-use daiet_repro::daiet::worker::{one_shot_sender, ReducerHost};
+use daiet_repro::daiet::controller::{AggregationMode, Controller, Deployment, JobPlacement};
+use daiet_repro::daiet::loopback::LoopbackJob;
+use daiet_repro::daiet::worker::ReducerHost;
 use daiet_repro::daiet::{DaietConfig, DaietEngine};
 use daiet_repro::dataplane::{Resources, Switch};
 use daiet_repro::mapreduce::runner::{Runner, ShuffleMode};
 use daiet_repro::mapreduce::wordcount::{Corpus, CorpusSpec};
-use daiet_repro::netsim::topology::{Role, TopologyPlan};
+use daiet_repro::netsim::topology::TopologyPlan;
 use daiet_repro::netsim::{
-    FaultDecision, FaultProfile, LinkScript, LinkSpec, SimDuration, Simulator,
+    FaultDecision, FaultProfile, LinkScript, LinkSpec, NodeId, SimDuration, Simulator,
 };
 use daiet_repro::wire::daiet::{Key, Pair};
 
 const N_MAPPERS: usize = 3;
 const KEYS_PER_MAPPER: usize = 12;
+
+/// Wires the star job this file drives — mapper `m` sends
+/// `keys_per_mapper` disjoint keys `m{m}k{i}` ↦ `1 + i` to the one
+/// reducer — on a simulator, from the job's node list. Returns the
+/// unstarted simulator, the node ids by plan slot, and the deployment.
+fn wire_star(config: DaietConfig, keys_per_mapper: usize) -> (Simulator, Vec<NodeId>, Deployment) {
+    let plan = TopologyPlan::star(N_MAPPERS + 1, LinkSpec::fast());
+    let placement =
+        JobPlacement { mappers: (0..N_MAPPERS).collect(), reducers: vec![N_MAPPERS] };
+    let controller = Controller::new(config, AggFn::Sum);
+    let mode = AggregationMode::InNetwork;
+    let job = LoopbackJob::deploy(controller, plan, placement, Resources::tofino_like(), mode)
+        .unwrap();
+    let shards = (0..N_MAPPERS)
+        .map(|m| {
+            let key = |i: usize| Key::from_str_key(&format!("m{m}k{i}")).unwrap();
+            vec![(0..keys_per_mapper).map(|i| Pair::new(key(i), 1 + i as u32)).collect()]
+        })
+        .collect();
+    let mut sim = Simulator::new(5);
+    let specs = job.specs::<Vec<Pair>>(shards, SimDuration::from_micros(1), 1);
+    let ids: Vec<NodeId> = specs.into_iter().map(|s| sim.add_node((s.build)())).collect();
+    job.plan().wire(&mut sim, &ids);
+    (sim, ids, job.deployment().clone())
+}
 
 struct FlushLossOutcome {
     complete: bool,
@@ -45,53 +71,9 @@ fn run_flush_loss(recover: bool) -> FlushLossOutcome {
         rtx_frames: 64,
         ..DaietConfig::default()
     };
-    let plan = TopologyPlan::star(N_MAPPERS + 1, LinkSpec::fast());
-    let placement = JobPlacement {
-        mappers: (0..N_MAPPERS).collect(),
-        reducers: vec![N_MAPPERS],
-    };
-    let controller = Controller::new(config, AggFn::Sum);
-    let (dep, mut switches) = controller
-        .deploy(&plan, &placement, Resources::tofino_like(), AggregationMode::InNetwork)
-        .unwrap();
-
-    let mut sim = Simulator::new(5);
-    let mut ids = Vec::new();
-    for slot in 0..plan.len() {
-        let id = match plan.role(slot) {
-            Role::Host if slot < N_MAPPERS => {
-                // Disjoint keys: every flushed pair is irreplaceable, so
-                // a lost flush frame provably corrupts the result.
-                let pairs: Vec<Pair> = (0..KEYS_PER_MAPPER)
-                    .map(|i| {
-                        let k = Key::from_str_key(&format!("m{slot}k{i}")).unwrap();
-                        Pair::new(k, 1 + i as u32)
-                    })
-                    .collect();
-                sim.add_node(Box::new(one_shot_sender(
-                    &config,
-                    slot,
-                    [(dep.tree_id(0), dep.endpoints(slot, 0), pairs)],
-                    SimDuration::from_micros(1),
-                    "mapper",
-                )))
-            }
-            Role::Host => {
-                let mut reducer = ReducerHost::new(AggFn::Sum, 1);
-                if recover {
-                    let sources = dep
-                        .reducer_sources(0, &placement.mappers)
-                        .into_iter()
-                        .map(|src| (dep.tree_id(0), src));
-                    reducer = reducer.with_nack_recovery(slot as u32, &config, sources);
-                }
-                sim.add_node(Box::new(reducer))
-            }
-            Role::Switch => sim.add_node(Box::new(switches.remove(&slot).unwrap())),
-        };
-        ids.push(id);
-    }
-    plan.wire(&mut sim, &ids);
+    // Disjoint keys: every flushed pair is irreplaceable, so a lost
+    // flush frame provably corrupts the result.
+    let (mut sim, ids, dep) = wire_star(config, KEYS_PER_MAPPER);
     // Link 3 is reducer↔switch (links are made in plan order; star wires
     // hosts 0..n then the reducer last); direction 1 is switch→reducer.
     // Drop exactly the first flush DATA frame, deliver everything else —
@@ -172,51 +154,7 @@ fn mid_round_spillover_loss_is_recovered_while_stream_is_hot() {
         nack_timeout_ns: 5_000,
         ..DaietConfig::default()
     };
-    let plan = TopologyPlan::star(N_MAPPERS + 1, LinkSpec::fast());
-    let placement =
-        JobPlacement { mappers: (0..N_MAPPERS).collect(), reducers: vec![N_MAPPERS] };
-    let controller = Controller::new(config, AggFn::Sum);
-    let (dep, mut switches) = controller
-        .deploy(&plan, &placement, Resources::tofino_like(), AggregationMode::InNetwork)
-        .unwrap();
-
-    let mut sim = Simulator::new(5);
-    let mut ids = Vec::new();
-    for slot in 0..plan.len() {
-        let id = match plan.role(slot) {
-            Role::Host if slot < N_MAPPERS => {
-                let pairs: Vec<Pair> = (0..KEYS_PER_MAPPER_SPILL)
-                    .map(|i| {
-                        let k = Key::from_str_key(&format!("m{slot}k{i}")).unwrap();
-                        Pair::new(k, 1 + i as u32)
-                    })
-                    .collect();
-                sim.add_node(Box::new(one_shot_sender(
-                    &config,
-                    slot,
-                    [(dep.tree_id(0), dep.endpoints(slot, 0), pairs)],
-                    SimDuration::from_micros(1),
-                    "mapper",
-                )))
-            }
-            Role::Host => {
-                let sources = dep
-                    .reducer_sources(0, &placement.mappers)
-                    .into_iter()
-                    .map(|src| (dep.tree_id(0), src));
-                sim.add_node(Box::new(
-                    ReducerHost::new(AggFn::Sum, 1).with_nack_recovery(
-                        slot as u32,
-                        &config,
-                        sources,
-                    ),
-                ))
-            }
-            Role::Switch => sim.add_node(Box::new(switches.remove(&slot).unwrap())),
-        };
-        ids.push(id);
-    }
-    plan.wire(&mut sim, &ids);
+    let (mut sim, ids, dep) = wire_star(config, KEYS_PER_MAPPER_SPILL);
     // Drop the second switch-originated frame (an early spillover flush)
     // on the switch→reducer link; everything after it is delivered.
     sim.script_link(N_MAPPERS, 1, LinkScript::nth_frame(1, FaultDecision::Drop));
