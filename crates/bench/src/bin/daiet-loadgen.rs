@@ -1,8 +1,8 @@
 //! `daiet-loadgen` — drive many small flows through the real-socket
 //! backend.
 //!
-//! The simulator benches measure the protocol at event-queue speed; this
-//! binary loads the *real-time* fabric instead. It generates `--flows`
+//! The tracked ledger and the figure binaries measure the protocol at
+//! event-queue speed; this binary loads the *real-time* fabric instead. It generates `--flows`
 //! small key/value flows (each a batch of `--pairs` updates bound for one
 //! aggregation tree), multiplexes them round-robin onto `--workers`
 //! worker shards, and runs the whole job over kernel UDP sockets on

@@ -3,33 +3,31 @@
 //! Runs the three-way tenant mix (WordCount + GROUP BY + iterative SGD,
 //! deterministic Poisson arrivals) over one shared leaf-spine fabric and
 //! compares each job against the same job run solo on an empty fabric.
-//! Two readouts:
-//!
-//! * wall-clock per mixed run (the criterion samples, recorded to
-//!   `BENCH_JSON_DIR` like every other figure), and
-//! * the figure itself, in **simulated** time over several arrival
-//!   seeds, fed through the shared robust-stats path
-//!   ([`daiet_bench::sim_stats`]: outlier-rejected means, bootstrap
-//!   CI95) — aggregate result throughput of the mix and each job's
-//!   request-to-finish slowdown vs its solo baseline.
+//! The figure is in **simulated** time over a pool of arrival seeds,
+//! each point printed as the mean with `[min .. max]`: aggregate result
+//! throughput of the mix and each job's request-to-finish slowdown vs
+//! its solo baseline.
 //!
 //! Every run is digest-checked against its solo twin: a fabric that goes
 //! fast by corrupting a tenant's results doesn't get to look fast.
+//!
+//! ```text
+//! cargo run -p daiet-bench --release --bin fig_multitenant
+//! ```
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use daiet::tenant::{
     poisson_offsets, run_mix, run_solo, JobScheduler, MixOptions, TenantSpec, TenantWorkload,
 };
 use daiet::DaietConfig;
+use daiet_bench::SeedPool;
 use daiet_fabric::Duration;
 use daiet_mapreduce::WordCountTenant;
 use daiet_mlsim::SgdTenant;
 use daiet_netsim::{LinkSpec, TopologyPlan};
 use daiet_querysim::GroupByTenant;
-use std::hint::black_box;
 
-/// Arrival seeds the figure statistics pool over — each draws an
-/// independent Poisson arrival process (and workload inputs).
+/// Arrival seeds each point pools over — each draws an independent
+/// Poisson arrival process (and workload inputs).
 const ARRIVAL_SEEDS: [u64; 5] = [11, 12, 13, 14, 15];
 
 const KINDS: [&str; 3] = ["wordcount", "groupby", "sgd"];
@@ -96,17 +94,7 @@ fn run_one_solo(kind: &str, seed: u64) -> (f64, u64) {
     ((out.finished_at.0.saturating_sub(out.requested_at.0)) as f64 / 1e9, out.digest)
 }
 
-fn bench_multitenant(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig_multitenant");
-    group.sample_size(10);
-    group.bench_function("mix_3way/seed_11", |b| b.iter(|| black_box(run_one_mix(11))));
-    group.bench_function("solo_wordcount/seed_11", |b| {
-        b.iter(|| black_box(run_one_solo("wordcount", 11)));
-    });
-    group.finish();
-
-    // The figure: aggregate throughput of the mix, and per-job slowdown
-    // vs solo, over the arrival-seed pool.
+fn main() {
     let mut throughput = Vec::new();
     let mut slowdown: [Vec<f64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
     for &seed in &ARRIVAL_SEEDS {
@@ -122,21 +110,11 @@ fn bench_multitenant(c: &mut Criterion) {
         throughput.push(mix.throughput);
     }
 
-    let thr = daiet_bench::sim_stats("fig_multitenant", "aggregate_throughput_pairs_per_s", &throughput);
     println!("fig_multitenant: {} jobs/mix over seeds {ARRIVAL_SEEDS:?}, digests all solo-identical", KINDS.len());
-    println!(
-        "aggregate throughput: {:.0} result pairs/s  ci95 [{:.0} .. {:.0}]  ({} kept, {} outliers)",
-        thr.mean, thr.ci95_lo, thr.ci95_hi, thr.kept, thr.outliers
-    );
-    println!("{:>10}  {:>24}", "job", "slowdown vs solo (±ci95)");
-    for (i, &kind) in KINDS.iter().enumerate() {
-        let s = daiet_bench::sim_stats("fig_multitenant", &format!("slowdown_{kind}"), &slowdown[i]);
-        println!(
-            "{kind:>10}  {:>8.2}x [{:>5.2} .. {:>5.2}]",
-            s.mean, s.ci95_lo, s.ci95_hi
-        );
+    println!("mean [min .. max] over the seeds");
+    println!("aggregate throughput: {:.0} result pairs/s", SeedPool::of(&throughput));
+    println!("{:>10}  slowdown vs solo (x)", "job");
+    for (kind, samples) in KINDS.iter().zip(&slowdown) {
+        println!("{kind:>10}  {:.2}", SeedPool::of(samples));
     }
 }
-
-criterion_group!(benches, bench_multitenant);
-criterion_main!(benches);

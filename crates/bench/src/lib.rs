@@ -3,17 +3,19 @@
 //! One binary per figure (run with `cargo run -p daiet-bench --release
 //! --bin <name>`):
 //!
-//! | binary         | paper artifact                                         |
-//! |----------------|--------------------------------------------------------|
-//! | `fig1a`        | Fig 1(a): SGD tensor-update overlap per step           |
-//! | `fig1b`        | Fig 1(b): Adam tensor-update overlap per step          |
-//! | `fig1_workers` | §3 prose: overlap vs worker count (2→5)                |
-//! | `fig1c`        | Fig 1(c): graph traffic reduction per iteration        |
-//! | `fig3`         | Fig 3: WordCount reductions (4 box-plot panels)        |
-//! | `resources`    | §5 prose: switch SRAM budget for 16 K pairs × 12 trees |
+//! | binary            | paper artifact                                         |
+//! |-------------------|--------------------------------------------------------|
+//! | `fig1a`           | Fig 1(a): SGD tensor-update overlap per step           |
+//! | `fig1b`           | Fig 1(b): Adam tensor-update overlap per step          |
+//! | `fig1_workers`    | §3 prose: overlap vs worker count (2→5)                |
+//! | `fig1c`           | Fig 1(c): graph traffic reduction per iteration        |
+//! | `fig3`            | Fig 3: WordCount reductions (4 box-plot panels)        |
+//! | `resources`       | §5 prose: switch SRAM budget for 16 K pairs × 12 trees |
+//! | `fig_chaos`       | none: completion time vs failure-injection rate        |
+//! | `fig_multitenant` | none: tenant-mix throughput and per-job slowdown       |
 //!
-//! Criterion benches (`cargo bench -p daiet-bench`) cover the same
-//! workloads at micro scale plus the ablations called out in DESIGN.md.
+//! The last two run in simulated time over a fixed seed pool, take no
+//! arguments, and print each point as a [`SeedPool`].
 
 use std::fmt::Write as _;
 
@@ -87,85 +89,36 @@ pub fn arg<T: std::str::FromStr>(key: &str, default: T) -> T {
     }
 }
 
-/// Robust statistics over per-seed **simulated** measurements — the
-/// shared path behind the `fig_chaos` and `fig_multitenant` figure
-/// tables, so completion-time and slowdown claims are outlier-rejected
-/// means with bootstrap CI95s (the same `criterion::analyze` treatment
-/// wall-clock samples get), not raw single-run points. When
-/// `BENCH_JSON_DIR` is set, a JSON record mirroring the criterion shim's
-/// schema is written as `SIM_<figure>_<id>.json` for post-hoc auditing.
-pub fn sim_stats(figure: &str, id: &str, samples: &[f64]) -> criterion::SampleStats {
-    let stats = criterion::analyze(samples);
-    if let Ok(dir) = std::env::var("BENCH_JSON_DIR") {
-        if let Err(e) = write_sim_json(std::path::Path::new(&dir), figure, id, samples, &stats) {
-            eprintln!("{figure}: could not write BENCH json for {id}: {e}");
-        }
-    }
-    stats
+/// One figure point summarised over its seed pool: the mean with the
+/// smallest and largest sample. Every sample counts — each is a
+/// deterministic simulation, so a seed rejected as an outlier would be a
+/// hidden result, not noise. Displays as `mean [min .. max]` at the
+/// formatter's precision (3 places by default).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SeedPool {
+    pub mean: f64,
+    pub min: f64,
+    pub max: f64,
 }
 
-fn write_sim_json(
-    dir: &std::path::Path,
-    figure: &str,
-    id: &str,
-    samples: &[f64],
-    stats: &criterion::SampleStats,
-) -> std::io::Result<()> {
-    std::fs::create_dir_all(dir)?;
-    let sanitize = |s: &str| -> String {
-        s.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }).collect()
-    };
-    let rendered: Vec<String> = samples.iter().map(|s| format!("{s:e}")).collect();
-    let json = format!(
-        concat!(
-            "{{\"figure\":\"{}\",\"id\":\"{}\",\"samples_s\":[{}],",
-            "\"mean_s\":{:e},\"sd_s\":{:e},\"min_s\":{:e},\"max_s\":{:e},",
-            "\"kept\":{},\"outliers\":{},\"ci95_lo_s\":{:e},\"ci95_hi_s\":{:e}}}\n"
-        ),
-        figure,
-        id,
-        rendered.join(","),
-        stats.mean,
-        stats.sd,
-        stats.min,
-        stats.max,
-        stats.kept,
-        stats.outliers,
-        stats.ci95_lo,
-        stats.ci95_hi,
-    );
-    std::fs::write(dir.join(format!("SIM_{}_{}.json", sanitize(figure), sanitize(id))), json)
-}
-
-/// **Median** seconds per call for each closure, measured in interleaved
-/// rounds (A, B, C, A, B, C, …) after one unrecorded warm-up call each.
-/// The shared acceptance-measurement harness of `fig_reliability` and
-/// `fig_iter`: interleaving makes slow machine-level drift hit every
-/// configuration equally instead of biasing whichever ran last, and the
-/// median (unlike the mean) shrugs off the occasional round where a
-/// noisy neighbour steals the CPU mid-call — the dominant residual noise
-/// on shared single-core runners.
-pub fn interleaved_medians(fns: &mut [&mut dyn FnMut()], rounds: u32) -> Vec<f64> {
-    for f in fns.iter_mut() {
-        f(); // warm-up
-    }
-    let mut samples = vec![Vec::with_capacity(rounds as usize); fns.len()];
-    for _ in 0..rounds {
-        for (f, s) in fns.iter_mut().zip(&mut samples) {
-            // lint:allow(det-clock): this is the benchmark timer itself — measuring
-            // wall time is the whole point; results never feed a simulation.
-            let start = std::time::Instant::now();
-            f();
-            s.push(start.elapsed().as_secs_f64());
+impl SeedPool {
+    /// Summarises one sample per seed. Panics on an empty pool: a figure
+    /// point with no runs behind it is a bug, not a value.
+    pub fn of(samples: &[f64]) -> Self {
+        assert!(!samples.is_empty(), "a figure point needs at least one seed");
+        Self {
+            mean: samples.iter().sum::<f64>() / samples.len() as f64,
+            min: samples.iter().copied().fold(f64::INFINITY, f64::min),
+            max: samples.iter().copied().fold(f64::NEG_INFINITY, f64::max),
         }
     }
-    samples
-        .into_iter()
-        .map(|mut s| {
-            s.sort_unstable_by(f64::total_cmp);
-            s[s.len() / 2]
-        })
-        .collect()
+}
+
+impl std::fmt::Display for SeedPool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let p = f.precision().unwrap_or(3);
+        write!(f, "{:.p$} [{:.p$} .. {:.p$}]", self.mean, self.min, self.max)
+    }
 }
 
 #[cfg(test)]
@@ -216,16 +169,19 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_medians_returns_one_median_per_closure() {
-        let mut calls = [0u32, 0];
-        let [a, b] = &mut calls;
-        let meds = interleaved_medians(
-            &mut [&mut || *a += 1, &mut || *b += 1],
-            5,
-        );
-        assert_eq!(meds.len(), 2);
-        assert!(meds.iter().all(|&m| m >= 0.0));
-        // warm-up + 5 measured rounds each.
-        assert_eq!(calls, [6, 6]);
+    fn seed_pool_summarises_a_known_pool() {
+        let pool = SeedPool::of(&[2.0, 4.0, 6.0, 8.0]);
+        assert_eq!(pool, SeedPool { mean: 5.0, min: 2.0, max: 8.0 });
+        assert_eq!(pool.to_string(), "5.000 [2.000 .. 8.000]");
+        assert_eq!(format!("{pool:.1}"), "5.0 [2.0 .. 8.0]");
+        assert_eq!(SeedPool::of(&[3.5]), SeedPool { mean: 3.5, min: 3.5, max: 3.5 });
+    }
+
+    #[test]
+    fn seed_pool_keeps_a_far_outlier() {
+        let pool = SeedPool::of(&[1.0, 1.0, 1.0, 1.0, 1000.0]);
+        assert_eq!(pool.max, 1000.0);
+        assert_eq!(pool.min, 1.0);
+        assert_eq!(pool.mean, 1004.0 / 5.0);
     }
 }

@@ -35,7 +35,6 @@ pub const EXPECTED_DEPS: &[(&str, &[&str])] = &[
         "daiet-wire",
     ]),
     ("bench", &[
-        "criterion",
         "daiet",
         "daiet-dataplane",
         "daiet-fabric",
