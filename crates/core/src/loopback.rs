@@ -59,10 +59,12 @@ pub fn wall_clock_config(mut config: DaietConfig) -> DaietConfig {
 }
 
 /// Rescales a sim-scale frame gap for the wall clock: at least 50 µs.
-/// Sim pacing is tuned for virtual time; on real sockets the driver loop
-/// itself paces (one timer fire per iteration), so any gap at or above
-/// the timer wheel's granularity behaves the same, and the floor keeps
-/// kernel socket buffers comfortable.
+/// Sim pacing is tuned for virtual time. On real sockets a driver fires
+/// each pacing timer at its due instant, so the sender keeps to its
+/// `gap` grid and a late wakeup catches up with a short burst (at most
+/// one poll interval's worth of frames); a sim-scale 2 µs gap would make
+/// every wakeup such a burst. The floor keeps bursts short and kernel
+/// socket buffers comfortable.
 pub fn wall_clock_pacing(pacing: Duration) -> Duration {
     Duration::from_nanos(pacing.as_nanos().max(50_000))
 }

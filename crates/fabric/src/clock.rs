@@ -2,20 +2,30 @@
 //!
 //! The simulator *is* its own clock (virtual time advances at event
 //! boundaries), so it never needs this trait. Real-time drivers do: a
-//! [`NodeDriver`](crate::NodeDriver) reads a [`Clock`] each loop
-//! iteration and feeds the same integer-nanosecond [`Time`] to node
-//! callbacks that the simulator would, so protocol code — NACK timeouts,
-//! pacing gaps — is written once against `Time` and never learns whether
-//! nanoseconds are virtual or wall.
+//! [`NodeDriver`](crate::NodeDriver) reads a [`Clock`] once per loop
+//! iteration and feeds node callbacks the same integer-nanosecond [`Time`]
+//! the simulator would — the reading itself for packets, and for timers
+//! the instant each was due (see [`Fabric::now`](crate::Fabric::now)) —
+//! so protocol code (NACK timeouts, pacing gaps) is written once against
+//! `Time` and never learns whether nanoseconds are virtual or wall.
 
 use crate::time::Time;
 use std::cell::Cell;
+use std::rc::Rc;
 use std::time::Instant;
 
 /// A monotonic source of fabric [`Time`].
 pub trait Clock {
     /// Nanoseconds since this clock's epoch. Must never go backwards.
     fn now(&self) -> Time;
+}
+
+/// A shared handle reads the clock it points at, so a test can keep
+/// cranking a [`ManualClock`] after handing a clone to a driver.
+impl<C: Clock + ?Sized> Clock for Rc<C> {
+    fn now(&self) -> Time {
+        (**self).now()
+    }
 }
 
 /// Wall-clock time from [`std::time::Instant`], with the epoch fixed at

@@ -234,5 +234,6 @@ mod tests {
         let bytes = out[2].result.downcast_ref::<Vec<u8>>().unwrap();
         assert_eq!(bytes, &[0, 1, 2, 3, 4]);
         assert!(out[1].stats.frames_in >= 5);
+        assert!(out.iter().all(|slot| slot.stats.recv_errors == 0));
     }
 }

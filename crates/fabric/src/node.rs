@@ -39,7 +39,10 @@ pub trait Node: Any {
     /// A frame arrived on `port`.
     fn on_packet(&mut self, ctx: &mut dyn Fabric, port: PortId, frame: Frame);
 
-    /// A timer armed via [`Fabric::schedule`] fired.
+    /// A timer armed via [`Fabric::schedule`] fired. `ctx.now()` is the
+    /// instant the timer was due, so a timer re-armed here with
+    /// `schedule(gap)` lands on the grid `start + k·gap` on either backend
+    /// (see [`Fabric::now`] for the one exception).
     fn on_timer(&mut self, _ctx: &mut dyn Fabric, _token: u64) {}
 
     /// Called once before the first event; the usual place to kick off
@@ -76,6 +79,15 @@ pub trait Node: Any {
 pub trait Fabric {
     /// Current fabric time (virtual under the simulator, monotonic
     /// wall-clock under a driver).
+    ///
+    /// In [`Node::on_timer`] this is the instant the timer was due. That
+    /// holds exactly under the simulator. Under a
+    /// [`NodeDriver`](crate::NodeDriver) it holds unless the driver ran
+    /// more than one poll interval late: then `now()` is the wall clock
+    /// less that interval, so a long stall re-anchors instead of bursting
+    /// the whole backlog. Across one node's callbacks, `now()` never
+    /// decreases, so a timer that fires after a packet callback saw a
+    /// later instant sees that instant.
     fn now(&self) -> Time;
 
     /// Transmits `frame` out of `port`. Fire-and-forget, exactly like

@@ -7,13 +7,24 @@
 //! [`TimerWheel`], a [`FramePool`] and a [`FaultShim`]. Its run loop is
 //! the event loop a real DAIET host or software switch would run:
 //!
-//! 1. fire every due timer ([`Node::on_timer`]);
+//! 1. read the clock once, then fire every timer due by that reading
+//!    ([`Node::on_timer`]), each seeing the instant it was due as
+//!    `now()`, as it would under the simulator — floored at the reading
+//!    less one poll interval, and at the last instant the node saw;
 //! 2. drain the socket — each datagram's bytes are copied into a pooled
 //!    [`Frame`] and delivered via [`Node::on_packet`] with the [`PortId`]
-//!    the source address maps to;
+//!    the source address maps to, at the clock reading;
 //! 3. check the caller's completion predicate / stop flag / deadline;
 //! 4. sleep until the next timer is due (capped so new datagrams are
-//!    noticed promptly).
+//!    noticed promptly), or go round at once if one already is.
+//!
+//! Because a timer sees its due instant, a node that re-arms
+//! `schedule(gap)` from `on_timer` paces on the absolute grid
+//! `start + k·gap`: a sleep that overshoots delays one frame but does not
+//! push back every frame after it, and the loop catches up. The floor
+//! bounds that catch-up: a driver descheduled for many gaps re-anchors
+//! to the wall clock, sending at most about one poll interval's worth of
+//! timers back to back.
 //!
 //! Frames never cross the socket edge by reference: sending copies the
 //! frame's bytes into a datagram, receiving copies the datagram into a
@@ -63,6 +74,9 @@ pub struct DriverStats {
     pub send_errors: u64,
     /// Timer callbacks fired.
     pub timers_fired: u64,
+    /// Socket read errors other than "would block" (each ends that drain
+    /// early; the next loop iteration reads again).
+    pub recv_errors: u64,
 }
 
 /// Why [`NodeDriver::run`] returned.
@@ -149,6 +163,8 @@ pub struct NodeDriver {
     stats: DriverStats,
     stop: Option<Arc<AtomicBool>>,
     started: bool,
+    /// The latest `now()` any callback of this node has seen.
+    last_seen: Time,
 }
 
 impl NodeDriver {
@@ -178,6 +194,7 @@ impl NodeDriver {
             stats: DriverStats::default(),
             stop: None,
             started: false,
+            last_seen: Time::ZERO,
         })
     }
 
@@ -200,8 +217,9 @@ impl NodeDriver {
         self.shim = shim;
     }
 
-    /// Replaces the wall clock (tests inject a
-    /// [`ManualClock`](crate::ManualClock) through this).
+    /// Replaces the wall clock (tests inject an `Rc` of a
+    /// [`ManualClock`](crate::ManualClock) through this and keep a clone
+    /// to crank it).
     pub fn set_clock(&mut self, clock: Box<dyn Clock>) {
         self.clock = clock;
     }
@@ -263,9 +281,9 @@ impl NodeDriver {
         let mut buf = [0u8; MAX_DATAGRAM];
         if !self.started {
             self.started = true;
-            let now = self.clock.now();
+            self.last_seen = self.clock.now();
             let mut ctx = Self::ctx(
-                now,
+                self.last_seen,
                 &self.socket,
                 &self.peers,
                 &mut self.wheel,
@@ -277,11 +295,14 @@ impl NodeDriver {
         }
         loop {
             let now = self.clock.now();
-            // 1. Due timers, in deterministic (due, armed) order.
-            for token in self.wheel.expire(now) {
+            // 1. Due timers, in deterministic (due, armed) order, each at
+            //    its due instant within the catch-up floor.
+            let floor = Time(now.as_nanos().saturating_sub(IDLE_POLL.as_nanos() as u64));
+            for (due, token) in self.wheel.expire(now) {
                 self.stats.timers_fired += 1;
+                self.last_seen = due.max(floor).max(self.last_seen);
                 let mut ctx = Self::ctx(
-                    now,
+                    self.last_seen,
                     &self.socket,
                     &self.peers,
                     &mut self.wheel,
@@ -301,6 +322,7 @@ impl NodeDriver {
                         };
                         self.stats.frames_in += 1;
                         self.stats.bytes_in += n as u64;
+                        self.last_seen = now;
                         let frame = self.pool.copy_from_slice(&buf[..n]);
                         let mut ctx = Self::ctx(
                             now,
@@ -315,8 +337,12 @@ impl NodeDriver {
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     // Loopback quirk: a send to a not-yet-open peer port can
-                    // surface as ECONNREFUSED on a later recv. Not fatal.
-                    Err(_) => break,
+                    // surface as ECONNREFUSED on a later recv. Not fatal,
+                    // but counted.
+                    Err(_) => {
+                        self.stats.recv_errors += 1;
+                        break;
+                    }
                 }
             }
             // 3. Exit conditions.
@@ -345,6 +371,8 @@ impl NodeDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::ManualClock;
+    use std::rc::Rc;
 
     /// Replies to every datagram with its bytes reversed.
     struct Reverser {
@@ -418,6 +446,7 @@ mod tests {
         assert_eq!(probe.node_ref::<Prober>().unwrap().answers[0], b"cba");
         assert!(rev_stats.frames_in >= 1);
         assert!(probe.stats().frames_in >= 1);
+        assert_eq!((rev_stats.recv_errors, probe.stats().recv_errors), (0, 0));
     }
 
     #[test]
@@ -442,5 +471,93 @@ mod tests {
         lone.run(std::time::Duration::from_millis(50), |_| false);
         assert!(lone.stats().unknown_peer >= 1);
         assert_eq!(lone.node_ref::<Reverser>().unwrap().seen, 0);
+    }
+
+    const GAP: Duration = Duration::from_micros(50);
+
+    /// Re-arms a [`GAP`] timer from `on_start` on, logging the `now()`
+    /// each callback saw.
+    struct Ticker {
+        seen: Vec<(&'static str, Time)>,
+    }
+    impl Node for Ticker {
+        fn on_packet(&mut self, ctx: &mut dyn Fabric, _port: PortId, _frame: Frame) {
+            self.seen.push(("packet", ctx.now()));
+        }
+        fn on_start(&mut self, ctx: &mut dyn Fabric) {
+            ctx.schedule(GAP, 0);
+        }
+        fn on_timer(&mut self, ctx: &mut dyn Fabric, _token: u64) {
+            self.seen.push(("timer", ctx.now()));
+            ctx.schedule(GAP, 0);
+        }
+    }
+
+    /// One loop iteration: due timers, one drain, no sleep.
+    fn step(d: &mut NodeDriver) {
+        d.run(std::time::Duration::ZERO, |_| false);
+    }
+
+    /// A started [`Ticker`] on a manual clock still at the epoch, and a
+    /// handle to crank that clock.
+    fn ticker(peers: Vec<SocketAddr>) -> (NodeDriver, Rc<ManualClock>) {
+        let node = Ticker { seen: Vec::new() };
+        let mut d = NodeDriver::bind(Box::new(node), "127.0.0.1:0").unwrap();
+        let clock = Rc::new(ManualClock::new());
+        d.set_clock(Box::new(clock.clone()));
+        d.set_peers(peers);
+        step(&mut d);
+        (d, clock)
+    }
+
+    fn seen(d: &NodeDriver) -> Vec<(&'static str, Time)> {
+        d.node_ref::<Ticker>().unwrap().seen.clone()
+    }
+
+    fn timer_instants(d: &NodeDriver) -> Vec<Time> {
+        seen(d).into_iter().filter(|&(kind, _)| kind == "timer").map(|(_, t)| t).collect()
+    }
+
+    #[test]
+    fn late_wakeup_fires_each_timer_at_its_due_instant() {
+        let (mut d, clock) = ticker(vec![]);
+        clock.set(Time(175_000));
+        for _ in 0..5 {
+            step(&mut d);
+        }
+        // The chain stays on its 50 µs grid; the timer due at 200 µs waits.
+        assert_eq!(timer_instants(&d), [Time(50_000), Time(100_000), Time(150_000)]);
+    }
+
+    #[test]
+    fn catch_up_after_a_long_stall_is_bounded_by_the_poll_interval() {
+        let (mut d, clock) = ticker(vec![]);
+        let wall = Time(10_000_000);
+        clock.set(wall);
+        for _ in 0..20 {
+            step(&mut d);
+        }
+        let fired = timer_instants(&d);
+        assert_eq!(fired[0], Time(wall.as_nanos() - IDLE_POLL.as_nanos() as u64));
+        assert_eq!(fired.last(), Some(&wall), "the re-anchored chain reaches the wall clock");
+        let behind = fired.iter().filter(|&&t| t < wall).count() as u64;
+        let bound = IDLE_POLL.as_nanos() as u64 / GAP.as_nanos() + 1;
+        assert!(behind <= bound, "{behind} timers fired behind the wall clock, bound {bound}");
+        assert!(fired.windows(2).all(|w| w[1] - w[0] == GAP));
+    }
+
+    #[test]
+    fn timer_due_before_a_handled_datagram_sees_the_datagram_instant() {
+        let peer = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let (mut d, clock) = ticker(vec![peer.local_addr().unwrap()]);
+        let t = Time(1_000_000);
+        clock.set(t);
+        peer.send_to(b"x", d.local_addr().unwrap()).unwrap();
+        // Loopback queues the datagram at once; the pause only makes sure.
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        step(&mut d); // the timer due at 800 µs, then the datagram at 1 ms
+        step(&mut d); // the timer due at 850 µs, behind what the node saw
+        assert_eq!(seen(&d), [("timer", Time(800_000)), ("packet", t), ("timer", t)]);
+        assert_eq!(d.stats().recv_errors, 0);
     }
 }

@@ -13,7 +13,8 @@
 //! Within one expiry batch, timers fire ordered by `(due, insertion
 //! sequence)` — the same deterministic tie-break discipline the simulator
 //! uses, so a node cannot observe two backends firing same-instant timers
-//! in different relative orders.
+//! in different relative orders. Each expired timer comes back with its
+//! due instant, which a driver hands to the timer callback as `now()`.
 
 use crate::time::{Duration, Time};
 
@@ -98,10 +99,10 @@ impl TimerWheel {
         self.len += 1;
     }
 
-    /// Removes and returns every timer with `due <= now`, ordered by
-    /// `(due, schedule order)`. Also migrates overflow timers that the
-    /// advancing cursor has brought within the horizon.
-    pub fn expire(&mut self, now: Time) -> Vec<u64> {
+    /// Removes and returns every timer with `due <= now` as `(due, token)`
+    /// pairs, ordered by `(due, schedule order)`. Also migrates overflow
+    /// timers that the advancing cursor has brought within the horizon.
+    pub fn expire(&mut self, now: Time) -> Vec<(Time, u64)> {
         if now < self.cursor_time {
             return Vec::new(); // clock glitch: nothing can be due
         }
@@ -150,7 +151,7 @@ impl TimerWheel {
         self.cursor_time = now;
         due.sort_by_key(|p| (p.due, p.seq));
         self.len -= due.len();
-        due.into_iter().map(|p| p.token).collect()
+        due.into_iter().map(|p| (p.due, p.token)).collect()
     }
 
     /// The earliest pending due instant, if any (drives the driver's
@@ -176,9 +177,9 @@ mod tests {
         w.schedule(Time(5_000), 1);
         w.schedule(Time(25_000), 3); // same instant as token 2, armed later
         assert_eq!(w.len(), 3);
-        assert_eq!(w.expire(Time(4_999)), Vec::<u64>::new());
-        assert_eq!(w.expire(Time(5_000)), vec![1]);
-        assert_eq!(w.expire(Time(30_000)), vec![2, 3]);
+        assert_eq!(w.expire(Time(4_999)), Vec::<(Time, u64)>::new());
+        assert_eq!(w.expire(Time(5_000)), vec![(Time(5_000), 1)]);
+        assert_eq!(w.expire(Time(30_000)), vec![(Time(25_000), 2), (Time(25_000), 3)]);
         assert!(w.is_empty());
     }
 
@@ -188,9 +189,9 @@ mod tests {
         let mut w = TimerWheel::new(Duration::from_micros(10), 8);
         w.schedule(Time(1_000), 1);
         w.schedule(Time(9_000), 2);
-        assert_eq!(w.expire(Time(1_000)), vec![1]);
-        assert_eq!(w.expire(Time(8_999)), Vec::<u64>::new());
-        assert_eq!(w.expire(Time(9_000)), vec![2]);
+        assert_eq!(w.expire(Time(1_000)), vec![(Time(1_000), 1)]);
+        assert_eq!(w.expire(Time(8_999)), Vec::<(Time, u64)>::new());
+        assert_eq!(w.expire(Time(9_000)), vec![(Time(9_000), 2)]);
     }
 
     #[test]
@@ -203,7 +204,7 @@ mod tests {
         for step in 1..10 {
             assert!(w.expire(Time(step * 80_000)).is_empty());
         }
-        assert_eq!(w.expire(Time(1_000_000)), vec![9]);
+        assert_eq!(w.expire(Time(1_000_000)), vec![(Time(1_000_000), 9)]);
         assert_eq!(w.next_due(), None);
     }
 
@@ -212,7 +213,7 @@ mod tests {
         let mut w = TimerWheel::for_driver();
         assert!(w.expire(Time(500_000)).is_empty());
         w.schedule(Time(100), 7); // already in the past
-        assert_eq!(w.expire(Time(500_001)), vec![7]);
+        assert_eq!(w.expire(Time(500_001)), vec![(Time(100), 7)]);
     }
 
     #[test]
@@ -221,8 +222,8 @@ mod tests {
         // Two timers that hash to the same bucket, one rotation apart.
         w.schedule(Time(15_000), 1);
         w.schedule(Time(55_000), 2); // 15 µs + 40 µs (one rotation)
-        assert_eq!(w.expire(Time(15_000)), vec![1]);
-        assert_eq!(w.expire(Time(54_999)), Vec::<u64>::new());
-        assert_eq!(w.expire(Time(55_000)), vec![2]);
+        assert_eq!(w.expire(Time(15_000)), vec![(Time(15_000), 1)]);
+        assert_eq!(w.expire(Time(54_999)), Vec::<(Time, u64)>::new());
+        assert_eq!(w.expire(Time(55_000)), vec![(Time(55_000), 2)]);
     }
 }

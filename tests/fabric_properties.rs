@@ -1,14 +1,21 @@
 //! Backend equivalence: the simulator and the real-socket UDP backend
 //! must produce **byte-identical** application results for the same job.
 //!
-//! These tests open real kernel sockets and spawn one driver thread per
+//! The job tests open real kernel sockets and spawn one driver thread per
 //! plan slot, so they are gated out of the default `cargo test` tier:
 //! set `DAIET_LOOPBACK=1` to run them (CI's `loopback-matrix` job does).
+//! The pacing parity test binds one socket and steps a manual clock on
+//! this thread, so it runs in every tier.
 
 use daiet_repro::daiet::controller::AggregationMode;
-use daiet_repro::fabric::FaultShim;
+use daiet_repro::daiet::worker::PacedSenderNode;
+use daiet_repro::fabric::{
+    Duration, Fabric, FaultShim, Frame, FramePool, ManualClock, Node, NodeDriver, PortId, Time,
+};
 use daiet_repro::mapreduce::{Corpus, CorpusSpec, Runner, ShuffleMode};
+use daiet_repro::netsim::{LinkSpec, Simulator};
 use daiet_repro::querysim::{Aggregate, Query, QueryMode, QueryRunner, Table, TableSpec};
+use std::rc::Rc;
 
 const DEADLINE: std::time::Duration = std::time::Duration::from_secs(120);
 
@@ -117,4 +124,99 @@ fn dropped_flush_frame_is_nack_recovered_over_real_sockets() {
     assert!(udp.all_correct(&runner), "the dropped flush frame was not repaired");
     let nacks: u64 = udp.reducers.iter().map(|r| r.nacks_emitted).sum();
     assert!(nacks > 0, "repair happened without NACKs — shim hit a retransmittable frame?");
+}
+
+/// Wraps a node and logs `now()` at every frame it sends.
+struct Stamped<N> {
+    inner: N,
+    sends: Vec<Time>,
+}
+
+/// The fabric a [`Stamped`] node's inner node sees: the backend's own,
+/// with every send logged.
+struct StampFabric<'a> {
+    inner: &'a mut dyn Fabric,
+    sends: &'a mut Vec<Time>,
+}
+
+impl Fabric for StampFabric<'_> {
+    fn now(&self) -> Time {
+        self.inner.now()
+    }
+    fn send(&mut self, port: PortId, frame: Frame) {
+        self.sends.push(self.inner.now());
+        self.inner.send(port, frame);
+    }
+    fn schedule(&mut self, delay: Duration, token: u64) {
+        self.inner.schedule(delay, token);
+    }
+    fn pool(&self) -> &FramePool {
+        self.inner.pool()
+    }
+    fn port_count(&self) -> usize {
+        self.inner.port_count()
+    }
+}
+
+impl<N: Node> Node for Stamped<N> {
+    fn on_packet(&mut self, ctx: &mut dyn Fabric, port: PortId, frame: Frame) {
+        let mut ctx = StampFabric { inner: ctx, sends: &mut self.sends };
+        self.inner.on_packet(&mut ctx, port, frame);
+    }
+    fn on_timer(&mut self, ctx: &mut dyn Fabric, token: u64) {
+        let mut ctx = StampFabric { inner: ctx, sends: &mut self.sends };
+        self.inner.on_timer(&mut ctx, token);
+    }
+    fn on_start(&mut self, ctx: &mut dyn Fabric) {
+        let mut ctx = StampFabric { inner: ctx, sends: &mut self.sends };
+        self.inner.on_start(&mut ctx);
+    }
+}
+
+struct Sink;
+
+impl Node for Sink {
+    fn on_packet(&mut self, _ctx: &mut dyn Fabric, _port: PortId, _frame: Frame) {}
+}
+
+/// Five frames 30 µs apart: the whole schedule, including the last tick
+/// that finds the queue empty, fits inside one driver poll interval.
+fn parity_sender() -> Stamped<PacedSenderNode> {
+    let frames = (0..5u8).map(|i| Frame::from_slice(&[i; 64])).collect();
+    Stamped {
+        inner: PacedSenderNode::new(frames, Duration::from_micros(30), "parity"),
+        sends: Vec::new(),
+    }
+}
+
+/// A paced sender transmits at the same instants on both backends: on a
+/// driver whose clock jumps past the whole schedule at once, each frame
+/// still goes out at the tick the simulator gives it, not at the late
+/// wakeup.
+#[test]
+fn paced_sender_transmit_instants_match_across_backends() {
+    let mut sim = Simulator::new(1);
+    let sender = sim.add_node(Box::new(parity_sender()));
+    let sink = sim.add_node(Box::new(Sink));
+    sim.connect(sender, sink, LinkSpec::fast());
+    sim.run();
+    let on_sim = sim.node_ref::<Stamped<PacedSenderNode>>(sender).unwrap().sends.clone();
+    assert_eq!(on_sim.len(), 5);
+
+    let peer = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind loopback socket");
+    let mut driver =
+        NodeDriver::bind(Box::new(parity_sender()), "127.0.0.1:0").expect("bind loopback socket");
+    driver.set_peers(vec![peer.local_addr().unwrap()]);
+    let clock = Rc::new(ManualClock::new());
+    driver.set_clock(Box::new(clock.clone()));
+    let step = |d: &mut NodeDriver| d.run(std::time::Duration::ZERO, |_| false);
+    step(&mut driver); // on_start at the epoch
+    clock.set(Time(200_000));
+    for _ in 0..20 {
+        step(&mut driver);
+    }
+    let stamped = driver.node_ref::<Stamped<PacedSenderNode>>().unwrap();
+    assert_eq!(stamped.inner.pending(), 0);
+    assert_eq!(stamped.sends, on_sim);
+    assert_eq!(driver.stats().frames_out, 5);
 }
