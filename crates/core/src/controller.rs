@@ -35,7 +35,7 @@ use crate::switch_agg::{ChildSource, DaietEngine, TreeStateConfig};
 use crate::tree::{AggregationTree, TreeError};
 use daiet_dataplane::pipeline::{ActionSpec, Pipeline};
 use daiet_dataplane::resources::{ResourceError, Resources};
-use daiet_dataplane::table::{Field, KeySpec, MatchValue, Table, TableEntry, TableKind};
+use daiet_dataplane::table::{Field, Table};
 use daiet_dataplane::{ExternId, Switch};
 use daiet_netsim::topology::TopologyPlan;
 use daiet_wire::stack::Endpoints;
@@ -326,8 +326,7 @@ pub(crate) fn new_switch(
         0,
         Table::new(
             format!("daiet_steer[{slot}]"),
-            TableKind::Exact,
-            KeySpec(vec![Field::DaietTreeId]),
+            Field::DaietTreeId,
             steer_capacity.max(1),
             ActionSpec::NoOp,
         ),
@@ -335,13 +334,7 @@ pub(crate) fn new_switch(
     debug_assert_eq!(steer, STEER_TABLE);
     let l2 = pipeline.add_table(
         1,
-        Table::new(
-            format!("l2[{slot}]"),
-            TableKind::Exact,
-            KeySpec(vec![Field::EthDst]),
-            plan.hosts().len().max(1),
-            ActionSpec::Drop,
-        ),
+        Table::new(format!("l2[{slot}]"), Field::EthDst, plan.hosts().len().max(1), ActionSpec::Drop),
     )?;
     debug_assert_eq!(l2, L2_TABLE);
     let mut switch = Switch::new(format!("switch[{slot}]"), pipeline);
@@ -363,11 +356,8 @@ pub(crate) fn fill_l2(
     l2.clear();
     for h in plan.hosts() {
         if let Some(hop) = plan.next_hops_toward_avoiding(h, dead)[slot] {
-            l2.insert(TableEntry {
-                matcher: MatchValue::Exact(daiet_wire::EthernetAddress::from_id(h as u32).0.to_vec()),
-                action: ActionSpec::Forward(hop.port),
-            })
-            .map_err(|e| DeployError::Config(e.to_string()))?;
+            l2.insert(&daiet_wire::EthernetAddress::from_id(h as u32).0, ActionSpec::Forward(hop.port))
+                .map_err(|e| DeployError::Config(e.to_string()))?;
         }
     }
     Ok(())
@@ -437,10 +427,7 @@ pub(crate) fn install_tree(
         switch
             .pipeline_mut()
             .table_mut(STEER_TABLE)
-            .insert(TableEntry {
-                matcher: MatchValue::Exact(tid.to_be_bytes().to_vec()),
-                action: ActionSpec::Invoke { ext, arg: u32::from(tid) },
-            })
+            .insert(&tid.to_be_bytes(), ActionSpec::Invoke { ext, arg: u32::from(tid) })
             .map_err(|e| DeployError::Config(e.to_string()))?;
     }
     Ok(())
@@ -452,7 +439,7 @@ pub(crate) fn install_tree(
 /// what is absent, so this also undoes a partial install; every other
 /// tree on the switch keeps its state.
 pub(crate) fn remove_tree(switch: &mut Switch, ext: ExternId, slot: usize, tree_id: u16) {
-    switch.pipeline_mut().table_mut(STEER_TABLE).remove_exact(&tree_id.to_be_bytes());
+    switch.pipeline_mut().table_mut(STEER_TABLE).remove(&tree_id.to_be_bytes());
     switch
         .extern_mut::<DaietEngine>(ext)
         .expect("switches carry a DaietEngine")

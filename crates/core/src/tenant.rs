@@ -31,7 +31,7 @@
 //!   placements are unchanged.
 //! * **Per-tree teardown, by name.** [`JobScheduler::depart`] removes
 //!   exactly the departing job's steering entries
-//!   ([`Table::remove_exact`]), engine trees
+//!   ([`Table::remove`]), engine trees
 //!   ([`DaietEngine::remove_tree`]) and SRAM reservations, and returns
 //!   its host slots to the pool — neighbor jobs' switch state and
 //!   in-flight recovery are untouched. [`JobScheduler::replan`] re-routes
@@ -48,7 +48,7 @@
 //! fabrics.
 //!
 //! [`SramTracker::free`]: daiet_dataplane::resources::SramTracker::free
-//! [`Table::remove_exact`]: daiet_dataplane::table::Table::remove_exact
+//! [`Table::remove`]: daiet_dataplane::table::Table::remove
 
 // lint:allow-file(layer-netsim): the multi-tenant controller plans over the
 // shared topology and spawns per-job simulator runs; it is harness, not
@@ -526,7 +526,7 @@ impl JobScheduler {
     }
 
     /// Removes `trees` by name from every switch they cross: each tree's
-    /// steering rule ([`Table::remove_exact`] on its id), engine state
+    /// steering rule ([`Table::remove`] on its id), engine state
     /// and SRAM reservations. Every other tree on those switches keeps
     /// its state, so a neighbor mid-round keeps aggregating. Tree ids are
     /// fabric-unique, and removing what was never installed is a no-op,

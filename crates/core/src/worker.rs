@@ -429,12 +429,11 @@ pub struct PacedSenderNode {
     /// called; reset to 1 at each round barrier.
     backoff: u32,
     /// Whether receiving a NACK doubles `backoff` — the DAIET-side
-    /// response to queue-buildup loss (ECN-marked TCP has its own, see
-    /// `daiet-transport`). Off by default: the paper's sender is
-    /// open-loop. The closed-loop sender also *paces* its replays (they
-    /// join the ready queue at the backed-off gap) instead of bursting
-    /// them — a burst into the very queue that just overflowed only
-    /// compounds the loss.
+    /// response to queue-buildup loss. Off by default: the paper's
+    /// sender is open-loop. The closed-loop sender also *paces* its
+    /// replays (they join the ready queue at the backed-off gap) instead
+    /// of bursting them — a burst into the very queue that just
+    /// overflowed only compounds the loss.
     nack_backoff: bool,
     /// Whether a pacing timer is currently in flight, so a paced replay
     /// arriving after the queue ran dry can restart the chain exactly
@@ -1449,8 +1448,8 @@ mod tests {
     fn end_to_end_sender_switch_reducer() {
         use crate::switch_agg::{DaietEngine, TreeStateConfig};
         use daiet_dataplane::pipeline::{ActionSpec, Pipeline};
-        use daiet_dataplane::table::{Field, KeySpec, Table, TableEntry, TableKind};
-        use daiet_dataplane::{MatchValue, Resources, Switch};
+        use daiet_dataplane::table::{Field, Table};
+        use daiet_dataplane::{Resources, Switch};
         use daiet_netsim::{LinkSpec, Simulator};
 
         let config = DaietConfig::default();
@@ -1476,29 +1475,9 @@ mod tests {
 
         let mut pipeline = Pipeline::new(Resources::tofino_like());
         let steer = pipeline
-            .add_table(
-                0,
-                Table::new(
-                    "daiet_steer",
-                    TableKind::Exact,
-                    KeySpec(vec![Field::DaietTreeId]),
-                    16,
-                    ActionSpec::NoOp,
-                ),
-            )
+            .add_table(0, Table::new("daiet_steer", Field::DaietTreeId, 16, ActionSpec::NoOp))
             .unwrap();
-        let l2 = pipeline
-            .add_table(
-                1,
-                Table::new(
-                    "l2",
-                    TableKind::Exact,
-                    KeySpec(vec![Field::EthDst]),
-                    16,
-                    ActionSpec::Drop,
-                ),
-            )
-            .unwrap();
+        let l2 = pipeline.add_table(1, Table::new("l2", Field::EthDst, 16, ActionSpec::Drop)).unwrap();
         let mut sw = Switch::new("tor", pipeline);
         let mut engine = DaietEngine::new(config);
         engine.install_tree(TreeStateConfig {
@@ -1512,17 +1491,11 @@ mod tests {
         let ext = sw.register_extern(Box::new(engine));
         sw.pipeline_mut()
             .table_mut(steer)
-            .insert(TableEntry {
-                matcher: MatchValue::Exact(1u16.to_be_bytes().to_vec()),
-                action: ActionSpec::Invoke { ext, arg: 1 },
-            })
+            .insert(&1u16.to_be_bytes(), ActionSpec::Invoke { ext, arg: 1 })
             .unwrap();
         sw.pipeline_mut()
             .table_mut(l2)
-            .insert(TableEntry {
-                matcher: MatchValue::Exact(daiet_wire::EthernetAddress::from_id(3).0.to_vec()),
-                action: ActionSpec::Forward(PortId(2)),
-            })
+            .insert(&daiet_wire::EthernetAddress::from_id(3).0, ActionSpec::Forward(PortId(2)))
             .unwrap();
 
         let sw_id = sim.add_node(Box::new(sw));

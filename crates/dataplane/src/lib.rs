@@ -21,7 +21,7 @@
 //!   entries than the parser can reach is marked *truncated* and must be
 //!   forwarded unaggregated — this is why the paper caps packets at 10
 //!   pairs);
-//! * [`table`] — exact/LPM/ternary match-action tables populated by flow
+//! * [`table`] — exact-match tables keyed on one field, populated by flow
 //!   rules, as a controller would install them;
 //! * [`pipeline`] — the staged match-action pipeline plus the [`pipeline::SwitchExtern`]
 //!   hook through which bounded stateful programs (like DAIET's Algorithm 1)
@@ -44,4 +44,4 @@ pub use pipeline::{ActionSpec, ExternId, ExternOutput, PacketCtx, Pipeline, Swit
 pub use register::RegisterArray;
 pub use resources::{ResourceError, Resources, SramTracker};
 pub use switch::{Switch, SwitchStats};
-pub use table::{Field, KeySpec, MatchValue, Table, TableEntry, TableKind};
+pub use table::{Field, Table};

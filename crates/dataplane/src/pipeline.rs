@@ -18,9 +18,6 @@ use daiet_fabric::{Duration, Frame, FramePool, PortId, Time};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ExternId(pub usize);
 
-/// Number of 32-bit metadata slots carried with each packet.
-pub const META_SLOTS: usize = 16;
-
 /// Per-packet execution state threaded through the pipeline.
 #[derive(Debug)]
 pub struct PacketCtx {
@@ -28,7 +25,6 @@ pub struct PacketCtx {
     pub in_port: PortId,
     /// Parsed headers plus the original frame.
     pub parsed: ParsedPacket,
-    meta: [u32; META_SLOTS],
     /// Where the (possibly consumed) packet is headed.
     pub egress: Egress,
     /// Operations spent so far on this packet.
@@ -63,7 +59,6 @@ impl PacketCtx {
         PacketCtx {
             in_port,
             parsed,
-            meta: [0; META_SLOTS],
             egress: Egress::Unset,
             ops: 0,
             recircs: 0,
@@ -74,16 +69,6 @@ impl PacketCtx {
     /// Like [`PacketCtx::new`], stamped with the simulated arrival time.
     pub fn at(in_port: PortId, parsed: ParsedPacket, now: Time) -> PacketCtx {
         PacketCtx { now, ..PacketCtx::new(in_port, parsed) }
-    }
-
-    /// Reads metadata slot `slot`.
-    pub fn meta(&self, slot: u8) -> u32 {
-        self.meta[slot as usize % META_SLOTS]
-    }
-
-    /// Writes metadata slot `slot`.
-    pub fn set_meta(&mut self, slot: u8, value: u32) {
-        self.meta[slot as usize % META_SLOTS] = value;
     }
 }
 
@@ -98,13 +83,6 @@ pub enum ActionSpec {
     Forward(PortId),
     /// Forward out all ports except the ingress.
     Flood,
-    /// Write an immediate to a metadata slot.
-    SetMeta {
-        /// Destination slot.
-        slot: u8,
-        /// Immediate value.
-        value: u32,
-    },
     /// Invoke a registered extern with an argument.
     Invoke {
         /// Which extern.
@@ -275,10 +253,6 @@ impl Pipeline {
                         ops += 1;
                         pkt.egress = Egress::Flood;
                     }
-                    ActionSpec::SetMeta { slot, value } => {
-                        ops += 1;
-                        pkt.set_meta(slot, value);
-                    }
                     ActionSpec::Invoke { ext, arg } => {
                         let e = externs
                             .get_mut(ext.0)
@@ -310,33 +284,32 @@ impl Pipeline {
 mod tests {
     use super::*;
     use crate::parser::{parse, ParserConfig};
-    use crate::table::{Field, KeySpec, MatchValue, TableEntry, TableKind};
+    use crate::table::Field;
     use daiet_wire::stack::{build_udp, Endpoints};
 
-    fn udp_pkt(dst: u32, dport: u16) -> PacketCtx {
-        let frame = Frame::from(build_udp(&Endpoints::from_ids(1, dst), 999, dport, b"pp"));
+    fn udp_pkt(dst: u32) -> PacketCtx {
+        let frame = Frame::from(build_udp(&Endpoints::from_ids(1, dst), 999, 50, b"pp"));
         PacketCtx::new(PortId(0), parse(frame, &ParserConfig::default()).unwrap())
     }
 
+    fn mac_key(id: u32) -> Vec<u8> {
+        daiet_wire::EthernetAddress::from_id(id).0.to_vec()
+    }
+
     fn l2_table(capacity: usize) -> Table {
-        Table::new(
-            "l2",
-            TableKind::Exact,
-            KeySpec(vec![Field::EthDst]),
-            capacity,
-            ActionSpec::Flood,
-        )
+        Table::new("l2", Field::EthDst, capacity, ActionSpec::Flood)
     }
 
     struct CountingExtern {
         invocations: u32,
+        last_arg: Option<u32>,
         consume: bool,
     }
 
     impl SwitchExtern for CountingExtern {
-        fn invoke(&mut self, pkt: &mut PacketCtx, arg: u32, pool: &FramePool) -> ExternOutput {
+        fn invoke(&mut self, _: &mut PacketCtx, arg: u32, pool: &FramePool) -> ExternOutput {
             self.invocations += 1;
-            pkt.set_meta(0, arg);
+            self.last_arg = Some(arg);
             ExternOutput {
                 emit: vec![(PortId(5), pool.copy_from_slice(b"emitted"))],
                 consume: self.consume,
@@ -349,13 +322,8 @@ mod tests {
     fn forward_action_sets_egress() {
         let mut p = Pipeline::new(Resources::tiny());
         let h = p.add_table(0, l2_table(8)).unwrap();
-        p.table_mut(h)
-            .insert(TableEntry {
-                matcher: MatchValue::Exact(daiet_wire::EthernetAddress::from_id(2).0.to_vec()),
-                action: ActionSpec::Forward(PortId(4)),
-            })
-            .unwrap();
-        let mut pkt = udp_pkt(2, 50);
+        p.table_mut(h).insert(&mac_key(2), ActionSpec::Forward(PortId(4))).unwrap();
+        let mut pkt = udp_pkt(2);
         let v = p.execute(&mut pkt, &mut [], &FramePool::new());
         assert_eq!(v.egress, Egress::Port(PortId(4)));
         assert!(v.ops >= 2);
@@ -365,7 +333,7 @@ mod tests {
     fn default_action_floods() {
         let mut p = Pipeline::new(Resources::tiny());
         p.add_table(0, l2_table(8)).unwrap();
-        let mut pkt = udp_pkt(9, 50);
+        let mut pkt = udp_pkt(9);
         let v = p.execute(&mut pkt, &mut [], &FramePool::new());
         assert_eq!(v.egress, Egress::Flood);
     }
@@ -373,21 +341,10 @@ mod tests {
     #[test]
     fn drop_short_circuits_later_stages() {
         let mut p = Pipeline::new(Resources::tiny());
-        let h0 = p.add_table(0, Table::new(
-            "acl",
-            TableKind::Exact,
-            KeySpec(vec![Field::L4Dst]),
-            4,
-            ActionSpec::NoOp,
-        )).unwrap();
-        p.table_mut(h0)
-            .insert(TableEntry {
-                matcher: MatchValue::Exact(666u16.to_be_bytes().to_vec()),
-                action: ActionSpec::Drop,
-            })
-            .unwrap();
+        let h0 = p.add_table(0, Table::new("acl", Field::EthDst, 4, ActionSpec::NoOp)).unwrap();
+        p.table_mut(h0).insert(&mac_key(2), ActionSpec::Drop).unwrap();
         let h1 = p.add_table(1, l2_table(8)).unwrap();
-        let mut pkt = udp_pkt(2, 666);
+        let mut pkt = udp_pkt(2);
         let v = p.execute(&mut pkt, &mut [], &FramePool::new());
         assert_eq!(v.egress, Egress::Drop);
         // The stage-1 table never ran.
@@ -397,72 +354,30 @@ mod tests {
     #[test]
     fn extern_invocation_emits_and_consumes() {
         let mut p = Pipeline::new(Resources::tiny());
-        let h = p.add_table(0, Table::new(
-            "steer",
-            TableKind::Exact,
-            KeySpec(vec![Field::L4Dst]),
-            4,
-            ActionSpec::NoOp,
-        )).unwrap();
+        let h = p.add_table(0, Table::new("steer", Field::EthDst, 4, ActionSpec::NoOp)).unwrap();
         p.table_mut(h)
-            .insert(TableEntry {
-                matcher: MatchValue::Exact(42u16.to_be_bytes().to_vec()),
-                action: ActionSpec::Invoke { ext: ExternId(0), arg: 1234 },
-            })
+            .insert(&mac_key(2), ActionSpec::Invoke { ext: ExternId(0), arg: 1234 })
             .unwrap();
         let mut externs: Vec<Box<dyn SwitchExtern>> =
-            vec![Box::new(CountingExtern { invocations: 0, consume: true })];
-        let mut pkt = udp_pkt(2, 42);
+            vec![Box::new(CountingExtern { invocations: 0, last_arg: None, consume: true })];
+        let mut pkt = udp_pkt(2);
         let v = p.execute(&mut pkt, &mut externs, &FramePool::new());
         assert_eq!(v.egress, Egress::Consumed);
         assert_eq!(v.emissions.len(), 1);
         assert_eq!(v.emissions[0].0, PortId(5));
-        assert_eq!(pkt.meta(0), 1234);
-        // 1 lookup + 3 extern ops (+1 lookup by... only one table) = 4.
-        assert_eq!(v.ops, 4);
-    }
-
-    #[test]
-    fn set_meta_threads_between_stages() {
-        let mut p = Pipeline::new(Resources::tiny());
-        let h0 = p.add_table(0, Table::new(
-            "mark",
-            TableKind::Exact,
-            KeySpec(vec![Field::L4Dst]),
-            4,
-            ActionSpec::SetMeta { slot: 2, value: 77 },
-        )).unwrap();
-        let _ = h0;
-        let h1 = p.add_table(1, Table::new(
-            "use",
-            TableKind::Exact,
-            KeySpec(vec![Field::Meta(2)]),
-            4,
-            ActionSpec::Drop,
-        )).unwrap();
-        p.table_mut(h1)
-            .insert(TableEntry {
-                matcher: MatchValue::Exact(77u32.to_be_bytes().to_vec()),
-                action: ActionSpec::Forward(PortId(1)),
-            })
+        let ext = (externs[0].as_ref() as &dyn std::any::Any)
+            .downcast_ref::<CountingExtern>()
             .unwrap();
-        let mut pkt = udp_pkt(2, 1);
-        let v = p.execute(&mut pkt, &mut [], &FramePool::new());
-        assert_eq!(v.egress, Egress::Port(PortId(1)));
+        assert_eq!((ext.invocations, ext.last_arg), (1, Some(1234)));
+        // 1 lookup + 3 extern ops.
+        assert_eq!(v.ops, 4);
     }
 
     #[test]
     fn recirculate_is_reported_not_looped() {
         let mut p = Pipeline::new(Resources::tiny());
-        let h = p.add_table(0, Table::new(
-            "recirc",
-            TableKind::Exact,
-            KeySpec(vec![Field::L4Dst]),
-            4,
-            ActionSpec::Recirculate,
-        )).unwrap();
-        let _ = h;
-        let mut pkt = udp_pkt(2, 5);
+        p.add_table(0, Table::new("recirc", Field::EthDst, 4, ActionSpec::Recirculate)).unwrap();
+        let mut pkt = udp_pkt(2);
         let v = p.execute(&mut pkt, &mut [], &FramePool::new());
         assert!(v.recirculate);
         assert_eq!(v.egress, Egress::Unset);
@@ -483,7 +398,7 @@ mod tests {
         let mut p = Pipeline::new(Resources::tiny());
         p.add_table(0, l2_table(4)).unwrap();
         p.add_table(1, l2_table(4)).unwrap();
-        let mut pkt = udp_pkt(2, 1);
+        let mut pkt = udp_pkt(2);
         p.execute(&mut pkt, &mut [], &FramePool::new());
         // Two lookups, two flood decisions (default action each stage).
         assert_eq!(pkt.ops, 4);
@@ -493,15 +408,9 @@ mod tests {
     #[should_panic(expected = "not registered")]
     fn missing_extern_panics() {
         let mut p = Pipeline::new(Resources::tiny());
-        let h = p.add_table(0, Table::new(
-            "bad",
-            TableKind::Exact,
-            KeySpec(vec![Field::L4Dst]),
-            4,
-            ActionSpec::Invoke { ext: ExternId(3), arg: 0 },
-        )).unwrap();
-        let _ = h;
-        let mut pkt = udp_pkt(2, 5);
+        let invoke = ActionSpec::Invoke { ext: ExternId(3), arg: 0 };
+        p.add_table(0, Table::new("bad", Field::EthDst, 4, invoke)).unwrap();
+        let mut pkt = udp_pkt(2);
         p.execute(&mut pkt, &mut [], &FramePool::new());
     }
 }

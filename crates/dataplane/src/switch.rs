@@ -282,30 +282,16 @@ mod tests {
     use super::*;
     use crate::pipeline::ActionSpec;
     use crate::resources::Resources;
-    use crate::table::{Field, KeySpec, MatchValue, Table, TableEntry, TableKind};
+    use crate::table::{Field, Table};
     use daiet_wire::stack::{build_udp, Endpoints};
 
     fn l2_switch(entries: &[(u32, usize)]) -> Switch {
         let mut pipeline = Pipeline::new(Resources::tofino_like());
-        let h = pipeline
-            .add_table(
-                0,
-                Table::new(
-                    "l2",
-                    TableKind::Exact,
-                    KeySpec(vec![Field::EthDst]),
-                    256,
-                    ActionSpec::Flood,
-                ),
-            )
-            .unwrap();
+        let h = pipeline.add_table(0, Table::new("l2", Field::EthDst, 256, ActionSpec::Flood)).unwrap();
         for &(host, port) in entries {
             pipeline
                 .table_mut(h)
-                .insert(TableEntry {
-                    matcher: MatchValue::Exact(daiet_wire::EthernetAddress::from_id(host).0.to_vec()),
-                    action: ActionSpec::Forward(PortId(port)),
-                })
+                .insert(&daiet_wire::EthernetAddress::from_id(host).0, ActionSpec::Forward(PortId(port)))
                 .unwrap();
         }
         Switch::new("sw0", pipeline)

@@ -1,181 +1,34 @@
-//! Match-action tables and the fields they can match on.
+//! Exact-match tables and the fields they can match on.
 //!
 //! Tables are populated with *flow rules* by a controller ("the controller
 //! defines the aggregation trees … pushing a set of flow rules", §4).
-//! Three match kinds are modeled: exact (hash tables in SRAM), LPM and
-//! ternary (TCAM). Each table declares a fixed capacity up front, which is
-//! what its SRAM reservation is based on — inserting past capacity fails
-//! like a full switch table would.
+//! DAIET's controller programs two such tables, each keyed on one field:
+//! tree id → invoke the aggregation engine, and destination MAC →
+//! forward. Both are exact-match (hash tables in SRAM). Each table
+//! declares a fixed capacity up front, which is what its SRAM reservation
+//! is based on — inserting past capacity fails like a full switch table
+//! would.
 
 use crate::pipeline::{ActionSpec, PacketCtx};
 use daiet_wire::fnv::FnvHashMap;
 
-/// A packet field usable in a match key.
+/// The packet field a table matches on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Field {
-    /// Ingress port (16-bit).
-    InPort,
     /// Destination MAC (48-bit).
     EthDst,
-    /// Source MAC (48-bit).
-    EthSrc,
-    /// EtherType (16-bit).
-    EtherType,
-    /// IPv4 source (32-bit). Absent on non-IP packets.
-    IpSrc,
-    /// IPv4 destination (32-bit).
-    IpDst,
-    /// IPv4 protocol (8-bit).
-    IpProto,
-    /// Transport source port (16-bit, UDP or TCP).
-    L4Src,
-    /// Transport destination port (16-bit, UDP or TCP).
-    L4Dst,
     /// DAIET tree id (16-bit). Absent unless parsed DAIET traffic.
     DaietTreeId,
-    /// DAIET packet type (8-bit).
-    DaietType,
-    /// A metadata slot (32-bit), written by earlier stages.
-    Meta(u8),
 }
 
 impl Field {
     /// Width of the field in bytes within a match key.
     pub fn width(&self) -> usize {
         match self {
-            Field::EthDst | Field::EthSrc => 6,
-            Field::IpSrc | Field::IpDst | Field::Meta(_) => 4,
-            Field::InPort | Field::EtherType | Field::L4Src | Field::L4Dst | Field::DaietTreeId => 2,
-            Field::IpProto | Field::DaietType => 1,
+            Field::EthDst => 6,
+            Field::DaietTreeId => 2,
         }
     }
-
-    /// Extracts the field from a packet context into `out`. Returns false
-    /// if the field is absent (header not parsed), which makes the whole
-    /// key inapplicable — the table misses.
-    fn extract(&self, pkt: &PacketCtx, out: &mut Vec<u8>) -> bool {
-        match self {
-            Field::InPort => out.extend_from_slice(&(pkt.in_port.0 as u16).to_be_bytes()),
-            Field::EthDst => out.extend_from_slice(&pkt.parsed.eth.dst_addr.0),
-            Field::EthSrc => out.extend_from_slice(&pkt.parsed.eth.src_addr.0),
-            Field::EtherType => {
-                out.extend_from_slice(&u16::from(pkt.parsed.eth.ethertype).to_be_bytes());
-            }
-            Field::IpSrc => match &pkt.parsed.ip {
-                Some(ip) => out.extend_from_slice(&ip.src_addr.0),
-                None => return false,
-            },
-            Field::IpDst => match &pkt.parsed.ip {
-                Some(ip) => out.extend_from_slice(&ip.dst_addr.0),
-                None => return false,
-            },
-            Field::IpProto => match &pkt.parsed.ip {
-                Some(ip) => out.push(u8::from(ip.protocol)),
-                None => return false,
-            },
-            Field::L4Src => {
-                if let Some(udp) = &pkt.parsed.udp {
-                    out.extend_from_slice(&udp.src_port.to_be_bytes());
-                } else if let Some(tcp) = &pkt.parsed.tcp {
-                    out.extend_from_slice(&tcp.src_port.to_be_bytes());
-                } else {
-                    return false;
-                }
-            }
-            Field::L4Dst => {
-                if let Some(udp) = &pkt.parsed.udp {
-                    out.extend_from_slice(&udp.dst_port.to_be_bytes());
-                } else if let Some(tcp) = &pkt.parsed.tcp {
-                    out.extend_from_slice(&tcp.dst_port.to_be_bytes());
-                } else {
-                    return false;
-                }
-            }
-            Field::DaietTreeId => match &pkt.parsed.daiet {
-                Some(d) => out.extend_from_slice(&d.tree_id.to_be_bytes()),
-                None => return false,
-            },
-            Field::DaietType => match &pkt.parsed.daiet {
-                Some(d) => out.push(u8::from(d.packet_type)),
-                None => return false,
-            },
-            Field::Meta(slot) => out.extend_from_slice(&pkt.meta(*slot).to_be_bytes()),
-        }
-        true
-    }
-}
-
-/// An ordered list of fields forming a match key.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KeySpec(pub Vec<Field>);
-
-impl KeySpec {
-    /// Total key width in bytes.
-    pub fn width(&self) -> usize {
-        self.0.iter().map(Field::width).sum()
-    }
-
-    /// Builds the key for `pkt`; `None` when any field is absent.
-    pub fn extract(&self, pkt: &PacketCtx) -> Option<Vec<u8>> {
-        let mut key = Vec::with_capacity(self.width());
-        self.extract_into(pkt, &mut key).then_some(key)
-    }
-
-    /// Builds the key for `pkt` into `key` (cleared first); returns
-    /// `false` when any field is absent. The allocation-free form
-    /// [`Table::lookup`] drives with a per-table scratch buffer.
-    pub fn extract_into(&self, pkt: &PacketCtx, key: &mut Vec<u8>) -> bool {
-        key.clear();
-        for f in &self.0 {
-            if !f.extract(pkt, key) {
-                return false;
-            }
-        }
-        true
-    }
-}
-
-/// The matching discipline of a table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TableKind {
-    /// Exact match (SRAM hash table).
-    Exact,
-    /// Longest-prefix match (for IP routing).
-    Lpm,
-    /// Ternary match with masks and priorities (TCAM).
-    Ternary,
-}
-
-/// A rule's match side.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MatchValue {
-    /// Full-key equality.
-    Exact(Vec<u8>),
-    /// Match the first `prefix_len` bits.
-    Lpm {
-        /// Key bytes (only the prefix bits are significant).
-        prefix: Vec<u8>,
-        /// Prefix length in bits.
-        prefix_len: u16,
-    },
-    /// `key & mask == value & mask`; highest `priority` wins.
-    Ternary {
-        /// Value bytes.
-        value: Vec<u8>,
-        /// Mask bytes (1 = significant bit).
-        mask: Vec<u8>,
-        /// Priority; larger wins.
-        priority: i32,
-    },
-}
-
-/// A flow rule: match plus action.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TableEntry {
-    /// The match side.
-    pub matcher: MatchValue,
-    /// The action executed on a hit.
-    pub action: ActionSpec,
 }
 
 /// Errors installing flow rules.
@@ -183,35 +36,31 @@ pub struct TableEntry {
 pub enum TableError {
     /// The table's declared capacity is exhausted.
     Full,
-    /// The entry's match kind or width does not fit this table.
-    KindMismatch,
+    /// The key's width is not the width of the table's field.
+    KeyWidth,
 }
 
 impl core::fmt::Display for TableError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             TableError::Full => write!(f, "table full"),
-            TableError::KindMismatch => write!(f, "entry does not match table kind/width"),
+            TableError::KeyWidth => write!(f, "key width does not match the table's field"),
         }
     }
 }
 
 impl std::error::Error for TableError {}
 
-/// A match-action table.
+/// An exact-match table keyed on one [`Field`].
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
-    kind: TableKind,
-    key: KeySpec,
+    field: Field,
     capacity: usize,
-    exact: FnvHashMap<Vec<u8>, ActionSpec>,
-    ordered: Vec<TableEntry>, // LPM (sorted by prefix_len desc) / ternary (by priority desc)
+    entries: FnvHashMap<Vec<u8>, ActionSpec>,
     default_action: ActionSpec,
     hits: u64,
     misses: u64,
-    /// Reused key-extraction buffer (lookups allocate nothing).
-    scratch: Vec<u8>,
 }
 
 impl Table {
@@ -219,22 +68,18 @@ impl Table {
     /// the SRAM reservation ([`Table::sram_bytes`]).
     pub fn new(
         name: impl Into<String>,
-        kind: TableKind,
-        key: KeySpec,
+        field: Field,
         capacity: usize,
         default_action: ActionSpec,
     ) -> Table {
         Table {
             name: name.into(),
-            kind,
-            key,
+            field,
             capacity,
-            exact: FnvHashMap::default(),
-            ordered: Vec::new(),
+            entries: FnvHashMap::default(),
             default_action,
             hits: 0,
             misses: 0,
-            scratch: Vec::new(),
         }
     }
 
@@ -243,14 +88,9 @@ impl Table {
         &self.name
     }
 
-    /// The key specification.
-    pub fn key_spec(&self) -> &KeySpec {
-        &self.key
-    }
-
     /// Installed entry count.
     pub fn len(&self) -> usize {
-        self.exact.len() + self.ordered.len()
+        self.entries.len()
     }
 
     /// True when no rules are installed.
@@ -261,7 +101,7 @@ impl Table {
     /// SRAM charged for this table: capacity × (key width + 8 bytes of
     /// action data), a conventional approximation of match-entry overhead.
     pub fn sram_bytes(&self) -> usize {
-        self.capacity * (self.key.width() + 8)
+        self.capacity * (self.field.width() + 8)
     }
 
     /// Lookup statistics `(hits, misses)`.
@@ -269,92 +109,49 @@ impl Table {
         (self.hits, self.misses)
     }
 
-    /// Installs a flow rule.
-    pub fn insert(&mut self, entry: TableEntry) -> Result<(), TableError> {
+    /// Installs the flow rule `key` → `action`. `key` is the field's
+    /// big-endian bytes.
+    pub fn insert(&mut self, key: &[u8], action: ActionSpec) -> Result<(), TableError> {
         if self.len() >= self.capacity {
             return Err(TableError::Full);
         }
-        match (&self.kind, &entry.matcher) {
-            (TableKind::Exact, MatchValue::Exact(k)) => {
-                if k.len() != self.key.width() {
-                    return Err(TableError::KindMismatch);
-                }
-                self.exact.insert(k.clone(), entry.action);
-            }
-            (TableKind::Lpm, MatchValue::Lpm { prefix, prefix_len }) => {
-                if prefix.len() != self.key.width() || *prefix_len as usize > prefix.len() * 8 {
-                    return Err(TableError::KindMismatch);
-                }
-                self.ordered.push(entry);
-                self.ordered.sort_by_key(|e| match &e.matcher {
-                    MatchValue::Lpm { prefix_len, .. } => core::cmp::Reverse(*prefix_len),
-                    _ => core::cmp::Reverse(0),
-                });
-            }
-            (TableKind::Ternary, MatchValue::Ternary { value, mask, .. }) => {
-                if value.len() != self.key.width() || mask.len() != self.key.width() {
-                    return Err(TableError::KindMismatch);
-                }
-                self.ordered.push(entry);
-                self.ordered.sort_by_key(|e| match &e.matcher {
-                    MatchValue::Ternary { priority, .. } => core::cmp::Reverse(*priority),
-                    _ => core::cmp::Reverse(i32::MIN),
-                });
-            }
-            _ => return Err(TableError::KindMismatch),
+        if key.len() != self.field.width() {
+            return Err(TableError::KeyWidth);
         }
+        self.entries.insert(key.to_vec(), action);
         Ok(())
     }
 
     /// Removes all rules (controller reconfiguration between jobs).
     pub fn clear(&mut self) {
-        self.exact.clear();
-        self.ordered.clear();
+        self.entries.clear();
     }
 
-    /// Removes the exact-match rule for `key`, returning whether one was
-    /// installed. Per-entry removal is what lets a multi-tenant
-    /// controller retire one departing job's steering rules while its
-    /// neighbors' rules keep matching (contrast [`clear`](Self::clear),
-    /// the wholesale between-jobs form). Exact tables only; LPM/ternary
-    /// rule sets are rebuilt wholesale.
-    pub fn remove_exact(&mut self, key: &[u8]) -> bool {
-        self.exact.remove(key).is_some()
+    /// Removes the rule for `key`, returning whether one was installed.
+    /// Per-entry removal is what lets a multi-tenant controller retire
+    /// one departing job's steering rules while its neighbors' rules keep
+    /// matching (contrast [`clear`](Self::clear), the wholesale
+    /// between-jobs form).
+    pub fn remove(&mut self, key: &[u8]) -> bool {
+        self.entries.remove(key).is_some()
     }
 
     /// Looks up `pkt`, returning the winning action (the default on miss
-    /// or when the key is inapplicable).
+    /// or when the field is absent from the packet).
     pub fn lookup(&mut self, pkt: &PacketCtx) -> ActionSpec {
-        let mut key = std::mem::take(&mut self.scratch);
-        if !self.key.extract_into(pkt, &mut key) {
-            self.scratch = key;
-            self.misses += 1;
-            return self.default_action.clone();
-        }
-        let action = match self.kind {
-            TableKind::Exact => self.exact.get(key.as_slice()).cloned(),
-            TableKind::Lpm => self
-                .ordered
-                .iter()
-                .find(|e| match &e.matcher {
-                    MatchValue::Lpm { prefix, prefix_len } => prefix_matches(&key, prefix, *prefix_len),
-                    _ => false,
-                })
-                .map(|e| e.action.clone()),
-            TableKind::Ternary => self
-                .ordered
-                .iter()
-                .find(|e| match &e.matcher {
-                    MatchValue::Ternary { value, mask, .. } => ternary_matches(&key, value, mask),
-                    _ => false,
-                })
-                .map(|e| e.action.clone()),
+        let tree_id;
+        let key: Option<&[u8]> = match (self.field, &pkt.parsed.daiet) {
+            (Field::EthDst, _) => Some(&pkt.parsed.eth.dst_addr.0),
+            (Field::DaietTreeId, Some(d)) => {
+                tree_id = d.tree_id.to_be_bytes();
+                Some(&tree_id)
+            }
+            (Field::DaietTreeId, None) => None,
         };
-        self.scratch = key;
-        match action {
+        match key.and_then(|k| self.entries.get(k)) {
             Some(a) => {
                 self.hits += 1;
-                a
+                a.clone()
             }
             None => {
                 self.misses += 1;
@@ -362,33 +159,6 @@ impl Table {
             }
         }
     }
-}
-
-fn prefix_matches(key: &[u8], prefix: &[u8], prefix_len: u16) -> bool {
-    let full = prefix_len as usize / 8;
-    let rem = prefix_len as usize % 8;
-    if key.len() < full || prefix.len() < full {
-        return false;
-    }
-    if key[..full] != prefix[..full] {
-        return false;
-    }
-    if rem == 0 {
-        return true;
-    }
-    if key.len() <= full || prefix.len() <= full {
-        return false;
-    }
-    let mask = 0xFFu8 << (8 - rem);
-    key[full] & mask == prefix[full] & mask
-}
-
-fn ternary_matches(key: &[u8], value: &[u8], mask: &[u8]) -> bool {
-    key.len() == value.len()
-        && key
-            .iter()
-            .zip(value.iter().zip(mask.iter()))
-            .all(|(k, (v, m))| k & m == v & m)
 }
 
 #[cfg(test)]
@@ -400,8 +170,8 @@ mod tests {
     use daiet_fabric::PortId;
     use daiet_wire::stack::{build_udp, Endpoints};
 
-    fn pkt(src: u32, dst: u32, sport: u16, dport: u16) -> PacketCtx {
-        let frame = Frame::from(build_udp(&Endpoints::from_ids(src, dst), sport, dport, b"x"));
+    fn pkt(dst: u32) -> PacketCtx {
+        let frame = Frame::from(build_udp(&Endpoints::from_ids(1, dst), 100, 200, b"x"));
         let parsed = parse(frame, &ParserConfig::default()).unwrap();
         PacketCtx::new(PortId(3), parsed)
     }
@@ -412,174 +182,53 @@ mod tests {
 
     #[test]
     fn exact_match_hits_and_misses() {
-        let mut t = Table::new(
-            "l2",
-            TableKind::Exact,
-            KeySpec(vec![Field::EthDst]),
-            16,
-            ActionSpec::Drop,
-        );
-        t.insert(TableEntry {
-            matcher: MatchValue::Exact(mac_key(2)),
-            action: ActionSpec::Forward(PortId(7)),
-        })
-        .unwrap();
+        let mut t = Table::new("l2", Field::EthDst, 16, ActionSpec::Drop);
+        t.insert(&mac_key(2), ActionSpec::Forward(PortId(7))).unwrap();
 
-        let p = pkt(1, 2, 100, 200);
+        let p = pkt(2);
         assert_eq!(t.lookup(&p), ActionSpec::Forward(PortId(7)));
-        let p = pkt(1, 3, 100, 200);
+        let p = pkt(3);
         assert_eq!(t.lookup(&p), ActionSpec::Drop);
         assert_eq!(t.stats(), (1, 1));
     }
 
     #[test]
     fn capacity_is_enforced() {
-        let mut t = Table::new(
-            "small",
-            TableKind::Exact,
-            KeySpec(vec![Field::IpProto]),
-            1,
-            ActionSpec::Drop,
-        );
-        t.insert(TableEntry {
-            matcher: MatchValue::Exact(vec![17]),
-            action: ActionSpec::NoOp,
-        })
-        .unwrap();
-        let err = t
-            .insert(TableEntry {
-                matcher: MatchValue::Exact(vec![6]),
-                action: ActionSpec::NoOp,
-            })
-            .unwrap_err();
+        let mut t = Table::new("small", Field::EthDst, 1, ActionSpec::Drop);
+        t.insert(&mac_key(2), ActionSpec::NoOp).unwrap();
+        let err = t.insert(&mac_key(3), ActionSpec::NoOp).unwrap_err();
         assert_eq!(err, TableError::Full);
     }
 
     #[test]
     fn key_width_is_checked() {
-        let mut t = Table::new(
-            "l2",
-            TableKind::Exact,
-            KeySpec(vec![Field::EthDst]),
-            4,
-            ActionSpec::Drop,
-        );
-        let err = t
-            .insert(TableEntry {
-                matcher: MatchValue::Exact(vec![1, 2]),
-                action: ActionSpec::NoOp,
-            })
-            .unwrap_err();
-        assert_eq!(err, TableError::KindMismatch);
-    }
-
-    #[test]
-    fn lpm_prefers_longest_prefix() {
-        let mut t = Table::new(
-            "routes",
-            TableKind::Lpm,
-            KeySpec(vec![Field::IpDst]),
-            8,
-            ActionSpec::Drop,
-        );
-        // 10.0.0.0/8 -> port 1; 10.0.0.2/32 -> port 2.
-        t.insert(TableEntry {
-            matcher: MatchValue::Lpm { prefix: vec![10, 0, 0, 0], prefix_len: 8 },
-            action: ActionSpec::Forward(PortId(1)),
-        })
-        .unwrap();
-        t.insert(TableEntry {
-            matcher: MatchValue::Lpm { prefix: vec![10, 0, 0, 2], prefix_len: 32 },
-            action: ActionSpec::Forward(PortId(2)),
-        })
-        .unwrap();
-
-        let p = pkt(1, 2, 1, 1); // dst ip 10.0.0.2
-        assert_eq!(t.lookup(&p), ActionSpec::Forward(PortId(2)));
-        let p = pkt(1, 9, 1, 1); // dst ip 10.0.0.9 -> /8 route
-        assert_eq!(t.lookup(&p), ActionSpec::Forward(PortId(1)));
-    }
-
-    #[test]
-    fn lpm_partial_byte_prefixes() {
-        assert!(prefix_matches(&[0b1010_1010], &[0b1010_0000], 4));
-        assert!(!prefix_matches(&[0b1010_1010], &[0b0101_0000], 4));
-        assert!(prefix_matches(&[1, 2, 3], &[1, 2, 9], 16));
-        assert!(prefix_matches(&[0xFF], &[0xFE], 7));
-        assert!(!prefix_matches(&[0xFF], &[0xFE], 8));
-    }
-
-    #[test]
-    fn ternary_respects_priority() {
-        let mut t = Table::new(
-            "acl",
-            TableKind::Ternary,
-            KeySpec(vec![Field::L4Dst]),
-            8,
-            ActionSpec::NoOp,
-        );
-        // Low priority: match anything, drop.
-        t.insert(TableEntry {
-            matcher: MatchValue::Ternary { value: vec![0, 0], mask: vec![0, 0], priority: 1 },
-            action: ActionSpec::Drop,
-        })
-        .unwrap();
-        // High priority: dst port 200 forwards.
-        t.insert(TableEntry {
-            matcher: MatchValue::Ternary {
-                value: 200u16.to_be_bytes().to_vec(),
-                mask: vec![0xff, 0xff],
-                priority: 10,
-            },
-            action: ActionSpec::Forward(PortId(0)),
-        })
-        .unwrap();
-
-        let p = pkt(1, 2, 9, 200);
-        assert_eq!(t.lookup(&p), ActionSpec::Forward(PortId(0)));
-        let p = pkt(1, 2, 9, 201);
-        assert_eq!(t.lookup(&p), ActionSpec::Drop);
+        for (field, key) in [(Field::EthDst, vec![1, 2]), (Field::DaietTreeId, mac_key(2))] {
+            let mut t = Table::new("t", field, 4, ActionSpec::Drop);
+            assert_eq!(t.insert(&key, ActionSpec::NoOp).unwrap_err(), TableError::KeyWidth);
+            assert!(t.is_empty());
+        }
     }
 
     #[test]
     fn missing_field_uses_default() {
         // DaietTreeId is absent on plain UDP packets.
-        let mut t = Table::new(
-            "daiet",
-            TableKind::Exact,
-            KeySpec(vec![Field::DaietTreeId]),
-            4,
-            ActionSpec::Forward(PortId(9)),
-        );
-        let p = pkt(1, 2, 5, 6);
+        let mut t = Table::new("daiet", Field::DaietTreeId, 4, ActionSpec::Forward(PortId(9)));
+        let p = pkt(2);
         assert_eq!(t.lookup(&p), ActionSpec::Forward(PortId(9)));
         assert_eq!(t.stats(), (0, 1));
     }
 
     #[test]
     fn sram_accounting_uses_capacity() {
-        let t = Table::new(
-            "l2",
-            TableKind::Exact,
-            KeySpec(vec![Field::EthDst]),
-            1024,
-            ActionSpec::Drop,
-        );
+        let t = Table::new("l2", Field::EthDst, 1024, ActionSpec::Drop);
         assert_eq!(t.sram_bytes(), 1024 * (6 + 8));
         assert!(t.is_empty());
     }
 
     #[test]
     fn clear_empties_table() {
-        let mut t = Table::new(
-            "l2",
-            TableKind::Exact,
-            KeySpec(vec![Field::IpProto]),
-            4,
-            ActionSpec::Drop,
-        );
-        t.insert(TableEntry { matcher: MatchValue::Exact(vec![17]), action: ActionSpec::NoOp })
-            .unwrap();
+        let mut t = Table::new("l2", Field::EthDst, 4, ActionSpec::Drop);
+        t.insert(&mac_key(2), ActionSpec::NoOp).unwrap();
         assert_eq!(t.len(), 1);
         t.clear();
         assert!(t.is_empty());

@@ -34,7 +34,7 @@ use daiet_dataplane::Resources;
 use daiet_fabric::{DriverStats, ExitReason, FaultShim};
 use daiet_netsim::topology::{Role, TopologyPlan};
 use daiet_netsim::{FramePool, LinkSpec, NodeId, SimDuration, SimTime, Simulator};
-use daiet_transport::tcp::{BulkSenderNode, SinkReceiverNode, TcpConfig};
+use daiet_transport::tcp::{BulkSenderNode, SinkReceiverNode};
 use daiet_wire::daiet::Key;
 use daiet_wire::fnv::FnvHashMap;
 
@@ -204,7 +204,6 @@ impl Runner {
 
         let mut sim = self.make_sim();
         let mut ids: Vec<NodeId> = Vec::with_capacity(plan.len());
-        let tcp_cfg = TcpConfig::default();
 
         for slot in 0..plan.len() {
             let id = match plan.role(slot) {
@@ -224,9 +223,9 @@ impl Runner {
                                 )
                             })
                             .collect();
-                        sim.add_node(Box::new(BulkSenderNode::new(slot as u32, tcp_cfg, jobs)))
+                        sim.add_node(Box::new(BulkSenderNode::new(slot as u32, jobs)))
                     } else {
-                        sim.add_node(Box::new(SinkReceiverNode::new(slot as u32, tcp_cfg, SHUFFLE_PORT)))
+                        sim.add_node(Box::new(SinkReceiverNode::new(slot as u32, SHUFFLE_PORT)))
                     }
                 }
                 Role::Switch => sim.add_node(Box::new(

@@ -36,13 +36,6 @@ pub struct LinkSpec {
     /// Egress queue capacity per direction, in bytes (excluding the frame
     /// currently being serialized).
     pub queue_bytes: usize,
-    /// ECN marking threshold per direction, in queued bytes; 0 disables
-    /// marking. When a frame is admitted to an egress queue already
-    /// holding more than this many bytes, its IPv4 ECN field is set to CE
-    /// (Congestion Experienced) and the header checksum is fixed up —
-    /// the RED/ECN-style signal a real switch emits on buildup, letting
-    /// senders back off before the drop-tail limit bites.
-    pub ecn_threshold_bytes: usize,
     /// Fault injection profile.
     pub faults: FaultProfile,
 }
@@ -54,7 +47,6 @@ impl LinkSpec {
             bandwidth_bps: 10_000_000_000,
             latency: SimDuration::from_micros(1),
             queue_bytes: 512 * 1024,
-            ecn_threshold_bytes: 0,
             faults: FaultProfile::NONE,
         }
     }
@@ -65,7 +57,6 @@ impl LinkSpec {
             bandwidth_bps: 1_000_000_000,
             latency: SimDuration::from_micros(5),
             queue_bytes: 256 * 1024,
-            ecn_threshold_bytes: 0,
             faults: FaultProfile::NONE,
         }
     }
@@ -81,40 +72,6 @@ impl LinkSpec {
         self.queue_bytes = bytes;
         self
     }
-
-    /// Enables ECN: frames admitted to an egress queue holding more than
-    /// `bytes` are CE-marked (see [`LinkSpec::ecn_threshold_bytes`]).
-    pub fn with_ecn_threshold(mut self, bytes: usize) -> LinkSpec {
-        self.ecn_threshold_bytes = bytes;
-        self
-    }
-}
-
-/// Sets the ECN field of an IPv4 frame to CE (0b11) and repairs the
-/// header checksum in place; returns `false` (untouched) for anything
-/// that is not a standard 20-byte-header IPv4 frame. Self-contained
-/// (netsim does not depend on the wire crate): Ethernet header is 14
-/// bytes, the DSCP/ECN byte sits at offset 15, the header checksum at
-/// 24..26, and the stack only ever emits IHL=5 headers (version byte
-/// 0x45), so a full RFC 1071 recompute over the fixed 20 bytes is cheap
-/// and exact.
-fn ecn_mark_ce(frame: &mut [u8]) -> bool {
-    if frame.len() < 34 || frame[12] != 0x08 || frame[13] != 0x00 || frame[14] != 0x45 {
-        return false;
-    }
-    frame[15] |= 0b11;
-    frame[24] = 0;
-    frame[25] = 0;
-    let mut sum = 0u32;
-    for i in (14..34).step_by(2) {
-        sum += u32::from(u16::from_be_bytes([frame[i], frame[i + 1]]));
-    }
-    while sum >> 16 != 0 {
-        sum = (sum & 0xFFFF) + (sum >> 16);
-    }
-    let ck = !(sum as u16);
-    frame[24..26].copy_from_slice(&ck.to_be_bytes());
-    true
 }
 
 /// Per-frame fault probabilities (applied independently, in the order
@@ -474,12 +431,6 @@ impl PortTable {
             return;
         }
 
-        // ECN admission check: like the drop-tail check above, a pure
-        // function of transmitter state, so marking is deterministic.
-        let do_mark = spec.ecn_threshold_bytes > 0
-            && start > now
-            && dir.queued_bytes + len > spec.ecn_threshold_bytes;
-
         // Serialization: the transmitter processes frames FIFO. Queue
         // space is released when serialization starts (the TxDone event).
         let tx_time = SimDuration::for_bytes(len, spec.bandwidth_bps);
@@ -490,24 +441,10 @@ impl PortTable {
         let departure = start + tx_time;
         dir.busy_until = departure;
 
-        // CE marking happens before corruption so an injected bit flip
-        // can never be "repaired" by the marking checksum fix-up.
-        let mut deliver_frame = frame;
-        if do_mark {
-            if deliver_frame.try_mut().is_none() {
-                deliver_frame = net.pool.copy_from_slice(&deliver_frame);
-            }
-            // lint:allow(panic-hotpath): the branch above just replaced any shared frame
-            // with a fresh pool copy, so exclusive access is guaranteed here.
-            let owned = deliver_frame.try_mut().expect("fresh pool copy is unshared");
-            if ecn_mark_ce(owned) {
-                net.stats.link_ecn_mark(idx, dir_idx);
-            }
-        }
-
         // Corruption: flip one bit; receiver-side checksums detect it.
         // A frame still shared with its sender is copied through the pool
         // first; an exclusively owned one is flipped in place.
+        let mut deliver_frame = frame;
         if do_corrupt {
             if deliver_frame.try_mut().is_none() {
                 deliver_frame = net.pool.copy_from_slice(&deliver_frame);
@@ -613,7 +550,6 @@ mod tests {
             bandwidth_bps: 8_000_000_000, // 1 byte per ns
             latency: SimDuration::from_nanos(100),
             queue_bytes: 1 << 20,
-            ecn_threshold_bytes: 0,
             faults: FaultProfile::NONE,
         };
         fx.ports.connect(NodeId(0), NodeId(1), spec);
@@ -639,7 +575,6 @@ mod tests {
             bandwidth_bps: 8_000, // 1 byte per ms: transmitter stays busy
             latency: SimDuration::ZERO,
             queue_bytes: 1500,
-            ecn_threshold_bytes: 0,
             faults: FaultProfile::NONE,
         };
         fx.ports.connect(NodeId(0), NodeId(1), spec);
@@ -661,7 +596,6 @@ mod tests {
             bandwidth_bps: 8_000_000,
             latency: SimDuration::ZERO,
             queue_bytes: 1000,
-            ecn_threshold_bytes: 0,
             faults: FaultProfile::NONE,
         };
         fx.ports.connect(NodeId(0), NodeId(1), spec);
@@ -877,88 +811,5 @@ mod tests {
     fn sending_on_unconnected_port_panics() {
         let mut fx = fixture();
         fx.tx(NodeId(0), PortId(0), Frame::new(), SimTime::ZERO);
-    }
-
-    /// A minimal valid IPv4-over-Ethernet frame (IHL=5, correct header
-    /// checksum) whose IP total length is `20 + payload_len`.
-    fn ipv4_frame(payload_len: usize) -> Frame {
-        let mut b = vec![0u8; 14 + 20 + payload_len];
-        b[12] = 0x08; // ethertype IPv4
-        b[14] = 0x45; // version 4, IHL 5
-        b[16..18].copy_from_slice(&((20 + payload_len) as u16).to_be_bytes());
-        b[22] = 64; // TTL
-        b[23] = 17; // UDP
-        let ck = !fold_header(&b);
-        b[24..26].copy_from_slice(&ck.to_be_bytes());
-        Frame::from(b)
-    }
-
-    /// RFC 1071 fold over the 20 IPv4 header bytes.
-    fn fold_header(frame: &[u8]) -> u16 {
-        let mut sum = 0u32;
-        for i in (14..34).step_by(2) {
-            sum += u32::from(u16::from_be_bytes([frame[i], frame[i + 1]]));
-        }
-        while sum >> 16 != 0 {
-            sum = (sum & 0xFFFF) + (sum >> 16);
-        }
-        sum as u16
-    }
-
-    #[test]
-    fn ecn_marks_on_queue_buildup_and_repairs_the_checksum() {
-        let mut fx = fixture();
-        let spec = LinkSpec {
-            bandwidth_bps: 8_000, // 1 byte per ms: transmitter saturates
-            latency: SimDuration::ZERO,
-            queue_bytes: 1 << 20,
-            ecn_threshold_bytes: 100,
-            faults: FaultProfile::NONE,
-        };
-        fx.ports.connect(NodeId(0), NodeId(1), spec);
-        for _ in 0..4 {
-            fx.tx(NodeId(0), PortId(0), ipv4_frame(66), SimTime::ZERO); // 100 wire bytes
-        }
-        // Frame 0 serializes immediately (no queue); frame 1 queues exactly
-        // 100 bytes (not > threshold); frames 2 and 3 exceed it.
-        assert_eq!(fx.stats.link(0).dirs[0].ecn_marked, 2);
-        let frames: Vec<Frame> = std::iter::from_fn(|| fx.queue.pop())
-            .filter_map(|e| match e.kind {
-                EventKind::Deliver { frame, .. } => Some(frame),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(frames.len(), 4);
-        for (i, f) in frames.iter().enumerate() {
-            let marked = f[15] & 0b11 == 0b11;
-            assert_eq!(marked, i >= 2, "frame {i} marking");
-            // The header checksum must verify whether marked or not.
-            assert_eq!(fold_header(f), 0xFFFF, "frame {i} checksum broken");
-        }
-    }
-
-    #[test]
-    fn ecn_ignores_non_ipv4_frames() {
-        let mut fx = fixture();
-        let spec = LinkSpec {
-            bandwidth_bps: 8_000,
-            latency: SimDuration::ZERO,
-            queue_bytes: 1 << 20,
-            ecn_threshold_bytes: 10,
-            faults: FaultProfile::NONE,
-        };
-        fx.ports.connect(NodeId(0), NodeId(1), spec);
-        let raw = Frame::from(vec![0xEEu8; 64]); // no IPv4 ethertype
-        for _ in 0..4 {
-            fx.tx(NodeId(0), PortId(0), raw.clone(), SimTime::ZERO);
-        }
-        assert_eq!(fx.stats.link(0).dirs[0].ecn_marked, 0);
-        let delivered: Vec<Frame> = std::iter::from_fn(|| fx.queue.pop())
-            .filter_map(|e| match e.kind {
-                EventKind::Deliver { frame, .. } => Some(frame),
-                _ => None,
-            })
-            .collect();
-        assert!(delivered.iter().all(|f| f[..] == raw[..]), "bytes must be untouched");
     }
 }

@@ -22,9 +22,6 @@ pub struct DirStats {
     /// Frames delayed past their natural arrival (reordered) by fault
     /// injection.
     pub reordered: u64,
-    /// Frames CE-marked by ECN on queue buildup (see
-    /// [`LinkSpec::with_ecn_threshold`](crate::LinkSpec::with_ecn_threshold)).
-    pub ecn_marked: u64,
 }
 
 /// Both directions of one link (0 = a→b, 1 = b→a in connect order).
@@ -75,7 +72,7 @@ impl DirStats {
     pub fn delta(&self, earlier: &DirStats) -> DirStats {
         delta_fields!(
             self, earlier, tx_frames, tx_bytes, drops_overflow, drops_fault, corrupted,
-            duplicated, reordered, ecn_marked
+            duplicated, reordered
         )
     }
 }
@@ -144,11 +141,6 @@ impl StatsSnapshot {
     /// and direction.
     pub fn overflow_drops(&self) -> u64 {
         self.links.iter().flat_map(|l| l.dirs).map(|d| d.drops_overflow).sum()
-    }
-
-    /// Frames CE-marked by ECN, summed over every link and direction.
-    pub fn ecn_marks(&self) -> u64 {
-        self.links.iter().flat_map(|l| l.dirs).map(|d| d.ecn_marked).sum()
     }
 
     /// Frames discarded at dead (scripted-down) nodes, summed over every
@@ -235,10 +227,6 @@ impl StatsTable {
 
     pub(crate) fn link_reorder(&mut self, idx: usize, dir: usize) {
         self.link_mut(idx).dirs[dir].reordered += 1;
-    }
-
-    pub(crate) fn link_ecn_mark(&mut self, idx: usize, dir: usize) {
-        self.link_mut(idx).dirs[dir].ecn_marked += 1;
     }
 
     pub(crate) fn node_dead_drop(&mut self, node: NodeId) {

@@ -44,7 +44,7 @@ use daiet_netsim::{
     Fabric, FaultProfile, Frame, LinkSpec, Node, NodeId, NodeStats, PortId,
     SimDuration, SimTime, Simulator,
 };
-use daiet_transport::tcp::{BulkSenderNode, SinkReceiverNode, TcpConfig};
+use daiet_transport::tcp::{BulkSenderNode, SinkReceiverNode};
 use std::any::Any;
 use std::collections::BTreeMap;
 
@@ -388,24 +388,16 @@ impl QueryRunner {
             .expect("deployment fits");
 
         let mut sim = self.make_sim();
-        let tcp_cfg = TcpConfig::default();
         let mut ids: Vec<NodeId> = Vec::with_capacity(plan.len());
         for slot in 0..plan.len() {
             let id = match plan.role(slot) {
                 Role::Host if slot != coord => {
                     let w = workers.iter().position(|&s| s == slot).expect("worker slot");
                     let payload = encode_partials(&self.plan.worker_partials(&self.table.shards[w]));
-                    sim.add_node(Box::new(BulkSenderNode::new(
-                        slot as u32,
-                        tcp_cfg,
-                        vec![(coord as u32, QUERY_PORT, payload)],
-                    )))
+                    let jobs = vec![(coord as u32, QUERY_PORT, payload)];
+                    sim.add_node(Box::new(BulkSenderNode::new(slot as u32, jobs)))
                 }
-                Role::Host => sim.add_node(Box::new(SinkReceiverNode::new(
-                    slot as u32,
-                    tcp_cfg,
-                    QUERY_PORT,
-                ))),
+                Role::Host => sim.add_node(Box::new(SinkReceiverNode::new(slot as u32, QUERY_PORT))),
                 Role::Switch => sim.add_node(Box::new(
                     switches.remove(&slot).expect("controller built every switch"),
                 )),

@@ -9,8 +9,6 @@
 //! behaviour look like a real kernel's bulk transfer, which is what the
 //! packet/byte-reduction metrics measure.
 //!
-//! [`udp`] adds a thin datagram convenience layer used by examples.
-//!
 //! Design notes (per the session guides): protocol logic is a pure state
 //! machine ([`tcp::TcpStack`]) driven by explicit `on_frame`/`on_tick`
 //! calls and polled for output frames — no hidden time, no threads — with
@@ -21,6 +19,5 @@
 #![warn(missing_docs)]
 
 pub mod tcp;
-pub mod udp;
 
-pub use tcp::{BulkSenderNode, SinkReceiverNode, SocketEvent, TcpConfig, TcpStack};
+pub use tcp::{BulkSenderNode, SinkReceiverNode, SocketEvent, TcpStack};

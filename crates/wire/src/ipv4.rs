@@ -6,13 +6,6 @@ use crate::{checksum, Error, Ipv4Address, Result};
 /// Length of the option-less IPv4 header.
 pub const HEADER_LEN: usize = 20;
 
-/// ECN codepoint: not ECN-capable transport (RFC 3168).
-pub const ECN_NOT_ECT: u8 = 0b00;
-/// ECN codepoint: ECN-capable transport, codepoint 0.
-pub const ECN_ECT0: u8 = 0b10;
-/// ECN codepoint: congestion experienced — set by a queue under buildup.
-pub const ECN_CE: u8 = 0b11;
-
 /// IP protocol numbers understood by the stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Protocol {
@@ -115,11 +108,6 @@ impl<T: AsRef<[u8]>> Packet<T> {
         usize::from(self.buffer.as_ref()[field::VER_IHL] & 0x0f) * 4
     }
 
-    /// ECN codepoint (low two bits of the DSCP/ECN byte).
-    pub fn ecn(&self) -> u8 {
-        self.buffer.as_ref()[field::DSCP_ECN] & 0b11
-    }
-
     /// Total packet length (header + payload).
     pub fn total_len(&self) -> u16 {
         crate::read_u16(&self.buffer.as_ref()[field::LENGTH])
@@ -178,13 +166,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Packet<T> {
         self.buffer.as_mut()[field::VER_IHL] = 0x45;
         self.buffer.as_mut()[field::DSCP_ECN] = 0;
         crate::write_u16(&mut self.buffer.as_mut()[field::FLAGS_FRAG], 0x4000); // DF
-    }
-
-    /// Sets the ECN codepoint, preserving DSCP. The header checksum
-    /// covers this byte — call [`Packet::fill_checksum`] afterwards.
-    pub fn set_ecn(&mut self, ecn: u8) {
-        let b = &mut self.buffer.as_mut()[field::DSCP_ECN];
-        *b = (*b & !0b11) | (ecn & 0b11);
     }
 
     /// Sets the total length field.
@@ -309,21 +290,6 @@ mod tests {
         assert_eq!(Repr::parse(&packet).unwrap(), repr);
         assert_eq!(&packet.payload()[..3], b"udp");
         assert_eq!(packet.payload().len(), 8);
-    }
-
-    #[test]
-    fn ecn_codepoint_round_trips_under_the_checksum() {
-        let repr = sample_repr(0);
-        let mut buf = [0u8; HEADER_LEN];
-        let mut packet = Packet::new_unchecked(&mut buf[..]);
-        repr.emit(&mut packet);
-        assert_eq!(packet.ecn(), ECN_NOT_ECT);
-        packet.set_ecn(ECN_CE);
-        packet.fill_checksum();
-
-        let packet = Packet::new_checked(&buf[..]).unwrap();
-        assert_eq!(packet.ecn(), ECN_CE);
-        assert!(Repr::parse(&packet).is_ok());
     }
 
     #[test]

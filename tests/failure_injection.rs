@@ -111,16 +111,12 @@ fn loss_starves_the_prototype_as_documented() {
 
 #[test]
 fn tcp_baseline_survives_all_fault_kinds() {
-    use daiet_repro::transport::tcp::{BulkSenderNode, SinkReceiverNode, TcpConfig};
+    use daiet_repro::transport::tcp::{BulkSenderNode, SinkReceiverNode};
     let faults = FaultProfile { drop: 0.1, corrupt: 0.05, duplicate: 0.1, ..FaultProfile::NONE };
     let mut sim = Simulator::new(11);
     let data: Vec<u8> = (0..40_000).map(|i| (i % 241) as u8).collect();
-    let tx = sim.add_node(Box::new(BulkSenderNode::new(
-        1,
-        TcpConfig::default(),
-        vec![(2, 9000, data.clone())],
-    )));
-    let rx = sim.add_node(Box::new(SinkReceiverNode::new(2, TcpConfig::default(), 9000)));
+    let tx = sim.add_node(Box::new(BulkSenderNode::new(1, vec![(2, 9000, data.clone())])));
+    let rx = sim.add_node(Box::new(SinkReceiverNode::new(2, 9000)));
     sim.connect(tx, rx, LinkSpec::fast().with_faults(faults));
     sim.run_until(daiet_repro::netsim::SimTime(
         daiet_repro::netsim::SimDuration::from_secs(60).as_nanos(),

@@ -53,7 +53,7 @@ fn scan_actually_covers_the_workspace() {
 fn allowlist_stays_small() {
     let report = run_workspace(repo_root()).expect("scan repo");
     assert!(
-        report.allows_used.len() <= 14,
+        report.allows_used.len() <= 13,
         "allowlist grew to {} entries:\n{:#?}",
         report.allows_used.len(),
         report.allows_used

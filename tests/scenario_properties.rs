@@ -19,10 +19,10 @@
 //!    live roster; a planned leave/rejoin cycles the roster both ways
 //!    without losing a pair.
 //! 3. **Queue-buildup backpressure** — tiny drop-tail queues under an
-//!    aggressive pacing rate overflow and CE-mark (the pinned
-//!    regression: overflow loss forces NACK recovery to carry the
-//!    round); NACK-driven sender backoff sheds the overload, completing
-//!    the same round with strictly less loss and identical results.
+//!    aggressive pacing rate overflow (the pinned regression: overflow
+//!    loss forces NACK recovery to carry the round); NACK-driven sender
+//!    backoff sheds the overload, completing the same round with
+//!    strictly less loss and identical results.
 //!
 //! The chaos seed comes from `CHAOS_SEED` (default 23) so CI can pin a
 //! seed matrix without recompiling.
@@ -354,13 +354,13 @@ fn worker_leave_and_rejoin_with_replan_stays_exact() {
 // ---------------------------------------------------------------------
 
 /// star(3): hosts 0,1 (senders), 2 (reducer), switch 3 — with tiny
-/// drop-tail queues, an ECN threshold below them, and pacing fast enough
-/// to overflow the reducer-ward egress queue.
+/// drop-tail queues and pacing fast enough to overflow the reducer-ward
+/// egress queue.
 fn overload_job(backoff: bool) -> (JobScheduler, JobId) {
     // Gigabit links so serialization (~1 µs/frame) dwarfs the 100 ns
     // pacing gap: the sender's egress queue is the bottleneck, which is
     // the path a pacing response can actually relieve.
-    let spec_link = LinkSpec::gigabit().with_queue_bytes(2048).with_ecn_threshold(1024);
+    let spec_link = LinkSpec::gigabit().with_queue_bytes(2048);
     let plan = TopologyPlan::star(3, spec_link);
     // 4-pair frames make the 1200-key shard 300 DATA frames + END; at
     // 500 ns pacing the round transmits for ~150 us, so the first NACK
@@ -388,11 +388,11 @@ fn overload_job(backoff: bool) -> (JobScheduler, JobId) {
 
 const OVERLOAD_KEYS: usize = 1200;
 
-/// Failing-first: at this rate the queues overflow and CE-mark, and only
+/// Failing-first: at this rate the queues overflow, and only
 /// NACK recovery carries the round — the pinned cost of an open-loop
 /// sender under overload.
 #[test]
-fn queue_buildup_overflows_marks_and_forces_recovery() {
+fn queue_buildup_overflows_and_forces_recovery() {
     let (mut sched, job) = overload_job(false);
     let out = sched
         .run_round(job, &[vec![shard(0, 0, OVERLOAD_KEYS)], vec![shard(1, 0, OVERLOAD_KEYS)]])
@@ -401,7 +401,6 @@ fn queue_buildup_overflows_marks_and_forces_recovery() {
     // The fabric ran this one round only: its counters are the round's.
     let net = sched.sim().snapshot();
     assert!(net.overflow_drops() > 0, "the tiny queues never overflowed — overload proved nothing");
-    assert!(net.ecn_marks() > 0, "buildup must CE-mark before the drop-tail bites");
     let reducer = sched.sim().node_ref::<ReducerHost>(sched.node_id(2)).expect("reducer slot");
     let sender = sched.sim().node_ref::<PacedSenderNode>(sched.node_id(0)).expect("sender slot");
     assert!(
