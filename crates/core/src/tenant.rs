@@ -628,12 +628,14 @@ impl JobScheduler {
             // permanently first in this sender's transmit order.
             let offset = i.wrapping_add(st.round as usize);
             let round = plan_round(&config, parts, &mut st.next_seq[i], offset);
-            self.sim
+            let sender = self
+                .sim
                 .node_mut::<PacedSenderNode>(id)
-                .expect("sender pool slots hold PacedSenderNodes")
-                .enqueue_round(round);
+                .expect("sender pool slots hold PacedSenderNodes");
+            sender.enqueue_round(round);
+            let token = sender.pacing_token();
             let at = self.sim.now() + pacing;
-            self.sim.schedule_timer(at, id, 0);
+            self.sim.schedule_timer(at, id, token);
         }
         st.round_open = true;
         Ok(())

@@ -406,7 +406,7 @@ pub fn interleave_round_robin(mut queues: Vec<Vec<Frame>>, offset: usize) -> Vec
 /// round at a time through [`enqueue_round`](Self::enqueue_round) (see
 /// [`JobScheduler::begin_round`](crate::tenant::JobScheduler::begin_round),
 /// which also restarts the pacing timer from outside, via the backend's
-/// own timer facility).
+/// own timer facility, tagged with [`pacing_token`](Self::pacing_token)).
 pub struct PacedSenderNode {
     /// Built frames awaiting their tick, sent before anything streamed.
     ready: VecDeque<Frame>,
@@ -440,6 +440,11 @@ pub struct PacedSenderNode {
     /// once. Maintained here and by [`enqueue_round`](Self::enqueue_round)
     /// (whose caller schedules the round's first tick).
     timer_armed: bool,
+    /// Generation of the pacing chain: every pacing timer carries it as
+    /// its token, and [`on_revive`](Node::on_revive) advances it before
+    /// starting a fresh chain, so a pre-kill timer that falls due after
+    /// the revive is recognised as stale instead of doubling the rate.
+    pacing_token: u64,
     /// Frames re-sent in response to NACKs.
     pub frames_replayed: u64,
     /// NACK frames received and honored.
@@ -462,6 +467,7 @@ impl PacedSenderNode {
             backoff: 1,
             nack_backoff: false,
             timer_armed: false,
+            pacing_token: 0,
             frames_replayed: 0,
             nacks_received: 0,
             frames_retired: 0,
@@ -577,18 +583,28 @@ impl PacedSenderNode {
         self.ready.len() + self.rounds.iter().map(|r| r.remaining).sum::<usize>()
     }
 
-    /// Frames that can currently be rebuilt for a NACK, across all trees.
+    /// The token the current pacing chain's timers carry. A harness that
+    /// starts the chain from outside (see
+    /// [`JobScheduler::begin_round`](crate::tenant::JobScheduler::begin_round))
+    /// schedules the first tick with it.
+    pub fn pacing_token(&self) -> u64 {
+        self.pacing_token
+    }
+
+    /// Frames that can currently be rebuilt for a NACK, across all trees:
+    /// what the retained rounds have transmitted.
     pub fn replay_retained(&self) -> usize {
         if !self.replay_armed {
             return 0;
         }
-        self.rounds.iter().flat_map(|r| &r.parts).map(|p| p.packets).sum()
+        self.rounds.iter().flat_map(|r| &r.parts).map(|p| p.sent).sum()
     }
 }
 
 /// `tree`'s replay retention: its parts across `rounds`, oldest first —
-/// dense in sequence space, so the window is `[first.base_seq,
-/// first.base_seq + Σ packets)`.
+/// dense in sequence space. Rounds go out oldest first, so what the tree
+/// has transmitted is a dense prefix too: `[first.base_seq,
+/// first.base_seq + Σ sent)`, the window a NACK can be answered from.
 fn retained(rounds: &VecDeque<RoundSchedule>, tree: u16) -> impl Iterator<Item = &RoundPart> {
     rounds.iter().flat_map(|r| &r.parts).filter(move |p| p.tree == tree)
 }
@@ -621,7 +637,9 @@ impl Node for PacedSenderNode {
         if hdr.packet_type != PacketType::Nack {
             return;
         }
-        let held: u32 = retained(&self.rounds, hdr.tree_id).map(|p| p.packets as u32).sum();
+        // Only what has gone out can be retransmitted; the rest of the
+        // round goes out once, on its own pacing tick.
+        let held: u32 = retained(&self.rounds, hdr.tree_id).map(|p| p.sent as u32).sum();
         let Some(base) = retained(&self.rounds, hdr.tree_id).next().map(|p| p.base_seq) else {
             return;
         };
@@ -633,8 +651,8 @@ impl Node for PacedSenderNode {
             // replay burst below lands on a draining queue.
             self.backoff = self.backoff.saturating_mul(2).min(64);
         }
-        // Intersect the request with the retained window *first*: what a
-        // NACK can cost is bounded by what is held, whatever it asks for.
+        // Intersect the request with the transmitted window *first*: what
+        // a NACK can cost is bounded by what was sent, whatever it asks for.
         // The tail ("everything at or after `hdr.seq`", RFC 1982-style) is
         // the half-space range starting there.
         let mut spans = Vec::new();
@@ -647,11 +665,11 @@ impl Node for PacedSenderNode {
         spans.sort_unstable();
         // Rebuild each requested packet once, in sequence order; receiver
         // gap tracking absorbs anything it already has. The open-loop sender
-        // bursts replays past the pacing gap (recovery is latency-critical
-        // and the burst is at most one retained round); the closed-loop
-        // sender queues them behind the backed-off gap instead — the loss
-        // it is repairing is usually its own queue overflow, and a burst
-        // would recreate it.
+        // bursts replays past the pacing gap (recovery is latency-critical,
+        // and the burst is at most what it has transmitted of its retained
+        // rounds); the closed-loop sender queues them behind the backed-off
+        // gap instead — the loss it is repairing is usually its own queue
+        // overflow, and a burst would recreate it.
         let mut parts = retained(&self.rounds, hdr.tree_id);
         let mut part = parts.next();
         let mut part_lo = 0u32;
@@ -678,7 +696,7 @@ impl Node for PacedSenderNode {
         }
         if !self.ready.is_empty() && !self.timer_armed {
             self.timer_armed = true;
-            ctx.schedule(self.effective_gap(), 0);
+            ctx.schedule(self.effective_gap(), self.pacing_token);
         }
     }
 
@@ -687,11 +705,16 @@ impl Node for PacedSenderNode {
         // the pacing timer itself when it enqueues the first round.
         if self.pending() > 0 {
             self.timer_armed = true;
-            ctx.schedule(self.effective_gap(), 0);
+            ctx.schedule(self.effective_gap(), self.pacing_token);
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut dyn Fabric, _token: u64) {
+    fn on_timer(&mut self, ctx: &mut dyn Fabric, token: u64) {
+        if token != self.pacing_token {
+            // A pre-kill tick that fell due after the revive: its chain
+            // was superseded by the one `on_revive` started.
+            return;
+        }
         let frame = self
             .ready
             .pop_front()
@@ -699,9 +722,21 @@ impl Node for PacedSenderNode {
         match frame {
             Some(frame) => {
                 ctx.send(PortId(0), frame);
-                ctx.schedule(self.effective_gap(), 0);
+                ctx.schedule(self.effective_gap(), self.pacing_token);
             }
             None => self.timer_armed = false,
+        }
+    }
+
+    fn on_revive(&mut self, ctx: &mut dyn Fabric) {
+        // The ticks that fell due during the outage were discarded, so
+        // the old chain may be broken; any of its ticks still in flight
+        // are retired by advancing the token. The sender keeps its
+        // rounds and resumes where it stopped, one tick per gap.
+        self.pacing_token = self.pacing_token.wrapping_add(1);
+        self.timer_armed = self.pending() > 0;
+        if self.timer_armed {
+            ctx.schedule(self.effective_gap(), self.pacing_token);
         }
     }
 
@@ -1159,21 +1194,22 @@ mod tests {
     struct Recorder {
         pool: FramePool,
         sent: Vec<Frame>,
-        timers: usize,
+        /// The delay of every timer armed, in order.
+        timers: Vec<Duration>,
     }
 
     impl Recorder {
         fn new() -> Recorder {
-            Recorder { pool: FramePool::new(), sent: Vec::new(), timers: 0 }
+            Recorder { pool: FramePool::new(), sent: Vec::new(), timers: Vec::new() }
         }
 
         /// Ticks `node` until its pacing chain stops re-arming; returns
         /// what it transmitted.
         fn drain(&mut self, node: &mut PacedSenderNode) -> Vec<Frame> {
             loop {
-                let armed = self.timers;
+                let armed = self.timers.len();
                 node.on_timer(self, 0);
-                if self.timers == armed {
+                if self.timers.len() == armed {
                     return std::mem::take(&mut self.sent);
                 }
             }
@@ -1204,8 +1240,8 @@ mod tests {
         fn send(&mut self, _port: PortId, frame: Frame) {
             self.sent.push(frame);
         }
-        fn schedule(&mut self, _delay: Duration, _token: u64) {
-            self.timers += 1;
+        fn schedule(&mut self, delay: Duration, _token: u64) {
+            self.timers.push(delay);
         }
         fn pool(&self) -> &FramePool {
             &self.pool
@@ -1442,6 +1478,112 @@ mod tests {
         // A tree this sender holds nothing for is not its NACK to honor.
         assert!(fabric.nack(&mut node, 8, &tail_from(0)).is_empty());
         assert_eq!(node.nacks_received, 3);
+    }
+
+    /// A tail NACK is answered from what has gone out: a sender `k` frames
+    /// into an `n`-frame tree, NACKed from `j < k`, replays the `k − j`
+    /// transmitted frames and nothing more; the `n − k` it has not sent
+    /// go out once each, one per tick on the gap grid.
+    #[test]
+    fn tail_nack_replays_only_what_was_transmitted() {
+        let (n, k, j) = (8usize, 5usize, 2u32);
+        let gap = Duration::from_micros(3);
+        let config = DaietConfig { nack_recovery: true, ..DaietConfig::default() };
+        let ep = Endpoints::from_ids(1, 2);
+        let mut fabric = Recorder::new();
+        let (reference, _) = Packetizer::new(&config).frames_from_seq(
+            7,
+            &npairs(70),
+            &ep,
+            daiet_wire::udp::DAIET_PORT,
+            0,
+            &fabric.pool,
+        );
+        assert_eq!(reference.len(), n);
+        let mut node = PacedSenderNode::new(Vec::new(), gap, "partial");
+        node.arm_replay();
+        let mut next_seq = FnvHashMap::default();
+        node.enqueue_round(plan_round(&config, [(7, ep, npairs(70))], &mut next_seq, 0));
+        for _ in 0..k {
+            node.on_timer(&mut fabric, node.pacing_token());
+        }
+        let first = std::mem::take(&mut fabric.sent);
+        assert_eq!(bytes(&first), bytes(&reference[..k]));
+        assert_eq!(node.replay_retained(), k);
+
+        let tail = NackRequest { next_expected: j, tail: true, ranges: Vec::new() };
+        let replayed = fabric.nack(&mut node, 7, &tail);
+        assert_eq!(bytes(&replayed), bytes(&reference[j as usize..k]));
+        assert_eq!(node.frames_replayed, (k - j as usize) as u64);
+        // An explicit range past the transmitted prefix is clipped too.
+        let ahead = NackRequest {
+            next_expected: 0,
+            tail: false,
+            ranges: vec![NackRange { first: k as u32 - 1, count: 3 }],
+        };
+        assert_eq!(bytes(&fabric.nack(&mut node, 7, &ahead)), bytes(&reference[k - 1..k]));
+
+        let ticks = fabric.timers.len();
+        let mut rest = Vec::new();
+        for _ in k..n {
+            node.on_timer(&mut fabric, node.pacing_token());
+            assert_eq!(fabric.sent.len(), 1, "one frame per tick");
+            rest.append(&mut fabric.sent);
+        }
+        assert_eq!(bytes(&rest), bytes(&reference[k..]));
+        assert_eq!(fabric.timers[ticks..], vec![gap; n - k][..], "re-armed on the gap grid");
+        assert!(fabric.drain(&mut node).is_empty());
+        assert_eq!(first.len() + replayed.len() + rest.len(), n + (k - j as usize));
+    }
+
+    /// Records the instant every frame reaches it.
+    #[derive(Default)]
+    struct ArrivalLog(Vec<Time>);
+
+    impl Node for ArrivalLog {
+        fn on_packet(&mut self, ctx: &mut dyn Fabric, _port: PortId, _frame: Frame) {
+            self.0.push(ctx.now());
+        }
+    }
+
+    /// A worker outage shorter than one pacing gap: the pre-kill tick
+    /// falls due after the revive and survives it. `on_revive` restarts
+    /// the chain and retires that tick, so after the revive the sender
+    /// transmits exactly one gap apart — not at twice the rate — and
+    /// every frame goes out exactly once.
+    #[test]
+    fn revive_inside_one_gap_keeps_a_single_pacing_chain() {
+        use daiet_netsim::{LinkSpec, NodeScript, Simulator};
+
+        let gap = Duration::from_micros(10);
+        let config = DaietConfig::default();
+        let ep = Endpoints::from_ids(1, 2);
+        // 12 full DATA frames, then the END.
+        let sender = one_shot_sender(&config, 0, [(1, ep, npairs(120))], gap, "blipped");
+        let mut sim = Simulator::new(3);
+        let s = sim.add_node(Box::new(sender));
+        let log = sim.add_node(Box::new(ArrivalLog::default()));
+        sim.connect(s, log, LinkSpec::fast());
+        // Ticks fall at 10, 20, 30, … µs; the outage covers none of them.
+        let at = |us| Time::ZERO + Duration::from_micros(us);
+        let revive = at(35);
+        sim.script_node(s, NodeScript::down_between(at(32), revive));
+        sim.run();
+
+        let arrivals = &sim.node_ref::<ArrivalLog>(log).unwrap().0;
+        assert_eq!(arrivals.len(), 13, "every frame exactly once");
+        // Same-sized DATA frames cross the idle link in the same time, so
+        // their arrival spacing is their transmit spacing.
+        let data = &arrivals[..12];
+        let after: Vec<Time> = data.iter().copied().filter(|&t| t > revive).collect();
+        assert!(after.len() > 2, "the sender must resume after the revive");
+        for w in data.windows(2) {
+            assert!(w[1] - w[0] >= gap, "faster than the pacing: {:?}", w);
+        }
+        for w in after.windows(2) {
+            assert_eq!(w[1] - w[0], gap, "transmit instants after the revive");
+        }
+        assert_eq!(sim.node_ref::<PacedSenderNode>(s).unwrap().pending(), 0);
     }
 
     #[test]

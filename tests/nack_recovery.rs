@@ -225,3 +225,41 @@ fn chaos_runs_are_reproducible() {
     assert_eq!(a, b, "identical seeds must reproduce identical runs");
     assert!(a.0, "and the run must be correct");
 }
+
+/// The pinned-seed knob the CI matrix turns.
+fn chaos_seed() -> u64 {
+    std::env::var("CHAOS_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(23)
+}
+
+/// Recovery only ever adds work: a paced sender retransmits what it has
+/// sent and sends the rest on its own ticks, so no fault draw can finish
+/// the job before the loss-free run does. Fig3's default WordCount
+/// (2 048 words per reducer, 2 048 cells) under 5 % drop, duplication
+/// and reordering on every link, at the `CHAOS_SEED` draw and at seed 41.
+#[test]
+fn chaos_never_finishes_before_the_loss_free_run() {
+    let runner = |faults: FaultProfile, seed: u64| {
+        let spec = CorpusSpec { register_cells: 2048, ..CorpusSpec::paper_scaled(2048 * 12, 42) };
+        let mut runner = Runner::new(Corpus::generate(&spec));
+        runner.daiet_config.register_cells = 2048;
+        let mut runner = runner.with_recovery(faults);
+        runner.seed = seed;
+        runner
+    };
+    let clean = runner(FaultProfile::NONE, 42).run(ShuffleMode::DaietAgg);
+    assert!(clean.all_correct());
+    let mut seeds = vec![chaos_seed(), 41];
+    seeds.dedup();
+    for seed in seeds {
+        let chaos = FaultProfile::chaos(0.05, 0.05, 0.05, 20_000);
+        let out = runner(chaos, seed).run(ShuffleMode::DaietAgg);
+        assert!(out.frames_dropped > 0, "seed {seed}: faults did not fire");
+        assert!(out.all_correct(), "seed {seed}: recovery diverged");
+        assert!(
+            out.data_done_at >= clean.data_done_at,
+            "seed {seed}: chaos finished at {} ns, before the loss-free {} ns",
+            out.data_done_at.as_nanos(),
+            clean.data_done_at.as_nanos()
+        );
+    }
+}

@@ -287,9 +287,9 @@ fn worker_death_without_roster_change_wedges_the_round() {
 
 /// The counterpoint to the wedge: an outage *shorter than the NACK
 /// budget* needs no roster change at all — the switch keeps NACKing the
-/// silent flow, the revived worker replays what it never sent (its
-/// replay retention holds the whole round, transmitted or not), and the
-/// round completes late but exact.
+/// silent flow, the revived worker resumes its own pacing where it
+/// stopped (its replay retention answers NACKs for what it had already
+/// transmitted), and the round completes late but exact.
 #[test]
 fn transient_worker_blip_is_absorbed_by_recovery() {
     let (mut sched, job) = roster_job();
@@ -314,6 +314,33 @@ fn transient_worker_blip_is_absorbed_by_recovery() {
         sched.now() - round0_done < SimDuration::from_millis(50),
         "absorbing a blip must not burn the whole NACK give-up horizon"
     );
+}
+
+/// A worker blip needs no recovery at all to come out exact: with NACK
+/// recovery off and an outage that outlasts the whole round many times
+/// over, the revived sender simply resumes its pacing and the round
+/// completes late.
+#[test]
+fn worker_blip_without_recovery_resumes_and_completes() {
+    let plan = TopologyPlan::leaf_spine(3, 2, 1, LinkSpec::fast());
+    let config = DaietConfig { pairs_per_packet: 4, register_cells: 256, ..DaietConfig::default() };
+    let mut spec = TenantSpec::new(config, plan, vec![0, 1, 3], vec![5]);
+    spec.seed = chaos_seed();
+    let (mut sched, job) = one_job(spec);
+    let all = [true, true, true];
+    sched.run_round(job, &roster_shards(0, &all)).expect("fault-free round 0");
+
+    let kill = sched.now() + SimDuration::from_micros(2);
+    let revive = kill + SimDuration::from_millis(2);
+    let host = sched.node_id(1);
+    sched.sim_mut().script_node(host, NodeScript::down_between(kill, revive));
+    let out = sched
+        .run_round(job, &roster_shards(1, &all))
+        .expect("a revived sender must finish its round on its own");
+    assert_eq!(out[0], expected(&[0, 1, 3], 1, KEYS), "late but exact");
+    assert!(sched.now() > revive, "the round cannot finish while a sender is down");
+    let next = sched.run_round(job, &roster_shards(2, &all)).expect("round after the blip");
+    assert_eq!(next[0], expected(&[0, 1, 3], 2, KEYS));
 }
 
 /// Planned maintenance: the worker leaves and rejoins *announced*, with
