@@ -33,6 +33,44 @@ impl SparseGrad {
     }
 }
 
+/// Per-class rows indexed densely by row number: row `r` is one
+/// `[T; CLASSES]` at position `r`, so adding into a coordinate is an
+/// indexed write, not a map lookup. Each row carries a *present* flag,
+/// set when [`DenseRows::row_mut`] hands the row out, whatever is then
+/// written into it: a row whose values sum to zero stays present.
+/// [`DenseRows::iter`] visits the present rows only, ascending, which is
+/// the order a map keyed by row gives.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DenseRows<T> {
+    rows: Vec<[T; CLASSES]>,
+    present: Vec<bool>,
+}
+
+impl<T: Copy + Default> DenseRows<T> {
+    /// `n` absent rows, every value `T::default()`.
+    pub fn new(n: usize) -> DenseRows<T> {
+        DenseRows { rows: vec![[T::default(); CLASSES]; n], present: vec![false; n] }
+    }
+
+    /// Row `r`, marked present. Panics if `r` is not below `n`.
+    pub fn row_mut(&mut self, r: usize) -> &mut [T; CLASSES] {
+        self.present[r] = true;
+        &mut self.rows[r]
+    }
+
+    /// The present rows, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &[T; CLASSES])> + '_ {
+        let present = self.rows.iter().zip(&self.present).enumerate();
+        present.filter(|(_, (_, &p))| p).map(|(r, (row, _))| (r, row))
+    }
+
+    /// The present rows as `(row, values)` entries, ascending: the shape
+    /// of [`SparseGrad::rows`].
+    pub fn to_sparse(&self) -> Vec<(usize, [T; CLASSES])> {
+        self.iter().map(|(r, row)| (r, *row)).collect()
+    }
+}
+
 impl Default for Model {
     fn default() -> Self {
         Model::new()
@@ -48,14 +86,18 @@ impl Model {
 
     /// Class logits for one sample.
     pub fn logits(&self, x: &[f32]) -> [f32; CLASSES] {
+        self.logits_of(active(x))
+    }
+
+    /// Class logits from a sample's `(pixel, intensity)` entries, pixels
+    /// ascending.
+    fn logits_of(&self, active: impl Iterator<Item = (usize, f32)>) -> [f32; CLASSES] {
         let mut z = [0.0f32; CLASSES];
         z.copy_from_slice(&self.b);
-        for (p, &xp) in x.iter().enumerate() {
-            if xp != 0.0 {
-                let row = &self.w[p * CLASSES..(p + 1) * CLASSES];
-                for c in 0..CLASSES {
-                    z[c] += xp * row[c];
-                }
+        for (p, xp) in active {
+            let row = &self.w[p * CLASSES..(p + 1) * CLASSES];
+            for c in 0..CLASSES {
+                z[c] += xp * row[c];
             }
         }
         z
@@ -89,28 +131,29 @@ impl Model {
     }
 
     /// Sparse mini-batch gradient (mean over the batch). Rows = union of
-    /// active pixels across the batch.
+    /// active pixels across the batch; each row sums its samples in batch
+    /// order.
     pub fn gradient(&self, batch: &[&Sample]) -> SparseGrad {
         let inv = 1.0 / batch.len() as f32;
-        let mut acc: std::collections::BTreeMap<usize, [f32; CLASSES]> = Default::default();
+        let mut acc = DenseRows::new(DIM);
         let mut bias = [0.0f32; CLASSES];
+        let mut pixels = Vec::new();
         for s in batch {
-            let p = self.predict_proba(&s.pixels);
-            let mut err = p;
+            pixels.clear();
+            pixels.extend(active(&s.pixels));
+            let mut err = softmax(&self.logits_of(pixels.iter().copied()));
             err[s.label] -= 1.0;
             for c in 0..CLASSES {
                 bias[c] += err[c] * inv;
             }
-            for (pixel, &xp) in s.pixels.iter().enumerate() {
-                if xp != 0.0 {
-                    let row = acc.entry(pixel).or_insert([0.0; CLASSES]);
-                    for c in 0..CLASSES {
-                        row[c] += xp * err[c] * inv;
-                    }
+            for &(pixel, xp) in &pixels {
+                let row = acc.row_mut(pixel);
+                for c in 0..CLASSES {
+                    row[c] += xp * err[c] * inv;
                 }
             }
         }
-        SparseGrad { rows: acc.into_iter().collect(), bias }
+        SparseGrad { rows: acc.to_sparse(), bias }
     }
 
     /// Applies a dense delta to touched rows: `w[r] += delta[r]`.
@@ -131,6 +174,11 @@ impl Model {
         let correct = samples.iter().filter(|s| self.predict(&s.pixels) == s.label).count();
         correct as f64 / samples.len() as f64
     }
+}
+
+/// The nonzero `(pixel, intensity)` entries of an image, ascending.
+fn active(x: &[f32]) -> impl Iterator<Item = (usize, f32)> + '_ {
+    x.iter().copied().enumerate().filter(|&(_, xp)| xp != 0.0)
 }
 
 /// Numerically stable softmax.

@@ -25,7 +25,7 @@
 // one-job JobScheduler under the Simulator with fault profiles. The
 // gradient aggregation protocol itself stays fabric-only.
 use crate::data::{DataSpec, Dataset, Sample, CLASSES, DIM};
-use crate::model::{Model, SparseGrad};
+use crate::model::{DenseRows, Model, SparseGrad};
 use crate::optimizer::Optimizer;
 use crate::psworker::WorkerGrad;
 use daiet::agg::fixed;
@@ -36,7 +36,7 @@ use daiet_netsim::topology::TopologyPlan;
 use daiet_netsim::{FaultProfile, LinkSpec, SimDuration};
 use daiet_wire::checksum::crc32;
 use daiet_wire::daiet::{Key, Pair};
-use std::collections::BTreeMap;
+use std::fmt;
 
 /// Fractional bits of the gradient fixed-point encoding. Gradients of the
 /// softmax layer live in `[-1, 1]`; 16 fractional bits leave 15 integer
@@ -64,42 +64,129 @@ pub fn grad_key_decode(key: &Key) -> (u32, u32) {
     )
 }
 
+/// One worker's gradient in fixed point, row by row: weight rows
+/// ascending, then the bias row. A row whose lanes all quantize to 0 is
+/// skipped: it would ship nothing. Both the wire ([`quantize_grad`]) and
+/// the reference executor ([`reference_sums`]) draw from this, so they
+/// agree on exactly which rows and lanes exist.
+fn quantized_rows(grad: &SparseGrad) -> impl Iterator<Item = (usize, [u32; CLASSES])> + '_ {
+    let rows = grad.rows.iter().map(|(r, g)| (*r, g));
+    rows.chain(std::iter::once((BIAS_ROW as usize, &grad.bias)))
+        .map(|(row, g)| (row, g.map(|v| fixed::encode(f64::from(v), GRAD_FRAC_BITS))))
+        .filter(|(_, lanes)| lanes.iter().any(|&lane| lane != 0))
+}
+
 /// Quantizes one worker's sparse gradient into wire pairs. Zero lanes are
-/// skipped (they would ship bytes to add nothing); the reference executor
-/// quantizes through this same function, so both paths agree on exactly
-/// which coordinates exist.
+/// skipped (they would ship bytes to add nothing).
 pub fn quantize_grad(grad: &SparseGrad) -> Vec<Pair> {
-    let mut pairs = Vec::new();
-    for (row, g) in &grad.rows {
-        for (c, &v) in g.iter().enumerate() {
-            let lane = fixed::encode(f64::from(v), GRAD_FRAC_BITS);
+    let mut pairs = Vec::with_capacity((grad.rows.len() + 1) * CLASSES);
+    for (row, lanes) in quantized_rows(grad) {
+        for (class, &lane) in lanes.iter().enumerate() {
             if lane != 0 {
-                pairs.push(Pair::new(grad_key(*row as u32, c as u32), lane));
+                pairs.push(Pair::new(grad_key(row as u32, class as u32), lane));
             }
-        }
-    }
-    for (c, &v) in grad.bias.iter().enumerate() {
-        let lane = fixed::encode(f64::from(v), GRAD_FRAC_BITS);
-        if lane != 0 {
-            pairs.push(Pair::new(grad_key(BIAS_ROW, c as u32), lane));
         }
     }
     pairs
 }
 
-/// Lane sums keyed by weight coordinate — what the network (or the
-/// reference executor) hands the server each step.
-pub type LaneSums = BTreeMap<(u32, u32), u32>;
+/// Rows of the model's coordinate space: the `DIM` weight rows, then
+/// [`BIAS_ROW`].
+pub const LANE_ROWS: usize = DIM + 1;
 
-/// The in-memory ground truth: every worker's quantized pairs summed with
+/// A wire key whose `(row, class)` lies outside the model's coordinate
+/// space, so no lane can hold its value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ForeignLane {
+    /// The decoded row.
+    pub row: u32,
+    /// The decoded class.
+    pub class: u32,
+}
+
+impl fmt::Display for ForeignLane {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "foreign key (row {}, class {}) outside the model's {LANE_ROWS} x {CLASSES} lanes",
+            self.row, self.class
+        )
+    }
+}
+
+/// Lane sums over the model's coordinate space: what the network (or the
+/// reference executor) hands the server each step.
+///
+/// **Dense layout.** Every lane of the model has a slot: one
+/// `[u32; CLASSES]` per row for all [`LANE_ROWS`] rows, i.e.
+/// `(DIM + 1) × CLASSES` = 7 850 lanes, with the bias row [`BIAS_ROW`]
+/// last. Adding a value is a wrapping add at a fixed index.
+///
+/// **Row presence.** A row is present once any of its lanes arrived,
+/// even when that lane sums to 0 (the workers' values cancelled) or the
+/// network delivered a 0. [`NetCluster::apply_sums`] hands the optimizer
+/// exactly the present rows, so presence decides which rows Adam advances
+/// its lazy per-row moments for: a present row of zero sums is not a
+/// missing row. A lane of a present row that never arrived reads 0, the
+/// value a sum that arrived as 0 decodes to.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LaneSums(DenseRows<u32>);
+
+impl Default for LaneSums {
+    fn default() -> Self {
+        LaneSums::new()
+    }
+}
+
+impl LaneSums {
+    /// No row present, every lane 0.
+    pub fn new() -> LaneSums {
+        LaneSums(DenseRows::new(LANE_ROWS))
+    }
+
+    /// Wrapping-adds `value` into lane `(row, class)` and marks the row
+    /// present. A coordinate outside the model is refused and changes
+    /// nothing.
+    pub fn add(&mut self, row: u32, class: u32, value: u32) -> Result<(), ForeignLane> {
+        if row as usize >= LANE_ROWS || class as usize >= CLASSES {
+            return Err(ForeignLane { row, class });
+        }
+        let lane = &mut self.0.row_mut(row as usize)[class as usize];
+        *lane = lane.wrapping_add(value);
+        Ok(())
+    }
+
+    /// The sums a round delivered as `(key, sum)` pairs, each key a
+    /// [`grad_key`] (a key that repeats adds up). Errors on the first key
+    /// outside the model.
+    pub fn from_pairs(pairs: &[(Key, u32)]) -> Result<LaneSums, ForeignLane> {
+        let mut sums = LaneSums::new();
+        for (key, value) in pairs {
+            let (row, class) = grad_key_decode(key);
+            sums.add(row, class, *value)?;
+        }
+        Ok(sums)
+    }
+
+    /// The present rows with their lanes, ascending (the bias row last).
+    pub fn rows(&self) -> impl Iterator<Item = (usize, &[u32; CLASSES])> + '_ {
+        self.0.iter()
+    }
+}
+
+/// The in-memory ground truth: every worker's quantized lanes summed with
 /// wrapping `u32` addition, i.e. exactly what a lossless SUM-aggregating
-/// network computes.
+/// network computes. A zero lane adds nothing, and its row is present
+/// only if another lane of it shipped, as on the wire. Panics on a
+/// gradient row outside the model, which only a hand-built
+/// [`SparseGrad`] can carry.
 pub fn reference_sums(updates: &[WorkerGrad]) -> LaneSums {
     let mut sums = LaneSums::new();
     for wu in updates {
-        for p in quantize_grad(&wu.grad) {
-            let e = sums.entry(grad_key_decode(&p.key)).or_insert(0u32);
-            *e = e.wrapping_add(p.value);
+        for (row, lanes) in quantized_rows(&wu.grad) {
+            for (sum, lane) in sums.0.row_mut(row).iter_mut().zip(lanes) {
+                *sum = sum.wrapping_add(lane);
+            }
         }
     }
     sums
@@ -153,17 +240,19 @@ impl<O: Optimizer> NetCluster<O> {
     /// the sums themselves differ.
     pub fn apply_sums(&mut self, sums: &LaneSums) {
         let inv = 1.0 / self.n_workers as f32;
-        let mut rows: BTreeMap<usize, [f32; CLASSES]> = BTreeMap::new();
+        let mean = |lanes: &[u32; CLASSES]| {
+            lanes.map(|lane| fixed::decode(lane, GRAD_FRAC_BITS) as f32 * inv)
+        };
+        let mut rows = Vec::new();
         let mut bias = [0.0f32; CLASSES];
-        for (&(row, class), &lane) in sums {
-            let mean = fixed::decode(lane, GRAD_FRAC_BITS) as f32 * inv;
-            if row == BIAS_ROW {
-                bias[class as usize] = mean;
+        for (row, lanes) in sums.rows() {
+            if row == BIAS_ROW as usize {
+                bias = mean(lanes);
             } else {
-                rows.entry(row as usize).or_insert([0.0; CLASSES])[class as usize] = mean;
+                rows.push((row, mean(lanes)));
             }
         }
-        let mean_grad = SparseGrad { rows: rows.into_iter().collect(), bias };
+        let mean_grad = SparseGrad { rows, bias };
         let update = self.optimizer.step(&mean_grad);
         self.server.apply_rows(&update.rows, &update.bias);
     }
@@ -304,7 +393,7 @@ impl NetTrainSpec {
         let mut server_frames_per_round = Vec::with_capacity(self.steps);
         let mut pairs_shipped = 0u64;
         let server = sched.node_id(self.workers);
-        for _ in 0..self.steps {
+        for step in 0..self.steps {
             let updates = cluster.compute_updates(&data);
             let shards: Vec<Vec<Vec<Pair>>> = updates
                 .iter()
@@ -318,8 +407,8 @@ impl NetTrainSpec {
             let per_tree = sched.run_round(job, &shards)?;
             let net = sched.sim().snapshot().delta(&before);
             server_frames_per_round.push(net.nodes[server.0].frames_in);
-            let sums: LaneSums =
-                per_tree[0].iter().map(|(k, v)| (grad_key_decode(k), *v)).collect();
+            let sums = LaneSums::from_pairs(&per_tree[0])
+                .map_err(|foreign| format!("sgd step {step}: {foreign}"))?;
             cluster.apply_sums(&sums);
             digests.push(model_digest(&cluster.server));
         }
@@ -341,6 +430,8 @@ impl NetTrainSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::{Adam, Sgd};
+    use std::collections::BTreeMap;
 
     #[test]
     fn grad_key_round_trips() {
@@ -386,8 +477,90 @@ mod tests {
         };
         // +0.75 and −0.5 sum to +0.25 exactly, through wrapping u32.
         let sums = reference_sums(&[mk(0.75), mk(-0.5)]);
-        assert_eq!(sums.len(), 1);
-        assert_eq!(fixed::decode(sums[&(0, 0)], GRAD_FRAC_BITS), 0.25);
+        let rows: Vec<_> = sums.rows().collect();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].0, 0);
+        assert_eq!(fixed::decode(rows[0].1[0], GRAD_FRAC_BITS), 0.25);
+    }
+
+    #[test]
+    fn a_foreign_key_is_refused_not_indexed() {
+        let hello = Key::from_str_key("hello").unwrap();
+        let good = grad_key(BIAS_ROW, 9);
+        let err = LaneSums::from_pairs(&[(good, 1), (hello, 1)]).unwrap_err();
+        assert_eq!(err, ForeignLane { row: 0x6865_6c6c, class: 0x6f00_0000 });
+        assert!(err.to_string().contains("row 1751477356, class 1862270976"), "{err}");
+        // The last in-range row and class are lanes; one past either is not.
+        let mut sums = LaneSums::new();
+        assert!(sums.add(BIAS_ROW, CLASSES as u32 - 1, 1).is_ok());
+        assert!(sums.add(BIAS_ROW + 1, 0, 1).is_err());
+        assert!(sums.add(0, CLASSES as u32, 1).is_err());
+        assert_eq!(sums.rows().map(|(r, _)| r).collect::<Vec<_>>(), vec![DIM]);
+    }
+
+    /// Row presence is what the network delivers: a row any worker
+    /// shipped a lane of, even when the workers' values cancel. The sums
+    /// built from merged wire pairs (as a tenant absorbs them) equal the
+    /// reference's, and either applied under SGD or Adam gives the same
+    /// model, bit for bit.
+    #[test]
+    fn network_and_reference_sums_agree_on_row_presence() {
+        let data = Dataset::generate(&DataSpec { n: 60, mean_active: 40, seed: 3 });
+        let mut cluster = NetCluster::new(3, 4, Sgd::new(0.1));
+        let mut updates = cluster.compute_updates(&data);
+        // Row 0 (a blank border pixel) gets +0.5 and −0.5 in class 2.
+        for (w, v) in [(0, 0.5f32), (1, -0.5)] {
+            let mut g = [0.0f32; CLASSES];
+            g[2] = v;
+            updates[w].grad.rows.insert(0, (0, g));
+        }
+        assert!(updates.iter().all(|u| u.grad.rows.windows(2).all(|p| p[0].0 < p[1].0)));
+
+        let mut merged: BTreeMap<Key, u32> = BTreeMap::new();
+        for u in &updates {
+            for p in quantize_grad(&u.grad) {
+                let e = merged.entry(p.key).or_insert(0);
+                *e = e.wrapping_add(p.value);
+            }
+        }
+        let wire: Vec<(Key, u32)> = merged.into_iter().collect();
+        let from_wire = LaneSums::from_pairs(&wire).unwrap();
+        let reference = reference_sums(&updates);
+        assert_eq!(from_wire, reference);
+        assert_eq!(reference.rows().next(), Some((0, &[0; CLASSES])), "cancelled lane keeps its row");
+
+        fn model_after<O: Optimizer>(opt: O, steps: &[&LaneSums]) -> Model {
+            let mut c = NetCluster::new(3, 4, opt);
+            for sums in steps {
+                c.apply_sums(sums);
+            }
+            c.server
+        }
+        let bits = |m: &Model| m.w.iter().chain(&m.b).map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (a, b) in [
+            (model_after(Sgd::new(0.1), &[&from_wire]), model_after(Sgd::new(0.1), &[&reference])),
+            (model_after(Adam::new(0.1), &[&from_wire]), model_after(Adam::new(0.1), &[&reference])),
+        ] {
+            assert_eq!(bits(&a), bits(&b));
+        }
+
+        // Presence is what Adam's lazy moments key on: after a step that
+        // moved row 0, a step where it is present but sums to 0 still
+        // moves it by momentum; dropping the row would not.
+        let mut first = LaneSums::new();
+        first.add(0, 2, fixed::encode(0.5, GRAD_FRAC_BITS)).unwrap();
+        let moved = model_after(Adam::new(0.1), &[&first]);
+        let coasted = model_after(Adam::new(0.1), &[&first, &reference]);
+        assert_ne!(moved.w[2].to_bits(), coasted.w[2].to_bits());
+    }
+
+    /// Captured at the commit that still summed through a `BTreeMap`: the
+    /// dense sums must replay the same model bits.
+    #[test]
+    fn reference_run_matches_its_golden_digest() {
+        let out = NetTrainSpec::default().run_reference();
+        assert_eq!(out.digests.last(), Some(&0x23fd_5e28));
+        assert_eq!(out.accuracy, 296.0 / 300.0);
     }
 
     #[test]

@@ -14,10 +14,9 @@
 //! aggregate. The *update support sets* per worker per step are the raw
 //! material of the Figure-1 overlap metric.
 
-use crate::data::{Dataset, Sample, CLASSES};
-use crate::model::{Model, SparseGrad};
+use crate::data::{Dataset, Sample, CLASSES, DIM};
+use crate::model::{DenseRows, Model, SparseGrad};
 use crate::optimizer::Optimizer;
-use std::collections::BTreeMap;
 
 /// What one worker sent in one step: its sparse mini-batch gradient (the
 /// parameter server owns the optimizer state, as in TensorFlow's PS
@@ -86,12 +85,11 @@ impl<O: Optimizer> PsCluster<O> {
         // touched rows*, the exact operation DAIET runs in-network — then
         // applies its optimizer once to the mean gradient.
         let inv = 1.0 / self.n_workers as f32;
-        let mut rows: BTreeMap<usize, [f32; CLASSES]> = BTreeMap::new();
+        let mut rows = DenseRows::new(DIM);
         let mut bias = [0.0f32; CLASSES];
         for wu in &updates {
             for (r, g) in &wu.grad.rows {
-                let acc = rows.entry(*r).or_insert([0.0; CLASSES]);
-                for (a, g) in acc.iter_mut().zip(g) {
+                for (a, g) in rows.row_mut(*r).iter_mut().zip(g) {
                     *a += g * inv;
                 }
             }
@@ -99,7 +97,7 @@ impl<O: Optimizer> PsCluster<O> {
                 *b += g * inv;
             }
         }
-        let mean_grad = SparseGrad { rows: rows.into_iter().collect(), bias };
+        let mean_grad = SparseGrad { rows: rows.to_sparse(), bias };
         let update = self.optimizer.step(&mean_grad);
         self.server.apply_rows(&update.rows, &update.bias);
 
@@ -152,7 +150,7 @@ mod tests {
         assert_eq!(trace.updates.len(), 2);
         for wu in &trace.updates {
             assert!(!wu.grad.rows.is_empty());
-            // Rows ascend (BTreeMap order upstream).
+            // Rows ascend (dense row order upstream).
             let rows: Vec<usize> = wu.grad.touched_rows().collect();
             assert!(rows.windows(2).all(|w| w[0] < w[1]));
         }

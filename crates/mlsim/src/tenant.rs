@@ -10,7 +10,7 @@
 //! path) and compares per-step model digests bit-for-bit.
 
 use crate::data::{DataSpec, Dataset};
-use crate::netrun::{grad_key_decode, model_digest, quantize_grad, reference_sums, LaneSums, NetCluster};
+use crate::netrun::{model_digest, quantize_grad, reference_sums, ForeignLane, LaneSums, NetCluster};
 use crate::optimizer::Sgd;
 use daiet::agg::AggFn;
 use daiet::tenant::{fold_round_digest, TenantWorkload, DIGEST_SEED};
@@ -27,6 +27,9 @@ pub struct SgdTenant {
     steps: u64,
     lr: f32,
     digests: Vec<u32>,
+    /// The first key outside the model any round delivered, with its
+    /// round; that round's sums are not applied.
+    foreign: Option<(u64, ForeignLane)>,
     wire_digest: u64,
 }
 
@@ -43,6 +46,7 @@ impl SgdTenant {
             steps,
             lr,
             digests: Vec::new(),
+            foreign: None,
             wire_digest: DIGEST_SEED,
         }
     }
@@ -88,13 +92,14 @@ impl TenantWorkload for SgdTenant {
             .collect()
     }
 
-    fn absorb(&mut self, _round: u64, per_tree: Vec<Vec<(Key, u32)>>) {
+    fn absorb(&mut self, round: u64, per_tree: Vec<Vec<(Key, u32)>>) {
         self.wire_digest = fold_round_digest(self.wire_digest, &per_tree);
-        let mut sums = LaneSums::new();
-        for (key, value) in per_tree.first().map_or(&[][..], Vec::as_slice) {
-            sums.insert(grad_key_decode(key), *value);
+        match LaneSums::from_pairs(per_tree.first().map_or(&[][..], Vec::as_slice)) {
+            Ok(sums) => self.cluster.apply_sums(&sums),
+            Err(foreign) => {
+                self.foreign.get_or_insert((round, foreign));
+            }
         }
-        self.cluster.apply_sums(&sums);
         self.digests.push(model_digest(&self.cluster.server));
     }
 
@@ -103,6 +108,9 @@ impl TenantWorkload for SgdTenant {
     }
 
     fn verify(&self) -> Result<(), String> {
+        if let Some((round, foreign)) = &self.foreign {
+            return Err(format!("sgd step {round}: {foreign}"));
+        }
         if self.digests.len() != self.steps as usize {
             return Err(format!(
                 "sgd: {} steps absorbed, expected {}",
@@ -174,6 +182,29 @@ mod tests {
         t.absorb(0, vec![pairs]);
         t.absorb(1, vec![Vec::new()]);
         assert!(t.verify().is_err());
+    }
+
+    #[test]
+    fn a_foreign_key_fails_verification_instead_of_panicking() {
+        let mut t = SgdTenant::tiny(4);
+        let _ = t.shards(0);
+        t.absorb(0, vec![vec![(Key::from_str_key("hello").unwrap(), 1)]]);
+        let _ = t.shards(1);
+        t.absorb(1, vec![Vec::new()]);
+        let err = t.verify().unwrap_err();
+        assert!(err.contains("step 0") && err.contains("row 1751477356, class 1862270976"), "{err}");
+    }
+
+    /// The ledger's SGD shape, driven loss-free. Captured at the commit
+    /// that still summed through `BTreeMap`s: the dense layout must
+    /// reproduce every model bit and every wire pair.
+    #[test]
+    fn ledger_shape_matches_its_golden_digests() {
+        let mut t = SgdTenant::new(3, 16, 20, 0.1, DataSpec { n: 960, mean_active: 60, seed: 7 });
+        drive_lossless(&mut t);
+        t.verify().unwrap();
+        assert_eq!(t.step_digests().last(), Some(&0xac41_7664));
+        assert_eq!(t.digest(), 0xd7a4_4959_4b52_aa2f);
     }
 
     #[test]
