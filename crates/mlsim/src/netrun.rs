@@ -477,10 +477,9 @@ mod tests {
         };
         // +0.75 and −0.5 sum to +0.25 exactly, through wrapping u32.
         let sums = reference_sums(&[mk(0.75), mk(-0.5)]);
-        let rows: Vec<_> = sums.rows().collect();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].0, 0);
-        assert_eq!(fixed::decode(rows[0].1[0], GRAD_FRAC_BITS), 0.25);
+        let mut want = [0u32; CLASSES];
+        want[0] = fixed::encode(0.25, GRAD_FRAC_BITS);
+        assert_eq!(sums.rows().collect::<Vec<_>>(), vec![(0, &want)]);
     }
 
     #[test]
