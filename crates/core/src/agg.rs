@@ -66,29 +66,6 @@ impl AggFn {
         values.into_iter().reduce(|a, b| self.apply(a, b))
     }
 
-    /// Wire encoding of the function (controller → switch configuration).
-    pub fn to_wire(self) -> u8 {
-        match self {
-            AggFn::Sum => 0,
-            AggFn::Min => 1,
-            AggFn::Max => 2,
-            AggFn::BitOr => 3,
-            AggFn::BitAnd => 4,
-        }
-    }
-
-    /// Decodes a wire value.
-    pub fn from_wire(raw: u8) -> Option<AggFn> {
-        Some(match raw {
-            0 => AggFn::Sum,
-            1 => AggFn::Min,
-            2 => AggFn::Max,
-            3 => AggFn::BitOr,
-            4 => AggFn::BitAnd,
-            _ => return None,
-        })
-    }
-
     /// All supported functions (handy for exhaustive tests).
     pub const ALL: [AggFn; 5] = [AggFn::Sum, AggFn::Min, AggFn::Max, AggFn::BitOr, AggFn::BitAnd];
 }
@@ -145,14 +122,6 @@ mod tests {
         assert_eq!(AggFn::Min.fold(vals), Some(2));
         assert_eq!(AggFn::Max.fold(vals), Some(14));
         assert_eq!(AggFn::Sum.fold(std::iter::empty()), None);
-    }
-
-    #[test]
-    fn wire_encoding_round_trips() {
-        for f in AggFn::ALL {
-            assert_eq!(AggFn::from_wire(f.to_wire()), Some(f));
-        }
-        assert_eq!(AggFn::from_wire(200), None);
     }
 
     #[test]

@@ -37,7 +37,7 @@ use daiet_dataplane::pipeline::{ActionSpec, Pipeline};
 use daiet_dataplane::resources::{ResourceError, Resources};
 use daiet_dataplane::table::{Field, Table};
 use daiet_dataplane::{ExternId, Switch};
-use daiet_netsim::topology::TopologyPlan;
+use daiet_netsim::topology::{Role, TopologyPlan};
 use daiet_wire::stack::Endpoints;
 use std::collections::BTreeMap;
 
@@ -217,6 +217,7 @@ impl Controller {
         mode: AggregationMode,
     ) -> Result<(Deployment, BTreeMap<usize, Switch>), DeployError> {
         validate(&self.config, &resources, mode)?;
+        validate_placement(plan, placement)?;
         if placement.reducers.len() > u16::MAX as usize {
             return Err(DeployError::Config("too many reducers for a u16 tree id".into()));
         }
@@ -308,6 +309,27 @@ pub(crate) fn validate(
                 config.rtx_frames
             )));
         }
+    }
+    Ok(())
+}
+
+/// Checks that every placement slot is a host of `plan` and that no
+/// mapper slot repeats. Anything else deploys into a wrong answer or a
+/// panic: a switch slot would have its switch replaced by a host, an
+/// out-of-range slot indexes past the plan, and a repeated mapper's
+/// second shard is never sent. Reducer slots may repeat — a multi-lane
+/// query roots every lane at one coordinator.
+fn validate_placement(plan: &TopologyPlan, placement: &JobPlacement) -> Result<(), DeployError> {
+    let mut mappers = std::collections::BTreeSet::new();
+    for (i, &slot) in placement.mappers.iter().chain(&placement.reducers).enumerate() {
+        let why = if slot >= plan.len() || plan.role(slot) != Role::Host {
+            "is not a host of the plan"
+        } else if i < placement.mappers.len() && !mappers.insert(slot) {
+            "repeats a mapper slot"
+        } else {
+            continue;
+        };
+        return Err(DeployError::Config(format!("placement slot {slot} {why}")));
     }
     Ok(())
 }
@@ -694,6 +716,29 @@ mod tests {
         assert!(matches!(err, DeployError::Config(_) | DeployError::Resources(_)));
     }
 
+    /// A placement slot that is out of range, is not a host, or repeats a
+    /// mapper is refused by name — each used to deploy into a panic or a
+    /// silently wrong answer. Reducers may share a slot, as every lane of
+    /// a query shares its coordinator.
+    #[test]
+    fn placements_off_the_plan_hosts_or_with_a_repeated_mapper_are_refused() {
+        let plan = TopologyPlan::star(3, LinkSpec::fast());
+        let controller = Controller::new(DaietConfig::default(), AggFn::Sum);
+        let deploy = |mappers: Vec<usize>, reducers: Vec<usize>| {
+            let placement = JobPlacement { mappers, reducers };
+            let mode = AggregationMode::InNetwork;
+            controller.deploy(&plan, &placement, Resources::tofino_like(), mode).map(|_| ())
+        };
+        for (mappers, reducers, slot) in
+            [(vec![0, 0], vec![2], 0), (vec![0, 1], vec![3], 3), (vec![0, 9], vec![2], 9)]
+        {
+            let err = deploy(mappers, reducers).unwrap_err();
+            let named = format!("placement slot {slot} ");
+            assert!(matches!(&err, DeployError::Config(m) if m.contains(&named)), "{err}");
+        }
+        assert_eq!(deploy(vec![0, 1], vec![2, 2]), Ok(()));
+    }
+
     /// Runs a one-tree job on the simulator from its node list:
     /// `shards[m]` is mapper `m`'s pairs. Returns the simulator and the
     /// node ids by plan slot.
@@ -710,8 +755,7 @@ mod tests {
         let shards = shards.into_iter().map(|pairs| vec![pairs]).collect();
         let mut sim = Simulator::new(seed);
         let specs = job.specs(shards, daiet_fabric::Duration::from_micros(1), 1);
-        let ids: Vec<_> = specs.into_iter().map(|s| sim.add_node((s.build)())).collect();
-        job.plan().wire(&mut sim, &ids);
+        let ids = job.plan().instantiate(&mut sim, specs);
         sim.run();
         (sim, ids)
     }

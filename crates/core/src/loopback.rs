@@ -4,10 +4,12 @@
 //! in each plan slot of a one-shot job:
 //! [`PacedSenderNode`](crate::worker::PacedSenderNode) mappers,
 //! userspace [`Switch`](daiet_dataplane::Switch)es, [`ReducerHost`]
-//! reducers, idle spare hosts. Both backends consume that list
-//! unchanged. The simulator runners (the workload crates' `Runner`s)
-//! build every spec in slot order and hand the nodes to a `Simulator`;
-//! the real-time backend hands the specs to [`daiet_fabric::run_cluster`],
+//! reducers, idle spare hosts. Both backends consume that list. On the
+//! simulator, [`TopologyPlan::instantiate`] builds every spec in slot
+//! order and wires the plan; the workload crates' one-shot runners run
+//! all three of their modes that way, the TCP baseline with its host
+//! specs swapped for TCP streams. The real-time backend hands the
+//! specs to [`daiet_fabric::run_cluster`],
 //! which drives each node from a nonblocking UDP socket loop on its own
 //! thread. There the kernel genuinely routes every datagram over
 //! `127.0.0.1`, timers run on the wall clock, and loss is injected at the
@@ -91,7 +93,7 @@ pub struct ReducerReport {
 /// One one-shot DAIET job: the controller's deployment plus everything a
 /// slot needs to build its node. Construct with [`LoopbackJob::deploy`],
 /// then ask it for one [`NodeSpec`] per plan slot ([`specs`](Self::specs))
-/// and either build them into a simulator in slot order or hand them to
+/// and either hand them to [`TopologyPlan::instantiate`] or to
 /// [`daiet_fabric::run_cluster`] with [`LoopbackJob::links`].
 pub struct LoopbackJob {
     controller: Controller,
@@ -225,10 +227,10 @@ impl LoopbackJob {
     /// The job's node list, one spec per plan slot in slot order: mappers
     /// get `shards[m]`, reducers and switches their role's spec, and a
     /// host the placement leaves out idles. Every shim is transparent;
-    /// set a slot's `shim` for socket-edge loss. The simulator builds the
-    /// same list. `_copies` is inert (every frame is sent once); it stays
-    /// only because the tracked benchmark calls this signature, and the
-    /// next `benchmark` issue removes it.
+    /// set a slot's `shim` for socket-edge loss. The simulator runs the
+    /// same list through [`TopologyPlan::instantiate`]. `_copies` is inert
+    /// (every frame is sent once); it stays only because the tracked
+    /// benchmark calls this signature.
     pub fn specs<P: Into<Arc<Vec<Pair>>>>(
         &self,
         shards: Vec<Vec<P>>,

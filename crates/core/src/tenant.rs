@@ -140,7 +140,8 @@ impl core::fmt::Display for JobId {
 /// What a tenant asks the scheduler for.
 #[derive(Debug, Clone)]
 pub struct JobRequest {
-    /// Human-readable tag carried through accounting.
+    /// A human-readable tag for the caller's own accounting; the
+    /// scheduler does not read it.
     pub label: String,
     /// Sender slots to lease.
     pub senders: usize,
@@ -166,7 +167,6 @@ pub struct JobUsage {
 
 /// Per-job state the scheduler tracks while a job is admitted.
 struct JobState {
-    label: String,
     /// Leased sender plan slots (job-local sender index → plan slot).
     sender_slots: Vec<usize>,
     /// Live roster: whether sender `i` takes part in rounds. All true
@@ -367,7 +367,6 @@ impl JobScheduler {
         self.free_senders.drain(..req.senders);
         self.free_reducers.drain(..req.aggs.len());
         let st = JobState {
-            label: req.label,
             active: vec![true; sender_slots.len()],
             next_seq: vec![FnvHashMap::default(); sender_slots.len()],
             sender_slots,
@@ -873,11 +872,6 @@ impl JobScheduler {
     /// Number of currently admitted jobs.
     pub fn job_count(&self) -> usize {
         self.jobs.len()
-    }
-
-    /// A job's label, while admitted.
-    pub fn job_label(&self, job: JobId) -> Option<&str> {
-        self.jobs.get(&job.0).map(|st| st.label.as_str())
     }
 
     /// Rounds `job` has completed so far.

@@ -36,7 +36,10 @@ pub type DonePred = Box<dyn FnMut(&dyn Node) -> bool + Send>;
 /// Extracts a `Send` result from the node after its driver stopped.
 pub type Finish = Box<dyn FnOnce(Box<dyn Node>) -> Box<dyn Any + Send> + Send>;
 
-/// One member of a [`run_cluster`] run.
+/// One slot of a job's node list. Both backends consume it: a
+/// [`run_cluster`] run uses every field, while the simulator's
+/// `TopologyPlan::instantiate` only calls `build` — `shim`, `done` and
+/// `finish` matter on sockets only.
 pub struct NodeSpec {
     /// Builds the node (runs on the driver thread).
     pub build: NodeCtor,

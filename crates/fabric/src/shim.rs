@@ -94,11 +94,6 @@ impl FaultShim {
         }
         ShimDecision::Deliver
     }
-
-    /// Frames seen so far (delivered or not).
-    pub fn frames_seen(&self) -> u64 {
-        self.seen
-    }
 }
 
 /// A seed perturbation so `FaultShim::seeded(s, ..)` and a simulator run

@@ -9,7 +9,6 @@
 //! two quantities behind Figure 1(c).
 
 use crate::graph::Graph;
-use daiet::agg::AggFn;
 
 /// Per-superstep message census.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -122,13 +121,6 @@ pub fn run<P: VertexProgram>(
         }
     }
     (states, census)
-}
-
-/// Convenience: wraps an [`AggFn`] as a combiner over `u64` message lanes
-/// (used by tests; the algorithms implement `combine` directly on their
-/// natural types).
-pub fn agg_combine(agg: AggFn, a: u32, b: u32) -> u32 {
-    agg.apply(a, b)
 }
 
 #[cfg(test)]

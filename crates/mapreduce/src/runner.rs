@@ -15,9 +15,11 @@
 //! [`TopologyPlan`] — so multi-switch trees are exercised in the
 //! integration tests.
 //!
-//! The two UDP modes run the one-shot job's node list,
-//! [`LoopbackJob::specs`]; [`Runner::run_sockets`] runs the same list
-//! over loopback UDP sockets instead of the simulator.
+//! All three modes run the one-shot job's node list,
+//! [`LoopbackJob::specs`], brought up on the simulator by
+//! [`TopologyPlan::instantiate`]; the TCP baseline swaps its mapper and
+//! reducer specs for TCP hosts. [`Runner::run_sockets`] runs the same list
+//! in a UDP mode over loopback UDP sockets instead of the simulator.
 
 // lint:allow-file(layer-netsim): end-to-end WordCount runner — constructs the
 // Simulator and TCP-baseline nodes directly. It is the experiment harness;
@@ -31,8 +33,8 @@ use daiet::loopback::{wall_clock_config, wall_clock_pacing, LoopbackJob, Reducer
 use daiet::worker::ReducerHost;
 use daiet::DaietConfig;
 use daiet_dataplane::Resources;
-use daiet_fabric::{DriverStats, ExitReason, FaultShim};
-use daiet_netsim::topology::{Role, TopologyPlan};
+use daiet_fabric::{DriverStats, ExitReason, FaultShim, NodeSpec};
+use daiet_netsim::topology::TopologyPlan;
 use daiet_netsim::{FramePool, LinkSpec, NodeId, SimDuration, SimTime, Simulator};
 use daiet_transport::tcp::{BulkSenderNode, SinkReceiverNode};
 use daiet_wire::daiet::Key;
@@ -166,182 +168,139 @@ impl Runner {
         TopologyPlan::star(spec.n_mappers + spec.n_reducers, self.link)
     }
 
-    /// The job's placement on `plan`: mappers on its first hosts, the
-    /// reducers on the next ones; any host after them idles.
-    fn placement(&self, plan: &TopologyPlan) -> JobPlacement {
-        let hosts = plan.hosts();
-        let spec = &self.corpus.spec;
-        assert!(hosts.len() >= spec.n_mappers + spec.n_reducers, "plan too small");
-        JobPlacement {
-            mappers: hosts[..spec.n_mappers].to_vec(),
-            reducers: hosts[spec.n_mappers..spec.n_mappers + spec.n_reducers].to_vec(),
-        }
-    }
-
     /// Runs `mode` on the star topology.
     pub fn run(&self, mode: ShuffleMode) -> RunOutcome {
         let plan = self.star_plan();
         self.run_on(&plan, mode)
     }
 
-    /// Runs `mode` on an arbitrary topology plan.
+    /// Runs `mode` on an arbitrary topology plan: the job's node list
+    /// brought up by [`TopologyPlan::instantiate`]. The TCP baseline swaps its
+    /// hosts in (`tcp_hosts`) over a pass-through deployment's L2 tables.
     pub fn run_on(&self, plan: &TopologyPlan, mode: ShuffleMode) -> RunOutcome {
-        match mode {
-            ShuffleMode::TcpBaseline => self.run_tcp(plan),
-            ShuffleMode::UdpNoAgg => self.run_udp(plan, AggregationMode::PassThrough),
-            ShuffleMode::DaietAgg => self.run_udp(plan, AggregationMode::InNetwork),
+        let agg = match mode {
+            ShuffleMode::DaietAgg => AggregationMode::InNetwork,
+            ShuffleMode::TcpBaseline | ShuffleMode::UdpNoAgg => AggregationMode::PassThrough,
+        };
+        let job = self.job(plan, self.daiet_config, agg);
+        let placement = job.placement();
+        // Cloning the table clones handles, not pairs.
+        let mut specs = job.specs(self.corpus.partitions.clone(), self.pacing, 1);
+        if mode == ShuffleMode::TcpBaseline {
+            self.tcp_hosts(placement, &mut specs);
         }
-    }
-
-    fn run_tcp(&self, plan: &TopologyPlan) -> RunOutcome {
-        let placement = self.placement(plan);
-        let spec = &self.corpus.spec;
-        // PassThrough deployment still builds the L2 forwarding tables.
-        let controller = Controller::new(self.daiet_config, AggFn::Sum);
-        let (_dep, mut switches) = controller
-            .deploy(plan, &placement, self.resources, AggregationMode::PassThrough)
-            .expect("deployment fits");
-
         let mut sim = self.make_sim();
-        let mut ids: Vec<NodeId> = Vec::with_capacity(plan.len());
-
-        for slot in 0..plan.len() {
-            let id = match plan.role(slot) {
-                Role::Host => {
-                    if let Some(m) = placement.mappers.iter().position(|&s| s == slot) {
-                        // Jobs: one stream per reducer, sorted records
-                        // (mappers sort in the baseline; zero-padded keys
-                        // order like the words they hold).
-                        let jobs: Vec<(u32, u16, Vec<u8>)> = (0..spec.n_reducers)
-                            .map(|r| {
-                                let mut pairs = self.corpus.partitions[m][r].to_vec();
-                                pairs.sort_unstable_by_key(|p| p.key);
-                                (
-                                    placement.reducers[r] as u32,
-                                    SHUFFLE_PORT,
-                                    serialize::encode_varlen(&pairs),
-                                )
-                            })
-                            .collect();
-                        sim.add_node(Box::new(BulkSenderNode::new(slot as u32, jobs)))
-                    } else {
-                        sim.add_node(Box::new(SinkReceiverNode::new(slot as u32, SHUFFLE_PORT)))
-                    }
-                }
-                Role::Switch => sim.add_node(Box::new(
-                    switches.remove(&slot).expect("controller built every switch"),
-                )),
-            };
-            ids.push(id);
-        }
-        plan.wire(&mut sim, &ids);
+        let ids = plan.instantiate(&mut sim, specs);
         let finished_at = sim.run_until(SimTime(SimDuration::from_secs(120).as_nanos()));
 
-        let mut reducers = Vec::with_capacity(spec.n_reducers);
+        let read = if mode == ShuffleMode::TcpBaseline { Self::read_tcp } else { Self::read_daiet };
+        let mut reducers = Vec::with_capacity(placement.reducers.len());
+        let mut data_done_at = None;
         for (r, &slot) in placement.reducers.iter().enumerate() {
-            let node = sim.node_ref::<SinkReceiverNode>(ids[slot]).expect("reducer node");
-            let mut merged: FnvHashMap<Key, u32> = FnvHashMap::default();
-            let mut records = 0usize;
-            let mut app_bytes = 0u64;
-            for stream in node.received.values() {
-                app_bytes += stream.len() as u64;
-                let pairs = serialize::decode_varlen(stream).expect("TCP delivers byte-exact");
-                records += pairs.len();
-                for pair in pairs {
-                    *merged.entry(pair.key).or_insert(0) += pair.value;
-                }
-            }
-            let correct = node.finished.len() == spec.n_mappers
-                && matches_reference(
-                    merged.iter().map(|(k, v)| (*k, *v)),
-                    self.corpus.expected_reduction(r),
-                );
-            let nic = sim.node_stats(ids[slot]);
-            reducers.push(ReducerMetrics {
-                reducer: r,
-                app_bytes,
-                nic_frames_in: nic.frames_in,
-                nic_frames_observed: nic.frames_observed(),
-                records,
-                distinct_keys: merged.len(),
-                reduce_time_ns: self.cost.baseline_reduce_ns(records, spec.n_mappers),
-                correct,
-            });
+            let (metrics, done_at) = read(self, &sim, ids[slot], r);
+            reducers.push(metrics);
+            data_done_at = data_done_at.max(Some(done_at.unwrap_or(finished_at)));
         }
-        let data_done_at = placement
-            .reducers
-            .iter()
-            .map(|&slot| {
-                sim.node_ref::<SinkReceiverNode>(ids[slot])
-                    .and_then(|n| n.last_fin_at)
-                    .unwrap_or(finished_at)
-            })
-            .max()
-            .unwrap_or(finished_at);
         let net = sim.snapshot();
         RunOutcome {
-            mode: ShuffleMode::TcpBaseline,
+            mode,
             reducers,
             frames_dropped: net.fault_drops() + net.overflow_drops(),
             finished_at,
-            data_done_at,
+            data_done_at: data_done_at.unwrap_or(finished_at),
         }
     }
 
-    /// The one-shot job of a UDP mode on `plan`, deployed under `config`.
+    /// The one-shot job on `plan`, deployed under `config`: mappers on
+    /// its first hosts, the reducers on the next ones; any host after
+    /// them idles.
     fn job(&self, plan: &TopologyPlan, config: DaietConfig, mode: AggregationMode) -> LoopbackJob {
+        let hosts = plan.hosts();
+        let (m, r) = (self.corpus.spec.n_mappers, self.corpus.spec.n_reducers);
+        assert!(hosts.len() >= m + r, "plan too small");
+        let placement =
+            JobPlacement { mappers: hosts[..m].to_vec(), reducers: hosts[m..m + r].to_vec() };
         let controller = Controller::new(config, AggFn::Sum);
-        LoopbackJob::deploy(controller, plan.clone(), self.placement(plan), self.resources, mode)
+        LoopbackJob::deploy(controller, plan.clone(), placement, self.resources, mode)
             .expect("deployment fits")
     }
 
-    fn run_udp(&self, plan: &TopologyPlan, agg: AggregationMode) -> RunOutcome {
-        let spec = &self.corpus.spec;
-        let job = self.job(plan, self.daiet_config, agg);
-        let placement = job.placement();
-
-        let mut sim = self.make_sim();
-        // Cloning the table clones handles, not pairs.
-        let specs = job.specs(self.corpus.partitions.clone(), self.pacing, 1);
-        let ids: Vec<NodeId> = specs.into_iter().map(|s| sim.add_node((s.build)())).collect();
-        plan.wire(&mut sim, &ids);
-        let finished_at = sim.run_until(SimTime(SimDuration::from_secs(120).as_nanos()));
-
-        let mode = match agg {
-            AggregationMode::InNetwork => ShuffleMode::DaietAgg,
-            AggregationMode::PassThrough => ShuffleMode::UdpNoAgg,
-        };
-        let mut reducers = Vec::with_capacity(spec.n_reducers);
-        for (r, &slot) in placement.reducers.iter().enumerate() {
-            let node = sim.node_ref::<ReducerHost>(ids[slot]).expect("reducer node");
-            let stats = node.collector.stats();
-            let correct = node.collector.is_complete()
-                && matches_reference(node.collector.get_all(), self.corpus.expected_reduction(r));
-            let nic = sim.node_stats(ids[slot]);
-            reducers.push(ReducerMetrics {
-                reducer: r,
-                app_bytes: stats.app_bytes,
-                nic_frames_in: nic.frames_in,
-                nic_frames_observed: nic.frames_observed(),
-                records: stats.pairs_received as usize,
-                distinct_keys: node.collector.len(),
-                reduce_time_ns: self.cost.daiet_reduce_ns(stats.pairs_received as usize),
-                correct,
-            });
+    /// Swaps the job's mapper and reducer specs for the TCP baseline's
+    /// hosts: each mapper streams its partitions, sorted, one connection
+    /// per reducer (mappers sort in the baseline; zero-padded keys order
+    /// like the words they hold), and each reducer is a TCP sink.
+    fn tcp_hosts(&self, placement: &JobPlacement, specs: &mut [NodeSpec]) {
+        for (m, &slot) in placement.mappers.iter().enumerate() {
+            let mut jobs = Vec::with_capacity(placement.reducers.len());
+            for (r, &reducer) in placement.reducers.iter().enumerate() {
+                let mut pairs = self.corpus.partitions[m][r].to_vec();
+                pairs.sort_unstable_by_key(|p| p.key);
+                jobs.push((reducer as u32, SHUFFLE_PORT, serialize::encode_varlen(&pairs)));
+            }
+            specs[slot] =
+                NodeSpec::plain(Box::new(move || Box::new(BulkSenderNode::new(slot as u32, jobs))));
         }
-        let data_done_at = placement
-            .reducers
-            .iter()
-            .map(|&slot| {
-                sim.node_ref::<ReducerHost>(ids[slot])
-                    .and_then(|n| n.completed_at)
-                    .unwrap_or(finished_at)
-            })
-            .max()
-            .unwrap_or(finished_at);
-        let net = sim.snapshot();
-        let frames_dropped = net.fault_drops() + net.overflow_drops();
-        RunOutcome { mode, reducers, frames_dropped, finished_at, data_done_at }
+        for &slot in &placement.reducers {
+            specs[slot] = NodeSpec::plain(Box::new(move || {
+                Box::new(SinkReceiverNode::new(slot as u32, SHUFFLE_PORT))
+            }));
+        }
+    }
+
+    /// Reducer `r`'s measurements off its TCP sink `id`, and when its last
+    /// stream finished: every mapper's stream decoded and merged.
+    fn read_tcp(&self, sim: &Simulator, id: NodeId, r: usize) -> (ReducerMetrics, Option<SimTime>) {
+        let spec = &self.corpus.spec;
+        let node = sim.node_ref::<SinkReceiverNode>(id).expect("reducer node");
+        let mut merged: FnvHashMap<Key, u32> = FnvHashMap::default();
+        let mut records = 0usize;
+        let mut app_bytes = 0u64;
+        for stream in node.received.values() {
+            app_bytes += stream.len() as u64;
+            let pairs = serialize::decode_varlen(stream).expect("TCP delivers byte-exact");
+            records += pairs.len();
+            for pair in pairs {
+                *merged.entry(pair.key).or_insert(0) += pair.value;
+            }
+        }
+        let correct = node.finished.len() == spec.n_mappers
+            && matches_reference(
+                merged.iter().map(|(k, v)| (*k, *v)),
+                self.corpus.expected_reduction(r),
+            );
+        let nic = sim.node_stats(id);
+        let metrics = ReducerMetrics {
+            reducer: r,
+            app_bytes,
+            nic_frames_in: nic.frames_in,
+            nic_frames_observed: nic.frames_observed(),
+            records,
+            distinct_keys: merged.len(),
+            reduce_time_ns: self.cost.baseline_reduce_ns(records, spec.n_mappers),
+            correct,
+        };
+        (metrics, node.last_fin_at)
+    }
+
+    /// Reducer `r`'s measurements off its DAIET endpoint `id`, and when
+    /// its input completed.
+    fn read_daiet(&self, sim: &Simulator, id: NodeId, r: usize) -> (ReducerMetrics, Option<SimTime>) {
+        let node = sim.node_ref::<ReducerHost>(id).expect("reducer node");
+        let stats = node.collector.stats();
+        let correct = node.collector.is_complete()
+            && matches_reference(node.collector.get_all(), self.corpus.expected_reduction(r));
+        let nic = sim.node_stats(id);
+        let metrics = ReducerMetrics {
+            reducer: r,
+            app_bytes: stats.app_bytes,
+            nic_frames_in: nic.frames_in,
+            nic_frames_observed: nic.frames_observed(),
+            records: stats.pairs_received as usize,
+            distinct_keys: node.collector.len(),
+            reduce_time_ns: self.cost.daiet_reduce_ns(stats.pairs_received as usize),
+            correct,
+        };
+        (metrics, node.completed_at)
     }
 
     /// Runs a UDP mode of the shuffle over loopback UDP sockets instead

@@ -39,22 +39,6 @@ impl NodeScript {
         NodeScript { downs: vec![(kill, Some(revive))] }
     }
 
-    /// Appends another down interval; must start after every prior
-    /// interval ended (intervals are disjoint and ordered).
-    pub fn and_down_between(
-        mut self,
-        kill: crate::time::SimTime,
-        revive: crate::time::SimTime,
-    ) -> NodeScript {
-        assert!(kill < revive, "revive must come after kill");
-        if let Some(&(_, last_revive)) = self.downs.last() {
-            let end = last_revive.expect("cannot add intervals after a permanent kill");
-            assert!(kill >= end, "down intervals must be disjoint and ordered");
-        }
-        self.downs.push((kill, Some(revive)));
-        self
-    }
-
     /// True when the node is down at `t` (kill inclusive, revive
     /// exclusive).
     pub fn is_down_at(&self, t: crate::time::SimTime) -> bool {

@@ -1,7 +1,8 @@
 //! Topology plans: pure graph descriptions of clusters that can be wired
-//! into a [`Simulator`] once the caller has instantiated
-//! the node objects (hosts and switches live in higher-level crates, so the
-//! plan cannot construct them itself).
+//! into a [`Simulator`]. Hosts and switches live in higher-level crates, so
+//! the plan cannot construct them itself: the caller either adds the nodes
+//! and calls [`TopologyPlan::wire`], or hands over one
+//! [`NodeSpec`] per slot to [`TopologyPlan::instantiate`].
 //!
 //! Port numbers in a plan match the numbers the simulator will assign,
 //! because both sides allocate ports sequentially in link-insertion order;
@@ -12,6 +13,7 @@
 use crate::link::LinkSpec;
 use crate::node::{NodeId, PortId};
 use crate::sim::Simulator;
+use daiet_fabric::NodeSpec;
 use std::collections::VecDeque;
 
 /// What kind of device occupies a plan slot.
@@ -193,6 +195,19 @@ impl TopologyPlan {
             seen[a] += 1;
             seen[b] += 1;
         }
+    }
+
+    /// Brings a job up on `sim` from its node list, one spec per plan
+    /// slot in slot order: builds each spec, adds the node and wires the
+    /// plan. Returns the node ids by plan slot. This is the simulator's
+    /// counterpart of [`daiet_fabric::run_cluster`], which takes the same
+    /// list onto loopback sockets; only `build` is used here — a spec's
+    /// `shim`, `done` and `finish` matter on sockets only.
+    pub fn instantiate(&self, sim: &mut Simulator, specs: Vec<NodeSpec>) -> Vec<NodeId> {
+        assert_eq!(specs.len(), self.len(), "one NodeSpec per plan slot");
+        let ids: Vec<NodeId> = specs.into_iter().map(|s| sim.add_node((s.build)())).collect();
+        self.wire(sim, &ids);
+        ids
     }
 
     // ---- Built-in cluster shapes -------------------------------------

@@ -15,10 +15,13 @@
 //! must produce **bit-identical** [`QueryResult`]s (the integration and
 //! property tests enforce this against [`Query::reference`]).
 //!
-//! The two UDP modes run the one-shot job's node list —
+//! All three modes run the one-shot job's node list —
 //! [`LoopbackJob::specs`] for the workers and the switch, plus the
-//! multi-lane coordinator's spec — and [`QueryRunner::run_sockets`] runs
-//! the same list over loopback UDP sockets instead of the simulator.
+//! multi-lane coordinator's spec — brought up on the simulator by
+//! [`TopologyPlan::instantiate`]; the TCP baseline swaps its worker and
+//! coordinator specs for TCP hosts. [`QueryRunner::run_sockets`] runs the
+//! same list in a UDP mode over loopback UDP sockets instead of the
+//! simulator.
 //!
 //! The optional reliability harness
 //! ([`QueryRunner::with_full_reliability`]) arms NACK recovery at the
@@ -39,7 +42,7 @@ use daiet::worker::{receive_daiet, Collector};
 use daiet::DaietConfig;
 use daiet_dataplane::Resources;
 use daiet_fabric::{DriverStats, ExitReason, FaultShim, NodeSpec};
-use daiet_netsim::topology::{Role, TopologyPlan};
+use daiet_netsim::topology::TopologyPlan;
 use daiet_netsim::{
     Fabric, FaultProfile, Frame, LinkSpec, Node, NodeId, NodeStats, PortId,
     SimDuration, SimTime, Simulator,
@@ -351,14 +354,6 @@ impl QueryRunner {
         (plan, workers, coord)
     }
 
-    fn placement(&self, workers: &[usize], coord: usize) -> JobPlacement {
-        JobPlacement {
-            mappers: workers.to_vec(),
-            // One tree per lane, all rooted at the coordinator.
-            reducers: vec![coord; self.plan.lane_count()],
-        }
-    }
-
     fn make_sim(&self) -> Simulator {
         let mut sim = Simulator::new(self.seed);
         // One pool across this runner's runs: repeated runs recycle the
@@ -368,48 +363,84 @@ impl QueryRunner {
         sim
     }
 
-    /// Runs the query under `mode`.
+    /// Runs the query under `mode`: the job's node list brought up by
+    /// [`TopologyPlan::instantiate`]. The TCP baseline swaps its hosts in
+    /// (`tcp_hosts`) over a pass-through deployment's L2 tables.
     pub fn run(&self, mode: QueryMode) -> QueryOutcome {
-        match mode {
-            QueryMode::TcpBaseline => self.run_tcp(),
-            QueryMode::UdpNoAgg => self.run_udp(AggregationMode::PassThrough),
-            QueryMode::DaietAgg => self.run_udp(AggregationMode::InNetwork),
+        let agg_mode = match mode {
+            QueryMode::DaietAgg => AggregationMode::InNetwork,
+            QueryMode::TcpBaseline | QueryMode::UdpNoAgg => AggregationMode::PassThrough,
+        };
+        let (job, mut specs, coord) = self.job(self.daiet_config, agg_mode, self.pacing);
+        if mode == QueryMode::TcpBaseline {
+            self.tcp_hosts(&job.placement().mappers, coord, &mut specs);
+        }
+        let mut sim = self.make_sim();
+        let ids = job.plan().instantiate(&mut sim, specs);
+        let finished_at = sim.run_until(SimTime(SimDuration::from_secs(120).as_nanos()));
+
+        let report = match mode {
+            QueryMode::TcpBaseline => self.read_tcp(&sim, ids[coord]),
+            QueryMode::UdpNoAgg | QueryMode::DaietAgg => read_daiet(&job, &sim, &ids, coord),
+        };
+        let net = sim.snapshot();
+        QueryOutcome {
+            mode,
+            result: self.plan.assemble(&report.lane_maps),
+            complete: report.complete,
+            coord_app_bytes: report.app_bytes,
+            coord_nic: sim.node_stats(ids[coord]),
+            records_received: report.records_received,
+            frames_dropped: net.fault_drops() + net.overflow_drops(),
+            duplicates_suppressed: report.duplicates_suppressed,
+            completed_at: report.completed_at,
+            finished_at,
         }
     }
 
-    fn run_tcp(&self) -> QueryOutcome {
-        let (plan, workers, coord) = self.make_plan();
-        let placement = self.placement(&workers, coord);
-        // PassThrough still installs the L2 forwarding tables.
-        let controller =
-            Controller::with_per_tree_agg(self.daiet_config, AggFn::Sum, self.plan.lane_aggs());
-        let (_dep, mut switches) = controller
-            .deploy(&plan, &placement, self.resources, AggregationMode::PassThrough)
+    /// The one-shot job, deployed under `config`, and its node list — the
+    /// one both backends run: [`LoopbackJob::specs`] over the workers'
+    /// per-lane partials, with the coordinator's spec at its slot.
+    /// Returns the job, the list and the coordinator's slot.
+    fn job(
+        &self,
+        config: DaietConfig,
+        agg_mode: AggregationMode,
+        pacing: SimDuration,
+    ) -> (LoopbackJob, Vec<NodeSpec>, usize) {
+        let (plan, mappers, coord) = self.make_plan();
+        // One tree per lane, all rooted at the coordinator.
+        let placement = JobPlacement { mappers, reducers: vec![coord; self.plan.lane_count()] };
+        let controller = Controller::with_per_tree_agg(config, AggFn::Sum, self.plan.lane_aggs());
+        let job = LoopbackJob::deploy(controller, plan, placement, self.resources, agg_mode)
             .expect("deployment fits");
+        let partials = self.table.shards.iter().map(|shard| self.plan.worker_partials(shard));
+        let mut specs = job.specs(partials.collect(), pacing, 1);
+        specs[coord] = coordinator_spec(&job, self.plan.lane_aggs(), coord);
+        (job, specs, coord)
+    }
 
-        let mut sim = self.make_sim();
-        let mut ids: Vec<NodeId> = Vec::with_capacity(plan.len());
-        for slot in 0..plan.len() {
-            let id = match plan.role(slot) {
-                Role::Host if slot != coord => {
-                    let w = workers.iter().position(|&s| s == slot).expect("worker slot");
-                    let payload = encode_partials(&self.plan.worker_partials(&self.table.shards[w]));
-                    let jobs = vec![(coord as u32, QUERY_PORT, payload)];
-                    sim.add_node(Box::new(BulkSenderNode::new(slot as u32, jobs)))
-                }
-                Role::Host => sim.add_node(Box::new(SinkReceiverNode::new(slot as u32, QUERY_PORT))),
-                Role::Switch => sim.add_node(Box::new(
-                    switches.remove(&slot).expect("controller built every switch"),
-                )),
-            };
-            ids.push(id);
+    /// Swaps the job's worker and coordinator specs for the TCP
+    /// baseline's hosts: each worker streams its encoded per-lane
+    /// partials to the coordinator, which is a TCP sink.
+    fn tcp_hosts(&self, workers: &[usize], coord: usize, specs: &mut [NodeSpec]) {
+        for (w, &slot) in workers.iter().enumerate() {
+            let payload = encode_partials(&self.plan.worker_partials(&self.table.shards[w]));
+            let jobs = vec![(coord as u32, QUERY_PORT, payload)];
+            specs[slot] =
+                NodeSpec::plain(Box::new(move || Box::new(BulkSenderNode::new(slot as u32, jobs))));
         }
-        plan.wire(&mut sim, &ids);
-        let finished_at = sim.run_until(SimTime(SimDuration::from_secs(120).as_nanos()));
+        specs[coord] = NodeSpec::plain(Box::new(move || {
+            Box::new(SinkReceiverNode::new(coord as u32, QUERY_PORT))
+        }));
+    }
 
-        let node = sim.node_ref::<SinkReceiverNode>(ids[coord]).expect("coordinator node");
-        let mut per_lane = self.plan.empty_lane_maps();
-        let mut records = 0u64;
+    /// The coordinator's read-out off its TCP sink `id`: every worker's
+    /// stream decoded and merged per lane.
+    fn read_tcp(&self, sim: &Simulator, id: NodeId) -> CoordReport {
+        let node = sim.node_ref::<SinkReceiverNode>(id).expect("coordinator node");
+        let mut lane_maps = self.plan.empty_lane_maps();
+        let mut records_received = 0u64;
         let mut app_bytes = 0u64;
         let mut all_decoded = true;
         for stream in node.received.values() {
@@ -422,87 +453,21 @@ impl QueryRunner {
                 all_decoded = false;
                 continue;
             };
-            records += recs.len() as u64;
+            records_received += recs.len() as u64;
             for (lane, group, value) in recs {
-                self.plan.merge_record(&mut per_lane, lane as usize, group, value);
+                self.plan.merge_record(&mut lane_maps, lane as usize, group, value);
             }
         }
-        let complete = all_decoded && node.finished.len() == workers.len();
-        let net = sim.snapshot();
-        QueryOutcome {
-            mode: QueryMode::TcpBaseline,
-            result: self.plan.assemble(&per_lane),
+        let complete = all_decoded && node.finished.len() == self.table.spec.n_workers;
+        CoordReport {
+            lane_maps,
             complete,
-            coord_app_bytes: app_bytes,
-            coord_nic: sim.node_stats(ids[coord]),
-            records_received: records,
-            frames_dropped: net.fault_drops() + net.overflow_drops(),
+            recovery_satisfied: true,
+            nacks_emitted: 0,
             duplicates_suppressed: 0,
+            records_received,
+            app_bytes,
             completed_at: if complete { node.last_fin_at } else { None },
-            finished_at,
-        }
-    }
-
-    /// A UDP mode's one-shot job, deployed under `config`, and its node
-    /// list — the one both backends run: [`LoopbackJob::specs`] over the
-    /// workers' per-lane partials, with the coordinator's spec at its
-    /// slot. Returns the job, the list and the coordinator's slot.
-    fn job(
-        &self,
-        config: DaietConfig,
-        agg_mode: AggregationMode,
-        pacing: SimDuration,
-    ) -> (LoopbackJob, Vec<NodeSpec>, usize) {
-        let (plan, workers, coord) = self.make_plan();
-        let placement = self.placement(&workers, coord);
-        let controller = Controller::with_per_tree_agg(config, AggFn::Sum, self.plan.lane_aggs());
-        let job = LoopbackJob::deploy(controller, plan, placement, self.resources, agg_mode)
-            .expect("deployment fits");
-        let partials = self.table.shards.iter().map(|shard| self.plan.worker_partials(shard));
-        let mut specs = job.specs(partials.collect(), pacing, 1);
-        specs[coord] = coordinator_spec(&job, self.plan.lane_aggs(), coord);
-        (job, specs, coord)
-    }
-
-    fn run_udp(&self, agg_mode: AggregationMode) -> QueryOutcome {
-        let (job, specs, coord) = self.job(self.daiet_config, agg_mode, self.pacing);
-        let mut sim = self.make_sim();
-        let ids: Vec<NodeId> = specs.into_iter().map(|s| sim.add_node((s.build)())).collect();
-        job.plan().wire(&mut sim, &ids);
-        let finished_at = sim.run_until(SimTime(SimDuration::from_secs(120).as_nanos()));
-
-        let mode = match agg_mode {
-            AggregationMode::InNetwork => QueryMode::DaietAgg,
-            AggregationMode::PassThrough => QueryMode::UdpNoAgg,
-        };
-        let switch_dups: u64 = job
-            .deployment()
-            .engine_externs
-            .iter()
-            .map(|(&slot, &ext)| {
-                let sw = sim
-                    .node_ref::<daiet_dataplane::Switch>(ids[slot])
-                    .expect("switch node");
-                sw.extern_ref::<daiet::DaietEngine>(ext)
-                    .expect("deployment registered the engine at this id")
-                    .duplicates_suppressed()
-            })
-            .sum();
-        let node = sim
-            .node_ref::<QueryCoordinatorNode>(ids[coord])
-            .expect("coordinator node");
-        let net = sim.snapshot();
-        QueryOutcome {
-            mode,
-            result: self.plan.assemble(&node.lane_maps()),
-            complete: node.is_complete(),
-            coord_app_bytes: node.app_bytes(),
-            coord_nic: sim.node_stats(ids[coord]),
-            records_received: node.pairs_received(),
-            frames_dropped: net.fault_drops() + net.overflow_drops(),
-            duplicates_suppressed: switch_dups + node.duplicates_suppressed(),
-            completed_at: node.completed_at,
-            finished_at,
         }
     }
 
@@ -583,8 +548,9 @@ pub struct QueryLoopbackOutcome {
     pub deadlined: bool,
 }
 
-/// The coordinator's `Send` distillate, carried across the driver-thread
-/// boundary by the spec's finish hook.
+/// The coordinator's read-out: what a socket run's finish hook carries
+/// across the driver-thread boundary, and what the simulator's readers
+/// return.
 struct CoordReport {
     lane_maps: Vec<BTreeMap<u32, u32>>,
     complete: bool,
@@ -592,6 +558,39 @@ struct CoordReport {
     nacks_emitted: u64,
     duplicates_suppressed: u64,
     records_received: u64,
+    app_bytes: u64,
+    completed_at: Option<SimTime>,
+}
+
+impl CoordReport {
+    fn of(coord: &QueryCoordinatorNode) -> CoordReport {
+        CoordReport {
+            lane_maps: coord.lane_maps(),
+            complete: coord.is_complete(),
+            recovery_satisfied: coord.recovery_satisfied(),
+            nacks_emitted: coord.nacks_emitted(),
+            duplicates_suppressed: coord.duplicates_suppressed(),
+            records_received: coord.pairs_received(),
+            app_bytes: coord.app_bytes(),
+            completed_at: coord.completed_at,
+        }
+    }
+}
+
+/// The coordinator's read-out off its DAIET endpoint at plan slot
+/// `coord`, with the duplicates the switches' engines suppressed added
+/// to its own.
+fn read_daiet(job: &LoopbackJob, sim: &Simulator, ids: &[NodeId], coord: usize) -> CoordReport {
+    let node = sim.node_ref::<QueryCoordinatorNode>(ids[coord]).expect("coordinator node");
+    let mut report = CoordReport::of(node);
+    for (&slot, &ext) in &job.deployment().engine_externs {
+        let sw = sim.node_ref::<daiet_dataplane::Switch>(ids[slot]).expect("switch node");
+        report.duplicates_suppressed += sw
+            .extern_ref::<daiet::DaietEngine>(ext)
+            .expect("deployment registered the engine at this id")
+            .duplicates_suppressed();
+    }
+    report
 }
 
 /// The coordinator's [`NodeSpec`] for `job` at plan slot `coord`: a
@@ -627,14 +626,7 @@ fn coordinator_spec(job: &LoopbackJob, lane_aggs: Vec<AggFn>, coord: usize) -> N
             let coord = (n as Box<dyn Any>)
                 .downcast::<QueryCoordinatorNode>()
                 .expect("coordinator slot holds a QueryCoordinatorNode");
-            Box::new(CoordReport {
-                lane_maps: coord.lane_maps(),
-                complete: coord.is_complete(),
-                recovery_satisfied: coord.recovery_satisfied(),
-                nacks_emitted: coord.nacks_emitted(),
-                duplicates_suppressed: coord.duplicates_suppressed(),
-                records_received: coord.pairs_received(),
-            })
+            Box::new(CoordReport::of(&coord))
         }),
     }
 }

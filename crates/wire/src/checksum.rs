@@ -143,23 +143,6 @@ pub fn crc32_update(mut reg: u32, data: &[u8]) -> u32 {
     reg
 }
 
-/// CRC-16/CCITT (polynomial `0x1021`, init `0xFFFF`), the second hash
-/// offered by the dataplane model (useful for d-left style schemes).
-pub fn crc16(data: &[u8]) -> u16 {
-    let mut reg: u16 = 0xFFFF;
-    for &byte in data {
-        reg ^= u16::from(byte) << 8;
-        for _ in 0..8 {
-            if reg & 0x8000 != 0 {
-                reg = (reg << 1) ^ 0x1021;
-            } else {
-                reg <<= 1;
-            }
-        }
-    }
-    reg
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,11 +200,5 @@ mod tests {
         reg = crc32_update(reg, a);
         reg = crc32_update(reg, b);
         assert_eq!(reg ^ 0xFFFF_FFFF, crc32(data));
-    }
-
-    #[test]
-    fn crc16_known_vector() {
-        // CRC-16/CCITT-FALSE("123456789") = 0x29B1.
-        assert_eq!(crc16(b"123456789"), 0x29B1);
     }
 }

@@ -15,7 +15,7 @@ use daiet_repro::daiet::worker::ReducerHost;
 use daiet_repro::daiet::DaietConfig;
 use daiet_repro::dataplane::Resources;
 use daiet_repro::netsim::topology::TopologyPlan;
-use daiet_repro::netsim::{FaultProfile, LinkSpec, NodeId, SimDuration, Simulator};
+use daiet_repro::netsim::{FaultProfile, LinkSpec, SimDuration, Simulator};
 use daiet_repro::wire::daiet::{Key, Pair};
 
 fn run(config: DaietConfig, faults: FaultProfile) -> (bool, Option<u32>) {
@@ -36,8 +36,7 @@ fn run(config: DaietConfig, faults: FaultProfile) -> (bool, Option<u32>) {
     let shards = vec![vec![vec![Pair::new(word, 10)]]; 3];
     let mut sim = Simulator::new(99);
     let specs = job.specs(shards, SimDuration::from_micros(1), 1);
-    let ids: Vec<NodeId> = specs.into_iter().map(|s| sim.add_node((s.build)())).collect();
-    job.plan().wire(&mut sim, &ids);
+    let ids = job.plan().instantiate(&mut sim, specs);
     sim.run();
     let r = sim.node_ref::<ReducerHost>(ids[3]).unwrap();
     (r.collector.is_complete(), r.collector.get(&word))

@@ -13,7 +13,7 @@ use daiet_repro::daiet::worker::ReducerHost;
 use daiet_repro::daiet::DaietConfig;
 use daiet_repro::dataplane::Resources;
 use daiet_repro::netsim::topology::TopologyPlan;
-use daiet_repro::netsim::{LinkSpec, NodeId, SimDuration, Simulator};
+use daiet_repro::netsim::{LinkSpec, SimDuration, Simulator};
 use daiet_repro::wire::daiet::{Key, Pair};
 
 fn main() {
@@ -47,8 +47,7 @@ fn main() {
     // real UDP sockets).
     let mut sim = Simulator::new(1);
     let specs = job.specs(partitions, SimDuration::from_micros(1), 1);
-    let ids: Vec<NodeId> = specs.into_iter().map(|s| sim.add_node((s.build)())).collect();
-    job.plan().wire(&mut sim, &ids);
+    let ids = job.plan().instantiate(&mut sim, specs);
 
     // 4. Run and read the aggregated result off the reducer.
     sim.run();

@@ -12,7 +12,7 @@ use daiet_repro::daiet::worker::ReducerHost;
 use daiet_repro::daiet::DaietConfig;
 use daiet_repro::dataplane::Resources;
 use daiet_repro::netsim::topology::TopologyPlan;
-use daiet_repro::netsim::{LinkSpec, NodeId, SimDuration, Simulator};
+use daiet_repro::netsim::{LinkSpec, SimDuration, Simulator};
 use daiet_repro::wire::daiet::{Key, Pair};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -54,8 +54,7 @@ fn aggregate_via_network(
     let shards = partitions.iter().map(|pairs| vec![pairs.clone()]).collect();
     let mut sim = Simulator::new(7);
     let specs = job.specs::<Vec<Pair>>(shards, SimDuration::from_micros(1), 1);
-    let ids: Vec<NodeId> = specs.into_iter().map(|s| sim.add_node((s.build)())).collect();
-    job.plan().wire(&mut sim, &ids);
+    let ids = job.plan().instantiate(&mut sim, specs);
     sim.run();
     let r = sim.node_ref::<ReducerHost>(ids[reducer]).unwrap();
     assert!(r.collector.is_complete(), "reducer starved of ENDs");

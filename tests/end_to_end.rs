@@ -146,3 +146,72 @@ fn chaos_run_replays_bit_identically_at_the_same_seed() {
         "a different seed must draw different faults"
     );
 }
+
+/// Golden outcomes of the one-shot runners in all three modes, pinned at
+/// the values these runs have always produced: how a runner brings its
+/// job up must leave every simulated number bit-identical. Times are in ns.
+#[test]
+fn one_shot_runners_reproduce_their_golden_outcomes() {
+    use daiet_repro::querysim::prelude::*;
+    let modes = [ShuffleMode::TcpBaseline, ShuffleMode::UdpNoAgg, ShuffleMode::DaietAgg];
+
+    // WordCount on the star, then on a leaf-spine plan with one idle host:
+    // (finished_at, data_done_at, Σ app_bytes, Σ nic_frames_in, Σ records).
+    let star = Runner::new(Corpus::generate(&CorpusSpec::tiny(3)));
+    let spec = CorpusSpec { n_mappers: 3, n_reducers: 2, ..CorpusSpec::tiny(4) };
+    let spare = Runner::new(Corpus::generate(&spec));
+    for (runner, plan, golden) in [
+        (&star, star.star_plan(), [
+            [1_206_918, 7_722, 1_733, 40, 156],
+            [18_084, 18_084, 3_400, 28, 156],
+            [18_748, 18_748, 1_290, 9, 60],
+        ]),
+        (&spare, TopologyPlan::leaf_spine(3, 2, 2, spare.link), [
+            [1_214_517, 15_367, 1_755, 30, 148],
+            [20_210, 20_210, 3_190, 23, 148],
+            [22_400, 22_400, 1_290, 9, 60],
+        ]),
+    ] {
+        for (mode, want) in modes.into_iter().zip(golden) {
+            let out = runner.run_on(&plan, mode);
+            assert!(out.all_correct() && out.frames_dropped == 0, "{mode:?}");
+            let sum = |f: fn(&_) -> u64| out.reducers.iter().map(f).sum::<u64>();
+            let got = [
+                out.finished_at.as_nanos(),
+                out.data_done_at.as_nanos(),
+                sum(|r| r.app_bytes),
+                sum(|r| r.nic_frames_in),
+                sum(|r| r.records as u64),
+            ];
+            assert_eq!(got, want, "{mode:?}");
+        }
+    }
+
+    // GROUP BY with every aggregate: (completed_at, finished_at,
+    // coord_app_bytes, coord NIC frames_in and bytes_in, records_received).
+    let aggs = vec![
+        Aggregate::Count,
+        Aggregate::Sum(0),
+        Aggregate::Min(1),
+        Aggregate::Max(1),
+        Aggregate::Avg(2),
+    ];
+    let runner = QueryRunner::new(Table::generate(&TableSpec::tiny(7)), Query::new(aggs));
+    for (mode, want) in [
+        (QueryMode::TcpBaseline, [8_424, 1_207_000, 1_800, 20, 2_880, 200]),
+        (QueryMode::UdpNoAgg, [32_084, 32_084, 4_450, 45, 6_340, 200]),
+        (QueryMode::DaietAgg, [32_360, 32_360, 1_350, 15, 1_980, 60]),
+    ] {
+        let out = runner.run(mode);
+        assert!(out.complete && out.frames_dropped == 0, "{mode:?}");
+        let got = [
+            out.completed_at.expect("complete runs record their instant").as_nanos(),
+            out.finished_at.as_nanos(),
+            out.coord_app_bytes,
+            out.coord_nic.frames_in,
+            out.coord_nic.bytes_in,
+            out.records_received,
+        ];
+        assert_eq!(got, want, "{mode:?}");
+    }
+}

@@ -10,7 +10,7 @@ use daiet_repro::daiet::worker::ReducerHost;
 use daiet_repro::daiet::DaietConfig;
 use daiet_repro::dataplane::{Resources, Switch};
 use daiet_repro::netsim::topology::TopologyPlan;
-use daiet_repro::netsim::{FaultProfile, LinkSpec, NodeId, SimDuration, Simulator};
+use daiet_repro::netsim::{FaultProfile, LinkSpec, SimDuration, Simulator};
 use daiet_repro::wire::daiet::{Key, Pair};
 
 struct Outcome {
@@ -38,8 +38,7 @@ fn run(config: DaietConfig, faults: FaultProfile, seed: u64) -> Outcome {
     let word = Key::from_str_key("w").unwrap();
     let mut sim = Simulator::new(seed);
     let specs = job.specs(vec![vec![vec![Pair::new(word, 5)]]; 3], SimDuration::from_micros(1), 1);
-    let ids: Vec<NodeId> = specs.into_iter().map(|s| sim.add_node((s.build)())).collect();
-    job.plan().wire(&mut sim, &ids);
+    let ids = job.plan().instantiate(&mut sim, specs);
     sim.run();
 
     let r = sim.node_ref::<ReducerHost>(ids[3]).unwrap();

@@ -47,8 +47,7 @@ fn wire_star(config: DaietConfig, keys_per_mapper: usize) -> (Simulator, Vec<Nod
         .collect();
     let mut sim = Simulator::new(5);
     let specs = job.specs::<Vec<Pair>>(shards, SimDuration::from_micros(1), 1);
-    let ids: Vec<NodeId> = specs.into_iter().map(|s| sim.add_node((s.build)())).collect();
-    job.plan().wire(&mut sim, &ids);
+    let ids = job.plan().instantiate(&mut sim, specs);
     (sim, ids, job.deployment().clone())
 }
 
