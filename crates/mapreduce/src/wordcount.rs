@@ -22,16 +22,18 @@
 //! Collision-freedom is enforced exactly the way the paper's dataset was
 //! built: rejection-sampling words until, within each reducer's
 //! partition, every word maps to a distinct `CRC32 % register_cells`
-//! slot.
+//! slot. Each try draws a word into a stack key and tests one bit of its
+//! reducer's cell bitmap; only an accepted word becomes a `String`. A
+//! repeated word needs no set of its own: its first draw took its cell,
+//! so the cell check rejects the repeat.
 //!
 //! The output is emitted directly as §4's fixed-size pairs — the padded
 //! key hashed for that check, plus the count — see [`Corpus`].
 
 use daiet_wire::checksum::crc32;
-use daiet_wire::daiet::{Key, Pair};
+use daiet_wire::daiet::{Key, Pair, KEY_LEN};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use daiet_wire::fnv::{FnvBuildHasher, FnvHashMap, FnvHashSet};
 use std::sync::Arc;
 
 /// Corpus parameters.
@@ -115,96 +117,82 @@ pub struct Corpus {
     /// `partitions[mapper][reducer]` = that mapper's pairs bound for that
     /// reducer: the word as a zero-padded key, and its partial count.
     pub partitions: Vec<Vec<Arc<Vec<Pair>>>>,
-    /// Ground truth: final count per word.
-    pub truth: FnvHashMap<String, u32>,
-    /// Per-reducer sorted ground truth, precomputed once (the correctness
-    /// check runs after every simulated shuffle; recomputing it per run
-    /// used to dominate small benches).
+    /// Ground truth: each reducer's words and final counts, sorted by word
+    /// once at generation (the correctness check runs after every shuffle).
     expected: Vec<Vec<(String, u32)>>,
 }
 
 impl Corpus {
-    /// Generates a corpus from `spec`.
+    /// Generates a corpus from `spec`. Panics if `spec` cannot be met,
+    /// e.g. asks for more words than the reducers' cells can hold apart.
     pub fn generate(spec: &CorpusSpec) -> Corpus {
-        assert!(spec.max_len <= 16, "words must fit DAIET keys");
+        assert!(spec.max_len <= KEY_LEN, "words must fit DAIET keys");
         assert!(spec.min_len >= 1 && spec.min_len <= spec.max_len);
         assert!(spec.n_mappers >= 1 && spec.n_reducers >= 1);
+        let (n, cells) = (spec.distinct_words, spec.n_reducers.saturating_mul(spec.register_cells));
+        assert!(n <= cells, "{n} words exceed the capacity of the reducers' cells: {cells}");
+        let space = (spec.min_len..=spec.max_len)
+            .fold(0usize, |sum, len| sum.saturating_add(26usize.saturating_pow(len as u32)));
+        assert!(n <= space, "{n} words exceed the capacity of their lengths: {space}");
         let mut rng = SmallRng::seed_from_u64(spec.seed);
 
         // 1. Dictionary: unique words, collision-free per reducer.
-        let mut words: Vec<(String, Key)> = Vec::with_capacity(spec.distinct_words);
-        let mut seen: FnvHashSet<String> =
-            FnvHashSet::with_capacity_and_hasher(spec.distinct_words, FnvBuildHasher::default());
-        let mut used_cells: Vec<FnvHashSet<u32>> = vec![FnvHashSet::default(); spec.n_reducers];
-        while words.len() < spec.distinct_words {
+        let mut words: Vec<(Key, usize)> = Vec::with_capacity(n);
+        let mut taken = vec![0u64; cells.div_ceil(64)]; // bit `r * register_cells + cell`
+        while words.len() < n {
             let len = rng.random_range(spec.min_len..=spec.max_len);
-            let w: String = (0..len)
-                .map(|_| (b'a' + rng.random_range(0..26u8)) as char)
-                .collect();
-            if seen.contains(&w) {
-                continue;
+            let mut k = [0u8; KEY_LEN];
+            for b in &mut k[..len] {
+                *b = b'a' + rng.random_range(0..26u8);
             }
-            let r = partition(&w, spec.n_reducers);
-            // The switch hashes the padded 16-byte key.
-            let key = Key::from_str_key(&w).expect("len <= 16");
-            let cell = crc32(&key.0) % spec.register_cells as u32;
-            if !used_cells[r].insert(cell) {
-                continue; // would collide in-switch: reject, like the paper's dataset
+            // The reducer is `partition(word)`; the switch hashes the padded key.
+            let r = crc32(&k[..len]) as usize % spec.n_reducers;
+            let bit = r * spec.register_cells + (crc32(&k) % spec.register_cells as u32) as usize;
+            if taken[bit / 64] & (1 << (bit % 64)) != 0 {
+                continue; // would collide in-switch, or repeats a word: reject
             }
-            seen.insert(w.clone());
-            words.push((w, key));
+            taken[bit / 64] |= 1 << (bit % 64);
+            words.push((Key(k), r));
         }
 
         // 2. Spread each word over a sampled set of mappers.
         let mut partitions: Vec<Vec<Vec<Pair>>> =
             vec![vec![Vec::new(); spec.n_reducers]; spec.n_mappers];
-        let mut truth: FnvHashMap<String, u32> =
-            FnvHashMap::with_capacity_and_hasher(words.len(), FnvBuildHasher::default());
-        for (w, key) in &words {
-            let r = partition(w, spec.n_reducers);
-            let mult = sample_multiplicity(&mut rng, spec);
-            let holders = sample_mappers(&mut rng, spec.n_mappers, mult);
+        let mut expected: Vec<Vec<(String, u32)>> = vec![Vec::new(); spec.n_reducers];
+        let mut mappers: Vec<usize> = (0..spec.n_mappers).collect();
+        for (key, r) in words {
+            // Partial Fisher-Yates for a `k`-subset of the mappers.
+            let k = sample_multiplicity(&mut rng, spec);
+            mappers.iter_mut().enumerate().for_each(|(i, m)| *m = i);
+            for i in 0..k {
+                mappers.swap(i, rng.random_range(i..spec.n_mappers));
+            }
             let mut total = 0u32;
-            for m in holders {
+            for &m in &mappers[..k] {
                 let count = rng.random_range(1..=9u32);
                 total += count;
-                partitions[m][r].push(Pair::new(*key, count));
+                partitions[m][r].push(Pair::new(key, count));
             }
-            truth.insert(w.clone(), total);
+            expected[r].push((String::from_utf8(key.trimmed().to_vec()).expect("ASCII"), total));
         }
-
-        let mut expected: Vec<Vec<(String, u32)>> = vec![Vec::new(); spec.n_reducers];
-        for (w, &c) in &truth {
-            expected[partition(w, spec.n_reducers)].push((w.clone(), c));
-        }
-        for e in &mut expected {
-            e.sort();
-        }
+        expected.iter_mut().for_each(|e| e.sort_unstable()); // the words are unique
+        partitions.iter_mut().flatten().for_each(Vec::shrink_to_fit);
 
         let partitions = partitions
             .into_iter()
             .map(|per_reducer| per_reducer.into_iter().map(Arc::new).collect())
             .collect();
-        Corpus { spec: *spec, partitions, truth, expected }
+        Corpus { spec: *spec, partitions, expected }
     }
 
     /// Total shuffle records (pre-aggregation).
     pub fn total_records(&self) -> usize {
-        self.partitions
-            .iter()
-            .flat_map(|per_reducer| per_reducer.iter())
-            .map(|pairs| pairs.len())
-            .sum()
-    }
-
-    /// Distinct words destined for reducer `r`.
-    pub fn distinct_for_reducer(&self, r: usize) -> usize {
-        self.expected[r].len()
+        self.partitions.iter().flatten().map(|pairs| pairs.len()).sum()
     }
 
     /// Mean mapper multiplicity actually realized.
     pub fn realized_multiplicity(&self) -> f64 {
-        self.total_records() as f64 / self.truth.len() as f64
+        self.total_records() as f64 / self.expected.iter().map(Vec::len).sum::<usize>() as f64
     }
 
     /// The reference result for reducer `r`, sorted by word — what a
@@ -222,20 +210,10 @@ fn sample_multiplicity(rng: &mut SmallRng, spec: &CorpusSpec) -> usize {
     (x.round() as i64).clamp(1, spec.n_mappers as i64) as usize
 }
 
-fn sample_mappers(rng: &mut SmallRng, n: usize, k: usize) -> Vec<usize> {
-    // Partial Fisher-Yates for a k-subset.
-    let mut idx: Vec<usize> = (0..n).collect();
-    for i in 0..k.min(n) {
-        let j = rng.random_range(i..n);
-        idx.swap(i, j);
-    }
-    idx.truncate(k.min(n));
-    idx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use daiet_wire::fnv::FnvHashMap;
 
     /// The word a pair's key holds (padding trimmed).
     fn word(pair: &Pair) -> &str {
@@ -246,10 +224,12 @@ mod tests {
     fn generation_is_deterministic() {
         let a = Corpus::generate(&CorpusSpec::tiny(5));
         let b = Corpus::generate(&CorpusSpec::tiny(5));
-        assert_eq!(a.truth, b.truth);
-        assert_eq!(a.partitions, b.partitions);
         let c = Corpus::generate(&CorpusSpec::tiny(6));
-        assert_ne!(a.truth, c.truth);
+        for r in 0..a.spec.n_reducers {
+            assert_eq!(a.expected_reduction(r), b.expected_reduction(r));
+            assert_ne!(a.expected_reduction(r), c.expected_reduction(r));
+        }
+        assert_eq!(a.partitions, b.partitions);
         assert_ne!(a.partitions, c.partitions);
     }
 
@@ -260,8 +240,10 @@ mod tests {
         for pair in corpus.partitions.iter().flatten().flat_map(|pairs| pairs.iter()) {
             *sums.entry(word(pair).to_owned()).or_insert(0) += pair.value;
         }
-        assert_eq!(sums, corpus.truth);
-        assert_eq!(corpus.truth.len(), 60);
+        let union: FnvHashMap<String, u32> =
+            (0..2).flat_map(|r| corpus.expected_reduction(r).iter().cloned()).collect();
+        assert_eq!(sums, union);
+        assert_eq!(union.len(), 60);
     }
 
     #[test]
@@ -281,11 +263,12 @@ mod tests {
         let spec = CorpusSpec { register_cells: 128, ..CorpusSpec::tiny(3) };
         let corpus = Corpus::generate(&spec);
         for r in 0..spec.n_reducers {
-            let mut cells = FnvHashSet::default();
-            for w in corpus.truth.keys().filter(|w| partition(w, spec.n_reducers) == r) {
+            let mut taken = vec![false; spec.register_cells];
+            for (w, _) in corpus.expected_reduction(r) {
                 let key = Key::from_str_key(w).unwrap();
-                let cell = crc32(&key.0) % spec.register_cells as u32;
-                assert!(cells.insert(cell), "collision on {w} in reducer {r}");
+                let cell = crc32(&key.0) as usize % spec.register_cells;
+                let collides = std::mem::replace(&mut taken[cell], true);
+                assert!(!collides, "collision on {w} in reducer {r}");
             }
         }
     }
@@ -304,7 +287,7 @@ mod tests {
     #[test]
     fn word_lengths_respect_bounds() {
         let corpus = Corpus::generate(&CorpusSpec::tiny(7));
-        for w in corpus.truth.keys() {
+        for (w, _) in (0..2).flat_map(|r| corpus.expected_reduction(r)) {
             assert!(w.len() >= 3 && w.len() <= 10, "{w}");
         }
     }
@@ -312,13 +295,27 @@ mod tests {
     #[test]
     fn expected_reduction_is_sorted_and_partitioned() {
         let corpus = Corpus::generate(&CorpusSpec::tiny(8));
-        let total: usize = (0..2).map(|r| corpus.expected_reduction(r).len()).sum();
-        assert_eq!(total, corpus.truth.len());
-        let red = corpus.expected_reduction(0);
-        assert!(red.windows(2).all(|w| w[0].0 < w[1].0));
+        let mut total = 0;
         for r in 0..2 {
-            let rehashed = corpus.truth.keys().filter(|w| partition(w, 2) == r).count();
-            assert_eq!(corpus.distinct_for_reducer(r), rehashed);
+            let list = corpus.expected_reduction(r);
+            assert!(list.windows(2).all(|w| w[0].0 < w[1].0), "reducer {r} unsorted");
+            assert!(list.iter().all(|(w, _)| partition(w, 2) == r), "reducer {r}");
+            total += list.len();
         }
+        assert_eq!(total, corpus.spec.distinct_words);
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity of the reducers' cells: 128")]
+    fn more_words_than_cells_is_refused() {
+        let spec = CorpusSpec { distinct_words: 129, register_cells: 64, ..CorpusSpec::tiny(1) };
+        Corpus::generate(&spec);
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity of their lengths: 26")]
+    fn more_words_than_the_word_space_is_refused() {
+        let spec = CorpusSpec { distinct_words: 27, min_len: 1, max_len: 1, ..CorpusSpec::tiny(1) };
+        Corpus::generate(&spec);
     }
 }
