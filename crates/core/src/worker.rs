@@ -28,7 +28,7 @@ use crate::reliability::seq_after;
 use daiet_dataplane::parser::{parse, ParsedPacket, ParserConfig};
 use daiet_fabric::{Duration, Fabric, Frame, FramePool, Node, PortId, Time};
 use daiet_wire::daiet::{self, Header, Key, NackRange, PacketFlags, PacketType, Pair, Repr};
-use daiet_wire::fnv::FnvHashMap;
+use daiet_wire::fnv::{Entry, FnvHashMap, KeyMap};
 use daiet_wire::stack::{build_daiet_into, Endpoints};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -771,7 +771,7 @@ pub struct Collector {
     agg: AggFn,
     expected_ends: u32,
     ends_seen: u32,
-    pairs: FnvHashMap<Key, u32>,
+    pairs: KeyMap<u32>,
     stats: CollectorStats,
 }
 
@@ -784,7 +784,7 @@ impl Collector {
             agg,
             expected_ends,
             ends_seen: 0,
-            pairs: FnvHashMap::default(),
+            pairs: KeyMap::default(),
             stats: CollectorStats::default(),
         }
     }
@@ -809,12 +809,12 @@ impl Collector {
                 for pair in entries {
                     n += 1;
                     match self.pairs.entry(pair.key) {
-                        daiet_wire::fnv::Entry::Occupied(mut e) => {
+                        Entry::Occupied(mut e) => {
                             let merged = self.agg.apply(*e.get(), pair.value);
                             e.insert(merged);
                             self.stats.pairs_merged += 1;
                         }
-                        daiet_wire::fnv::Entry::Vacant(e) => {
+                        Entry::Vacant(e) => {
                             e.insert(pair.value);
                         }
                     }
@@ -1146,6 +1146,58 @@ mod tests {
             .map(|(k, _)| k.display_lossy())
             .collect();
         assert_eq!(sorted, vec!["alpha", "mid", "zebra"]);
+    }
+
+    /// Keys the collector's table must keep apart: the zero key, and pairs
+    /// equal in one 8-byte half and different in the other.
+    fn arb_collector_key() -> impl Strategy<Value = Key> {
+        let mut same_low = [b'a'; daiet::KEY_LEN];
+        same_low[15] = b'b';
+        let mut same_high = [b'a'; daiet::KEY_LEN];
+        same_high[0] = b'b';
+        prop::sample::select(&[
+            Key::ZERO,
+            Key([b'a'; daiet::KEY_LEN]),
+            Key(same_low),
+            Key(same_high),
+            key("word"),
+            key("words"),
+            key("wordcount-shuffl"),
+        ])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Under SUM, MIN and MAX the collector holds exactly what a
+        /// `BTreeMap` fold of the same pairs holds, however they are
+        /// packed into packets.
+        #[test]
+        fn collector_equals_an_ordered_fold(
+            packets in prop::collection::vec(
+                prop::collection::vec((arb_collector_key(), any::<u32>()), 0..=10),
+                0..=12,
+            ),
+        ) {
+            for agg in [AggFn::Sum, AggFn::Min, AggFn::Max] {
+                let mut c = Collector::new(agg, 1);
+                let mut fold: std::collections::BTreeMap<Key, u32> = Default::default();
+                for packet in &packets {
+                    let pairs: Vec<Pair> = packet.iter().map(|&(k, v)| Pair::new(k, v)).collect();
+                    c.on_packet(&Repr::data(1, pairs));
+                    for &(k, v) in packet {
+                        fold.entry(k).and_modify(|held| *held = agg.apply(*held, v)).or_insert(v);
+                    }
+                }
+                prop_assert_eq!(c.len(), fold.len());
+                for (k, v) in &fold {
+                    prop_assert_eq!(c.get(k), Some(*v), "{:?} {:?}", agg, k);
+                }
+                let pairs: u64 = packets.iter().map(|p| p.len() as u64).sum();
+                prop_assert_eq!(c.stats().pairs_merged, pairs - fold.len() as u64);
+                prop_assert_eq!(c.into_sorted(), fold.into_iter().collect::<Vec<_>>());
+            }
+        }
     }
 
     /// Satellite (ISSUE 5): the interleave offset is what spreads fan-in

@@ -30,7 +30,9 @@ pub const RULES: &[RuleInfo] = &[
         summary: "no std::collections::HashMap/HashSet (RandomState iteration order) in sim-path code",
         motivation: "PR 6: the determinism proofs collapse if any sim-path iteration order \
                      varies run to run; SipHash's random seed makes HashMap order nondeterministic",
-        suggestion: "use daiet_wire::fnv::{FnvHashMap, FnvHashSet} (fixed hasher) or BTreeMap/BTreeSet",
+        suggestion: "use daiet_wire::fnv::{FnvHashMap, FnvHashSet} (fixed hasher), \
+                     daiet_wire::fnv::KeyMap for maps keyed by a 16-byte DAIET Key, or \
+                     BTreeMap/BTreeSet",
     },
     RuleInfo {
         id: "det-clock",

@@ -32,4 +32,4 @@ pub mod wordcount;
 pub use metrics::{BoxStats, CostModel, ReducerMetrics};
 pub use runner::{RunOutcome, Runner, ShuffleMode};
 pub use tenant::WordCountTenant;
-pub use wordcount::{Corpus, CorpusSpec};
+pub use wordcount::{Corpus, CorpusSpec, Word};

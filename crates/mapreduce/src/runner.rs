@@ -26,7 +26,7 @@
 // the map/reduce/aggregation logic it exercises stays fabric-only.
 use crate::metrics::{BoxStats, CostModel, ReducerMetrics};
 use crate::serialize;
-use crate::wordcount::Corpus;
+use crate::wordcount::{Corpus, Word};
 use daiet::agg::AggFn;
 use daiet::controller::{AggregationMode, Controller, JobPlacement};
 use daiet::loopback::{wall_clock_config, wall_clock_pacing, LoopbackJob, ReducerReport};
@@ -38,7 +38,7 @@ use daiet_netsim::topology::TopologyPlan;
 use daiet_netsim::{FramePool, LinkSpec, NodeId, SimDuration, SimTime, Simulator};
 use daiet_transport::tcp::{BulkSenderNode, SinkReceiverNode};
 use daiet_wire::daiet::Key;
-use daiet_wire::fnv::FnvHashMap;
+use daiet_wire::fnv::KeyMap;
 
 /// The shuffle transport under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -252,7 +252,7 @@ impl Runner {
     fn read_tcp(&self, sim: &Simulator, id: NodeId, r: usize) -> (ReducerMetrics, Option<SimTime>) {
         let spec = &self.corpus.spec;
         let node = sim.node_ref::<SinkReceiverNode>(id).expect("reducer node");
-        let mut merged: FnvHashMap<Key, u32> = FnvHashMap::default();
+        let mut merged: KeyMap<u32> = KeyMap::default();
         let mut records = 0usize;
         let mut app_bytes = 0u64;
         for stream in node.received.values() {
@@ -265,7 +265,8 @@ impl Runner {
         }
         let correct = node.finished.len() == spec.n_mappers
             && matches_reference(
-                merged.iter().map(|(k, v)| (*k, *v)),
+                merged.len(),
+                |key| merged.get(key).copied(),
                 self.corpus.expected_reduction(r),
             );
         let nic = sim.node_stats(id);
@@ -288,7 +289,11 @@ impl Runner {
         let node = sim.node_ref::<ReducerHost>(id).expect("reducer node");
         let stats = node.collector.stats();
         let correct = node.collector.is_complete()
-            && matches_reference(node.collector.get_all(), self.corpus.expected_reduction(r));
+            && matches_reference(
+                node.collector.len(),
+                |key| node.collector.get(key),
+                self.corpus.expected_reduction(r),
+            );
         let nic = sim.node_stats(id);
         let metrics = ReducerMetrics {
             reducer: r,
@@ -371,27 +376,31 @@ impl LoopbackOutcome {
         self.reducers.iter().enumerate().all(|(r, rep)| {
             rep.complete
                 && rep.recovery_satisfied
-                && matches_reference(rep.pairs.iter().copied(), runner.corpus.expected_reduction(r))
+                && matches_reference(
+                    rep.pairs.len(),
+                    |key| {
+                        let at = rep.pairs.binary_search_by_key(key, |&(k, _)| k).ok()?;
+                        Some(rep.pairs[at].1)
+                    },
+                    runner.corpus.expected_reduction(r),
+                )
         })
     }
 }
 
 /// Whether a reducer's merged pairs are exactly the reference reduction —
-/// the one check behind all three modes: as many, and pairwise equal once
-/// sorted by key. Zero-padded keys order like the words they hold, so the
-/// collected side sorts as 16-byte arrays and no `String` is built per
-/// key.
+/// the one check behind all three modes: the reducer holds `n_keys`
+/// distinct keys, as many as the reference, and `count_of` maps every
+/// reference word's key to its count. Distinct keys on both sides make
+/// that an equality of the two maps, with one lookup per word and
+/// nothing collected or sorted.
 fn matches_reference(
-    collected: impl Iterator<Item = (Key, u32)>,
-    expected: &[(String, u32)],
+    n_keys: usize,
+    count_of: impl Fn(&Key) -> Option<u32>,
+    expected: &[(Word, u32)],
 ) -> bool {
-    let mut got: Vec<(Key, u32)> = collected.collect();
-    got.sort_unstable();
-    got.len() == expected.len()
-        && got
-            .iter()
-            .zip(expected)
-            .all(|((key, value), (word, count))| key.trimmed() == word.as_bytes() && value == count)
+    n_keys == expected.len()
+        && expected.iter().all(|(word, count)| count_of(&word.key()) == Some(*count))
 }
 
 /// The four Figure-3 panels, as percentage reductions per reducer.
@@ -469,34 +478,44 @@ mod tests {
     }
 
     /// The reducer check is a full equality: any single difference from
-    /// the reference — a count, a word, a key missing, a key too many —
-    /// makes the reducer incorrect.
+    /// the reference — a key missing, a key too many, one key swapped for
+    /// another of the same length, a count off by one — makes the reducer
+    /// incorrect.
     #[test]
     fn reducer_check_rejects_every_single_difference() {
         let corpus = Corpus::generate(&CorpusSpec::tiny(5));
         let expected = corpus.expected_reduction(0);
         assert!(expected.len() > 2);
-        let exact: Vec<(Key, u32)> = expected
-            .iter()
-            .rev() // arrival order is arbitrary
-            .map(|(word, count)| (Key::from_str_key(word).unwrap(), *count))
-            .collect();
-        assert!(matches_reference(exact.iter().copied(), expected));
+        let check = |pairs: &[(Key, u32)]| {
+            let held: KeyMap<u32> = pairs.iter().copied().collect();
+            assert_eq!(held.len(), pairs.len(), "a reducer holds distinct keys");
+            matches_reference(held.len(), |key| held.get(key).copied(), expected)
+        };
+        let exact: Vec<(Key, u32)> =
+            expected.iter().map(|(word, count)| (word.key(), *count)).collect();
+        assert!(check(&exact));
 
-        let mut changed_count = exact.clone();
-        changed_count[1].1 += 1;
-        assert!(!matches_reference(changed_count.into_iter(), expected));
+        let missing_key = &exact[1..];
+        assert!(!check(missing_key));
 
-        let mut changed_word = exact.clone();
-        changed_word[1].0 = Key::from_str_key("not-in-corpus").unwrap();
-        assert!(!matches_reference(changed_word.into_iter(), expected));
-
-        let missing_key = exact[1..].to_vec();
-        assert!(!matches_reference(missing_key.into_iter(), expected));
-
-        let mut extra_key = exact;
+        let mut extra_key = exact.clone();
         extra_key.push((Key::from_str_key("not-in-corpus").unwrap(), 1));
-        assert!(!matches_reference(extra_key.into_iter(), expected));
+        assert!(!check(&extra_key));
+
+        // The word's last letter changed: same length, not in the reference.
+        let mut swapped_key = exact.clone();
+        let mut bytes = swapped_key[1].0;
+        let last = bytes.trimmed().len() - 1;
+        bytes.0[last] = if bytes.0[last] == b'z' { b'a' } else { bytes.0[last] + 1 };
+        assert!(expected.iter().all(|(word, _)| word.key() != bytes));
+        swapped_key[1].0 = bytes;
+        assert!(!check(&swapped_key));
+
+        for delta in [1, u32::MAX] {
+            let mut count_off = exact.clone();
+            count_off[1].1 = count_off[1].1.wrapping_add(delta);
+            assert!(!check(&count_off));
+        }
     }
 
     #[test]

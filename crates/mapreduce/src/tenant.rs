@@ -94,8 +94,7 @@ impl TenantWorkload for WordCountTenant {
                 ));
             }
             for ((gk, gv), (word, count)) in got.iter().zip(want) {
-                let wk = Key::from_str_key(word).expect("corpus word fits the key width");
-                if *gk != wk || gv != count {
+                if *gk != word.key() || gv != count {
                     return Err(format!(
                         "wordcount reducer {r}: got ({}, {gv}), expected ({word}, {count})",
                         gk.display_lossy()
@@ -131,7 +130,7 @@ mod tests {
                 t.corpus
                     .expected_reduction(r)
                     .iter()
-                    .map(|(w, c)| (Key::from_str_key(w).unwrap(), *c))
+                    .map(|(w, c)| (w.key(), *c))
                     .collect()
             })
             .collect();
@@ -148,7 +147,7 @@ mod tests {
                 t.corpus
                     .expected_reduction(r)
                     .iter()
-                    .map(|(w, c)| (Key::from_str_key(w).unwrap(), *c))
+                    .map(|(w, c)| (w.key(), *c))
                     .collect()
             })
             .collect();

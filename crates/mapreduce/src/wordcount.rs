@@ -28,12 +28,16 @@
 //! so the cell check rejects the repeat.
 //!
 //! The output is emitted directly as §4's fixed-size pairs — the padded
-//! key hashed for that check, plus the count — see [`Corpus`].
+//! key hashed for that check, plus the count — see [`Corpus`]. The
+//! reference each reducer is checked against holds the same padded key,
+//! as a [`Word`], so no word is ever held as a `String`.
 
 use daiet_wire::checksum::crc32;
 use daiet_wire::daiet::{Key, Pair, KEY_LEN};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// Corpus parameters.
@@ -95,6 +99,40 @@ impl CorpusSpec {
     }
 }
 
+/// A corpus word, held as the zero-padded [`Key`] the shuffle carries: 16
+/// bytes inline, no heap `String`. Zero-padded keys order like the words
+/// they hold, so a sorted list of `Word`s is sorted by word. It reads as
+/// the word itself through `Deref<Target = str>`.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Word(Key);
+
+impl Word {
+    /// The word as the shuffle carries it.
+    pub fn key(&self) -> Key {
+        self.0
+    }
+}
+
+impl Deref for Word {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        std::str::from_utf8(self.0.trimmed()).expect("corpus words are ASCII")
+    }
+}
+
+impl fmt::Display for Word {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self)
+    }
+}
+
+impl fmt::Debug for Word {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// Deterministic partitioner: which reducer owns a word.
 pub fn partition(word: &str, n_reducers: usize) -> usize {
     (crc32(word.as_bytes()) as usize) % n_reducers
@@ -119,7 +157,7 @@ pub struct Corpus {
     pub partitions: Vec<Vec<Arc<Vec<Pair>>>>,
     /// Ground truth: each reducer's words and final counts, sorted by word
     /// once at generation (the correctness check runs after every shuffle).
-    expected: Vec<Vec<(String, u32)>>,
+    expected: Vec<Vec<(Word, u32)>>,
 }
 
 impl Corpus {
@@ -155,28 +193,29 @@ impl Corpus {
             words.push((Key(k), r));
         }
 
-        // 2. Spread each word over a sampled set of mappers.
-        let mut partitions: Vec<Vec<Vec<Pair>>> =
-            vec![vec![Vec::new(); spec.n_reducers]; spec.n_mappers];
-        let mut expected: Vec<Vec<(String, u32)>> = vec![Vec::new(); spec.n_reducers];
-        let mut mappers: Vec<usize> = (0..spec.n_mappers).collect();
-        for (key, r) in words {
-            // Partial Fisher-Yates for a `k`-subset of the mappers.
-            let k = sample_multiplicity(&mut rng, spec);
-            mappers.iter_mut().enumerate().for_each(|(i, m)| *m = i);
-            for i in 0..k {
-                mappers.swap(i, rng.random_range(i..spec.n_mappers));
-            }
-            let mut total = 0u32;
-            for &m in &mappers[..k] {
-                let count = rng.random_range(1..=9u32);
-                total += count;
-                partitions[m][r].push(Pair::new(key, count));
-            }
-            expected[r].push((String::from_utf8(key.trimmed().to_vec()).expect("ASCII"), total));
+        // 2. Spread each word over a sampled set of mappers, twice from the
+        // same RNG state: once to size every partition and sum every word,
+        // then to fill each partition at its exact size. Partitions grown
+        // by doubling leave their outgrown buffers behind as freed heap
+        // the process keeps resident.
+        let mut sizes = vec![vec![0usize; spec.n_reducers]; spec.n_mappers];
+        let mut totals = vec![0u32; words.len()];
+        spread(&mut rng.clone(), spec, &words, |w, m, r, count| {
+            sizes[m][r] += 1;
+            totals[w] += count;
+        });
+        let mut partitions: Vec<Vec<Vec<Pair>>> = sizes
+            .iter()
+            .map(|per_reducer| per_reducer.iter().map(|&n| Vec::with_capacity(n)).collect())
+            .collect();
+        spread(&mut rng, spec, &words, |w, m, r, count| {
+            partitions[m][r].push(Pair::new(words[w].0, count));
+        });
+        let mut expected: Vec<Vec<(Word, u32)>> = vec![Vec::new(); spec.n_reducers];
+        for (&(key, r), &total) in words.iter().zip(&totals) {
+            expected[r].push((Word(key), total));
         }
         expected.iter_mut().for_each(|e| e.sort_unstable()); // the words are unique
-        partitions.iter_mut().flatten().for_each(Vec::shrink_to_fit);
 
         let partitions = partitions
             .into_iter()
@@ -197,8 +236,30 @@ impl Corpus {
 
     /// The reference result for reducer `r`, sorted by word — what a
     /// correct shuffle+reduce must produce. Precomputed at generation.
-    pub fn expected_reduction(&self, r: usize) -> &[(String, u32)] {
+    pub fn expected_reduction(&self, r: usize) -> &[(Word, u32)] {
         &self.expected[r]
+    }
+}
+
+/// Draws each word's mappers — a partial Fisher-Yates over the mapper
+/// indices for a sampled multiplicity — and each mapper's partial count,
+/// calling `visit(word, mapper, reducer, count)` in draw order.
+fn spread(
+    rng: &mut SmallRng,
+    spec: &CorpusSpec,
+    words: &[(Key, usize)],
+    mut visit: impl FnMut(usize, usize, usize, u32),
+) {
+    let mut mappers: Vec<usize> = (0..spec.n_mappers).collect();
+    for (w, &(_, r)) in words.iter().enumerate() {
+        let k = sample_multiplicity(rng, spec);
+        mappers.iter_mut().enumerate().for_each(|(i, m)| *m = i);
+        for i in 0..k {
+            mappers.swap(i, rng.random_range(i..spec.n_mappers));
+        }
+        for &m in &mappers[..k] {
+            visit(w, m, r, rng.random_range(1..=9u32));
+        }
     }
 }
 
@@ -236,12 +297,14 @@ mod tests {
     #[test]
     fn truth_matches_partitions() {
         let corpus = Corpus::generate(&CorpusSpec::tiny(1));
-        let mut sums: FnvHashMap<String, u32> = FnvHashMap::default();
+        let mut sums: FnvHashMap<Key, u32> = FnvHashMap::default();
         for pair in corpus.partitions.iter().flatten().flat_map(|pairs| pairs.iter()) {
-            *sums.entry(word(pair).to_owned()).or_insert(0) += pair.value;
+            *sums.entry(pair.key).or_insert(0) += pair.value;
         }
-        let union: FnvHashMap<String, u32> =
-            (0..2).flat_map(|r| corpus.expected_reduction(r).iter().cloned()).collect();
+        let union: FnvHashMap<Key, u32> = (0..2)
+            .flat_map(|r| corpus.expected_reduction(r))
+            .map(|(w, n)| (w.key(), *n))
+            .collect();
         assert_eq!(sums, union);
         assert_eq!(union.len(), 60);
     }
@@ -265,8 +328,7 @@ mod tests {
         for r in 0..spec.n_reducers {
             let mut taken = vec![false; spec.register_cells];
             for (w, _) in corpus.expected_reduction(r) {
-                let key = Key::from_str_key(w).unwrap();
-                let cell = crc32(&key.0) as usize % spec.register_cells;
+                let cell = crc32(&w.key().0) as usize % spec.register_cells;
                 let collides = std::mem::replace(&mut taken[cell], true);
                 assert!(!collides, "collision on {w} in reducer {r}");
             }
@@ -303,6 +365,24 @@ mod tests {
             total += list.len();
         }
         assert_eq!(total, corpus.spec.distinct_words);
+    }
+
+    /// A `Word` reads, prints and orders as the word it pads.
+    #[test]
+    fn a_word_reads_as_its_string() {
+        let corpus = Corpus::generate(&CorpusSpec::tiny(9));
+        let list = corpus.expected_reduction(0);
+        for (w, _) in list {
+            assert_eq!(Key::from_str_key(w).unwrap(), w.key());
+            assert_eq!(w.to_string(), &**w);
+            assert_eq!(format!("{w:?}"), format!("{:?}", w.to_string()));
+        }
+        let mut by_string: Vec<String> = list.iter().map(|(w, _)| w.to_string()).collect();
+        by_string.sort_unstable();
+        assert!(by_string.iter().map(String::as_str).eq(list.iter().map(|(w, _)| &**w)));
+        // A word sorts before the words it prefixes: padding is zero.
+        let word = |w: &str| Word(Key::from_str_key(w).unwrap());
+        assert!(word("ab") < word("abc") && word("abc") < word("abd"));
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! Supported: three-way handshake, MSS segmentation, fixed-size sliding
 //! window, cumulative ACKs with delayed ACK (every second segment or a
 //! timer), out-of-order reassembly, go-back-N retransmission on RTO with
-//! exponential backoff, FIN teardown. Unsupported (documented, like
-//! smoltcp's feature list): congestion control beyond the fixed window,
-//! SACK, window scaling, timestamps, RST handling beyond teardown,
-//! simultaneous open.
+//! exponential backoff capped at 64 initial timeouts, FIN teardown.
+//! Unsupported (documented, like smoltcp's feature list): congestion
+//! control beyond the fixed window, SACK, window scaling, timestamps, RST
+//! handling beyond teardown, simultaneous open.
 
 use daiet_netsim::{Fabric, Frame, FramePool, Node, PortId, SimDuration, SimTime};
 use daiet_wire::stack::{build_tcp_into, Endpoints, Parsed, Transport};
@@ -23,6 +23,9 @@ const MSS: usize = 1448;
 const WINDOW: usize = 64 * 1024;
 /// Initial retransmission timeout.
 const RTO: SimDuration = SimDuration::from_millis(1);
+/// Ceiling of the exponential backoff: 64 initial timeouts. Uncapped, the
+/// 17th timeout of one connection would fall 131 s after its first.
+const RTO_MAX: SimDuration = SimDuration::from_millis(64);
 /// Delayed-ACK timer.
 const ACK_DELAY: SimDuration = SimDuration::from_micros(200);
 
@@ -333,7 +336,7 @@ impl TcpStack {
                 conn.snd_nxt = conn.snd_nxt.wrapping_add(1);
                 conn.fin_sent = true;
                 conn.state = match conn.state {
-                    State::CloseWait => State::LastAck,
+                    State::CloseWait | State::LastAck => State::LastAck,
                     _ => State::FinWait,
                 };
                 if conn.rto_deadline.is_none() {
@@ -478,6 +481,12 @@ impl TcpStack {
             if conn.peer_fin_at.is_none() {
                 conn.peer_fin_at = Some(fin_seq);
             }
+            // A FIN delivered before came again: our ACK of it was lost.
+            // ACK it again, closed or not, or the peer retransmits it
+            // until its run ends.
+            if conn.peer_fin_delivered {
+                need_ack = true;
+            }
         }
         if let Some(fin_seq) = conn.peer_fin_at {
             if !conn.peer_fin_delivered && conn.rcv_nxt == fin_seq {
@@ -531,7 +540,7 @@ impl TcpStack {
                 if dl <= now {
                     conn.timeouts += 1;
                     self.stats.timeouts += 1;
-                    conn.rto_current = conn.rto_current.saturating_mul(2);
+                    conn.rto_current = conn.rto_current.saturating_mul(2).min(RTO_MAX);
                     conn.rto_deadline = Some(now + conn.rto_current);
                     match conn.state {
                         State::SynSent => {
@@ -720,6 +729,7 @@ impl Node for SinkReceiverNode {
 mod tests {
     use super::*;
     use daiet_netsim::{FaultProfile, LinkSpec, Simulator};
+    use daiet_wire::stack::{Parsed, Transport};
 
     fn run_transfer(
         bytes: usize,
@@ -842,6 +852,95 @@ mod tests {
         assert!(r.control_segments_out >= 2); // SYN-ACK, ACKs/FIN
         // NIC-level frames observed at receiver = in + out.
         assert!(rx_nic.frames_observed() >= 7);
+    }
+
+    /// The TCP flags of a frame a stack emitted.
+    fn flags_of(frame: &[u8]) -> Flags {
+        match Parsed::dissect(frame).map(|p| p.transport) {
+            Ok(Transport::Tcp { tcp, .. }) => tcp.flags,
+            _ => panic!("a stack emitted a frame that is not TCP"),
+        }
+    }
+
+    /// The FIN exchange loses its last segment: the sender ACKs the
+    /// receiver's FIN, closes, and that ACK never arrives. The receiver
+    /// retransmits its FIN one RTO later, and the closed sender must ACK
+    /// it again — without that ACK the receiver retransmits until the
+    /// run's horizon. Frames cross with no delay, so every instant below
+    /// is a timer's.
+    #[test]
+    fn a_lost_ack_of_the_last_fin_costs_one_retransmission() {
+        let (mut tx, mut rx) = (TcpStack::new(1), TcpStack::new(2));
+        rx.listen(9000);
+        let mut now = SimTime::ZERO;
+        let key = tx.connect(now, 2, 9000);
+        tx.send(key, &[7u8; 3000]);
+        tx.close(key);
+        let (mut rx_fin_at, mut dropped) = (None, 0);
+        while !(tx.is_idle() && rx.is_idle()) {
+            assert!(now < SimTime(SimDuration::from_secs(1).as_nanos()), "teardown wedged");
+            let mut moved = false;
+            for frame in tx.poll_transmit() {
+                moved = true;
+                if rx_fin_at.is_some() && dropped == 0 {
+                    dropped += 1; // the ACK of the receiver's FIN
+                    continue;
+                }
+                rx.on_frame(now, &frame);
+            }
+            while let Some(event) = rx.poll_event() {
+                if let SocketEvent::PeerFin(k) = event {
+                    // What `SinkReceiverNode` does; the FIN goes out on
+                    // the stack's next pump.
+                    rx.close(k);
+                    rx.on_tick(now);
+                }
+            }
+            for frame in rx.poll_transmit() {
+                moved = true;
+                if flags_of(&frame).contains(Flags::FIN) {
+                    rx_fin_at.get_or_insert(now);
+                }
+                tx.on_frame(now, &frame);
+            }
+            while tx.poll_event().is_some() {}
+            if !moved {
+                now = [tx.next_deadline(), rx.next_deadline()]
+                    .into_iter()
+                    .flatten()
+                    .min()
+                    .expect("a stack that is not idle has a timer armed");
+                tx.on_tick(now);
+                rx.on_tick(now);
+            }
+        }
+        let rx_fin_at = rx_fin_at.expect("the receiver sent its FIN");
+        assert_eq!(dropped, 1);
+        assert_eq!(now, rx_fin_at + RTO, "closed one RTO after the FIN");
+        assert_eq!((rx.stats().timeouts, rx.stats().retransmits), (1, 1));
+        assert_eq!(tx.stats().retransmits, 0);
+    }
+
+    /// An unanswered SYN is retransmitted at doubling gaps until a gap
+    /// reaches `RTO_MAX`, and every `RTO_MAX` after that.
+    #[test]
+    fn retransmission_backoff_is_capped() {
+        let mut tx = TcpStack::new(1);
+        let mut now = SimTime::ZERO;
+        tx.connect(now, 2, 9000);
+        assert_eq!(tx.poll_transmit().len(), 1);
+        let mut sent_at = vec![now];
+        while sent_at.len() < 12 {
+            now = tx.next_deadline().expect("the SYN's timer is armed");
+            tx.on_tick(now);
+            if !tx.poll_transmit().is_empty() {
+                sent_at.push(now);
+            }
+        }
+        let gaps_ms: Vec<u64> =
+            sent_at.windows(2).map(|w| (w[1] - w[0]).as_nanos() / 1_000_000).collect();
+        assert_eq!(gaps_ms, [1, 2, 4, 8, 16, 32, 64, 64, 64, 64, 64]);
+        assert_eq!(RTO_MAX, SimDuration::from_millis(64));
     }
 
     #[test]

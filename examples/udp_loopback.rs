@@ -173,7 +173,8 @@ fn parent() {
         assert!(status.success(), "{} exited with {status:?}", roles[i]);
     }
 
-    let identical = got == expected;
+    let identical =
+        got.iter().map(|(w, n)| (w.as_str(), *n)).eq(expected.iter().map(|(w, n)| (&**w, *n)));
     println!(
         "WordCount over 127.0.0.1: {WORKERS} worker processes + 1 switch + 1 coordinator, \
          {:.0}% switch-egress loss",

@@ -4,7 +4,7 @@
 //! relations Figure 3 depends on.
 
 use daiet_repro::mapreduce::runner::{Fig3Summary, Runner, ShuffleMode};
-use daiet_repro::mapreduce::wordcount::{Corpus, CorpusSpec};
+use daiet_repro::mapreduce::wordcount::{Corpus, CorpusSpec, Word};
 use daiet_repro::netsim::topology::TopologyPlan;
 use daiet_repro::netsim::FaultProfile;
 
@@ -25,7 +25,7 @@ fn small_corpus(seed: u64) -> Corpus {
 #[test]
 fn all_three_modes_compute_identical_results() {
     let corpus = small_corpus(1);
-    let truth: Vec<Vec<(String, u32)>> =
+    let truth: Vec<Vec<(Word, u32)>> =
         (0..4).map(|r| corpus.expected_reduction(r).to_vec()).collect();
     let mut runner = Runner::new(corpus);
     runner.daiet_config.register_cells = 512;
