@@ -405,10 +405,12 @@ pub(crate) fn reserve_nack_tracker(
 /// (`daiet.tree[id]@sw`, stages 2.. — stages 0/1 hold the tables) and,
 /// in-network with NACK recovery, its retransmit ring (`daiet.rtx[id]@sw`,
 /// its own reservation so first-fit can spread stages); installs the
-/// engine state with its NACK roster (which children feed this switch on
-/// this tree, through which ports); and, in-network, steers the tree's
-/// frames into the engine. On `Err`, [`remove_tree`] undoes whatever part
-/// was done.
+/// engine state, in-network with its NACK roster (which children feed
+/// this switch on this tree, through which ports); and, in-network,
+/// steers the tree's frames into the engine. A pass-through switch gets
+/// no roster: no frame of the tree reaches its engine, so a rostered
+/// child would be NACKed for a flow it never sees. On `Err`,
+/// [`remove_tree`] undoes whatever part was done.
 pub(crate) fn install_tree(
     switch: &mut Switch,
     ext: ExternId,
@@ -429,12 +431,17 @@ pub(crate) fn install_tree(
         )?;
     }
     let children = tree.switch_children[&slot];
-    let children_sources: Vec<ChildSource> = tree
-        .children_of(slot)
-        .into_iter()
-        .map(|(child, port)| ChildSource { id: child as u32, port })
-        .collect();
-    debug_assert_eq!(children_sources.len() as u32, children);
+    let children_sources: Vec<ChildSource> = if mode == AggregationMode::InNetwork {
+        let roster: Vec<ChildSource> = tree
+            .children_of(slot)
+            .into_iter()
+            .map(|(child, port)| ChildSource { id: child as u32, port })
+            .collect();
+        debug_assert_eq!(roster.len() as u32, children);
+        roster
+    } else {
+        Vec::new()
+    };
     let upstream = tree.upstream(slot).expect("participating switch has a parent edge");
     let engine = switch.extern_mut::<DaietEngine>(ext).expect("switches carry a DaietEngine");
     engine.install_tree(TreeStateConfig {

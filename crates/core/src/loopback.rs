@@ -37,12 +37,11 @@
 use crate::agg::AggFn;
 use crate::config::DaietConfig;
 use crate::controller::{AggregationMode, Controller, Deployment, JobPlacement};
-use crate::worker::{one_shot_sender, reducer_host, IdleHost, ReducerHost};
+use crate::worker::{one_shot_sender, reducer_host, IdleHost, ReducerHost, Shard};
 use daiet_fabric::{Duration, FaultShim, Node, NodeSpec, Time};
 use daiet_netsim::topology::{Role, TopologyPlan};
-use daiet_wire::daiet::{Key, Pair};
+use daiet_wire::daiet::Key;
 use std::any::Any;
-use std::sync::Arc;
 
 /// The wall-clock NACK timeout floor: 3 ms. Large against loopback RTTs
 /// (microseconds) and driver-thread scheduling jitter (up to a
@@ -162,10 +161,11 @@ impl LoopbackJob {
     /// The spec for mapper `m` (placement order) owing `shards[r]` to
     /// reducer `r`: a paced multi-tree sender, replay-armed when the
     /// config has NACK recovery. Open-ended — the run stops it once
-    /// every reducer is satisfied. A shard is an owned `Vec<Pair>` (moved
-    /// to the driver thread) or a shared `Arc<Vec<Pair>>` (the thread
-    /// reads the caller's buffer); neither is copied.
-    pub fn sender_spec<P: Into<Arc<Vec<Pair>>>>(
+    /// every reducer is satisfied. A shard is anything that makes a
+    /// [`Shard`]: an owned `Vec<Pair>` (moved to the driver thread), or a
+    /// shared `Arc<Vec<Pair>>` or `Arc<CodedPairs>` (the thread reads the
+    /// caller's buffer); none is copied.
+    pub fn sender_spec<P: Into<Shard>>(
         &self,
         m: usize,
         shards: Vec<P>,
@@ -175,11 +175,11 @@ impl LoopbackJob {
         assert_eq!(shards.len(), self.placement.reducers.len(), "one shard per reducer");
         let slot = self.placement.mappers[m];
         let config = self.controller.config;
-        let parts: Vec<(u16, daiet_wire::stack::Endpoints, Arc<Vec<Pair>>)> = shards
+        let parts: Vec<(u16, daiet_wire::stack::Endpoints, Shard)> = shards
             .into_iter()
             .enumerate()
-            .map(|(r, pairs)| {
-                (self.deployment.tree_id(r), self.deployment.endpoints(slot, r), pairs.into())
+            .map(|(r, shard)| {
+                (self.deployment.tree_id(r), self.deployment.endpoints(slot, r), shard.into())
             })
             .collect();
         let build = Box::new(move || {
@@ -231,7 +231,7 @@ impl LoopbackJob {
     /// same list through [`TopologyPlan::instantiate`]. `_copies` is inert
     /// (every frame is sent once); it stays only because the tracked
     /// benchmark calls this signature.
-    pub fn specs<P: Into<Arc<Vec<Pair>>>>(
+    pub fn specs<P: Into<Shard>>(
         &self,
         shards: Vec<Vec<P>>,
         pacing: Duration,
@@ -264,6 +264,7 @@ impl LoopbackJob {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use daiet_wire::daiet::Pair;
 
     #[test]
     fn wall_clock_config_raises_only_the_timeout() {
@@ -277,6 +278,49 @@ mod tests {
         // Pacing floors at 50 µs and leaves a slower gap alone.
         assert_eq!(wall_clock_pacing(Duration::from_micros(2)), Duration::from_micros(50));
         assert_eq!(wall_clock_pacing(Duration::from_millis(1)), Duration::from_millis(1));
+    }
+
+    /// A pass-through switch's engine never sees the tree's frames, so
+    /// it must roster no child: under NACK recovery a rostered child's
+    /// flow never progresses, and the switch would NACK it until its
+    /// give-up horizon (86 ms at the default timeout and budget). The
+    /// same job in-network rosters every child.
+    #[test]
+    fn a_pass_through_switch_rosters_and_nacks_no_child() {
+        use daiet_dataplane::Switch;
+        use daiet_netsim::{SimTime, Simulator};
+        let key = |s: &str| Key::from_str_key(s).unwrap();
+        let config = DaietConfig { nack_recovery: true, ..DaietConfig::default() };
+        for mode in [AggregationMode::PassThrough, AggregationMode::InNetwork] {
+            let plan = TopologyPlan::star(3, daiet_netsim::LinkSpec::fast());
+            let placement = JobPlacement { mappers: vec![0, 1], reducers: vec![2] };
+            let controller = Controller::new(config.with_rtx_sized_for_flush(), AggFn::Sum);
+            let resources = daiet_dataplane::Resources::tofino_like();
+            let job =
+                LoopbackJob::deploy(controller, plan.clone(), placement, resources, mode).unwrap();
+            let shards = vec![
+                vec![vec![Pair::new(key("dog"), 2)]],
+                vec![vec![Pair::new(key("cat"), 1)]],
+            ];
+            let mut sim = Simulator::new(7);
+            let ids = plan.instantiate(&mut sim, job.specs(shards, Duration::from_micros(1), 1));
+            let finished = sim.run_until(SimTime(Duration::from_secs(1).as_nanos()));
+            let ext = job.deployment().engine_externs[&3];
+            let engine = sim
+                .node_ref::<Switch>(ids[3])
+                .and_then(|sw| sw.extern_ref::<crate::DaietEngine>(ext))
+                .unwrap();
+            let rostered =
+                engine.nack_tracker().map_or(0, crate::reliability::NackTracker::flow_count);
+            if mode == AggregationMode::PassThrough {
+                assert_eq!(rostered, 0);
+                assert_eq!(engine.stats().nacks_out, 0);
+            } else {
+                assert_eq!(rostered, 2);
+            }
+            let horizon = SimTime(Duration::from_millis(2).as_nanos());
+            assert!(finished < horizon, "{mode:?} ran until {finished:?}");
+        }
     }
 
     /// The smallest end-to-end loopback job: two mappers, one reducer,

@@ -74,7 +74,9 @@ pub struct TreeStateConfig {
     pub children: u32,
     /// The identities and ports of those children — the NACK roster (may
     /// stay empty when NACK recovery is off; its length must equal
-    /// `children` when it is on, which the controller guarantees).
+    /// `children` when it is on, which the controller guarantees). Empty
+    /// on a pass-through switch, whose engine never sees the tree's
+    /// frames.
     pub children_sources: Vec<ChildSource>,
 }
 
@@ -90,8 +92,9 @@ struct TreeState {
     index_stack: Vec<u32>,
     /// Collision victims awaiting forwarding.
     spillover: Vec<Pair>,
-    /// Reused staging buffer for register flushes (allocation-free after
-    /// the first flush).
+    /// Reused staging buffer for register flushes: one frame's pairs at
+    /// a time, so it never holds more than `pairs_per_packet` (and is
+    /// allocation-free after the first flush).
     flush_buf: Vec<Pair>,
     remaining_children: u32,
     /// Sequence counter for frames this switch originates.
@@ -427,26 +430,30 @@ impl DaietEngine {
             tree.spillover = pairs;
         }
 
-        // Walk the index stack instead of scanning the arrays. The
-        // staging buffer is per-tree and reused across rounds.
+        // Walk the index stack instead of scanning the arrays, popping one
+        // frame's cells at a time into the staging buffer: per-tree,
+        // reused across rounds, and never bigger than one frame.
+        let per_frame = pairs_per_packet.max(1);
         let mut pairs = std::mem::take(&mut tree.flush_buf);
-        pairs.clear();
-        pairs.reserve(tree.index_stack.len());
-        while let Some(idx) = tree.index_stack.pop() {
-            let idx = idx as usize;
-            pairs.push(Pair { key: Key(tree.keys.read(idx)), value: tree.values.read(idx) });
-            tree.clear_occupied(idx);
-            ops += 2;
+        pairs.reserve_exact(per_frame);
+        while !tree.index_stack.is_empty() {
+            pairs.clear();
+            while let Some(idx) = tree.index_stack.pop_if(|_| pairs.len() < per_frame) {
+                let idx = idx as usize;
+                pairs.push(Pair { key: Key(tree.keys.read(idx)), value: tree.values.read(idx) });
+                tree.clear_occupied(idx);
+                ops += 2;
+            }
+            Self::emit_pairs(
+                tree,
+                &pairs,
+                pairs_per_packet,
+                PacketFlags::FROM_SWITCH,
+                &mut self.stats,
+                pool,
+                emissions,
+            );
         }
-        Self::emit_pairs(
-            tree,
-            &pairs,
-            pairs_per_packet,
-            PacketFlags::FROM_SWITCH,
-            &mut self.stats,
-            pool,
-            emissions,
-        );
         tree.flush_buf = pairs;
 
         // Propagate the END and re-arm for the next round (iterative
@@ -1032,6 +1039,34 @@ mod tests {
             }
         }
         assert_eq!(got, expect);
+    }
+
+    /// A flush pops one frame's cells at a time: 400 used cells leave as
+    /// 40 full frames, newest cell first, with dense sequence numbers,
+    /// and the staging buffer never grows past one frame.
+    #[test]
+    fn flush_stages_one_frame_at_a_time() {
+        let mut e = engine(4096, 1);
+        let per_frame = e.config.pairs_per_packet;
+        let mut taken = vec![false; 4096];
+        let keys: Vec<Key> = (0..)
+            .map(|i| key(&format!("cell{i}")))
+            .filter(|k| !std::mem::replace(&mut taken[crc32(&k.0) as usize % 4096], true))
+            .take(400)
+            .collect();
+        for chunk in keys.chunks(per_frame) {
+            drive(&mut e, &Repr::data(1, chunk.iter().map(|&k| Pair::new(k, 1)).collect()));
+        }
+        assert_eq!(e.pairs_held(1), Some(400));
+        let reprs = parse_emissions(&drive(&mut e, &Repr::end(1)));
+        assert_eq!(reprs.len(), 41);
+        assert!(reprs.iter().enumerate().all(|(i, r)| r.seq == i as u32));
+        assert!(reprs[..40].iter().all(|r| r.entries.len() == per_frame));
+        assert_eq!(reprs[40].packet_type, PacketType::End);
+        let flushed: Vec<Key> = reprs.iter().flat_map(|r| &r.entries).map(|p| p.key).collect();
+        assert!(flushed.iter().eq(keys.iter().rev()), "pop order changed");
+        let staged = e.trees[&1].flush_buf.capacity();
+        assert!(staged <= per_frame, "staging buffer holds {staged} pairs");
     }
 
     #[test]

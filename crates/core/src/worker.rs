@@ -13,14 +13,17 @@
 //! The sender takes §4 at its word: packet `i` of a partition is an
 //! offset computation ([`Packetizer`]'s one policy), so nothing is
 //! serialized ahead of time. [`plan_round`] returns a [`RoundSchedule`]
-//! that holds a handle (`Arc<Vec<Pair>>`) to each part's pairs: the
-//! caller's own buffer when it shares one, never a copy of it.
-//! [`PacedSenderNode`] builds each frame from the fabric's pool at the
-//! tick it transmits it, so frames exist only while in flight, the pool
-//! recycles from the first job on, and a NACKed `(tree, seq)` is rebuilt
-//! from the same pairs instead of being retained — retention is the
-//! handle. [`Packetizer::frames_from_seq`] + [`interleave_round_robin`]
-//! remain as the eager reference the streamed order is tested against.
+//! that holds a handle ([`Shard`]) to each part's map output: the
+//! caller's own buffer when it shares one, never a copy of it. A shard is
+//! either plain pairs or [`CodedPairs`] — one 4-byte code per record into
+//! a key dictionary, a fifth of the pairs' 20 bytes — which the sender
+//! decodes into each frame as it builds it. [`PacedSenderNode`] builds
+//! each frame from the fabric's pool at the tick it transmits it, so
+//! frames exist only while in flight, the pool recycles from the first
+//! job on, and a NACKed `(tree, seq)` is rebuilt from the same shard
+//! instead of being retained — retention is the handle.
+//! [`Packetizer::frames_from_seq`] + [`interleave_round_robin`] remain as
+//! the eager reference the streamed order is tested against.
 
 use crate::agg::AggFn;
 use crate::config::DaietConfig;
@@ -29,8 +32,9 @@ use daiet_dataplane::parser::{parse, ParsedPacket, ParserConfig};
 use daiet_fabric::{Duration, Fabric, Frame, FramePool, Node, PortId, Time};
 use daiet_wire::daiet::{self, Header, Key, NackRange, PacketFlags, PacketType, Pair, Repr};
 use daiet_wire::fnv::{Entry, FnvHashMap, KeyMap};
-use daiet_wire::stack::{build_daiet_into, Endpoints};
+use daiet_wire::stack::{build_daiet_entries_into, build_daiet_into, Endpoints};
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Parser settings for an end host NIC stack: checksums verified, but no
@@ -82,7 +86,7 @@ pub fn multi_tree_sender(
 /// streaming one round of `partitions` round-robin from a
 /// sender-specific offset, replay-armed when `config.nack_recovery` is
 /// on.
-pub fn one_shot_sender<P: Into<Arc<Vec<Pair>>>>(
+pub fn one_shot_sender<P: Into<Shard>>(
     config: &DaietConfig,
     sender_index: usize,
     partitions: impl IntoIterator<Item = (u16, Endpoints, P)>,
@@ -108,14 +112,14 @@ pub fn one_shot_sender<P: Into<Arc<Vec<Pair>>>>(
 /// Each `(tree, endpoints, pairs)` part continues that tree's wrapping
 /// sequence space from `next_seq` (updated in place to the next free
 /// number). Nothing is serialized and no pair is copied here: the
-/// returned [`RoundSchedule`] holds each part's pairs through a shared
-/// handle (an owned `Vec<Pair>` moves into a fresh one, an
-/// `Arc<Vec<Pair>>` is the caller's buffer at the cost of a refcount; a
-/// caller that only borrows its pairs copies them itself) and builds frame
-/// after frame on demand, round-robin across the parts starting at
+/// returned [`RoundSchedule`] holds each part's map output as a [`Shard`]
+/// (an owned `Vec<Pair>` moves into a fresh handle, an `Arc<Vec<Pair>>`
+/// or `Arc<CodedPairs>` is the caller's buffer at the cost of a refcount;
+/// a caller that only borrows its pairs copies them itself) and builds
+/// frame after frame on demand, round-robin across the parts starting at
 /// `offset % parts` (fairness: callers rotate the offset so no tree is
 /// permanently drained first).
-pub fn plan_round<P: Into<Arc<Vec<Pair>>>>(
+pub fn plan_round<P: Into<Shard>>(
     config: &DaietConfig,
     parts: impl IntoIterator<Item = (u16, Endpoints, P)>,
     next_seq: &mut FnvHashMap<u16, u32>,
@@ -124,12 +128,12 @@ pub fn plan_round<P: Into<Arc<Vec<Pair>>>>(
     let packetizer = Packetizer::new(config);
     let parts: Vec<RoundPart> = parts
         .into_iter()
-        .map(|(tree, endpoints, pairs)| {
-            let pairs: Arc<Vec<Pair>> = pairs.into();
+        .map(|(tree, endpoints, shard)| {
+            let shard: Shard = shard.into();
             let base_seq = next_seq.get(&tree).copied().unwrap_or(0);
-            let packets = packetizer.packet_count(pairs.len());
+            let packets = packetizer.packet_count(shard.len());
             let packetizer = packetizer.clone();
-            let part = RoundPart { packetizer, tree, endpoints, pairs, base_seq, packets, sent: 0 };
+            let part = RoundPart { packetizer, tree, endpoints, shard, base_seq, packets, sent: 0 };
             next_seq.insert(tree, part.end_seq());
             part
         })
@@ -141,18 +145,116 @@ pub fn plan_round<P: Into<Arc<Vec<Pair>>>>(
     }
 }
 
-/// One tree's share of a round: the pairs a sender owes the tree, where
-/// their packets sit in the tree's sequence space, and how many of them
-/// have been transmitted.
+/// A sender's input for one tree: the map output it owes the tree,
+/// immutable and possibly shared with the caller and with other senders'
+/// parts (`Arc`, because the loopback backend runs senders on driver
+/// threads while the buffer's owner stays behind).
+#[derive(Debug, Clone)]
+pub enum Shard {
+    /// Fixed-size pairs, sliced straight into frames.
+    Pairs(Arc<Vec<Pair>>),
+    /// Dictionary codes, decoded pair by pair into each frame.
+    Coded(Arc<CodedPairs>),
+}
+
+impl Shard {
+    /// Records in the shard.
+    fn len(&self) -> usize {
+        match self {
+            Shard::Pairs(pairs) => pairs.len(),
+            Shard::Coded(coded) => coded.len(),
+        }
+    }
+}
+
+impl From<Vec<Pair>> for Shard {
+    fn from(pairs: Vec<Pair>) -> Shard {
+        Shard::Pairs(Arc::new(pairs))
+    }
+}
+
+impl From<Arc<Vec<Pair>>> for Shard {
+    fn from(pairs: Arc<Vec<Pair>>) -> Shard {
+        Shard::Pairs(pairs)
+    }
+}
+
+impl From<Arc<CodedPairs>> for Shard {
+    fn from(coded: Arc<CodedPairs>) -> Shard {
+        Shard::Coded(coded)
+    }
+}
+
+/// Map output held as one 4-byte code per record: code `c` is the pair
+/// `(keys[c >> 4], c & 0xf)`. A WordCount mapper's records repeat the
+/// same few words across every mapper with counts below 16, so a
+/// dictionary shared by all of a reducer's partitions plus a code per
+/// record is a fifth of §4's 20-byte pairs; the wire form is rebuilt
+/// only inside the frame that carries it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CodedPairs {
+    /// The dictionary the codes index, shared between partitions.
+    pub keys: Arc<[Key]>,
+    /// One code per record: dictionary index `<< VALUE_BITS | value`.
+    pub codes: Vec<u32>,
+}
+
+impl CodedPairs {
+    /// Bits of a code that hold the record's value.
+    pub const VALUE_BITS: u32 = 4;
+    /// Dictionary indices a code can hold.
+    const MAX_KEYS: usize = 1 << (32 - Self::VALUE_BITS);
+
+    /// The code of the record `(keys[index], value)`. Panics unless
+    /// `value < 16` and `index < 2^28`.
+    pub fn code(index: usize, value: u32) -> u32 {
+        assert!(value < 1 << Self::VALUE_BITS, "value {value} does not fit a code");
+        assert!(index < Self::MAX_KEYS, "dictionary index {index} does not fit a code");
+        (index as u32) << Self::VALUE_BITS | value
+    }
+
+    /// Records held.
+    pub fn len(&self) -> usize {
+        self.codes.len()
+    }
+
+    /// Whether no record is held.
+    pub fn is_empty(&self) -> bool {
+        self.codes.is_empty()
+    }
+
+    /// The record `code` stands for.
+    #[inline]
+    fn decode(&self, code: u32) -> Pair {
+        let value = code & ((1 << Self::VALUE_BITS) - 1);
+        Pair::new(self.keys[(code >> Self::VALUE_BITS) as usize], value)
+    }
+
+    /// The records `range`, decoded in order.
+    fn decoded(&self, range: Range<usize>) -> impl ExactSizeIterator<Item = Pair> + '_ {
+        self.codes[range].iter().map(|&code| self.decode(code))
+    }
+
+    /// Every record, decoded in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Pair> + '_ {
+        self.decoded(0..self.len())
+    }
+
+    /// Every record as a plain pair, in order.
+    pub fn to_vec(&self) -> Vec<Pair> {
+        self.iter().collect()
+    }
+}
+
+/// One tree's share of a round: the map output a sender owes the tree,
+/// where its packets sit in the tree's sequence space, and how many of
+/// them have been transmitted.
 #[derive(Debug)]
 struct RoundPart {
     packetizer: Packetizer,
     tree: u16,
     endpoints: Endpoints,
-    /// Immutable, and possibly shared with the caller and with other
-    /// senders' parts; `Arc` because the loopback backend runs senders
-    /// on driver threads while the buffer's owner stays behind.
-    pairs: Arc<Vec<Pair>>,
+    shard: Shard,
     /// Sequence number of the part's first packet (wrapping space).
     base_seq: u32,
     /// Packets the pairs packetize into: the DATA packets plus the END.
@@ -168,11 +270,20 @@ impl RoundPart {
     }
 
     /// Serializes packet `index` of this part into a buffer from `pool`;
-    /// `None` past the part's END.
+    /// `None` past the part's END. A coded shard's records are decoded
+    /// straight into the frame.
     fn frame_at(&self, index: usize, pool: &FramePool) -> Option<Frame> {
-        let (hdr, chunk) =
-            self.packetizer.packet_at(self.tree, &self.pairs, self.base_seq, index)?;
-        Some(build_frame(&self.endpoints, daiet_wire::udp::DAIET_PORT, &hdr, chunk, pool))
+        let (hdr, range) =
+            self.packetizer.packet_at(self.tree, self.shard.len(), self.base_seq, index)?;
+        let mut buf = pool.buffer();
+        let (ep, port) = (&self.endpoints, daiet_wire::udp::DAIET_PORT);
+        match &self.shard {
+            Shard::Pairs(pairs) => build_daiet_into(&mut buf, ep, port, &hdr, &pairs[range]),
+            Shard::Coded(coded) => {
+                build_daiet_entries_into(&mut buf, ep, port, &hdr, coded.decoded(range));
+            }
+        }
+        Some(pool.frame(buf))
     }
 }
 
@@ -181,8 +292,8 @@ impl RoundPart {
 /// pacing tick, so a frame exists only from its tick until the last hop
 /// lets go of it; the handles to the pairs stay behind as the round's
 /// NACK-replay retention, from which any `(tree, seq)` is rebuilt by
-/// offset (§4's fixed-size pairs make frame `i` of a part
-/// `pairs[10i .. 10i + 10]`).
+/// offset (§4's fixed-size pairs — or codes — make frame `i` of a part
+/// records `10i .. 10i + 10`).
 ///
 /// The frames, their order and their count are those of
 /// [`Packetizer::frames_from_seq`] per part, interleaved by
@@ -262,28 +373,28 @@ impl Packetizer {
         n_pairs.div_ceil(self.pairs_per_packet) + 1
     }
 
-    /// The packetization policy, in one place: preamble and entry slice
-    /// (empty for the trailing END) of packet `index` of a partition
-    /// numbered from `start_seq`; `None` past the END. Fixed-size pairs
-    /// make this an offset computation (§4), which is what lets a sender
-    /// build frame `index` at its transmit tick and rebuild it for a
-    /// NACK. Sequence numbers live in a wrapping 32-bit space (long-lived
-    /// iterative senders cross `u32::MAX`; the gap trackers compare
-    /// RFC 1982-style).
-    fn packet_at<'a>(
+    /// The packetization policy, in one place: preamble and entry range
+    /// (empty for the trailing END) of packet `index` of a partition of
+    /// `n_pairs` records numbered from `start_seq`; `None` past the END.
+    /// Fixed-size records make this an offset computation (§4), which is
+    /// what lets a sender build frame `index` at its transmit tick and
+    /// rebuild it for a NACK. Sequence numbers live in a wrapping 32-bit
+    /// space (long-lived iterative senders cross `u32::MAX`; the gap
+    /// trackers compare RFC 1982-style).
+    fn packet_at(
         &self,
         tree_id: u16,
-        pairs: &'a [Pair],
+        n_pairs: usize,
         start_seq: u32,
         index: usize,
-    ) -> Option<(Header, &'a [Pair])> {
+    ) -> Option<(Header, Range<usize>)> {
         let seq = start_seq.wrapping_add(index as u32);
         let lo = index.checked_mul(self.pairs_per_packet)?;
-        if lo < pairs.len() {
-            let hi = pairs.len().min(lo + self.pairs_per_packet);
-            Some((Header::data(tree_id, PacketFlags::empty(), seq), &pairs[lo..hi]))
-        } else if index + 1 == self.packet_count(pairs.len()) {
-            Some((Header::end(tree_id, PacketFlags::empty(), seq), &[]))
+        if lo < n_pairs {
+            let hi = n_pairs.min(lo + self.pairs_per_packet);
+            Some((Header::data(tree_id, PacketFlags::empty(), seq), lo..hi))
+        } else if index + 1 == self.packet_count(n_pairs) {
+            Some((Header::end(tree_id, PacketFlags::empty(), seq), 0..0))
         } else {
             None
         }
@@ -301,8 +412,8 @@ impl Packetizer {
         mut f: impl FnMut(&Header, &[Pair]),
     ) -> u32 {
         let mut index = 0;
-        while let Some((hdr, chunk)) = self.packet_at(tree_id, pairs, start_seq, index) {
-            f(&hdr, chunk);
+        while let Some((hdr, range)) = self.packet_at(tree_id, pairs.len(), start_seq, index) {
+            f(&hdr, &pairs[range]);
             index += 1;
         }
         start_seq.wrapping_add(index as u32)
@@ -349,23 +460,12 @@ impl Packetizer {
     ) -> (Vec<Frame>, u32) {
         let mut out = Vec::with_capacity(pairs.len().div_ceil(self.pairs_per_packet) + 1);
         let next = self.each_packet(tree_id, pairs, start_seq, |hdr, chunk| {
-            out.push(build_frame(endpoints, src_port, hdr, chunk, pool));
+            let mut buf = pool.buffer();
+            build_daiet_into(&mut buf, endpoints, src_port, hdr, chunk);
+            out.push(pool.frame(buf));
         });
         (out, next)
     }
-}
-
-/// Serializes one DAIET packet straight into a buffer from `pool`.
-fn build_frame(
-    endpoints: &Endpoints,
-    src_port: u16,
-    hdr: &Header,
-    chunk: &[Pair],
-    pool: &FramePool,
-) -> Frame {
-    let mut buf = pool.buffer();
-    build_daiet_into(&mut buf, endpoints, src_port, hdr, chunk);
-    pool.frame(buf)
 }
 
 /// Interleaves per-tree frame queues round-robin starting at queue
@@ -1334,8 +1434,11 @@ mod tests {
         frames.iter().map(|f| &f[..]).collect()
     }
 
+    /// Four parts of pairs. Values stay below 16 so that every round
+    /// also has a coded form; keys come from a small space so parts
+    /// repeat them, as mappers repeat words.
     fn arb_round() -> impl Strategy<Value = Vec<Vec<Pair>>> {
-        let pair = (any::<u64>(), any::<u32>()).prop_map(|(k, v)| {
+        let pair = (0u64..48, 0u32..16).prop_map(|(k, v)| {
             let mut key = [0u8; daiet::KEY_LEN];
             key[..8].copy_from_slice(&k.to_be_bytes());
             Pair::new(Key(key), v)
@@ -1347,15 +1450,16 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// The streamed schedule against the eager reference, over two
-        /// rounds on two senders — one planned from owned vectors, one
+        /// rounds on three senders — one planned from owned vectors, one
         /// from shared handles whose caller-side clone is gone before the
-        /// first tick: same bytes in the same order, every retained
-        /// `(tree, seq)` rebuilt byte-identically for a NACK, and the
-        /// second round continuing each tree's sequence space where the
-        /// first ended — across the `u32::MAX` wrap.
+        /// first tick, one from the same pairs dictionary-coded: same
+        /// bytes in the same order, every retained `(tree, seq)` rebuilt
+        /// byte-identically for a NACK, and the second round continuing
+        /// each tree's sequence space where the first ended — across the
+        /// `u32::MAX` wrap.
         #[test]
         fn streamed_schedule_equals_the_eager_reference(
-            shape in (0usize..=4, 1usize..=10),
+            shape in (0usize..=4, 1usize..=11),
             first in arb_round(),
             second in arb_round(),
             below_wrap in prop::collection::vec(0u32..=40, 4..=4),
@@ -1373,33 +1477,44 @@ mod tests {
             let mut eager_seq = start.clone();
 
             let mut fabric = Recorder::new();
-            let mut senders: Vec<(&str, PacedSenderNode, FnvHashMap<u16, u32>)> = ["owned", "shared"]
-                .into_iter()
-                .map(|how| {
-                    let mut node = PacedSenderNode::new(Vec::new(), Duration::from_micros(1), "streamed");
-                    node.arm_replay();
-                    (how, node, start.clone())
-                })
-                .collect();
+            let mut senders: Vec<(&str, PacedSenderNode, FnvHashMap<u16, u32>)> =
+                ["owned", "shared", "coded"]
+                    .into_iter()
+                    .map(|how| {
+                        let gap = Duration::from_micros(1);
+                        let mut node = PacedSenderNode::new(Vec::new(), gap, "streamed");
+                        node.arm_replay();
+                        (how, node, start.clone())
+                    })
+                    .collect();
             let mut retained = Vec::new();
             for (r, round) in [first, second].iter().enumerate() {
                 let offset = offset.wrapping_add(r);
                 let (transmit, per_tree) =
                     eager_round(&config, &parts(round), &mut eager_seq, offset, &fabric.pool);
                 for (how, node, streamed_seq) in &mut senders {
-                    let schedule = if *how == "shared" {
-                        let buffers: Vec<_> = parts(round)
-                            .into_iter()
-                            .map(|(tree, ep, pairs)| (tree, ep, Arc::new(pairs)))
-                            .collect();
-                        let handles = buffers.iter().map(|(tree, ep, pairs)| (*tree, *ep, Arc::clone(pairs)));
-                        let schedule = plan_round(&config, handles, streamed_seq, offset);
-                        // From here on the schedule's handles alone keep
-                        // the pairs alive.
-                        drop(buffers);
-                        schedule
-                    } else {
-                        plan_round(&config, parts(round), streamed_seq, offset)
+                    let schedule = match *how {
+                        "shared" => {
+                            let buffers: Vec<_> = parts(round)
+                                .into_iter()
+                                .map(|(tree, ep, pairs)| (tree, ep, Arc::new(pairs)))
+                                .collect();
+                            let handles = buffers
+                                .iter()
+                                .map(|(tree, ep, pairs)| (*tree, *ep, Arc::clone(pairs)));
+                            let schedule = plan_round(&config, handles, streamed_seq, offset);
+                            // From here on the schedule's handles alone keep
+                            // the pairs alive.
+                            drop(buffers);
+                            schedule
+                        }
+                        "coded" => {
+                            let coded = code_parts(&parts(round));
+                            let decoded = coded.iter().map(|(_, _, c)| c.to_vec());
+                            prop_assert!(decoded.eq(parts(round).into_iter().map(|(_, _, p)| p)));
+                            plan_round(&config, coded, streamed_seq, offset)
+                        }
+                        _ => plan_round(&config, parts(round), streamed_seq, offset),
                     };
                     node.enqueue_round(schedule);
                     prop_assert_eq!(&*streamed_seq, &eager_seq, "next free sequence numbers, {} round {}", how, r);
@@ -1437,6 +1552,36 @@ mod tests {
         }
     }
 
+    /// `parts` dictionary-coded: one dictionary of the parts' distinct
+    /// keys, in first-seen order, shared by every part.
+    fn code_parts(parts: &Parts) -> Vec<(u16, Endpoints, Arc<CodedPairs>)> {
+        let mut index: FnvHashMap<Key, usize> = FnvHashMap::default();
+        let mut keys = Vec::new();
+        let codes: Vec<Vec<u32>> = parts
+            .iter()
+            .map(|(_, _, pairs)| {
+                pairs
+                    .iter()
+                    .map(|p| {
+                        let i = *index.entry(p.key).or_insert_with(|| {
+                            keys.push(p.key);
+                            keys.len() - 1
+                        });
+                        CodedPairs::code(i, p.value)
+                    })
+                    .collect()
+            })
+            .collect();
+        let keys: Arc<[Key]> = keys.into();
+        parts
+            .iter()
+            .zip(codes)
+            .map(|((tree, ep, _), codes)| {
+                (*tree, *ep, Arc::new(CodedPairs { keys: Arc::clone(&keys), codes }))
+            })
+            .collect()
+    }
+
     /// Planning copies no pair: an owned vector's allocation moves into
     /// the schedule, a shared handle's buffer is the schedule's buffer.
     #[test]
@@ -1447,12 +1592,40 @@ mod tests {
         let owned = npairs(25);
         let owned_at = owned.as_ptr();
         let by_move = plan_round(&config, [(1, ep, owned)], &mut next_seq, 0);
-        assert_eq!(by_move.parts[0].pairs.as_ptr(), owned_at);
+        assert!(matches!(&by_move.parts[0].shard, Shard::Pairs(p) if p.as_ptr() == owned_at));
         let shared = Arc::new(npairs(25));
         let by_handle = plan_round(&config, [(2, ep, Arc::clone(&shared))], &mut next_seq, 0);
-        assert!(Arc::ptr_eq(&by_handle.parts[0].pairs, &shared));
+        assert!(matches!(&by_handle.parts[0].shard, Shard::Pairs(p) if Arc::ptr_eq(p, &shared)));
         drop(by_handle);
         assert_eq!(Arc::strong_count(&shared), 1);
+        let coded = Arc::new(CodedPairs { keys: Arc::new([Key::ZERO]), codes: vec![1, 2] });
+        let by_code = plan_round(&config, [(3, ep, Arc::clone(&coded))], &mut next_seq, 0);
+        assert!(matches!(&by_code.parts[0].shard, Shard::Coded(c) if Arc::ptr_eq(c, &coded)));
+        drop(by_code);
+        assert_eq!(Arc::strong_count(&coded), 1);
+    }
+
+    /// An empty coded shard is an END alone, numbered where its tree's
+    /// sequence space stands, and a NACK for it rebuilds the same END.
+    #[test]
+    fn an_empty_coded_shard_sends_its_end_only() {
+        let config = DaietConfig { nack_recovery: true, ..DaietConfig::default() };
+        let empty = Arc::new(CodedPairs { keys: Arc::new([]), codes: Vec::new() });
+        let mut next_seq: FnvHashMap<u16, u32> = [(4u16, 9)].into_iter().collect();
+        let mut fabric = Recorder::new();
+        let mut node = PacedSenderNode::new(Vec::new(), Duration::from_micros(1), "empty");
+        node.arm_replay();
+        let part = (4, Endpoints::from_ids(1, 2), empty);
+        node.enqueue_round(plan_round(&config, [part], &mut next_seq, 0));
+        assert_eq!(next_seq[&4], 10);
+        let sent = fabric.drain(&mut node);
+        assert_eq!(sent.len(), 1);
+        let (hdr, _, parsed) = receive_daiet(sent[0].clone()).unwrap();
+        assert_eq!(hdr, Header::end(4, PacketFlags::empty(), 9));
+        assert_eq!(parsed.daiet_pairs().count(), 0);
+        let ranges = vec![NackRange { first: 9, count: 1 }];
+        let req = NackRequest { next_expected: 0, tail: false, ranges };
+        assert_eq!(bytes(&fabric.nack(&mut node, 4, &req)), bytes(&sent));
     }
 
     /// One sender holding one 6-packet part whose sequence window

@@ -226,9 +226,10 @@ impl Runner {
     }
 
     /// Swaps the job's mapper and reducer specs for the TCP baseline's
-    /// hosts: each mapper streams its partitions, sorted, one connection
-    /// per reducer (mappers sort in the baseline; zero-padded keys order
-    /// like the words they hold), and each reducer is a TCP sink.
+    /// hosts: each mapper streams its partitions, decoded and sorted, one
+    /// connection per reducer (mappers sort in the baseline; zero-padded
+    /// keys order like the words they hold), and each reducer is a TCP
+    /// sink.
     fn tcp_hosts(&self, placement: &JobPlacement, specs: &mut [NodeSpec]) {
         for (m, &slot) in placement.mappers.iter().enumerate() {
             let mut jobs = Vec::with_capacity(placement.reducers.len());
@@ -576,9 +577,28 @@ mod tests {
                 assert!(runner.run(mode).all_correct(), "{mode:?} diverged");
                 for (pairs, before) in runner.corpus.partitions.iter().flatten().zip(&before) {
                     assert_eq!(Arc::strong_count(pairs), 1, "{mode:?} kept a handle");
-                    assert_eq!(**pairs, *before, "{mode:?} changed the map output");
+                    assert_eq!(pairs.to_vec(), *before, "{mode:?} changed the map output");
                 }
             }
+        }
+    }
+
+    /// The chaos figure's loss-free column: its corpus with recovery
+    /// armed and no fault injected. The pass-through modes end with
+    /// their data, not at the give-up horizon of NACKs a pass-through
+    /// switch once sent for flows it never sees.
+    #[test]
+    fn loss_free_pass_through_runs_under_recovery_end_with_their_data() {
+        let spec = CorpusSpec { register_cells: 512, ..CorpusSpec::paper_scaled(12 * 256, 42) };
+        let mut runner = Runner::new(Corpus::generate(&spec));
+        runner.daiet_config.register_cells = 512;
+        let mut runner = runner.with_recovery(daiet_netsim::FaultProfile::NONE);
+        runner.seed = 7;
+        for mode in [ShuffleMode::TcpBaseline, ShuffleMode::UdpNoAgg] {
+            let out = runner.run(mode);
+            assert!(out.all_correct(), "{mode:?} diverged");
+            let finished_ms = out.finished_at.as_nanos() as f64 / 1e6;
+            assert!(finished_ms < 2.0, "{mode:?} ran until {finished_ms} ms");
         }
     }
 

@@ -4,13 +4,16 @@
 //! output at pair boundaries without deserializing (§4) — at the cost of
 //! padding every key to 16 bytes, which the paper calls out as measured
 //! overhead ("the fixed-size length of strings in our implementation …
-//! forces a 16 B key even for smaller strings"). That representation is
-//! the one the [`Corpus`](crate::Corpus) holds, so the DAIET modes encode
-//! nothing here. The TCP baseline streams **variable-length** records
-//! (length-prefixed word + 4-byte count), the natural on-disk format of a
-//! MapReduce implementation; this module is that codec, over pairs: the
-//! word is the key with its padding trimmed.
+//! forces a 16 B key even for smaller strings"). The
+//! [`Corpus`](crate::Corpus) holds each record as a code that the DAIET
+//! senders decode into that representation as they frame it, so the DAIET
+//! modes encode nothing here; [`to_pairs`] decodes a whole partition for
+//! the callers that want pairs. The TCP baseline streams
+//! **variable-length** records (length-prefixed word + 4-byte count), the
+//! natural on-disk format of a MapReduce implementation; this module is
+//! that codec, over pairs: the word is the key with its padding trimmed.
 
+use daiet::worker::CodedPairs;
 use daiet_wire::daiet::{Key, Pair};
 
 /// Encodes pairs in the baseline's variable-length format:
@@ -41,11 +44,10 @@ pub fn decode_varlen(mut data: &[u8]) -> Option<Vec<Pair>> {
     Some(out)
 }
 
-/// A plain copy of `pairs`. The map output is held as pairs, so there is
-/// no conversion left to do; this stays only because the tracked
-/// benchmark's pinned surface calls it.
-pub fn to_pairs(pairs: &[Pair]) -> Vec<Pair> {
-    pairs.to_vec()
+/// Decodes a partition of the map output into §4's fixed-size pairs, in
+/// record order.
+pub fn to_pairs(partition: &CodedPairs) -> Vec<Pair> {
+    partition.to_vec()
 }
 
 #[cfg(test)]
@@ -102,11 +104,15 @@ mod tests {
 
     #[test]
     fn fixed_encoding_pads_keys() {
-        let pairs = to_pairs(&sample());
-        assert_eq!(pairs, sample());
+        let sample = sample();
+        let keys: std::sync::Arc<[Key]> = sample.iter().map(|p| p.key).collect();
+        // The partition's records in another order than its dictionary's.
+        let codes = vec![CodedPairs::code(2, 10), CodedPairs::code(0, 1), CodedPairs::code(1, 7)];
+        let pairs = to_pairs(&CodedPairs { keys, codes });
+        assert_eq!(pairs, [pair("medium", 10), pair("a", 1), pair("sixteen-chars-xy", 7)]);
         // Every pair costs 16 + 4 bytes regardless of word length — the
         // paper's overhead observation.
-        assert_eq!(pairs[0].key.0, *b"a\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0");
-        assert_eq!(pairs[1].key.0, *b"sixteen-chars-xy");
+        assert_eq!(pairs[1].key.0, *b"a\0\0\0\0\0\0\0\0\0\0\0\0\0\0\0");
+        assert_eq!(pairs[2].key.0, *b"sixteen-chars-xy");
     }
 }

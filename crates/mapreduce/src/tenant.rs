@@ -59,7 +59,8 @@ impl TenantWorkload for WordCountTenant {
     }
 
     fn shards(&mut self, _round: u64) -> Vec<Vec<Vec<Pair>>> {
-        // The trait hands out owned vectors, so each buffer is copied.
+        // The trait hands out owned vectors of pairs, so each partition
+        // is decoded.
         self.corpus
             .partitions
             .iter()

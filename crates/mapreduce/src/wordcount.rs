@@ -27,13 +27,15 @@
 //! repeated word needs no set of its own: its first draw took its cell,
 //! so the cell check rejects the repeat.
 //!
-//! The output is emitted directly as §4's fixed-size pairs — the padded
-//! key hashed for that check, plus the count — see [`Corpus`]. The
-//! reference each reducer is checked against holds the same padded key,
-//! as a [`Word`], so no word is ever held as a `String`.
+//! The output is emitted as dictionary codes that decode to §4's
+//! fixed-size pairs — the padded key hashed for that check, plus the
+//! count — see [`Corpus`]. The reference each reducer is checked against
+//! holds the same padded key, as a [`Word`], so no word is ever held as a
+//! `String`.
 
+use daiet::worker::CodedPairs;
 use daiet_wire::checksum::crc32;
-use daiet_wire::daiet::{Key, Pair, KEY_LEN};
+use daiet_wire::daiet::{Key, KEY_LEN};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -142,19 +144,22 @@ pub fn partition(word: &str, n_reducers: usize) -> usize {
 /// word per mapper — the classic WordCount combiner output the shuffle
 /// actually moves).
 ///
-/// The map output *is* §4's fixed-size file: each partition is an
-/// immutable buffer of [`Pair`]s written once here. The corpus owns the
-/// pairs; senders hold a handle to the same buffer and slice it by offset
-/// (`Arc`, because the loopback backend runs them on driver threads), so
-/// a job neither converts nor copies them, and cloning a corpus shares
-/// them.
+/// The map output is §4's fixed-size file, held as one 4-byte code per
+/// record ([`CodedPairs`]): each partition is an immutable buffer of
+/// codes written once here, into its reducer's dictionary of words (in
+/// generation order, shared by all of that reducer's partitions). A
+/// partition's codes index the dictionary in increasing order. The corpus
+/// owns the codes; senders hold a handle to the same buffer, slice it by
+/// offset and decode each frame's pairs as they build it (`Arc`, because
+/// the loopback backend runs them on driver threads), so a job neither
+/// converts nor copies them, and cloning a corpus shares them.
 #[derive(Debug, Clone)]
 pub struct Corpus {
     /// The specification that produced this corpus.
     pub spec: CorpusSpec,
-    /// `partitions[mapper][reducer]` = that mapper's pairs bound for that
-    /// reducer: the word as a zero-padded key, and its partial count.
-    pub partitions: Vec<Vec<Arc<Vec<Pair>>>>,
+    /// `partitions[mapper][reducer]` = that mapper's records bound for
+    /// that reducer: the word as a zero-padded key, and its partial count.
+    pub partitions: Vec<Vec<Arc<CodedPairs>>>,
     /// Ground truth: each reducer's words and final counts, sorted by word
     /// once at generation (the correctness check runs after every shuffle).
     expected: Vec<Vec<(Word, u32)>>,
@@ -193,6 +198,17 @@ impl Corpus {
             words.push((Key(k), r));
         }
 
+        // Each reducer's dictionary: its words in generation order, and
+        // each word's index in it.
+        let mut dictionaries: Vec<Vec<Key>> = vec![Vec::new(); spec.n_reducers];
+        let index: Vec<usize> = words
+            .iter()
+            .map(|&(key, r)| {
+                dictionaries[r].push(key);
+                dictionaries[r].len() - 1
+            })
+            .collect();
+
         // 2. Spread each word over a sampled set of mappers, twice from the
         // same RNG state: once to size every partition and sum every word,
         // then to fill each partition at its exact size. Partitions grown
@@ -204,12 +220,14 @@ impl Corpus {
             sizes[m][r] += 1;
             totals[w] += count;
         });
-        let mut partitions: Vec<Vec<Vec<Pair>>> = sizes
+        let mut codes: Vec<Vec<Vec<u32>>> = sizes
             .iter()
             .map(|per_reducer| per_reducer.iter().map(|&n| Vec::with_capacity(n)).collect())
             .collect();
+        // A count is drawn from 1..=9 and an index is below the reducer's
+        // cells: both fit a code, which `CodedPairs::code` asserts.
         spread(&mut rng, spec, &words, |w, m, r, count| {
-            partitions[m][r].push(Pair::new(words[w].0, count));
+            codes[m][r].push(CodedPairs::code(index[w], count));
         });
         let mut expected: Vec<Vec<(Word, u32)>> = vec![Vec::new(); spec.n_reducers];
         for (&(key, r), &total) in words.iter().zip(&totals) {
@@ -217,16 +235,23 @@ impl Corpus {
         }
         expected.iter_mut().for_each(|e| e.sort_unstable()); // the words are unique
 
-        let partitions = partitions
+        let dictionaries: Vec<Arc<[Key]>> = dictionaries.into_iter().map(Arc::from).collect();
+        let partitions = codes
             .into_iter()
-            .map(|per_reducer| per_reducer.into_iter().map(Arc::new).collect())
+            .map(|per_reducer| {
+                per_reducer
+                    .into_iter()
+                    .zip(&dictionaries)
+                    .map(|(codes, keys)| Arc::new(CodedPairs { keys: Arc::clone(keys), codes }))
+                    .collect()
+            })
             .collect();
         Corpus { spec: *spec, partitions, expected }
     }
 
     /// Total shuffle records (pre-aggregation).
     pub fn total_records(&self) -> usize {
-        self.partitions.iter().flatten().map(|pairs| pairs.len()).sum()
+        self.partitions.iter().flatten().map(|coded| coded.len()).sum()
     }
 
     /// Mean mapper multiplicity actually realized.
@@ -274,6 +299,7 @@ fn sample_multiplicity(rng: &mut SmallRng, spec: &CorpusSpec) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use daiet_wire::daiet::Pair;
     use daiet_wire::fnv::FnvHashMap;
 
     /// The word a pair's key holds (padding trimmed).
@@ -315,7 +341,7 @@ mod tests {
         for mapper in &corpus.partitions {
             for (r, pairs) in mapper.iter().enumerate() {
                 for pair in pairs.iter() {
-                    assert_eq!(partition(word(pair), corpus.spec.n_reducers), r);
+                    assert_eq!(partition(word(&pair), corpus.spec.n_reducers), r);
                 }
             }
         }
@@ -331,6 +357,27 @@ mod tests {
                 let cell = crc32(&w.key().0) as usize % spec.register_cells;
                 let collides = std::mem::replace(&mut taken[cell], true);
                 assert!(!collides, "collision on {w} in reducer {r}");
+            }
+        }
+    }
+
+    /// The map output costs 4 bytes a record plus one 16-byte key per
+    /// word: the codes' capacity is exactly the records, each reducer
+    /// holds one dictionary of exactly its words, shared by all its
+    /// partitions, and each partition reads that dictionary forward.
+    #[test]
+    fn map_output_is_one_code_per_record_over_one_dictionary_per_reducer() {
+        let spec = CorpusSpec { register_cells: 256, ..CorpusSpec::paper_scaled(1200, 11) };
+        let corpus = Corpus::generate(&spec);
+        let capacity: usize = corpus.partitions.iter().flatten().map(|c| c.codes.capacity()).sum();
+        assert_eq!(capacity, corpus.total_records());
+        for r in 0..spec.n_reducers {
+            let keys = &corpus.partitions[0][r].keys;
+            assert_eq!(keys.len(), corpus.expected_reduction(r).len(), "reducer {r}");
+            for mapper in &corpus.partitions {
+                assert!(Arc::ptr_eq(&mapper[r].keys, keys), "reducer {r} holds two dictionaries");
+                let index = |code: &u32| code >> CodedPairs::VALUE_BITS;
+                assert!(mapper[r].codes.windows(2).all(|w| index(&w[0]) < index(&w[1])));
             }
         }
     }

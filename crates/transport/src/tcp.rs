@@ -393,6 +393,8 @@ impl TcpStack {
             conn.snd_una = tcp.ack;
             conn.state = State::Established;
             conn.rto_deadline = None;
+            // The SYN's backoff says nothing about the data path.
+            conn.rto_current = RTO;
             let (seq, ack) = (conn.snd_nxt, conn.rcv_nxt);
             self.emit(&key, &mut conn, Flags::ACK, seq, ack, &[]);
             self.events.push_back(SocketEvent::Connected(key));
@@ -407,6 +409,7 @@ impl TcpStack {
                 conn.state = State::Established;
                 conn.snd_una = conn.snd_una.max(1);
                 conn.rto_deadline = None;
+                conn.rto_current = RTO;
                 self.events.push_back(SocketEvent::Accepted(key));
             }
             if tcp.ack.wrapping_sub(conn.snd_una) as i32 > 0 && tcp.ack <= conn.snd_nxt {
@@ -919,6 +922,80 @@ mod tests {
         assert_eq!(now, rx_fin_at + RTO, "closed one RTO after the FIN");
         assert_eq!((rx.stats().timeouts, rx.stats().retransmits), (1, 1));
         assert_eq!(tx.stats().retransmits, 0);
+    }
+
+    /// Opens a connection whose handshake loses two SYNs — the opener's
+    /// SYN when `active`, else the listener's SYN-ACK — and whose first
+    /// data segment, sent by the same side, is lost too. Frames cross
+    /// with no delay. Returns the instants that side sent that segment:
+    /// the original and its retransmission.
+    fn data_sent_after_two_lost_syns(active: bool) -> Vec<SimTime> {
+        let (mut tx, mut rx) = (TcpStack::new(1), TcpStack::new(2));
+        rx.listen(9000);
+        let mut now = SimTime::ZERO;
+        let key = tx.connect(now, 2, 9000);
+        if active {
+            tx.send(key, &[7u8; 100]);
+        }
+        let (mut syns_lost, mut data_at) = (0, Vec::new());
+        while data_at.len() < 2 {
+            assert!(now < SimTime(SimDuration::from_secs(1).as_nanos()), "never retransmitted");
+            let mut moved = false;
+            let from_tx = tx.poll_transmit().into_iter().map(|f| (true, f));
+            let from_rx = rx.poll_transmit().into_iter().map(|f| (false, f));
+            for (from_tx, frame) in from_tx.chain(from_rx) {
+                moved = true;
+                if from_tx == active {
+                    let segment = Parsed::dissect(&frame).map(|p| p.transport);
+                    let Ok(Transport::Tcp { tcp, payload }) = segment else {
+                        panic!("a stack emitted a frame that is not TCP");
+                    };
+                    if tcp.flags.contains(Flags::SYN) && syns_lost < 2 {
+                        syns_lost += 1;
+                        continue;
+                    }
+                    if !payload.is_empty() {
+                        data_at.push(now);
+                        if data_at.len() == 1 {
+                            continue;
+                        }
+                    }
+                }
+                if from_tx {
+                    rx.on_frame(now, &frame);
+                } else {
+                    tx.on_frame(now, &frame);
+                }
+            }
+            while let Some(event) = rx.poll_event() {
+                if let (false, SocketEvent::Accepted(k)) = (active, event) {
+                    rx.send(k, &[7u8; 100]);
+                    rx.on_tick(now); // the data goes out on the next pump
+                }
+            }
+            while tx.poll_event().is_some() {}
+            if !moved {
+                now = [tx.next_deadline(), rx.next_deadline()]
+                    .into_iter()
+                    .flatten()
+                    .min()
+                    .expect("a stack that is not idle has a timer armed");
+                tx.on_tick(now);
+                rx.on_tick(now);
+            }
+        }
+        data_at
+    }
+
+    /// The handshake's backoff stays in the handshake: on either side, a
+    /// connection whose SYN was lost twice retransmits its first lost data
+    /// segment one RTO later, not after the SYN's backed-off 4 RTOs.
+    #[test]
+    fn a_backed_off_handshake_leaves_the_data_rto_at_its_floor() {
+        for active in [true, false] {
+            let sent = data_sent_after_two_lost_syns(active);
+            assert_eq!(sent[1] - sent[0], RTO, "active opener: {active}");
+        }
     }
 
     /// An unanswered SYN is retransmitted at doubling gaps until a gap

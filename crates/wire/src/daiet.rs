@@ -468,21 +468,34 @@ impl Header {
     /// (the count must fit the `u8` field) and [`Error::Truncated`] when
     /// `buf` has the wrong size.
     pub fn emit_with_pairs(&self, buf: &mut [u8], pairs: &[Pair]) -> Result<()> {
-        if pairs.len() > u8::MAX as usize {
+        self.emit_with_entries(buf, pairs.iter().copied())
+    }
+
+    /// Like [`emit_with_pairs`](Self::emit_with_pairs), with the entries
+    /// drawn from an iterator: a sender that decodes its pairs as it
+    /// frames them writes each one straight into `buf`, with no staging
+    /// slice.
+    pub fn emit_with_entries(
+        &self,
+        buf: &mut [u8],
+        entries: impl ExactSizeIterator<Item = Pair>,
+    ) -> Result<()> {
+        let n = entries.len();
+        if n > u8::MAX as usize {
             return Err(Error::Malformed);
         }
-        if buf.len() != Self::wire_len(pairs.len()) {
+        if buf.len() != Self::wire_len(n) {
             return Err(Error::Truncated);
         }
         let mut packet = Packet::new_unchecked(buf);
         packet.set_version();
         packet.set_packet_type(self.packet_type);
         packet.set_tree_id(self.tree_id);
-        packet.set_num_entries(pairs.len() as u8);
+        packet.set_num_entries(n as u8);
         packet.set_flags(self.flags);
         packet.set_seq(self.seq);
-        for (i, pair) in pairs.iter().enumerate() {
-            packet.set_entry(i, *pair);
+        for (i, pair) in entries.take(n).enumerate() {
+            packet.set_entry(i, pair);
         }
         Ok(())
     }

@@ -113,16 +113,29 @@ pub fn build_daiet_into(
     hdr: &daiet::Header,
     pairs: &[daiet::Pair],
 ) {
+    build_daiet_entries_into(buf, ep, src_port, hdr, pairs.iter().copied());
+}
+
+/// Like [`build_daiet_into`], with the pairs drawn from an iterator and
+/// written straight into the frame: a sender that decodes its map output
+/// as it frames it stages nothing.
+pub fn build_daiet_entries_into(
+    buf: &mut Vec<u8>,
+    ep: &Endpoints,
+    src_port: u16,
+    hdr: &daiet::Header,
+    entries: impl ExactSizeIterator<Item = daiet::Pair>,
+) {
     build_udp_into(
         buf,
         ep,
         src_port,
         udp::DAIET_PORT,
-        daiet::Header::wire_len(pairs.len()),
+        daiet::Header::wire_len(entries.len()),
         |payload| {
             // lint:allow(panic-hotpath): the payload closure receives exactly
-            // Header::wire_len(pairs.len()) bytes, computed two lines up.
-            hdr.emit_with_pairs(payload, pairs).expect("payload region sized by wire_len");
+            // Header::wire_len(entries.len()) bytes, computed two lines up.
+            hdr.emit_with_entries(payload, entries).expect("payload region sized by wire_len");
         },
     );
 }
