@@ -42,10 +42,10 @@
 //! On top of the scheduler, [`run_mix`] drives a deterministic tenant
 //! mix: Poisson arrivals ([`poisson_offsets`], seeded `stream_seed`
 //! style), per-job round loops, and per-job [`StatsSnapshot`] deltas for
-//! accounting ([`JobOutcome::usage`]). A single admitted job stepped
-//! with [`JobScheduler::run_round`] is the iterative harness: the ML and
-//! graph packet runs and the node-chaos scenarios are one-tenant
-//! fabrics.
+//! accounting ([`JobOutcome::usage`]). [`run_solo`] is the same driver
+//! with one arrival: the SGD and Pregel packet runs are one-tenant
+//! mixes, and the node-chaos scenarios step a single admitted job with
+//! [`JobScheduler::run_round`].
 //!
 //! [`SramTracker::free`]: daiet_dataplane::resources::SramTracker::free
 //! [`Table::remove`]: daiet_dataplane::table::Table::remove
@@ -726,9 +726,9 @@ impl JobScheduler {
     /// Runs one round of `job` behind a barrier: [`begin_round`], the
     /// simulation run to quiescence (every pacing and NACK timer disarms
     /// itself once it has nothing left to do), then [`collect_round`].
-    /// An iterative job steps this way, one round per SGD step or Pregel
-    /// superstep. A round that cannot complete exactly returns
-    /// [`collect_round`]'s error and stays open until
+    /// A caller that re-plans between rounds steps a job this way (the
+    /// node-chaos scenarios do). A round that cannot complete exactly
+    /// returns [`collect_round`]'s error and stays open until
     /// [`replan`](Self::replan).
     ///
     /// [`begin_round`]: Self::begin_round
@@ -874,11 +874,6 @@ impl JobScheduler {
         self.jobs.len()
     }
 
-    /// Rounds `job` has completed so far.
-    pub fn job_rounds(&self, job: JobId) -> Option<u64> {
-        self.jobs.get(&job.0).map(|st| st.round)
-    }
-
     /// `job`'s aggregation trees in tree order, while admitted.
     pub fn job_trees(&self, job: JobId) -> Option<&[AggregationTree]> {
         self.jobs.get(&job.0).map(|st| st.trees.as_slice())
@@ -931,8 +926,8 @@ impl JobScheduler {
 /// per-tree aggregation functions, round count), per-round input
 /// shards, result absorption, and a final digest/verification.
 ///
-/// The workload crates implement this for WordCount, GROUP BY and
-/// iterative SGD; the trait lives here so the scheduler stays
+/// The workload crates implement this for WordCount, GROUP BY,
+/// iterative SGD and Pregel; the trait lives here so the scheduler stays
 /// workload-agnostic.
 pub trait TenantWorkload {
     /// Accounting label (also the job label the scheduler records).
@@ -941,7 +936,11 @@ pub trait TenantWorkload {
     fn senders(&self) -> usize;
     /// One aggregation tree per entry, aggregating with that function.
     fn aggs(&self) -> Vec<AggFn>;
-    /// Rounds the job runs before departing.
+    /// Rounds the job runs before departing. The driver re-reads it
+    /// after every [`absorb`](Self::absorb) and departs the job once the
+    /// rounds absorbed reach it, so a job that converges early (a
+    /// Pregel program going quiet) may lower it as it runs: an upper
+    /// bound until then, the rounds absorbed so far from then on.
     fn rounds(&self) -> u64;
     /// Input for `round`: `shards[i][t]` is sender `i`'s pairs for tree
     /// `t`. Must be deterministic in `round` (solo and mixed runs must
@@ -956,6 +955,35 @@ pub trait TenantWorkload {
     /// Workload-level correctness check after the last round (e.g.
     /// against a host-side reference computation).
     fn verify(&self) -> Result<(), String>;
+}
+
+/// A borrowed workload runs as the workload itself, so a caller can
+/// hand the driver `Box::new(&mut w)` and read `w`'s state afterwards.
+impl<W: TenantWorkload + ?Sized> TenantWorkload for &mut W {
+    fn label(&self) -> String {
+        (**self).label()
+    }
+    fn senders(&self) -> usize {
+        (**self).senders()
+    }
+    fn aggs(&self) -> Vec<AggFn> {
+        (**self).aggs()
+    }
+    fn rounds(&self) -> u64 {
+        (**self).rounds()
+    }
+    fn shards(&mut self, round: u64) -> Vec<Vec<Vec<Pair>>> {
+        (**self).shards(round)
+    }
+    fn absorb(&mut self, round: u64, per_tree: Vec<Vec<(Key, u32)>>) {
+        (**self).absorb(round, per_tree);
+    }
+    fn digest(&self) -> u64 {
+        (**self).digest()
+    }
+    fn verify(&self) -> Result<(), String> {
+        (**self).verify()
+    }
 }
 
 /// Knobs of the [`run_mix`] driver loop.
@@ -1016,18 +1044,18 @@ pub struct MixOutcome {
     pub net: StatsSnapshot,
 }
 
-struct PendingJob {
+struct PendingJob<'a> {
     due: Time,
     idx: usize,
-    wl: Box<dyn TenantWorkload>,
+    wl: Box<dyn TenantWorkload + 'a>,
     requested_at: Time,
     rejections: u32,
 }
 
-struct RunningJob {
+struct RunningJob<'a> {
     idx: usize,
     job: JobId,
-    wl: Box<dyn TenantWorkload>,
+    wl: Box<dyn TenantWorkload + 'a>,
     requested_at: Time,
     admitted_at: Time,
     rejections: u32,
@@ -1045,9 +1073,9 @@ struct RunningJob {
 /// A rejection while *no* job is running is a hard error (the job could
 /// never be admitted); so is exceeding [`MixOptions::deadline`] in
 /// simulated time.
-pub fn run_mix(
+pub fn run_mix<'a>(
     sched: &mut JobScheduler,
-    arrivals: Vec<(Duration, Box<dyn TenantWorkload>)>,
+    arrivals: Vec<(Duration, Box<dyn TenantWorkload + 'a>)>,
     opts: &MixOptions,
 ) -> Result<MixOutcome, String> {
     let base = sched.now();
@@ -1056,7 +1084,7 @@ pub fn run_mix(
     let n = arrivals.len();
     let mut outcomes: Vec<Option<JobOutcome>> = (0..n).map(|_| None).collect();
 
-    let mut pending: Vec<PendingJob> = arrivals
+    let mut pending: Vec<PendingJob<'_>> = arrivals
         .into_iter()
         .enumerate()
         .map(|(idx, (offset, wl))| PendingJob {
@@ -1068,7 +1096,7 @@ pub fn run_mix(
         })
         .collect();
     pending.sort_by_key(|p| (p.due.as_nanos(), p.idx));
-    let mut running: Vec<RunningJob> = Vec::new();
+    let mut running: Vec<RunningJob<'_>> = Vec::new();
 
     while !pending.is_empty() || !running.is_empty() {
         if sched.now().as_nanos() > hard_deadline.as_nanos() {
@@ -1137,7 +1165,7 @@ pub fn run_mix(
                     r.wl.absorb(r.round, per_tree);
                     r.open = false;
                     r.round += 1;
-                    r.round == r.wl.rounds()
+                    r.round >= r.wl.rounds()
                 }
             };
             if finished {
@@ -1189,12 +1217,16 @@ pub fn run_mix(
     })
 }
 
-/// Runs one workload alone on `sched` — the solo baseline the
-/// isolation property tests and the `fig_multitenant` slowdown figures
-/// compare against.
-pub fn run_solo(
+/// Runs one workload alone on `sched`: admit, rounds until the
+/// workload's [`rounds`](TenantWorkload::rounds) is reached (it may fall
+/// as the job converges), [`verify`](TenantWorkload::verify), depart.
+/// It is the solo baseline the isolation property tests and the
+/// `fig_multitenant` slowdown figures compare against, and the driver of
+/// the iterative packet runs. Pass `Box::new(&mut w)` to keep `w` and
+/// read its state after the run.
+pub fn run_solo<'a>(
     sched: &mut JobScheduler,
-    wl: Box<dyn TenantWorkload>,
+    wl: Box<dyn TenantWorkload + 'a>,
     opts: &MixOptions,
 ) -> Result<JobOutcome, String> {
     let mut out = run_mix(sched, vec![(Duration::ZERO, wl)], opts)?;
@@ -1384,7 +1416,6 @@ mod tests {
             let frames_in = sched.sim().node_stats(r0).frames_in - frames_before;
             assert!((2..10).contains(&frames_in), "{frames_in} frames in one round");
         }
-        assert_eq!(sched.job_rounds(job), Some(3));
         // Retirement bounded the host-side state: pacing queues drained,
         // replay retention empty (every round was fully acknowledged).
         for slot in [0, 1] {
@@ -1395,6 +1426,7 @@ mod tests {
         // not treated as replays of round 0's.
         let reducer = sched.sim().node_ref::<ReducerHost>(r0).unwrap();
         assert_eq!(reducer.duplicates_suppressed(), 0);
+        assert_eq!(sched.depart(job).unwrap().rounds, 3);
     }
 
     /// A re-plan whose new trees do not fit the switches is refused and
@@ -1564,9 +1596,18 @@ mod tests {
         assert!((10_000.0..250_000.0).contains(&mean), "mean gap {mean} ns");
     }
 
+    /// Two senders summing one key for 3 rounds, or for `converges_after`
+    /// rounds if that is fewer: its `rounds()` reads 3 until then.
     struct ToyJob {
         rounds_done: u64,
+        converges_after: u64,
         digest: u64,
+    }
+
+    impl ToyJob {
+        fn new(converges_after: u64) -> ToyJob {
+            ToyJob { rounds_done: 0, converges_after, digest: DIGEST_SEED }
+        }
     }
 
     impl TenantWorkload for ToyJob {
@@ -1580,7 +1621,11 @@ mod tests {
             vec![AggFn::Sum]
         }
         fn rounds(&self) -> u64 {
-            3
+            if self.rounds_done < self.converges_after {
+                3
+            } else {
+                self.converges_after
+            }
         }
         fn shards(&mut self, round: u64) -> Vec<Vec<Vec<Pair>>> {
             (0..2)
@@ -1596,10 +1641,10 @@ mod tests {
             self.digest
         }
         fn verify(&self) -> Result<(), String> {
-            if self.rounds_done == 3 {
+            if self.rounds_done == self.converges_after {
                 Ok(())
             } else {
-                Err(format!("absorbed {} rounds of 3", self.rounds_done))
+                Err(format!("absorbed {} rounds of {}", self.rounds_done, self.converges_after))
             }
         }
     }
@@ -1608,11 +1653,8 @@ mod tests {
     fn run_mix_drives_workloads_to_completion() {
         let mut sched = star_sched(DaietConfig::default());
         let arrivals: Vec<(Duration, Box<dyn TenantWorkload>)> = vec![
-            (Duration::ZERO, Box::new(ToyJob { rounds_done: 0, digest: DIGEST_SEED })),
-            (
-                Duration::from_micros(30),
-                Box::new(ToyJob { rounds_done: 0, digest: DIGEST_SEED }),
-            ),
+            (Duration::ZERO, Box::new(ToyJob::new(3))),
+            (Duration::from_micros(30), Box::new(ToyJob::new(3))),
         ];
         let out = run_mix(&mut sched, arrivals, &MixOptions::default()).unwrap();
         assert_eq!(out.jobs.len(), 2);
@@ -1625,13 +1667,26 @@ mod tests {
 
         // The solo digest matches too: concurrency did not perturb it.
         let mut solo = star_sched(DaietConfig::default());
-        let solo_out = run_solo(
-            &mut solo,
-            Box::new(ToyJob { rounds_done: 0, digest: DIGEST_SEED }),
-            &MixOptions::default(),
-        )
-        .unwrap();
+        let solo_out = run_solo(&mut solo, Box::new(ToyJob::new(3)), &MixOptions::default())
+            .unwrap();
         assert_eq!(solo_out.digest, out.jobs[0].digest);
+    }
+
+    /// The driver's contract with a converging job: `rounds()` is re-read
+    /// after every absorb, so a job whose bound falls to 2 after its
+    /// second round departs then, verified. And a workload lent by
+    /// `&mut` runs as itself and can be read after the run.
+    #[test]
+    fn a_converging_job_departs_when_its_rounds_fall() {
+        let mut sched = star_sched(DaietConfig::default());
+        let mut job = ToyJob::new(2);
+        let out = run_solo(&mut sched, Box::new(&mut job), &MixOptions::default()).unwrap();
+        assert_eq!(out.rounds, 2);
+        assert_eq!(job.rounds_done, 2);
+        assert_eq!(job.rounds(), 2);
+        job.verify().unwrap();
+        assert_eq!(out.digest, job.digest());
+        assert_eq!(sched.job_count(), 0);
     }
 
     /// More arrivals than the host pools hold: later jobs are rejected,
@@ -1643,7 +1698,7 @@ mod tests {
             .map(|k| {
                 (
                     Duration::from_nanos(100 * k),
-                    Box::new(ToyJob { rounds_done: 0, digest: DIGEST_SEED })
+                    Box::new(ToyJob::new(3))
                         as Box<dyn TenantWorkload>,
                 )
             })

@@ -16,9 +16,12 @@
 //!   message census;
 //! * [`algos`] — PageRank, SSSP, WCC as vertex programs;
 //! * [`traffic`] — the Figure-1(c) reduction-ratio series;
-//! * [`netrun`] — Pregel supersteps carried by the real dataplane (one
-//!   DAIET round per superstep, in-network combiners), bit-identical to
-//!   the analytic engine even under link faults.
+//! * [`netrun`] — vertex keys on the wire and the all-integer PageRank a
+//!   switch combines exactly;
+//! * [`tenant`] — Pregel supersteps carried by the real dataplane as a
+//!   [`daiet::tenant`] job (one DAIET round per superstep, in-network
+//!   combiners), bit-identical to the analytic engine even under link
+//!   faults.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,8 +31,10 @@ pub mod generate;
 pub mod graph;
 pub mod netrun;
 pub mod pregel;
+pub mod tenant;
 pub mod traffic;
 
 pub use graph::Graph;
-pub use netrun::{FixedPageRank, PacketPregelOutcome, PacketPregelSpec};
+pub use netrun::FixedPageRank;
+pub use tenant::PregelTenant;
 pub use traffic::{reduction_series, AlgoKind, SuperstepTraffic};

@@ -1,38 +1,19 @@
-//! Pregel supersteps driven **through the real dataplane**: every
-//! superstep's message exchange becomes one DAIET round over a long-lived
-//! leaf-spine simulation, with the switches running the algorithm's
-//! combiner in-network (§3: "combining all the messages sent to the same
-//! destination into a single message by applying the aggregation function
-//! used by the algorithm … inside the network").
+//! Pregel messages on the wire: the vertex keys a superstep's messages
+//! travel under, and the all-integer PageRank whose combiner a DAIET
+//! switch executes exactly. The job that carries one superstep per DAIET
+//! round is [`crate::tenant::PregelTenant`].
 //!
-//! The driver ([`run_packet`]) mirrors [`crate::pregel::run`]'s loop
-//! statement for statement — vertex partitioning across workers, one
-//! shard of `(dst, msg)` pairs per worker per superstep, the aggregated
-//! inbox read back from the collector — so for any
-//! [`VertexProgram`] whose `combine` equals a wire [`AggFn`] over `u32`
-//! lanes, the packet run's final states **and** per-superstep
-//! [`MessageCensus`] are bit-identical to the analytic engine's. That is
-//! what `tests/iterative_recovery.rs` pins, loss-free and under
-//! every-link chaos at k = 1.
+//! [`FixedPageRank`] keeps ranks in 16-bit fixed point, SUM-combined
+//! (wrapping `u32` addition is exact two's-complement addition, and it is
+//! what [`AggFn::Sum`] runs on the switch). [`crate::algos::Wcc`]'s MIN
+//! combiner rides the same path unchanged via [`AggFn::Min`].
 //!
-//! [`FixedPageRank`] is the all-integer PageRank this enables: ranks in
-//! 16-bit fixed point, SUM-combined (wrapping `u32` addition is exact
-//! two's-complement addition, and it is what [`AggFn::Sum`] runs on the
-//! switch). [`crate::algos::Wcc`]'s MIN combiner rides the same driver
-//! unchanged via [`AggFn::Min`].
+//! [`AggFn::Sum`]: daiet::agg::AggFn::Sum
+//! [`AggFn::Min`]: daiet::agg::AggFn::Min
 
-// lint:allow-file(layer-netsim): network-mode PageRank harness — drives a
-// one-job JobScheduler under the Simulator. The rank-update aggregation
-// protocol itself stays fabric-only.
 use crate::graph::Graph;
-use crate::pregel::{MessageCensus, VertexProgram};
-use daiet::agg::AggFn;
-use daiet::tenant::{JobId, JobRequest, JobScheduler, TenantSpec};
-use daiet::worker::ReducerHost;
-use daiet::DaietConfig;
-use daiet_netsim::topology::TopologyPlan;
-use daiet_netsim::{FaultProfile, LinkSpec, SimDuration};
-use daiet_wire::daiet::{Key, Pair};
+use crate::pregel::VertexProgram;
+use daiet_wire::daiet::Key;
 
 /// Fractional bits of [`FixedPageRank`]'s rank encoding.
 pub const RANK_FRAC_BITS: u32 = 16;
@@ -44,6 +25,8 @@ const SCALE: u64 = 1 << RANK_FRAC_BITS;
 /// bit-exact rather than merely approximate. Semantics mirror
 /// [`crate::algos::PageRank`] (damping, share-per-out-edge, all vertices
 /// active every iteration); only the number representation differs.
+///
+/// [`AggFn::Sum`]: daiet::agg::AggFn::Sum
 pub struct FixedPageRank {
     /// Damping factor in permille (850 = the classic 0.85).
     pub damping_permille: u64,
@@ -104,172 +87,11 @@ pub fn vertex_key_decode(key: &Key) -> u32 {
     u32::from_be_bytes([k[0], k[1], k[2], k[3]])
 }
 
-/// Network configuration of one packet-level Pregel run.
-#[derive(Debug, Clone)]
-pub struct PacketPregelSpec {
-    /// Graph workers (vertex `v` lives on worker `v % workers`).
-    pub workers: usize,
-    /// The wire aggregation function — must equal the program's
-    /// `combine` on `u32` lanes (SUM for [`FixedPageRank`], MIN for
-    /// [`crate::algos::Wcc`]).
-    pub agg: AggFn,
-    /// Fault profile applied to **every** link.
-    pub faults: FaultProfile,
-    /// Arm NACK recovery. Off is the paper-faithful prototype.
-    pub recovery: bool,
-    /// Simulation seed.
-    pub seed: u64,
-}
-
-impl Default for PacketPregelSpec {
-    fn default() -> Self {
-        PacketPregelSpec {
-            workers: 4,
-            agg: AggFn::Sum,
-            faults: FaultProfile::NONE,
-            recovery: true,
-            seed: 13,
-        }
-    }
-}
-
-/// What a packet-level Pregel run produced.
-#[derive(Debug)]
-pub struct PacketPregelOutcome<S> {
-    /// Final vertex states.
-    pub states: Vec<S>,
-    /// Per-superstep census — comparable entry-for-entry with
-    /// [`crate::pregel::run`]'s.
-    pub census: Vec<MessageCensus>,
-    /// Network rounds driven (= census entries).
-    pub rounds: u64,
-    /// Frames dropped by fault injection over the whole run.
-    pub fault_drops: u64,
-    /// NACK frames the inbox collector emitted (0 without recovery).
-    pub nacks_emitted: u64,
-}
-
-/// Ships one superstep's sharded messages as a DAIET round and reads the
-/// combined inbox back. Messages with equal destinations merge in the
-/// network (and any stragglers at the collector) under `spec.agg`.
-fn ship_round(
-    sched: &mut JobScheduler,
-    job: JobId,
-    shards: Vec<Vec<(u32, u32)>>,
-    n: usize,
-) -> Result<Vec<Option<u32>>, String> {
-    let shard_pairs: Vec<Vec<Vec<Pair>>> = shards
-        .into_iter()
-        .map(|msgs| {
-            vec![msgs
-                .into_iter()
-                .map(|(dst, val)| Pair::new(vertex_key(dst), val))
-                .collect()]
-        })
-        .collect();
-    let per_tree = sched.run_round(job, &shard_pairs)?;
-    let mut inbox: Vec<Option<u32>> = vec![None; n];
-    for (k, v) in &per_tree[0] {
-        inbox[vertex_key_decode(k) as usize] = Some(*v);
-    }
-    Ok(inbox)
-}
-
-/// Runs `program` for up to `max_supersteps` with every message exchange
-/// carried by the dataplane — the packet-level counterpart of
-/// [`crate::pregel::run`], returning bit-comparable states and census.
-/// Errors if any round cannot be completed exactly (loss beyond the NACK
-/// budget).
-pub fn run_packet<P: VertexProgram<Msg = u32>>(
-    program: &P,
-    graph: &Graph,
-    max_supersteps: usize,
-    spec: &PacketPregelSpec,
-) -> Result<PacketPregelOutcome<P::State>, String> {
-    let n = graph.vertices();
-    let workers = spec.workers.max(1);
-    let hosts_per_leaf = 3;
-    let leaves = (workers + 1).div_ceil(hosts_per_leaf);
-    let link = LinkSpec::fast()
-        .with_queue_bytes(4 * 1024 * 1024)
-        .with_faults(spec.faults);
-    let plan = TopologyPlan::leaf_spine(hosts_per_leaf, leaves.max(2), 2, link);
-    let config = DaietConfig {
-        register_cells: 8192,
-        nack_recovery: spec.recovery,
-        ..DaietConfig::default()
-    }
-    .with_rtx_sized_for_flush();
-    let mut tspec = TenantSpec::new(config, plan, (0..workers).collect(), vec![workers]);
-    tspec.seed = spec.seed;
-    tspec.pacing = SimDuration::from_micros(1);
-    let mut sched = JobScheduler::build(tspec).map_err(|e| e.to_string())?;
-    let request = JobRequest { label: "pregel".into(), senders: workers, aggs: vec![spec.agg] };
-    let job = sched.admit(request).map_err(|e| e.to_string())?;
-
-    let mut states: Vec<P::State> =
-        (0..n as u32).map(|v| program.init(v, graph)).collect();
-    let mut census: Vec<MessageCensus> = Vec::new();
-
-    // Superstep 0: the initial broadcast, sharded by vertex owner.
-    let mut shards: Vec<Vec<(u32, u32)>> = vec![Vec::new(); workers];
-    let mut c = MessageCensus::default();
-    for v in 0..n as u32 {
-        let out = program.first_messages(v, &states[v as usize], graph);
-        if !out.is_empty() {
-            c.active_vertices += 1;
-        }
-        for (dst, msg) in out {
-            c.produced += 1;
-            shards[v as usize % workers].push((dst, msg));
-        }
-    }
-    let mut inbox = ship_round(&mut sched, job, shards, n)?;
-    c.distinct_destinations = inbox.iter().filter(|m| m.is_some()).count() as u64;
-    census.push(c);
-
-    for _ in 1..=max_supersteps {
-        let mut shards: Vec<Vec<(u32, u32)>> = vec![Vec::new(); workers];
-        let mut c = MessageCensus::default();
-        let mut any = false;
-        for v in 0..n as u32 {
-            if let Some(msg) = inbox[v as usize].take() {
-                any = true;
-                c.active_vertices += 1;
-                for (dst, out) in program.step(v, &mut states[v as usize], msg, graph) {
-                    c.produced += 1;
-                    shards[v as usize % workers].push((dst, out));
-                }
-            }
-        }
-        if !any {
-            break;
-        }
-        let next = ship_round(&mut sched, job, shards, n)?;
-        c.distinct_destinations = next.iter().filter(|m| m.is_some()).count() as u64;
-        census.push(c);
-        inbox = next;
-        if c.produced == 0 {
-            break;
-        }
-    }
-    let inbox_node = sched.node_id(workers);
-    Ok(PacketPregelOutcome {
-        states,
-        census,
-        rounds: sched.job_rounds(job).unwrap_or(0),
-        fault_drops: sched.sim().snapshot().fault_drops(),
-        nacks_emitted: sched
-            .sim()
-            .node_ref::<ReducerHost>(inbox_node)
-            .map_or(0, ReducerHost::nacks_emitted),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algos::PageRank;
+    use daiet::agg::AggFn;
     use crate::generate::{fan, rmat, RmatSpec};
     use crate::pregel::run;
 

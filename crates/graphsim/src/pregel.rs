@@ -31,6 +31,12 @@ impl MessageCensus {
             1.0 - self.distinct_destinations as f64 / self.produced as f64
         }
     }
+
+    /// Whether a run ends after this superstep: it sent no message, or
+    /// none arrived, so no vertex has mail for the next.
+    pub(crate) fn is_quiet(&self) -> bool {
+        self.produced == 0 || self.distinct_destinations == 0
+    }
 }
 
 /// The interface a vertex program implements.
@@ -70,57 +76,55 @@ pub fn run<P: VertexProgram>(
 ) -> (Vec<P::State>, Vec<MessageCensus>) {
     let n = graph.vertices();
     let mut states: Vec<P::State> = (0..n as u32).map(|v| program.init(v, graph)).collect();
-    let mut census = Vec::new();
-
-    // Superstep 0: initial messages.
     let mut inbox: Vec<Option<P::Msg>> = vec![None; n];
-    let mut c = MessageCensus::default();
-    for v in 0..n as u32 {
-        let out = program.first_messages(v, &states[v as usize], graph);
-        if !out.is_empty() {
-            c.active_vertices += 1;
-        }
-        for (dst, msg) in out {
-            c.produced += 1;
-            let slot = &mut inbox[dst as usize];
-            *slot = Some(match slot.take() {
-                Some(prev) => program.combine(prev, msg),
-                None => msg,
-            });
-        }
-    }
-    c.distinct_destinations = inbox.iter().filter(|m| m.is_some()).count() as u64;
-    census.push(c);
-
-    for _ in 1..=max_supersteps {
+    let mut census = Vec::new();
+    for s in 0..=max_supersteps as u64 {
         let mut next: Vec<Option<P::Msg>> = vec![None; n];
-        let mut c = MessageCensus::default();
-        let mut any = false;
-        for v in 0..n as u32 {
-            if let Some(msg) = inbox[v as usize].take() {
-                any = true;
-                c.active_vertices += 1;
-                for (dst, out) in program.step(v, &mut states[v as usize], msg, graph) {
-                    c.produced += 1;
-                    let slot = &mut next[dst as usize];
-                    *slot = Some(match slot.take() {
-                        Some(prev) => program.combine(prev, out),
-                        None => out,
-                    });
-                }
-            }
-        }
-        if !any {
-            break;
-        }
+        let mut c = superstep(program, graph, s, &mut states, &mut inbox, |_, dst, msg| {
+            let slot = &mut next[dst as usize];
+            *slot = Some(slot.map_or(msg, |prev| program.combine(prev, msg)));
+        });
         c.distinct_destinations = next.iter().filter(|m| m.is_some()).count() as u64;
         census.push(c);
         inbox = next;
-        if c.produced == 0 {
+        if c.is_quiet() {
             break;
         }
     }
     (states, census)
+}
+
+/// Runs superstep `s` of `program`: in superstep 0 every vertex sends its
+/// first messages; later, each vertex with mail in `inbox` takes it and
+/// steps. Each message goes to `send(src, dst, msg)`. Returns the
+/// superstep's census short of its distinct destinations, which only the
+/// combined inbox knows.
+pub(crate) fn superstep<P: VertexProgram>(
+    program: &P,
+    graph: &Graph,
+    s: u64,
+    states: &mut [P::State],
+    inbox: &mut [Option<P::Msg>],
+    mut send: impl FnMut(u32, u32, P::Msg),
+) -> MessageCensus {
+    let mut c = MessageCensus::default();
+    for v in 0..states.len() as u32 {
+        let state = &mut states[v as usize];
+        let (active, out) = if s == 0 {
+            let out = program.first_messages(v, state, graph);
+            (!out.is_empty(), out)
+        } else if let Some(msg) = inbox[v as usize].take() {
+            (true, program.step(v, state, msg, graph))
+        } else {
+            continue;
+        };
+        c.active_vertices += u64::from(active);
+        c.produced += out.len() as u64;
+        for (dst, msg) in out {
+            send(v, dst, msg);
+        }
+    }
+    c
 }
 
 #[cfg(test)]

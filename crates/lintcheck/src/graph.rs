@@ -48,7 +48,7 @@ pub const EXPECTED_DEPS: &[(&str, &[&str])] = &[
     ("core", &["daiet-dataplane", "daiet-fabric", "daiet-netsim", "daiet-wire"]),
     ("dataplane", &["daiet-fabric", "daiet-wire"]),
     ("fabric", &["rand"]),
-    ("graphsim", &["daiet", "daiet-netsim", "daiet-wire", "rand"]),
+    ("graphsim", &["daiet", "daiet-wire", "rand"]),
     ("lintcheck", &[]),
     ("mapreduce", &[
         "daiet",

@@ -19,11 +19,13 @@
 //! * [`model`] — softmax regression with cross-entropy loss;
 //! * [`optimizer`] — SGD and Adam;
 //! * [`psworker`] — parameter-server/worker simulation producing sparse
-//!   updates per step;
+//!   updates per step, summed in memory or taken from the network;
 //! * [`overlap`] — the Figure-1 overlap metric and experiment driver;
-//! * [`netrun`] — the same training loop driven packet-level through the
-//!   real dataplane (fixed-point gradients, one DAIET round per step),
-//!   bit-identical to an in-memory reference even under link faults.
+//! * [`netrun`] — fixed-point gradients as wire pairs, and the in-memory
+//!   reference their in-network sums are bit-identical to;
+//! * [`tenant`] — the same training loop as a [`daiet::tenant`] job, one
+//!   DAIET round per step, which the scheduler's driver runs alone or in
+//!   a mix, even under link faults.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,6 +38,5 @@ pub mod overlap;
 pub mod psworker;
 pub mod tenant;
 
-pub use netrun::{NetTrainOutcome, NetTrainSpec};
 pub use overlap::{OverlapPoint, OverlapRun};
 pub use tenant::SgdTenant;

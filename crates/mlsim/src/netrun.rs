@@ -1,39 +1,32 @@
-//! Packet-level parameter-server training — the Figure-1 workload driven
-//! **through the real dataplane** instead of the analytic model.
+//! Parameter-server training with its gradient sum in the network: how
+//! the Figure-1 workload's gradients travel **through the real
+//! dataplane** instead of the analytic model.
 //!
 //! §3's loop ("the worker sends its parameter updates to the server which
 //! aggregates the local updates from each worker") is exactly the
-//! iterative traffic the paper argues for, so this module runs it as one
-//! DAIET round per SGD step of a single job admitted on a long-lived
-//! leaf-spine [`JobScheduler`]: per step every worker
-//! quantizes its sparse gradient to fixed point ([`quantize_grad`]),
+//! iterative traffic the paper argues for. Per step every worker
+//! quantizes its sparse gradient to fixed point ([`quantize_grad`]) and
 //! ships it as key/value pairs (key = weight coordinate, value =
 //! two's-complement lane), the switches SUM-aggregate in flight, and the
-//! server decodes the lane sums into the mean gradient.
+//! server decodes the lane sums into the mean gradient. The job itself,
+//! one DAIET round per step, is [`crate::tenant::SgdTenant`].
 //!
 //! Fixed point is what makes the network path *bit-identical* to an
 //! in-memory execution: wrapping `u32` addition is exact two's-complement
 //! addition, so the aggregated lane equals the integer sum of the
 //! workers' quantized elements no matter how the switches associate it.
-//! [`NetCluster::apply_sums`] is the **single** decode-and-apply path —
-//! the in-memory reference ([`NetTrainSpec::run_reference`]) and the
-//! packet run ([`NetTrainSpec::run_packet`]) differ only in who computed the sums,
-//! which is precisely the property the acceptance test pins
-//! (`tests/iterative_recovery.rs`), loss-free and under chaos at k = 1.
+//! [`PsCluster::apply_sums`] is the **single** decode-and-apply path —
+//! the in-memory reference ([`reference_sums`]) and the network differ
+//! only in who computed the sums, which is precisely the property
+//! `tests/iterative_recovery.rs` pins, loss-free and under chaos at
+//! k = 1.
+//!
+//! [`PsCluster::apply_sums`]: crate::psworker::PsCluster::apply_sums
 
-// lint:allow-file(layer-netsim): network-mode training harness — drives a
-// one-job JobScheduler under the Simulator with fault profiles. The
-// gradient aggregation protocol itself stays fabric-only.
-use crate::data::{DataSpec, Dataset, Sample, CLASSES, DIM};
+use crate::data::{CLASSES, DIM};
 use crate::model::{DenseRows, Model, SparseGrad};
-use crate::optimizer::Optimizer;
 use crate::psworker::WorkerGrad;
 use daiet::agg::fixed;
-use daiet::tenant::{JobRequest, JobScheduler, TenantSpec};
-use daiet::worker::ReducerHost;
-use daiet::{AggFn, DaietConfig};
-use daiet_netsim::topology::TopologyPlan;
-use daiet_netsim::{FaultProfile, LinkSpec, SimDuration};
 use daiet_wire::checksum::crc32;
 use daiet_wire::daiet::{Key, Pair};
 use std::fmt;
@@ -124,11 +117,13 @@ impl fmt::Display for ForeignLane {
 ///
 /// **Row presence.** A row is present once any of its lanes arrived,
 /// even when that lane sums to 0 (the workers' values cancelled) or the
-/// network delivered a 0. [`NetCluster::apply_sums`] hands the optimizer
+/// network delivered a 0. [`PsCluster::apply_sums`] hands the optimizer
 /// exactly the present rows, so presence decides which rows Adam advances
 /// its lazy per-row moments for: a present row of zero sums is not a
 /// missing row. A lane of a present row that never arrived reads 0, the
 /// value a sum that arrived as 0 decodes to.
+///
+/// [`PsCluster::apply_sums`]: crate::psworker::PsCluster::apply_sums
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LaneSums(DenseRows<u32>);
 
@@ -192,72 +187,6 @@ pub fn reference_sums(updates: &[WorkerGrad]) -> LaneSums {
     sums
 }
 
-/// A synchronous PS cluster whose server consumes **aggregated lane
-/// sums** instead of raw worker gradients — the half of
-/// [`crate::psworker::PsCluster`] that survives when the summation moves
-/// into the network. Gradient computation and shard cursors are identical
-/// to the analytic cluster; only the aggregation transport differs.
-pub struct NetCluster<O: Optimizer> {
-    /// The authoritative model at the server.
-    pub server: Model,
-    optimizer: O,
-    n_workers: usize,
-    batch: usize,
-    cursor: Vec<usize>,
-}
-
-impl<O: Optimizer> NetCluster<O> {
-    /// A cluster of `n_workers` workers drawing mini-batches of `batch`.
-    pub fn new(n_workers: usize, batch: usize, optimizer: O) -> NetCluster<O> {
-        NetCluster {
-            server: Model::new(),
-            optimizer,
-            n_workers,
-            batch,
-            cursor: (0..n_workers).collect(),
-        }
-    }
-
-    /// Every worker's gradient for this step (round-robin disjoint
-    /// shards, as in [`crate::psworker::PsCluster::step`]).
-    pub fn compute_updates(&mut self, data: &Dataset) -> Vec<WorkerGrad> {
-        let mut updates = Vec::with_capacity(self.n_workers);
-        for w in 0..self.n_workers {
-            let mut batch: Vec<&Sample> = Vec::with_capacity(self.batch);
-            for _ in 0..self.batch {
-                batch.push(&data.samples[self.cursor[w] % data.samples.len()]);
-                self.cursor[w] += self.n_workers;
-            }
-            let grad = self.server.gradient(&batch);
-            updates.push(WorkerGrad { worker: w, grad });
-        }
-        updates
-    }
-
-    /// Decodes aggregated lane sums into the mean gradient and applies
-    /// one optimizer step — the single code path both the reference and
-    /// the packet run go through, so their models cannot diverge unless
-    /// the sums themselves differ.
-    pub fn apply_sums(&mut self, sums: &LaneSums) {
-        let inv = 1.0 / self.n_workers as f32;
-        let mean = |lanes: &[u32; CLASSES]| {
-            lanes.map(|lane| fixed::decode(lane, GRAD_FRAC_BITS) as f32 * inv)
-        };
-        let mut rows = Vec::new();
-        let mut bias = [0.0f32; CLASSES];
-        for (row, lanes) in sums.rows() {
-            if row == BIAS_ROW as usize {
-                bias = mean(lanes);
-            } else {
-                rows.push((row, mean(lanes)));
-            }
-        }
-        let mean_grad = SparseGrad { rows, bias };
-        let update = self.optimizer.step(&mean_grad);
-        self.server.apply_rows(&update.rows, &update.bias);
-    }
-}
-
 /// CRC-32 over the model's parameter bits — the per-step convergence
 /// fingerprint two runs are compared by (collision-safe enough for a
 /// 10-step trace; the acceptance test also compares final accuracy).
@@ -269,167 +198,12 @@ pub fn model_digest(m: &Model) -> u32 {
     crc32(&bytes)
 }
 
-/// One packet-level training configuration.
-#[derive(Debug, Clone)]
-pub struct NetTrainSpec {
-    /// Workers (paper: 5).
-    pub workers: usize,
-    /// Mini-batch per worker.
-    pub batch: usize,
-    /// SGD steps (= network rounds).
-    pub steps: usize,
-    /// SGD learning rate.
-    pub lr: f32,
-    /// The synthetic dataset.
-    pub data: DataSpec,
-    /// Simulation seed.
-    pub seed: u64,
-    /// Fault profile applied to **every** link.
-    pub faults: FaultProfile,
-    /// Arm NACK recovery. Off is the paper-faithful prototype.
-    pub recovery: bool,
-}
-
-impl Default for NetTrainSpec {
-    fn default() -> Self {
-        NetTrainSpec {
-            workers: 5,
-            batch: 3,
-            steps: 10,
-            lr: 0.1,
-            data: DataSpec { n: 300, ..DataSpec::default() },
-            seed: 11,
-            faults: FaultProfile::NONE,
-            recovery: true,
-        }
-    }
-}
-
-/// What one training run produced.
-#[derive(Debug, Clone)]
-pub struct NetTrainOutcome {
-    /// Per-step model fingerprints ([`model_digest`] after each apply).
-    pub digests: Vec<u32>,
-    /// Final accuracy over the training set.
-    pub accuracy: f64,
-    /// Frames the network dropped by fault injection (whole run).
-    pub fault_drops: u64,
-    /// NACK frames the server emitted (0 without recovery).
-    pub nacks_emitted: u64,
-    /// Frames arriving at the server, per round (from the per-round
-    /// stats deltas — NOT cumulative).
-    pub server_frames_per_round: Vec<u64>,
-    /// Pairs shipped by workers over the whole run (pre-aggregation).
-    pub pairs_shipped: u64,
-}
-
-impl NetTrainSpec {
-    fn cluster(&self) -> NetCluster<crate::optimizer::Sgd> {
-        NetCluster::new(self.workers, self.batch, crate::optimizer::Sgd::new(self.lr))
-    }
-
-    /// The in-memory reference: identical quantize → sum → apply
-    /// pipeline, no network. Digest trace and accuracy are the ground
-    /// truth the packet run must reproduce bit-for-bit.
-    pub fn run_reference(&self) -> NetTrainOutcome {
-        let data = Dataset::generate(&self.data);
-        let mut cluster = self.cluster();
-        let mut digests = Vec::with_capacity(self.steps);
-        let mut pairs_shipped = 0u64;
-        for _ in 0..self.steps {
-            let updates = cluster.compute_updates(&data);
-            pairs_shipped += updates
-                .iter()
-                .map(|u| quantize_grad(&u.grad).len() as u64)
-                .sum::<u64>();
-            let sums = reference_sums(&updates);
-            cluster.apply_sums(&sums);
-            digests.push(model_digest(&cluster.server));
-        }
-        NetTrainOutcome {
-            digests,
-            accuracy: cluster.server.accuracy(&data.samples),
-            fault_drops: 0,
-            nacks_emitted: 0,
-            server_frames_per_round: Vec::new(),
-            pairs_shipped,
-        }
-    }
-
-    /// Runs training over the real dataplane: workers and the parameter
-    /// server on a leaf-spine fabric, one DAIET round per step, switch
-    /// registers flushed and reused across rounds. Errors if any round
-    /// cannot be completed exactly (loss beyond the NACK budget).
-    pub fn run_packet(&self) -> Result<NetTrainOutcome, String> {
-        let data = Dataset::generate(&self.data);
-        let mut cluster = self.cluster();
-
-        // Leaves of 3 hosts cover the paper's 5 workers + 1 server.
-        let hosts_per_leaf = 3;
-        let leaves = (self.workers + 1).div_ceil(hosts_per_leaf);
-        let link = LinkSpec::fast()
-            .with_queue_bytes(4 * 1024 * 1024)
-            .with_faults(self.faults);
-        let plan = TopologyPlan::leaf_spine(hosts_per_leaf, leaves.max(2), 2, link);
-        let config = DaietConfig {
-            register_cells: 8192,
-            nack_recovery: self.recovery,
-            ..DaietConfig::default()
-        }
-        .with_rtx_sized_for_flush();
-        let mut spec =
-            TenantSpec::new(config, plan, (0..self.workers).collect(), vec![self.workers]);
-        spec.seed = self.seed;
-        spec.pacing = SimDuration::from_micros(1);
-        let mut sched = JobScheduler::build(spec).map_err(|e| e.to_string())?;
-        let request = JobRequest {
-            label: "sgd".into(),
-            senders: self.workers,
-            aggs: vec![AggFn::Sum],
-        };
-        let job = sched.admit(request).map_err(|e| e.to_string())?;
-
-        let mut digests = Vec::with_capacity(self.steps);
-        let mut server_frames_per_round = Vec::with_capacity(self.steps);
-        let mut pairs_shipped = 0u64;
-        let server = sched.node_id(self.workers);
-        for step in 0..self.steps {
-            let updates = cluster.compute_updates(&data);
-            let shards: Vec<Vec<Vec<Pair>>> = updates
-                .iter()
-                .map(|u| {
-                    let pairs = quantize_grad(&u.grad);
-                    pairs_shipped += pairs.len() as u64;
-                    vec![pairs]
-                })
-                .collect();
-            let before = sched.sim().snapshot();
-            let per_tree = sched.run_round(job, &shards)?;
-            let net = sched.sim().snapshot().delta(&before);
-            server_frames_per_round.push(net.nodes[server.0].frames_in);
-            let sums = LaneSums::from_pairs(&per_tree[0])
-                .map_err(|foreign| format!("sgd step {step}: {foreign}"))?;
-            cluster.apply_sums(&sums);
-            digests.push(model_digest(&cluster.server));
-        }
-        let nacks_emitted = sched
-            .sim()
-            .node_ref::<ReducerHost>(server)
-            .map_or(0, ReducerHost::nacks_emitted);
-        Ok(NetTrainOutcome {
-            digests,
-            accuracy: cluster.server.accuracy(&data.samples),
-            fault_drops: sched.sim().snapshot().fault_drops(),
-            nacks_emitted,
-            server_frames_per_round,
-            pairs_shipped,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::{DataSpec, Dataset};
+    use crate::optimizer::Optimizer;
+    use crate::psworker::PsCluster;
     use crate::optimizer::{Adam, Sgd};
     use std::collections::BTreeMap;
 
@@ -505,7 +279,7 @@ mod tests {
     #[test]
     fn network_and_reference_sums_agree_on_row_presence() {
         let data = Dataset::generate(&DataSpec { n: 60, mean_active: 40, seed: 3 });
-        let mut cluster = NetCluster::new(3, 4, Sgd::new(0.1));
+        let mut cluster = PsCluster::new(3, 4, Sgd::new(0.1));
         let mut updates = cluster.compute_updates(&data);
         // Row 0 (a blank border pixel) gets +0.5 and −0.5 in class 2.
         for (w, v) in [(0, 0.5f32), (1, -0.5)] {
@@ -529,7 +303,7 @@ mod tests {
         assert_eq!(reference.rows().next(), Some((0, &[0; CLASSES])), "cancelled lane keeps its row");
 
         fn model_after<O: Optimizer>(opt: O, steps: &[&LaneSums]) -> Model {
-            let mut c = NetCluster::new(3, 4, opt);
+            let mut c = PsCluster::new(3, 4, opt);
             for sums in steps {
                 c.apply_sums(sums);
             }
@@ -551,26 +325,5 @@ mod tests {
         let moved = model_after(Adam::new(0.1), &[&first]);
         let coasted = model_after(Adam::new(0.1), &[&first, &reference]);
         assert_ne!(moved.w[2].to_bits(), coasted.w[2].to_bits());
-    }
-
-    /// Captured at the commit that still summed through a `BTreeMap`: the
-    /// dense sums must replay the same model bits.
-    #[test]
-    fn reference_run_matches_its_golden_digest() {
-        let out = NetTrainSpec::default().run_reference();
-        assert_eq!(out.digests.last(), Some(&0x23fd_5e28));
-        assert_eq!(out.accuracy, 296.0 / 300.0);
-    }
-
-    #[test]
-    fn reference_run_trains_and_is_deterministic() {
-        let spec = NetTrainSpec { steps: 5, ..NetTrainSpec::default() };
-        let a = spec.run_reference();
-        let b = spec.run_reference();
-        assert_eq!(a.digests, b.digests);
-        assert_eq!(a.accuracy, b.accuracy);
-        assert_eq!(a.digests.len(), 5);
-        // Five steps of quantized SGD must already beat chance by a lot.
-        assert!(a.accuracy > 0.4, "accuracy {}", a.accuracy);
     }
 }

@@ -11,12 +11,15 @@
 //! Synchronous data parallelism: per step every worker computes a sparse
 //! gradient on its own mini-batch, converts it to an update with its
 //! optimizer replica, ships the update, and the server applies the
-//! aggregate. The *update support sets* per worker per step are the raw
-//! material of the Figure-1 overlap metric.
+//! aggregate, summed in memory ([`PsCluster::step`]) or in the network
+//! ([`PsCluster::apply_sums`]). The *update support sets* per worker per
+//! step are the raw material of the Figure-1 overlap metric.
 
 use crate::data::{Dataset, Sample, CLASSES, DIM};
 use crate::model::{DenseRows, Model, SparseGrad};
+use crate::netrun::{LaneSums, BIAS_ROW, GRAD_FRAC_BITS};
 use crate::optimizer::Optimizer;
+use daiet::agg::fixed;
 
 /// What one worker sent in one step: its sparse mini-batch gradient (the
 /// parameter server owns the optimizer state, as in TensorFlow's PS
@@ -61,26 +64,30 @@ impl<O: Optimizer> PsCluster<O> {
         }
     }
 
-    /// Runs one synchronous step over `data`, returning the trace.
+    /// Every worker's gradient against the current server parameters
+    /// (synchronous training: everyone reads the same snapshot).
     ///
     /// Worker `w` reads samples `cursor, cursor + n_workers, …` so the
     /// workers' shards are disjoint (data parallelism), then advances its
     /// cursor — the same round-robin sharding TF's input pipelines use.
-    pub fn step(&mut self, data: &Dataset, step_idx: usize) -> StepTrace {
+    pub fn compute_updates(&mut self, data: &Dataset) -> Vec<WorkerGrad> {
         let mut updates = Vec::with_capacity(self.n_workers);
         for w in 0..self.n_workers {
-            // Collect this worker's mini-batch.
             let mut batch: Vec<&Sample> = Vec::with_capacity(self.batch);
             for _ in 0..self.batch {
                 batch.push(&data.samples[self.cursor[w] % data.samples.len()]);
                 self.cursor[w] += self.n_workers;
             }
-            // Gradient against the current server parameters (synchronous
-            // training: everyone reads the same snapshot).
             let grad = self.server.gradient(&batch);
             updates.push(WorkerGrad { worker: w, grad });
         }
+        updates
+    }
 
+    /// Runs one synchronous step over `data` with the server summing the
+    /// gradients in memory, returning the trace.
+    pub fn step(&mut self, data: &Dataset, step_idx: usize) -> StepTrace {
+        let updates = self.compute_updates(data);
         // Server aggregates the gradients — *vector addition over the
         // touched rows*, the exact operation DAIET runs in-network — then
         // applies its optimizer once to the mean gradient.
@@ -102,6 +109,30 @@ impl<O: Optimizer> PsCluster<O> {
         self.server.apply_rows(&update.rows, &update.bias);
 
         StepTrace { step: step_idx, updates }
+    }
+
+    /// The server half once the summation moves into the network:
+    /// decodes aggregated lane sums into the mean gradient and applies
+    /// one optimizer step. It is the single code path both the in-memory
+    /// reference ([`crate::netrun::reference_sums`]) and the network go
+    /// through, so their models cannot diverge unless the sums differ.
+    pub fn apply_sums(&mut self, sums: &LaneSums) {
+        let inv = 1.0 / self.n_workers as f32;
+        let mean = |lanes: &[u32; CLASSES]| {
+            lanes.map(|lane| fixed::decode(lane, GRAD_FRAC_BITS) as f32 * inv)
+        };
+        let mut rows = Vec::new();
+        let mut bias = [0.0f32; CLASSES];
+        for (row, lanes) in sums.rows() {
+            if row == BIAS_ROW as usize {
+                bias = mean(lanes);
+            } else {
+                rows.push((row, mean(lanes)));
+            }
+        }
+        let mean_grad = SparseGrad { rows, bias };
+        let update = self.optimizer.step(&mean_grad);
+        self.server.apply_rows(&update.rows, &update.bias);
     }
 }
 

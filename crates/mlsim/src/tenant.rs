@@ -1,5 +1,5 @@
 //! Iterative SGD as a multi-tenant job: the
-//! [`daiet::tenant::TenantWorkload`] adapter over [`NetCluster`].
+//! [`daiet::tenant::TenantWorkload`] adapter over [`PsCluster`].
 //!
 //! Multi-round: each round one worker shard of quantized gradients per
 //! sender, one SUM tree, and the aggregated lane sums applied to the
@@ -10,8 +10,9 @@
 //! path) and compares per-step model digests bit-for-bit.
 
 use crate::data::{DataSpec, Dataset};
-use crate::netrun::{model_digest, quantize_grad, reference_sums, ForeignLane, LaneSums, NetCluster};
+use crate::netrun::{model_digest, quantize_grad, reference_sums, ForeignLane, LaneSums};
 use crate::optimizer::Sgd;
+use crate::psworker::PsCluster;
 use daiet::agg::AggFn;
 use daiet::tenant::{fold_round_digest, TenantWorkload, DIGEST_SEED};
 use daiet_wire::daiet::{Key, Pair};
@@ -21,7 +22,7 @@ use daiet_wire::daiet::{Key, Pair};
 pub struct SgdTenant {
     data_spec: DataSpec,
     data: Dataset,
-    cluster: NetCluster<Sgd>,
+    cluster: PsCluster<Sgd>,
     workers: usize,
     batch: usize,
     steps: u64,
@@ -40,7 +41,7 @@ impl SgdTenant {
         SgdTenant {
             data_spec: data,
             data: Dataset::generate(&data),
-            cluster: NetCluster::new(workers, batch, Sgd::new(lr)),
+            cluster: PsCluster::new(workers, batch, Sgd::new(lr)),
             workers,
             batch,
             steps,
@@ -61,6 +62,11 @@ impl SgdTenant {
     /// Per-step model fingerprints absorbed so far.
     pub fn step_digests(&self) -> &[u32] {
         &self.digests
+    }
+
+    /// The server model's accuracy over the training set.
+    pub fn accuracy(&self) -> f64 {
+        self.cluster.server.accuracy(&self.data.samples)
     }
 }
 
@@ -119,7 +125,7 @@ impl TenantWorkload for SgdTenant {
             ));
         }
         let data = Dataset::generate(&self.data_spec);
-        let mut reference = NetCluster::new(self.workers, self.batch, Sgd::new(self.lr));
+        let mut reference = PsCluster::new(self.workers, self.batch, Sgd::new(self.lr));
         for (step, &got) in self.digests.iter().enumerate() {
             let updates = reference.compute_updates(&data);
             let sums = reference_sums(&updates);
@@ -205,6 +211,35 @@ mod tests {
         t.verify().unwrap();
         assert_eq!(t.step_digests().last(), Some(&0xac41_7664));
         assert_eq!(t.digest(), 0xd7a4_4959_4b52_aa2f);
+    }
+
+    /// The paper's shape: 5 workers, batch 3, 10 steps over 300 samples.
+    fn paper_shape(steps: u64) -> SgdTenant {
+        SgdTenant::new(5, 3, steps, 0.1, DataSpec { n: 300, ..DataSpec::default() })
+    }
+
+    /// Captured at the commit that still summed through a `BTreeMap`: the
+    /// dense sums must replay the same model bits.
+    #[test]
+    fn reference_run_matches_its_golden_digest() {
+        let mut t = paper_shape(10);
+        drive_lossless(&mut t);
+        t.verify().unwrap();
+        assert_eq!(t.step_digests().last(), Some(&0x23fd_5e28));
+        assert_eq!(t.accuracy(), 296.0 / 300.0);
+    }
+
+    #[test]
+    fn reference_run_trains_and_is_deterministic() {
+        let mut a = paper_shape(5);
+        let mut b = paper_shape(5);
+        drive_lossless(&mut a);
+        drive_lossless(&mut b);
+        assert_eq!(a.step_digests(), b.step_digests());
+        assert_eq!(a.accuracy(), b.accuracy());
+        assert_eq!(a.step_digests().len(), 5);
+        // Five steps of quantized SGD must already beat chance by a lot.
+        assert!(a.accuracy() > 0.4, "accuracy {}", a.accuracy());
     }
 
     #[test]

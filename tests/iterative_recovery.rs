@@ -1,6 +1,11 @@
-//! Iterative workloads on the real dataplane (ISSUE 5): multi-round
-//! flows, round-scoped NACK recovery, and bit-identical results against
-//! the analytic models — loss-free and under every-link chaos at k = 1.
+//! Iterative workloads on the real dataplane: multi-round flows,
+//! round-scoped NACK recovery, and bit-identical results against the
+//! analytic models — loss-free and under every-link chaos at k = 1.
+//!
+//! SGD and Pregel run as one-tenant jobs under the scheduler's own driver
+//! (`run_solo`) on the leaf-spine fabric [`fabric`] builds; the
+//! workloads' `verify` replays their host-side references, and the tests
+//! read the workloads back afterwards.
 //!
 //! The chaos cases read their simulation seed from `ITER_SEED` (default
 //! 11) so CI can pin a small seed matrix without recompiling.
@@ -8,14 +13,20 @@
 use daiet_repro::daiet::agg::AggFn;
 use daiet_repro::daiet::controller::{AggregationMode, Controller, JobPlacement};
 use daiet_repro::daiet::reliability::WINDOW;
-use daiet_repro::daiet::tenant::{JobRequest, JobScheduler, TenantSpec};
+use daiet_repro::daiet::tenant::{
+    run_solo, JobOutcome, JobRequest, JobScheduler, MixOptions, TenantSpec, TenantWorkload,
+};
 use daiet_repro::daiet::worker::{PacedSenderNode, Packetizer, ReducerHost};
 use daiet_repro::daiet::{DaietConfig, DaietEngine};
 use daiet_repro::dataplane::{Resources, Switch};
 use daiet_repro::graphsim::generate::{rmat, RmatSpec};
-use daiet_repro::graphsim::netrun::{run_packet, FixedPageRank, PacketPregelSpec};
 use daiet_repro::graphsim::pregel::run as run_analytic;
-use daiet_repro::mlsim::NetTrainSpec;
+use daiet_repro::graphsim::{FixedPageRank, PregelTenant};
+use daiet_repro::mlsim::data::{DataSpec, Dataset};
+use daiet_repro::mlsim::netrun::{quantize_grad, reference_sums};
+use daiet_repro::mlsim::optimizer::Sgd;
+use daiet_repro::mlsim::psworker::PsCluster;
+use daiet_repro::mlsim::SgdTenant;
 use daiet_repro::netsim::topology::{Role, TopologyPlan};
 use daiet_repro::netsim::{
     FaultDecision, FaultProfile, LinkScript, LinkSpec, SimDuration, Simulator,
@@ -32,21 +43,88 @@ fn chaos() -> FaultProfile {
     FaultProfile::chaos(0.05, 0.05, 0.05, 20_000)
 }
 
+/// A one-job fabric for `workers` senders and one reducer (plan slot
+/// `workers`): leaves of 3 hosts, at least 2 of them, under 2 spines;
+/// `faults` on every link, NACK recovery armed.
+fn fabric(workers: usize, faults: FaultProfile) -> JobScheduler {
+    let leaves = (workers + 1).div_ceil(3).max(2);
+    let link = LinkSpec::fast().with_queue_bytes(4 * 1024 * 1024).with_faults(faults);
+    let plan = TopologyPlan::leaf_spine(3, leaves, 2, link);
+    let config =
+        DaietConfig { register_cells: 8192, nack_recovery: true, ..DaietConfig::default() }
+            .with_rtx_sized_for_flush();
+    let mut spec = TenantSpec::new(config, plan, (0..workers).collect(), vec![workers]);
+    spec.seed = iter_seed();
+    JobScheduler::build(spec).expect("the fabric builds")
+}
+
+/// What a packet run left on the fabric besides its workload's state:
+/// fault drops, the reducer's NACKs and the frames delivered to it, all
+/// over the whole run.
+struct Packet {
+    outcome: JobOutcome,
+    fault_drops: u64,
+    nacks_emitted: u64,
+    reducer_frames: u64,
+}
+
+/// Runs `wl` alone on a fresh [`fabric`] through the scheduler's driver,
+/// which verifies it before it departs.
+fn run_packet(wl: &mut dyn TenantWorkload, faults: FaultProfile) -> Packet {
+    let workers = wl.senders();
+    let mut sched = fabric(workers, faults);
+    let outcome =
+        run_solo(&mut sched, Box::new(wl), &MixOptions::default()).expect("the run completes");
+    let reducer = sched.node_id(workers);
+    let snapshot = sched.sim().snapshot();
+    Packet {
+        outcome,
+        fault_drops: snapshot.fault_drops(),
+        nacks_emitted: sched
+            .sim()
+            .node_ref::<ReducerHost>(reducer)
+            .expect("the reducer slot holds a ReducerHost")
+            .nacks_emitted(),
+        reducer_frames: snapshot.nodes[reducer.0].frames_in,
+    }
+}
+
+fn sgd_data() -> DataSpec {
+    DataSpec { n: 300, ..DataSpec::default() }
+}
+
+/// The paper's training shape: 5 workers, batch 3, lr 0.1, 300 samples.
+fn sgd(steps: u64) -> SgdTenant {
+    SgdTenant::new(5, 3, steps, 0.1, sgd_data())
+}
+
+/// Pairs the workers of [`sgd`] ship over `steps` steps, counted on the
+/// in-memory reference (the same gradients a bit-identical run ships).
+fn sgd_pairs_shipped(steps: u64) -> u64 {
+    let data = Dataset::generate(&sgd_data());
+    let mut cluster = PsCluster::new(5, 3, Sgd::new(0.1));
+    (0..steps)
+        .map(|_| {
+            let updates = cluster.compute_updates(&data);
+            cluster.apply_sums(&reference_sums(&updates));
+            updates.iter().map(|u| quantize_grad(&u.grad).len() as u64).sum::<u64>()
+        })
+        .sum()
+}
+
 /// The headline mlsim acceptance: a 10-step SGD run whose gradient
 /// aggregation rides the dataplane produces, step for step, the **same
 /// model** as the in-memory reference — the network is computationally
-/// invisible.
+/// invisible. (`SgdTenant::verify`, which the driver runs, compares every
+/// per-step model digest with the reference's.)
 #[test]
 fn mlsim_packet_training_is_bit_identical_to_reference() {
-    let spec = NetTrainSpec { seed: iter_seed(), ..NetTrainSpec::default() };
-    let reference = spec.run_reference();
-    let packet = spec.run_packet().expect("loss-free run must complete");
-    assert_eq!(packet.digests.len(), 10);
-    assert_eq!(
-        packet.digests, reference.digests,
-        "per-step model divergence: the network changed the math"
-    );
-    assert_eq!(packet.accuracy, reference.accuracy);
+    let mut job = sgd(10);
+    let packet = run_packet(&mut job, FaultProfile::NONE);
+    job.verify().expect("per-step model divergence: the network changed the math");
+    assert_eq!(packet.outcome.rounds, 10);
+    assert_eq!(job.step_digests().len(), 10);
+    assert_eq!(job.accuracy(), 296.0 / 300.0, "the reference's accuracy, pinned in mlsim");
     assert_eq!(packet.fault_drops, 0);
     // Clean links: no frame is ever replayed. (A handful of *probe*
     // NACKs is by-design — rostered flows idle past the timeout are
@@ -59,54 +137,40 @@ fn mlsim_packet_training_is_bit_identical_to_reference() {
     );
     // In-network aggregation earns its keep: the server sees far fewer
     // frames than the workers shipped pairs (5 workers' updates overlap).
-    let server_frames: u64 = packet.server_frames_per_round.iter().sum();
+    let shipped = sgd_pairs_shipped(10);
     assert!(
-        server_frames * 5 < packet.pairs_shipped,
-        "server saw {server_frames} frames for {} shipped pairs",
-        packet.pairs_shipped
+        packet.reducer_frames * 5 < shipped,
+        "server saw {} frames for {shipped} shipped pairs",
+        packet.reducer_frames
     );
-    // Per-round frame counts are genuine deltas: no round reports the
-    // cumulative run.
-    let first = packet.server_frames_per_round[0];
-    for &f in &packet.server_frames_per_round {
-        assert!(f < first * 3, "per-round counter looks cumulative: {:?}",
-            packet.server_frames_per_round);
-    }
 }
 
 /// Same training run with loss + duplication + reordering on **every**
 /// link at k = 1: NACK recovery alone must keep every step bit-identical.
 #[test]
 fn mlsim_packet_training_is_exact_under_chaos_at_k1() {
-    let spec = NetTrainSpec { seed: iter_seed(), ..NetTrainSpec::default() };
-    let reference = spec.run_reference();
-    let stormy = NetTrainSpec { faults: chaos(), ..spec };
-    let packet = stormy.run_packet().expect("recovery must carry the run");
+    let mut job = sgd(10);
+    let packet = run_packet(&mut job, chaos());
     assert!(packet.fault_drops > 0, "faults never fired — the test proved nothing");
     assert!(packet.nacks_emitted > 0, "recovery must have gone through the NACK path");
-    assert_eq!(
-        packet.digests, reference.digests,
-        "chaos at k=1 must be invisible behind NACK recovery"
-    );
-    assert_eq!(packet.accuracy, reference.accuracy);
+    job.verify().expect("chaos at k=1 must be invisible behind NACK recovery");
+    assert_eq!(job.step_digests().len(), 10);
+    assert_eq!(job.accuracy(), 296.0 / 300.0);
 }
 
 /// Chaos runs are replayable: same seed, same faults, bit-identical
 /// outcome — the property the CI seed matrix relies on.
 #[test]
 fn mlsim_chaos_runs_are_deterministic() {
-    let spec = NetTrainSpec {
-        steps: 3,
-        seed: iter_seed(),
-        faults: chaos(),
-        ..NetTrainSpec::default()
-    };
-    let a = spec.run_packet().unwrap();
-    let b = spec.run_packet().unwrap();
-    assert_eq!(a.digests, b.digests);
-    assert_eq!(a.fault_drops, b.fault_drops);
-    assert_eq!(a.nacks_emitted, b.nacks_emitted);
-    assert_eq!(a.server_frames_per_round, b.server_frames_per_round);
+    let (mut a, mut b) = (sgd(3), sgd(3));
+    let pa = run_packet(&mut a, chaos());
+    let pb = run_packet(&mut b, chaos());
+    assert_eq!(a.step_digests(), b.step_digests());
+    assert_eq!(pa.outcome.digest, pb.outcome.digest);
+    assert_eq!(pa.fault_drops, pb.fault_drops);
+    assert_eq!(pa.nacks_emitted, pb.nacks_emitted);
+    assert_eq!(pa.reducer_frames, pb.reducer_frames);
+    assert_eq!(pa.outcome.finished_at, pb.outcome.finished_at);
 }
 
 /// The graphsim acceptance: 10 PageRank supersteps (plus the initial
@@ -115,17 +179,16 @@ fn mlsim_chaos_runs_are_deterministic() {
 #[test]
 fn graphsim_pagerank_packet_matches_analytic_engine() {
     let g = rmat(&RmatSpec::livejournal_like(7, 11));
-    let program = FixedPageRank::default();
-    let (ranks, census) = run_analytic(&program, &g, 10);
-    let spec = PacketPregelSpec { seed: iter_seed(), ..PacketPregelSpec::default() };
-    let packet = run_packet(&program, &g, 10, &spec).expect("loss-free run completes");
-    assert_eq!(packet.states, ranks, "packet-level ranks diverged");
-    assert_eq!(packet.census, census, "message census diverged");
-    assert_eq!(packet.rounds, census.len() as u64, "one network round per superstep");
+    let (ranks, census) = run_analytic(&FixedPageRank::default(), &g, 10);
+    let mut job = PregelTenant::new(FixedPageRank::default(), g, 4, AggFn::Sum, 10);
+    let packet = run_packet(&mut job, FaultProfile::NONE);
+    assert_eq!(job.states(), ranks.as_slice(), "packet-level ranks diverged");
+    assert_eq!(job.census(), census.as_slice(), "message census diverged");
+    assert_eq!(packet.outcome.rounds, census.len() as u64, "one network round per superstep");
     assert_eq!(packet.fault_drops, 0);
     // PageRank on a power-law graph: in-network combining must be
     // substantial (many messages share destinations).
-    let c0 = &packet.census[0];
+    let c0 = &job.census()[0];
     assert!(c0.distinct_destinations < c0.produced);
 }
 
@@ -134,18 +197,13 @@ fn graphsim_pagerank_packet_matches_analytic_engine() {
 #[test]
 fn graphsim_pagerank_packet_exact_under_chaos_at_k1() {
     let g = rmat(&RmatSpec::livejournal_like(7, 11));
-    let program = FixedPageRank::default();
-    let (ranks, census) = run_analytic(&program, &g, 10);
-    let spec = PacketPregelSpec {
-        seed: iter_seed(),
-        faults: chaos(),
-        ..PacketPregelSpec::default()
-    };
-    let packet = run_packet(&program, &g, 10, &spec).expect("recovery must carry the run");
+    let (ranks, census) = run_analytic(&FixedPageRank::default(), &g, 10);
+    let mut job = PregelTenant::new(FixedPageRank::default(), g, 4, AggFn::Sum, 10);
+    let packet = run_packet(&mut job, chaos());
     assert!(packet.fault_drops > 0, "faults never fired — the test proved nothing");
     assert!(packet.nacks_emitted > 0, "recovery must have gone through the NACK path");
-    assert_eq!(packet.states, ranks);
-    assert_eq!(packet.census, census);
+    assert_eq!(job.states(), ranks.as_slice());
+    assert_eq!(job.census(), census.as_slice());
 }
 
 /// The MIN combiner rides the same driver: WCC over the dataplane equals
@@ -156,14 +214,11 @@ fn graphsim_wcc_packet_matches_analytic_engine() {
     use daiet_repro::graphsim::algos::Wcc;
     let g = rmat(&RmatSpec::livejournal_like(6, 5)).undirected();
     let (labels, census) = run_analytic(&Wcc, &g, 20);
-    let spec = PacketPregelSpec {
-        agg: AggFn::Min,
-        seed: iter_seed(),
-        ..PacketPregelSpec::default()
-    };
-    let packet = run_packet(&Wcc, &g, 20, &spec).expect("loss-free run completes");
-    assert_eq!(packet.states, labels);
-    assert_eq!(packet.census, census);
+    let mut job = PregelTenant::new(Wcc, g, 4, AggFn::Min, 20);
+    let packet = run_packet(&mut job, FaultProfile::NONE);
+    assert_eq!(job.states(), labels.as_slice());
+    assert_eq!(job.census(), census.as_slice());
+    assert_eq!(packet.outcome.rounds, census.len() as u64);
 }
 
 /// Cross-round recovery, the tentpole's sharpest edge: a round-`r` flush

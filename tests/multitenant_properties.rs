@@ -6,10 +6,10 @@
 //! arrived, or whether chaos is dropping frames underneath. Concretely:
 //!
 //! 1. **Solo/mixed bit-identity** (property) — for an arbitrary mix of
-//!    WordCount, GROUP BY and iterative-SGD jobs, an arbitrary arrival
+//!    WordCount, GROUP BY, iterative-SGD and PageRank jobs, an arbitrary arrival
 //!    order and an arbitrary seed, every job's result digest in the mix
 //!    equals the digest of the same job run alone on an empty fabric.
-//! 2. **Chaos does not pierce isolation** — the same three-way mix under
+//! 2. **Chaos does not pierce isolation** — the same four-way mix under
 //!    k = 1 NACK recovery with lossy, duplicating, reordering links
 //!    still reproduces every clean solo digest bit-for-bit.
 //! 3. **Admission exhaustion** (regression) — filling switch SRAM to the
@@ -44,6 +44,8 @@ use daiet_repro::fabric::{Duration, Frame, PortId};
 use daiet_repro::wire::daiet::{Header, PacketFlags};
 use daiet_repro::wire::stack::{build_daiet_into, Endpoints};
 use daiet_repro::wire::udp::DAIET_PORT;
+use daiet_repro::graphsim::generate::{rmat, RmatSpec};
+use daiet_repro::graphsim::{FixedPageRank, PregelTenant};
 use daiet_repro::mapreduce::WordCountTenant;
 use daiet_repro::mlsim::SgdTenant;
 use daiet_repro::netsim::{FaultProfile, LinkSpec, TopologyPlan};
@@ -56,15 +58,16 @@ fn tenant_seed() -> u64 {
     std::env::var("TENANT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(11)
 }
 
-/// The three workload types the mix draws from.
+/// The four workload types the mix draws from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kind {
     WordCount,
     GroupBy,
     Sgd,
+    PageRank,
 }
 
-const ALL_KINDS: [Kind; 3] = [Kind::WordCount, Kind::GroupBy, Kind::Sgd];
+const ALL_KINDS: [Kind; 4] = [Kind::WordCount, Kind::GroupBy, Kind::Sgd, Kind::PageRank];
 
 /// Per-arrival workload seed: distinct per position so two jobs of the
 /// same kind in one mix are still distinct jobs.
@@ -79,16 +82,20 @@ fn make(kind: Kind, seed: u64) -> Box<dyn TenantWorkload> {
         Kind::WordCount => Box::new(WordCountTenant::tiny(seed)),
         Kind::GroupBy => Box::new(GroupByTenant::tiny(seed.wrapping_add(1))),
         Kind::Sgd => Box::new(SgdTenant::tiny(seed.wrapping_add(2))),
+        Kind::PageRank => {
+            let graph = rmat(&RmatSpec::livejournal_like(5, seed.wrapping_add(3)));
+            Box::new(PregelTenant::new(FixedPageRank::default(), graph, 2, AggFn::Sum, 4))
+        }
     }
 }
 
-/// A leaf-spine fabric big enough to hold all three tiny workloads
-/// concurrently (11 senders + 6 reducers at peak).
+/// A leaf-spine fabric big enough to hold all four tiny workloads
+/// concurrently (13 senders + 7 reducers at peak).
 fn fabric_sched(config: DaietConfig, link: LinkSpec) -> JobScheduler {
     let plan = TopologyPlan::leaf_spine(5, 4, 2, link);
     let hosts = plan.hosts();
-    let senders = hosts[..12].to_vec();
-    let reducers = hosts[12..18].to_vec();
+    let senders = hosts[..13].to_vec();
+    let reducers = hosts[13..20].to_vec();
     JobScheduler::build(TenantSpec::new(config, plan, senders, reducers))
         .expect("tenant fabric must build")
 }
@@ -161,7 +168,7 @@ proptest! {
     }
 }
 
-/// Property 2: the full three-way mix under k = 1 chaos (drops,
+/// Property 2: the full four-way mix under k = 1 chaos (drops,
 /// duplicates, reordering on every link, NACK recovery armed) still
 /// reproduces the clean solo digests.
 #[test]
