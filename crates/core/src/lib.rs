@@ -63,7 +63,7 @@ pub mod worker;
 pub use agg::AggFn;
 pub use config::DaietConfig;
 pub use controller::{Controller, Deployment, JobPlacement};
-pub use switch_agg::{DaietEngine, EngineStats};
+pub use switch_agg::{DaietEngine, DrainRefusal, EngineStats};
 pub use tenant::{
     poisson_offsets, run_mix, run_solo, JobId, JobOutcome, JobRequest, JobScheduler, JobUsage,
     MixOptions, MixOutcome, TenantSpec, TenantWorkload,

@@ -31,6 +31,16 @@
 //! 19         flushData(keyRegister, valueRegister)
 //! ```
 //!
+//! Line 19 takes many passes. The END that zeroes the counter (or the
+//! DATA that opens a deferred flush gate) re-arms the counter and sends
+//! the flush's first frame; the rest leave one frame per
+//! [`Drain`] pass, each when the tree's egress port has finished sending
+//! the frame before: spillover chunks first, then the registers in index
+//! stack order, then the END. So no pass pops more than one frame's
+//! cells, and a flush never sits in memory as a burst. DATA or END for a
+//! tree still draining is refused ([`DrainRefusal`]): it would aggregate
+//! into cells not yet flushed.
+//!
 //! The engine is a [`SwitchExtern`], so every register access and hash is
 //! charged against the switch's per-packet operation budget, and its SRAM
 //! must be reserved through the dataplane's tracker before deployment.
@@ -38,7 +48,7 @@
 use crate::agg::AggFn;
 use crate::config::DaietConfig;
 use crate::reliability::{NackRequest, NackTracker, RetransmitRing};
-use daiet_dataplane::pipeline::{ExternOutput, PacketCtx, SwitchExtern};
+use daiet_dataplane::pipeline::{Drain, DrainPass, ExternOutput, PacketCtx, SwitchExtern};
 use daiet_dataplane::register::RegisterArray;
 use daiet_fabric::{Duration, Frame, FramePool, PortId, Time};
 use daiet_wire::checksum::crc32;
@@ -105,6 +115,11 @@ struct TreeState {
     /// All ENDs are in but a child flow still has gaps (reordered or
     /// NACK-replayed DATA in flight): the flush waits for the gate.
     flush_deferred: bool,
+    /// The number of the drain in progress, while the round's flush
+    /// leaves one frame per pass (`None` when the tree is not flushing).
+    drain: Option<u32>,
+    /// Spillover pairs the drain in progress has already sent.
+    spill_sent: usize,
 }
 
 impl TreeState {
@@ -120,6 +135,8 @@ impl TreeState {
             next_seq: 0,
             rtx: RetransmitRing::new(rtx_frames),
             flush_deferred: false,
+            drain: None,
+            spill_sent: 0,
             cfg,
         }
     }
@@ -178,6 +195,43 @@ pub struct EngineStats {
     pub nacks_out: u64,
     /// Frames replayed from retransmit rings in response to NACKs.
     pub frames_replayed: u64,
+    /// DATA and END packets refused because their tree's flush was still
+    /// draining (see [`DrainRefusal`]).
+    pub drain_refused: u64,
+}
+
+/// A DATA or END that reached a tree whose flush was still draining. It
+/// belongs to a round whose registers have not all been sent, so
+/// aggregating it would mix two rounds; the engine refuses it, counts it
+/// in [`EngineStats::drain_refused`] and keeps the first one for this
+/// error.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DrainRefusal {
+    /// The draining tree.
+    pub tree: u16,
+    /// The host that sent the packet (`None` for a non-host source).
+    pub sender: Option<u32>,
+    /// The packet's sequence number.
+    pub seq: u32,
+}
+
+impl std::fmt::Display for DrainRefusal {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "tree {}: seq {} from ", self.tree, self.seq)?;
+        match self.sender {
+            Some(id) => write!(f, "host {id}")?,
+            None => write!(f, "a non-host source")?,
+        }
+        write!(
+            f,
+            " reached the switch while the tree's flush was still draining"
+        )
+    }
+}
+
+/// The opaque [`Drain`] token of drain `drain` on `tree_id`.
+fn drain_token(tree_id: u16, drain: u32) -> u64 {
+    u64::from(drain) << 16 | u64::from(tree_id)
 }
 
 /// The aggregation extern: all trees configured on one switch.
@@ -189,6 +243,11 @@ pub struct DaietEngine {
     /// are also the duplicate filter (`None` when
     /// [`DaietConfig::nack_recovery`] is off).
     nack: Option<NackTracker>,
+    /// Numbers drains, so a pass of a removed tree's drain can never run
+    /// a reinstalled tree's next one.
+    next_drain: u32,
+    /// The first packet refused mid-drain.
+    refused: Option<DrainRefusal>,
 }
 
 impl DaietEngine {
@@ -198,7 +257,20 @@ impl DaietEngine {
         // reservation (`DaietConfig::sram_for_nack_tracker`) is computed
         // from, refusing packets from flows beyond it.
         let nack = config.nack_recovery.then(|| NackTracker::with_capacity(config.nack_flows));
-        DaietEngine { trees: FnvHashMap::default(), stats: EngineStats::default(), config, nack }
+        DaietEngine {
+            trees: FnvHashMap::default(),
+            stats: EngineStats::default(),
+            config,
+            nack,
+            next_drain: 0,
+            refused: None,
+        }
+    }
+
+    /// The first DATA or END refused because its tree was still draining
+    /// (`None` when every packet found its tree ready).
+    pub fn drain_refusal(&self) -> Option<DrainRefusal> {
+        self.refused
     }
 
     /// Packets the gap tracker's bitmaps suppressed as duplicates (0
@@ -209,9 +281,10 @@ impl DaietEngine {
 
     /// Installs (or replaces) a tree's state. SRAM for
     /// [`DaietConfig::sram_per_tree`] must have been reserved by the
-    /// controller beforehand. Reinstallation evicts the tree's stale
-    /// gap-tracker flows so the cap is not consumed by dead senders (and
-    /// a replaced roster cannot hold the flush gate closed). With NACK
+    /// controller beforehand. Reinstallation ends a drain in progress
+    /// with no END, and evicts the tree's stale gap-tracker flows so the
+    /// cap is not consumed by dead senders (and a replaced roster cannot
+    /// hold the flush gate closed). With NACK
     /// recovery on, the tree's children are seeded into the gap tracker
     /// so even a fully-silenced child gets NACKed.
     pub fn install_tree(&mut self, cfg: TreeStateConfig) {
@@ -229,11 +302,12 @@ impl DaietEngine {
         self.trees.insert(cfg.tree_id, TreeState::new(cfg, cells, rtx));
     }
 
-    /// Uninstalls a tree: drops its registers, retransmit ring, and any
-    /// gap-tracker flows. Used when a job departs, and when the
-    /// scheduler re-plans a job by removing its trees before installing
-    /// the re-routed ones (stale state would otherwise consume SRAM and,
-    /// with NACK recovery, chase children that no longer send this way).
+    /// Uninstalls a tree: drops its registers, retransmit ring, any drain
+    /// in progress (with no END) and any gap-tracker flows. Used when a
+    /// job departs, and when the scheduler re-plans a job by removing its
+    /// trees before installing the re-routed ones (stale state would
+    /// otherwise consume SRAM and, with NACK recovery, chase children
+    /// that no longer send this way).
     pub fn remove_tree(&mut self, tree_id: u16) {
         if let Some(nack) = self.nack.as_mut() {
             nack.clear_tree(tree_id);
@@ -285,15 +359,17 @@ impl DaietEngine {
         self.trees.get(&tree_id).map(|t| t.index_stack.len())
     }
 
-    /// Algorithm 1, lines 2–15. Returns emissions (spillover flushes) and
-    /// the operation count. Entries are decoded lazily from the packet's
-    /// frame bytes — the data path never materializes an entry list.
+    /// Algorithm 1, lines 2–15. Returns the spillover flushes it emits,
+    /// the operation count and, when this DATA opens a deferred flush
+    /// gate, the flush's drain. Entries are decoded lazily from the
+    /// packet's frame bytes — the data path never materializes an entry
+    /// list.
     fn process_data(
         &mut self,
         tree_id: u16,
         entries: impl Iterator<Item = Pair>,
         pool: &FramePool,
-    ) -> (Vec<(PortId, Frame)>, usize) {
+    ) -> ExternOutput {
         let spill_cap = self.config.spillover_capacity();
         let pairs_per_packet = self.config.pairs_per_packet;
         let tree = self.trees.get_mut(&tree_id).expect("caller checked tree exists");
@@ -328,15 +404,11 @@ impl DaietEngine {
                 self.stats.collisions += 1;
                 if tree.spillover.len() >= spill_cap {
                     let mut pairs = std::mem::take(&mut tree.spillover);
-                    Self::emit_pairs(
-                        tree,
-                        &pairs,
-                        pairs_per_packet,
-                        PacketFlags::SPILLOVER | PacketFlags::FROM_SWITCH,
-                        &mut self.stats,
-                        pool,
-                        &mut emissions,
-                    );
+                    let flags = PacketFlags::SPILLOVER | PacketFlags::FROM_SWITCH;
+                    for chunk in pairs.chunks(pairs_per_packet.max(1)) {
+                        let frame = Self::emit_frame(tree, chunk, flags, &mut self.stats, pool);
+                        emissions.push((tree.cfg.out_port, frame));
+                    }
                     pairs.clear();
                     tree.spillover = pairs; // keep the capacity
                     self.stats.spill_flushes += 1;
@@ -347,10 +419,16 @@ impl DaietEngine {
         // This DATA may have been the gap a deferred flush was waiting on
         // (the gate re-checks the whole tree's flow state).
         let deferred = tree.flush_deferred;
+        let mut drain = None;
         if deferred && self.flush_gate_open(tree_id) {
-            ops += self.flush_tree(tree_id, pool, &mut emissions);
+            drain = self.start_flush(tree_id, pool, &mut emissions, &mut ops);
         }
-        (emissions, ops)
+        ExternOutput {
+            emit: emissions,
+            consume: true,
+            ops,
+            drain,
+        }
     }
 
     /// True when nothing blocks flushing `tree_id`: without NACK recovery
@@ -363,9 +441,10 @@ impl DaietEngine {
     }
 
     /// Algorithm 1, lines 16–19.
-    fn process_end(&mut self, tree_id: u16, pool: &FramePool) -> (Vec<(PortId, Frame)>, usize) {
+    fn process_end(&mut self, tree_id: u16, pool: &FramePool) -> ExternOutput {
         let mut emissions = Vec::new();
         let mut ops = 2; // counter read-modify-write
+        let mut drain = None;
         self.stats.ends_in += 1;
 
         let tree = self.trees.get_mut(&tree_id).expect("caller checked tree exists");
@@ -379,136 +458,158 @@ impl DaietEngine {
             // does, or the gate would hold a *satisfied* round's flush
             // closed forever: no further DATA ever arrives to retry it.
             if deferred && self.flush_gate_open(tree_id) {
-                ops += self.flush_tree(tree_id, pool, &mut emissions);
+                drain = self.start_flush(tree_id, pool, &mut emissions, &mut ops);
             }
-            return (emissions, ops);
+        } else {
+            tree.remaining_children -= 1;
+            if tree.remaining_children > 0 {
+                // More ENDs to come.
+            } else if !self.flush_gate_open(tree_id) {
+                // All ENDs counted, but a child still owes DATA
+                // (reordering or a pending NACK replay): hold the flush
+                // until the gap closes — `process_data` fires it.
+                self.trees.get_mut(&tree_id).expect("exists").flush_deferred = true;
+                self.stats.flushes_deferred += 1;
+            } else {
+                drain = self.start_flush(tree_id, pool, &mut emissions, &mut ops);
+            }
         }
-        tree.remaining_children -= 1;
-        if tree.remaining_children > 0 {
-            return (emissions, ops);
+        ExternOutput {
+            emit: emissions,
+            consume: true,
+            ops,
+            drain,
         }
-        if !self.flush_gate_open(tree_id) {
-            // All ENDs counted, but a child still owes DATA (reordering
-            // or a pending NACK replay): hold the flush until the gap
-            // closes — `process_data` fires it.
-            self.trees.get_mut(&tree_id).expect("exists").flush_deferred = true;
-            self.stats.flushes_deferred += 1;
-            return (emissions, ops);
-        }
-        ops += self.flush_tree(tree_id, pool, &mut emissions);
-        (emissions, ops)
     }
 
-    /// Line 19 of Algorithm 1: flush spillover + registers + END toward
-    /// the parent and re-arm the child counter. Returns the ops spent.
-    fn flush_tree(
+    /// Line 19 of Algorithm 1 begins: re-arm the child counter for the
+    /// next round (iterative workloads run one round per
+    /// superstep/training step) and start the tree's drain, sending its
+    /// first frame into `emissions` and adding the ops spent to `ops`.
+    /// Returns the drain when frames remain after the first.
+    fn start_flush(
         &mut self,
         tree_id: u16,
         pool: &FramePool,
         emissions: &mut Vec<(PortId, Frame)>,
-    ) -> usize {
-        let pairs_per_packet = self.config.pairs_per_packet;
+        ops: &mut usize,
+    ) -> Option<Drain> {
+        let drain = self.next_drain;
+        self.next_drain = self.next_drain.wrapping_add(1);
         let tree = self.trees.get_mut(&tree_id).expect("caller checked tree exists");
-        let mut ops = 0;
+        tree.remaining_children = tree.cfg.children;
+        tree.flush_deferred = false;
+        tree.drain = Some(drain);
+        tree.spill_sent = 0;
+        let port = tree.cfg.out_port;
+        self.stats.flushes += 1;
+        let first = self.flush_pass(tree_id, drain, pool);
+        *ops += 2 + first.ops;
+        emissions.extend(first.frame.map(|f| (port, f)));
+        first.more.then_some(Drain {
+            port,
+            token: drain_token(tree_id, drain),
+        })
+    }
 
-        // "The non-aggregated values in the spillover
-        // bucket are the first to be sent to the next node, so that they
-        // are more likely to be aggregated if the next node is a network
-        // device and has spare memory" (§4).
-        if !tree.spillover.is_empty() {
-            let mut pairs = std::mem::take(&mut tree.spillover);
-            Self::emit_pairs(
-                tree,
-                &pairs,
-                pairs_per_packet,
-                PacketFlags::SPILLOVER | PacketFlags::FROM_SWITCH,
-                &mut self.stats,
-                pool,
-                emissions,
-            );
+    /// One pass of line 19: sends the next frame of `tree_id`'s drain
+    /// `drain` toward the parent, in today's order — spillover chunks,
+    /// then the registers, then the END that ends the drain.
+    fn flush_pass(&mut self, tree_id: u16, drain: u32, pool: &FramePool) -> DrainPass {
+        let per_frame = self.config.pairs_per_packet.max(1);
+        let Some(tree) = self
+            .trees
+            .get_mut(&tree_id)
+            .filter(|t| t.drain == Some(drain))
+        else {
+            // Removed, reinstalled or power-cycled mid-drain: the
+            // registers it was sending are gone, and so is its END.
+            return DrainPass::default();
+        };
+        let stats = &mut self.stats;
+        let mut ops = 1; // drain state read
+        let frame = if tree.spill_sent < tree.spillover.len() {
+            // "The non-aggregated values in the spillover bucket are the
+            // first to be sent to the next node, so that they are more
+            // likely to be aggregated if the next node is a network
+            // device and has spare memory" (§4).
+            let spill = std::mem::take(&mut tree.spillover);
+            let end = spill.len().min(tree.spill_sent + per_frame);
+            let flags = PacketFlags::SPILLOVER | PacketFlags::FROM_SWITCH;
+            let frame = Self::emit_frame(tree, &spill[tree.spill_sent..end], flags, stats, pool);
+            ops += end - tree.spill_sent;
+            tree.spill_sent = end;
+            tree.spillover = spill;
+            frame
+        } else if !tree.index_stack.is_empty() {
+            // Walk the index stack instead of scanning the arrays, popping
+            // one frame's cells into the staging buffer: per-tree, reused
+            // across rounds, and never bigger than one frame.
+            let mut pairs = std::mem::take(&mut tree.flush_buf);
             pairs.clear();
-            tree.spillover = pairs;
-        }
-
-        // Walk the index stack instead of scanning the arrays, popping one
-        // frame's cells at a time into the staging buffer: per-tree,
-        // reused across rounds, and never bigger than one frame.
-        let per_frame = pairs_per_packet.max(1);
-        let mut pairs = std::mem::take(&mut tree.flush_buf);
-        pairs.reserve_exact(per_frame);
-        while !tree.index_stack.is_empty() {
-            pairs.clear();
+            pairs.reserve_exact(per_frame);
             while let Some(idx) = tree.index_stack.pop_if(|_| pairs.len() < per_frame) {
                 let idx = idx as usize;
                 pairs.push(Pair { key: Key(tree.keys.read(idx)), value: tree.values.read(idx) });
                 tree.clear_occupied(idx);
                 ops += 2;
             }
-            Self::emit_pairs(
-                tree,
-                &pairs,
-                pairs_per_packet,
-                PacketFlags::FROM_SWITCH,
-                &mut self.stats,
-                pool,
-                emissions,
-            );
+            let frame = Self::emit_frame(tree, &pairs, PacketFlags::FROM_SWITCH, stats, pool);
+            tree.flush_buf = pairs;
+            frame
+        } else {
+            // Propagate the END: the drain, and the round, are over.
+            // Sequence numbers wrap — gap trackers compare RFC 1982-style.
+            let end = Header::end(tree.cfg.tree_id, PacketFlags::FROM_SWITCH, tree.next_seq);
+            tree.next_seq = tree.next_seq.wrapping_add(1);
+            let mut buf = pool.buffer();
+            build_daiet_into(&mut buf, &tree.cfg.endpoints, DAIET_PORT, &end, &[]);
+            let frame = pool.frame(buf);
+            tree.rtx.record(end.seq, frame.clone());
+            stats.frames_out += 1;
+            tree.spillover.clear();
+            tree.spill_sent = 0;
+            tree.drain = None;
+            // Round boundary: retire ring entries a full receiver WINDOW
+            // behind the emission edge. The parent ages such gaps out
+            // rather than NACK them (`FlowRecv`), so these frames are
+            // dead — without retirement an iterative tree whose rounds
+            // underfill the ring would pin dead rounds' pooled buffers
+            // indefinitely (and, across a sequence-space wrap, could
+            // answer a NACK for a reused seq with a stale round's bytes).
+            tree.rtx
+                .retire_before(tree.next_seq.wrapping_sub(crate::reliability::WINDOW));
+            ops += 2;
+            frame
+        };
+        DrainPass {
+            frame: Some(frame),
+            ops,
+            more: tree.drain.is_some(),
         }
-        tree.flush_buf = pairs;
-
-        // Propagate the END and re-arm for the next round (iterative
-        // workloads run one round per superstep/training step). Sequence
-        // numbers wrap — gap trackers compare RFC 1982-style.
-        let end = Header::end(tree.cfg.tree_id, PacketFlags::FROM_SWITCH, tree.next_seq);
-        tree.next_seq = tree.next_seq.wrapping_add(1);
-        let mut buf = pool.buffer();
-        build_daiet_into(&mut buf, &tree.cfg.endpoints, DAIET_PORT, &end, &[]);
-        let frame = pool.frame(buf);
-        tree.rtx.record(end.seq, frame.clone());
-        emissions.push((tree.cfg.out_port, frame));
-        self.stats.frames_out += 1;
-        tree.remaining_children = tree.cfg.children;
-        tree.flush_deferred = false;
-        self.stats.flushes += 1;
-        // Round boundary: retire ring entries a full receiver WINDOW
-        // behind the emission edge. The parent ages such gaps out rather
-        // than NACK them (`FlowRecv`), so these frames are dead — without
-        // retirement an iterative tree whose rounds underfill the ring
-        // would pin dead rounds' pooled buffers indefinitely (and, across
-        // a sequence-space wrap, could answer a NACK for a reused seq
-        // with a stale round's bytes).
-        tree.rtx
-            .retire_before(tree.next_seq.wrapping_sub(crate::reliability::WINDOW));
-        ops += 2;
-        ops
     }
 
-    /// Serializes `pairs` into maximal DATA packets toward the parent,
-    /// straight from the slice into pooled buffers (no per-packet entry
-    /// list, no staging copy).
-    #[allow(clippy::too_many_arguments)]
-    fn emit_pairs(
+    /// Serializes `pairs` (at most one frame's worth) into one DATA
+    /// packet toward the parent, straight from the slice into a pooled
+    /// buffer, and records it for NACK replay.
+    fn emit_frame(
         tree: &mut TreeState,
         pairs: &[Pair],
-        pairs_per_packet: usize,
         flags: PacketFlags,
         stats: &mut EngineStats,
         pool: &FramePool,
-        out: &mut Vec<(PortId, Frame)>,
-    ) {
-        for chunk in pairs.chunks(pairs_per_packet.max(1)) {
-            let hdr = Header::data(tree.cfg.tree_id, flags, tree.next_seq);
-            tree.next_seq = tree.next_seq.wrapping_add(1);
-            stats.frames_out += 1;
-            stats.pairs_out += chunk.len() as u64;
-            let mut buf = pool.buffer();
-            build_daiet_into(&mut buf, &tree.cfg.endpoints, DAIET_PORT, &hdr, chunk);
-            let frame = pool.frame(buf);
-            // Buffer for NACK replay (a no-op on a zero-capacity ring;
-            // the clone is one refcount bump, not a copy).
-            tree.rtx.record(hdr.seq, frame.clone());
-            out.push((tree.cfg.out_port, frame));
-        }
+    ) -> Frame {
+        let hdr = Header::data(tree.cfg.tree_id, flags, tree.next_seq);
+        tree.next_seq = tree.next_seq.wrapping_add(1);
+        stats.frames_out += 1;
+        stats.pairs_out += pairs.len() as u64;
+        let mut buf = pool.buffer();
+        build_daiet_into(&mut buf, &tree.cfg.endpoints, DAIET_PORT, &hdr, pairs);
+        let frame = pool.frame(buf);
+        // Buffer for NACK replay (a no-op on a zero-capacity ring; the
+        // clone is one refcount bump, not a copy).
+        tree.rtx.record(hdr.seq, frame.clone());
+        frame
     }
 
     /// Handles a NACK arriving from the parent direction: replays the
@@ -546,13 +647,19 @@ impl SwitchExtern for DaietEngine {
         let Some(daiet) = pkt.parsed.daiet else {
             // Truncated or non-DAIET packet steered here by mistake: let
             // the later forwarding stages handle it untouched.
-            return ExternOutput { emit: Vec::new(), consume: false, ops: 1 };
+            return ExternOutput {
+                ops: 1,
+                ..ExternOutput::default()
+            };
         };
         debug_assert_eq!(u32::from(daiet.tree_id), arg, "steering rule and packet disagree");
 
         if !self.trees.contains_key(&daiet.tree_id) {
             self.stats.unknown_tree += 1;
-            return ExternOutput { emit: Vec::new(), consume: false, ops: 1 };
+            return ExternOutput {
+                ops: 1,
+                ..ExternOutput::default()
+            };
         }
 
         // NACK recovery: record every DATA/END arrival so gaps age toward
@@ -575,7 +682,11 @@ impl SwitchExtern for DaietEngine {
                             pkt.now,
                         );
                         if !fresh {
-                            return ExternOutput { emit: Vec::new(), consume: true, ops: 2 };
+                            return ExternOutput {
+                                consume: true,
+                                ops: 2,
+                                ..ExternOutput::default()
+                            };
                         }
                     }
                 }
@@ -592,14 +703,36 @@ impl SwitchExtern for DaietEngine {
                             tail,
                             pkt.parsed.daiet_pairs(),
                         );
-                        return ExternOutput { emit, consume: true, ops };
+                        return ExternOutput {
+                            emit,
+                            consume: true,
+                            ops,
+                            drain: None,
+                        };
                     }
                 }
                 PacketType::Unknown(_) => {}
             }
         }
 
-        let (emit, ops) = match daiet.packet_type {
+        match daiet.packet_type {
+            PacketType::Data | PacketType::End if self.trees[&daiet.tree_id].drain.is_some() => {
+                // The round's flush is still leaving: this packet would
+                // land in cells not yet sent (duplicates were already
+                // absorbed above, so it is a protocol violation).
+                self.stats.drain_refused += 1;
+                let sender = pkt.parsed.ip.as_ref().and_then(|ip| ip.src_addr.host_id());
+                self.refused.get_or_insert(DrainRefusal {
+                    tree: daiet.tree_id,
+                    sender,
+                    seq: daiet.seq,
+                });
+                ExternOutput {
+                    consume: true,
+                    ops: 2,
+                    ..ExternOutput::default()
+                }
+            }
             PacketType::Data => {
                 self.process_data(daiet.tree_id, pkt.parsed.daiet_pairs(), pool)
             }
@@ -607,10 +740,13 @@ impl SwitchExtern for DaietEngine {
             // NACKs not addressed to this switch and unknown types pass
             // through toward the reducer/hosts.
             PacketType::Nack | PacketType::Unknown(_) => {
-                return ExternOutput { emit: Vec::new(), consume: false, ops: 1 }
+                ExternOutput { ops: 1, ..ExternOutput::default() }
             }
-        };
-        ExternOutput { emit, consume: true, ops }
+        }
+    }
+
+    fn drain_pass(&mut self, token: u64, pool: &FramePool) -> DrainPass {
+        self.flush_pass(token as u16, (token >> 16) as u32, pool)
     }
 
     fn tick_interval(&self) -> Option<Duration> {
@@ -712,6 +848,22 @@ mod tests {
         let parsed = parse(frame, &ParserConfig::default()).unwrap();
         let mut pkt = PacketCtx::new(PortId(0), parsed);
         e.invoke(&mut pkt, u32::from(repr.tree_id), &FramePool::new())
+    }
+
+    /// Runs every pass of the drain `out` started, if any, appending its
+    /// frames after `out`'s own: the whole flush, in the order a burst
+    /// would send it.
+    fn drain(e: &mut DaietEngine, mut out: ExternOutput) -> ExternOutput {
+        let pool = FramePool::new();
+        while let Some(d) = out.drain {
+            let pass = e.drain_pass(d.token, &pool);
+            out.emit.extend(pass.frame.map(|f| (d.port, f)));
+            out.ops += pass.ops;
+            if !pass.more {
+                out.drain = None;
+            }
+        }
+        out
     }
 
     /// Parses frames emitted by the engine back into reprs.
@@ -826,6 +978,7 @@ mod tests {
         let mut end1 = Repr::end(1);
         end1.seq = 1;
         let out = drive_at(&mut e, 1, &end1, Time(40));
+        let out = drain(&mut e, out);
         assert_eq!(e.stats().spurious_ends, 1, "the late END is spurious for the counter");
         assert_eq!(e.stats().flushes, 1, "but it must still release the deferred flush");
         let reprs = parse_emissions(&out);
@@ -905,6 +1058,7 @@ mod tests {
         let mut end = Repr::end(1);
         end.seq = seq;
         let flush = drive_at(&mut e, 1, &end, Time(20));
+        let flush = drain(&mut e, flush);
         assert_eq!(flush.emit.len(), 3);
         assert_eq!(e.rtx_stats(1), Some((3, 0, 0, 0, 0)));
 
@@ -941,6 +1095,134 @@ mod tests {
         assert!(out.emit.is_empty());
     }
 
+    /// Feeds tree 1 of `e` `n` distinct keys (value 1 each) from host 1 in
+    /// full DATA frames with seqs from 0, then its END, returning the
+    /// END's output: the flush's first frame and its drain.
+    fn start_round(e: &mut DaietEngine, n: u32) -> ExternOutput {
+        let pairs: Vec<Pair> = (0..n)
+            .map(|i| Pair::new(key(&format!("r{i}")), 1))
+            .collect();
+        let mut seq = 0;
+        for chunk in pairs.chunks(10) {
+            let mut d = Repr::data(1, chunk.to_vec());
+            d.seq = seq;
+            seq += 1;
+            drive_at(e, 1, &d, Time(10));
+        }
+        let mut end = Repr::end(1);
+        end.seq = seq;
+        drive_at(e, 1, &end, Time(20))
+    }
+
+    /// DATA or END reaching a tree mid-drain belongs to cells not yet
+    /// sent: it is refused (neither aggregated nor counted as an END),
+    /// the first is kept for the typed error, and the drain goes on.
+    #[test]
+    fn data_for_a_draining_tree_is_refused() {
+        let mut e = engine(4096, 1);
+        let out = start_round(&mut e, 30);
+        assert_eq!(out.emit.len(), 1);
+        assert!(out.drain.is_some(), "29 more cells and an END to send");
+        let mut late = Repr::data(1, vec![Pair::new(key("late"), 5)]);
+        late.seq = 7;
+        let refused = drive_at(&mut e, 1, &late, Time(30));
+        assert!(refused.consume && refused.emit.is_empty() && refused.drain.is_none());
+        let mut end = Repr::end(1);
+        end.seq = 8;
+        drive_at(&mut e, 1, &end, Time(31));
+        assert_eq!(e.stats().drain_refused, 2);
+        assert_eq!(
+            e.stats().pairs_in,
+            30,
+            "the refused DATA was not aggregated"
+        );
+        assert_eq!(
+            e.remaining_children(1),
+            Some(1),
+            "the refused END was not counted"
+        );
+        let first = e.drain_refusal().expect("kept");
+        assert_eq!(
+            first,
+            DrainRefusal {
+                tree: 1,
+                sender: Some(1),
+                seq: 7
+            }
+        );
+        assert!(first.to_string().contains("still draining"));
+        let reprs = parse_emissions(&drain(&mut e, out));
+        assert_eq!(reprs.len(), 4);
+        assert!(reprs
+            .iter()
+            .flat_map(|r| &r.entries)
+            .all(|p| p.key != key("late")));
+        // Drained: the next round aggregates again.
+        drive_at(&mut e, 1, &late, Time(40));
+        assert_eq!(e.stats().pairs_in, 31);
+        assert_eq!(e.stats().drain_refused, 2);
+    }
+
+    /// Reinstalling (or removing) a tree mid-drain ends the drain: its
+    /// remaining passes send nothing, no END among them, and a stale
+    /// token never runs the new tree's drain.
+    #[test]
+    fn reinstalling_a_tree_mid_drain_ends_it_without_an_end() {
+        let mut e = engine(4096, 1);
+        let old = start_round(&mut e, 30).drain.expect("draining");
+        let cfg = e.trees[&1].cfg.clone();
+        e.install_tree(cfg);
+        let pool = FramePool::new();
+        let pass = e.drain_pass(old.token, &pool);
+        assert!(
+            pass.frame.is_none() && !pass.more,
+            "the reinstalled tree has no drain"
+        );
+        // A new round on the reinstalled tree drains in full; the old
+        // token stays dead while the new drain is in progress.
+        let fresh = start_round(&mut e, 20);
+        let token = fresh.drain.expect("draining").token;
+        assert_ne!(token, old.token);
+        assert!(e.drain_pass(old.token, &pool).frame.is_none());
+        let reprs = parse_emissions(&drain(&mut e, fresh));
+        assert_eq!(reprs.len(), 3, "20 cells and the END");
+        assert_eq!(reprs[2].packet_type, PacketType::End);
+        // Removal mid-drain behaves the same.
+        let gone = start_round(&mut e, 30).drain.expect("draining");
+        let sent = e.stats().frames_out;
+        e.remove_tree(1);
+        let pass = e.drain_pass(gone.token, &pool);
+        assert!(pass.frame.is_none() && !pass.more);
+        assert_eq!(e.stats().frames_out, sent);
+    }
+
+    /// A NACK that reaches the switch mid-drain is answered from the
+    /// frames already sent; the rest leave with the drain, once.
+    #[test]
+    fn nack_mid_drain_replays_only_frames_already_sent() {
+        let mut e = recovering_engine(1);
+        let out = start_round(&mut e, 30);
+        let d = out.drain.expect("draining");
+        assert!(e.drain_pass(d.token, &FramePool::new()).more);
+        // Seqs 0 and 1 are out; the parent asks for everything from 0.
+        let nack = Repr::nack(1, 0, true, &[]);
+        let frame = Frame::from(build_daiet(&Endpoints::from_ids(200, 100), 5, &nack));
+        let parsed = parse(frame, &ParserConfig::default()).unwrap();
+        let mut pkt = PacketCtx::at(PortId(9), parsed, Time(30));
+        let replayed = e.invoke(&mut pkt, 1, &FramePool::new());
+        let seqs: Vec<u32> = parse_emissions(&replayed).iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![0, 1]);
+        let rest = drain(
+            &mut e,
+            ExternOutput {
+                drain: Some(d),
+                ..ExternOutput::default()
+            },
+        );
+        let seqs: Vec<u32> = parse_emissions(&rest).iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![2, 3], "the third register frame, then the END");
+    }
+
     #[test]
     fn sums_matching_keys_into_one_pair() {
         let mut e = engine(1024, 2);
@@ -956,6 +1238,7 @@ mod tests {
         // Two ENDs flush a single aggregated pair + END.
         drive(&mut e, &Repr::end(1));
         let out = drive(&mut e, &Repr::end(1));
+        let out = drain(&mut e, out);
         let reprs = parse_emissions(&out);
         assert_eq!(reprs.len(), 2); // one DATA + one END
         assert_eq!(reprs[0].entries, vec![Pair::new(key("cat"), 7)]);
@@ -972,6 +1255,7 @@ mod tests {
         assert!(drive(&mut e, &Repr::end(1)).emit.is_empty());
         assert_eq!(e.remaining_children(1), Some(1));
         let out = drive(&mut e, &Repr::end(1));
+        let out = drain(&mut e, out);
         assert_eq!(out.emit.len(), 2); // DATA + END
         // Counter re-armed for the next round.
         assert_eq!(e.remaining_children(1), Some(3));
@@ -987,6 +1271,7 @@ mod tests {
         assert_eq!(e.stats().collisions, 1);
         drive(&mut e, &Repr::end(1));
         let out = drive(&mut e, &Repr::end(1));
+        let out = drain(&mut e, out);
         let reprs = parse_emissions(&out);
         // Spillover first ("more likely to be aggregated" downstream),
         // then registers, then END.
@@ -1032,6 +1317,7 @@ mod tests {
             drive(&mut e, &Repr::data(1, entries));
         }
         let out = drive(&mut e, &Repr::end(1));
+        let out = drain(&mut e, out);
         let mut got: std::collections::HashMap<Key, u32> = Default::default();
         for repr in parse_emissions(&out) {
             for p in repr.entries {
@@ -1058,7 +1344,13 @@ mod tests {
             drive(&mut e, &Repr::data(1, chunk.iter().map(|&k| Pair::new(k, 1)).collect()));
         }
         assert_eq!(e.pairs_held(1), Some(400));
-        let reprs = parse_emissions(&drive(&mut e, &Repr::end(1)));
+        let first = drive(&mut e, &Repr::end(1));
+        assert_eq!(
+            first.emit.len(),
+            1,
+            "the END sends only the flush's first frame"
+        );
+        let reprs = parse_emissions(&drain(&mut e, first));
         assert_eq!(reprs.len(), 41);
         assert!(reprs.iter().enumerate().all(|(i, r)| r.seq == i as u32));
         assert!(reprs[..40].iter().all(|r| r.entries.len() == per_frame));
@@ -1132,6 +1424,7 @@ mod tests {
             drive(&mut e, &Repr::data(1, chunk.to_vec()));
         }
         let out = drive(&mut e, &Repr::end(1));
+        let out = drain(&mut e, out);
         for (_, frame) in &out.emit {
             let parsed = parse(frame.clone(), &ParserConfig::default()).unwrap();
             assert!(!parsed.daiet_truncated);

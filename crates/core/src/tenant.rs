@@ -644,7 +644,9 @@ impl JobScheduler {
     /// saw its END count and (under NACK recovery) owes no gaps. An END
     /// **overshoot** — more ENDs than the job's trees can produce — is a
     /// hard error: it means foreign traffic leaked into the job's
-    /// reducers (the failure mode a broken teardown causes).
+    /// reducers (the failure mode a broken teardown causes). So is a
+    /// packet a switch refused because the job's tree was still draining
+    /// ([`crate::DrainRefusal`]).
     pub fn round_done(&self, job: JobId) -> Result<bool, String> {
         let st = self
             .jobs
@@ -653,6 +655,7 @@ impl JobScheduler {
         if !st.round_open {
             return Err(format!("{job} has no open round"));
         }
+        self.check_drains(job, st)?;
         let mut done = true;
         for (t, &slot) in st.reducer_slots.iter().enumerate() {
             let node = self
@@ -673,6 +676,26 @@ impl JobScheduler {
         Ok(done)
     }
 
+    /// A hard error when a switch on one of `job`'s trees refused a DATA
+    /// or END because the tree's flush was still draining: the packet
+    /// belonged to cells not yet sent, so the round cannot be exact.
+    fn check_drains(&self, job: JobId, st: &JobState) -> Result<(), String> {
+        for tree in &st.trees {
+            for &slot in tree.switch_children.keys() {
+                let refusal = self
+                    .sim
+                    .node_ref::<Switch>(self.ids[slot])
+                    .and_then(|sw| sw.extern_ref::<DaietEngine>(self.engine_externs[&slot]))
+                    .and_then(DaietEngine::drain_refusal)
+                    .filter(|r| r.tree == tree.tree_id);
+                if let Some(refusal) = refusal {
+                    return Err(format!("{job} round {}: {refusal}", st.round));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Closes `job`'s open round: verifies exact completion (END counts
     /// and recovery), drains each reducer's aggregated result (sorted by
     /// key, tree order), and retires the senders' replay retention up to
@@ -681,11 +704,13 @@ impl JobScheduler {
     pub fn collect_round(&mut self, job: JobId) -> Result<Vec<Vec<(Key, u32)>>, String> {
         let st = self
             .jobs
-            .get_mut(&job.0)
+            .get(&job.0)
             .ok_or_else(|| format!("{job} is not admitted"))?;
         if !st.round_open {
             return Err(format!("{job} has no open round"));
         }
+        self.check_drains(job, st)?;
+        let st = self.jobs.get_mut(&job.0).expect("looked up above");
         let round = st.round;
         let mut per_tree = Vec::with_capacity(st.reducer_slots.len());
         for (t, &slot) in st.reducer_slots.iter().enumerate() {
@@ -1312,6 +1337,60 @@ mod tests {
             sched.step(Duration::from_micros(25));
         }
         panic!("jobs did not complete in simulated time");
+    }
+
+    /// A DATA that reaches a switch while its tree's flush is draining
+    /// is refused there, and the round fails with the typed error naming
+    /// `(tree, sender, seq)` instead of completing without it.
+    #[test]
+    fn a_packet_refused_mid_drain_fails_the_round() {
+        use daiet_fabric::{Frame, PortId};
+        use daiet_wire::daiet::Repr;
+        let mut sched = star_sched(DaietConfig::default());
+        let job = sched
+            .admit(JobRequest {
+                label: "a".into(),
+                senders: 2,
+                aggs: vec![AggFn::Sum],
+            })
+            .unwrap();
+        let shards: Vec<Vec<Vec<Pair>>> = (0..2)
+            .map(|s| {
+                vec![(0..200)
+                    .map(|i| Pair::new(key(&format!("s{s}k{i}")), 1))
+                    .collect()]
+            })
+            .collect();
+        sched.begin_round(job, &shards).unwrap();
+        let tree = sched.job_trees(job).unwrap()[0].tree_id;
+        // Step until the switch's flush has begun but still holds cells.
+        let draining = |s: &JobScheduler| {
+            s.engine(8).stats().flushes == 1 && s.engine(8).pairs_held(tree) > Some(0)
+        };
+        for _ in 0..100_000 {
+            if draining(&sched) {
+                break;
+            }
+            sched.step(Duration::from_nanos(100));
+        }
+        assert!(draining(&sched), "never caught the drain");
+        let mut late = Repr::data(tree, vec![Pair::new(key("late"), 1)]);
+        late.seq = 77;
+        let ep = Endpoints::from_ids(0, sched.job_trees(job).unwrap()[0].reducer as u32);
+        let frame = Frame::from(daiet_wire::stack::build_daiet(&ep, 5, &late));
+        let (now, switch) = (sched.now(), sched.node_id(8));
+        sched.sim_mut().inject(now, switch, PortId(0), frame);
+        let err = (0..10_000)
+            .find_map(|_| {
+                sched.step(Duration::from_micros(5));
+                sched.round_done(job).err()
+            })
+            .expect("the refusal fails the round");
+        assert!(
+            err.contains("seq 77 from host 0") && err.contains("still draining"),
+            "{err}"
+        );
+        assert_eq!(sched.engine(8).stats().drain_refused, 1);
     }
 
     #[test]

@@ -40,7 +40,9 @@ pub mod switch;
 pub mod table;
 
 pub use parser::{ParsedPacket, ParserConfig};
-pub use pipeline::{ActionSpec, ExternId, ExternOutput, PacketCtx, Pipeline, SwitchExtern};
+pub use pipeline::{
+    ActionSpec, Drain, DrainPass, ExternId, ExternOutput, PacketCtx, Pipeline, SwitchExtern,
+};
 pub use register::RegisterArray;
 pub use resources::{ResourceError, Resources, SramTracker};
 pub use switch::{Switch, SwitchStats};

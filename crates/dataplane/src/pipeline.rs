@@ -109,6 +109,40 @@ pub struct ExternOutput {
     /// Primitive operations the extern spent (register accesses, hashes,
     /// ALU ops) — charged to the packet's budget.
     pub ops: usize,
+    /// A drain the invocation started: more frames that follow `emit`
+    /// out of one port, one per [`SwitchExtern::drain_pass`].
+    pub drain: Option<Drain>,
+}
+
+/// Output an extern sends one frame per pass rather than all at once
+/// (DAIET's register flush). The switch runs a pass each time `port` has
+/// finished sending the frame before, and holds everything else it sends
+/// on `port` until the drain ends, so each frame leaves in the order and
+/// at the instant a burst would have given it.
+///
+/// Passes are driven by the port, not by recirculation or an extern
+/// tick: a recirculated token would add a pipeline latency to every
+/// frame, and a tick on its own clock would interleave the drain's
+/// frames with whatever else the port sends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Drain {
+    /// The port every frame of the drain leaves on.
+    pub port: PortId,
+    /// Opaque handle the extern hands back to itself in each pass.
+    pub token: u64,
+}
+
+/// One pass of a [`Drain`].
+#[derive(Debug, Default)]
+pub struct DrainPass {
+    /// The frame this pass sends (`None` when the extern no longer knows
+    /// the drain, e.g. its state was removed mid-drain).
+    pub frame: Option<Frame>,
+    /// Primitive operations the pass spent — charged against the
+    /// per-packet budget like a packet of its own.
+    pub ops: usize,
+    /// True while frames remain after this one.
+    pub more: bool,
 }
 
 /// A bounded stateful program attached to the pipeline (the DAIET
@@ -149,6 +183,13 @@ pub trait SwitchExtern: std::any::Any {
     /// nothing to drop.
     fn on_node_fail(&mut self) {}
 
+    /// Runs one pass of a drain this extern started (see [`Drain`]).
+    /// Default: the extern never starts drains, so there is nothing to
+    /// send.
+    fn drain_pass(&mut self, _token: u64, _pool: &FramePool) -> DrainPass {
+        DrainPass::default()
+    }
+
     /// Diagnostic name.
     fn name(&self) -> String {
         "extern".into()
@@ -168,6 +209,8 @@ pub struct PipelineVerdict {
     pub egress: Egress,
     /// Extern emissions gathered along the way.
     pub emissions: Vec<ExternEmission>,
+    /// Drains externs started, with the extern that runs their passes.
+    pub drains: Vec<(ExternId, Drain)>,
     /// Whether the packet requested recirculation.
     pub recirculate: bool,
     /// Operations spent during this traversal.
@@ -232,6 +275,7 @@ impl Pipeline {
         pool: &FramePool,
     ) -> PipelineVerdict {
         let mut emissions = Vec::new();
+        let mut drains = Vec::new();
         let mut recirculate = false;
         let mut ops = 0usize;
 
@@ -260,6 +304,7 @@ impl Pipeline {
                         let out = e.invoke(pkt, arg, pool);
                         ops += out.ops;
                         emissions.extend(out.emit);
+                        drains.extend(out.drain.map(|d| (ext, d)));
                         if out.consume {
                             // The packet was absorbed into switch state;
                             // later stages must not resurrect it.
@@ -276,7 +321,13 @@ impl Pipeline {
         }
 
         pkt.ops += ops;
-        PipelineVerdict { egress: pkt.egress, emissions, recirculate, ops }
+        PipelineVerdict {
+            egress: pkt.egress,
+            emissions,
+            drains,
+            recirculate,
+            ops,
+        }
     }
 }
 
@@ -314,6 +365,7 @@ mod tests {
                 emit: vec![(PortId(5), pool.copy_from_slice(b"emitted"))],
                 consume: self.consume,
                 ops: 3,
+                drain: None,
             }
         }
     }

@@ -1,9 +1,23 @@
 //! The switch device: parser + pipeline + externs behind a
 //! [`daiet_fabric::Node`] interface, with per-switch statistics.
+//!
+//! # Ordered output
+//!
+//! An extern may answer a packet with a [`Drain`]: frames it sends one
+//! per pass, each when the port has finished sending the one before
+//! (DAIET's register flush). Under a fabric, each port keeps an ordered
+//! output while a drain is in progress on it: every other frame the
+//! switch sends there (forwarded packets, other drains, NACKs and their
+//! replays) waits behind the drain, exactly where a burst would have
+//! queued it, so each frame keeps the position and the departure time
+//! the burst gave it while the switch holds one frame, not a whole
+//! flush. [`Switch::process_into`], which has no fabric to wait on, runs
+//! every pass of a drain before it returns.
 
 use crate::parser::{parse, ParseError, ParserConfig};
-use crate::pipeline::{Egress, ExternId, PacketCtx, Pipeline, SwitchExtern};
+use crate::pipeline::{Drain, Egress, ExternId, PacketCtx, Pipeline, SwitchExtern};
 use daiet_fabric::{Fabric, Frame, FramePool, Node, PortId, Time};
+use std::collections::VecDeque;
 
 /// Counters a switch maintains about its own processing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -29,6 +43,29 @@ pub struct SwitchStats {
     pub ops_violations: u64,
     /// Highest operation count observed on one packet.
     pub max_ops_seen: usize,
+    /// Drain passes run (each charged like a packet of its own in
+    /// `ops_violations` and `max_ops_seen`).
+    pub drain_passes: u64,
+}
+
+/// Timer tokens from here up wake a port's drain (the port is the rest
+/// of the token); tokens below it are extern indices.
+const PORT_WAKE: u64 = 1 << 32;
+
+/// A frame or a drain waiting for its turn on one port.
+#[derive(Debug)]
+enum Held {
+    Frame(Frame),
+    Drain(ExternId, Drain),
+}
+
+/// One port's ordered output: empty, or headed by the drain in progress
+/// with everything the switch has sent there since waiting behind it.
+#[derive(Debug, Default)]
+struct PortOut {
+    held: VecDeque<Held>,
+    /// Whether a wake for the head drain's next pass is scheduled.
+    wake_armed: bool,
 }
 
 /// A programmable switch.
@@ -52,6 +89,8 @@ pub struct Switch {
     /// Whether extern `i`'s tick timer is currently armed (timer tokens
     /// are extern indices).
     tick_armed: Vec<bool>,
+    /// Ordered output per port, indexed by port (grown on first use).
+    ports: Vec<PortOut>,
 }
 
 impl Switch {
@@ -70,6 +109,7 @@ impl Switch {
             port_count: 0,
             scratch: Vec::new(),
             tick_armed: Vec::new(),
+            ports: Vec::new(),
         }
     }
 
@@ -137,10 +177,11 @@ impl Switch {
         outputs
     }
 
-    /// Processes one frame, appending the frames to transmit to `out` —
-    /// the allocation-free core [`Node::on_packet`] drives with a reused
-    /// staging buffer. `now` stamps the packet context for time-aware
-    /// externs.
+    /// Processes one frame, appending the frames to transmit to `out`.
+    /// `now` stamps the packet context for time-aware externs. Every pass
+    /// of a drain the packet starts runs before this returns, so `out`
+    /// holds the whole flush in order; [`Node::on_packet`] paces the same
+    /// passes by its ports instead.
     pub fn process_into(
         &mut self,
         in_port: PortId,
@@ -149,6 +190,104 @@ impl Switch {
         pool: &FramePool,
         now: Time,
         out: &mut Vec<(PortId, Frame)>,
+    ) {
+        let mut drains = Vec::new();
+        self.process_packet(in_port, frame, port_count, pool, now, out, &mut drains);
+        for (ext, drain) in drains {
+            loop {
+                let (frame, more) = self.run_pass(ext, drain, pool);
+                out.extend(frame.map(|f| (drain.port, f)));
+                if !more {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Runs one pass of `drain`, charging it against the per-packet
+    /// budget. Returns the frame to send and whether more follow.
+    fn run_pass(&mut self, ext: ExternId, drain: Drain, pool: &FramePool) -> (Option<Frame>, bool) {
+        let pass = self.externs[ext.0].drain_pass(drain.token, pool);
+        self.stats.drain_passes += 1;
+        self.stats.max_ops_seen = self.stats.max_ops_seen.max(pass.ops);
+        if pass.ops > self.pipeline.resources().ops_per_packet {
+            self.stats.ops_violations += 1;
+        }
+        self.stats.extern_emissions += u64::from(pass.frame.is_some());
+        // A pass that sends nothing ends the drain, whatever it claims.
+        let more = pass.more && pass.frame.is_some();
+        (pass.frame, more)
+    }
+
+    /// Sends `item` out of `port` in order: at once when nothing is held
+    /// there, otherwise behind the drain in progress.
+    fn send_ordered(&mut self, ctx: &mut dyn Fabric, port: PortId, item: Held) {
+        let idle = self.ports.get(port.0).is_none_or(|o| o.held.is_empty());
+        match item {
+            Held::Frame(frame) if idle => ctx.send(port, frame),
+            item => {
+                if self.ports.len() <= port.0 {
+                    self.ports.resize_with(port.0 + 1, PortOut::default);
+                }
+                self.ports[port.0].held.push_back(item);
+                if idle {
+                    self.pump(ctx, port);
+                }
+            }
+        }
+    }
+
+    /// Sends what `port` holds until a drain has to wait for the port:
+    /// frames leave at once, a drain runs one pass whenever the port is
+    /// free and otherwise schedules a wake for when it will be.
+    fn pump(&mut self, ctx: &mut dyn Fabric, port: PortId) {
+        loop {
+            let Some(out) = self.ports.get_mut(port.0) else {
+                return;
+            };
+            let Some(head) = out.held.pop_front() else {
+                return;
+            };
+            let (ext, drain) = match head {
+                Held::Frame(frame) => {
+                    ctx.send(port, frame);
+                    continue;
+                }
+                Held::Drain(ext, drain) => (ext, drain),
+            };
+            let now = ctx.now();
+            let free_at = ctx.port_free_at(port);
+            if free_at > now {
+                out.held.push_front(Held::Drain(ext, drain));
+                if !out.wake_armed {
+                    out.wake_armed = true;
+                    ctx.schedule(free_at - now, PORT_WAKE | port.0 as u64);
+                }
+                return;
+            }
+            let (frame, more) = self.run_pass(ext, drain, ctx.pool());
+            if more {
+                self.ports[port.0].held.push_front(Held::Drain(ext, drain));
+            }
+            if let Some(frame) = frame {
+                ctx.send(port, frame);
+            }
+        }
+    }
+
+    /// Parses and runs one packet through the pipeline: frames to send
+    /// go to `out` (the extern emissions, then the packet itself), and
+    /// the drains the packet started to `drains`.
+    #[allow(clippy::too_many_arguments)]
+    fn process_packet(
+        &mut self,
+        in_port: PortId,
+        frame: Frame,
+        port_count: usize,
+        pool: &FramePool,
+        now: Time,
+        out: &mut Vec<(PortId, Frame)>,
+        drains: &mut Vec<(ExternId, Drain)>,
     ) {
         self.stats.packets_in += 1;
         self.port_count = port_count.max(self.port_count);
@@ -172,6 +311,7 @@ impl Switch {
             let verdict = self.pipeline.execute(&mut pkt, &mut self.externs, pool);
             self.stats.extern_emissions += verdict.emissions.len() as u64;
             out.extend(verdict.emissions);
+            drains.extend(verdict.drains);
 
             if verdict.recirculate && pkt.recircs < max_recirc {
                 pkt.recircs += 1;
@@ -223,9 +363,21 @@ impl Node for Switch {
         let port_count = ctx.port_count();
         let now = ctx.now();
         let mut out = std::mem::take(&mut self.scratch);
-        self.process_into(port, frame, port_count, ctx.pool(), now, &mut out);
+        let mut drains = Vec::new();
+        self.process_packet(
+            port,
+            frame,
+            port_count,
+            ctx.pool(),
+            now,
+            &mut out,
+            &mut drains,
+        );
         for (out_port, out_frame) in out.drain(..) {
-            ctx.send(out_port, out_frame);
+            self.send_ordered(ctx, out_port, Held::Frame(out_frame));
+        }
+        for (ext, drain) in drains {
+            self.send_ordered(ctx, drain.port, Held::Drain(ext, drain));
         }
         self.scratch = out;
         // A packet may have created time-based work (a new flow to watch).
@@ -237,6 +389,14 @@ impl Node for Switch {
     }
 
     fn on_timer(&mut self, ctx: &mut dyn Fabric, token: u64) {
+        if token >= PORT_WAKE {
+            let port = PortId((token - PORT_WAKE) as usize);
+            if let Some(out) = self.ports.get_mut(port.0) {
+                out.wake_armed = false;
+            }
+            self.pump(ctx, port);
+            return;
+        }
         let i = token as usize;
         let Some(ext) = self.externs.get_mut(i) else {
             return;
@@ -245,7 +405,7 @@ impl Node for Switch {
         let emissions = ext.on_tick(ctx.now(), ctx.pool());
         self.stats.extern_emissions += emissions.len() as u64;
         for (port, frame) in emissions {
-            ctx.send(port, frame);
+            self.send_ordered(ctx, port, Held::Frame(frame));
         }
         self.arm_ticks(ctx);
     }
@@ -266,6 +426,9 @@ impl Node for Switch {
         for armed in &mut self.tick_armed {
             *armed = false;
         }
+        // Held frames and drains sit in the switch's buffers, which a
+        // power cycle empties too; their wakes die with the node.
+        self.ports.clear();
     }
 
     fn on_revive(&mut self, ctx: &mut dyn Fabric) {
@@ -423,6 +586,188 @@ mod tests {
         // every tick's emission reached the sink.
         sim.run();
         assert_eq!(sim.node_ref::<Sink>(sink).unwrap().0, 3);
+    }
+
+    /// Frames per drain in the ordered-output tests.
+    const DRAIN_FRAMES: u8 = 6;
+
+    /// An extern that answers each steered packet with a drain of
+    /// `DRAIN_FRAMES` 400-byte frames out of port 1, tagged with the
+    /// steering argument (its "tree") and the frame's index.
+    #[derive(Default)]
+    struct Flusher {
+        /// Frames left per tree.
+        left: std::collections::HashMap<u64, u8>,
+    }
+
+    impl Flusher {
+        fn frame(&mut self, tree: u64, pool: &FramePool) -> (Frame, bool) {
+            let left = self.left.get_mut(&tree).expect("drain started");
+            let mut bytes = vec![DRAIN_FRAMES - *left; 400];
+            bytes[0] = tree as u8;
+            *left -= 1;
+            (pool.copy_from_slice(&bytes), *left > 0)
+        }
+    }
+
+    impl crate::pipeline::SwitchExtern for Flusher {
+        fn invoke(
+            &mut self,
+            _: &mut crate::pipeline::PacketCtx,
+            arg: u32,
+            pool: &FramePool,
+        ) -> crate::pipeline::ExternOutput {
+            let tree = u64::from(arg);
+            self.left.insert(tree, DRAIN_FRAMES);
+            let (first, more) = self.frame(tree, pool);
+            crate::pipeline::ExternOutput {
+                emit: vec![(PortId(1), first)],
+                consume: true,
+                ops: 1,
+                drain: more.then_some(Drain {
+                    port: PortId(1),
+                    token: tree,
+                }),
+            }
+        }
+
+        fn drain_pass(&mut self, token: u64, pool: &FramePool) -> crate::pipeline::DrainPass {
+            let (frame, more) = self.frame(token, pool);
+            crate::pipeline::DrainPass {
+                frame: Some(frame),
+                ops: 1,
+                more,
+            }
+        }
+    }
+
+    /// The same switch with the burst behaviour: every pass of a drain
+    /// runs inside the packet that started it and all of its frames are
+    /// handed to the port at once.
+    struct Burst(Switch);
+
+    impl Node for Burst {
+        fn on_packet(&mut self, ctx: &mut dyn Fabric, port: PortId, frame: Frame) {
+            let mut out = Vec::new();
+            let port_count = ctx.port_count();
+            self.0
+                .process_into(port, frame, port_count, ctx.pool(), ctx.now(), &mut out);
+            for (p, f) in out {
+                ctx.send(p, f);
+            }
+        }
+    }
+
+    /// Sends one frame to each `(time, dst host)` of its script.
+    struct Script(Vec<(u64, u32)>);
+
+    impl Node for Script {
+        fn on_packet(&mut self, _: &mut dyn Fabric, _: PortId, _: Frame) {}
+        fn on_start(&mut self, ctx: &mut dyn Fabric) {
+            for (i, &(at, _)) in self.0.iter().enumerate() {
+                ctx.schedule(daiet_fabric::Duration::from_nanos(at), i as u64);
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut dyn Fabric, token: u64) {
+            ctx.send(PortId(0), frame(1, self.0[token as usize].1));
+        }
+    }
+
+    /// Records every arrival as `(time, first byte, second byte)`.
+    #[derive(Default)]
+    struct Log(Vec<(Time, u8, u8)>);
+
+    impl Node for Log {
+        fn on_packet(&mut self, ctx: &mut dyn Fabric, _: PortId, frame: Frame) {
+            self.0.push((ctx.now(), frame[0], frame[1]));
+        }
+    }
+
+    /// Two drains (hosts 8 and 9 steer to trees 8 and 9) start on port 1
+    /// while a frame for host 2 arrives mid-drain, over `link`. Returns
+    /// what the receiver logged and the switch's stats.
+    fn run_drains(burst: bool, link: daiet_netsim::LinkSpec) -> (Vec<(Time, u8, u8)>, SwitchStats) {
+        use crate::pipeline::ActionSpec;
+        let mut pipeline = Pipeline::new(Resources::tofino_like());
+        let h = pipeline
+            .add_table(0, Table::new("steer", Field::EthDst, 16, ActionSpec::Drop))
+            .unwrap();
+        let mac = |id: u32| daiet_wire::EthernetAddress::from_id(id).0;
+        let table = pipeline.table_mut(h);
+        table
+            .insert(&mac(2), ActionSpec::Forward(PortId(1)))
+            .unwrap();
+        for tree in [8, 9] {
+            table
+                .insert(
+                    &mac(tree),
+                    ActionSpec::Invoke {
+                        ext: ExternId(0),
+                        arg: tree,
+                    },
+                )
+                .unwrap();
+        }
+        let mut sw = Switch::new("drainer", pipeline);
+        sw.register_extern(Box::new(Flusher::default()));
+
+        let mut sim = daiet_netsim::Simulator::new(5);
+        let src = sim.add_node(Box::new(Script(vec![(0, 8), (500, 9), (1_000, 2)])));
+        let dst = sim.add_node(Box::new(Log::default()));
+        let sw_id = if burst {
+            sim.add_node(Box::new(Burst(sw)))
+        } else {
+            sim.add_node(Box::new(sw))
+        };
+        sim.connect(src, sw_id, link);
+        sim.connect(sw_id, dst, link);
+        sim.run();
+        let stats = if burst {
+            sim.node_ref::<Burst>(sw_id).unwrap().0.stats()
+        } else {
+            sim.node_ref::<Switch>(sw_id).unwrap().stats()
+        };
+        (
+            std::mem::take(&mut sim.node_mut::<Log>(dst).unwrap().0),
+            stats,
+        )
+    }
+
+    /// Paced passes keep every frame where the burst put it: two drains
+    /// onto one port and a frame forwarded mid-drain arrive in the
+    /// burst's order at the burst's instants, with one pass per frame
+    /// after each drain's first.
+    #[test]
+    fn paced_drains_deliver_exactly_as_the_burst() {
+        let link = daiet_netsim::LinkSpec::fast();
+        let (burst, _) = run_drains(true, link);
+        let (paced, stats) = run_drains(false, link);
+        let order: Vec<(u8, u8)> = paced.iter().map(|&(_, a, b)| (a, b)).collect();
+        let mut expect: Vec<(u8, u8)> = Vec::new();
+        for tree in [8, 9] {
+            expect.extend((0..DRAIN_FRAMES).map(|i| (tree, i)));
+        }
+        // The forwarded frame queued behind both drains (its first byte
+        // is host 2's MAC).
+        let fwd = frame(1, 2);
+        expect.push((fwd[0], fwd[1]));
+        assert_eq!(order, expect);
+        assert_eq!(paced, burst, "a delivery moved");
+        assert_eq!(stats.drain_passes, 2 * u64::from(DRAIN_FRAMES - 1));
+        assert_eq!(stats.extern_emissions, 2 * u64::from(DRAIN_FRAMES));
+        assert_eq!(stats.ops_violations, 0);
+    }
+
+    /// The point of pacing: the port's queue never holds a drain. On a
+    /// queue that fits two frames the burst loses most of its drains;
+    /// the paced switch delivers every frame.
+    #[test]
+    fn paced_drains_fit_a_shallow_queue() {
+        let link = daiet_netsim::LinkSpec::fast().with_queue_bytes(1_000);
+        let (burst, _) = run_drains(true, link);
+        let (paced, _) = run_drains(false, link);
+        assert_eq!(paced.len(), 2 * usize::from(DRAIN_FRAMES) + 1);
+        assert!(burst.len() < paced.len(), "the burst overflowed no queue");
     }
 
     #[test]

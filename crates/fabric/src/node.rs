@@ -109,6 +109,19 @@ pub trait Fabric {
 
     /// Number of ports connected to this node.
     fn port_count(&self) -> usize;
+
+    /// When `port` has finished sending everything handed to it so far:
+    /// the instant a frame sent there would start on the wire. A node
+    /// that paces its output (a switch draining its registers one frame
+    /// per pass) wakes at this instant to send the next frame, so the
+    /// frame departs exactly when it would have behind a burst.
+    ///
+    /// The default is [`now`](Fabric::now): a backend with no model of
+    /// its own transmitters (sockets hand frames to the kernel at once)
+    /// reports every port free, and paced output runs back to back.
+    fn port_free_at(&self, _port: PortId) -> Time {
+        self.now()
+    }
 }
 
 /// Subtracts monotonic counters, loudly: fabric counters only ever grow,
@@ -175,6 +188,8 @@ mod tests {
         echo.on_packet(&mut fab, PortId(0), Frame::from_slice(b"ping"));
         assert_eq!(fab.sent.len(), 1);
         assert_eq!(&fab.sent[0].1[..], b"ping");
+        // A backend with no transmitter model reports every port free.
+        assert_eq!(fab.port_free_at(PortId(0)), Time(7));
     }
 
     #[test]

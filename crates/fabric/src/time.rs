@@ -76,10 +76,18 @@ impl Duration {
 
     /// The wire time for `bytes` at `bits_per_sec`, rounded up to a whole
     /// nanosecond so transmission never takes zero time.
+    ///
+    /// Every link transmission calls this, so the common case stays in
+    /// `u64`: `bytes · 8 · 10⁹` fits for any frame up to about 2.3 GB,
+    /// and only larger inputs take the 128-bit division (a runtime call,
+    /// not an instruction). Both paths round identically.
     pub fn for_bytes(bytes: usize, bits_per_sec: u64) -> Duration {
-        let bits = bytes as u128 * 8;
-        let ns = (bits * 1_000_000_000).div_ceil(bits_per_sec as u128);
-        Duration(ns as u64)
+        const BIT_NS: u64 = 8 * 1_000_000_000;
+        let ns = match (bytes as u64).checked_mul(BIT_NS) {
+            Some(bit_ns) => bit_ns.div_ceil(bits_per_sec),
+            None => (bytes as u128 * u128::from(BIT_NS)).div_ceil(u128::from(bits_per_sec)) as u64,
+        };
+        Duration(ns)
     }
 
     /// Scales the duration by an integer factor.
@@ -161,6 +169,42 @@ mod tests {
             Duration::for_bytes(1, 1_000_000_000_000),
             Duration::from_nanos(1)
         );
+    }
+
+    /// The `u64` fast path agrees bit for bit with the 128-bit formula
+    /// over every frame size at the usual line rates, and at the edges
+    /// where the product stops fitting in `u64`.
+    #[test]
+    fn wire_time_fast_path_matches_wide_formula() {
+        fn wide(bytes: usize, bps: u64) -> Duration {
+            let ns = (bytes as u128 * 8 * 1_000_000_000).div_ceil(u128::from(bps));
+            Duration(ns as u64)
+        }
+        let rates = [
+            1_000_000_000,
+            10_000_000_000,
+            40_000_000_000,
+            100_000_000_000,
+        ];
+        for bps in rates {
+            for bytes in 0..=65_535 {
+                assert_eq!(
+                    Duration::for_bytes(bytes, bps),
+                    wide(bytes, bps),
+                    "{bytes} B at {bps}"
+                );
+            }
+        }
+        let fits = (u64::MAX / 8_000_000_000) as usize;
+        for bytes in [fits - 1, fits, fits + 1, usize::MAX / 2, usize::MAX] {
+            for bps in [1, 3, 1_000_000_007, u64::MAX].into_iter().chain(rates) {
+                assert_eq!(
+                    Duration::for_bytes(bytes, bps),
+                    wide(bytes, bps),
+                    "{bytes} B at {bps}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -372,6 +372,16 @@ impl PortTable {
         self.links.len()
     }
 
+    /// When the transmitter of `(node, port)` goes idle: the instant the
+    /// last frame handed to it finishes serializing (in the past when it
+    /// is idle already).
+    pub(crate) fn busy_until(&self, node: NodeId, port: PortId) -> SimTime {
+        let (idx, dir) = self
+            .endpoint(node, port)
+            .unwrap_or_else(|| panic!("node {node:?} asked about unconnected port {port:?}"));
+        self.links[idx].dirs[dir].busy_until
+    }
+
     /// Hands a frame to the egress queue of `(node, port)`.
     pub(crate) fn transmit(
         &mut self,

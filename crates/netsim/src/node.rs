@@ -124,6 +124,13 @@ impl Context<'_> {
         self.ports.port_count(self.node)
     }
 
+    /// When `port`'s link direction has finished serializing every frame
+    /// handed to it: its transmitter's `busy_until`, or now if that lies
+    /// in the past.
+    pub fn port_free_at(&self, port: PortId) -> SimTime {
+        self.ports.busy_until(self.node, port).max(self.now)
+    }
+
     /// This node's private deterministic random stream, derived from the
     /// simulation seed and the node id. Streams are per-node (never
     /// shared) so one node's draws cannot shift another's.
@@ -159,5 +166,9 @@ impl Fabric for Context<'_> {
 
     fn port_count(&self) -> usize {
         Context::port_count(self)
+    }
+
+    fn port_free_at(&self, port: PortId) -> SimTime {
+        Context::port_free_at(self, port)
     }
 }

@@ -377,6 +377,40 @@ mod tests {
         }
     }
 
+    /// `port_free_at` is the transmitter's `busy_until`: two 1 250-byte
+    /// frames at 10 Gb/s hold the port for 2 µs; later it reads now.
+    #[test]
+    fn port_free_at_tracks_the_transmitter() {
+        #[derive(Default)]
+        struct Probe(Vec<(SimTime, SimTime)>);
+        impl Node for Probe {
+            fn on_packet(&mut self, _: &mut dyn Fabric, _: PortId, _: Frame) {}
+            fn on_start(&mut self, ctx: &mut dyn Fabric) {
+                for _ in 0..2 {
+                    ctx.send(PortId(0), Frame::from(vec![0u8; 1_250]));
+                }
+                self.0.push((ctx.now(), ctx.port_free_at(PortId(0))));
+                ctx.schedule(SimDuration::from_micros(5), 0);
+            }
+            fn on_timer(&mut self, ctx: &mut dyn Fabric, _: u64) {
+                self.0.push((ctx.now(), ctx.port_free_at(PortId(0))));
+            }
+        }
+        let mut sim = Simulator::new(1);
+        let a = sim.add_node(Box::new(Probe::default()));
+        let b = sim.add_node(Box::new(Sink::default()));
+        sim.connect(a, b, LinkSpec::fast());
+        sim.run();
+        let seen = &sim.node_ref::<Probe>(a).unwrap().0;
+        assert_eq!(
+            seen,
+            &[
+                (SimTime(0), SimTime(2_000)),
+                (SimTime(5_000), SimTime(5_000))
+            ]
+        );
+    }
+
     #[test]
     fn frames_flow_end_to_end() {
         let mut sim = Simulator::new(42);

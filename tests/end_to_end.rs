@@ -215,3 +215,53 @@ fn one_shot_runners_reproduce_their_golden_outcomes() {
         assert_eq!(got, want, "{mode:?}");
     }
 }
+
+/// Algorithm 1 fits the switch it claims to run on (ROADMAP item 7): a
+/// WordCount round at 1 024 words per reducer on a one-switch star (24
+/// mappers, 12 reducers) flushes about 100 frames per tree, and no packet
+/// or flush pass may spend more than `tofino_like`'s per-packet budget.
+/// A flush drained inside its END packet spent about 2 k ops here.
+#[test]
+fn flush_fits_the_per_packet_op_budget() {
+    use daiet_repro::daiet::tenant::{run_solo, JobScheduler, MixOptions, TenantSpec};
+    use daiet_repro::daiet::DaietConfig;
+    use daiet_repro::mapreduce::WordCountTenant;
+    use daiet_repro::netsim::LinkSpec;
+
+    let cells = 4096;
+    let spec = CorpusSpec {
+        register_cells: cells,
+        ..CorpusSpec::paper_scaled(12 * 1024, 5)
+    };
+    let plan = TopologyPlan::star(36, LinkSpec::fast());
+    let hosts = plan.hosts();
+    let config = DaietConfig {
+        register_cells: cells,
+        ..DaietConfig::default()
+    };
+    let fabric = TenantSpec::new(
+        config,
+        plan.clone(),
+        hosts[..24].to_vec(),
+        hosts[24..].to_vec(),
+    );
+    let mut sched = JobScheduler::build(fabric).expect("the star builds");
+    run_solo(
+        &mut sched,
+        Box::new(WordCountTenant::new(&spec)),
+        &MixOptions::default(),
+    )
+    .expect("the round completes exactly");
+    let stats = sched.switch(plan.switches()[0]).stats();
+    let budget = sched.spec().resources.ops_per_packet;
+    assert_eq!(stats.ops_violations, 0, "{stats:?}");
+    assert!(
+        stats.max_ops_seen <= budget,
+        "{} ops on one pass or packet",
+        stats.max_ops_seen
+    );
+    assert!(
+        stats.drain_passes > 12 * 100,
+        "the flush ran as passes: {stats:?}"
+    );
+}

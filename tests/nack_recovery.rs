@@ -20,7 +20,7 @@ use daiet_repro::mapreduce::runner::{Runner, ShuffleMode};
 use daiet_repro::mapreduce::wordcount::{Corpus, CorpusSpec};
 use daiet_repro::netsim::topology::TopologyPlan;
 use daiet_repro::netsim::{
-    FaultDecision, FaultProfile, LinkScript, LinkSpec, NodeId, SimDuration, Simulator,
+    FaultDecision, FaultProfile, LinkScript, LinkSpec, NodeId, SimDuration, SimTime, Simulator,
 };
 use daiet_repro::wire::daiet::{Key, Pair};
 
@@ -129,6 +129,108 @@ fn flush_loss_is_recovered_with_nacks() {
     assert_eq!(o.distinct_keys, N_MAPPERS * KEYS_PER_MAPPER);
     assert!(o.nacks_from_reducer > 0, "recovery must have gone through the NACK path");
     assert!(o.frames_replayed > 0, "the switch must have replayed from its ring");
+}
+
+/// Runs [`wire_star`] at `keys` keys per mapper with the `nth` frame the
+/// switch sends the reducer dropped. Returns whether the result is
+/// exact, the NACKs the switch took, the frames it replayed, and whether
+/// the first replay after the flush began found it still holding cells
+/// (a NACK answered mid-drain).
+fn run_drain_loss(keys: usize, nth: usize, nack_timeout_ns: u64) -> (bool, u64, u64, bool) {
+    let config = DaietConfig {
+        register_cells: 16_384,
+        nack_recovery: true,
+        nack_timeout_ns,
+        ..DaietConfig::default()
+    }
+    .with_rtx_sized_for_flush();
+    let (mut sim, ids, dep) = wire_star(config, keys);
+    sim.script_link(
+        N_MAPPERS,
+        1,
+        LinkScript::nth_frame(nth, FaultDecision::Drop),
+    );
+    let sw_slot = N_MAPPERS + 1;
+    let engine = |sim: &Simulator| {
+        sim.node_ref::<Switch>(ids[sw_slot])
+            .unwrap()
+            .extern_ref::<DaietEngine>(dep.engine_externs[&sw_slot])
+            .map(|e| (e.stats(), e.pairs_held(dep.tree_id(0)).unwrap_or(0)))
+            .expect("the switch carries a DaietEngine")
+    };
+    // Step until the switch first replays after its flush began (the
+    // reducer probes idle flows before that), and look at what the flush
+    // still held then.
+    let (mut nack_mid_drain, mut replayed_before) = (false, 0);
+    for step in 1..=10_000 {
+        sim.run_until(SimTime(step * 100));
+        let (stats, held) = engine(&sim);
+        if stats.flushes == 0 {
+            replayed_before = stats.frames_replayed;
+        } else if stats.frames_replayed > replayed_before {
+            nack_mid_drain = held > 0;
+            break;
+        }
+    }
+    sim.run();
+    let r = sim.node_ref::<ReducerHost>(ids[N_MAPPERS]).unwrap();
+    let mut correct = r.collector.is_complete();
+    for slot in 0..N_MAPPERS {
+        for i in 0..keys {
+            let k = Key::from_str_key(&format!("m{slot}k{i}")).unwrap();
+            correct &= r.collector.get(&k) == Some(1 + i as u32);
+        }
+    }
+    let (stats, _) = engine(&sim);
+    (
+        correct,
+        stats.nacks_in,
+        stats.frames_replayed,
+        nack_mid_drain,
+    )
+}
+
+/// A NACK for a flush in progress: a register frame of an 88-frame flush
+/// (852 cells, one spillover chunk, the END) is lost, and the reducer's
+/// prompt NACK reaches the switch while the flush is still leaving. The
+/// switch answers from the frames it has already sent, the lost one
+/// among them, and sends the rest once, with the drain; the result is
+/// exact. Answering a tail NACK from the whole flush would replay most
+/// of its 88 frames, every NACK of the run together replays fewer than
+/// half.
+#[test]
+fn nack_for_a_flush_in_progress_replays_only_sent_frames() {
+    let (correct, nacks_in, replayed, mid_drain) = run_drain_loss(300, 10, 5_000);
+    assert!(
+        mid_drain,
+        "no NACK was answered mid-drain: the test proves nothing"
+    );
+    assert!(
+        correct,
+        "recovery mid-drain must restore the exact aggregate"
+    );
+    assert!(nacks_in > 0);
+    assert!(
+        (1..44).contains(&replayed),
+        "replayed {replayed} frames: only frames already sent may be replayed"
+    );
+}
+
+/// The END a drain ends with is lost: the reducer holds every pair but
+/// no END, NACKs the tail, and the switch replays the END from its ring.
+#[test]
+fn flush_end_lost_mid_drain_is_recovered_by_a_tail_nack() {
+    // 12 keys per mapper: 36 cells leave as 4 DATA frames, then the END.
+    let (correct, nacks_in, replayed, _) = run_drain_loss(KEYS_PER_MAPPER, 4, 5_000);
+    assert!(correct, "the replayed END must complete the round exactly");
+    assert!(
+        nacks_in > 0,
+        "recovery must have gone through the NACK path"
+    );
+    assert!(
+        replayed >= 1,
+        "the switch must have replayed the END from its ring"
+    );
 }
 
 /// Prompt NACKs: a **mid-round spillover** frame is dropped while the
