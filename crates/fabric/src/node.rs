@@ -11,8 +11,8 @@
 //! the simulator's dispatch context) and under the real-time UDP backend
 //! (this crate's [`NodeDriver`](crate::NodeDriver), where `send` writes a
 //! datagram to a nonblocking socket and `schedule` arms a slot in a timer
-//! wheel). The trait is deliberately minimal: five methods, no
-//! backend-specific escape hatch.
+//! wheel). The trait is deliberately minimal: five required methods and
+//! one defaulted (`port_free_at`), no backend-specific escape hatch.
 
 use crate::frame::{Frame, FramePool};
 use crate::time::{Duration, Time};
