@@ -23,11 +23,11 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use daiet::controller::{AggregationMode, Controller, JobPlacement};
-use daiet::loopback::{wall_clock_config, LoopbackJob, ReducerReport};
+use daiet::loopback::{wall_clock_config, LoopbackJob};
 use daiet::{AggFn, DaietConfig};
 use daiet_bench::arg;
 use daiet_dataplane::Resources;
-use daiet_fabric::{run_cluster, Duration, FaultShim};
+use daiet_fabric::{Duration, FaultShim};
 use daiet_netsim::topology::TopologyPlan;
 use daiet_netsim::LinkSpec;
 use daiet_wire::daiet::{Key, Pair};
@@ -83,10 +83,14 @@ fn main() {
         }
     }
 
-    let mut specs = job.specs(shards, Duration::from_micros(50), 1);
-    if loss_pct > 0 {
-        specs[switch_slot].shim = FaultShim::seeded(seed, loss_pct as f64 / 100.0, 0.0);
-    }
+    let specs = job.specs(shards, Duration::from_micros(50), 1);
+    let shim_for = |slot: usize| {
+        if loss_pct > 0 && slot == switch_slot {
+            FaultShim::seeded(seed, loss_pct as f64 / 100.0, 0.0)
+        } else {
+            FaultShim::none()
+        }
+    };
 
     eprintln!(
         "loadgen: {flows} flows x {pairs_per_flow} pairs over {workers} workers, \
@@ -95,16 +99,15 @@ fn main() {
     // lint:allow(det-clock): loadgen measures real wall-clock throughput of the
     // UDP backend; the timing is reported, never fed back into the protocol.
     let t0 = Instant::now();
-    let out = run_cluster(specs, &job.links(), std::time::Duration::from_secs(120));
+    let out = job.run_sockets(specs, shim_for, std::time::Duration::from_secs(120));
     let wall = t0.elapsed();
 
     let mut correct = true;
     let mut nacks = 0u64;
-    for (r, &slot) in job.placement().reducers.iter().enumerate() {
-        let report = out[slot].result.downcast_ref::<ReducerReport>().expect("reducer report");
+    for (r, report) in out.reports.iter().enumerate() {
         nacks += report.nacks_emitted;
         let got: Vec<(String, u32)> =
-            report.pairs.iter().map(|(k, v)| (k.display_lossy(), *v)).collect();
+            report.trees[0].iter().map(|(k, v)| (k.display_lossy(), *v)).collect();
         let want: Vec<(String, u32)> =
             truth[r].iter().map(|(k, &v)| (k.clone(), v)).collect();
         if !report.complete || got != want {
@@ -112,9 +115,8 @@ fn main() {
             correct = false;
         }
     }
-    let frames_out: u64 = out.iter().map(|o| o.stats.frames_out).sum();
-    let bytes_out: u64 = out.iter().map(|o| o.stats.bytes_out).sum();
-    let dropped: u64 = out.iter().map(|o| o.stats.shim_dropped).sum();
+    let frames_out: u64 = out.driver_stats.iter().map(|s| s.frames_out).sum();
+    let bytes_out: u64 = out.driver_stats.iter().map(|s| s.bytes_out).sum();
 
     println!("# daiet-loadgen");
     println!("{:>16}  {:>12}", "metric", "value");
@@ -124,7 +126,7 @@ fn main() {
     println!("{:>16}  {:>12.0}", "flows_per_sec", flows as f64 / wall.as_secs_f64());
     println!("{:>16}  {:>12}", "frames_sent", frames_out);
     println!("{:>16}  {:>12}", "bytes_sent", bytes_out);
-    println!("{:>16}  {:>12}", "shim_dropped", dropped);
+    println!("{:>16}  {:>12}", "shim_dropped", out.shim_dropped);
     println!("{:>16}  {:>12}", "nacks", nacks);
     println!("{:>16}  {:>12}", "correct", correct);
     if !correct {

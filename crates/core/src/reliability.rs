@@ -12,8 +12,7 @@
 //! request covering a possibly-lost END). Hosts rebuild what is asked for
 //! from the round's retained pairs (fixed-size, so by offset); switches
 //! replay recently flushed aggregates from a bounded, SRAM-accounted
-//! [`RetransmitRing`]. [`NackEndpoint`] and [`ReceiverGuard`] package the
-//! host side.
+//! [`RetransmitRing`]. [`ReceiverGuard`] packages the host side.
 //!
 //! Aggregation is *not idempotent* — replaying a DATA packet double-counts
 //! its pairs, and replaying an END corrupts the child counter — so the
@@ -171,8 +170,8 @@ impl DedupWindow {
 /// Serializes the NACK frames for `req` — chunked per
 /// [`NackRequest::for_each_frame`], addressed per `ep` — handing each
 /// finished frame to `sink` and returning how many were built. The
-/// **single** wire-construction path for NACKs: host endpoints
-/// ([`NackEndpoint::build_nacks`]) and the switch engine both delegate
+/// **single** wire-construction path for NACKs: host receivers
+/// ([`ReceiverGuard::on_timer`]) and the switch engine both delegate
 /// here, so their wire behaviour cannot drift.
 pub fn build_nack_frames(
     ep: &Endpoints,
@@ -460,7 +459,7 @@ impl FlowRecv {
 /// t.note(1, 7, 0, false, Time(10));
 /// t.note(1, 7, 2, false, Time(20));
 /// t.note(1, 7, 3, true, Time(30));
-/// assert!(t.wants_attention(8));
+/// assert!(t.wants_attention());
 /// // After the timeout, exactly one NACK is due, naming the gap.
 /// let mut due = Vec::new();
 /// t.for_each_due(Time(100_000), Duration::from_nanos(50), 8, |tree, child, req| {
@@ -474,7 +473,7 @@ impl FlowRecv {
 /// assert!(!req.tail, "the END was seen; only the interior gap is missing");
 /// // Once seq 1 is retransmitted the flow is satisfied and goes quiet.
 /// t.note(1, 7, 1, false, Time(200_000));
-/// assert!(!t.wants_attention(8));
+/// assert!(!t.wants_attention());
 /// ```
 #[derive(Debug)]
 pub struct NackTracker {
@@ -633,10 +632,10 @@ impl NackTracker {
     /// True while any flow is incomplete and still has NACK budget —
     /// i.e. while a timer tick could produce work. Drives timer re-arming
     /// so an idle tracker costs no events. O(1): consulted per packet, so
-    /// it must not rescan the flow table (`_max_nacks` is the same budget
-    /// passed to [`for_each_due`](Self::for_each_due), kept for API
-    /// symmetry — the budget must be constant across a tracker's life).
-    pub fn wants_attention(&self, _max_nacks: u32) -> bool {
+    /// it must not rescan the flow table. The budget is the one passed to
+    /// [`for_each_due`](Self::for_each_due), which must stay constant
+    /// across a tracker's life.
+    pub fn wants_attention(&self) -> bool {
         self.needy > 0
     }
 
@@ -809,107 +808,31 @@ impl RetransmitRing {
     }
 }
 
-/// The host-side NACK recovery driver shared by every DAIET receiver node
-/// (`daiet::worker::ReducerHost`, the querysim coordinator): a
-/// [`NackTracker`] plus the addressing and pacing needed to turn due
-/// flows into wire frames on a timer tick.
-#[derive(Debug)]
-pub struct NackEndpoint {
-    tracker: NackTracker,
-    self_id: u32,
-    timeout: Duration,
-    max_nacks: u32,
-    ranges_per_packet: usize,
-    /// NACK frames actually emitted.
-    pub nacks_emitted: u64,
-}
-
-impl NackEndpoint {
-    /// A driver for the host with simulator id `self_id`, NACKing flows
-    /// idle for `timeout` at most `max_nacks` times, packing at most
-    /// `ranges_per_packet` ranges into one frame.
-    pub fn new(
-        self_id: u32,
-        timeout: Duration,
-        max_nacks: u32,
-        ranges_per_packet: usize,
-    ) -> NackEndpoint {
-        NackEndpoint {
-            tracker: NackTracker::new(),
-            self_id,
-            timeout,
-            max_nacks,
-            ranges_per_packet: ranges_per_packet.max(1),
-            nacks_emitted: 0,
-        }
-    }
-
-    /// Seeds the roster (see [`NackTracker::expect`]).
-    pub fn expect(&mut self, tree: u16, child: u32) {
-        self.tracker.expect(tree, child);
-    }
-
-    /// Records a received DATA/END preamble from `src`, returning `false`
-    /// exactly when the frame is a known duplicate the caller must drop
-    /// (the tracker's reception bitmap is the duplicate filter — replays
-    /// stay idempotent without a second per-packet flow lookup). Non-DATA/END
-    /// types and sources outside the simulator's `10/8` id scheme are not
-    /// tracked and read as fresh.
-    pub fn note(&mut self, hdr: &Header, src: Ipv4Address, now: Time) -> bool {
-        let is_end = match hdr.packet_type {
-            PacketType::Data => false,
-            PacketType::End => true,
-            _ => return true,
-        };
-        let Some(child) = src.host_id() else { return true };
-        self.tracker.note(hdr.tree_id, child, hdr.seq, is_end, now)
-    }
-
-    /// The tracker (for statistics).
-    pub fn tracker(&self) -> &NackTracker {
-        &self.tracker
-    }
-
-    /// True while a timer should stay armed.
-    pub fn wants_tick(&self) -> bool {
-        self.tracker.wants_attention(self.max_nacks)
-    }
-
-    /// The tick period (equal to the NACK timeout).
-    pub fn tick_interval(&self) -> Duration {
-        self.timeout
-    }
-
-    /// Builds the NACK frames due at `now` into `out`, addressed from
-    /// this host to each delinquent child. Long range lists are split
-    /// across frames; the tail request rides only the first (a duplicate
-    /// tail would merely cause idempotent re-replays anyway).
-    pub fn build_nacks(&mut self, now: Time, pool: &FramePool, out: &mut Vec<Frame>) {
-        let self_id = self.self_id;
-        let ranges_per_packet = self.ranges_per_packet;
-        let mut emitted = 0u64;
-        self.tracker.for_each_due(now, self.timeout, self.max_nacks, |tree, child, req| {
-            let ep = Endpoints::from_ids(self_id, child);
-            emitted += build_nack_frames(&ep, tree, &req, ranges_per_packet, pool, |f| {
-                out.push(f);
-            });
-        });
-        self.nacks_emitted += emitted;
-    }
-}
-
 /// The receive-side reliability front door shared by every DAIET host
-/// receiver ([`ReducerHost`](crate::worker::ReducerHost), the querysim
-/// coordinator): an optional [`NackEndpoint`] and the lazily-armed-timer
-/// discipline, in one place so the workloads cannot drift.
+/// receiver ([`ReducerHost`](crate::worker::ReducerHost),
+/// [`MultiTreeHost`](crate::worker::MultiTreeHost)): the host's NACK
+/// driver — a [`NackTracker`] plus the addressing, timeout and budget
+/// that turn due flows into wire frames — and the lazily-armed-timer
+/// discipline, in one place so the receivers cannot drift.
 ///
-/// Usage from a [`daiet_netsim::Node`]: call [`admit`](Self::admit) on
+/// Usage from a [`daiet_fabric::Node`]: call [`admit`](Self::admit) on
 /// every received DAIET preamble and drop the frame when it returns
 /// `false`; call [`arm`](Self::arm) after processing (and from
 /// `on_start`); delegate `on_timer` to [`on_timer`](Self::on_timer).
 #[derive(Debug, Default)]
 pub struct ReceiverGuard {
-    nack: Option<NackEndpoint>,
+    /// `None` until [`arm_nack_recovery`](Self::arm_nack_recovery): no
+    /// suppression, no recovery.
+    tracker: Option<NackTracker>,
+    /// This host's id, the source address of its NACKs.
+    self_id: u32,
+    /// NACK timeout, which is also the tick period.
+    timeout: Duration,
+    /// NACKs per flow before it is given up.
+    max_nacks: u32,
+    /// Ranges packed into one NACK frame.
+    ranges_per_packet: usize,
+    nacks_emitted: u64,
     tick_armed: bool,
 }
 
@@ -919,9 +842,11 @@ impl ReceiverGuard {
         ReceiverGuard::default()
     }
 
-    /// Arms NACK recovery for the host with simulator id `self_id`,
-    /// watching one flow per `(tree, source)` in `sources` and NACKing
-    /// delinquent ones per `config`'s timeout and budget. The tracker's
+    /// Arms NACK recovery for the host with id `self_id`, watching one
+    /// flow per `(tree, source)` in `sources` (see
+    /// [`NackTracker::expect`]) and NACKing flows idle for `config`'s
+    /// timeout at most `config.nack_max` times, at most
+    /// `config.pairs_per_packet` ranges to a frame. The tracker's
     /// reception bitmaps double as the duplicate filter, so replays stay
     /// idempotent.
     pub fn arm_nack_recovery(
@@ -930,33 +855,37 @@ impl ReceiverGuard {
         config: &crate::DaietConfig,
         sources: impl IntoIterator<Item = (u16, u32)>,
     ) {
-        let mut ep = NackEndpoint::new(
-            self_id,
-            Duration::from_nanos(config.nack_timeout_ns),
-            config.nack_max,
-            config.pairs_per_packet,
-        );
+        let mut tracker = NackTracker::new();
         for (tree, child) in sources {
-            ep.expect(tree, child);
+            tracker.expect(tree, child);
         }
-        self.nack = Some(ep);
+        *self = ReceiverGuard {
+            tracker: Some(tracker),
+            self_id,
+            timeout: Duration::from_nanos(config.nack_timeout_ns),
+            max_nacks: config.nack_max,
+            ranges_per_packet: config.pairs_per_packet.max(1),
+            nacks_emitted: 0,
+            tick_armed: self.tick_armed,
+        };
     }
 
     /// The admission gate: `true` when the frame is fresh and must be
     /// processed, `false` for a known duplicate the caller drops (the
     /// NACK timer is re-armed either way — a duplicate can be the first
-    /// sign a flow needs chasing).
-    pub fn admit(
-        &mut self,
-        hdr: &Header,
-        src: Ipv4Address,
-        ctx: &mut dyn Fabric,
-    ) -> bool {
-        if let Some(nack) = self.nack.as_mut() {
-            if !nack.note(hdr, src, ctx.now()) {
-                self.arm(ctx);
-                return false;
-            }
+    /// sign a flow needs chasing). Non-DATA/END types and sources outside
+    /// the `10/8` host-id scheme are not tracked and read as fresh.
+    pub fn admit(&mut self, hdr: &Header, src: Ipv4Address, ctx: &mut dyn Fabric) -> bool {
+        let Some(tracker) = self.tracker.as_mut() else { return true };
+        let is_end = match hdr.packet_type {
+            PacketType::Data => false,
+            PacketType::End => true,
+            _ => return true,
+        };
+        let Some(child) = src.host_id() else { return true };
+        if !tracker.note(hdr.tree_id, child, hdr.seq, is_end, ctx.now()) {
+            self.arm(ctx);
+            return false;
         }
         true
     }
@@ -965,20 +894,27 @@ impl ReceiverGuard {
     /// satisfied tracker schedules nothing, so an idle guard costs no
     /// events.
     pub fn arm(&mut self, ctx: &mut dyn Fabric) {
-        if let Some(nack) = self.nack.as_ref() {
-            if !self.tick_armed && nack.wants_tick() {
-                self.tick_armed = true;
-                ctx.schedule(nack.tick_interval(), 0);
-            }
+        if !self.tick_armed && self.tracker.as_ref().is_some_and(NackTracker::wants_attention) {
+            self.tick_armed = true;
+            ctx.schedule(self.timeout, 0);
         }
     }
 
-    /// Timer callback: emits the due NACK frames on port 0 and re-arms.
+    /// Timer callback: sends the NACK frames due now on port 0, each
+    /// addressed from this host to a delinquent child, and re-arms. Long
+    /// range lists are split across frames; the tail request rides only
+    /// the first.
     pub fn on_timer(&mut self, ctx: &mut dyn Fabric) {
         self.tick_armed = false;
-        if let Some(nack) = self.nack.as_mut() {
+        if let Some(tracker) = self.tracker.as_mut() {
+            let (self_id, ranges_per_packet) = (self.self_id, self.ranges_per_packet);
             let mut frames = Vec::new();
-            nack.build_nacks(ctx.now(), ctx.pool(), &mut frames);
+            let pool = ctx.pool();
+            tracker.for_each_due(ctx.now(), self.timeout, self.max_nacks, |tree, child, req| {
+                let ep = Endpoints::from_ids(self_id, child);
+                build_nack_frames(&ep, tree, &req, ranges_per_packet, pool, |f| frames.push(f));
+            });
+            self.nacks_emitted += frames.len() as u64;
             for f in frames {
                 ctx.send(PortId(0), f);
             }
@@ -989,12 +925,12 @@ impl ReceiverGuard {
     /// Frames the gap tracker's bitmaps suppressed as duplicates (0
     /// without recovery).
     pub fn duplicates_suppressed(&self) -> u64 {
-        self.nack.as_ref().map_or(0, |n| n.tracker().duplicates)
+        self.tracker.as_ref().map_or(0, |t| t.duplicates)
     }
 
     /// NACK frames emitted (0 without recovery).
     pub fn nacks_emitted(&self) -> u64 {
-        self.nack.as_ref().map_or(0, |n| n.nacks_emitted)
+        self.nacks_emitted
     }
 
     /// True when NACK recovery owes nothing — every tracked flow gapless
@@ -1003,7 +939,7 @@ impl ReceiverGuard {
     /// rely on this staying `false` for flows that exhausted their NACK
     /// budget with data still missing.
     pub fn all_satisfied(&self) -> bool {
-        self.nack.as_ref().is_none_or(|n| n.tracker().all_satisfied())
+        self.tracker.as_ref().is_none_or(NackTracker::all_satisfied)
     }
 }
 
@@ -1273,10 +1209,10 @@ mod tests {
         // Budget of 3: the 4th and 5th ticks find the flow exhausted.
         assert_eq!(fired, 3);
         assert_eq!(t.flows_given_up, 1);
-        assert!(!t.wants_attention(3));
+        assert!(!t.wants_attention());
         // Fresh data resets the budget.
         t.note(1, 9, 0, false, Time(10_000));
-        assert!(t.wants_attention(3));
+        assert!(t.wants_attention());
     }
 
     #[test]
@@ -1301,7 +1237,7 @@ mod tests {
         let mut t = NackTracker::with_capacity(2);
         t.expect(1, 7);
         t.expect(2, 7);
-        assert!(t.wants_attention(8));
+        assert!(t.wants_attention());
         // Tree 1's roster is replaced: its stale flow must not hold the
         // tracker needy (or the flush gate closed) forever.
         t.clear_tree(1);
@@ -1310,15 +1246,15 @@ mod tests {
         assert!(t.tree_satisfied(1), "no flows left for tree 1");
         // The freed slot is reusable; needy stays consistent.
         t.expect(1, 9);
-        assert!(t.wants_attention(8));
+        assert!(t.wants_attention());
         t.note(1, 9, 0, true, Time(10));
         t.note(2, 7, 0, true, Time(11));
-        assert!(!t.wants_attention(8), "all flows satisfied");
+        assert!(!t.wants_attention(), "all flows satisfied");
         // Clearing satisfied flows must not underflow the needy count.
         t.clear_tree(1);
         t.clear_tree(2);
         assert_eq!(t.flows_evicted, 3);
-        assert!(!t.wants_attention(8));
+        assert!(!t.wants_attention());
     }
 
     #[test]
@@ -1445,23 +1381,75 @@ mod tests {
         for tick in 1..=4u64 {
             t.for_each_due(Time(tick * 1_000_000), Duration::from_nanos(10), 2, |_, _, _| {});
         }
-        assert!(!t.wants_attention(2), "budget exhausted: no more NACK work");
+        assert!(!t.wants_attention(), "budget exhausted: no more NACK work");
         assert!(!t.all_satisfied(), "but the data is still missing");
+    }
+
+    /// A fabric that records what a node sends and schedules.
+    struct Recorder {
+        now: Time,
+        pool: FramePool,
+        sent: Vec<Frame>,
+        timers: Vec<Duration>,
+    }
+
+    impl Recorder {
+        fn at(now: Time) -> Recorder {
+            Recorder { now, pool: FramePool::new(), sent: Vec::new(), timers: Vec::new() }
+        }
+    }
+
+    impl Fabric for Recorder {
+        fn now(&self) -> Time {
+            self.now
+        }
+        fn send(&mut self, _port: PortId, frame: Frame) {
+            self.sent.push(frame);
+        }
+        fn schedule(&mut self, delay: Duration, _token: u64) {
+            self.timers.push(delay);
+        }
+        fn pool(&self) -> &FramePool {
+            &self.pool
+        }
+        fn port_count(&self) -> usize {
+            1
+        }
+    }
+
+    /// A guard for host 3 rostered on tree 1 fed by host 7, with a
+    /// 100 ns timeout, a budget of 8 and `ranges_per_packet` ranges to a
+    /// NACK frame.
+    fn guard(ranges_per_packet: usize) -> ReceiverGuard {
+        let config = crate::DaietConfig {
+            nack_recovery: true,
+            nack_timeout_ns: 100,
+            nack_max: 8,
+            pairs_per_packet: ranges_per_packet,
+            ..crate::DaietConfig::default()
+        };
+        let mut guard = ReceiverGuard::new();
+        guard.arm_nack_recovery(3, &config, [(1, 7)]);
+        guard
     }
 
     #[test]
     fn endpoint_builds_routable_nack_frames() {
         use daiet_wire::daiet::PacketFlags;
-        let pool = FramePool::new();
-        let mut ep = NackEndpoint::new(3, Duration::from_nanos(100), 8, 10);
-        ep.expect(1, 7);
-        ep.note(&Header::data(1, PacketFlags::empty(), 0), Ipv4Address::from_id(7), Time(1));
-        ep.note(&Header::data(1, PacketFlags::empty(), 2), Ipv4Address::from_id(7), Time(2));
-        assert!(ep.wants_tick());
-        let mut out = Vec::new();
-        ep.build_nacks(Time(10_000), &pool, &mut out);
+        let mut guard = guard(10);
+        for (seq, t) in [(0, 1), (2, 2)] {
+            let mut ctx = Recorder::at(Time(t));
+            let hdr = Header::data(1, PacketFlags::empty(), seq);
+            assert!(guard.admit(&hdr, Ipv4Address::from_id(7), &mut ctx));
+        }
+        let mut ctx = Recorder::at(Time(2));
+        guard.arm(&mut ctx);
+        assert_eq!(ctx.timers, vec![Duration::from_nanos(100)], "a gap wants a tick");
+        let mut ctx = Recorder::at(Time(10_000));
+        guard.on_timer(&mut ctx);
+        let out = ctx.sent;
         assert_eq!(out.len(), 1);
-        assert_eq!(ep.nacks_emitted, 1);
+        assert_eq!(guard.nacks_emitted(), 1);
         // The frame parses back to a NACK from host 3 to host 7 naming
         // the gap and the outstanding tail.
         let parsed = daiet_wire::stack::Parsed::dissect(&out[0]).unwrap();
@@ -1481,21 +1469,17 @@ mod tests {
 
     #[test]
     fn endpoint_splits_long_range_lists() {
-        let pool = FramePool::new();
-        let mut ep = NackEndpoint::new(3, Duration::from_nanos(100), 8, 2);
-        ep.expect(1, 7);
+        let mut guard = guard(2);
         // Receive only every other seq: 0,2,4,...,12 → 6 single gaps.
         for s in (0..=12u32).step_by(2) {
-            ep.note(
-                &Header::data(1, daiet_wire::daiet::PacketFlags::empty(), s),
-                Ipv4Address::from_id(7),
-                Time(s as u64),
-            );
+            let mut ctx = Recorder::at(Time(u64::from(s)));
+            let hdr = Header::data(1, daiet_wire::daiet::PacketFlags::empty(), s);
+            guard.admit(&hdr, Ipv4Address::from_id(7), &mut ctx);
         }
-        let mut out = Vec::new();
-        ep.build_nacks(Time(1_000_000), &pool, &mut out);
+        let mut ctx = Recorder::at(Time(1_000_000));
+        guard.on_timer(&mut ctx);
         // 6 ranges at 2 per packet → 3 frames.
-        assert_eq!(out.len(), 3);
+        assert_eq!(ctx.sent.len(), 3);
     }
 }
 

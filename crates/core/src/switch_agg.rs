@@ -758,7 +758,7 @@ impl SwitchExtern for DaietEngine {
     fn wants_tick(&self) -> bool {
         self.nack
             .as_ref()
-            .is_some_and(|n| n.wants_attention(self.config.nack_max))
+            .is_some_and(NackTracker::wants_attention)
     }
 
     fn on_tick(&mut self, now: Time, pool: &FramePool) -> Vec<(PortId, Frame)> {

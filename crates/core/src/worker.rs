@@ -39,18 +39,18 @@ use std::sync::Arc;
 
 /// Parser settings for an end host NIC stack: checksums verified, but no
 /// parse-depth limit (hosts are CPUs, not line-rate parsers). Shared by
-/// every host-side receiver ([`ReducerHost`] here, the querysim
-/// coordinator, …) so host parsing semantics cannot diverge.
+/// every host-side receiver ([`ReducerHost`], [`MultiTreeHost`]) so
+/// host parsing semantics cannot diverge.
 pub fn host_parser_config() -> ParserConfig {
     ParserConfig { max_parse_bytes: usize::MAX, verify_checksums: true }
 }
 
 /// The host receive prologue shared by every DAIET receiver
-/// ([`ReducerHost`], the querysim coordinator): parse with host settings
+/// ([`ReducerHost`], [`MultiTreeHost`]): parse with host settings
 /// (checksum failures and non-DAIET noise dropped, as a NIC would) and
 /// extract the preamble plus the sender address. `None` means "ignore
 /// this frame"; otherwise the caller applies its own admission (NACK
-/// gap tracking, tree demux — *in its own order*: a coordinator discards
+/// gap tracking, tree demux — *in its own order*: a multi-tree host discards
 /// foreign tree ids before charging gap-tracker state) and consumes the
 /// entries via
 /// [`ParsedPacket::daiet_pairs`](daiet_dataplane::parser::ParsedPacket::daiet_pairs).
@@ -1099,6 +1099,11 @@ impl ReducerHost {
         self.completed_at = None;
         self.collector.take_round()
     }
+
+    /// The receive-side reliability state (NACK and duplicate counters).
+    pub(crate) fn guard(&self) -> &crate::reliability::ReceiverGuard {
+        &self.guard
+    }
 }
 
 impl Node for ReducerHost {
@@ -1125,6 +1130,94 @@ impl Node for ReducerHost {
 
     fn name(&self) -> String {
         "reducer".into()
+    }
+}
+
+/// A reducer host that roots several trees at one plan slot, as a
+/// multi-lane GROUP BY's coordinator roots every lane: one [`Collector`]
+/// per tree, frames demultiplexed by tree id, and one NACK roster over
+/// every tree's flows. Complete once every tree saw all its ENDs. A slot
+/// that roots one tree holds a [`ReducerHost`] instead.
+pub struct MultiTreeHost {
+    /// `(tree id, collector)` per rooted tree, sorted by tree id.
+    trees: Vec<(u16, Collector)>,
+    /// Completion time of the last tree, once reached.
+    pub completed_at: Option<Time>,
+    guard: crate::reliability::ReceiverGuard,
+}
+
+impl MultiTreeHost {
+    /// The receive endpoint at plan `slot` for the reducers of `dep`
+    /// placed there, each given as `(reducer index, merge function)`:
+    /// every tree expects the deployment's END count over `mappers`, and
+    /// NACK recovery (with it duplicate suppression) is armed per
+    /// `config` over all their rosters — the multi-tree sibling of
+    /// [`reducer_host`].
+    pub fn new(
+        config: &DaietConfig,
+        dep: &crate::controller::Deployment,
+        roots: &[(usize, AggFn)],
+        slot: usize,
+        mappers: &[usize],
+    ) -> MultiTreeHost {
+        let mut trees: Vec<(u16, Collector)> = roots
+            .iter()
+            .map(|&(r, agg)| (dep.tree_id(r), Collector::new(agg, dep.expected_ends(r, mappers.len()))))
+            .collect();
+        trees.sort_unstable_by_key(|&(tree, _)| tree);
+        let mut guard = crate::reliability::ReceiverGuard::new();
+        if config.nack_recovery {
+            let sources = roots.iter().flat_map(|&(r, _)| dep.nack_sources(r, mappers));
+            guard.arm_nack_recovery(slot as u32, config, sources);
+        }
+        MultiTreeHost { trees, completed_at: None, guard }
+    }
+
+    /// The rooted trees' collectors with their tree ids, in tree-id order.
+    pub fn trees(&self) -> &[(u16, Collector)] {
+        &self.trees
+    }
+
+    /// True once every tree saw all its ENDs.
+    pub fn is_complete(&self) -> bool {
+        self.trees.iter().all(|(_, c)| c.is_complete())
+    }
+
+    /// The receive-side reliability state (NACK and duplicate counters).
+    pub(crate) fn guard(&self) -> &crate::reliability::ReceiverGuard {
+        &self.guard
+    }
+}
+
+impl Node for MultiTreeHost {
+    fn on_packet(&mut self, ctx: &mut dyn Fabric, _port: PortId, frame: Frame) {
+        let Some((hdr, src, parsed)) = receive_daiet(frame) else {
+            return;
+        };
+        // A foreign tree id is discarded before it can charge tracker state.
+        let Ok(at) = self.trees.binary_search_by_key(&hdr.tree_id, |&(tree, _)| tree) else {
+            return;
+        };
+        if !self.guard.admit(&hdr, src, ctx) {
+            return;
+        }
+        self.trees[at].1.on_parts(&hdr, parsed.daiet_pairs());
+        if self.completed_at.is_none() && self.is_complete() {
+            self.completed_at = Some(ctx.now());
+        }
+        self.guard.arm(ctx);
+    }
+
+    fn on_start(&mut self, ctx: &mut dyn Fabric) {
+        self.guard.arm(ctx);
+    }
+
+    fn on_timer(&mut self, ctx: &mut dyn Fabric, _token: u64) {
+        self.guard.on_timer(ctx);
+    }
+
+    fn name(&self) -> String {
+        "multi-tree-reducer".into()
     }
 }
 

@@ -3,7 +3,8 @@
 //!
 //! * [`ShuffleMode::TcpBaseline`] — "the original TCP-based data
 //!   exchange": every mapper opens a TCP connection per reducer and
-//!   streams its (pre-sorted, variable-length) partition;
+//!   streams its (pre-sorted, variable-length) partition, and each
+//!   reducer merges the streams;
 //! * [`ShuffleMode::UdpNoAgg`] — "using UDP and the DAIET protocol, but
 //!   without executing data aggregation in the switch": same DAIET
 //!   packets, switches merely forward;
@@ -19,7 +20,8 @@
 //! [`LoopbackJob::specs`], brought up on the simulator by
 //! [`TopologyPlan::instantiate`]; the TCP baseline swaps its mapper and
 //! reducer specs for TCP hosts. [`Runner::run_sockets`] runs the same list
-//! in a UDP mode over loopback UDP sockets instead of the simulator.
+//! in a UDP mode over loopback UDP sockets ([`LoopbackJob::run_sockets`])
+//! instead of the simulator.
 
 // lint:allow-file(layer-netsim): end-to-end WordCount runner — constructs the
 // Simulator and TCP-baseline nodes directly. It is the experiment harness;
@@ -29,31 +31,22 @@ use crate::serialize;
 use crate::wordcount::{Corpus, Word};
 use daiet::agg::AggFn;
 use daiet::controller::{AggregationMode, Controller, JobPlacement};
-use daiet::loopback::{wall_clock_config, wall_clock_pacing, LoopbackJob, ReducerReport};
+use daiet::loopback::{wall_clock_config, wall_clock_pacing, LoopbackJob, ReducerReport, SocketRun};
 use daiet::worker::ReducerHost;
 use daiet::DaietConfig;
 use daiet_dataplane::Resources;
-use daiet_fabric::{DriverStats, ExitReason, FaultShim, NodeSpec};
+use daiet_fabric::{FaultShim, NodeSpec};
 use daiet_netsim::topology::TopologyPlan;
 use daiet_netsim::{FramePool, LinkSpec, NodeId, SimDuration, SimTime, Simulator};
 use daiet_transport::tcp::{BulkSenderNode, SinkReceiverNode};
 use daiet_wire::daiet::Key;
 use daiet_wire::fnv::KeyMap;
 
-/// The shuffle transport under test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShuffleMode {
-    /// TCP streams, mapper-side sort, reducer-side k-way merge.
-    TcpBaseline,
-    /// DAIET packets without in-network aggregation.
-    UdpNoAgg,
-    /// DAIET with in-network aggregation.
-    DaietAgg,
-}
+/// The shuffle transport under test: the one-shot job's [`Mode`](daiet::loopback::Mode).
+pub use daiet::loopback::Mode as ShuffleMode;
 
 /// TCP port reducers listen on in the baseline.
 const SHUFFLE_PORT: u16 = 9000;
-
 
 /// One complete run's results.
 #[derive(Debug, Clone)]
@@ -178,11 +171,7 @@ impl Runner {
     /// brought up by [`TopologyPlan::instantiate`]. The TCP baseline swaps its
     /// hosts in (`tcp_hosts`) over a pass-through deployment's L2 tables.
     pub fn run_on(&self, plan: &TopologyPlan, mode: ShuffleMode) -> RunOutcome {
-        let agg = match mode {
-            ShuffleMode::DaietAgg => AggregationMode::InNetwork,
-            ShuffleMode::TcpBaseline | ShuffleMode::UdpNoAgg => AggregationMode::PassThrough,
-        };
-        let job = self.job(plan, self.daiet_config, agg);
+        let job = self.job(plan, self.daiet_config, mode.aggregation());
         let placement = job.placement();
         // Cloning the table clones handles, not pairs.
         let mut specs = job.specs(self.corpus.partitions.clone(), self.pacing, 1);
@@ -311,13 +300,13 @@ impl Runner {
 
     /// Runs a UDP mode of the shuffle over loopback UDP sockets instead
     /// of the simulator: the same node list as [`run_on`](Self::run_on),
-    /// each node on its own [`daiet_fabric::NodeDriver`] thread,
-    /// exchanging genuine datagrams over `127.0.0.1`. `shim_for(slot)`
-    /// supplies each slot's egress fault injection ([`FaultShim::none`]
-    /// for a clean run); `deadline` bounds the wall-clock run time. The
+    /// handed to [`LoopbackJob::run_sockets`]. `shim_for(slot)` supplies
+    /// each slot's egress fault injection ([`FaultShim::none`] for a
+    /// clean run); `deadline` bounds the wall-clock run time. The
     /// configuration and pacing are rescaled with [`wall_clock_config`]
     /// and [`wall_clock_pacing`] — the run is in real time, so sim-scale
-    /// NACK timeouts would fire spuriously.
+    /// NACK timeouts would fire spuriously. The run's reports are by
+    /// reducer.
     ///
     /// This is the backend-equivalence anchor: a loss-free run (or a
     /// lossy one with NACK recovery armed) must land on the same bytes as
@@ -326,66 +315,33 @@ impl Runner {
         &self,
         plan: &TopologyPlan,
         mode: AggregationMode,
-        mut shim_for: impl FnMut(usize) -> FaultShim,
+        shim_for: impl FnMut(usize) -> FaultShim,
         deadline: std::time::Duration,
-    ) -> LoopbackOutcome {
+    ) -> SocketRun {
         let job = self.job(plan, wall_clock_config(self.daiet_config), mode);
         // Each driver thread reads the corpus's own buffers.
-        let mut specs =
-            job.specs(self.corpus.partitions.clone(), wall_clock_pacing(self.pacing), 1);
-        for (slot, spec) in specs.iter_mut().enumerate() {
-            spec.shim = shim_for(slot);
-        }
-        let out = daiet_fabric::run_cluster(specs, &job.links(), deadline);
-
-        let deadlined = out.iter().any(|o| o.exit == ExitReason::Deadline);
-        let shim_dropped = out.iter().map(|o| o.stats.shim_dropped).sum();
-        let driver_stats: Vec<DriverStats> = out.iter().map(|o| o.stats).collect();
-        let mut results: Vec<Option<ReducerReport>> = out
-            .into_iter()
-            .map(|o| o.result.downcast::<ReducerReport>().ok().map(|b| *b))
-            .collect();
-        let reducers = job
-            .placement()
-            .reducers
-            .iter()
-            .map(|&slot| results[slot].take().expect("reducer slots produce reports"))
-            .collect();
-        LoopbackOutcome { reducers, shim_dropped, driver_stats, deadlined }
+        let specs = job.specs(self.corpus.partitions.clone(), wall_clock_pacing(self.pacing), 1);
+        job.run_sockets(specs, shim_for, deadline)
     }
-}
 
-/// One [`Runner::run_sockets`] run's results.
-#[derive(Debug)]
-pub struct LoopbackOutcome {
-    /// Per-reducer reports, indexed by reducer; each holds its sorted
-    /// `(key, count)` output.
-    pub reducers: Vec<ReducerReport>,
-    /// Frames dropped by fault shims across all slots.
-    pub shim_dropped: u64,
-    /// Per-slot driver socket counters.
-    pub driver_stats: Vec<DriverStats>,
-    /// Whether any driver hit the wall-clock deadline (a wedged run).
-    pub deadlined: bool,
-}
-
-impl LoopbackOutcome {
-    /// True when every reducer completed, gapless, with exactly the
-    /// ground-truth output — the check the simulator's
-    /// [`ReducerMetrics::correct`] makes.
-    pub fn all_correct(&self, runner: &Runner) -> bool {
-        self.reducers.iter().enumerate().all(|(r, rep)| {
-            rep.complete
-                && rep.recovery_satisfied
-                && matches_reference(
-                    rep.pairs.len(),
-                    |key| {
-                        let at = rep.pairs.binary_search_by_key(key, |&(k, _)| k).ok()?;
-                        Some(rep.pairs[at].1)
-                    },
-                    runner.corpus.expected_reduction(r),
-                )
-        })
+    /// True when every reducer of a [`run_sockets`](Self::run_sockets)
+    /// run completed, gapless, with exactly the ground-truth output —
+    /// the check the simulator's [`ReducerMetrics::correct`] makes.
+    pub fn reports_correct(&self, reports: &[ReducerReport]) -> bool {
+        reports.len() == self.corpus.spec.n_reducers
+            && reports.iter().enumerate().all(|(r, rep)| {
+                let [pairs] = &rep.trees[..] else { return false };
+                rep.complete
+                    && rep.recovery_satisfied
+                    && matches_reference(
+                        pairs.len(),
+                        |key| {
+                            let at = pairs.binary_search_by_key(key, |&(k, _)| k).ok()?;
+                            Some(pairs[at].1)
+                        },
+                        self.corpus.expected_reduction(r),
+                    )
+            })
     }
 }
 
@@ -641,7 +597,7 @@ mod tests {
             std::time::Duration::from_secs(60),
         );
         assert!(!out.deadlined, "run hit the deadline");
-        assert!(out.all_correct(&runner), "reducers diverged from ground truth");
+        assert!(runner.reports_correct(&out.reports), "reducers diverged from ground truth");
         assert_eq!(out.shim_dropped, 0);
         // The driver threads read the corpus's buffers and gave them back.
         for pairs in runner.corpus.partitions.iter().flatten() {
@@ -676,9 +632,9 @@ mod tests {
             std::time::Duration::from_secs(60),
         );
         assert!(!out.deadlined, "recovery never converged");
-        assert!(out.all_correct(&runner), "loss leaked into the result");
+        assert!(runner.reports_correct(&out.reports), "loss leaked into the result");
         assert!(out.shim_dropped > 0, "shim injected no loss — test is vacuous");
-        let nacks: u64 = out.reducers.iter().map(|r| r.nacks_emitted).sum();
+        let nacks: u64 = out.reports.iter().map(|r| r.nacks_emitted).sum();
         assert!(nacks > 0, "loss was repaired without NACKs?");
     }
 }

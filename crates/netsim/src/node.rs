@@ -9,7 +9,6 @@ use crate::frame::{Frame, FramePool};
 use crate::link::{NetCtx, PortTable};
 use crate::stats::StatsTable;
 use crate::time::{SimDuration, SimTime};
-use rand::rngs::SmallRng;
 
 pub use daiet_fabric::{Fabric, Node, NodeId, PortId};
 
@@ -71,28 +70,23 @@ pub struct Context<'a> {
     pub(crate) queue: &'a mut crate::event::EventQueue,
     pub(crate) ports: &'a mut PortTable,
     pub(crate) stats: &'a mut StatsTable,
-    pub(crate) rng: &'a mut SmallRng,
     pub(crate) pool: &'a FramePool,
 }
 
-impl Context<'_> {
-    /// The id of the node being called.
-    pub fn node_id(&self) -> NodeId {
-        self.node
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
+/// The simulator's dispatch context *is* a fabric: node handlers written
+/// against `&mut dyn Fabric` run under the discrete-event engine with no
+/// adapter.
+impl Fabric for Context<'_> {
+    fn now(&self) -> SimTime {
         self.now
     }
 
-    /// Transmits `frame` out of `port`. The frame enters the link's egress
-    /// queue; it may be dropped there (queue overflow or injected fault) —
-    /// exactly like handing a frame to real NIC hardware, no feedback.
-    ///
-    /// Sending on an unconnected port is a programming error and panics:
-    /// the topology is static, so a bad port can never be data-dependent.
-    pub fn send(&mut self, port: PortId, frame: Frame) {
+    /// The frame enters the link's egress queue; it may be dropped there
+    /// (queue overflow or injected fault) — exactly like handing a frame
+    /// to real NIC hardware, no feedback. Sending on an unconnected port
+    /// is a programming error and panics: the topology is static, so a
+    /// bad port can never be data-dependent.
+    fn send(&mut self, port: PortId, frame: Frame) {
         self.stats.node_sent(self.node, frame.len());
         let mut net = NetCtx {
             queue: &mut *self.queue,
@@ -102,16 +96,7 @@ impl Context<'_> {
         self.ports.transmit(self.node, port, frame, self.now, &mut net);
     }
 
-    /// The simulation's [`FramePool`]: build outgoing frames from
-    /// [`FramePool::buffer`]s so their storage recycles instead of
-    /// churning the allocator.
-    pub fn pool(&self) -> &FramePool {
-        self.pool
-    }
-
-    /// Arms a one-shot timer `delay` from now; `token` is returned to
-    /// [`Node::on_timer`].
-    pub fn schedule(&mut self, delay: SimDuration, token: u64) {
+    fn schedule(&mut self, delay: SimDuration, token: u64) {
         self.queue.push(
             self.now + delay,
             self.node,
@@ -119,56 +104,16 @@ impl Context<'_> {
         );
     }
 
-    /// Number of ports connected to this node.
-    pub fn port_count(&self) -> usize {
-        self.ports.port_count(self.node)
-    }
-
-    /// When `port`'s link direction has finished serializing every frame
-    /// handed to it: its transmitter's `busy_until`, or now if that lies
-    /// in the past.
-    pub fn port_free_at(&self, port: PortId) -> SimTime {
-        self.ports.busy_until(self.node, port).max(self.now)
-    }
-
-    /// This node's private deterministic random stream, derived from the
-    /// simulation seed and the node id. Streams are per-node (never
-    /// shared) so one node's draws cannot shift another's.
-    ///
-    /// Deliberately *not* part of [`Fabric`]: randomness is a simulation
-    /// concern (fault scripts, synthetic workloads), not a protocol one,
-    /// and keeping it here is what guarantees protocol nodes stay
-    /// backend-portable.
-    pub fn rng(&mut self) -> &mut SmallRng {
-        self.rng
-    }
-}
-
-/// The simulator's dispatch context *is* a fabric: node handlers written
-/// against `&mut dyn Fabric` run under the discrete-event engine with no
-/// adapter. Each method delegates to the inherent one above.
-impl Fabric for Context<'_> {
-    fn now(&self) -> SimTime {
-        Context::now(self)
-    }
-
-    fn send(&mut self, port: PortId, frame: Frame) {
-        Context::send(self, port, frame);
-    }
-
-    fn schedule(&mut self, delay: SimDuration, token: u64) {
-        Context::schedule(self, delay, token);
-    }
-
     fn pool(&self) -> &FramePool {
-        Context::pool(self)
+        self.pool
     }
 
     fn port_count(&self) -> usize {
-        Context::port_count(self)
+        self.ports.port_count(self.node)
     }
 
+    /// The transmitter's `busy_until`, or now if that lies in the past.
     fn port_free_at(&self, port: PortId) -> SimTime {
-        Context::port_free_at(self, port)
+        self.ports.busy_until(self.node, port).max(self.now)
     }
 }

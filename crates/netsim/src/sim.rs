@@ -2,24 +2,20 @@
 //! runs the event loop to completion on the calling thread.
 //!
 //! Runs are a pure function of the seed: events fire in the explicit
-//! `(time, source, per-source seq)` order (see the `event` module), fault
-//! decisions draw from per-direction streams (see the `link` module) and
-//! node randomness from per-node streams ([`Context::rng`]), so no draw
-//! or tie-break depends on what unrelated nodes happen to do.
+//! `(time, source, per-source seq)` order (see the `event` module) and
+//! fault decisions draw from per-direction streams (see the `link`
+//! module), so no draw or tie-break depends on what unrelated nodes
+//! happen to do. The simulator itself draws nothing: nodes get no
+//! random stream, since protocol nodes must run unchanged on the
+//! real-socket backend.
 
 use crate::event::{Event, EventKind, EventQueue};
 use crate::frame::{Frame, FramePool};
-use crate::link::{stream_seed, LinkSpec, PortTable};
+use crate::link::{LinkSpec, PortTable};
 use crate::node::{Context, Node, NodeId, NodeScript, PortId};
 use crate::stats::{LinkStats, NodeStats, StatsSnapshot, StatsTable};
 use crate::time::SimTime;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use std::any::Any;
-
-/// Stream tag for per-node `Context::rng` streams (see
-/// [`stream_seed`]).
-const STREAM_NODE_RNG: u64 = 2;
 
 /// A discrete-event network simulator.
 ///
@@ -51,7 +47,6 @@ const STREAM_NODE_RNG: u64 = 2;
 /// assert_eq!(sim.node_stats(sink).frames_in, 2);
 /// ```
 pub struct Simulator {
-    seed: u64,
     /// Indexed by node id; a slot is `None` only while its node is out
     /// for dispatch.
     nodes: Vec<Option<Box<dyn Node>>>,
@@ -59,8 +54,6 @@ pub struct Simulator {
     ports: PortTable,
     stats: StatsTable,
     pool: FramePool,
-    /// Per-node deterministic streams, indexed by node id.
-    node_rngs: Vec<SmallRng>,
     now: SimTime,
     events_processed: u64,
     /// Scripted kill/revive schedules, indexed by node id.
@@ -74,13 +67,11 @@ impl Simulator {
     /// Creates an empty simulator; all randomness derives from `seed`.
     pub fn new(seed: u64) -> Simulator {
         Simulator {
-            seed,
             nodes: Vec::new(),
             queue: EventQueue::new(),
             ports: PortTable::with_seed(seed),
             stats: StatsTable::default(),
             pool: FramePool::new(),
-            node_rngs: Vec::new(),
             now: SimTime::ZERO,
             events_processed: 0,
             node_scripts: Vec::new(),
@@ -92,9 +83,7 @@ impl Simulator {
     /// Registers a node, returning its id. Ids are dense and start at 0.
     pub fn add_node(&mut self, node: Box<dyn Node>) -> NodeId {
         let id = NodeId(self.nodes.len());
-        let rng_seed = stream_seed(self.seed, [STREAM_NODE_RNG, id.0 as u64, 0, 0]);
         self.nodes.push(Some(node));
-        self.node_rngs.push(SmallRng::seed_from_u64(rng_seed));
         id
     }
 
@@ -188,8 +177,12 @@ impl Simulator {
 
     /// Borrows a node downcast to its concrete type.
     pub fn node_ref<T: Any>(&self, id: NodeId) -> Option<&T> {
-        let node = self.nodes.get(id.0)?.as_deref()?;
-        (node as &dyn Any).downcast_ref::<T>()
+        self.node_any(id)?.downcast_ref::<T>()
+    }
+
+    /// Borrows a node for a reader that accepts several concrete types.
+    pub fn node_any(&self, id: NodeId) -> Option<&dyn Any> {
+        Some(self.nodes.get(id.0)?.as_deref()? as &dyn Any)
     }
 
     /// Mutably borrows a node downcast to its concrete type.
@@ -206,7 +199,7 @@ impl Simulator {
     }
 
     /// Arms a timer on `node` from outside the topology — the external
-    /// counterpart of [`Context::schedule`]. This is how a round-driven
+    /// counterpart of [`Fabric::schedule`](crate::Fabric::schedule). This is how a round-driven
     /// harness (e.g. `daiet::tenant::JobScheduler`) restarts a node
     /// whose internal timer chain ran dry at a round barrier: mutate the
     /// node via [`node_mut`](Self::node_mut), then schedule a wake-up.
@@ -276,7 +269,6 @@ impl Simulator {
                 queue: &mut self.queue,
                 ports: &mut self.ports,
                 stats: &mut self.stats,
-                rng: &mut self.node_rngs[node_id.0],
                 pool: &self.pool,
             };
             f(node.as_mut(), &mut ctx);

@@ -15,19 +15,20 @@
 //! must produce **bit-identical** [`QueryResult`]s (the integration and
 //! property tests enforce this against [`Query::reference`]).
 //!
-//! All three modes run the one-shot job's node list —
-//! [`LoopbackJob::specs`] for the workers and the switch, plus the
-//! multi-lane coordinator's spec — brought up on the simulator by
-//! [`TopologyPlan::instantiate`]; the TCP baseline swaps its worker and
-//! coordinator specs for TCP hosts. [`QueryRunner::run_sockets`] runs the
-//! same list in a UDP mode over loopback UDP sockets instead of the
-//! simulator.
+//! The runner has the WordCount runner's shape: it runs on any
+//! [`TopologyPlan`] whose first hosts are the workers and the next one
+//! the coordinator, the star by default. All three modes run
+//! the one-shot job's node list, [`LoopbackJob::specs`], brought up on
+//! the simulator by [`TopologyPlan::instantiate`]; every lane's tree is
+//! rooted at the coordinator, so its slot holds the job's multi-tree
+//! receiver, and this module only decodes group keys off its report.
+//! The TCP baseline swaps its worker and coordinator specs for TCP
+//! hosts. [`QueryRunner::run_sockets`] runs the same list in a UDP mode
+//! over loopback UDP sockets instead of the simulator.
 //!
-//! The optional reliability harness
-//! ([`QueryRunner::with_full_reliability`]) arms NACK recovery at the
-//! switch and the coordinator; every link can then be given loss,
-//! duplication and reordering faults while the query still answers
-//! exactly.
+//! [`QueryRunner::with_recovery`] arms NACK recovery at the switches and
+//! the coordinator and puts loss, duplication and reordering faults on
+//! every link; the query must still answer exactly.
 
 // lint:allow-file(layer-netsim): GROUP BY executor harness — builds the
 // Simulator, places scan/reduce nodes, and compares backends. The DAIET
@@ -37,30 +38,18 @@ use crate::query::{Query, QueryResult};
 use crate::table::{group_of_key, Table};
 use daiet::agg::AggFn;
 use daiet::controller::{AggregationMode, Controller, JobPlacement};
-use daiet::loopback::{wall_clock_config, wall_clock_pacing, LoopbackJob};
-use daiet::worker::{receive_daiet, Collector};
+use daiet::loopback::{wall_clock_config, wall_clock_pacing, LoopbackJob, ReducerReport, SocketRun};
 use daiet::DaietConfig;
 use daiet_dataplane::Resources;
-use daiet_fabric::{DriverStats, ExitReason, FaultShim, NodeSpec};
+use daiet_fabric::{FaultShim, NodeSpec};
 use daiet_netsim::topology::TopologyPlan;
-use daiet_netsim::{
-    Fabric, FaultProfile, Frame, LinkSpec, Node, NodeId, NodeStats, PortId,
-    SimDuration, SimTime, Simulator,
-};
+use daiet_netsim::{FaultProfile, LinkSpec, NodeId, NodeStats, SimDuration, SimTime, Simulator};
 use daiet_transport::tcp::{BulkSenderNode, SinkReceiverNode};
-use std::any::Any;
 use std::collections::BTreeMap;
 
-/// The execution strategy under test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueryMode {
-    /// TCP shuffle of worker partials to the coordinator.
-    TcpBaseline,
-    /// DAIET packets without in-network aggregation.
-    UdpNoAgg,
-    /// DAIET with in-network aggregation.
-    DaietAgg,
-}
+/// The execution strategy under test: the one-shot job's
+/// [`Mode`](daiet::loopback::Mode).
+pub use daiet::loopback::Mode as QueryMode;
 
 /// TCP port the coordinator listens on in the baseline.
 const QUERY_PORT: u16 = 9100;
@@ -101,126 +90,14 @@ fn decode_partials(mut data: &[u8]) -> Option<Vec<(u8, u32, u32)>> {
     Some(out)
 }
 
-
-/// The coordinator for the UDP modes: one [`Collector`] per lane (frames
-/// are demultiplexed by tree id), optional receive-side NACK recovery
-/// (which also suppresses duplicates), completion when every lane saw
-/// all its ENDs.
-pub struct QueryCoordinatorNode {
-    collectors: Vec<Collector>,
-    /// Receive-side NACK recovery — the same shared driver `ReducerHost`
-    /// uses, so the workloads cannot drift.
-    guard: daiet::reliability::ReceiverGuard,
-    /// Simulated time all lanes completed, once reached.
-    pub completed_at: Option<SimTime>,
-}
-
-impl QueryCoordinatorNode {
-    /// A coordinator expecting `expected_ends[l]` END packets on lane `l`,
-    /// merging lane `l` with `lane_aggs[l]`.
-    pub fn new(lane_aggs: &[AggFn], expected_ends: &[u32]) -> QueryCoordinatorNode {
-        assert_eq!(lane_aggs.len(), expected_ends.len());
-        QueryCoordinatorNode {
-            collectors: lane_aggs
-                .iter()
-                .zip(expected_ends)
-                .map(|(&agg, &ends)| Collector::new(agg, ends))
-                .collect(),
-            guard: daiet::reliability::ReceiverGuard::new(),
-            completed_at: None,
-        }
-    }
-
-    /// Arms NACK recovery: the coordinator (simulator id `self_id`)
-    /// watches one flow per `(lane tree, source)` in `sources` and NACKs
-    /// delinquent ones per `config`'s timeout and budget.
-    pub fn with_nack_recovery(
-        mut self,
-        self_id: u32,
-        config: &DaietConfig,
-        sources: impl IntoIterator<Item = (u16, u32)>,
-    ) -> QueryCoordinatorNode {
-        self.guard.arm_nack_recovery(self_id, config, sources);
-        self
-    }
-
-    /// NACK frames this coordinator has sent (0 without recovery).
-    pub fn nacks_emitted(&self) -> u64 {
-        self.guard.nacks_emitted()
-    }
-
-    /// True once every lane's partition completed.
-    pub fn is_complete(&self) -> bool {
-        self.collectors.iter().all(Collector::is_complete)
-    }
-
-    /// True when NACK recovery (if armed) owes nothing: every tracked
-    /// flow is gapless through its newest END (vacuously true without
-    /// recovery). The loopback harness gates completion on this so a
-    /// run cannot stop while a repair is still outstanding.
-    pub fn recovery_satisfied(&self) -> bool {
-        self.guard.all_satisfied()
-    }
-
-    /// Application payload bytes received across all lanes.
-    pub fn app_bytes(&self) -> u64 {
-        self.collectors.iter().map(|c| c.stats().app_bytes).sum()
-    }
-
-    /// Pairs received across all lanes (pre-merge).
-    pub fn pairs_received(&self) -> u64 {
-        self.collectors.iter().map(|c| c.stats().pairs_received).sum()
-    }
-
-    /// Frames the gap tracker's bitmaps suppressed as duplicates (0
-    /// without recovery).
-    pub fn duplicates_suppressed(&self) -> u64 {
-        self.guard.duplicates_suppressed()
-    }
-
-    /// The merged per-lane group maps, decoded back to group ids.
-    pub fn lane_maps(&self) -> Vec<BTreeMap<u32, u32>> {
-        self.collectors
-            .iter()
-            .map(|c| {
-                c.get_all()
-                    .filter_map(|(k, v)| group_of_key(&k).map(|g| (g, v)))
-                    .collect()
-            })
-            .collect()
-    }
-}
-
-impl Node for QueryCoordinatorNode {
-    fn on_packet(&mut self, ctx: &mut dyn Fabric, _port: PortId, frame: Frame) {
-        let Some((hdr, src, parsed)) = receive_daiet(frame) else {
-            return;
-        };
-        let lane = hdr.tree_id as usize;
-        if lane >= self.collectors.len() {
-            return; // foreign tree id — discarded before it can charge tracker state
-        }
-        if !self.guard.admit(&hdr, src, ctx) {
-            return;
-        }
-        self.collectors[lane].on_parts(&hdr, parsed.daiet_pairs());
-        if self.is_complete() && self.completed_at.is_none() {
-            self.completed_at = Some(ctx.now());
-        }
-        self.guard.arm(ctx);
-    }
-
-    fn on_start(&mut self, ctx: &mut dyn Fabric) {
-        self.guard.arm(ctx);
-    }
-
-    fn on_timer(&mut self, ctx: &mut dyn Fabric, _token: u64) {
-        self.guard.on_timer(ctx);
-    }
-
-    fn name(&self) -> String {
-        "query-coordinator".into()
-    }
+/// The coordinator's lanes, decoded back to group ids: one map per tree
+/// the report holds, in tree-id (= lane) order.
+fn lane_maps(report: &ReducerReport) -> Vec<BTreeMap<u32, u32>> {
+    report
+        .trees
+        .iter()
+        .map(|pairs| pairs.iter().filter_map(|(k, v)| group_of_key(k).map(|g| (g, *v))).collect())
+        .collect()
 }
 
 /// One complete query execution's results and measurements.
@@ -265,15 +142,8 @@ pub struct QueryRunner {
     pub plan: QueryPlan,
     /// DAIET parameters (register sizing defaults to the group count).
     pub daiet_config: DaietConfig,
-    /// Link parameters for every edge.
+    /// Link parameters for every edge of [`star_plan`](Self::star_plan).
     pub link: LinkSpec,
-    /// Extra faults applied to worker→switch links only.
-    pub worker_faults: Option<FaultProfile>,
-    /// Extra faults applied to the switch→coordinator link — only
-    /// survivable with NACK recovery
-    /// ([`with_full_reliability`](Self::with_full_reliability)), since
-    /// switch-originated flush frames are sent exactly once.
-    pub coordinator_faults: Option<FaultProfile>,
     /// Switch chip profile.
     pub resources: Resources,
     /// Gap between UDP frames at each worker.
@@ -310,8 +180,6 @@ impl QueryRunner {
             plan,
             daiet_config: DaietConfig { register_cells, ..DaietConfig::default() },
             link: LinkSpec::fast().with_queue_bytes(4 * 1024 * 1024),
-            worker_faults: None,
-            coordinator_faults: None,
             resources: Resources::tofino_like(),
             pacing: SimDuration::from_micros(2),
             seed: 42,
@@ -319,39 +187,15 @@ impl QueryRunner {
         }
     }
 
-    /// Arms NACK recovery on every segment and `faults` on **every** link
-    /// (worker→switch and switch→coordinator). Each frame is sent once —
-    /// recovery alone must carry the query to the exact answer.
-    pub fn with_full_reliability(mut self, faults: FaultProfile) -> QueryRunner {
+    /// Arms NACK recovery for the UDP modes on every segment
+    /// (worker→switch, switch→switch, switch→coordinator) and `faults`
+    /// on **every** link — each frame is sent once, so recovery alone
+    /// must carry the query to the exact answer.
+    pub fn with_recovery(mut self, faults: FaultProfile) -> QueryRunner {
         self.daiet_config.nack_recovery = true;
         self.daiet_config = self.daiet_config.with_rtx_sized_for_flush();
-        self.worker_faults = Some(faults);
-        self.coordinator_faults = Some(faults);
+        self.link = self.link.with_faults(faults);
         self
-    }
-
-    /// The star topology: workers, the coordinator, one switch. Worker
-    /// links carry [`QueryRunner::worker_faults`], the coordinator link
-    /// [`QueryRunner::coordinator_faults`].
-    fn make_plan(&self) -> (TopologyPlan, Vec<usize>, usize) {
-        let mut plan = TopologyPlan::new();
-        let workers: Vec<usize> =
-            (0..self.table.spec.n_workers).map(|_| plan.add_host()).collect();
-        let coord = plan.add_host();
-        let sw = plan.add_switch();
-        let worker_link = match self.worker_faults {
-            Some(f) => self.link.with_faults(f),
-            None => self.link,
-        };
-        for &w in &workers {
-            plan.link(w, sw, worker_link);
-        }
-        let coord_link = match self.coordinator_faults {
-            Some(f) => self.link.with_faults(f),
-            None => self.link,
-        };
-        plan.link(coord, sw, coord_link);
-        (plan, workers, coord)
     }
 
     fn make_sim(&self) -> Simulator {
@@ -363,34 +207,55 @@ impl QueryRunner {
         sim
     }
 
-    /// Runs the query under `mode`: the job's node list brought up by
-    /// [`TopologyPlan::instantiate`]. The TCP baseline swaps its hosts in
-    /// (`tcp_hosts`) over a pass-through deployment's L2 tables.
+    /// The star topology: the workers, then the coordinator, on one
+    /// switch.
+    pub fn star_plan(&self) -> TopologyPlan {
+        TopologyPlan::star(self.table.spec.n_workers + 1, self.link)
+    }
+
+    /// Runs the query under `mode` on the star topology.
     pub fn run(&self, mode: QueryMode) -> QueryOutcome {
-        let agg_mode = match mode {
-            QueryMode::DaietAgg => AggregationMode::InNetwork,
-            QueryMode::TcpBaseline | QueryMode::UdpNoAgg => AggregationMode::PassThrough,
-        };
-        let (job, mut specs, coord) = self.job(self.daiet_config, agg_mode, self.pacing);
+        self.run_on(&self.star_plan(), mode)
+    }
+
+    /// Runs the query under `mode` on an arbitrary topology plan: the
+    /// job's node list brought up by [`TopologyPlan::instantiate`]. The
+    /// TCP baseline swaps its hosts in (`tcp_hosts`) over a pass-through
+    /// deployment's L2 tables.
+    pub fn run_on(&self, plan: &TopologyPlan, mode: QueryMode) -> QueryOutcome {
+        let job = self.job(plan, self.daiet_config, mode.aggregation());
+        let coord = job.placement().reducers[0];
+        let mut specs = job.specs(self.partials(), self.pacing, 1);
         if mode == QueryMode::TcpBaseline {
-            self.tcp_hosts(&job.placement().mappers, coord, &mut specs);
+            self.tcp_hosts(job.placement(), &mut specs);
         }
         let mut sim = self.make_sim();
-        let ids = job.plan().instantiate(&mut sim, specs);
+        let ids = plan.instantiate(&mut sim, specs);
         let finished_at = sim.run_until(SimTime(SimDuration::from_secs(120).as_nanos()));
 
-        let report = match mode {
-            QueryMode::TcpBaseline => self.read_tcp(&sim, ids[coord]),
-            QueryMode::UdpNoAgg | QueryMode::DaietAgg => read_daiet(&job, &sim, &ids, coord),
+        let (lanes, mut report) = if mode == QueryMode::TcpBaseline {
+            self.read_tcp(&sim, ids[coord])
+        } else {
+            let node = sim.node_any(ids[coord]).expect("coordinator node");
+            let report = ReducerReport::of(node).expect("the coordinator roots every lane");
+            (lane_maps(&report), report)
         };
+        // Add the duplicates the switches' engines suppressed.
+        for (&slot, &ext) in &job.deployment().engine_externs {
+            let sw = sim.node_ref::<daiet_dataplane::Switch>(ids[slot]).expect("switch node");
+            report.duplicates_suppressed += sw
+                .extern_ref::<daiet::DaietEngine>(ext)
+                .expect("deployment registered the engine at this id")
+                .duplicates_suppressed();
+        }
         let net = sim.snapshot();
         QueryOutcome {
             mode,
-            result: self.plan.assemble(&report.lane_maps),
+            result: self.plan.assemble(&lanes),
             complete: report.complete,
             coord_app_bytes: report.app_bytes,
             coord_nic: sim.node_stats(ids[coord]),
-            records_received: report.records_received,
+            records_received: report.pairs_received,
             frames_dropped: net.fault_drops() + net.overflow_drops(),
             duplicates_suppressed: report.duplicates_suppressed,
             completed_at: report.completed_at,
@@ -398,33 +263,33 @@ impl QueryRunner {
         }
     }
 
-    /// The one-shot job, deployed under `config`, and its node list — the
-    /// one both backends run: [`LoopbackJob::specs`] over the workers'
-    /// per-lane partials, with the coordinator's spec at its slot.
-    /// Returns the job, the list and the coordinator's slot.
-    fn job(
-        &self,
-        config: DaietConfig,
-        agg_mode: AggregationMode,
-        pacing: SimDuration,
-    ) -> (LoopbackJob, Vec<NodeSpec>, usize) {
-        let (plan, mappers, coord) = self.make_plan();
-        // One tree per lane, all rooted at the coordinator.
-        let placement = JobPlacement { mappers, reducers: vec![coord; self.plan.lane_count()] };
+    /// Each worker's per-lane partials, the shards its mapper sends.
+    fn partials(&self) -> Vec<Vec<Vec<daiet_wire::daiet::Pair>>> {
+        self.table.shards.iter().map(|shard| self.plan.worker_partials(shard)).collect()
+    }
+
+    /// The one-shot job on `plan`, deployed under `config`: the workers
+    /// on its first hosts and one tree per lane, every one rooted at the
+    /// next host, the coordinator; any host after it idles.
+    fn job(&self, plan: &TopologyPlan, config: DaietConfig, mode: AggregationMode) -> LoopbackJob {
+        let hosts = plan.hosts();
+        let n = self.table.spec.n_workers;
+        assert!(hosts.len() > n, "plan too small");
+        let placement = JobPlacement {
+            mappers: hosts[..n].to_vec(),
+            reducers: vec![hosts[n]; self.plan.lane_count()],
+        };
         let controller = Controller::with_per_tree_agg(config, AggFn::Sum, self.plan.lane_aggs());
-        let job = LoopbackJob::deploy(controller, plan, placement, self.resources, agg_mode)
-            .expect("deployment fits");
-        let partials = self.table.shards.iter().map(|shard| self.plan.worker_partials(shard));
-        let mut specs = job.specs(partials.collect(), pacing, 1);
-        specs[coord] = coordinator_spec(&job, self.plan.lane_aggs(), coord);
-        (job, specs, coord)
+        LoopbackJob::deploy(controller, plan.clone(), placement, self.resources, mode)
+            .expect("deployment fits")
     }
 
     /// Swaps the job's worker and coordinator specs for the TCP
     /// baseline's hosts: each worker streams its encoded per-lane
     /// partials to the coordinator, which is a TCP sink.
-    fn tcp_hosts(&self, workers: &[usize], coord: usize, specs: &mut [NodeSpec]) {
-        for (w, &slot) in workers.iter().enumerate() {
+    fn tcp_hosts(&self, placement: &JobPlacement, specs: &mut [NodeSpec]) {
+        let coord = placement.reducers[0];
+        for (w, &slot) in placement.mappers.iter().enumerate() {
             let payload = encode_partials(&self.plan.worker_partials(&self.table.shards[w]));
             let jobs = vec![(coord as u32, QUERY_PORT, payload)];
             specs[slot] =
@@ -435,12 +300,13 @@ impl QueryRunner {
         }));
     }
 
-    /// The coordinator's read-out off its TCP sink `id`: every worker's
-    /// stream decoded and merged per lane.
-    fn read_tcp(&self, sim: &Simulator, id: NodeId) -> CoordReport {
+    /// The coordinator's lanes and report off its TCP sink `id`: every
+    /// worker's stream decoded and merged per lane. The report holds no
+    /// pairs and no reliability counters.
+    fn read_tcp(&self, sim: &Simulator, id: NodeId) -> (Vec<BTreeMap<u32, u32>>, ReducerReport) {
         let node = sim.node_ref::<SinkReceiverNode>(id).expect("coordinator node");
-        let mut lane_maps = self.plan.empty_lane_maps();
-        let mut records_received = 0u64;
+        let mut lanes = self.plan.empty_lane_maps();
+        let mut pairs_received = 0u64;
         let mut app_bytes = 0u64;
         let mut all_decoded = true;
         for stream in node.received.values() {
@@ -453,71 +319,48 @@ impl QueryRunner {
                 all_decoded = false;
                 continue;
             };
-            records_received += recs.len() as u64;
+            pairs_received += recs.len() as u64;
             for (lane, group, value) in recs {
-                self.plan.merge_record(&mut lane_maps, lane as usize, group, value);
+                self.plan.merge_record(&mut lanes, lane as usize, group, value);
             }
         }
         let complete = all_decoded && node.finished.len() == self.table.spec.n_workers;
-        CoordReport {
-            lane_maps,
+        let report = ReducerReport {
+            trees: Vec::new(),
             complete,
             recovery_satisfied: true,
             nacks_emitted: 0,
             duplicates_suppressed: 0,
-            records_received,
+            pairs_received,
             app_bytes,
             completed_at: if complete { node.last_fin_at } else { None },
-        }
+        };
+        (lanes, report)
     }
 
     /// Runs the query over loopback UDP sockets instead of the
-    /// simulator: the same node list as [`run`](Self::run) in a UDP mode
-    /// (`agg_mode` picks DAIET vs pass-through), each node on its own
-    /// [`daiet_fabric::NodeDriver`] thread exchanging genuine datagrams
-    /// over `127.0.0.1`. `shim_for(slot)` supplies each slot's egress
-    /// fault injection; `deadline` bounds wall-clock run time. The
-    /// configuration and pacing are rescaled with [`wall_clock_config`]
-    /// and [`wall_clock_pacing`].
+    /// simulator: the same node list as [`run_on`](Self::run_on) in a UDP
+    /// mode (`mode` picks DAIET vs pass-through), handed to
+    /// [`LoopbackJob::run_sockets`]. `shim_for(slot)` supplies each
+    /// slot's egress fault injection; `deadline` bounds wall-clock run
+    /// time. The configuration and pacing are rescaled with
+    /// [`wall_clock_config`] and [`wall_clock_pacing`]. The run's one
+    /// report is the coordinator's.
     ///
     /// The backend-equivalence claim — the assembled [`QueryResult`] is
     /// **bit-identical** to both the simulator's and the in-memory
     /// reference executor's — is asserted in `tests/fabric_properties.rs`.
     pub fn run_sockets(
         &self,
-        agg_mode: AggregationMode,
-        mut shim_for: impl FnMut(usize) -> FaultShim,
+        plan: &TopologyPlan,
+        mode: AggregationMode,
+        shim_for: impl FnMut(usize) -> FaultShim,
         deadline: std::time::Duration,
     ) -> QueryLoopbackOutcome {
-        let config = wall_clock_config(self.daiet_config);
-        let (job, mut specs, coord) = self.job(config, agg_mode, wall_clock_pacing(self.pacing));
-        for (slot, spec) in specs.iter_mut().enumerate() {
-            spec.shim = shim_for(slot);
-        }
-        let out = daiet_fabric::run_cluster(specs, &job.links(), deadline);
-
-        let deadlined = out.iter().any(|o| o.exit == ExitReason::Deadline);
-        let shim_dropped = out.iter().map(|o| o.stats.shim_dropped).sum();
-        let driver_stats: Vec<DriverStats> = out.iter().map(|o| o.stats).collect();
-        let report = out
-            .into_iter()
-            .nth(coord)
-            .expect("coordinator slot exists")
-            .result
-            .downcast::<CoordReport>()
-            .expect("coordinator produces a report");
-        QueryLoopbackOutcome {
-            result: self.plan.assemble(&report.lane_maps),
-            lane_maps: report.lane_maps,
-            complete: report.complete,
-            recovery_satisfied: report.recovery_satisfied,
-            nacks_emitted: report.nacks_emitted,
-            duplicates_suppressed: report.duplicates_suppressed,
-            records_received: report.records_received,
-            shim_dropped,
-            driver_stats,
-            deadlined,
-        }
+        let job = self.job(plan, wall_clock_config(self.daiet_config), mode);
+        let specs = job.specs(self.partials(), wall_clock_pacing(self.pacing), 1);
+        let run = job.run_sockets(specs, shim_for, deadline);
+        QueryLoopbackOutcome { result: self.plan.assemble(&lane_maps(&run.reports[0])), run }
     }
 }
 
@@ -528,107 +371,8 @@ pub struct QueryLoopbackOutcome {
     /// [`Query::reference`] and to the simulator's
     /// [`QueryOutcome::result`]).
     pub result: QueryResult,
-    /// Per-lane merged group maps, pre-assembly.
-    pub lane_maps: Vec<BTreeMap<u32, u32>>,
-    /// Whether every lane saw all its ENDs.
-    pub complete: bool,
-    /// Whether NACK recovery (if armed) finished with no gaps owing.
-    pub recovery_satisfied: bool,
-    /// NACK frames the coordinator emitted.
-    pub nacks_emitted: u64,
-    /// Frames the coordinator suppressed as duplicates.
-    pub duplicates_suppressed: u64,
-    /// Partial-aggregate pairs delivered to the coordinator (pre-merge).
-    pub records_received: u64,
-    /// Frames dropped by fault shims across all slots.
-    pub shim_dropped: u64,
-    /// Per-slot driver socket counters.
-    pub driver_stats: Vec<DriverStats>,
-    /// Whether any driver hit the wall-clock deadline (a wedged run).
-    pub deadlined: bool,
-}
-
-/// The coordinator's read-out: what a socket run's finish hook carries
-/// across the driver-thread boundary, and what the simulator's readers
-/// return.
-struct CoordReport {
-    lane_maps: Vec<BTreeMap<u32, u32>>,
-    complete: bool,
-    recovery_satisfied: bool,
-    nacks_emitted: u64,
-    duplicates_suppressed: u64,
-    records_received: u64,
-    app_bytes: u64,
-    completed_at: Option<SimTime>,
-}
-
-impl CoordReport {
-    fn of(coord: &QueryCoordinatorNode) -> CoordReport {
-        CoordReport {
-            lane_maps: coord.lane_maps(),
-            complete: coord.is_complete(),
-            recovery_satisfied: coord.recovery_satisfied(),
-            nacks_emitted: coord.nacks_emitted(),
-            duplicates_suppressed: coord.duplicates_suppressed(),
-            records_received: coord.pairs_received(),
-            app_bytes: coord.app_bytes(),
-            completed_at: coord.completed_at,
-        }
-    }
-}
-
-/// The coordinator's read-out off its DAIET endpoint at plan slot
-/// `coord`, with the duplicates the switches' engines suppressed added
-/// to its own.
-fn read_daiet(job: &LoopbackJob, sim: &Simulator, ids: &[NodeId], coord: usize) -> CoordReport {
-    let node = sim.node_ref::<QueryCoordinatorNode>(ids[coord]).expect("coordinator node");
-    let mut report = CoordReport::of(node);
-    for (&slot, &ext) in &job.deployment().engine_externs {
-        let sw = sim.node_ref::<daiet_dataplane::Switch>(ids[slot]).expect("switch node");
-        report.duplicates_suppressed += sw
-            .extern_ref::<daiet::DaietEngine>(ext)
-            .expect("deployment registered the engine at this id")
-            .duplicates_suppressed();
-    }
-    report
-}
-
-/// The coordinator's [`NodeSpec`] for `job` at plan slot `coord`: a
-/// [`QueryCoordinatorNode`] with one collector per lane (merging with
-/// `lane_aggs`), NACK-armed under recovery, done once complete **and**
-/// gapless, finishing into a [`CoordReport`].
-fn coordinator_spec(job: &LoopbackJob, lane_aggs: Vec<AggFn>, coord: usize) -> NodeSpec {
-    let dep = job.deployment();
-    let config = dep.config;
-    let workers = &job.placement().mappers;
-    let expected_ends: Vec<u32> =
-        (0..lane_aggs.len()).map(|l| dep.expected_ends(l, workers.len())).collect();
-    // One NACK roster across every lane: the coordinator is the reducer
-    // of all of them.
-    let sources: Vec<(u16, u32)> =
-        (0..lane_aggs.len()).flat_map(|l| dep.nack_sources(l, workers)).collect();
-    NodeSpec {
-        build: Box::new(move || {
-            let mut node = QueryCoordinatorNode::new(&lane_aggs, &expected_ends);
-            if config.nack_recovery {
-                node = node.with_nack_recovery(coord as u32, &config, sources);
-            }
-            Box::new(node)
-        }),
-        shim: FaultShim::none(),
-        done: Some(Box::new(|n: &dyn Node| {
-            let coord = (n as &dyn Any)
-                .downcast_ref::<QueryCoordinatorNode>()
-                .expect("coordinator slot holds a QueryCoordinatorNode");
-            coord.is_complete() && coord.recovery_satisfied()
-        })),
-        finish: Box::new(|n| {
-            let coord = (n as Box<dyn Any>)
-                .downcast::<QueryCoordinatorNode>()
-                .expect("coordinator slot holds a QueryCoordinatorNode");
-            Box::new(CoordReport::of(&coord))
-        }),
-    }
+    /// The socket run; its one report is the coordinator's.
+    pub run: SocketRun,
 }
 
 #[cfg(test)]
@@ -676,6 +420,23 @@ mod tests {
         }
     }
 
+    /// GROUP BY on a two-leaf, two-spine fabric: the workers and the
+    /// coordinator span both leaves, so lanes cross the spines.
+    #[test]
+    fn group_by_on_a_leaf_spine_matches_the_reference_in_every_mode() {
+        let table = Table::generate(&TableSpec::tiny(7));
+        let query = full_query();
+        let truth = query.reference(&table);
+        let runner = QueryRunner::new(table, query);
+        let plan = TopologyPlan::leaf_spine(3, 2, 2, runner.link);
+        for mode in [QueryMode::TcpBaseline, QueryMode::UdpNoAgg, QueryMode::DaietAgg] {
+            let out = runner.run_on(&plan, mode);
+            assert!(out.complete, "{mode:?} did not complete");
+            assert_eq!(out.frames_dropped, 0, "{mode:?} dropped frames");
+            assert_eq!(out.result, truth, "{mode:?} diverged from the reference");
+        }
+    }
+
     #[test]
     fn daiet_reduces_coordinator_traffic() {
         // Moderate size so group multiplicity across 8 workers is high.
@@ -717,7 +478,7 @@ mod tests {
         let query = full_query();
         let truth = query.reference(&table);
         let runner = QueryRunner::new(table, query)
-            .with_full_reliability(FaultProfile { duplicate: 0.4, ..FaultProfile::NONE });
+            .with_recovery(FaultProfile { duplicate: 0.4, ..FaultProfile::NONE });
         for mode in [QueryMode::UdpNoAgg, QueryMode::DaietAgg] {
             let out = runner.run(mode);
             assert!(out.complete, "{mode:?} did not complete");
@@ -731,7 +492,7 @@ mod tests {
         let table = Table::generate(&TableSpec::tiny(13));
         let query = full_query();
         let truth = query.reference(&table);
-        let runner = QueryRunner::new(table, query).with_full_reliability(FaultProfile::loss(0.1));
+        let runner = QueryRunner::new(table, query).with_recovery(FaultProfile::loss(0.1));
         let out = runner.run(QueryMode::DaietAgg);
         assert!(out.frames_dropped > 0, "faults did not fire");
         assert!(out.complete, "NACK recovery should survive 10% loss");
@@ -745,12 +506,20 @@ mod tests {
         let table = Table::generate(&TableSpec::tiny(29));
         let query = full_query();
         let truth = query.reference(&table);
-        let mut runner =
-            QueryRunner::new(table, query).with_full_reliability(FaultProfile::loss(0.15));
+        let runner = QueryRunner::new(table, query).with_recovery(FaultProfile::NONE);
         // Confine the faults to the coordinator link so the recovered
-        // losses are provably flush-frame losses.
-        runner.worker_faults = None;
-        let out = runner.run(QueryMode::DaietAgg);
+        // losses are provably flush-frame losses: the star, with only the
+        // coordinator's link lossy.
+        let mut plan = TopologyPlan::new();
+        let workers: Vec<usize> =
+            (0..runner.table.spec.n_workers).map(|_| plan.add_host()).collect();
+        let coord = plan.add_host();
+        let sw = plan.add_switch();
+        for w in workers {
+            plan.link(w, sw, runner.link);
+        }
+        plan.link(coord, sw, runner.link.with_faults(FaultProfile::loss(0.15)));
+        let out = runner.run_on(&plan, QueryMode::DaietAgg);
         assert!(out.frames_dropped > 0, "faults did not fire");
         assert!(out.complete, "NACK recovery should complete the query");
         assert_eq!(out.result, truth);
@@ -765,7 +534,7 @@ mod tests {
         let query = full_query();
         let truth = query.reference(&table);
         let chaos = FaultProfile::chaos(0.08, 0.08, 0.08, 20_000);
-        let runner = QueryRunner::new(table, query).with_full_reliability(chaos);
+        let runner = QueryRunner::new(table, query).with_recovery(chaos);
         let mut any_drops = false;
         for mode in [QueryMode::UdpNoAgg, QueryMode::DaietAgg] {
             let out = runner.run(mode);
@@ -805,14 +574,15 @@ mod tests {
         let truth = query.reference(&table);
         let runner = QueryRunner::new(table, query);
         let out = runner.run_sockets(
+            &runner.star_plan(),
             AggregationMode::InNetwork,
             |_| FaultShim::none(),
             std::time::Duration::from_secs(60),
         );
-        assert!(!out.deadlined, "run hit the deadline");
-        assert!(out.complete && out.recovery_satisfied);
+        assert!(!out.run.deadlined, "run hit the deadline");
+        assert!(out.run.reports[0].complete && out.run.reports[0].recovery_satisfied);
         assert_eq!(out.result, truth, "loopback diverged from the reference");
-        assert_eq!(out.shim_dropped, 0);
+        assert_eq!(out.run.shim_dropped, 0);
     }
 
     /// Switch-egress loss with full reliability armed: the flush frames
@@ -826,8 +596,10 @@ mod tests {
         let mut runner = QueryRunner::new(table, query);
         runner.daiet_config.nack_recovery = true;
         runner.daiet_config = runner.daiet_config.with_rtx_sized_for_flush();
-        let switch_slot = runner.table.spec.n_workers + 1;
+        let plan = runner.star_plan();
+        let switch_slot = plan.switches()[0];
         let out = runner.run_sockets(
+            &plan,
             AggregationMode::InNetwork,
             |slot| {
                 if slot == switch_slot {
@@ -838,11 +610,12 @@ mod tests {
             },
             std::time::Duration::from_secs(60),
         );
-        assert!(!out.deadlined, "recovery never converged");
-        assert!(out.complete && out.recovery_satisfied);
+        let coord = &out.run.reports[0];
+        assert!(!out.run.deadlined, "recovery never converged");
+        assert!(coord.complete && coord.recovery_satisfied);
         assert_eq!(out.result, truth, "loss leaked into the result");
-        assert!(out.shim_dropped > 0, "shim injected no loss — test is vacuous");
-        assert!(out.nacks_emitted > 0, "loss was repaired without NACKs?");
+        assert!(out.run.shim_dropped > 0, "shim injected no loss — test is vacuous");
+        assert!(coord.nacks_emitted > 0, "loss was repaired without NACKs?");
     }
 
     #[test]

@@ -22,10 +22,11 @@
 //!   *lanes*, each a DAIET tree with its own
 //!   [`AggFn`](daiet::agg::AggFn), plus the lane-recombination step
 //!   (`AVG = SUM/COUNT`);
-//! * [`exec`] — the simulator harness: worker combiners, the multi-lane
-//!   coordinator, and the three modes, with optional NACK recovery
-//!   riding the reliability extension; the UDP modes' node list also
-//!   runs over loopback sockets.
+//! * [`exec`] — the simulator harness: worker combiners, the three
+//!   modes over the one-shot job's node list (whose coordinator slot
+//!   roots every lane's tree), and optional NACK recovery riding the
+//!   reliability extension; the UDP modes' node list also runs over
+//!   loopback sockets.
 //!
 //! ```
 //! use daiet_querysim::prelude::*;

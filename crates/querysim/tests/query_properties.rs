@@ -3,7 +3,7 @@
 //! DAIET in-network mode must produce results bit-identical to the
 //! in-memory reference executor — including when links lose and
 //! duplicate frames under NACK recovery
-//! (`QueryRunner::with_full_reliability`).
+//! (`QueryRunner::with_recovery`).
 
 use daiet_netsim::FaultProfile;
 use daiet_querysim::prelude::*;
@@ -92,7 +92,7 @@ proptest! {
         let query = query_from_shape(&shape, 3);
         let truth = query.reference(&table);
         let runner = QueryRunner::new(table, query)
-            .with_full_reliability(FaultProfile { drop: 0.05, duplicate: 0.2, ..FaultProfile::NONE });
+            .with_recovery(FaultProfile { drop: 0.05, duplicate: 0.2, ..FaultProfile::NONE });
         for mode in [QueryMode::UdpNoAgg, QueryMode::DaietAgg] {
             let out = runner.run(mode);
             prop_assert!(

@@ -226,11 +226,12 @@ fn stop_on_stdin_eof(stop: Arc<AtomicBool>) {
 fn child(role: &str) {
     let (socket, addrs) = handshake();
     let (job, corpus) = job();
+    // The job's node list; this process runs one slot of it.
+    let mut specs = job.specs(corpus.partitions.clone(), Duration::from_micros(50), 1);
 
     if let Some(w) = role.strip_prefix("worker:") {
         let w: usize = w.parse().expect("worker index");
-        let shards = vec![Arc::clone(&corpus.partitions[w][0])];
-        let spec = job.sender_spec(w, shards, Duration::from_micros(50), FaultShim::none());
+        let spec = specs.swap_remove(w);
         let mut driver = NodeDriver::from_socket((spec.build)(), socket).expect("driver");
         driver.set_peers(vec![addrs[SWITCH]]);
         let stop = Arc::new(AtomicBool::new(false));
@@ -239,18 +240,18 @@ fn child(role: &str) {
         driver.run(DEADLINE, |_| false);
     } else if role == "switch" {
         let egress_loss = FaultShim::seeded(SEED, LOSS, 0.0).with_scripted_drops([0]);
-        let NodeSpec { build, shim, .. } = job.switch_spec(SWITCH, egress_loss);
-        let mut driver = NodeDriver::from_socket(build(), socket).expect("driver");
+        let spec = specs.swap_remove(SWITCH);
+        let mut driver = NodeDriver::from_socket((spec.build)(), socket).expect("driver");
         // Switch port p faces host p: star links are inserted host-order.
         driver.set_peers(addrs[..SWITCH].to_vec());
-        driver.set_fault_shim(shim);
+        driver.set_fault_shim(egress_loss);
         let stop = Arc::new(AtomicBool::new(false));
         driver.set_stop_flag(stop.clone());
         stop_on_stdin_eof(stop);
         driver.run(DEADLINE, |_| false);
         println!("SHIM dropped={}", driver.stats().shim_dropped);
     } else if role == "coord" {
-        let NodeSpec { build, done, finish, .. } = job.reducer_spec(0, FaultShim::none());
+        let NodeSpec { build, done, finish, .. } = specs.swap_remove(COORD);
         let mut driver = NodeDriver::from_socket(build(), socket).expect("driver");
         driver.set_peers(vec![addrs[SWITCH]]);
         let mut done = done.expect("a reducer ends the run");
@@ -265,7 +266,7 @@ fn child(role: &str) {
             report.nacks_emitted,
             report.duplicates_suppressed
         );
-        for (key, count) in report.pairs {
+        for &(key, count) in &report.trees[0] {
             println!("PAIR {} {count}", key.display_lossy());
         }
         println!("DONE");

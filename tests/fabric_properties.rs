@@ -55,7 +55,7 @@ fn fig3_wordcount_is_byte_identical_across_backends() {
     );
     assert!(!udp.deadlined, "loopback run hit the deadline");
     assert!(
-        udp.all_correct(&runner),
+        runner.reports_correct(&udp.reports),
         "loopback diverged from the bytes the simulator matched"
     );
 }
@@ -83,8 +83,13 @@ fn group_by_is_byte_identical_across_backends() {
     assert!(sim.complete && sim.frames_dropped == 0);
     assert_eq!(sim.result, truth, "simulator diverged from the reference");
 
-    let udp = runner.run_sockets(AggregationMode::InNetwork, |_| FaultShim::none(), DEADLINE);
-    assert!(!udp.deadlined && udp.complete);
+    let udp = runner.run_sockets(
+        &runner.star_plan(),
+        AggregationMode::InNetwork,
+        |_| FaultShim::none(),
+        DEADLINE,
+    );
+    assert!(!udp.run.deadlined && udp.run.reports[0].complete);
     assert_eq!(udp.result, sim.result, "backends disagree byte-for-byte");
     assert_eq!(udp.result, truth);
 }
@@ -121,8 +126,8 @@ fn dropped_flush_frame_is_nack_recovered_over_real_sockets() {
     );
     assert!(!udp.deadlined, "recovery never converged");
     assert_eq!(udp.shim_dropped, 1, "exactly the scripted flush frame must die");
-    assert!(udp.all_correct(&runner), "the dropped flush frame was not repaired");
-    let nacks: u64 = udp.reducers.iter().map(|r| r.nacks_emitted).sum();
+    assert!(runner.reports_correct(&udp.reports), "the dropped flush frame was not repaired");
+    let nacks: u64 = udp.reports.iter().map(|r| r.nacks_emitted).sum();
     assert!(nacks > 0, "repair happened without NACKs — shim hit a retransmittable frame?");
 }
 
